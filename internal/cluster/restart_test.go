@@ -67,10 +67,17 @@ func TestRPCServerRestartMidTraining(t *testing.T) {
 	trn.SetSource(pl)
 	defer pl.Close()
 
+	// Progress is judged by conditions, never by step counts: how many
+	// batches the pipeline runs ahead before a pin advance is observed
+	// depends on scheduling. Each wait is capped so a hang fails clearly.
+	const maxSteps = 200
 	var losses []float64
-	step := func(n int) {
+	stepUntil := func(what string, done func() bool) {
 		t.Helper()
-		for i := 0; i < n; i++ {
+		for start := len(losses); !done(); {
+			if len(losses)-start == maxSteps {
+				t.Fatalf("%s: not reached in %d steps", what, maxSteps)
+			}
 			l, err := trn.StepNext()
 			if err != nil {
 				t.Fatalf("step %d: %v", len(losses), err)
@@ -78,8 +85,14 @@ func TestRPCServerRestartMidTraining(t *testing.T) {
 			losses = append(losses, l)
 		}
 	}
+	shard1Pinned := func(atLeast, atMost uint64) func() bool {
+		return func() bool {
+			pin := c.currentPin()
+			return pin != nil && pin.Epochs[1] >= atLeast && pin.Epochs[1] <= atMost
+		}
+	}
 
-	step(8)
+	stepUntil("warm-up", func() bool { return len(losses) >= 8 })
 
 	// Advance shard 1's epoch so the eventual restart is a genuine head
 	// REGRESSION, not a benign rejoin at the same numbering.
@@ -90,10 +103,7 @@ func TestRPCServerRestartMidTraining(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	step(4)
-	if pin := c.currentPin(); pin == nil || pin.Epochs[1] == 0 {
-		t.Fatalf("pre-restart pin should be at shard 1's advanced epoch, got %+v", pin)
-	}
+	stepUntil("pre-restart pin at shard 1's advanced epoch", shard1Pinned(1, math.MaxUint64))
 
 	// Kill: the listener closes AND established connections are severed, so
 	// in-flight calls observe io.EOF exactly as with a dead process.
@@ -117,19 +127,18 @@ func TestRPCServerRestartMidTraining(t *testing.T) {
 	}
 	defer rs1b.Close()
 
-	step(8)
+	// The head regression is adopted — a live pin leases the new
+	// incarnation's epoch 0 — and training carries on past it.
+	restartAt := len(losses)
+	atFresh := shard1Pinned(0, 0)
+	stepUntil("post-restart pin at the fresh incarnation's epoch 0", func() bool {
+		return atFresh() && len(losses) >= restartAt+8
+	})
 
 	for i, l := range losses {
 		if math.IsNaN(l) || math.IsInf(l, 0) {
 			t.Fatalf("step %d: non-finite loss %v", i, l)
 		}
-	}
-	pin := c.currentPin()
-	if pin == nil {
-		t.Fatal("no live pin after recovery")
-	}
-	if pin.Epochs[1] != 0 {
-		t.Fatalf("post-restart pin still at old incarnation's epoch %d; head regression was not adopted", pin.Epochs[1])
 	}
 	if rt.Retries() == 0 {
 		t.Fatal("restart produced no retries; the outage window was never exercised")

@@ -60,13 +60,16 @@
 //     slot-pure draw path, attribute rows fall back to zeros, TRAVERSE and
 //     NegativePool skip the dead shard's mass. Every such draw is counted
 //     in Client.DegradedDraws so staleness is visible, never silent.
-//     Without Degrade, the pipeline parks affected batches (bounded
-//     backoff, release on Close) instead of killing the trainer.
+//     Without Degrade, the pipeline parks affected batches (capped
+//     backoff, until the shard answers or the pipeline closes) instead of
+//     killing the trainer.
 //
 //   - What surfaces: application errors from a live server — unknown
-//     vertex, malformed request, evicted/future epoch past the re-pin
-//     budget — are never retried by the policy layer (the server answered;
-//     a verbatim retry cannot succeed) and propagate to the caller.
+//     vertex, malformed request, evicted/future epoch — are never retried
+//     by the policy layer (the server answered; a verbatim retry cannot
+//     succeed) and propagate to the caller. The batch pipeline answers an
+//     evicted/future epoch by discarding the pin and replaying the batch
+//     at a fresh one; the rest reach the trainer.
 //
 // # Concurrency model
 //

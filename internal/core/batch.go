@@ -6,7 +6,6 @@ import (
 
 	"repro/internal/graph"
 	"repro/internal/sampling"
-	"repro/internal/version"
 )
 
 // MiniBatch is one fully assembled training batch: the positive edge
@@ -58,6 +57,9 @@ type MiniBatch struct {
 	// transient faults).
 	edgeSeed    uint64
 	hasEdgeSeed bool
+	// planned marks the expansion seeds as drawn; a replay after a lost
+	// lease redraws TRAVERSE but reuses them.
+	planned bool
 }
 
 // reset clears the batch for reuse, keeping every buffer. The caller is
@@ -72,14 +74,17 @@ func (mb *MiniBatch) reset() {
 	mb.err = nil
 	mb.edges = mb.edges[:0]
 	mb.hasEdgeSeed = false
+	mb.planned = false
 }
 
 // BatchSource produces MiniBatches for a LinkTrainer. It is the seam
-// between batch production and consumption: SyncSource assembles each batch
-// inline on the calling goroutine (depth 0 — draw-for-draw identical to the
-// pre-pipeline trainer), while Pipeline assembles batches ahead of the
-// consumer on worker goroutines. Every future asynchronous training feature
-// (epoch pinning, streaming ingest) plugs in behind this interface.
+// between batch production and consumption: a depth-0 Pipeline
+// (NewSyncSource) assembles each batch inline on the calling goroutine —
+// draw-for-draw identical to the pre-pipeline trainer — while deeper
+// Pipelines assemble batches ahead of the consumer on worker goroutines;
+// StreamSource interleaves live updates with either. Next never surfaces a
+// transient fault or a lost lease: those park or re-pin and replay the
+// batch; only a hard error, or Close on a closable source, ends it.
 //
 // The contract is strict alternation per consumer: call Next, consume the
 // batch, hand it back with Recycle, repeat. A recycled batch's buffers are
@@ -132,8 +137,7 @@ var errNoContexts = errors.New("core: mini-batch carries no sampled contexts")
 // negatives, reading mb.Pin's snapshot when set and recording what the
 // environment observed into mb.Epochs. It draws from tr.Rng (via the
 // environment and the negative sampler) and must therefore run on the
-// goroutine that owns that stream: the caller for SyncSource, the
-// scheduler for Pipeline.
+// goroutine that owns that stream: the Pipeline's owner lane.
 func (tr *LinkTrainer) assembleEdges(mb *MiniBatch) error {
 	var edges []graph.Edge
 	var err error
@@ -169,204 +173,14 @@ func (tr *LinkTrainer) assembleEdges(mb *MiniBatch) error {
 	return nil
 }
 
-// pinRetries bounds how many times a batch is re-pinned and re-read after
-// its leased epoch turns out evicted (a shard lost its lease table, e.g. a
-// restart) before the error surfaces.
-const pinRetries = 3
-
-// SyncSource is the depth-0 BatchSource: one batch assembled inline per
-// Next call, on the caller's goroutine, using the trainer's own samplers
-// and random streams. For a fixed seed it reproduces the pre-pipeline
-// trainer's training losses bit for bit — the reference implementation the
-// Pipeline is validated against.
-//
-// Over a pinning source (cluster clients) every batch is stamped with the
-// snapshot current when its assembly starts and reads it end to end, so
-// depth-0 batches carry a single-valued epoch span exactly like pipelined
-// ones.
-type SyncSource struct {
-	tr       *LinkTrainer
-	mb       MiniBatch
-	nbr      *sampling.Neighborhood
-	view     sampling.EpochView
-	ps       sampling.PinSource
-	prefetch PrefetchingFeatures
-}
-
-// NewSyncSource creates the synchronous batch source for tr. A trainer
-// installs one automatically on first use; constructing one explicitly is
-// only needed to drive Step by hand. Epoch-stamped sources are sampled
-// through an epoch view, so depth-0 batches record the epochs of their hop
-// expansions exactly like pipelined ones.
-func NewSyncSource(tr *LinkTrainer) *SyncSource {
-	s := &SyncSource{tr: tr, prefetch: tr.prefetcher()}
-	src := tr.Src
-	s.ps, _ = src.(sampling.PinSource)
-	if es, ok := src.(sampling.EpochedSource); ok {
-		s.view = es.EpochView()
-		src = s.view
-	}
-	s.nbr = &sampling.Neighborhood{Src: src, ByWeight: tr.nbr.ByWeight}
-	return s
-}
-
-// Next implements BatchSource. The batch is owned by the source and reused
-// across calls; it is valid until the next Next call.
-func (s *SyncSource) Next() (*MiniBatch, error) {
-	tr := s.tr
-	mb := &s.mb
-	s.release(mb) // in case the consumer skipped Recycle
-	mb.reset()
-	if s.ps != nil {
-		pin, err := s.ps.Pin()
-		if err != nil {
-			return nil, err
-		}
-		mb.Pin = pin
-	}
-	if s.view != nil {
-		s.view.SetPin(mb.Pin)
-		s.view.ResetSpan()
-	}
-	// One attempt assembles the whole batch against mb.Pin's snapshot. A
-	// lost lease (eviction) re-pins the current snapshot and re-assembles
-	// everything — TRAVERSE included, which is legal here because the
-	// caller owns the sequential streams — so a completed depth-0 batch is
-	// always consistent at one epoch, even across retries. Transient
-	// transport failures (retry budget exhausted against a briefly dead
-	// shard) instead park the batch and replay it against the SAME pin and
-	// seeds, consuming no extra draws.
-	parks := 0
-	for attempt := 0; ; attempt++ {
-		var err error
-		// A parked retry that already assembled its edge batch (the failure
-		// was downstream, in expansion or prefetch) keeps it: negatives were
-		// already drawn from the sequential stream and re-assembling would
-		// double-draw them. Eviction retries reset Src below, forcing a full
-		// re-assembly at the new epoch.
-		if len(mb.Src) == 0 {
-			err = tr.assembleEdges(mb)
-		}
-		if err == nil && tr.ContextFn == nil {
-			tr.ensureSrng()
-			err = s.expand(mb)
-		}
-		if err == nil && tr.ContextFn == nil && s.prefetch != nil && mb.Pin != nil {
-			// Remote feature rows are fetched here, at the batch's pinned
-			// epoch, so the encode reads the same snapshot as every other
-			// stage (unpinned sources keep fetching lazily at encode time).
-			err = s.prefetchAttrs(mb)
-		}
-		if err == nil {
-			break
-		}
-		if transientErr(err) && parks < syncParkLimit {
-			parks++
-			time.Sleep(parkDelay(parks))
-			if s.view != nil {
-				s.view.ResetSpan()
-			}
-			continue
-		}
-		if s.ps == nil || attempt >= pinRetries || !version.IsUnavailable(err) {
-			s.release(mb)
-			return nil, err
-		}
-		if err := s.repin(mb); err != nil {
-			return nil, err
-		}
-		mb.Src, mb.Dst, mb.Negs = mb.Src[:0], mb.Dst[:0], mb.Negs[:0]
-	}
-	if tr.ContextFn == nil {
-		mb.HasCtxs = true
-	}
-	if s.view != nil {
-		mb.Epochs.Merge(s.view.Span())
-	}
-	return mb, nil
-}
-
-// expand runs the three NEIGHBORHOOD expansions. Batched sources (one seed
-// consumed per hop) draw from a snapshot of the seed stream and advance the
-// real stream by exactly the consumed seeds only on success, so a failed
-// attempt leaves the stream untouched for the retry; generic sources use
-// the stream directly, since their consumption is data-dependent and
-// cannot be replayed seed-exactly anyway.
-func (s *SyncSource) expand(mb *MiniBatch) error {
-	tr := s.tr
-	if _, batched := s.nbr.Src.(sampling.BatchSampler); !batched {
-		for i, vs := range [3][]graph.ID{mb.Src, mb.Dst, mb.Negs} {
-			if err := s.nbr.SampleInto(&mb.Ctxs[i], tr.EdgeType, vs, tr.HopNums, tr.srng); err != nil {
-				return err
-			}
-		}
-		return nil
-	}
-	rng := tr.srng.Snapshot()
-	for i, vs := range [3][]graph.ID{mb.Src, mb.Dst, mb.Negs} {
-		if err := s.nbr.SampleInto(&mb.Ctxs[i], tr.EdgeType, vs, tr.HopNums, &rng); err != nil {
-			return err
-		}
-	}
-	tr.srng.Skip(3 * len(tr.HopNums))
-	return nil
-}
-
-// prefetchAttrs fetches the hop-0 attribute rows of every context vertex at
-// the batch's pinned epoch (mirroring the pipeline worker's prefetch).
-func (s *SyncSource) prefetchAttrs(mb *MiniBatch) error {
-	mb.pvs = mb.pvs[:0]
-	for e := range mb.Ctxs {
-		for _, layer := range mb.Ctxs[e].Layers {
-			mb.pvs = append(mb.pvs, layer...)
-		}
-	}
-	if mb.Attrs == nil {
-		mb.Attrs = make(map[graph.ID][]float64)
-	} else {
-		for k := range mb.Attrs {
-			delete(mb.Attrs, k)
-		}
-	}
-	return s.prefetch.PrefetchAttrs(mb.pvs, mb.Pin, mb.Attrs)
-}
-
-// repinBatch swaps a batch's dead pin for a lease of the backend's current
-// snapshot: the shared step of every eviction-retry path.
-func repinBatch(ps sampling.PinSource, mb *MiniBatch) error {
-	ps.Discard(mb.Pin)
-	pin, err := ps.Pin()
-	ps.Unpin(mb.Pin)
-	mb.Pin = pin
-	return err
-}
-
-// repin is repinBatch plus the sync source's span bookkeeping; the caller
-// replays the batch's reads afterwards.
-func (s *SyncSource) repin(mb *MiniBatch) error {
-	if err := repinBatch(s.ps, mb); err != nil {
-		return err
-	}
-	mb.Epochs.Reset()
-	if s.view != nil {
-		s.view.SetPin(mb.Pin)
-		s.view.ResetSpan()
-	}
-	return nil
-}
-
-// release drops the batch's pin reference, if any.
-func (s *SyncSource) release(mb *MiniBatch) {
-	if mb.Pin != nil && s.ps != nil {
-		s.ps.Unpin(mb.Pin)
-	}
-	mb.Pin = nil
-}
-
-// Recycle implements BatchSource; the sync source reuses its single batch
-// in place, releasing only its snapshot pin.
-func (s *SyncSource) Recycle(mb *MiniBatch) {
-	if mb == &s.mb {
-		s.release(mb)
-	}
+// NewSyncSource creates the depth-0 BatchSource for tr: a Pipeline that
+// starts no goroutines and assembles one batch inline per Next call, on the
+// caller's goroutine, using the trainer's own samplers and random streams.
+// For a fixed seed it reproduces the pre-pipeline trainer's training losses
+// bit for bit — the reference every deeper Pipeline is validated against.
+// A trainer installs one automatically on first use; constructing one
+// explicitly is only needed to drive Step by hand, or to hold the Close
+// that ends a batch parked on an unreachable shard.
+func NewSyncSource(tr *LinkTrainer) *Pipeline {
+	return NewPipeline(tr, PipelineConfig{})
 }

@@ -5,66 +5,83 @@ import (
 	"sync"
 	"time"
 
-	"repro/internal/graph"
 	"repro/internal/sampling"
-	"repro/internal/version"
 )
 
-// PipelineConfig tunes a prefetching Pipeline.
+// PipelineConfig tunes a Pipeline.
 type PipelineConfig struct {
-	// Depth is how many assembled batches may wait ahead of the consumer
-	// (minimum 1). Depth 0 means "no pipeline" to the layers above; they
-	// keep the trainer's synchronous source instead of building one.
+	// Depth is how many assembled batches may wait ahead of the consumer.
+	// Depth 0 starts no goroutines: each batch is assembled inline on the
+	// caller of Next — the depth-0 reference source (NewSyncSource).
 	Depth int
-	// Workers is the number of parallel assembly goroutines (default 2).
-	// Each worker drives its own NEIGHBORHOOD expansion — on a cluster
-	// source that means independent in-flight SampleNeighbors/Attrs RPC
-	// windows per worker, bounded by Workers.
+	// Workers is the number of parallel assembly goroutines (default 2;
+	// unused at Depth 0). Each worker drives its own NEIGHBORHOOD expansion —
+	// on a cluster source that means independent in-flight
+	// SampleNeighbors/Attrs RPC windows per worker, bounded by Workers.
 	Workers int
 }
 
 // ErrPipelineClosed is returned by Next after Close.
 var ErrPipelineClosed = errors.New("core: pipeline closed")
 
-// Pipeline is the prefetching BatchSource: it assembles up to Depth
-// MiniBatches ahead of the consumer so that TRAVERSE, NEGATIVE and
+// Pipeline is the trainer's BatchSource. Above depth 0 it assembles up to
+// Depth MiniBatches ahead of the consumer so that TRAVERSE, NEGATIVE and
 // NEIGHBORHOOD sampling (and, on clusters, the batched Attrs prefetch) of
 // future batches overlap the forward/backward pass of the current one —
 // the produce/consume split of Section 4.1 that hides graph-service
-// latency behind GNN compute.
+// latency behind GNN compute. At depth 0 it assembles each batch inline.
 //
-// Determinism: a single scheduler goroutine performs every draw from the
-// trainer's sequential random streams in batch order — the TRAVERSE batch,
-// the negatives, and a snapshot of the NEIGHBORHOOD seed stream per encode
-// (each hop of a batched source consumes exactly one seed, so the scheduler
-// advances the stream without sampling anything). Workers then execute the
+// Every depth runs the same assembly routine (assemble) with the same
+// fault policy: a transient transport failure parks the batch and replays
+// it against the same pin and scheduled seeds; a lost lease (an evicted or
+// not-yet-reached epoch) discards the pin, leases a fresh one and replays;
+// only Close or a hard error ends the retries. The hard error surfaces
+// from Next in sequence position.
+//
+// Determinism: a single owner goroutine (the scheduler; the caller at depth
+// 0) performs every draw from the trainer's sequential random streams in
+// batch order — the TRAVERSE batch, the negatives, and a snapshot of the
+// NEIGHBORHOOD seed stream per encode (each hop of a batched source
+// consumes exactly one seed, so the owner advances the stream without
+// sampling anything). Workers then execute the
 // expensive expansions from those snapshots, and a collector releases
 // batches in sequence order. For sources with the BatchSampler capability
 // (local graphs, cluster clients) the training losses are therefore
-// bit-identical to the depth-0 SyncSource at every Depth and Workers
-// setting — including with a replacing (LRU) neighbor cache: batched draws
-// are slot-pure (sampling.SlotRng derives each slot's stream from the hop
-// seed and the slot index alone), so cache warm-up timing, admission order
-// across workers, and hit/miss patterns can shift RPC traffic but never
-// the sampled values. Generic sources stay correct but draw from
-// independently seeded per-encode forks of the stream (their expansions
-// consume data-dependent draw counts, which a fixed skip cannot budget).
+// bit-identical at every Depth and Workers setting — including with a
+// replacing (LRU) neighbor cache: batched draws are slot-pure
+// (sampling.SlotRng derives each slot's stream from the hop seed and the
+// slot index alone), so cache warm-up timing, admission order across
+// workers, and hit/miss patterns can shift RPC traffic but never the
+// sampled values. Generic sources stay correct but draw from independently
+// seeded per-encode forks of the stream (their expansions consume
+// data-dependent draw counts, which a fixed skip cannot budget).
 //
 // Buffers: MiniBatches circulate through a fixed free list of
-// Depth+Workers+1 batches, so steady-state production allocates nothing on
-// the local path and the PR 1 zero-allocation sampling property survives
-// the goroutine hop. Close stops all goroutines and waits for them; the
-// consumer must not call Next concurrently with itself, and inference on
-// the trainer must wait until the pipeline is closed or idle.
+// Depth+Workers+1 batches (one batch at depth 0), so steady-state
+// production allocates nothing on the local path and the zero-allocation
+// sampling property survives the goroutine hop. Close
+// stops all goroutines and waits for them; the consumer must not call Next
+// concurrently with itself, and inference on the trainer must wait until
+// the pipeline is closed or idle.
 type Pipeline struct {
 	tr       *LinkTrainer
 	cfg      PipelineConfig
 	prefetch PrefetchingFeatures
 	// ps is the source's pinning capability (cluster clients). When
-	// present, the scheduler stamps every batch with a pin of the snapshot
-	// current at schedule time, every stage reads it, and eviction of a
-	// leased epoch triggers a bounded re-pin-and-retry in the worker.
-	ps sampling.PinSource
+	// present, every batch is stamped with a pin of the snapshot current at
+	// schedule time and every stage reads it.
+	ps      sampling.PinSource
+	batched bool // the source implements sampling.BatchSampler
+
+	// srng is the NEIGHBORHOOD seed stream, drawn only by the owner lane;
+	// created lazily from the trainer's Rng after the first batch's edge
+	// and negative draws, which keeps the pre-pipeline draw order.
+	srng *sampling.Rng
+
+	// inline is the single batch of a depth-0 pipeline and lane the
+	// caller's lane that assembles it; both nil above depth 0.
+	inline *MiniBatch
+	lane   *lane
 
 	free  chan *MiniBatch // recycled batches -> scheduler
 	plans chan *MiniBatch // scheduler -> workers (edges+negs+seeds filled)
@@ -81,35 +98,38 @@ type Pipeline struct {
 	met pipelineMetrics
 }
 
-// NewPipeline builds and starts a prefetching source over tr's environment
-// and sampler stack. The trainer must not have trained yet (the pipeline
-// takes over its random streams) and must not use a ContextFn — layer-wise
-// sampling closures are not goroutine-safe and would race the scheduler on
-// the trainer's rand.Rand; NewPipeline panics rather than letting that
-// misuse surface as a data race far from its cause. Install the pipeline
-// with tr.SetSource.
+// NewPipeline builds and starts a batch source over tr's environment and
+// sampler stack. The trainer must not have trained yet (the pipeline takes
+// over its random streams). Above depth 0 the trainer must not use a
+// ContextFn — layer-wise sampling closures are not goroutine-safe and would
+// race the scheduler on the trainer's rand.Rand; NewPipeline panics rather
+// than letting that misuse surface as a data race far from its cause.
+// Install the pipeline with tr.SetSource.
 func NewPipeline(tr *LinkTrainer, cfg PipelineConfig) *Pipeline {
+	p := &Pipeline{tr: tr, prefetch: tr.prefetcher(), stop: make(chan struct{})}
+	p.ps, _ = tr.Src.(sampling.PinSource)
+	_, p.batched = tr.Src.(sampling.BatchSampler)
+	if cfg.Depth < 1 {
+		p.cfg = PipelineConfig{}
+		p.inline = &MiniBatch{}
+		p.lane = &lane{owner: true}
+		if tr.ContextFn == nil {
+			p.lane = p.expandingLane(true)
+		}
+		return p
+	}
 	if tr.ContextFn != nil {
 		panic("core: Pipeline is incompatible with a ContextFn trainer (layer-wise samplers draw from the trainer's rand.Rand at encode time)")
-	}
-	if cfg.Depth < 1 {
-		cfg.Depth = 1
 	}
 	if cfg.Workers < 1 {
 		cfg.Workers = 2
 	}
+	p.cfg = cfg
 	total := cfg.Depth + cfg.Workers + 1
-	p := &Pipeline{
-		tr:       tr,
-		cfg:      cfg,
-		prefetch: tr.prefetcher(),
-		free:     make(chan *MiniBatch, total),
-		plans:    make(chan *MiniBatch, total),
-		done:     make(chan *MiniBatch, total),
-		out:      make(chan *MiniBatch, total),
-		stop:     make(chan struct{}),
-	}
-	p.ps, _ = tr.Src.(sampling.PinSource)
+	p.free = make(chan *MiniBatch, total)
+	p.plans = make(chan *MiniBatch, total)
+	p.done = make(chan *MiniBatch, total)
+	p.out = make(chan *MiniBatch, total)
 	for i := 0; i < total; i++ {
 		p.free <- &MiniBatch{}
 	}
@@ -122,262 +142,47 @@ func NewPipeline(tr *LinkTrainer, cfg PipelineConfig) *Pipeline {
 	return p
 }
 
-// scheduler owns the trainer's sequential random streams: it assembles the
-// cheap, order-sensitive stages (TRAVERSE, NEGATIVE, per-encode seed
-// snapshots) in batch order and hands the expensive rest to the workers.
-// Exactly `total` batches circulate and every channel holds that many, so
-// channel sends never block; only receives watch the stop signal.
+// scheduler owns the trainer's sequential random streams: it runs the
+// owner lane — pin, TRAVERSE, NEGATIVE, per-encode seed snapshots — in
+// batch order and hands the expensive rest to the workers. Exactly `total`
+// batches circulate and every channel holds that many, so channel sends
+// never block; only receives watch the stop signal.
 func (p *Pipeline) scheduler() {
 	defer p.wg.Done()
-	tr := p.tr
-	hops := len(tr.HopNums)
-	_, batched := tr.Src.(sampling.BatchSampler)
-	var srng *sampling.Rng
-	seq := uint64(0)
-	for {
+	owner := &lane{owner: true}
+	for seq := uint64(0); ; seq++ {
 		select {
 		case <-p.stop:
 			return
 		case mb := <-p.free:
-			start := time.Now()
 			p.unpin(mb) // error batches returned directly may still hold one
 			mb.reset()
 			mb.seq = seq
-			seq++
-			if p.ps != nil {
-				// Stamp the batch with the snapshot current at schedule
-				// time: in steady state a refcount bump, after an observed
-				// update one Lease round. Every stage of the batch — the
-				// TRAVERSE below, the worker's expansions, the attribute
-				// prefetch — reads this pin. Transient transport failures
-				// park the scheduler (capped backoff, aborted by Close)
-				// instead of killing the run: a restarting server comes
-				// back on its own clock.
-				parks := 0
-				for {
-					pin, err := p.ps.Pin()
-					if err == nil {
-						mb.Pin = pin
-						break
-					}
-					if transientErr(err) {
-						parks++
-						if p.park(parks) {
-							continue
-						}
-						err = ErrPipelineClosed
-					}
-					mb.err = err
-					break
-				}
-				if mb.err != nil {
-					p.met.schedule.Observe(int64(time.Since(start)))
-					p.plans <- mb
-					continue
-				}
-			}
-			// The TRAVERSE stage reads the pin too; if the leased epoch was
-			// lost server-side, re-pin and redraw (legal here: the scheduler
-			// owns the sequential streams, so the redraws stay ordered). A
-			// transient failure instead parks and replays against the SAME
-			// pin and edge seed, consuming no extra draws.
-			parks := 0
-			for attempt := 0; ; attempt++ {
-				err := tr.assembleEdges(mb)
-				if err == nil {
-					break
-				}
-				if transientErr(err) {
-					parks++
-					if p.park(parks) {
-						p.met.replays.Inc()
-						continue
-					}
-					mb.err = ErrPipelineClosed
-					break
-				}
-				if p.ps == nil || attempt >= pinRetries || !version.IsUnavailable(err) {
-					mb.err = err
-					break
-				}
-				if perr := repinBatch(p.ps, mb); perr != nil {
-					mb.err = perr
-					break
-				}
-				p.met.replays.Inc()
-				mb.Src, mb.Dst, mb.Negs = mb.Src[:0], mb.Dst[:0], mb.Negs[:0]
-				mb.Epochs.Reset()
-			}
-			if mb.err != nil {
-				p.met.schedule.Observe(int64(time.Since(start)))
-				p.plans <- mb
-				continue
-			}
-			if srng == nil {
-				// Created lazily after the first batch's edge and negative
-				// draws, mirroring the synchronous trainer, so the seed
-				// stream matches depth 0 draw for draw.
-				srng = sampling.NewRng(uint64(tr.Rng.Int63()))
-			}
-			if batched {
-				// A batched source consumes exactly one seed per hop, so a
-				// snapshot plus a fixed skip hands the worker precisely the
-				// draws the synchronous source would have made.
-				for e := range mb.seeds {
-					mb.seeds[e] = srng.Snapshot()
-					srng.Skip(hops)
-				}
-			} else {
-				// Generic sources consume a data-dependent number of draws
-				// per expansion; give each encode an independently seeded
-				// fork so concurrent batches never replay overlapping
-				// stream segments.
-				for e := range mb.seeds {
-					mb.seeds[e] = *sampling.NewRng(srng.Uint64())
-				}
-			}
-			p.met.schedule.Observe(int64(time.Since(start)))
+			p.assemble(mb, owner)
 			p.plans <- mb
 		}
 	}
 }
 
-// worker executes the deterministic heavy stages of planned batches: the
-// three NEIGHBORHOOD expansions from their scheduled seed snapshots, then
-// the hop-0 attribute prefetch. Each worker samples through its own epoch
-// view when the source has one, so the epochs a batch observed are recorded
+// worker runs an expanding lane over planned batches: the three
+// NEIGHBORHOOD expansions from their scheduled seed snapshots, then the
+// hop-0 attribute prefetch. Each worker samples through its own epoch view
+// when the source has one, so the epochs a batch observed are recorded
 // without cross-worker synchronization.
 func (p *Pipeline) worker() {
 	defer p.wg.Done()
-	tr := p.tr
-	src := tr.Src
-	var view sampling.EpochView
-	if es, ok := src.(sampling.EpochedSource); ok {
-		view = es.EpochView()
-		src = view
-	}
-	nbr := &sampling.Neighborhood{Src: src, ByWeight: tr.nbr.ByWeight}
+	l := p.expandingLane(false)
 	for {
 		select {
 		case <-p.stop:
 			return
 		case mb := <-p.plans:
-			p.assemble(mb, nbr, view)
+			if mb.err == nil {
+				p.assemble(mb, l)
+			}
 			p.done <- mb
 		}
 	}
-}
-
-// assemble runs the heavy stages, re-pinning and replaying the batch's
-// reads (the scheduled seed snapshots make the draws exact) when a leased
-// epoch turns out evicted — bounded, so a persistently failing shard still
-// surfaces its error in sequence position.
-func (p *Pipeline) assemble(mb *MiniBatch, nbr *sampling.Neighborhood, view sampling.EpochView) {
-	if mb.err != nil {
-		return
-	}
-	parks := 0
-	for attempt := 0; ; attempt++ {
-		err := p.assembleOnce(mb, nbr, view)
-		if err == nil {
-			return
-		}
-		if transientErr(err) {
-			// A briefly unreachable shard (its retry budget exhausted): park
-			// this batch and replay the expansions from the scheduled seed
-			// snapshots — draw-exact, so the batch that eventually completes
-			// is identical to a fault-free one. Close aborts the wait.
-			parks++
-			if p.park(parks) {
-				p.met.replays.Inc()
-				continue
-			}
-			mb.err = ErrPipelineClosed
-			return
-		}
-		if p.ps == nil || attempt >= pinRetries || !version.IsUnavailable(err) {
-			mb.err = err
-			return
-		}
-		// The pin's lease was lost server-side (restart, forced eviction):
-		// lease the current snapshot and replay the expansions and the
-		// attribute prefetch from the scheduled seed snapshots. The
-		// TRAVERSE positives were drawn at the dead epoch and cannot be
-		// redrawn here (the scheduler owns that stream), so the batch's
-		// span keeps the old stamp and gains the new one — it truthfully
-		// reports Mixed(), and consumers that require strict snapshot
-		// consistency can drop it. Only lost leases pay this; ordinary
-		// churn never evicts a leased epoch.
-		if perr := repinBatch(p.ps, mb); perr != nil {
-			mb.err = perr
-			return
-		}
-		p.met.replays.Inc()
-	}
-}
-
-func (p *Pipeline) assembleOnce(mb *MiniBatch, nbr *sampling.Neighborhood, view sampling.EpochView) error {
-	tr := p.tr
-	if view != nil {
-		view.SetPin(mb.Pin)
-		view.ResetSpan()
-	}
-	sampleStart := time.Now()
-	for e, vs := range [3][]graph.ID{mb.Src, mb.Dst, mb.Negs} {
-		rng := mb.seeds[e]
-		if err := nbr.SampleInto(&mb.Ctxs[e], tr.EdgeType, vs, tr.HopNums, &rng); err != nil {
-			return err
-		}
-	}
-	p.met.sample.Observe(int64(time.Since(sampleStart)))
-	mb.HasCtxs = true
-	if p.prefetch != nil {
-		mb.pvs = mb.pvs[:0]
-		for e := range mb.Ctxs {
-			for _, layer := range mb.Ctxs[e].Layers {
-				mb.pvs = append(mb.pvs, layer...)
-			}
-		}
-		if mb.Attrs == nil {
-			mb.Attrs = make(map[graph.ID][]float64)
-		} else {
-			for k := range mb.Attrs {
-				delete(mb.Attrs, k)
-			}
-		}
-		prefetchStart := time.Now()
-		if err := p.prefetch.PrefetchAttrs(mb.pvs, mb.Pin, mb.Attrs); err != nil {
-			return err
-		}
-		p.met.prefetch.Observe(int64(time.Since(prefetchStart)))
-	}
-	if view != nil {
-		mb.Epochs.Merge(view.Span())
-	}
-	return nil
-}
-
-// park sleeps the n-th consecutive backoff delay for one parked batch,
-// returning false when the pipeline closed during the wait (the caller then
-// abandons the batch instead of spinning against a stopped pipeline).
-func (p *Pipeline) park(n int) bool {
-	p.met.parks.Inc()
-	t := time.NewTimer(parkDelay(n))
-	defer t.Stop()
-	select {
-	case <-p.stop:
-		return false
-	case <-t.C:
-		return true
-	}
-}
-
-// unpin releases mb's snapshot pin, if any.
-func (p *Pipeline) unpin(mb *MiniBatch) {
-	if mb.Pin != nil && p.ps != nil {
-		p.ps.Unpin(mb.Pin)
-	}
-	mb.Pin = nil
 }
 
 // collector restores sequence order: workers finish out of order, the
@@ -411,8 +216,11 @@ func (p *Pipeline) collector() {
 	}
 }
 
-// Next implements BatchSource. Errors are sticky: the first assembly error
-// is returned (in sequence position) and every later call repeats it.
+// Next implements BatchSource. Above depth 0 errors are sticky: the first
+// assembly error is returned (in sequence position) and every later call
+// repeats it. At depth 0 the batch is assembled on the calling goroutine
+// and each call starts afresh; the returned batch is valid until Recycle
+// or the next Next call.
 func (p *Pipeline) Next() (*MiniBatch, error) {
 	p.mu.Lock()
 	err := p.err
@@ -426,6 +234,19 @@ func (p *Pipeline) Next() (*MiniBatch, error) {
 		// batches still sitting in the output buffer.
 		return nil, ErrPipelineClosed
 	default:
+	}
+	if mb := p.inline; mb != nil {
+		p.unpin(mb) // in case the consumer skipped Recycle
+		mb.reset()
+		p.assemble(mb, p.lane)
+		if err := mb.err; err != nil {
+			mb.err = nil
+			p.unpin(mb)
+			return nil, err
+		}
+		mb.loaned = true
+		mb.outAt = time.Now()
+		return mb, nil
 	}
 	wait := time.Now()
 	select {
@@ -461,13 +282,17 @@ func (p *Pipeline) Recycle(mb *MiniBatch) {
 	p.met.consume.Observe(int64(time.Since(mb.outAt)))
 	p.unpin(mb)
 	mb.loaned = false
-	p.free <- mb // loaned ring members always have a free slot reserved
+	if p.inline == nil {
+		p.free <- mb // loaned ring members always have a free slot reserved
+	}
 }
 
 // Close stops the producer goroutines, waits for them to exit, and releases
 // the snapshot pins of every batch still in flight inside the pipeline.
 // Batches already handed out stay valid (their pins release on Recycle);
-// Next returns ErrPipelineClosed afterwards. Close is idempotent.
+// Next returns ErrPipelineClosed afterwards, and a batch parked inside a
+// running Next gives up with it. Close is idempotent and safe to call from
+// any goroutine.
 func (p *Pipeline) Close() error {
 	p.closeOnce.Do(func() { close(p.stop) })
 	p.wg.Wait()

@@ -223,6 +223,51 @@ func TestPipelineErrorSticky(t *testing.T) {
 	}
 }
 
+// downEnv fails every edge draw with a transient error, announcing each
+// attempt on calls.
+type downEnv struct {
+	TrainEnv
+	calls chan struct{}
+}
+
+type downErr struct{}
+
+func (downErr) Error() string   { return "shard down" }
+func (downErr) Transient() bool { return true }
+
+func (e *downEnv) SampleEdges(graph.EdgeType, int) ([]graph.Edge, error) {
+	e.calls <- struct{}{}
+	return nil, downErr{}
+}
+
+// A transient failure never surfaces from a depth-0 Next: the batch parks
+// and replays until Close, which ends the wait with ErrPipelineClosed.
+func TestSyncSourceParksUntilClose(t *testing.T) {
+	grng := rand.New(rand.NewSource(6))
+	g := twoCommunityGraph(20, grng)
+	tr := newPipelineTestTrainer(g, 29)
+	env := &downEnv{TrainEnv: tr.Env, calls: make(chan struct{})}
+	tr.Env = env
+	src := NewSyncSource(tr)
+	errc := make(chan error, 1)
+	go func() {
+		_, err := src.Next()
+		errc <- err
+	}()
+	for i := 0; i < 3; i++ { // the first attempt and two replays
+		<-env.calls
+	}
+	go func() { // drain attempts that race with Close
+		for range env.calls {
+		}
+	}()
+	src.Close()
+	if err := <-errc; !errors.Is(err, ErrPipelineClosed) {
+		t.Fatalf("parked depth-0 Next after Close: %v, want ErrPipelineClosed", err)
+	}
+	close(env.calls)
+}
+
 // ContextFn trainers draw from the trainer's rand.Rand at encode time; a
 // pipeline would race them, so construction must refuse loudly.
 func TestPipelineRejectsContextFn(t *testing.T) {

@@ -6,11 +6,12 @@ import (
 
 // Pipeline observability: always-on batch-lifecycle stage timings. Each
 // assembled batch contributes one observation per stage it passes through —
-// schedule (the scheduler's sequential work: pin, TRAVERSE, negatives, seed
-// snapshots), sample (a worker's three NEIGHBORHOOD expansions), prefetch
-// (the hop-0 attribute fetch, cluster sources only), and consume (how long
-// the trainer held the batch between Next and Recycle). next_wait measures
-// how long Next blocked before a batch was ready: near-zero means the
+// schedule (the owner lane's sequential work: pin, TRAVERSE, negatives, seed
+// snapshots), sample (an expanding lane's three NEIGHBORHOOD expansions),
+// prefetch (the hop-0 attribute fetch, cluster sources only), and consume
+// (how long the trainer held the batch between Next and Recycle). Above
+// depth 0, next_wait measures how long Next blocked before a batch was
+// ready: near-zero means the
 // producers are hiding graph-service latency completely; values tracking the
 // sample stage mean the pipeline is producer-bound and Depth/Workers are the
 // knobs to turn. parks and replays count fault handling (transient-failure

@@ -70,9 +70,9 @@ func (e *LocalEnv) NumVertices() int { return e.G.NumVertices() }
 // TrainEnv, so the same loop drives a local graph or live RPC shards.
 //
 // Batch production and consumption are decoupled: a BatchSource assembles
-// MiniBatches (SyncSource inline, Pipeline ahead of the consumer on worker
-// goroutines) and Step consumes one — forward, loss, backward, optimizer —
-// without doing any sampling of its own. Train and StepNext tie the two
+// MiniBatches (a Pipeline: inline at depth 0, ahead of the consumer on
+// worker goroutines above it) and Step consumes one — forward, loss,
+// backward, optimizer — without doing any sampling of its own. Train and StepNext tie the two
 // together.
 type LinkTrainer struct {
 	Env      TrainEnv
@@ -107,17 +107,11 @@ type LinkTrainer struct {
 	negRebuilds atomic.Int64
 
 	// source produces the trainer's batches; nil until first use, when the
-	// depth-0 SyncSource is installed. external marks a source installed by
-	// SetSource, whose producer goroutines own the training random streams.
-	source   BatchSource
-	external bool
-
-	// srng seeds NEIGHBORHOOD expansion in sync mode; created lazily from
-	// Rng on first use (after the first batch's edge and negative draws,
-	// which keeps the historical draw order). Inference never touches it:
-	// Embed/Score/EmbedAll sample from a per-call fixed-seed stream, so
-	// they are safe for concurrent callers and repeatable call over call.
-	srng *sampling.Rng
+	// depth-0 source is installed. It owns the training random streams;
+	// inference never touches them: Embed/Score/EmbedAll sample from a
+	// per-call fixed-seed stream, so they are safe for concurrent callers
+	// and repeatable call over call.
+	source BatchSource
 
 	prefetch    PrefetchingFeatures
 	prefetchSet bool
@@ -216,7 +210,7 @@ func (tr *LinkTrainer) maybeRefreshNegatives() error {
 }
 
 // Source returns the trainer's batch producer, installing the depth-0
-// SyncSource on first use.
+// source (NewSyncSource) on first use.
 func (tr *LinkTrainer) Source() BatchSource {
 	if tr.source == nil {
 		tr.source = NewSyncSource(tr)
@@ -224,23 +218,12 @@ func (tr *LinkTrainer) Source() BatchSource {
 	return tr.source
 }
 
-// SetSource installs an external batch producer (a Pipeline). Call it
-// before the first training step — the producer takes over the trainer's
-// sequential random streams — and manage the source's lifecycle yourself
-// (Close a Pipeline when training ends).
+// SetSource installs a batch producer (a Pipeline). Call it before the
+// first training step — the producer takes over the trainer's sequential
+// random streams — and manage the source's lifecycle yourself (Close a
+// Pipeline when training ends).
 func (tr *LinkTrainer) SetSource(s BatchSource) {
 	tr.source = s
-	tr.external = true
-}
-
-// ensureSrng lazily creates the NEIGHBORHOOD seed stream; the draw from Rng
-// happens at the historical point (after the first batch's edge and
-// negative draws), keeping fixed-seed runs bit-identical across the
-// refactor to batch sources.
-func (tr *LinkTrainer) ensureSrng() {
-	if tr.srng == nil {
-		tr.srng = sampling.NewRng(uint64(tr.Rng.Int63()))
-	}
 }
 
 // prefetcher returns the feature source's prefetching capability, if any.
