@@ -82,7 +82,7 @@ func (e *Encoder) encodePositional(t *nn.Tape, ctx *sampling.Context) *nn.Node {
 	for k := 1; k <= kmax; k++ {
 		next := make([]*nn.Node, L-k)
 		for l := 0; l < L-k; l++ {
-			agg := e.Agg[k-1].Aggregate(t, h[l+1], ctx.HopNums[l])
+			agg := e.Agg[k-1].Aggregate(t, h[l+1], nil, ctx.HopNums[l])
 			comb := e.Comb[k-1].Combine(t, h[l], agg)
 			if e.normalizeHop(k, kmax) {
 				comb = t.RowL2Normalize(comb)
@@ -151,14 +151,16 @@ func (e *Encoder) encodeMaterialized(t *nn.Tape, ctx *sampling.Context) *nn.Node
 				flat = append(flat, curRow[u])
 			}
 			// Pad groups narrower than width (different hop widths) with
-			// the vertex itself so MeanGroups stays aligned.
+			// the vertex itself so the groups stay aligned.
 			for pad := len(grp); pad < width; pad++ {
 				flat = append(flat, curRow[v])
 			}
 		}
-		neigh := t.Gather(hhat, flat)
+		// AGGREGATE reads the neighbour rows of ĥ^(k-1) by index. It goes on
+		// the tape before the self Gather, so backward adds the self
+		// contributions to ĥ^(k-1)'s gradient before the neighbour ones.
+		agg := e.Agg[k-1].Aggregate(t, hhat, flat, width)
 		self := t.Gather(hhat, selfIdx)
-		agg := e.Agg[k-1].Aggregate(t, neigh, width)
 		comb := e.Comb[k-1].Combine(t, self, agg)
 		if e.normalizeHop(k, kmax) {
 			comb = t.RowL2Normalize(comb)

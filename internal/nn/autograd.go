@@ -60,8 +60,10 @@ type Node struct {
 func (n *Node) Grad() *tensor.Matrix { return n.grad }
 
 // Tape records operations in execution order so Backward can replay them in
-// reverse. A tape is used for one forward/backward pass and then discarded;
-// allocation is cheap relative to the matmuls it records.
+// reverse. A tape is used for one forward/backward pass and then discarded.
+// Every op allocates its output afresh, and zeroing those allocations is a
+// measurable share of a training step, so only Backward allocates gradient
+// buffers: a forward-only tape (inference, evaluation) allocates none.
 type Tape struct {
 	nodes []*Node
 }
@@ -71,9 +73,6 @@ func NewTape() *Tape { return &Tape{} }
 
 func (t *Tape) node(val *tensor.Matrix, needs bool, back func()) *Node {
 	n := &Node{Val: val, tape: t, needs: needs, back: back}
-	if needs {
-		n.grad = tensor.New(val.Rows, val.Cols)
-	}
 	t.nodes = append(t.nodes, n)
 	return n
 }
@@ -98,6 +97,11 @@ func (t *Tape) Backward(loss *Node) {
 	}
 	if !loss.needs {
 		return // loss does not depend on any parameter
+	}
+	for _, n := range t.nodes {
+		if n.needs && n.grad == nil {
+			n.grad = tensor.New(n.Val.Rows, n.Val.Cols)
+		}
 	}
 	loss.grad.Data[0] = 1
 	for i := len(t.nodes) - 1; i >= 0; i-- {

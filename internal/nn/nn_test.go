@@ -156,7 +156,7 @@ func TestGradGroupReductionsAndRowOps(t *testing.T) {
 	build := func() float64 {
 		tp := NewTape()
 		x := tp.Gather(tp.Use(emb), []int{0, 1, 2, 3, 4, 5})
-		mean := tp.MeanGroups(x, 3) // 2 x 3
+		mean := tp.MeanGroupsOf(x, nil, 3) // 2 x 3
 		norm := tp.RowL2Normalize(mean)
 		loss := tp.MSE(norm, target)
 		tp.Backward(loss)

@@ -304,20 +304,35 @@ func (t *Tape) MeanRows(a *Node) *Node {
 	return out
 }
 
-// MeanGroups reduces (B*K) x C to B x C by averaging each consecutive group
-// of K rows; this is the batched mean-AGGREGATE over aligned sampled
-// neighborhoods.
-func (t *Tape) MeanGroups(a *Node, k int) *Node {
-	if a.Val.Rows%k != 0 {
-		panic("nn: MeanGroups row count not divisible by group size")
+// MeanGroupsOf averages groups of k rows of a, one output row per group:
+// group g is the mean of a's rows idx[g*k:(g+1)*k], or of rows g*k..g*k+k-1
+// when idx is nil. It is the batched mean-AGGREGATE over sampled
+// neighbourhoods; with idx it fuses the Gather of the neighbour rows into
+// the mean, so the gathered matrix and its gradient are never built, and
+// the gradient scatters into a's rows in idx order, as Gather's would.
+func (t *Tape) MeanGroupsOf(a *Node, idx []int, k int) *Node {
+	rows := a.Val.Rows
+	if idx != nil {
+		rows = len(idx)
 	}
-	b := a.Val.Rows / k
+	if rows%k != 0 {
+		panic("nn: MeanGroupsOf row count not divisible by group size")
+	}
+	row := func(i int) int {
+		if idx != nil {
+			return idx[i]
+		}
+		return i
+	}
+	b := rows / k
 	val := tensor.New(b, a.Val.Cols)
 	for g := 0; g < b; g++ {
 		orow := val.Row(g)
-		for r := 0; r < k; r++ {
-			for j, v := range a.Val.Row(g*k + r) {
-				orow[j] += v
+		for i := g * k; i < (g+1)*k; i++ {
+			arow := a.Val.Row(row(i))
+			o := orow[:len(arow)]
+			for j, v := range arow {
+				o[j] += v
 			}
 		}
 		for j := range orow {
@@ -330,8 +345,8 @@ func (t *Tape) MeanGroups(a *Node, k int) *Node {
 		out.back = func() {
 			for g := 0; g < b; g++ {
 				grow := out.grad.Row(g)
-				for r := 0; r < k; r++ {
-					arow := a.grad.Row(g*k + r)
+				for i := g * k; i < (g+1)*k; i++ {
+					arow := a.grad.Row(row(i))[:len(grow)]
 					for j, gv := range grow {
 						arow[j] += gv * inv
 					}
@@ -383,7 +398,7 @@ func (t *Tape) MaxGroups(a *Node, k int) *Node {
 
 // ScatterMean averages the rows of a into outRows buckets given each row's
 // bucket assignment; empty buckets stay zero. It is the variable-group-size
-// counterpart of MeanGroups, used when neighbor counts differ per vertex
+// counterpart of MeanGroupsOf, used when neighbor counts differ per vertex
 // (full-neighborhood propagation in HEP).
 func (t *Tape) ScatterMean(a *Node, rows []int, outRows int) *Node {
 	if len(rows) != a.Val.Rows {

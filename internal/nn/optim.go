@@ -112,6 +112,7 @@ func (o *Adam) Step(params []*Param) {
 	o.t++
 	bc1 := 1 - math.Pow(o.Beta1, float64(o.t))
 	bc2 := 1 - math.Pow(o.Beta2, float64(o.t))
+	lr, b1, b2, eps := o.LR, o.Beta1, o.Beta2, o.Eps
 	for _, p := range params {
 		m, v := o.m[p], o.v[p]
 		if m == nil {
@@ -119,12 +120,14 @@ func (o *Adam) Step(params []*Param) {
 			v = tensor.New(p.Val.Rows, p.Val.Cols)
 			o.m[p], o.v[p] = m, v
 		}
-		for i, g := range p.Grad.Data {
-			m.Data[i] = o.Beta1*m.Data[i] + (1-o.Beta1)*g
-			v.Data[i] = o.Beta2*v.Data[i] + (1-o.Beta2)*g*g
-			mh := m.Data[i] / bc1
-			vh := v.Data[i] / bc2
-			p.Val.Data[i] -= o.LR * mh / (math.Sqrt(vh) + o.Eps)
+		grad := p.Grad.Data
+		val, md, vd := p.Val.Data[:len(grad)], m.Data[:len(grad)], v.Data[:len(grad)]
+		for i, g := range grad {
+			md[i] = b1*md[i] + (1-b1)*g
+			vd[i] = b2*vd[i] + (1-b2)*g*g
+			mh := md[i] / bc1
+			vh := vd[i] / bc2
+			val[i] -= lr * mh / (math.Sqrt(vh) + eps)
 		}
 		p.ZeroGrad()
 	}

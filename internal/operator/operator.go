@@ -15,13 +15,25 @@ import (
 	"repro/internal/nn"
 )
 
-// Aggregator reduces grouped neighbor embeddings. Input is (B*K) x d where
-// each consecutive group of K rows belongs to one vertex; output is B x out.
+// Aggregator reduces grouped neighbor embeddings into B x out, one row per
+// vertex. The B*K neighbor rows are rows idx of src, each consecutive group
+// of K belonging to one vertex; idx == nil means src's own rows in order
+// (src is then (B*K) x d). Taking the rows by index lets an aggregator that
+// reduces them directly skip building the gathered matrix.
 type Aggregator interface {
 	Name() string
-	Aggregate(t *nn.Tape, neigh *nn.Node, k int) *nn.Node
+	Aggregate(t *nn.Tape, src *nn.Node, idx []int, k int) *nn.Node
 	Params() []*nn.Param
 	OutDim() int
+}
+
+// neighborRows materializes an Aggregator's neighbor rows for the
+// aggregators that transform each row before reducing.
+func neighborRows(t *nn.Tape, src *nn.Node, idx []int) *nn.Node {
+	if idx == nil {
+		return src
+	}
+	return t.Gather(src, idx)
 }
 
 // Combiner merges self (B x d1) and aggregated neighborhood (B x d2) into
@@ -52,8 +64,8 @@ func NewMeanAggregator(name string, d, out int, rng *rand.Rand) *MeanAggregator 
 func (a *MeanAggregator) Name() string { return "mean" }
 
 // Aggregate implements Aggregator.
-func (a *MeanAggregator) Aggregate(t *nn.Tape, neigh *nn.Node, k int) *nn.Node {
-	return a.dense.Forward(t, t.MeanGroups(neigh, k))
+func (a *MeanAggregator) Aggregate(t *nn.Tape, src *nn.Node, idx []int, k int) *nn.Node {
+	return a.dense.Forward(t, t.MeanGroupsOf(src, idx, k))
 }
 
 // Params implements Aggregator.
@@ -78,8 +90,8 @@ func NewSumAggregator(name string, d, out int, rng *rand.Rand) *SumAggregator {
 func (a *SumAggregator) Name() string { return "sum" }
 
 // Aggregate implements Aggregator.
-func (a *SumAggregator) Aggregate(t *nn.Tape, neigh *nn.Node, k int) *nn.Node {
-	return a.dense.Forward(t, t.Scale(t.MeanGroups(neigh, k), float64(k)))
+func (a *SumAggregator) Aggregate(t *nn.Tape, src *nn.Node, idx []int, k int) *nn.Node {
+	return a.dense.Forward(t, t.Scale(t.MeanGroupsOf(src, idx, k), float64(k)))
 }
 
 // Params implements Aggregator.
@@ -104,8 +116,8 @@ func NewMaxPoolAggregator(name string, d, out int, rng *rand.Rand) *MaxPoolAggre
 func (a *MaxPoolAggregator) Name() string { return "maxpool" }
 
 // Aggregate implements Aggregator.
-func (a *MaxPoolAggregator) Aggregate(t *nn.Tape, neigh *nn.Node, k int) *nn.Node {
-	return t.MaxGroups(a.pre.Forward(t, neigh), k)
+func (a *MaxPoolAggregator) Aggregate(t *nn.Tape, src *nn.Node, idx []int, k int) *nn.Node {
+	return t.MaxGroups(a.pre.Forward(t, neighborRows(t, src, idx)), k)
 }
 
 // Params implements Aggregator.
@@ -131,7 +143,8 @@ func NewLSTMAggregator(name string, d, out int, rng *rand.Rand) *LSTMAggregator 
 func (a *LSTMAggregator) Name() string { return "lstm" }
 
 // Aggregate implements Aggregator.
-func (a *LSTMAggregator) Aggregate(t *nn.Tape, neigh *nn.Node, k int) *nn.Node {
+func (a *LSTMAggregator) Aggregate(t *nn.Tape, src *nn.Node, idx []int, k int) *nn.Node {
+	neigh := neighborRows(t, src, idx)
 	b := neigh.Val.Rows / k
 	var h, c *nn.Node
 	// Timestep r consumes the r-th neighbor of every vertex: rows r, k+r,

@@ -25,7 +25,7 @@ func TestAggregatorShapes(t *testing.T) {
 	x.GaussianInit(rng, 1)
 	for _, agg := range allAggregators(d, out, rng) {
 		tp := nn.NewTape()
-		y := agg.Aggregate(tp, tp.Input(x), k)
+		y := agg.Aggregate(tp, tp.Input(x), nil, k)
 		if y.Val.Rows != b || y.Val.Cols != out {
 			t.Fatalf("%s: shape %dx%d want %dx%d", agg.Name(), y.Val.Rows, y.Val.Cols, b, out)
 		}
@@ -52,7 +52,7 @@ func TestAggregatorsTrain(t *testing.T) {
 		first, last := 0.0, 0.0
 		for i := 0; i < 150; i++ {
 			tp := nn.NewTape()
-			y := agg.Aggregate(tp, tp.Input(x), k)
+			y := agg.Aggregate(tp, tp.Input(x), nil, k)
 			loss := tp.MSE(y, target)
 			tp.Backward(loss)
 			opt.Step(agg.Params())
@@ -79,8 +79,8 @@ func TestMeanAggregatorPermutationInvariant(t *testing.T) {
 		copy(perm.Row(i), x.Row(r))
 	}
 	tp := nn.NewTape()
-	y1 := agg.Aggregate(tp, tp.Input(x), k)
-	y2 := agg.Aggregate(tp, tp.Input(perm), k)
+	y1 := agg.Aggregate(tp, tp.Input(x), nil, k)
+	y2 := agg.Aggregate(tp, tp.Input(perm), nil, k)
 	for i := range y1.Val.Data {
 		if math.Abs(y1.Val.Data[i]-y2.Val.Data[i]) > 1e-9 {
 			t.Fatal("mean aggregator must be permutation invariant")
@@ -99,8 +99,8 @@ func TestMaxPoolPermutationInvariant(t *testing.T) {
 		copy(perm.Row(i), x.Row(r))
 	}
 	tp := nn.NewTape()
-	y1 := agg.Aggregate(tp, tp.Input(x), k)
-	y2 := agg.Aggregate(tp, tp.Input(perm), k)
+	y1 := agg.Aggregate(tp, tp.Input(x), nil, k)
+	y2 := agg.Aggregate(tp, tp.Input(perm), nil, k)
 	for i := range y1.Val.Data {
 		if math.Abs(y1.Val.Data[i]-y2.Val.Data[i]) > 1e-9 {
 			t.Fatal("max-pool aggregator must be permutation invariant")
@@ -121,8 +121,8 @@ func TestLSTMAggregatorOrderSensitive(t *testing.T) {
 		copy(rev.Row(i), x.Row(k-1-i))
 	}
 	tp := nn.NewTape()
-	y1 := agg.Aggregate(tp, tp.Input(x), k)
-	y2 := agg.Aggregate(tp, tp.Input(rev), k)
+	y1 := agg.Aggregate(tp, tp.Input(x), nil, k)
+	y2 := agg.Aggregate(tp, tp.Input(rev), nil, k)
 	diff := 0.0
 	for i := range y1.Val.Data {
 		diff += math.Abs(y1.Val.Data[i] - y2.Val.Data[i])
@@ -168,6 +168,45 @@ func TestSumCombinerIsSymmetric(t *testing.T) {
 	for i := range y1.Val.Data {
 		if math.Abs(y1.Val.Data[i]-y2.Val.Data[i]) > 1e-9 {
 			t.Fatal("sum combiner must be symmetric in its inputs")
+		}
+	}
+}
+
+// TestAggregateByIndexMatchesGathered: reading the neighbor rows through
+// idx gives the bits of aggregating an explicitly gathered matrix, forward
+// and in the gradients of the source rows and of the aggregator's params.
+func TestAggregateByIndexMatchesGathered(t *testing.T) {
+	rng := rand.New(rand.NewSource(7))
+	const rows, b, k, d, out = 5, 3, 4, 6, 3
+	idx := make([]int, b*k)
+	for i := range idx {
+		idx[i] = rng.Intn(rows) // repeats
+	}
+	for _, agg := range allAggregators(d, out, rng) {
+		src := nn.NewParam("src", rows, d, rng)
+		run := func(byIndex bool) []float64 {
+			for _, p := range append(agg.Params(), src) {
+				p.ZeroGrad()
+			}
+			tp := nn.NewTape()
+			var y *nn.Node
+			if byIndex {
+				y = agg.Aggregate(tp, tp.Use(src), idx, k)
+			} else {
+				y = agg.Aggregate(tp, tp.Gather(tp.Use(src), idx), nil, k)
+			}
+			tp.Backward(tp.SumAll(tp.Tanh(y)))
+			bits := append([]float64(nil), y.Val.Data...)
+			for _, p := range append(agg.Params(), src) {
+				bits = append(bits, p.Grad.Data...)
+			}
+			return bits
+		}
+		want, got := run(false), run(true)
+		for i := range want {
+			if math.Float64bits(got[i]) != math.Float64bits(want[i]) {
+				t.Fatalf("%s: value %d = %v, want %v", agg.Name(), i, got[i], want[i])
+			}
 		}
 	}
 }

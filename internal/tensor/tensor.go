@@ -1,9 +1,10 @@
 // Package tensor provides the dense matrix type underlying the NN substrate
 // (internal/nn). AliGraph's production deployment trains with TensorFlow;
-// this reproduction substitutes a small, allocation-conscious float64 matrix
-// library — the models in the paper are small MLPs, attention heads, LSTM
-// cells and VAEs over sampled mini-batches, all expressible as dense matrix
-// programs.
+// this reproduction substitutes a small float64 matrix library — the models
+// in the paper are small MLPs, attention heads, LSTM cells and VAEs over
+// sampled mini-batches, all expressible as dense matrix programs. Every
+// operation returns a freshly allocated (and zeroed) matrix; the kernels
+// are scalar Go loops, with no SIMD and no buffer reuse.
 package tensor
 
 import (
@@ -58,11 +59,7 @@ func (m *Matrix) Clone() *Matrix {
 }
 
 // Zero resets all elements in place.
-func (m *Matrix) Zero() {
-	for i := range m.Data {
-		m.Data[i] = 0
-	}
-}
+func (m *Matrix) Zero() { clear(m.Data) }
 
 // Fill sets every element to v.
 func (m *Matrix) Fill(v float64) {
@@ -83,39 +80,44 @@ func (m *Matrix) shapeCheck(o *Matrix, op string) {
 // AddInPlace adds o element-wise into m.
 func (m *Matrix) AddInPlace(o *Matrix) {
 	m.shapeCheck(o, "add")
+	d := m.Data[:len(o.Data)]
 	for i, v := range o.Data {
-		m.Data[i] += v
+		d[i] += v
 	}
 }
 
 // SubInPlace subtracts o element-wise from m.
 func (m *Matrix) SubInPlace(o *Matrix) {
 	m.shapeCheck(o, "sub")
+	d := m.Data[:len(o.Data)]
 	for i, v := range o.Data {
-		m.Data[i] -= v
+		d[i] -= v
 	}
 }
 
 // MulInPlace multiplies element-wise by o.
 func (m *Matrix) MulInPlace(o *Matrix) {
 	m.shapeCheck(o, "mul")
+	d := m.Data[:len(o.Data)]
 	for i, v := range o.Data {
-		m.Data[i] *= v
+		d[i] *= v
 	}
 }
 
 // ScaleInPlace multiplies every element by s.
 func (m *Matrix) ScaleInPlace(s float64) {
-	for i := range m.Data {
-		m.Data[i] *= s
+	d := m.Data
+	for i := range d {
+		d[i] *= s
 	}
 }
 
 // Axpy adds a*x into m (BLAS axpy).
 func (m *Matrix) Axpy(a float64, x *Matrix) {
 	m.shapeCheck(x, "axpy")
+	d := m.Data[:len(x.Data)]
 	for i, v := range x.Data {
-		m.Data[i] += a * v
+		d[i] += a * v
 	}
 }
 
@@ -125,72 +127,122 @@ func MatMul(a, b *Matrix) *Matrix {
 		panic(fmt.Sprintf("tensor: matmul %dx%d @ %dx%d", a.Rows, a.Cols, b.Rows, b.Cols))
 	}
 	out := New(a.Rows, b.Cols)
-	MatMulInto(out, a, b)
+	matMulAdd(out, a, b)
 	return out
 }
 
-// MatMulInto computes a @ b into out (ikj loop order for cache locality).
+// MatMulInto computes a @ b into out.
 func MatMulInto(out, a, b *Matrix) {
 	if out.Rows != a.Rows || out.Cols != b.Cols || a.Cols != b.Rows {
 		panic("tensor: matmul shape mismatch")
 	}
 	out.Zero()
+	matMulAdd(out, a, b)
+}
+
+// matMulAdd adds a @ b into out in ikj order: each row of out accumulates
+// the rows of b scaled by the row's entries of a, so every output element
+// sums its products in k order, exactly as a dot product would. Zero
+// entries of a (ReLU outputs) are skipped, and the rest are applied four at
+// a time.
+func matMulAdd(out, a, b *Matrix) {
+	ks := make([]int, 0, a.Cols) // the nonzero columns of a's current row
 	for i := 0; i < a.Rows; i++ {
-		arow := a.Row(i)
-		orow := out.Row(i)
-		for k := 0; k < a.Cols; k++ {
-			av := arow[k]
-			if av == 0 {
-				continue
+		arow, orow := a.Row(i), out.Row(i)
+		ks = ks[:0]
+		for k, av := range arow {
+			if av != 0 {
+				ks = append(ks, k)
 			}
-			brow := b.Row(k)
-			for j := range brow {
-				orow[j] += av * brow[j]
-			}
+		}
+		q := 0
+		for ; q+4 <= len(ks); q += 4 {
+			k0, k1, k2, k3 := ks[q], ks[q+1], ks[q+2], ks[q+3]
+			addScaled4(orow, arow[k0], arow[k1], arow[k2], arow[k3], b.Row(k0), b.Row(k1), b.Row(k2), b.Row(k3))
+		}
+		for _, k := range ks[q:] {
+			addScaled(orow, arow[k], b.Row(k))
 		}
 	}
 }
 
-// MatMulTransA computes aᵀ @ b.
+// addScaled adds x*b into o.
+func addScaled(o []float64, x float64, b []float64) {
+	o = o[:len(b)]
+	for j, bv := range b {
+		o[j] += x * bv
+	}
+}
+
+// addScaled4 adds x0*b0, x1*b1, x2*b2 and x3*b3 into o. Each element takes
+// the four products one addition at a time, in that order, so the result is
+// bit-identical to four addScaled calls; it is loaded and stored once
+// instead of four times.
+func addScaled4(o []float64, x0, x1, x2, x3 float64, b0, b1, b2, b3 []float64) {
+	o = o[:len(b0)]
+	b1, b2, b3 = b1[:len(b0)], b2[:len(b0)], b3[:len(b0)]
+	for j, bv := range b0 {
+		s := o[j]
+		s += x0 * bv
+		s += x1 * b1[j]
+		s += x2 * b2[j]
+		s += x3 * b3[j]
+		o[j] = s
+	}
+}
+
+// MatMulTransA computes aᵀ @ b. Row i of the result accumulates the rows of
+// b scaled by column i of a, in k order. Each column's nonzero entries wait
+// in pend until four are ready for one addScaled4 pass.
 func MatMulTransA(a, b *Matrix) *Matrix {
 	if a.Rows != b.Rows {
 		panic("tensor: matmulTransA shape mismatch")
 	}
 	out := New(a.Cols, b.Cols)
+	type term struct {
+		x float64
+		k int
+	}
+	pend := make([][4]term, a.Cols)
+	npend := make([]int, a.Cols)
 	for k := 0; k < a.Rows; k++ {
 		arow := a.Row(k)
-		brow := b.Row(k)
-		for i, av := range arow {
-			if av == 0 {
+		pend, npend := pend[:len(arow)], npend[:len(arow)]
+		for i, x := range arow {
+			if x == 0 {
 				continue
 			}
-			orow := out.Row(i)
-			for j, bv := range brow {
-				orow[j] += av * bv
+			p := &pend[i]
+			c := npend[i]
+			p[c] = term{x, k}
+			if c < 3 {
+				npend[i] = c + 1
+				continue
 			}
+			npend[i] = 0
+			addScaled4(out.Row(i), p[0].x, p[1].x, p[2].x, p[3].x, b.Row(p[0].k), b.Row(p[1].k), b.Row(p[2].k), b.Row(p[3].k))
+		}
+	}
+	for i, c := range npend {
+		for _, t := range pend[i][:c] {
+			addScaled(out.Row(i), t.x, b.Row(t.k))
 		}
 	}
 	return out
 }
 
-// MatMulTransB computes a @ bᵀ.
+// MatMulTransB computes a @ bᵀ through MatMul's kernel over a transposed
+// copy of b (in the backward pass b is a weight matrix, small beside a).
+// Element (i, j) sums a[i][k]*b[j][k] in k order, as a dot product would,
+// and gets the same bits: the kernel skips the products of zero entries of
+// a, and for finite b each of those is ±0, which leaves unchanged a sum
+// that starts at +0.
 func MatMulTransB(a, b *Matrix) *Matrix {
 	if a.Cols != b.Cols {
 		panic("tensor: matmulTransB shape mismatch")
 	}
 	out := New(a.Rows, b.Rows)
-	for i := 0; i < a.Rows; i++ {
-		arow := a.Row(i)
-		orow := out.Row(i)
-		for j := 0; j < b.Rows; j++ {
-			brow := b.Row(j)
-			s := 0.0
-			for k, av := range arow {
-				s += av * brow[k]
-			}
-			orow[j] = s
-		}
-	}
+	matMulAdd(out, a, b.Transpose())
 	return out
 }
 
