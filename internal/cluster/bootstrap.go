@@ -2,6 +2,7 @@ package cluster
 
 import (
 	"fmt"
+	"time"
 
 	"repro/internal/graph"
 	"repro/internal/partition"
@@ -56,6 +57,7 @@ func (s *Server) SetBootstrap(a *partition.Assignment, schema *graph.Schema) {
 
 // ServeBootstrap answers a bootstrap request.
 func (s *Server) ServeBootstrap(_ BootstrapRequest, reply *BootstrapReply) error {
+	defer obsSince(&s.met.rpc[MBootstrap], time.Now())
 	s.mu.RLock()
 	boot := s.boot
 	s.mu.RUnlock()

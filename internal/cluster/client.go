@@ -132,7 +132,7 @@ func (c *Client) Neighbors(v graph.ID, t graph.EdgeType) ([]graph.ID, error) {
 	}
 	var reply NeighborsReply
 	req := NeighborsRequest{Vertices: []graph.ID{v}, EdgeType: t}
-	if err := c.timed(mNeighbors, func() error { return c.T.Neighbors(p, req, &reply) }); err != nil {
+	if err := c.timed(MNeighbors, func() error { return c.T.Neighbors(p, req, &reply) }); err != nil {
 		return nil, err
 	}
 	c.pins.noteHead(p, reply.Head, reply.AttrHead)
@@ -316,7 +316,7 @@ func (c *Client) neighborsBatchSpan(dst [][]graph.ID, vs []graph.ID, t graph.Edg
 	errs := c.scatter(parts, func(i, p int) error {
 		req := NeighborsRequest{Vertices: subBatch[p], EdgeType: t}
 		req.Pin, req.Pinned = pinFields(pin, p)
-		return c.timed(mNeighbors, func() error { return c.T.Neighbors(p, req, &replies[i]) })
+		return c.timed(MNeighbors, func() error { return c.T.Neighbors(p, req, &replies[i]) })
 	})
 	for i, p := range parts {
 		batch := subBatch[p]
@@ -477,7 +477,7 @@ func (c *Client) sampleBatchSpan(dst []graph.ID, vs []graph.ID, t graph.EdgeType
 	hs.rpcs.Add(int64(len(parts)))
 	replies := make([]SampleReply, len(parts))
 	errs := c.scatter(parts, func(i, p int) error {
-		return c.timed(mSampleNeighbors, func() error { return c.T.SampleNeighbors(p, reqs[i], &replies[i]) })
+		return c.timed(MSampleNeighbors, func() error { return c.T.SampleNeighbors(p, reqs[i], &replies[i]) })
 	})
 	for i, p := range parts {
 		js := subUniq[p]
@@ -566,7 +566,7 @@ func (c *Client) clusterStats(refresh bool) ([]StatsReply, error) {
 	// never serialized behind one slow server.
 	stats := make([]StatsReply, c.Assign.P)
 	errs := c.scatter(allParts(c.Assign.P), func(i, p int) error {
-		return c.timed(mStats, func() error { return c.T.Stats(p, StatsRequest{}, &stats[p]) })
+		return c.timed(MStats, func() error { return c.T.Stats(p, StatsRequest{}, &stats[p]) })
 	})
 	partial := false
 	for p := 0; p < c.Assign.P; p++ {
@@ -705,7 +705,7 @@ func (c *Client) appendSampleEdges(dst []graph.Edge, t graph.EdgeType, n int, se
 	}
 	replies := make([]EdgesReply, len(parts))
 	errs := c.scatter(parts, func(i, p int) error {
-		return c.timed(mSampleEdges, func() error { return c.T.SampleEdges(p, reqs[p], &replies[i]) })
+		return c.timed(MSampleEdges, func() error { return c.T.SampleEdges(p, reqs[p], &replies[i]) })
 	})
 	edges := dst
 	for i, p := range parts {
@@ -735,7 +735,7 @@ func (c *Client) NegativePool(t graph.EdgeType) ([]graph.ID, []float64, error) {
 	counts := make(map[graph.ID]int64)
 	replies := make([]NegPoolReply, c.Assign.P)
 	errs := c.scatter(allParts(c.Assign.P), func(i, p int) error {
-		return c.timed(mNegativePool, func() error { return c.T.NegativePool(p, NegPoolRequest{EdgeType: t}, &replies[i]) })
+		return c.timed(MNegativePool, func() error { return c.T.NegativePool(p, NegPoolRequest{EdgeType: t}, &replies[i]) })
 	})
 	for p := 0; p < c.Assign.P; p++ {
 		if err := errs[p]; err != nil {
@@ -794,7 +794,7 @@ func (c *Client) attrsObserve(vs []graph.ID, pin *sampling.Pin, note func(part i
 	errs := c.scatter(parts, func(i, p int) error {
 		req := AttrsRequest{Vertices: subBatch[p]}
 		req.Pin, req.Pinned = pinFields(pin, p)
-		return c.timed(mAttrs, func() error { return c.T.Attrs(p, req, &replies[i]) })
+		return c.timed(MAttrs, func() error { return c.T.Attrs(p, req, &replies[i]) })
 	})
 	for i, p := range parts {
 		batch := subBatch[p]
@@ -845,12 +845,12 @@ func (c *Client) SinceOf(vs []graph.ID, t graph.EdgeType) (adj, attr, upto []uin
 	nReplies := make([]NeighborsReply, len(parts))
 	aReplies := make([]AttrsReply, len(parts))
 	errs := c.scatter(parts, func(i, p int) error {
-		if e := c.timed(mNeighbors, func() error {
+		if e := c.timed(MNeighbors, func() error {
 			return c.T.Neighbors(p, NeighborsRequest{Vertices: subBatch[p], EdgeType: t}, &nReplies[i])
 		}); e != nil {
 			return e
 		}
-		return c.timed(mAttrs, func() error {
+		return c.timed(MAttrs, func() error {
 			return c.T.Attrs(p, AttrsRequest{Vertices: subBatch[p]}, &aReplies[i])
 		})
 	})

@@ -92,26 +92,6 @@ func allParts(p int) []int {
 	return parts
 }
 
-// rpcMethod indexes the per-method counters of clientMetrics.
-type rpcMethod int
-
-const (
-	mNeighbors rpcMethod = iota
-	mSampleNeighbors
-	mSampleEdges
-	mNegativePool
-	mStats
-	mAttrs
-	mLease
-	mRelease
-	methodCount
-)
-
-var methodNames = [methodCount]string{
-	"Neighbors", "SampleNeighbors", "SampleEdges", "NegativePool",
-	"Stats", "Attrs", "Lease", "Release",
-}
-
 // methodCounters accumulates one RPC method's error count and wall-clock
 // latency distribution (including the retry layer's attempts and backoff,
 // since the client times the whole transport call). The call count is the
@@ -130,9 +110,9 @@ type methodCounters struct {
 // (ROADMAP item 4) — per-hop strategy choices need per-method timings to
 // choose against.
 type clientMetrics struct {
-	methods  [methodCount]methodCounters
-	fanouts  obs.Counter // scatter rounds spanning more than one shard
-	fanWidth obs.Counter // cumulative sub-requests across those rounds
+	rpc      [numMethods]methodCounters // indexed by Method
+	fanouts  obs.Counter                // scatter rounds spanning more than one shard
+	fanWidth obs.Counter                // cumulative sub-requests across those rounds
 }
 
 // MethodMetrics is one RPC method's cumulative counters. Calls and Latency
@@ -307,10 +287,10 @@ func (m Metrics) String() string {
 }
 
 // timed wraps one per-shard transport call with the method's counters.
-func (c *Client) timed(m rpcMethod, call func() error) error {
+func (c *Client) timed(m Method, call func() error) error {
 	start := time.Now()
 	err := call()
-	mc := &c.met.methods[m]
+	mc := &c.met.rpc[m]
 	mc.lat.Observe(int64(time.Since(start)))
 	if err != nil {
 		mc.errors.Inc()
@@ -337,10 +317,10 @@ func (c *Client) Metrics() Metrics {
 	m := Metrics{
 		DegradedDraws: c.degradedDraws.Load(),
 		Fanouts:       c.met.fanouts.Load(),
-		Methods:       make(map[string]MethodMetrics, methodCount),
+		Methods:       make(map[string]MethodMetrics, numMethods),
 	}
-	for i := rpcMethod(0); i < methodCount; i++ {
-		mc := &c.met.methods[i]
+	for i := range numMethods {
+		mc := &c.met.rpc[i]
 		hs := mc.lat.Snapshot()
 		mm := MethodMetrics{
 			Calls:   hs.Count,
@@ -350,7 +330,7 @@ func (c *Client) Metrics() Metrics {
 			P99:     time.Duration(hs.P99),
 			Max:     time.Duration(hs.Max),
 		}
-		m.Methods[methodNames[i]] = mm
+		m.Methods[i.String()] = mm
 		m.RPCs += mm.Calls
 	}
 	if m.Fanouts > 0 {
@@ -389,10 +369,10 @@ func (c *Client) Metrics() Metrics {
 // setup; the hot paths keep writing the same instruments whether or not a
 // registry ever reads them.
 func (c *Client) RegisterObs(r *obs.Registry) {
-	for i := rpcMethod(0); i < methodCount; i++ {
-		mc := &c.met.methods[i]
-		r.RegisterHistogram("cluster.client.rpc."+methodNames[i]+".latency", &mc.lat)
-		r.RegisterCounter("cluster.client.rpc."+methodNames[i]+".errors", &mc.errors)
+	for i := range numMethods {
+		mc := &c.met.rpc[i]
+		r.RegisterHistogram("cluster.client.rpc."+i.String()+".latency", &mc.lat)
+		r.RegisterCounter("cluster.client.rpc."+i.String()+".errors", &mc.errors)
 	}
 	r.RegisterCounter("cluster.client.fanout.rounds", &c.met.fanouts)
 	r.RegisterCounter("cluster.client.fanout.width_sum", &c.met.fanWidth)

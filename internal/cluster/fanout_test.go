@@ -213,7 +213,7 @@ func TestNoGoroutineLeakAfterClose(t *testing.T) {
 	base := runtime.NumGoroutine()
 
 	g := churnTestGraph(160)
-	wrap := func(inner Transport) Transport {
+	wrap := func(inner Caller) Transport {
 		return NewLatencyTransport(inner, 200*time.Microsecond)
 	}
 	trn, _, _ := newFaultTrainer(t, g, 17, storage.NoCache{}, wrap, faultTrainerConfig())
@@ -308,16 +308,18 @@ func TestClientMetrics(t *testing.T) {
 
 // updateSpy records the order Update RPCs reach each shard.
 type updateSpy struct {
-	Transport
+	Caller
 	mu  sync.Mutex
 	seq map[int][]float64 // part -> weight markers in arrival order
 }
 
-func (s *updateSpy) Update(part int, req UpdateRequest, reply *UpdateReply) error {
-	s.mu.Lock()
-	s.seq[part] = append(s.seq[part], req.Add[0].Weight)
-	s.mu.Unlock()
-	return s.Transport.Update(part, req, reply)
+func (s *updateSpy) Call(part int, m Method, req, reply any) error {
+	if m == MUpdate {
+		s.mu.Lock()
+		s.seq[part] = append(s.seq[part], req.(UpdateRequest).Add[0].Weight)
+		s.mu.Unlock()
+	}
+	return s.Caller.Call(part, m, req, reply)
 }
 
 // TestUpdateStreamParallelApply drives the concurrent Apply path: batches
@@ -347,8 +349,8 @@ func TestUpdateStreamParallelApply(t *testing.T) {
 	}
 
 	// Healthy path: interleaved pushes, one Apply, per-shard FIFO.
-	spy := &updateSpy{Transport: NewLocalTransport(servers, 0, 0), seq: make(map[int][]float64)}
-	s := NewUpdateStream(spy)
+	spy := &updateSpy{Caller: NewLocalTransport(servers, 0, 0), seq: make(map[int][]float64)}
+	s := NewUpdateStream(typed(spy))
 	for i := 0; i < 3; i++ {
 		push(s, 0, float64(10+i))
 		push(s, 1, float64(20+i))
@@ -376,8 +378,8 @@ func TestUpdateStreamParallelApply(t *testing.T) {
 	// order, shard 0's deliveries count, the error surfaces.
 	ft := NewFaultTransport(NewLocalTransport(servers, 0, 0), 2, FaultConfig{})
 	ft.KillShard(1)
-	spy2 := &updateSpy{Transport: ft, seq: make(map[int][]float64)}
-	s2 := NewUpdateStream(spy2)
+	spy2 := &updateSpy{Caller: ft, seq: make(map[int][]float64)}
+	s2 := NewUpdateStream(typed(spy2))
 	push(s2, 1, 31)
 	push(s2, 0, 41)
 	push(s2, 1, 32)

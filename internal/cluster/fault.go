@@ -10,7 +10,7 @@ import (
 )
 
 // FaultTransport is the deterministic fault-injection harness: it wraps any
-// Transport and injects request drops, lost replies, latency spikes, and
+// Caller and injects request drops, lost replies, latency spikes, and
 // per-shard outages (short error bursts or full blackouts with scheduled
 // recovery). All randomness comes from one seeded stream and all schedules
 // are keyed on per-shard attempted-call counts — never wall-clock time — so
@@ -46,10 +46,11 @@ type FaultConfig struct {
 	Outages []Outage
 }
 
-// FaultTransport implements Transport by injecting cfg's faults in front of
-// Inner. Safe for concurrent use.
+// FaultTransport injects cfg's faults in front of its inner layer; Kick and
+// Close are never faulted. Safe for concurrent use.
 type FaultTransport struct {
-	Inner Transport
+	facade
+	Caller // the inner layer
 
 	mu    sync.Mutex
 	cfg   FaultConfig
@@ -63,16 +64,18 @@ type FaultTransport struct {
 }
 
 // NewFaultTransport wraps inner (serving parts shards) with cfg's faults.
-func NewFaultTransport(inner Transport, parts int, cfg FaultConfig) *FaultTransport {
+func NewFaultTransport(inner Caller, parts int, cfg FaultConfig) *FaultTransport {
 	if parts < 1 {
 		parts = 1
 	}
-	return &FaultTransport{
-		Inner: inner,
-		cfg:   cfg,
-		rng:   *sampling.NewRng(cfg.Seed ^ 0xD6E8FEB86659FD93),
-		calls: make([]int64, parts),
+	t := &FaultTransport{
+		Caller: inner,
+		cfg:    cfg,
+		rng:    *sampling.NewRng(cfg.Seed ^ 0xD6E8FEB86659FD93),
+		calls:  make([]int64, parts),
 	}
+	t.facade = facade{t}
+	return t
 }
 
 // KillShard schedules a permanent outage for part starting at its next call
@@ -146,16 +149,17 @@ func lostReply(part int) error {
 	return fmt.Errorf("cluster: injected reply loss on shard %d: %w", part, ErrUnreachable)
 }
 
-// faultCall wraps one inner call with the fault decision. The reply may have
-// been written when the reply is "lost" — callers above (RetryTransport)
-// use a fresh reply per attempt and discard it on error, exactly as a real
-// lost reply behaves.
-func faultCall[Req any, Rep any](t *FaultTransport, part int, req Req, reply *Rep, call func(int, Req, *Rep) error) error {
+// Call implements Caller: it runs the fault decision, then calls the inner
+// layer. A "lost" reply may already have been written; the retry layer
+// above uses a fresh reply per attempt and discards it on error, exactly as
+// a real lost reply behaves. Reply drops on Update, Lease and Release are
+// what exercise the server-side idempotency-token dedup.
+func (t *FaultTransport) Call(part int, m Method, req, reply any) error {
 	dropReply, err := t.fault(part)
 	if err != nil {
 		return err
 	}
-	if err := call(part, req, reply); err != nil {
+	if err := t.Caller.Call(part, m, req, reply); err != nil {
 		return err
 	}
 	if dropReply {
@@ -164,71 +168,3 @@ func faultCall[Req any, Rep any](t *FaultTransport, part int, req Req, reply *Re
 	}
 	return nil
 }
-
-// Neighbors implements Transport.
-func (t *FaultTransport) Neighbors(part int, req NeighborsRequest, reply *NeighborsReply) error {
-	return faultCall(t, part, req, reply, t.Inner.Neighbors)
-}
-
-// SampleNeighbors implements Transport.
-func (t *FaultTransport) SampleNeighbors(part int, req SampleRequest, reply *SampleReply) error {
-	return faultCall(t, part, req, reply, t.Inner.SampleNeighbors)
-}
-
-// SampleEdges implements Transport.
-func (t *FaultTransport) SampleEdges(part int, req EdgesRequest, reply *EdgesReply) error {
-	return faultCall(t, part, req, reply, t.Inner.SampleEdges)
-}
-
-// NegativePool implements Transport.
-func (t *FaultTransport) NegativePool(part int, req NegPoolRequest, reply *NegPoolReply) error {
-	return faultCall(t, part, req, reply, t.Inner.NegativePool)
-}
-
-// Stats implements Transport.
-func (t *FaultTransport) Stats(part int, req StatsRequest, reply *StatsReply) error {
-	return faultCall(t, part, req, reply, t.Inner.Stats)
-}
-
-// Attrs implements Transport.
-func (t *FaultTransport) Attrs(part int, req AttrsRequest, reply *AttrsReply) error {
-	return faultCall(t, part, req, reply, t.Inner.Attrs)
-}
-
-// Bootstrap implements Transport.
-func (t *FaultTransport) Bootstrap(part int, req BootstrapRequest, reply *BootstrapReply) error {
-	return faultCall(t, part, req, reply, t.Inner.Bootstrap)
-}
-
-// Update implements Transport. Reply drops here are what exercise the
-// server-side idempotency-token dedup.
-func (t *FaultTransport) Update(part int, req UpdateRequest, reply *UpdateReply) error {
-	return faultCall(t, part, req, reply, t.Inner.Update)
-}
-
-// Lease implements Transport.
-func (t *FaultTransport) Lease(part int, req LeaseRequest, reply *LeaseReply) error {
-	return faultCall(t, part, req, reply, t.Inner.Lease)
-}
-
-// Release implements Transport.
-func (t *FaultTransport) Release(part int, req ReleaseRequest, reply *ReleaseReply) error {
-	return faultCall(t, part, req, reply, t.Inner.Release)
-}
-
-// Compact implements Transport.
-func (t *FaultTransport) Compact(part int, req CompactRequest, reply *CompactReply) error {
-	return faultCall(t, part, req, reply, t.Inner.Compact)
-}
-
-// Kick forwards a connection-sever request to the inner transport, so a
-// RetryTransport stacked over fault injection over a real RPCTransport can
-// still tear down a hung connection on deadline expiry.
-func (t *FaultTransport) Kick(part int) {
-	if k, ok := t.Inner.(Kicker); ok {
-		k.Kick(part)
-	}
-}
-
-// Close implements Transport; shutdown is never faulted.
-func (t *FaultTransport) Close() error { return t.Inner.Close() }

@@ -19,16 +19,17 @@ import (
 // choose the trainer config. Same seed and same effective reply stream =>
 // same draws, which is the property every chaos test below leans on.
 func newFaultTrainer(t *testing.T, g *graph.Graph, seed int64, cache storage.NeighborCache,
-	wrap func(Transport) Transport, cfg core.TrainerConfig) (*core.LinkTrainer, *Client, []*Server) {
+	wrap func(Caller) Transport, cfg core.TrainerConfig) (*core.LinkTrainer, *Client, []*Server) {
 	t.Helper()
 	a, err := (partition.HashPartitioner{}).Partition(g, 2)
 	if err != nil {
 		t.Fatal(err)
 	}
 	servers := FromGraph(g, a)
-	var tr Transport = NewLocalTransport(servers, 0, 0)
+	local := NewLocalTransport(servers, 0, 0)
+	var tr Transport = local
 	if wrap != nil {
-		tr = wrap(tr)
+		tr = wrap(local)
 	}
 	c := NewClient(a, tr, cache)
 	rng := rand.New(rand.NewSource(seed))
@@ -70,7 +71,7 @@ func TestChaosTrainingBitIdentical(t *testing.T) {
 	// Chaos run: same seed, faults everywhere.
 	var ft *FaultTransport
 	var rt *RetryTransport
-	trn, _, _ := newFaultTrainer(t, g, 42, storage.NoCache{}, func(inner Transport) Transport {
+	trn, _, _ := newFaultTrainer(t, g, 42, storage.NoCache{}, func(inner Caller) Transport {
 		ft = NewFaultTransport(inner, 2, FaultConfig{
 			Seed:          99,
 			DropRate:      0.03,
@@ -129,7 +130,7 @@ func TestPermanentShardBlackoutDegrades(t *testing.T) {
 	var ft *FaultTransport
 	var rt *RetryTransport
 	cache := storage.NewLRUNeighborCache(4096)
-	trn, c, _ := newFaultTrainer(t, g, 11, cache, func(inner Transport) Transport {
+	trn, c, _ := newFaultTrainer(t, g, 11, cache, func(inner Caller) Transport {
 		ft = NewFaultTransport(inner, 2, FaultConfig{Seed: 1})
 		rt = NewRetryTransport(ft, 2, CallPolicy{
 			Timeout:       time.Second,
@@ -222,14 +223,17 @@ func TestNegativePoolEpochRefresh(t *testing.T) {
 	}
 }
 
-// errStats wraps a Transport, failing Stats with a non-transient
+// errStats wraps a Caller, failing Stats with a non-transient
 // application error.
 type errStats struct {
-	Transport
+	Caller
 	calls int
 }
 
-func (e *errStats) Stats(part int, req StatsRequest, reply *StatsReply) error {
+func (e *errStats) Call(part int, m Method, req, reply any) error {
+	if m != MStats {
+		return e.Caller.Call(part, m, req, reply)
+	}
 	e.calls++
 	return errors.New("cluster: synthetic application error")
 }
@@ -271,7 +275,7 @@ func TestRetryTransportBudgetAndClassification(t *testing.T) {
 	}
 
 	// Application errors: one attempt, error unchanged.
-	es := &errStats{Transport: local}
+	es := &errStats{Caller: local}
 	rt3 := NewRetryTransport(es, 2, CallPolicy{Attempts: 4}, 1)
 	err = rt3.Stats(0, StatsRequest{}, &sr)
 	if err == nil || IsTransient(err) {
@@ -341,13 +345,13 @@ func TestBreakerTransitions(t *testing.T) {
 // replyLossOnce executes Update but reports the first reply as lost — the
 // exact failure idempotency tokens exist for.
 type replyLossOnce struct {
-	Transport
+	Caller
 	lost bool
 }
 
-func (w *replyLossOnce) Update(part int, req UpdateRequest, reply *UpdateReply) error {
-	err := w.Transport.Update(part, req, reply)
-	if err == nil && !w.lost {
+func (w *replyLossOnce) Call(part int, m Method, req, reply any) error {
+	err := w.Caller.Call(part, m, req, reply)
+	if m == MUpdate && err == nil && !w.lost {
 		w.lost = true
 		return lostReply(part)
 	}
@@ -366,7 +370,7 @@ func TestUpdateTokenDedup(t *testing.T) {
 	srv := FromGraph(g, a)[0]
 	head0 := srv.store.Head()
 
-	w := &replyLossOnce{Transport: NewLocalTransport([]*Server{srv}, 0, 0)}
+	w := &replyLossOnce{Caller: NewLocalTransport([]*Server{srv}, 0, 0)}
 	rt := NewRetryTransport(w, 1, CallPolicy{Attempts: 3}, 9)
 	var v0, v1 graph.ID = 0, 1
 	var rep UpdateReply
@@ -476,16 +480,18 @@ func TestTokenNoncesUniqueAcrossClients(t *testing.T) {
 
 // releaseSpy counts Release RPCs per shard.
 type releaseSpy struct {
-	Transport
+	Caller
 	mu       sync.Mutex
 	releases map[int]int
 }
 
-func (s *releaseSpy) Release(part int, req ReleaseRequest, reply *ReleaseReply) error {
-	s.mu.Lock()
-	s.releases[part]++
-	s.mu.Unlock()
-	return s.Transport.Release(part, req, reply)
+func (s *releaseSpy) Call(part int, m Method, req, reply any) error {
+	if m == MRelease {
+		s.mu.Lock()
+		s.releases[part]++
+		s.mu.Unlock()
+	}
+	return s.Caller.Call(part, m, req, reply)
 }
 
 func (s *releaseSpy) count(part int) int {
@@ -506,7 +512,7 @@ func TestDegradedPinReleaseSkipsUnleasedShard(t *testing.T) {
 		t.Fatal(err)
 	}
 	servers := FromGraph(g, a)
-	spy := &releaseSpy{Transport: NewLocalTransport(servers, 0, 0), releases: make(map[int]int)}
+	spy := &releaseSpy{Caller: NewLocalTransport(servers, 0, 0), releases: make(map[int]int)}
 	ft := NewFaultTransport(spy, 2, FaultConfig{})
 	rt := NewRetryTransport(ft, 2, CallPolicy{Attempts: 2}, 3)
 	c := NewClient(a, rt, storage.NoCache{})

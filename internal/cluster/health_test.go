@@ -7,16 +7,18 @@ import (
 	"repro/internal/partition"
 )
 
-// countingStats counts how many Stats calls reach the inner transport,
-// per shard.
+// countingStats counts how many Stats calls reach the inner layer, per
+// shard.
 type countingStats struct {
-	Transport
+	Caller
 	calls [8]int
 }
 
-func (c *countingStats) Stats(part int, req StatsRequest, reply *StatsReply) error {
-	c.calls[part]++
-	return c.Transport.Stats(part, req, reply)
+func (c *countingStats) Call(part int, m Method, req, reply any) error {
+	if m == MStats {
+		c.calls[part]++
+	}
+	return c.Caller.Call(part, m, req, reply)
 }
 
 // TestSharedShardHealth: two RetryTransports over the same shard fleet share
@@ -36,13 +38,18 @@ func TestSharedShardHealth(t *testing.T) {
 	// Shard 1 fails its first 2 calls, then recovers. The counters are
 	// per-transport so we can attribute every inner call.
 	ft := NewFaultTransport(local, 2, FaultConfig{Outages: []Outage{{Part: 1, From: 0, Len: 2}}})
-	ctA := &countingStats{Transport: ft}
-	ctB := &countingStats{Transport: ft}
+	ctA := &countingStats{Caller: ft}
+	ctB := &countingStats{Caller: ft}
 
 	pol := CallPolicy{Attempts: 2, FailThreshold: 2, Cooldown: 2 * time.Millisecond}
 	health := NewShardHealth(2)
 	rtA := NewRetryTransportShared(ctA, pol, 1, health)
 	rtB := NewRetryTransportShared(ctB, pol, 2, health)
+	// Both transports read one fake breaker clock, which moves only when
+	// the test advances it: the cooldown cannot expire early on a slow run.
+	now := time.Unix(0, 0)
+	clock := func() time.Time { return now }
+	rtA.now, rtB.now = clock, clock
 
 	// A's call burns the whole outage (2 attempts = 2 consecutive failures)
 	// and opens the shared breaker.
@@ -75,7 +82,7 @@ func TestSharedShardHealth(t *testing.T) {
 
 	// After the cooldown, B's half-open probe succeeds (the outage is over)
 	// and closes the breaker for everyone.
-	time.Sleep(5 * time.Millisecond)
+	now = now.Add(pol.Cooldown)
 	if err := rtB.Stats(1, StatsRequest{}, &sr); err != nil {
 		t.Fatalf("half-open probe through B: %v", err)
 	}

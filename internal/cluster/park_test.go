@@ -50,6 +50,21 @@ func (s *restartScript) swapIn() {
 	s.swap.Unlock()
 }
 
+// Call implements Caller: a scripted fault, or the inner call with no swap
+// under way.
+func (s *restartScript) Call(part int, m Method, req, reply any) error {
+	if err := s.fault(part, m == MLease); err != nil {
+		return err
+	}
+	s.swap.RLock()
+	defer s.swap.RUnlock()
+	return s.inner.Call(part, m, req, reply)
+}
+
+func (s *restartScript) Kick(int) {}
+
+func (s *restartScript) Close() error { return s.inner.Close() }
+
 func (s *restartScript) fault(part int, lease bool) error {
 	s.mu.Lock()
 	defer s.mu.Unlock()
@@ -66,50 +81,6 @@ func (s *restartScript) fault(part int, lease bool) error {
 	}
 	return &ShardDownError{Part: part, Err: fmt.Errorf("scripted restart: %w", ErrUnreachable)}
 }
-
-func scripted[Req any, Rep any](s *restartScript, part int, lease bool, req Req, reply *Rep, call func(int, Req, *Rep) error) error {
-	if err := s.fault(part, lease); err != nil {
-		return err
-	}
-	s.swap.RLock()
-	defer s.swap.RUnlock()
-	return call(part, req, reply)
-}
-
-func (s *restartScript) Neighbors(part int, req NeighborsRequest, reply *NeighborsReply) error {
-	return scripted(s, part, false, req, reply, s.inner.Neighbors)
-}
-func (s *restartScript) SampleNeighbors(part int, req SampleRequest, reply *SampleReply) error {
-	return scripted(s, part, false, req, reply, s.inner.SampleNeighbors)
-}
-func (s *restartScript) SampleEdges(part int, req EdgesRequest, reply *EdgesReply) error {
-	return scripted(s, part, false, req, reply, s.inner.SampleEdges)
-}
-func (s *restartScript) NegativePool(part int, req NegPoolRequest, reply *NegPoolReply) error {
-	return scripted(s, part, false, req, reply, s.inner.NegativePool)
-}
-func (s *restartScript) Stats(part int, req StatsRequest, reply *StatsReply) error {
-	return scripted(s, part, false, req, reply, s.inner.Stats)
-}
-func (s *restartScript) Attrs(part int, req AttrsRequest, reply *AttrsReply) error {
-	return scripted(s, part, false, req, reply, s.inner.Attrs)
-}
-func (s *restartScript) Bootstrap(part int, req BootstrapRequest, reply *BootstrapReply) error {
-	return scripted(s, part, false, req, reply, s.inner.Bootstrap)
-}
-func (s *restartScript) Update(part int, req UpdateRequest, reply *UpdateReply) error {
-	return scripted(s, part, false, req, reply, s.inner.Update)
-}
-func (s *restartScript) Lease(part int, req LeaseRequest, reply *LeaseReply) error {
-	return scripted(s, part, true, req, reply, s.inner.Lease)
-}
-func (s *restartScript) Release(part int, req ReleaseRequest, reply *ReleaseReply) error {
-	return scripted(s, part, false, req, reply, s.inner.Release)
-}
-func (s *restartScript) Compact(part int, req CompactRequest, reply *CompactReply) error {
-	return scripted(s, part, false, req, reply, s.inner.Compact)
-}
-func (s *restartScript) Close() error { return s.inner.Close() }
 
 // TestRestartParksThenRepins: a shard that is unreachable for several
 // consecutive assembly attempts and then comes back with a fresh store at
@@ -132,9 +103,9 @@ func TestRestartParksThenRepins(t *testing.T) {
 		for _, depth := range []int{0, 4} {
 			t.Run(fmt.Sprintf("%s/depth%d", tc.name, depth), func(t *testing.T) {
 				var script *restartScript
-				trn, c, servers := newFaultTrainer(t, g, 5, storage.NewLRUNeighborCache(2048), func(inner Transport) Transport {
+				trn, c, servers := newFaultTrainer(t, g, 5, storage.NewLRUNeighborCache(2048), func(inner Caller) Transport {
 					script = &restartScript{inner: inner.(*LocalTransport), part: 1}
-					return script
+					return typed(script)
 				}, faultTrainerConfig())
 				var src *core.Pipeline
 				goroutines := 1 // batch-assembling goroutines that may park at once

@@ -109,7 +109,7 @@ func (c *Client) Pin() (*sampling.Pin, error) {
 	leased := make([]bool, c.Assign.P)
 	replies := make([]LeaseReply, c.Assign.P)
 	errs := c.scatter(allParts(c.Assign.P), func(i, part int) error {
-		return c.timed(mLease, func() error { return c.T.Lease(part, LeaseRequest{}, &replies[i]) })
+		return c.timed(MLease, func() error { return c.T.Lease(part, LeaseRequest{}, &replies[i]) })
 	})
 	for part := 0; part < c.Assign.P; part++ {
 		if err := errs[part]; err != nil {
@@ -136,7 +136,7 @@ func (c *Client) Pin() (*sampling.Pin, error) {
 				}
 			}
 			c.scatter(rel, func(i, q int) error {
-				return c.timed(mRelease, func() error {
+				return c.timed(MRelease, func() error {
 					return c.T.Release(q, ReleaseRequest{Epoch: replies[q].Epoch}, &ReleaseReply{})
 				})
 			})
@@ -258,7 +258,7 @@ func (c *Client) releaseLeases(st *pinState) {
 		parts = append(parts, part)
 	}
 	c.scatter(parts, func(i, part int) error {
-		return c.timed(mRelease, func() error {
+		return c.timed(MRelease, func() error {
 			return c.T.Release(part, ReleaseRequest{Epoch: st.pin.Epochs[part]}, &ReleaseReply{})
 		})
 	})

@@ -102,7 +102,7 @@ func (c *Client) sampleViaLists(dst []graph.ID, t graph.EdgeType, width int, see
 	}
 	replies := make([]NeighborsReply, len(parts))
 	errs := c.scatter(parts, func(i, p int) error {
-		return c.timed(mNeighbors, func() error { return c.T.Neighbors(p, reqs[i], &replies[i]) })
+		return c.timed(MNeighbors, func() error { return c.T.Neighbors(p, reqs[i], &replies[i]) })
 	})
 	for i, p := range parts {
 		js := subUniq[p]

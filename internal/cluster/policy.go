@@ -17,7 +17,7 @@ import (
 )
 
 // This file is the fault-tolerance policy layer of the transport seam:
-// RetryTransport wraps any Transport with per-call deadlines, bounded
+// RetryTransport wraps any Caller with per-call deadlines, bounded
 // exponential backoff with deterministic jitter, a retry budget, and a
 // per-shard three-state breaker (closed/open/half-open). Re-issuing a read
 // is safe because every sampling draw is slot- or seed-pure (the reply to a
@@ -240,7 +240,7 @@ func (h *ShardHealth) breakerFor(part int) *breaker {
 	return &h.breakers[min(max(part, 0), len(h.breakers)-1)]
 }
 
-// RetryTransport applies a CallPolicy to every RPC of an inner Transport.
+// RetryTransport applies a CallPolicy to every RPC of an inner layer.
 // Reads are idempotent by construction (slot-/seed-pure draws at pinned
 // epochs); Update, Lease and Release are stamped with idempotency tokens the
 // server deduplicates, so "the request executed but the reply was lost"
@@ -249,10 +249,12 @@ func (h *ShardHealth) breakerFor(part int) *breaker {
 // fast-fails, which the client's degradation layer (Client.Degrade) turns
 // into cache-served draws.
 type RetryTransport struct {
-	Inner  Transport
+	facade
+	Caller // the inner layer; Close is not retried
 	Policy CallPolicy
 
 	health *ShardHealth
+	now    func() time.Time // the breaker clock
 
 	mu  sync.Mutex
 	rng sampling.Rng // deterministic backoff jitter
@@ -271,7 +273,7 @@ type RetryTransport struct {
 // per transport, so multiple worker processes sharing the same shard servers
 // (which all tend to pass the same fixed seed) can never mint colliding
 // token sequences and alias each other's entries in the server dedup ring.
-func NewRetryTransport(inner Transport, parts int, policy CallPolicy, seed uint64) *RetryTransport {
+func NewRetryTransport(inner Caller, parts int, policy CallPolicy, seed uint64) *RetryTransport {
 	return NewRetryTransportShared(inner, policy, seed, NewShardHealth(parts))
 }
 
@@ -280,7 +282,7 @@ func NewRetryTransport(inner Transport, parts int, policy CallPolicy, seed uint6
 // breaker view: a breaker any of them opens fast-fails all of them, and a
 // successful half-open probe by one closes it for all. Retry/fast-fail
 // counters and token nonces stay per-transport.
-func NewRetryTransportShared(inner Transport, policy CallPolicy, seed uint64, health *ShardHealth) *RetryTransport {
+func NewRetryTransportShared(inner Caller, policy CallPolicy, seed uint64, health *ShardHealth) *RetryTransport {
 	if policy.Attempts < 1 {
 		policy.Attempts = 1
 	}
@@ -291,12 +293,14 @@ func NewRetryTransportShared(inner Transport, policy CallPolicy, seed uint64, he
 		health = NewShardHealth(1)
 	}
 	t := &RetryTransport{
-		Inner:  inner,
+		Caller: inner,
 		Policy: policy,
 		health: health,
+		now:    time.Now,
 		rng:    *sampling.NewRng(seed ^ 0x9E3779B97F4A7C15),
 		nonce:  randomNonce(seed),
 	}
+	t.facade = facade{t}
 	return t
 }
 
@@ -360,10 +364,12 @@ func (t *RetryTransport) sleepBackoff(attempt int) {
 }
 
 // Kicker is implemented by transports that can proactively sever a shard's
-// underlying connection (RPCTransport does; wrapping transports forward it).
-// RetryTransport kicks a shard on deadline expiry: without it, a silently
-// partitioned connection (no FIN/RST) would keep every retry queued on the
-// same hung conn and leak one goroutine per abandoned attempt.
+// underlying connection. Every Caller can (RPCTransport does it, Local does
+// nothing, wrapping layers pass it inward); the interface remains for
+// Transport implementations outside this package. RetryTransport kicks a
+// shard on deadline expiry: without it, a silently partitioned connection
+// (no FIN/RST) would keep every retry queued on the same hung conn and leak
+// one goroutine per abandoned attempt.
 type Kicker interface {
 	Kick(part int)
 }
@@ -388,33 +394,40 @@ func (t *RetryTransport) withDeadline(part int, call func() error) error {
 	case err := <-done:
 		return err
 	case <-timer.C:
-		if k, ok := t.Inner.(Kicker); ok {
-			k.Kick(part)
-		}
+		t.Caller.Kick(part)
 		return fmt.Errorf("cluster: call exceeded %v deadline: %w", d, ErrUnreachable)
 	}
 }
 
-// doCall is the shared retry loop. Each attempt gets a fresh reply value; the
-// caller's reply is written exactly once, on the caller goroutine, after a
-// successful attempt — so a deadline-abandoned attempt can never race the
-// caller.
-func doCall[Req any, Rep any](t *RetryTransport, part int, req Req, reply *Rep, call func(int, Req, *Rep) error) error {
+// Call implements Caller: the retry loop. Update, Lease and Release are
+// stamped with an idempotency token once, before the first attempt, so a
+// retry whose predecessor executed (reply lost) gets the server's recorded
+// reply instead of re-applying a batch, pinning a second lease, or dropping
+// another pin's lease (leases are refcounted). Compaction needs no token:
+// folding an already-folded floor is a no-op. Each attempt gets a fresh
+// reply value; the caller's reply is written exactly once, on the caller
+// goroutine, after a successful attempt — so a deadline-abandoned attempt
+// can never race the caller.
+func (t *RetryTransport) Call(part int, m Method, req, reply any) error {
+	spec := &methods[m]
+	if spec.stamp != nil {
+		req = spec.stamp(req, t.nextToken)
+	}
 	br := t.health.breakerFor(part)
 	var last error
 	for attempt := 0; ; attempt++ {
-		if !br.allow(&t.Policy, time.Now()) {
+		if !br.allow(&t.Policy, t.now()) {
 			t.fastFails.Add(1)
 			if last == nil {
 				last = errBreakerOpen
 			}
 			return &ShardDownError{Part: part, Err: last}
 		}
-		var r Rep
-		err := t.withDeadline(part, func() error { return call(part, req, &r) })
+		r := spec.newReply()
+		err := t.withDeadline(part, func() error { return t.Caller.Call(part, m, req, r) })
 		if err == nil {
 			br.success()
-			*reply = r
+			spec.copyReply(reply, r)
 			return nil
 		}
 		if !IsTransient(err) {
@@ -424,7 +437,7 @@ func doCall[Req any, Rep any](t *RetryTransport, part int, req Req, reply *Rep, 
 			br.success()
 			return err
 		}
-		br.failure(&t.Policy, time.Now())
+		br.failure(&t.Policy, t.now())
 		last = err
 		if attempt+1 >= t.Policy.Attempts {
 			break
@@ -434,76 +447,3 @@ func doCall[Req any, Rep any](t *RetryTransport, part int, req Req, reply *Rep, 
 	}
 	return &ShardDownError{Part: part, Err: last}
 }
-
-// Neighbors implements Transport.
-func (t *RetryTransport) Neighbors(part int, req NeighborsRequest, reply *NeighborsReply) error {
-	return doCall(t, part, req, reply, t.Inner.Neighbors)
-}
-
-// SampleNeighbors implements Transport.
-func (t *RetryTransport) SampleNeighbors(part int, req SampleRequest, reply *SampleReply) error {
-	return doCall(t, part, req, reply, t.Inner.SampleNeighbors)
-}
-
-// SampleEdges implements Transport.
-func (t *RetryTransport) SampleEdges(part int, req EdgesRequest, reply *EdgesReply) error {
-	return doCall(t, part, req, reply, t.Inner.SampleEdges)
-}
-
-// NegativePool implements Transport.
-func (t *RetryTransport) NegativePool(part int, req NegPoolRequest, reply *NegPoolReply) error {
-	return doCall(t, part, req, reply, t.Inner.NegativePool)
-}
-
-// Stats implements Transport.
-func (t *RetryTransport) Stats(part int, req StatsRequest, reply *StatsReply) error {
-	return doCall(t, part, req, reply, t.Inner.Stats)
-}
-
-// Attrs implements Transport.
-func (t *RetryTransport) Attrs(part int, req AttrsRequest, reply *AttrsReply) error {
-	return doCall(t, part, req, reply, t.Inner.Attrs)
-}
-
-// Bootstrap implements Transport.
-func (t *RetryTransport) Bootstrap(part int, req BootstrapRequest, reply *BootstrapReply) error {
-	return doCall(t, part, req, reply, t.Inner.Bootstrap)
-}
-
-// Update implements Transport. The request is stamped with an idempotency
-// token before the first attempt, so a retry whose predecessor executed
-// (reply lost) returns the server's recorded reply instead of re-applying
-// the batch.
-func (t *RetryTransport) Update(part int, req UpdateRequest, reply *UpdateReply) error {
-	if req.Token == 0 {
-		req.Token = t.nextToken()
-	}
-	return doCall(t, part, req, reply, t.Inner.Update)
-}
-
-// Lease implements Transport, with an idempotency token so a retried lease
-// whose predecessor landed does not pin a second lease server-side.
-func (t *RetryTransport) Lease(part int, req LeaseRequest, reply *LeaseReply) error {
-	if req.Token == 0 {
-		req.Token = t.nextToken()
-	}
-	return doCall(t, part, req, reply, t.Inner.Lease)
-}
-
-// Release implements Transport, token-stamped for the same reason: leases
-// are refcounted, so a doubled release could drop another pin's lease.
-func (t *RetryTransport) Release(part int, req ReleaseRequest, reply *ReleaseReply) error {
-	if req.Token == 0 {
-		req.Token = t.nextToken()
-	}
-	return doCall(t, part, req, reply, t.Inner.Release)
-}
-
-// Compact implements Transport. Compaction is idempotent (folding an
-// already-folded floor is a no-op), so no token is needed.
-func (t *RetryTransport) Compact(part int, req CompactRequest, reply *CompactReply) error {
-	return doCall(t, part, req, reply, t.Inner.Compact)
-}
-
-// Close implements Transport, closing the inner transport (no retries).
-func (t *RetryTransport) Close() error { return t.Inner.Close() }

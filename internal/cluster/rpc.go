@@ -16,7 +16,9 @@ import (
 // AttrsRequest pairs used by LocalTransport, so the client is oblivious to
 // which transport it runs on.
 
-// GraphService is the RPC receiver wrapping a Server.
+// GraphService is the RPC receiver wrapping a Server. net/rpc dispatches by
+// reflected method name, so it spells out every RPC of the method table;
+// each method name is the table's name for that RPC.
 type GraphService struct {
 	S *Server
 }
@@ -57,6 +59,26 @@ func (g *GraphService) Attrs(req AttrsRequest, reply *AttrsReply) error {
 // so workers start graph-free.
 func (g *GraphService) Bootstrap(req BootstrapRequest, reply *BootstrapReply) error {
 	return g.S.ServeBootstrap(req, reply)
+}
+
+// Update is the RPC method for incremental graph maintenance.
+func (g *GraphService) Update(req UpdateRequest, reply *UpdateReply) error {
+	return g.S.ServeUpdate(req, reply)
+}
+
+// Lease is the RPC method pinning a snapshot epoch.
+func (g *GraphService) Lease(req LeaseRequest, reply *LeaseReply) error {
+	return g.S.ServeLease(req, reply)
+}
+
+// Release is the RPC method dropping a snapshot lease.
+func (g *GraphService) Release(req ReleaseRequest, reply *ReleaseReply) error {
+	return g.S.ServeRelease(req, reply)
+}
+
+// Compact is the RPC method folding old overlays into a fresh base.
+func (g *GraphService) Compact(req CompactRequest, reply *CompactReply) error {
+	return g.S.ServeCompact(req, reply)
 }
 
 // RPCServer serves one graph server over TCP, tracking its accepted
@@ -157,6 +179,7 @@ type DialConfig struct {
 // re-adopted: the dead client is dropped on the failing call and the next
 // call to that shard dials afresh.
 type RPCTransport struct {
+	facade
 	addrs       []string
 	dialTimeout time.Duration
 
@@ -182,6 +205,7 @@ func DialRPCConfig(addrs []string, cfg DialConfig) (*RPCTransport, error) {
 		dialTimeout: cfg.Timeout,
 		clients:     make([]*rpc.Client, len(addrs)),
 	}
+	t.facade = facade{t}
 	if cfg.Lazy {
 		return t, nil
 	}
@@ -239,8 +263,8 @@ func (t *RPCTransport) client(part int) (*rpc.Client, error) {
 	return c, nil
 }
 
-// Kick severs part's current connection unconditionally (implements the
-// policy layer's Kicker). Closing the rpc.Client fails its pending calls
+// Kick implements Caller: it severs part's current connection
+// unconditionally. Closing the rpc.Client fails its pending calls
 // with ErrShutdown — unblocking any deadline-abandoned attempt still parked
 // on the conn — and the next call to part dials afresh. Needed because a
 // deadline expiry observed by RetryTransport never flows through this
@@ -281,7 +305,9 @@ func connFatal(err error) bool {
 	return errors.As(err, &ne)
 }
 
-func (t *RPCTransport) call(part int, method string, req, reply any) error {
+// Call implements Caller: it issues m over part's connection as net/rpc's
+// "Graph.<name>", dropping the connection if the failure killed it.
+func (t *RPCTransport) Call(part int, m Method, req, reply any) error {
 	if part < 0 || part >= len(t.clients) {
 		return fmt.Errorf("cluster: no client for partition %d", part)
 	}
@@ -289,7 +315,7 @@ func (t *RPCTransport) call(part int, method string, req, reply any) error {
 	if err != nil {
 		return err
 	}
-	if err := c.Call(method, req, reply); err != nil {
+	if err := c.Call(methods[m].wire, req, reply); err != nil {
 		if connFatal(err) {
 			t.drop(part, c)
 		}
@@ -298,62 +324,7 @@ func (t *RPCTransport) call(part int, method string, req, reply any) error {
 	return nil
 }
 
-// Neighbors implements Transport.
-func (t *RPCTransport) Neighbors(part int, req NeighborsRequest, reply *NeighborsReply) error {
-	return t.call(part, "Graph.Neighbors", req, reply)
-}
-
-// SampleNeighbors implements Transport.
-func (t *RPCTransport) SampleNeighbors(part int, req SampleRequest, reply *SampleReply) error {
-	return t.call(part, "Graph.SampleNeighbors", req, reply)
-}
-
-// SampleEdges implements Transport.
-func (t *RPCTransport) SampleEdges(part int, req EdgesRequest, reply *EdgesReply) error {
-	return t.call(part, "Graph.SampleEdges", req, reply)
-}
-
-// NegativePool implements Transport.
-func (t *RPCTransport) NegativePool(part int, req NegPoolRequest, reply *NegPoolReply) error {
-	return t.call(part, "Graph.NegativePool", req, reply)
-}
-
-// Stats implements Transport.
-func (t *RPCTransport) Stats(part int, req StatsRequest, reply *StatsReply) error {
-	return t.call(part, "Graph.Stats", req, reply)
-}
-
-// Attrs implements Transport.
-func (t *RPCTransport) Attrs(part int, req AttrsRequest, reply *AttrsReply) error {
-	return t.call(part, "Graph.Attrs", req, reply)
-}
-
-// Bootstrap implements Transport.
-func (t *RPCTransport) Bootstrap(part int, req BootstrapRequest, reply *BootstrapReply) error {
-	return t.call(part, "Graph.Bootstrap", req, reply)
-}
-
-// Update implements Transport.
-func (t *RPCTransport) Update(part int, req UpdateRequest, reply *UpdateReply) error {
-	return t.call(part, "Graph.Update", req, reply)
-}
-
-// Lease implements Transport.
-func (t *RPCTransport) Lease(part int, req LeaseRequest, reply *LeaseReply) error {
-	return t.call(part, "Graph.Lease", req, reply)
-}
-
-// Release implements Transport.
-func (t *RPCTransport) Release(part int, req ReleaseRequest, reply *ReleaseReply) error {
-	return t.call(part, "Graph.Release", req, reply)
-}
-
-// Compact implements Transport.
-func (t *RPCTransport) Compact(part int, req CompactRequest, reply *CompactReply) error {
-	return t.call(part, "Graph.Compact", req, reply)
-}
-
-// Close implements Transport: every client is closed even when an earlier
+// Close implements Caller: every client is closed even when an earlier
 // close errors (the errors are joined), and double-Close is safe.
 func (t *RPCTransport) Close() error {
 	t.mu.Lock()

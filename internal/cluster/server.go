@@ -6,9 +6,7 @@
 // Section 3.2, server-side fixed-width SampleNeighbors draws) and its
 // epoch-pinning capability (Lease/Release RPCs let a training batch read
 // one consistent snapshot across every shard while updates stream in), a
-// Transport abstraction with an in-memory implementation (with simulated
-// network latency, for deterministic benchmarks) and a real net/rpc
-// implementation over TCP, and the parallel graph-building pipeline
+// layered transport stack (below), and the parallel graph-building pipeline
 // evaluated in Figure 7.
 //
 // Churn is a first-class steady state: neighbor-cache reads are epoch-keyed
@@ -22,6 +20,34 @@
 // rate-limited background goroutine — ServeUpdate only signals, so the
 // fold's O(V+E) walk never sits on an update's reply path) without
 // disturbing leased epochs or live readers.
+//
+// # Transport stack
+//
+// The set of RPCs lives in one place: the method table (transport.go). Each
+// Method's row holds its name (metric names and the net/rpc name
+// "Graph.<name>"), its Server handler, a fresh-reply constructor and reply
+// copy for the retry layer, and whether its request carries an idempotency
+// token (Update, Lease, Release). Client and server metrics are arrays
+// indexed by Method.
+//
+// Every transport layer implements one interface, Caller: Call(part,
+// method, req, reply), Kick(part) and Close. LocalTransport runs the
+// handler in process (counting calls and sleeping RemoteLatency for non-home
+// parts); RPCTransport sends the call over TCP. LatencyTransport,
+// FaultTransport and RetryTransport each wrap an inner Caller, do their one
+// thing (sleep; inject a seeded fault; retry under a CallPolicy) and call
+// inward, passing Kick and Close straight through. A production stack is
+// Retry over RPC; chaos tests run Retry over Fault over Local. Each layer
+// also embeds the typed facade, so every layer is a Transport: the client,
+// UpdateStream and the serving tier program against the typed Transport
+// interface, and code outside the package (the benchmark's recorder) can
+// implement Transport and sit on top of any layer. GraphService spells the
+// RPCs out once more, because net/rpc dispatches by method name; a test
+// checks it against the table.
+//
+// Layers must be safe for concurrent per-shard calls: Local and Latency
+// use atomic counters, RPCTransport multiplexes on net/rpc clients, and
+// Retry and Fault guard their state with locks.
 //
 // # Failure model
 //
@@ -44,11 +70,11 @@
 //
 //   - What reconnects: RPCTransport drops a connection on transport-level
 //     failure (io.EOF, rpc.ErrShutdown, net errors) and redials lazily on
-//     the next call; a per-attempt deadline expiry additionally severs the
-//     shard's connection (Kicker), so a silent partition with no FIN/RST
-//     cannot park every retry on the same hung conn. Either way a restarted
-//     server is transparently re-adopted. Its
-//     head regression then surfaces on the next Lease reply, which resets
+//     the next call; a per-attempt deadline expiry additionally kicks the
+//     shard down the layer stack to the connection (Caller.Kick), so a
+//     silent partition with no FIN/RST cannot park every retry on the same
+//     hung conn. Either way a restarted server is transparently re-adopted.
+//     Its head regression then surfaces on the next Lease reply, which resets
 //     the head watermark and flushes epoch-keyed caches (the PR 4/5 path),
 //     and pinned batches reading now-future epochs re-pin via the existing
 //     evicted/future retry machinery.
@@ -87,11 +113,7 @@
 // wins) therefore happen in exactly the order a sequential client would
 // produce them — and since draws are slot-/seed-pure, reply values are
 // independent of arrival order too, so fixed-seed training is bit-identical
-// with fan-out on or off, faults or no faults. Transports must be safe for
-// concurrent per-shard calls: LocalTransport and LatencyTransport use
-// atomic counters, RPCTransport multiplexes on net/rpc clients (safe by
-// contract), and RetryTransport/FaultTransport guard their state with
-// locks. The only ordering the scatter gives up is cross-shard update
+// with fan-out on or off, faults or no faults. The only ordering the scatter gives up is cross-shard update
 // delivery order, which was never meaningful (different servers, epochs
 // advance independently); per-shard FIFO is preserved.
 //
@@ -501,7 +523,7 @@ type AttrsReply struct {
 // from one immutable snapshot view, so it is consistent with a single
 // update generation even while ServeUpdate batches land concurrently.
 func (s *Server) ServeNeighbors(req NeighborsRequest, reply *NeighborsReply) error {
-	defer obsSince(&s.met.neighbors, time.Now())
+	defer obsSince(&s.met.rpc[MNeighbors], time.Now())
 	view, head, attrHead, err := s.view(req.Pinned, req.Pin)
 	if err != nil {
 		return err
@@ -526,7 +548,7 @@ func (s *Server) ServeNeighbors(req NeighborsRequest, reply *NeighborsReply) err
 
 // ServeAttrs handles a batched attribute request.
 func (s *Server) ServeAttrs(req AttrsRequest, reply *AttrsReply) error {
-	defer obsSince(&s.met.attrs, time.Now())
+	defer obsSince(&s.met.rpc[MAttrs], time.Now())
 	view, head, attrHead, err := s.view(req.Pinned, req.Pin)
 	if err != nil {
 		return err
@@ -706,7 +728,7 @@ type CompactReply struct {
 // the client's fresh pin look stale at birth) and the stats are exactly
 // the leased snapshot's.
 func (s *Server) ServeLease(req LeaseRequest, reply *LeaseReply) error {
-	defer obsSince(&s.met.lease, time.Now())
+	defer obsSince(&s.met.rpc[MLease], time.Now())
 	if r, ok := dedupLookup[LeaseReply](s, req.Token); ok {
 		*reply = r
 		return nil
@@ -723,7 +745,7 @@ func (s *Server) ServeLease(req LeaseRequest, reply *LeaseReply) error {
 
 // ServeRelease drops one lease; unknown epochs are ignored.
 func (s *Server) ServeRelease(req ReleaseRequest, reply *ReleaseReply) error {
-	defer obsSince(&s.met.release, time.Now())
+	defer obsSince(&s.met.rpc[MRelease], time.Now())
 	if _, ok := dedupLookup[ReleaseReply](s, req.Token); ok {
 		return nil
 	}
@@ -739,7 +761,7 @@ func (s *Server) ServeRelease(req ReleaseRequest, reply *ReleaseReply) error {
 // memory stopped growing and (at most) fixed-seed draws on fold-touched
 // vertices re-randomized within their distribution.
 func (s *Server) ServeCompact(_ CompactRequest, reply *CompactReply) error {
-	defer obsSince(&s.met.compactRPC, time.Now())
+	defer obsSince(&s.met.rpc[MCompact], time.Now())
 	foldStart := time.Now()
 	st, err := s.store.Compact()
 	s.met.compaction.Observe(int64(time.Since(foldStart)))
@@ -809,7 +831,7 @@ func (s *Server) maybeCompact() bool {
 // (sampling.SlotRng), so the values are identical to what a client-side
 // cache hit over the same adjacency would have produced.
 func (s *Server) ServeSampleNeighbors(req SampleRequest, reply *SampleReply) error {
-	defer obsSince(&s.met.sampleNeighbors, time.Now())
+	defer obsSince(&s.met.rpc[MSampleNeighbors], time.Now())
 	if req.Width <= 0 {
 		return fmt.Errorf("cluster: non-positive sample width %d", req.Width)
 	}
@@ -909,7 +931,7 @@ func (s *Server) ServeSampleNeighbors(req SampleRequest, reply *SampleReply) err
 // ServeStats handles a size-counter request, reporting the head epoch's
 // totals.
 func (s *Server) ServeStats(_ StatsRequest, reply *StatsReply) error {
-	defer obsSince(&s.met.stats, time.Now())
+	defer obsSince(&s.met.rpc[MStats], time.Now())
 	view := s.store.HeadView()
 	reply.NumVertices = s.store.NumVertices()
 	reply.EdgesByType = view.EdgeCounts(reply.EdgesByType[:0])
@@ -923,7 +945,7 @@ func (s *Server) ServeStats(_ StatsRequest, reply *StatsReply) error {
 // out-edge destinations of type t with occurrence counts, in sorted order,
 // at the head epoch.
 func (s *Server) ServeNegativePool(req NegPoolRequest, reply *NegPoolReply) error {
-	defer obsSince(&s.met.negPool, time.Now())
+	defer obsSince(&s.met.rpc[MNegativePool], time.Now())
 	view := s.store.HeadView()
 	counts := make(map[graph.ID]int64)
 	for _, v := range s.store.LocalVertices() {
@@ -951,7 +973,7 @@ func (s *Server) ServeNegativePool(req NegPoolRequest, reply *NegPoolReply) erro
 // entry) or, with ByWeight, proportional to edge weight; vertices an update
 // touched are mixed in exactly either way.
 func (s *Server) ServeSampleEdges(req EdgesRequest, reply *EdgesReply) error {
-	defer obsSince(&s.met.sampleEdges, time.Now())
+	defer obsSince(&s.met.rpc[MSampleEdges], time.Now())
 	view, head, attrHead, err := s.view(req.Pinned, req.Pin)
 	if err != nil {
 		return err

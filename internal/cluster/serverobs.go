@@ -19,16 +19,7 @@ import (
 
 // serverMetrics is one Server's always-on instrument set.
 type serverMetrics struct {
-	neighbors       obs.Histogram
-	attrs           obs.Histogram
-	sampleNeighbors obs.Histogram
-	sampleEdges     obs.Histogram
-	negPool         obs.Histogram
-	stats           obs.Histogram
-	lease           obs.Histogram
-	release         obs.Histogram
-	update          obs.Histogram
-	compactRPC      obs.Histogram
+	rpc [numMethods]obs.Histogram // handler latency per RPC
 	// compaction times the store fold itself (both triggers), separate from
 	// the Compact RPC envelope so threshold-triggered folds are visible too.
 	compaction     obs.Histogram
@@ -50,22 +41,8 @@ func obsSince(h *obs.Histogram, start time.Time) {
 // under its own lock at snapshot time; nothing here touches the RPC path.
 func (s *Server) RegisterObs(r *obs.Registry) {
 	pre := fmt.Sprintf("cluster.server.%d.", s.ID)
-	for _, h := range []struct {
-		name string
-		hist *obs.Histogram
-	}{
-		{"Neighbors", &s.met.neighbors},
-		{"Attrs", &s.met.attrs},
-		{"SampleNeighbors", &s.met.sampleNeighbors},
-		{"SampleEdges", &s.met.sampleEdges},
-		{"NegativePool", &s.met.negPool},
-		{"Stats", &s.met.stats},
-		{"Lease", &s.met.lease},
-		{"Release", &s.met.release},
-		{"Update", &s.met.update},
-		{"Compact", &s.met.compactRPC},
-	} {
-		r.RegisterHistogram(pre+"rpc."+h.name+".latency", h.hist)
+	for m := range numMethods {
+		r.RegisterHistogram(pre+"rpc."+m.String()+".latency", &s.met.rpc[m])
 	}
 	r.RegisterHistogram(pre+"compaction.latency", &s.met.compaction)
 	r.RegisterCounter(pre+"updates.applied_ops", &s.met.updatesApplied)

@@ -41,11 +41,152 @@ type Transport interface {
 	Close() error
 }
 
+// Method names one graph-service RPC. It indexes the method table, the
+// client's per-method counters and the server's handler histograms.
+type Method int
+
+// The graph-service RPCs, in Transport order.
+const (
+	MNeighbors Method = iota
+	MSampleNeighbors
+	MSampleEdges
+	MNegativePool
+	MStats
+	MAttrs
+	MBootstrap
+	MUpdate
+	MLease
+	MRelease
+	MCompact
+	numMethods
+)
+
+// String returns the method's name, as used in metric names.
+func (m Method) String() string { return methods[m].name }
+
+// methodSpec is one row of the method table: what a transport layer needs
+// to know about an RPC without spelling out its request and reply types.
+type methodSpec struct {
+	name string // metric name
+	wire string // net/rpc service method, "Graph.<name>"
+	// serve runs the RPC's handler on s.
+	serve func(s *Server, req, reply any) error
+	// newReply returns a fresh reply pointer (one per retry attempt), and
+	// copyReply sets *dst = *src.
+	newReply  func() any
+	copyReply func(dst, src any)
+	// stamp is set for the RPCs whose request carries an idempotency token
+	// (Update, Lease, Release): it returns req with a token from mint when
+	// req carries none.
+	stamp func(req any, mint func() uint64) any
+}
+
+// methods is the method table, the one list of the RPCs that transport
+// layers work from.
+var methods = [numMethods]methodSpec{
+	MNeighbors:       defineMethod("Neighbors", (*Server).ServeNeighbors, nil),
+	MSampleNeighbors: defineMethod("SampleNeighbors", (*Server).ServeSampleNeighbors, nil),
+	MSampleEdges:     defineMethod("SampleEdges", (*Server).ServeSampleEdges, nil),
+	MNegativePool:    defineMethod("NegativePool", (*Server).ServeNegativePool, nil),
+	MStats:           defineMethod("Stats", (*Server).ServeStats, nil),
+	MAttrs:           defineMethod("Attrs", (*Server).ServeAttrs, nil),
+	MBootstrap:       defineMethod("Bootstrap", (*Server).ServeBootstrap, nil),
+	MUpdate:          defineMethod("Update", (*Server).ServeUpdate, func(r *UpdateRequest) *uint64 { return &r.Token }),
+	MLease:           defineMethod("Lease", (*Server).ServeLease, func(r *LeaseRequest) *uint64 { return &r.Token }),
+	MRelease:         defineMethod("Release", (*Server).ServeRelease, func(r *ReleaseRequest) *uint64 { return &r.Token }),
+	MCompact:         defineMethod("Compact", (*Server).ServeCompact, nil),
+}
+
+// defineMethod builds the table row of the RPC handled by serve; token, if
+// not nil, locates the request's idempotency token. It is the only place the
+// table's untyped requests and replies are converted back to their types.
+func defineMethod[Req, Rep any](name string, serve func(*Server, Req, *Rep) error, token func(*Req) *uint64) methodSpec {
+	spec := methodSpec{
+		name:      name,
+		wire:      "Graph." + name,
+		serve:     func(s *Server, req, reply any) error { return serve(s, req.(Req), reply.(*Rep)) },
+		newReply:  func() any { return new(Rep) },
+		copyReply: func(dst, src any) { *dst.(*Rep) = *src.(*Rep) },
+	}
+	if token != nil {
+		spec.stamp = func(req any, mint func() uint64) any {
+			r := req.(Req)
+			if tok := token(&r); *tok == 0 {
+				*tok = mint()
+				return r
+			}
+			return req
+		}
+	}
+	return spec
+}
+
+// Caller is a transport layer's single entry point. Call issues RPC m to
+// the server owning part; req is m's request value and reply a pointer to
+// m's reply type. Kick severs part's connection where a layer has one (see
+// Kicker). Wrapping layers (Latency, Fault, Retry) take an inner Caller and
+// pass Kick and Close through to it.
+type Caller interface {
+	Call(part int, m Method, req, reply any) error
+	Kick(part int)
+	Close() error
+}
+
+// facade implements Transport's typed methods on a Caller, each as one
+// Call. Every layer embeds a facade over itself, so every layer is also a
+// Transport.
+type facade struct{ c Caller }
+
+func (f facade) Neighbors(part int, req NeighborsRequest, reply *NeighborsReply) error {
+	return f.c.Call(part, MNeighbors, req, reply)
+}
+
+func (f facade) SampleNeighbors(part int, req SampleRequest, reply *SampleReply) error {
+	return f.c.Call(part, MSampleNeighbors, req, reply)
+}
+
+func (f facade) SampleEdges(part int, req EdgesRequest, reply *EdgesReply) error {
+	return f.c.Call(part, MSampleEdges, req, reply)
+}
+
+func (f facade) NegativePool(part int, req NegPoolRequest, reply *NegPoolReply) error {
+	return f.c.Call(part, MNegativePool, req, reply)
+}
+
+func (f facade) Stats(part int, req StatsRequest, reply *StatsReply) error {
+	return f.c.Call(part, MStats, req, reply)
+}
+
+func (f facade) Attrs(part int, req AttrsRequest, reply *AttrsReply) error {
+	return f.c.Call(part, MAttrs, req, reply)
+}
+
+func (f facade) Bootstrap(part int, req BootstrapRequest, reply *BootstrapReply) error {
+	return f.c.Call(part, MBootstrap, req, reply)
+}
+
+func (f facade) Update(part int, req UpdateRequest, reply *UpdateReply) error {
+	return f.c.Call(part, MUpdate, req, reply)
+}
+
+func (f facade) Lease(part int, req LeaseRequest, reply *LeaseReply) error {
+	return f.c.Call(part, MLease, req, reply)
+}
+
+func (f facade) Release(part int, req ReleaseRequest, reply *ReleaseReply) error {
+	return f.c.Call(part, MRelease, req, reply)
+}
+
+func (f facade) Compact(part int, req CompactRequest, reply *CompactReply) error {
+	return f.c.Call(part, MCompact, req, reply)
+}
+
 // LocalTransport serves requests by direct method calls on in-process
 // servers, optionally sleeping RemoteLatency per call to any partition other
 // than Home. It also counts calls so benchmarks can report deterministic
 // remote-trip numbers independent of wall-clock noise.
 type LocalTransport struct {
+	facade
 	Servers []*Server
 	// Home is the caller's own partition; calls to it are free.
 	Home int
@@ -58,113 +199,32 @@ type LocalTransport struct {
 
 // NewLocalTransport wraps in-process servers.
 func NewLocalTransport(servers []*Server, home int, remoteLatency time.Duration) *LocalTransport {
-	return &LocalTransport{Servers: servers, Home: home, RemoteLatency: remoteLatency}
+	t := &LocalTransport{Servers: servers, Home: home, RemoteLatency: remoteLatency}
+	t.facade = facade{t}
+	return t
 }
 
-func (t *LocalTransport) pay(part int) error {
+// Call implements Caller: it pays for the call, then runs m's handler on
+// part's server.
+func (t *LocalTransport) Call(part int, m Method, req, reply any) error {
 	if part < 0 || part >= len(t.Servers) {
 		return fmt.Errorf("cluster: no server for partition %d", part)
 	}
 	if part == t.Home {
 		atomic.AddInt64(&t.localCalls, 1)
-		return nil
+	} else {
+		atomic.AddInt64(&t.remoteCalls, 1)
+		if t.RemoteLatency > 0 {
+			time.Sleep(t.RemoteLatency)
+		}
 	}
-	atomic.AddInt64(&t.remoteCalls, 1)
-	if t.RemoteLatency > 0 {
-		time.Sleep(t.RemoteLatency)
-	}
-	return nil
+	return methods[m].serve(t.Servers[part], req, reply)
 }
 
-// Neighbors implements Transport.
-func (t *LocalTransport) Neighbors(part int, req NeighborsRequest, reply *NeighborsReply) error {
-	if err := t.pay(part); err != nil {
-		return err
-	}
-	return t.Servers[part].ServeNeighbors(req, reply)
-}
+// Kick implements Caller; in-process servers have no connection to sever.
+func (t *LocalTransport) Kick(int) {}
 
-// SampleNeighbors implements Transport.
-func (t *LocalTransport) SampleNeighbors(part int, req SampleRequest, reply *SampleReply) error {
-	if err := t.pay(part); err != nil {
-		return err
-	}
-	return t.Servers[part].ServeSampleNeighbors(req, reply)
-}
-
-// SampleEdges implements Transport.
-func (t *LocalTransport) SampleEdges(part int, req EdgesRequest, reply *EdgesReply) error {
-	if err := t.pay(part); err != nil {
-		return err
-	}
-	return t.Servers[part].ServeSampleEdges(req, reply)
-}
-
-// NegativePool implements Transport.
-func (t *LocalTransport) NegativePool(part int, req NegPoolRequest, reply *NegPoolReply) error {
-	if err := t.pay(part); err != nil {
-		return err
-	}
-	return t.Servers[part].ServeNegativePool(req, reply)
-}
-
-// Stats implements Transport.
-func (t *LocalTransport) Stats(part int, req StatsRequest, reply *StatsReply) error {
-	if err := t.pay(part); err != nil {
-		return err
-	}
-	return t.Servers[part].ServeStats(req, reply)
-}
-
-// Attrs implements Transport.
-func (t *LocalTransport) Attrs(part int, req AttrsRequest, reply *AttrsReply) error {
-	if err := t.pay(part); err != nil {
-		return err
-	}
-	return t.Servers[part].ServeAttrs(req, reply)
-}
-
-// Bootstrap implements Transport.
-func (t *LocalTransport) Bootstrap(part int, req BootstrapRequest, reply *BootstrapReply) error {
-	if err := t.pay(part); err != nil {
-		return err
-	}
-	return t.Servers[part].ServeBootstrap(req, reply)
-}
-
-// Update implements Transport.
-func (t *LocalTransport) Update(part int, req UpdateRequest, reply *UpdateReply) error {
-	if err := t.pay(part); err != nil {
-		return err
-	}
-	return t.Servers[part].ServeUpdate(req, reply)
-}
-
-// Lease implements Transport.
-func (t *LocalTransport) Lease(part int, req LeaseRequest, reply *LeaseReply) error {
-	if err := t.pay(part); err != nil {
-		return err
-	}
-	return t.Servers[part].ServeLease(req, reply)
-}
-
-// Release implements Transport.
-func (t *LocalTransport) Release(part int, req ReleaseRequest, reply *ReleaseReply) error {
-	if err := t.pay(part); err != nil {
-		return err
-	}
-	return t.Servers[part].ServeRelease(req, reply)
-}
-
-// Compact implements Transport.
-func (t *LocalTransport) Compact(part int, req CompactRequest, reply *CompactReply) error {
-	if err := t.pay(part); err != nil {
-		return err
-	}
-	return t.Servers[part].ServeCompact(req, reply)
-}
-
-// Close implements Transport.
+// Close implements Caller.
 func (t *LocalTransport) Close() error { return nil }
 
 // Calls reports cumulative local and remote call counts.
@@ -178,104 +238,33 @@ func (t *LocalTransport) ResetCalls() {
 	atomic.StoreInt64(&t.remoteCalls, 0)
 }
 
-// LatencyTransport injects a fixed delay before every call on any inner
-// transport, simulating a network round trip to every partition (including
-// the caller's own). Benchmarks use it to measure how much graph-service
+// LatencyTransport injects a fixed delay before every call on an inner
+// layer, simulating a network round trip to every partition (including the
+// caller's own). Benchmarks use it to measure how much graph-service
 // latency a prefetching pipeline hides behind compute.
 type LatencyTransport struct {
-	Inner Transport
-	Delay time.Duration
+	facade
+	Caller // the inner layer
+	Delay  time.Duration
 
 	calls int64
 }
 
 // NewLatencyTransport wraps inner with a per-call delay.
-func NewLatencyTransport(inner Transport, d time.Duration) *LatencyTransport {
-	return &LatencyTransport{Inner: inner, Delay: d}
+func NewLatencyTransport(inner Caller, d time.Duration) *LatencyTransport {
+	t := &LatencyTransport{Caller: inner, Delay: d}
+	t.facade = facade{t}
+	return t
 }
 
-func (t *LatencyTransport) pay() {
+// Call implements Caller: it sleeps Delay, then calls the inner layer.
+func (t *LatencyTransport) Call(part int, m Method, req, reply any) error {
 	atomic.AddInt64(&t.calls, 1)
 	if t.Delay > 0 {
 		time.Sleep(t.Delay)
 	}
+	return t.Caller.Call(part, m, req, reply)
 }
 
 // Calls reports how many calls paid the delay.
 func (t *LatencyTransport) Calls() int64 { return atomic.LoadInt64(&t.calls) }
-
-// Neighbors implements Transport.
-func (t *LatencyTransport) Neighbors(part int, req NeighborsRequest, reply *NeighborsReply) error {
-	t.pay()
-	return t.Inner.Neighbors(part, req, reply)
-}
-
-// SampleNeighbors implements Transport.
-func (t *LatencyTransport) SampleNeighbors(part int, req SampleRequest, reply *SampleReply) error {
-	t.pay()
-	return t.Inner.SampleNeighbors(part, req, reply)
-}
-
-// SampleEdges implements Transport.
-func (t *LatencyTransport) SampleEdges(part int, req EdgesRequest, reply *EdgesReply) error {
-	t.pay()
-	return t.Inner.SampleEdges(part, req, reply)
-}
-
-// NegativePool implements Transport.
-func (t *LatencyTransport) NegativePool(part int, req NegPoolRequest, reply *NegPoolReply) error {
-	t.pay()
-	return t.Inner.NegativePool(part, req, reply)
-}
-
-// Stats implements Transport.
-func (t *LatencyTransport) Stats(part int, req StatsRequest, reply *StatsReply) error {
-	t.pay()
-	return t.Inner.Stats(part, req, reply)
-}
-
-// Attrs implements Transport.
-func (t *LatencyTransport) Attrs(part int, req AttrsRequest, reply *AttrsReply) error {
-	t.pay()
-	return t.Inner.Attrs(part, req, reply)
-}
-
-// Bootstrap implements Transport.
-func (t *LatencyTransport) Bootstrap(part int, req BootstrapRequest, reply *BootstrapReply) error {
-	t.pay()
-	return t.Inner.Bootstrap(part, req, reply)
-}
-
-// Update implements Transport.
-func (t *LatencyTransport) Update(part int, req UpdateRequest, reply *UpdateReply) error {
-	t.pay()
-	return t.Inner.Update(part, req, reply)
-}
-
-// Lease implements Transport.
-func (t *LatencyTransport) Lease(part int, req LeaseRequest, reply *LeaseReply) error {
-	t.pay()
-	return t.Inner.Lease(part, req, reply)
-}
-
-// Release implements Transport.
-func (t *LatencyTransport) Release(part int, req ReleaseRequest, reply *ReleaseReply) error {
-	t.pay()
-	return t.Inner.Release(part, req, reply)
-}
-
-// Compact implements Transport.
-func (t *LatencyTransport) Compact(part int, req CompactRequest, reply *CompactReply) error {
-	t.pay()
-	return t.Inner.Compact(part, req, reply)
-}
-
-// Kick forwards a connection-sever request to the inner transport.
-func (t *LatencyTransport) Kick(part int) {
-	if k, ok := t.Inner.(Kicker); ok {
-		k.Kick(part)
-	}
-}
-
-// Close implements Transport.
-func (t *LatencyTransport) Close() error { return t.Inner.Close() }

@@ -52,7 +52,7 @@ type UpdateReply struct {
 // exactly one; in-flight readers are unaffected (their views are immutable
 // snapshots) and pinned epochs stay readable until released.
 func (s *Server) ServeUpdate(req UpdateRequest, reply *UpdateReply) error {
-	defer obsSince(&s.met.update, time.Now())
+	defer obsSince(&s.met.rpc[MUpdate], time.Now())
 	if r, ok := dedupLookup[UpdateReply](s, req.Token); ok {
 		*reply = r
 		return nil
@@ -87,26 +87,6 @@ func (s *Server) ServeUpdate(req UpdateRequest, reply *UpdateReply) error {
 		s.signalCompact()
 	}
 	return err
-}
-
-// Update is the RPC method for incremental graph maintenance.
-func (g *GraphService) Update(req UpdateRequest, reply *UpdateReply) error {
-	return g.S.ServeUpdate(req, reply)
-}
-
-// Lease is the RPC method pinning a snapshot epoch.
-func (g *GraphService) Lease(req LeaseRequest, reply *LeaseReply) error {
-	return g.S.ServeLease(req, reply)
-}
-
-// Release is the RPC method dropping a snapshot lease.
-func (g *GraphService) Release(req ReleaseRequest, reply *ReleaseReply) error {
-	return g.S.ServeRelease(req, reply)
-}
-
-// Compact is the RPC method folding old overlays into a fresh base.
-func (g *GraphService) Compact(req CompactRequest, reply *CompactReply) error {
-	return g.S.ServeCompact(req, reply)
 }
 
 // groupByPartition routes raw mutations to their owning partitions (edges

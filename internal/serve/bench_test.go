@@ -17,7 +17,7 @@ import (
 // fan-out's network round trips.
 func benchServer(b *testing.B, n int, maxBatch, cacheCap int) *Server {
 	b.Helper()
-	_, cl, tr := clusterFixtureT(b, n, func(inner cluster.Transport) cluster.Transport {
+	_, cl, tr := clusterFixtureT(b, n, func(inner cluster.Caller) cluster.Transport {
 		return cluster.NewLatencyTransport(inner, 100*time.Microsecond)
 	})
 	srv := New(tr, cl, Config{

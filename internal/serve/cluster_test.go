@@ -24,7 +24,7 @@ func clusterFixture(tb testing.TB, n int) ([]*cluster.Server, *cluster.Client, *
 
 // clusterFixtureT is clusterFixture with the shard transport optionally
 // wrapped (benchmarks inject per-RPC latency).
-func clusterFixtureT(tb testing.TB, n int, wrap func(cluster.Transport) cluster.Transport) ([]*cluster.Server, *cluster.Client, *core.LinkTrainer) {
+func clusterFixtureT(tb testing.TB, n int, wrap func(cluster.Caller) cluster.Transport) ([]*cluster.Server, *cluster.Client, *core.LinkTrainer) {
 	tb.Helper()
 	s := graph.MustSchema([]string{"v"}, []string{"rel"})
 	b := graph.NewBuilder(s, true)
@@ -41,9 +41,10 @@ func clusterFixtureT(tb testing.TB, n int, wrap func(cluster.Transport) cluster.
 		tb.Fatal(err)
 	}
 	servers := cluster.FromGraph(g, assign)
-	var tp cluster.Transport = cluster.NewLocalTransport(servers, 0, 0)
+	local := cluster.NewLocalTransport(servers, 0, 0)
+	var tp cluster.Transport = local
 	if wrap != nil {
-		tp = wrap(tp)
+		tp = wrap(local)
 	}
 	cl := cluster.NewClient(assign, tp, nil)
 
