@@ -22,14 +22,6 @@
 // per-(edge type, hop) sampling lanes, plus pipeline stage timings when
 // -prefetch is on. -metrics-out writes the final snapshot as JSON at exit.
 //
-// -plan picks the sampling execution strategy (cluster mode): "adaptive"
-// runs the per-(edge type, hop) planner over the live lane metrics,
-// re-deciding every -plan-interval between cached client-side draws,
-// server-side draws, and the hybrid default — per lane, with per-lane
-// cache admission. "hybrid", "client" or "server" force that strategy on
-// every lane. Fixed-seed results are bit-identical under every choice;
-// only where draws execute (and therefore RPC volume) changes.
-//
 // Usage:
 //
 //	aligraph-train -demo -steps 300 -out embeddings.tsv
@@ -53,7 +45,6 @@ import (
 	"repro/internal/dataset"
 	"repro/internal/graphio"
 	"repro/internal/obs"
-	"repro/internal/plan"
 	"repro/internal/storage"
 )
 
@@ -86,8 +77,6 @@ func main() {
 		degrade      = flag.Bool("degrade", false, "serve a down shard's reads from stale caches instead of failing (cluster mode)")
 		negRefresh   = flag.Uint64("neg-refresh", 0, "rebuild the negative pool every N observed update epochs; 0 = frozen pool (cluster mode)")
 		fanout       = flag.Int("fanout", 0, "max concurrent per-shard sub-requests per scatter round: 0 = all shards at once, 1 = sequential (cluster mode)")
-		planFlag     = flag.String("plan", "", "sampling plan: adaptive, hybrid, client or server; empty = built-in hybrid (cluster mode)")
-		planInterval = flag.Duration("plan-interval", 2*time.Second, "adaptive planner decision-window length")
 		stats        = flag.Bool("stats", false, "print per-RPC client metrics after training (cluster mode)")
 		metricsAddr  = flag.String("metrics-addr", "", "serve observability on this address (/metrics text, /metrics.json, /debug/pprof/)")
 		metricsOut   = flag.String("metrics-out", "", "write a final metrics snapshot (JSON) to this file at exit")
@@ -95,9 +84,6 @@ func main() {
 	flag.Parse()
 	if *stream && *clusterAddrs == "" {
 		log.Fatal("-stream requires -cluster (live updates need graph servers)")
-	}
-	if *planFlag != "" && *clusterAddrs == "" {
-		log.Fatal("-plan requires -cluster (plans steer the cluster client's sampling)")
 	}
 
 	// One registry names every instrument of this process: the cluster
@@ -173,28 +159,6 @@ func main() {
 		cp.Client.RegisterObs(reg)
 		if *stats {
 			defer func() { fmt.Printf("client metrics:\n%s", cp.Client.Metrics()) }()
-		}
-		switch *planFlag {
-		case "", "auto":
-			// Built-in hybrid on every lane.
-		case "adaptive":
-			pln := cp.Client.NewPlanner(plan.Config{Interval: *planInterval})
-			pln.RegisterObs(reg)
-			pln.Start()
-			defer pln.Close()
-			if *stats {
-				// Runs before the client-metrics defer: the summary names the
-				// final per-lane strategies the lane table then details.
-				defer func() { fmt.Printf("plan: %s\n", pln.Summary()) }()
-			}
-			fmt.Printf("plan: adaptive, %v decision windows\n", *planInterval)
-		default:
-			s, err := plan.ParseStrategy(*planFlag)
-			if err != nil {
-				log.Fatal(err)
-			}
-			cp.Client.SetPlan(plan.Uniform(s))
-			fmt.Printf("plan: forced %s on every lane\n", s)
 		}
 		fmt.Printf("cluster: %d shards, %d vertices, %d vertex / %d edge types (bootstrapped)\n",
 			assign.P, numVertices, schema.NumVertexTypes(), schema.NumEdgeTypes())

@@ -1,8 +1,11 @@
 package bench
 
 import (
+	"math/rand"
 	"strings"
 	"testing"
+
+	"repro/internal/graph"
 )
 
 // These tests run each experiment at tiny scale to guarantee the harness
@@ -50,6 +53,20 @@ func TestFigure9ImportanceWins(t *testing.T) {
 		t.Fatalf("importance cache should beat random: %+v", byStrategy)
 	}
 	_ = FormatFigure9(rows)
+}
+
+func TestRandomCache(t *testing.T) {
+	b := graph.NewBuilder(graph.SimpleSchema(), true)
+	hub := b.AddVertex(0, nil)
+	for i := 0; i < 21; i++ {
+		b.AddEdge(b.AddVertex(0, nil), hub, 0, 1)
+	}
+	g := b.Finalize()
+	c := NewRandomCache(g, 2, 0.5, rand.New(rand.NewSource(1)))
+	want := int(0.5 * float64(g.NumVertices()))
+	if c.CachedVertices() != want || c.Name() != "random" {
+		t.Fatalf("cached = %d (%s), want %d (random)", c.CachedVertices(), c.Name(), want)
+	}
 }
 
 func TestTable4Runs(t *testing.T) {

@@ -41,7 +41,7 @@ type AttrCache struct {
 	C *Client
 
 	mu       sync.Mutex
-	lru      *storage.LRU
+	lru      *storage.LRU[[]float64]
 	attrSeen map[int]uint64 // newest AttrEpoch observed per partition
 	flushes  int
 }
@@ -49,7 +49,7 @@ type AttrCache struct {
 // NewAttrCache creates an attribute LRU over c holding at most capacity
 // rows.
 func NewAttrCache(c *Client, capacity int) *AttrCache {
-	return &AttrCache{C: c, lru: storage.NewLRU(capacity), attrSeen: make(map[int]uint64)}
+	return &AttrCache{C: c, lru: storage.NewLRU[[]float64](capacity), attrSeen: make(map[int]uint64)}
 }
 
 // Attrs implements AttrFetcher at the head epoch.
@@ -86,7 +86,7 @@ func (a *AttrCache) AttrsAt(vs []graph.ID, pin *sampling.Pin) ([][]float64, erro
 			continue
 		}
 		if row, ok := a.lru.Get(int64(v)); ok {
-			out[i] = row.([]float64)
+			out[i] = row
 			continue
 		}
 		missIdx[v] = []int{i}

@@ -8,7 +8,6 @@ import (
 
 	"repro/internal/graph"
 	"repro/internal/partition"
-	"repro/internal/plan"
 	"repro/internal/sampling"
 	"repro/internal/storage"
 )
@@ -112,13 +111,11 @@ func BenchmarkClusterSample(b *testing.B) {
 		}
 	}
 
-	// Sampling plans: the skewed two-lane workload (one hub set resampled
-	// every op, one never-repeating cold stream, both squeezed through a
-	// too-small LRU) under the built-in static hybrid versus the adaptive
-	// planner. rpc/op is the separating metric: the planner learns to pin
-	// the hub lane client-side and stop the cold lane's cache pollution.
+	// Skew: a two-lane workload (one hub set resampled every op, one
+	// never-repeating cold stream, both squeezed through a too-small LRU):
+	// the cold lane's admissions keep evicting the hubs.
 	{
-		const nHot, coldPer, width, planCap = 8, 12, 4, 16
+		const nHot, coldPer, width, cacheCap = 8, 12, 4, 16
 		nCold := coldPer * 1024
 		sg := skewTestGraph(nHot, nCold)
 		sa, err := (partition.HashPartitioner{}).Partition(sg, 2)
@@ -133,35 +130,26 @@ func BenchmarkClusterSample(b *testing.B) {
 		hotDst := make([]graph.ID, nHot*width)
 		coldVs := make([]graph.ID, coldPer)
 		coldDst := make([]graph.ID, coldPer*width)
-		for _, mode := range []string{"static", "adaptive"} {
-			b.Run(fmt.Sprintf("shards=2/skew/plan=%s", mode), func(b *testing.B) {
-				tr := NewLocalTransport(sservers, 0, 0)
-				c := NewClient(sa, tr, storage.NewLRUNeighborCache(planCap))
-				var pln *plan.Planner
-				if mode == "adaptive" {
-					pln = c.NewPlanner(plan.Config{MinSlots: 1, MinLookups: 1, Hysteresis: 2, ProbeEvery: 3})
+		b.Run("shards=2/skew", func(b *testing.B) {
+			tr := NewLocalTransport(sservers, 0, 0)
+			c := NewClient(sa, tr, storage.NewLRUNeighborCache(cacheCap))
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				for j := range coldVs {
+					coldVs[j] = graph.ID(nHot + (i*coldPer+j)%nCold)
 				}
-				b.ReportAllocs()
-				b.ResetTimer()
-				for i := 0; i < b.N; i++ {
-					for j := range coldVs {
-						coldVs[j] = graph.ID(nHot + (i*coldPer+j)%nCold)
-					}
-					if err := c.SampleBatch(coldDst, coldVs, 1, width, false, uint64(i)); err != nil {
-						b.Fatal(err)
-					}
-					if err := c.SampleBatch(hotDst, hotVs, 0, width, false, uint64(i)); err != nil {
-						b.Fatal(err)
-					}
-					if pln != nil {
-						pln.Step()
-					}
+				if err := c.SampleBatch(coldDst, coldVs, 1, width, false, uint64(i)); err != nil {
+					b.Fatal(err)
 				}
-				b.StopTimer()
-				local, remote := tr.Calls()
-				b.ReportMetric(float64(local+remote)/float64(b.N), "rpc/op")
-			})
-		}
+				if err := c.SampleBatch(hotDst, hotVs, 0, width, false, uint64(i)); err != nil {
+					b.Fatal(err)
+				}
+			}
+			b.StopTimer()
+			local, remote := tr.Calls()
+			b.ReportMetric(float64(local+remote)/float64(b.N), "rpc/op")
+		})
 	}
 
 	// Fault-tolerance overhead: the same hop sequence through the retry

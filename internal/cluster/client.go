@@ -4,13 +4,10 @@ import (
 	"fmt"
 	"sort"
 	"sync"
-	"sync/atomic"
-	"time"
 
 	"repro/internal/graph"
 	"repro/internal/obs"
 	"repro/internal/partition"
-	"repro/internal/plan"
 	"repro/internal/sampling"
 	"repro/internal/storage"
 )
@@ -25,10 +22,12 @@ import (
 // context of each sub-batch will be stitched together after being
 // returned"). Fixed-width draws additionally move the sampling to the
 // server (SampleNeighbors RPC), so hub adjacency lists never cross the
-// network.
+// network. Both hop operators — full lists (NeighborsBatch) and draws
+// (SampleBatch) — run through one routine (hop.go); they differ only in
+// the per-server request and in how a list fills the caller's buffer.
 //
 // A Client is safe for concurrent use as long as its cache is (the static
-// importance cache and the locked LRU both are).
+// caches and the locked LRU all are).
 type Client struct {
 	Assign *partition.Assignment
 	T      Transport
@@ -36,7 +35,7 @@ type Client struct {
 
 	// Degrade enables graceful degradation: when a shard's call fails with
 	// a transport-level (transient/shard-down) error, its hops are served
-	// from stale cache entries (storage.StaleReader) via the slot-pure draw
+	// from stale cache entries (NeighborCache.GetStale) via the slot-pure draw
 	// path instead of failing the batch — TRAVERSE and NegativePool simply
 	// skip the dead shard's mass, attribute rows fall back to zeros. Every
 	// degraded draw is counted in DegradedDraws. Set it before training;
@@ -52,26 +51,9 @@ type Client struct {
 	// are gathered in sorted part order — only latency changes.
 	Fanout int
 
-	// cacheAdmits records whether Cache.Observe can admit entries; when it
-	// cannot (static caches), SampleBatch skips requesting admission lists.
-	cacheAdmits bool
-
-	// kinded is Cache when it classifies misses (storage.KindedGetter), so
-	// per-hop instrumentation splits epoch misses from absent-entry misses
-	// without a second probe; nil otherwise.
-	kinded storage.KindedGetter
-
 	// pins manages the shared, reference-counted epoch pin (see pin.go);
 	// Client implements sampling.PinSource with it.
 	pins *pinManager
-
-	// plan is the active sampling plan (see plan.go / internal/plan): per
-	// (edge type, hop) lane it chooses between cached client-side draws,
-	// server-side draws and the hybrid default, plus whether the lane may
-	// admit into a replacing cache. Nil means the built-in hybrid behavior
-	// everywhere. Swapped atomically (SetPlan) so the adaptive planner can
-	// re-plan mid-training; every strategy yields bit-identical draws.
-	plan atomic.Pointer[plan.Plan]
 
 	degradedDraws obs.Counter
 
@@ -90,12 +72,7 @@ func NewClient(a *partition.Assignment, t Transport, cache storage.NeighborCache
 	if cache == nil {
 		cache = storage.NoCache{}
 	}
-	admits := true
-	if ad, ok := cache.(storage.Admitter); ok {
-		admits = ad.Admits()
-	}
-	kinded, _ := cache.(storage.KindedGetter)
-	return &Client{Assign: a, T: t, Cache: cache, cacheAdmits: admits, kinded: kinded, pins: newPinManager(a.P)}
+	return &Client{Assign: a, T: t, Cache: cache, pins: newPinManager(a.P)}
 }
 
 // cacheEpoch resolves the update epoch a cache lookup must be valid at:
@@ -123,22 +100,12 @@ func replySince(since []uint64, j int, servedEpoch uint64) uint64 {
 	return servedEpoch
 }
 
-// Neighbors returns the out-neighbors of v under edge type t, from cache if
-// possible.
+// Neighbors returns the out-neighbors of v under edge type t: a one-vertex
+// NeighborsBatch.
 func (c *Client) Neighbors(v graph.ID, t graph.EdgeType) ([]graph.ID, error) {
-	p := c.Assign.Part(v)
-	if ns, ok := c.Cache.Get(v, t, 1, c.cacheEpoch(nil, p)); ok {
-		return ns, nil
-	}
-	var reply NeighborsReply
-	req := NeighborsRequest{Vertices: []graph.ID{v}, EdgeType: t}
-	if err := c.timed(MNeighbors, func() error { return c.T.Neighbors(p, req, &reply) }); err != nil {
-		return nil, err
-	}
-	c.pins.noteHead(p, reply.Head, reply.AttrHead)
-	ns := reply.Neighbors[0]
-	c.admit(c.lanePlan(t, 0), v, t, reply.Epoch, replySince(reply.Since, 0, reply.Epoch), ns)
-	return ns, nil
+	dst := [][]graph.ID{nil}
+	err := c.NeighborsBatch(dst, []graph.ID{v}, t)
+	return dst[0], err
 }
 
 // NeighborsBatch implements sampling.Source: dst[i] receives the
@@ -147,30 +114,6 @@ func (c *Client) Neighbors(v graph.ID, t graph.EdgeType) ([]graph.ID, error) {
 // owning server.
 func (c *Client) NeighborsBatch(dst [][]graph.ID, vs []graph.ID, t graph.EdgeType) error {
 	return c.neighborsBatchSpan(dst, vs, t, nil, nil, 0)
-}
-
-// cacheGet is the instrumented cache probe of the batch paths: one epoch-
-// keyed lookup, attributed to the (edge type, hop) lane — hits and (when the
-// cache classifies its misses) epoch misses are counted where they happen,
-// so per-lane hit rates come for free with the lookup.
-func (c *Client) cacheGet(v graph.ID, t graph.EdgeType, epoch uint64, hs *hopStats) ([]graph.ID, bool) {
-	hs.lookups.Inc()
-	if c.kinded != nil {
-		ns, kind := c.kinded.GetKinded(v, t, 1, epoch)
-		switch kind {
-		case storage.KindHit:
-			hs.cacheHits.Inc()
-			return ns, true
-		case storage.KindEpochMiss:
-			hs.epochMiss.Inc()
-		}
-		return nil, false
-	}
-	ns, ok := c.Cache.Get(v, t, 1, epoch)
-	if ok {
-		hs.cacheHits.Inc()
-	}
-	return ns, ok
 }
 
 // observe folds one reply's epoch bookkeeping: the head feeds the pin
@@ -248,15 +191,6 @@ func (c *Client) degraded(err error) bool {
 	return c.Degrade && (IsShardDown(err) || IsTransient(err))
 }
 
-// staleList fetches v's hop-1 list from the cache ignoring epoch validity —
-// the degraded-read path. ok is false when the cache holds nothing for v.
-func (c *Client) staleList(v graph.ID, t graph.EdgeType) ([]graph.ID, bool) {
-	if sr, ok := c.Cache.(storage.StaleReader); ok {
-		return sr.GetStale(v, t, 1)
-	}
-	return nil, false
-}
-
 // degradeSpan keeps a pinned batch's span single-valued when a shard's
 // reply is replaced by stale serving (unpinned reads record nothing: they
 // observed no real epoch).
@@ -273,79 +207,6 @@ func pinFields(pin *sampling.Pin, part int) (epoch uint64, pinned bool) {
 		return 0, false
 	}
 	return pin.Epochs[part], true
-}
-
-func (c *Client) neighborsBatchSpan(dst [][]graph.ID, vs []graph.ID, t graph.EdgeType, pin *sampling.Pin, span *sampling.EpochSpan, hop int) error {
-	if len(dst) != len(vs) {
-		return fmt.Errorf("cluster: NeighborsBatch dst length %d, want %d", len(dst), len(vs))
-	}
-	hs := c.hops.get(t, hop)
-	hs.calls.Inc()
-	hs.slots.Add(int64(len(vs)))
-	start := time.Now()
-	defer func() { hs.nanos.Add(int64(time.Since(start))) }()
-	// Full-list fetches must hit the network on a miss whatever the lane's
-	// strategy, so only the plan's admission choice applies here: a lane
-	// marked cold keeps its lists out of a replacing cache.
-	lp := c.lanePlan(t, hop)
-	// Pass 1: dedup, epoch-keyed cache lookups, sub-batch formation. The
-	// lookup epoch is the owning shard's pinned epoch (or observed head),
-	// so a stale-generation entry misses instead of being served.
-	res := make(map[graph.ID][]graph.ID, len(vs))
-	subBatch := make(map[int][]graph.ID) // part -> unique missed vertices
-	for _, v := range vs {
-		if _, seen := res[v]; seen {
-			continue
-		}
-		p := c.Assign.Part(v)
-		if ns, ok := c.cacheGet(v, t, c.cacheEpoch(pin, p), hs); ok {
-			res[v] = ns
-			continue
-		}
-		res[v] = nil
-		subBatch[p] = append(subBatch[p], v)
-	}
-	// Pass 2: one request per server, issued as one concurrent scatter
-	// round (a hop costs max(RTT), not servers x RTT), stitched back
-	// through the dedup map in sorted part order so degraded-path ordering
-	// and error selection are reproducible. Admissions carry the serving
-	// epoch and each list's install stamp.
-	parts := sortedParts(subBatch)
-	hs.rpcs.Add(int64(len(parts)))
-	replies := make([]NeighborsReply, len(parts))
-	errs := c.scatter(parts, func(i, p int) error {
-		req := NeighborsRequest{Vertices: subBatch[p], EdgeType: t}
-		req.Pin, req.Pinned = pinFields(pin, p)
-		return c.timed(MNeighbors, func() error { return c.T.Neighbors(p, req, &replies[i]) })
-	})
-	for i, p := range parts {
-		batch := subBatch[p]
-		if err := errs[i]; err != nil {
-			if !c.degraded(err) {
-				return err
-			}
-			// Shard down: serve what the cache still holds (stale), empty
-			// lists otherwise, and count every list as degraded.
-			for _, v := range batch {
-				ns, _ := c.staleList(v, t)
-				res[v] = ns
-				c.degradedDraws.Add(1)
-				hs.degraded.Inc()
-			}
-			degradeSpan(span, pin)
-			continue
-		}
-		reply := &replies[i]
-		c.observe(p, span, pin, reply.Epoch, reply.Head, reply.AttrHead)
-		for j, v := range batch {
-			res[v] = reply.Neighbors[j]
-			c.admit(lp, v, t, reply.Epoch, replySince(reply.Since, j, reply.Epoch), reply.Neighbors[j])
-		}
-	}
-	for i, v := range vs {
-		dst[i] = res[v]
-	}
-	return nil
 }
 
 // BatchNeighbors fetches out-neighbor lists for a batch of vertices; it is
@@ -371,186 +232,12 @@ func (c *Client) BatchNeighbors(vs []graph.ID, t graph.EdgeType) ([][]graph.ID, 
 // behind the pipeline's bit-reproducibility with LRU caches. Low-degree
 // uniform vertices come back as full (short) lists, which are drawn
 // locally and admitted (with their install stamp), so replacing caches
-// warm up under a pure training workload.
-//
-// That hybrid flow is the default; the active sampling plan (SetPlan,
-// internal/plan) can override it per (edge type, hop) lane — skipping
-// probe and admission entirely (ServerDraws, for cold lanes) or fetching
-// misses as full lists and drawing locally (ClientDraws, for hub-heavy
-// reused lanes). Slot-purity makes every strategy return the same values.
+// warm up under a pure training workload. Weighted draws skip the cache
+// and always run server-side: caches hold no weights, and the server's
+// alias-method stream is the one executor that keeps fixed seeds
+// bit-identical.
 func (c *Client) SampleBatch(dst []graph.ID, vs []graph.ID, t graph.EdgeType, width int, byWeight bool, seed uint64) error {
 	return c.sampleBatchSpan(dst, vs, t, width, byWeight, seed, nil, nil, 0)
-}
-
-func (c *Client) sampleBatchSpan(dst []graph.ID, vs []graph.ID, t graph.EdgeType, width int, byWeight bool, seed uint64, pin *sampling.Pin, span *sampling.EpochSpan, hop int) error {
-	if len(dst) != len(vs)*width {
-		return fmt.Errorf("cluster: SampleBatch dst length %d, want %d", len(dst), len(vs)*width)
-	}
-	hs := c.hops.get(t, hop)
-	hs.calls.Inc()
-	hs.slots.Add(int64(len(vs)))
-	start := time.Now()
-	defer func() { hs.nanos.Add(int64(time.Since(start))) }()
-	// The lane's plan chooses where uniform draws execute; weighted draws
-	// always go server-side (caches hold no weights, and the server's
-	// alias-method stream differs from a client-side inverse-CDF draw, so
-	// only one executor keeps fixed seeds bit-identical).
-	lp := c.lanePlan(t, hop)
-	// Dedup in first-appearance order, tracking every occurrence position.
-	idx := make(map[graph.ID]int, len(vs))
-	var uniq []graph.ID
-	var occs [][]int
-	for i, v := range vs {
-		j, ok := idx[v]
-		if !ok {
-			j = len(uniq)
-			idx[v] = j
-			uniq = append(uniq, v)
-			occs = append(occs, nil)
-		}
-		occs[j] = append(occs[j], i)
-	}
-
-	subUniq := make(map[int][]int) // part -> indices into uniq
-	var parts []int
-	probe := !byWeight && lp.Strategy != plan.ServerDraws
-	for j, v := range uniq {
-		p := c.Assign.Part(v)
-		if probe {
-			if ns, ok := c.cacheGet(v, t, c.cacheEpoch(pin, p), hs); ok {
-				for _, pos := range occs[j] {
-					rng := sampling.SlotRng(seed, pos)
-					drawInto(dst[pos*width:(pos+1)*width], v, ns, &rng)
-				}
-				continue
-			}
-		}
-		if _, ok := subUniq[p]; !ok {
-			parts = append(parts, p)
-		}
-		subUniq[p] = append(subUniq[p], j)
-	}
-	sort.Ints(parts)
-	if !byWeight && lp.Strategy == plan.ClientDraws && len(parts) > 0 {
-		// ClientDraws lane: fetch the missed lists whole, admit, draw
-		// locally — same values, and the lane's hubs stay resident.
-		return c.sampleViaLists(dst, t, width, seed, pin, span, hs, lp, uniq, occs, subUniq, parts)
-	}
-
-	// Build every sub-request before the scatter: per-part Vertices, Counts
-	// and Slots are carved out of three shared backing buffers (each
-	// goroutine only reads its own sub-slice), so a round costs three
-	// allocations regardless of how many servers it spans.
-	totalUniq, totalSlots := 0, 0
-	for _, js := range subUniq {
-		totalUniq += len(js)
-		for _, j := range js {
-			totalSlots += len(occs[j])
-		}
-	}
-	vertsBuf := make([]graph.ID, 0, totalUniq)
-	countsBuf := make([]int, 0, totalUniq)
-	slotsBuf := make([]int32, 0, totalSlots)
-	reqs := make([]SampleRequest, len(parts))
-	for i, p := range parts {
-		js := subUniq[p]
-		v0, s0 := len(vertsBuf), len(slotsBuf)
-		for _, j := range js {
-			vertsBuf = append(vertsBuf, uniq[j])
-			countsBuf = append(countsBuf, len(occs[j]))
-			for _, pos := range occs[j] {
-				slotsBuf = append(slotsBuf, int32(pos))
-			}
-		}
-		reqs[i] = SampleRequest{
-			Vertices:  vertsBuf[v0:len(vertsBuf):len(vertsBuf)],
-			Counts:    countsBuf[v0:len(countsBuf):len(countsBuf)],
-			Slots:     slotsBuf[s0:len(slotsBuf):len(slotsBuf)],
-			EdgeType:  t,
-			Width:     width,
-			ByWeight:  byWeight,
-			WantLists: c.cacheAdmits && lp.Admit,
-			Seed:      seed,
-		}
-		reqs[i].Pin, reqs[i].Pinned = pinFields(pin, p)
-	}
-	hs.rpcs.Add(int64(len(parts)))
-	replies := make([]SampleReply, len(parts))
-	errs := c.scatter(parts, func(i, p int) error {
-		return c.timed(MSampleNeighbors, func() error { return c.T.SampleNeighbors(p, reqs[i], &replies[i]) })
-	})
-	for i, p := range parts {
-		js := subUniq[p]
-		if err := errs[i]; err != nil {
-			if !c.degraded(err) {
-				return err
-			}
-			// Shard down: draw each slot from the stale cached list via the
-			// same slot-pure stream a live reply would have used (empty
-			// lists self-pad, matching the server contract). Weighted draws
-			// degrade to uniform over the stale list — the cache holds no
-			// weights.
-			for _, j := range js {
-				v := uniq[j]
-				ns, _ := c.staleList(v, t)
-				for _, pos := range occs[j] {
-					rng := sampling.SlotRng(seed, pos)
-					drawInto(dst[pos*width:(pos+1)*width], v, ns, &rng)
-					c.degradedDraws.Add(1)
-					hs.degraded.Inc()
-				}
-			}
-			degradeSpan(span, pin)
-			continue
-		}
-		reply := &replies[i]
-		c.observe(p, span, pin, reply.Epoch, reply.Head, reply.AttrHead)
-		if len(reply.Lists) != 0 && len(reply.Lists) != len(js) {
-			return fmt.Errorf("cluster: server %d returned %d lists for %d vertices", p, len(reply.Lists), len(js))
-		}
-		want := 0
-		for li, j := range js {
-			if len(reply.Lists) > 0 && reply.Lists[li] != nil {
-				continue
-			}
-			want += len(occs[j]) * width
-		}
-		if len(reply.Samples) != want {
-			return fmt.Errorf("cluster: server %d returned %d samples, want %d", p, len(reply.Samples), want)
-		}
-		k := 0
-		for li, j := range js {
-			v := uniq[j]
-			if len(reply.Lists) > 0 && reply.Lists[li] != nil {
-				ns := reply.Lists[li]
-				c.admit(lp, v, t, reply.Epoch, replySince(reply.Since, li, reply.Epoch), ns)
-				for _, pos := range occs[j] {
-					rng := sampling.SlotRng(seed, pos)
-					drawInto(dst[pos*width:(pos+1)*width], v, ns, &rng)
-				}
-				continue
-			}
-			for _, pos := range occs[j] {
-				copy(dst[pos*width:(pos+1)*width], reply.Samples[k:k+width])
-				k += width
-			}
-		}
-	}
-	return nil
-}
-
-// drawInto fills dst with uniform draws from ns, padding with v when ns is
-// empty (mirroring the server- and graph-side contract).
-func drawInto(dst []graph.ID, v graph.ID, ns []graph.ID, rng *sampling.Rng) {
-	if len(ns) == 0 {
-		for i := range dst {
-			dst[i] = v
-		}
-		return
-	}
-	for i := range dst {
-		dst[i] = ns[rng.Intn(len(ns))]
-	}
 }
 
 // clusterStats returns the per-server size counters, fetching them on first
@@ -722,6 +409,9 @@ func (c *Client) appendSampleEdges(dst []graph.Edge, t graph.EdgeType, n int, se
 		}
 		reply := &replies[i]
 		c.observe(p, span, pin, reply.Epoch, reply.Head, reply.AttrHead)
+		if len(reply.Dst) != len(reply.Src) || len(reply.Weight) != len(reply.Src) {
+			return nil, fmt.Errorf("cluster: server %d returned %d sources, %d destinations and %d weights", p, len(reply.Src), len(reply.Dst), len(reply.Weight))
+		}
 		for j := range reply.Src {
 			edges = append(edges, graph.Edge{Src: reply.Src[j], Dst: reply.Dst[j], Type: t, Weight: reply.Weight[j]})
 		}
@@ -745,6 +435,9 @@ func (c *Client) NegativePool(t graph.EdgeType) ([]graph.ID, []float64, error) {
 			// Dead shard: the pool is built without its candidates.
 			c.degradedDraws.Add(1)
 			continue
+		}
+		if len(replies[p].Counts) != len(replies[p].Vertices) {
+			return nil, nil, rowsError(p, "counts", len(replies[p].Counts), len(replies[p].Vertices))
 		}
 		for i, v := range replies[p].Vertices {
 			counts[v] += replies[p].Counts[i]
@@ -808,6 +501,9 @@ func (c *Client) attrsObserve(vs []graph.ID, pin *sampling.Pin, note func(part i
 		}
 		reply := &replies[i]
 		c.observe(p, nil, pin, reply.Epoch, reply.Head, reply.AttrHead)
+		if len(reply.Attrs) != len(batch) {
+			return nil, rowsError(p, "attribute rows", len(reply.Attrs), len(batch))
+		}
 		if note != nil {
 			note(p, reply.AttrEpoch)
 		}
@@ -864,6 +560,9 @@ func (c *Client) SinceOf(vs []graph.ID, t graph.EdgeType) (adj, attr, upto []uin
 		nr, ar := &nReplies[i], &aReplies[i]
 		c.observe(p, nil, nil, nr.Epoch, nr.Head, nr.AttrHead)
 		c.observe(p, nil, nil, ar.Epoch, ar.Head, ar.AttrHead)
+		if n := len(subBatch[p]); len(nr.Neighbors) != n || len(ar.Attrs) != n {
+			return nil, nil, nil, fmt.Errorf("cluster: server %d returned %d lists and %d attribute rows for %d vertices", p, len(nr.Neighbors), len(ar.Attrs), n)
+		}
 		served := min(nr.Epoch, ar.Epoch)
 		for j, v := range subBatch[p] {
 			k := idx[v]
@@ -898,7 +597,7 @@ func (c *Client) MultiHop(v graph.ID, t graph.EdgeType, k int) ([][]graph.ID, er
 	}
 	allCached := true
 	for h := 1; h <= k; h++ {
-		if ns, ok := c.Cache.Get(v, t, h, epoch); ok {
+		if ns, kind := c.Cache.Get(v, t, h, epoch); kind == storage.KindHit {
 			frontiers[h-1] = ns
 		} else {
 			allCached = false
@@ -906,6 +605,17 @@ func (c *Client) MultiHop(v graph.ID, t graph.EdgeType, k int) ([][]graph.ID, er
 		}
 	}
 	if allCached {
+		// Hop 1 is cached as v's adjacency list; its frontier is the
+		// distinct members other than v, as the fetch path below computes.
+		seen := map[graph.ID]struct{}{v: {}}
+		var f []graph.ID
+		for _, u := range frontiers[0] {
+			if _, ok := seen[u]; !ok {
+				seen[u] = struct{}{}
+				f = append(f, u)
+			}
+		}
+		frontiers[0] = f
 		return frontiers, nil
 	}
 

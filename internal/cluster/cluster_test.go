@@ -528,8 +528,8 @@ func TestCacheKeyedByEdgeType(t *testing.T) {
 	imp := storage.NewImportanceCacheTopFraction(g, 2, 1.0)
 	for v := graph.ID(0); v < 4; v++ {
 		for et := graph.EdgeType(0); et < 2; et++ {
-			ns, ok := imp.Get(v, et, 1, 0)
-			if !ok {
+			ns, kind := imp.Get(v, et, 1, 0)
+			if kind != storage.KindHit {
 				t.Fatalf("vertex %d type %d not cached", v, et)
 			}
 			want := g.OutNeighbors(v, et)

@@ -106,9 +106,7 @@ type methodCounters struct {
 
 // clientMetrics is the always-on per-RPC observability state of a Client:
 // lock-free counters and histograms on the call path, snapshotted by
-// Client.Metrics. This is the seed of the adaptive sampling planner
-// (ROADMAP item 4) — per-hop strategy choices need per-method timings to
-// choose against.
+// Client.Metrics.
 type clientMetrics struct {
 	rpc      [numMethods]methodCounters // indexed by Method
 	fanouts  obs.Counter                // scatter rounds spanning more than one shard
@@ -131,10 +129,8 @@ type MethodMetrics struct {
 // hopStats is one (edge type, hop) sampling lane's always-on counters: every
 // batch expansion the client executes is attributed to the hop the
 // NEIGHBORHOOD sampler tagged (sampling.HopTagged; hop 0 collects direct,
-// untagged calls). Time, per-shard sub-request counts and cache outcomes per
-// lane are exactly the per-operator annotations ROADMAP item 4's planner
-// needs to choose between cached draws, server-side sampling and full-list
-// admission per lane.
+// untagged calls): time, per-shard sub-request counts and cache outcomes
+// per lane.
 type hopStats struct {
 	calls     obs.Counter // batch expansions (one per SampleBatch/NeighborsBatch)
 	slots     obs.Counter // batch slots across those calls (len(vs))
@@ -196,9 +192,7 @@ func (h *hopMetrics) snapshot() map[uint32]*hopStats {
 }
 
 // HopMetrics is one (edge type, hop) lane's cumulative counters as exposed
-// by Client.Metrics, annotated with the lane's current plan choice
-// (Strategy/Admit — what the active sampling plan resolves for it right
-// now, "hybrid"+admit when no plan is installed).
+// by Client.Metrics.
 type HopMetrics struct {
 	Calls       int64
 	Slots       int64
@@ -208,8 +202,6 @@ type HopMetrics struct {
 	EpochMisses int64
 	Degraded    int64
 	Time        time.Duration
-	Strategy    string
-	Admit       bool
 }
 
 // Metrics is a snapshot of a Client's per-RPC observability counters. RPCs
@@ -275,12 +267,8 @@ func (m Metrics) String() string {
 			if hm.Calls > 0 {
 				avg = hm.Time / time.Duration(hm.Calls)
 			}
-			planStr := hm.Strategy
-			if hm.Admit {
-				planStr += "+admit"
-			}
-			fmt.Fprintf(&b, "  %-8s calls=%-7d slots=%-8d rpcs=%-7d cache-hits=%-8d epoch-miss=%-6d degraded=%-6d avg=%-10v plan=%s\n",
-				lane, hm.Calls, hm.Slots, hm.RPCs, hm.CacheHits, hm.EpochMisses, hm.Degraded, avg.Round(time.Microsecond), planStr)
+			fmt.Fprintf(&b, "  %-8s calls=%-7d slots=%-8d rpcs=%-7d cache-hits=%-8d epoch-miss=%-6d degraded=%-6d avg=%v\n",
+				lane, hm.Calls, hm.Slots, hm.RPCs, hm.CacheHits, hm.EpochMisses, hm.Degraded, avg.Round(time.Microsecond))
 		}
 	}
 	return b.String()
@@ -343,7 +331,6 @@ func (c *Client) Metrics() Metrics {
 	if lanes := c.hops.snapshot(); len(lanes) > 0 {
 		m.Hops = make(map[string]HopMetrics, len(lanes))
 		for key, hs := range lanes {
-			lp := c.lanePlan(graph.EdgeType(key>>8), int(key&0xff))
 			m.Hops[fmt.Sprintf("t%d.h%d", key>>8, key&0xff)] = HopMetrics{
 				Calls:       hs.calls.Load(),
 				Slots:       hs.slots.Load(),
@@ -353,8 +340,6 @@ func (c *Client) Metrics() Metrics {
 				EpochMisses: hs.epochMiss.Load(),
 				Degraded:    hs.degraded.Load(),
 				Time:        time.Duration(hs.nanos.Load()),
-				Strategy:    lp.Strategy.String(),
-				Admit:       lp.Admit,
 			}
 		}
 	}
@@ -398,16 +383,6 @@ func (c *Client) RegisterObs(r *obs.Registry) {
 			emit(p+"epoch_misses", hs.epochMiss.Load())
 			emit(p+"degraded", hs.degraded.Load())
 			emit(p+"nanos", hs.nanos.Load())
-			// The lane's resolved plan choice rides with its counters:
-			// strategy is the internal/plan enum (hybrid=1, client=2,
-			// server=3), so any planned lane reads non-zero.
-			lp := c.lanePlan(graph.EdgeType(key>>8), int(key&0xff))
-			emit(fmt.Sprintf("cluster.client.plan.t%d.h%d.strategy", key>>8, key&0xff), int64(lp.Strategy))
-			admit := int64(0)
-			if lp.Admit {
-				admit = 1
-			}
-			emit(fmt.Sprintf("cluster.client.plan.t%d.h%d.admit", key>>8, key&0xff), admit)
 		}
 	})
 }

@@ -1,0 +1,330 @@
+package cluster
+
+import (
+	"fmt"
+	"time"
+
+	"repro/internal/graph"
+	"repro/internal/sampling"
+	"repro/internal/storage"
+)
+
+// hop is one hop of a mini-batch in flight: the sampling operator behind
+// both NeighborsBatch (a list hop: dst[i] receives vs[i]'s full list) and
+// SampleBatch (a draw hop: width slot-pure draws per batch slot). Its
+// common steps each live here once:
+//
+//   - group: dedup in first-appearance order with occurrence positions, an
+//     epoch-keyed cache probe per unique vertex (counted in the lane's
+//     counters), and the misses grouped by owning part in ascending order;
+//   - resolve: one concurrent scatter round, per-part reply validation,
+//     the degraded fallback to stale cached lists when a shard is down, and
+//     admission (Observe) of every full list a reply carries.
+//
+// The two kinds differ only in the per-part request their caller builds
+// (Neighbors vs SampleNeighbors) and in serve, which fills the caller's
+// buffer from one list.
+type hop struct {
+	c    *Client
+	t    graph.EdgeType
+	pin  *sampling.Pin
+	span *sampling.EpochSpan
+	hs   *hopStats
+	t0   time.Time
+
+	// Output: a list hop fills lists (one per batch slot, so non-nil once
+	// there is a slot); a draw hop leaves lists nil and fills draws, width
+	// per slot, each slot from SlotRng(seed, slot).
+	lists [][]graph.ID
+	draws []graph.ID
+	width int
+	seed  uint64
+
+	uniq  []graph.ID // unique vertices, first-appearance order
+	occ   []int      // batch slots grouped by unique vertex, ascending
+	start []int      // uniq[j]'s slots are occ[start[j]:start[j+1]]
+	miss  [][]int    // per part: indices into uniq of its cache misses
+	parts []int      // parts with misses, ascending
+}
+
+// startHop opens a hop over n batch slots on the (t, hopN) lane.
+func (c *Client) startHop(t graph.EdgeType, pin *sampling.Pin, span *sampling.EpochSpan, hopN, n int) *hop {
+	hs := c.hops.get(t, hopN)
+	hs.calls.Inc()
+	hs.slots.Add(int64(n))
+	return &hop{c: c, t: t, pin: pin, span: span, hs: hs, t0: time.Now()}
+}
+
+// done charges the hop's wall clock to its lane.
+func (h *hop) done() { h.hs.nanos.Add(int64(time.Since(h.t0))) }
+
+// slots returns the batch slots uniq[j] occupies, ascending.
+func (h *hop) slots(j int) []int { return h.occ[h.start[j]:h.start[j+1]] }
+
+// serve fills every slot of uniq[j] from the list ns (a cache hit, a
+// reply's full list, or a stale list) and returns how many draws that
+// was: one list for a list hop, one per slot for a draw hop. An empty ns
+// pads draws with the vertex itself, mirroring the server contract.
+func (h *hop) serve(j int, ns []graph.ID) int64 {
+	s := h.slots(j)
+	if h.lists != nil {
+		for _, pos := range s {
+			h.lists[pos] = ns
+		}
+		return 1
+	}
+	for _, pos := range s {
+		rng := sampling.SlotRng(h.seed, pos)
+		drawInto(h.draws[pos*h.width:(pos+1)*h.width], h.uniq[j], ns, &rng)
+	}
+	return int64(len(s))
+}
+
+// group dedups vs, serves what the cache holds (when probe is set), and
+// groups the rest by owning part. The probe is keyed by the owning shard's
+// pinned epoch (or observed head), so a stale-generation entry misses
+// instead of being served.
+func (h *hop) group(vs []graph.ID, probe bool) {
+	c := h.c
+	idx := make(map[graph.ID]int, len(vs))
+	of := make([]int, len(vs))
+	for i, v := range vs {
+		j, ok := idx[v]
+		if !ok {
+			j = len(h.uniq)
+			idx[v] = j
+			h.uniq = append(h.uniq, v)
+		}
+		of[i] = j
+	}
+	// Bucket the slots by unique vertex: count, prefix-sum, place (which
+	// leaves start shifted one bucket left), shift back.
+	n := len(h.uniq)
+	h.start = make([]int, n+1)
+	for _, j := range of {
+		h.start[j+1]++
+	}
+	for j := 1; j <= n; j++ {
+		h.start[j] += h.start[j-1]
+	}
+	h.occ = make([]int, len(vs))
+	for i, j := range of {
+		h.occ[h.start[j]] = i
+		h.start[j]++
+	}
+	copy(h.start[1:], h.start[:n])
+	h.start[0] = 0
+
+	h.miss = make([][]int, c.Assign.P)
+	for j, v := range h.uniq {
+		p := c.Assign.Part(v)
+		if probe {
+			if ns, ok := h.probe(v, c.cacheEpoch(h.pin, p)); ok {
+				h.serve(j, ns)
+				continue
+			}
+		}
+		h.miss[p] = append(h.miss[p], j)
+	}
+	for p, js := range h.miss {
+		if len(js) > 0 {
+			h.parts = append(h.parts, p)
+		}
+	}
+}
+
+// probe is the instrumented cache lookup: hits and epoch misses are
+// counted on the lane where they happen.
+func (h *hop) probe(v graph.ID, epoch uint64) ([]graph.ID, bool) {
+	h.hs.lookups.Inc()
+	ns, kind := h.c.Cache.Get(v, h.t, 1, epoch)
+	switch kind {
+	case storage.KindHit:
+		h.hs.cacheHits.Inc()
+		return ns, true
+	case storage.KindEpochMiss:
+		h.hs.epochMiss.Inc()
+	}
+	return nil, false
+}
+
+// missVertices returns each part's missed vertices (aligned with parts),
+// carved out of one buffer.
+func (h *hop) missVertices() [][]graph.ID {
+	buf := make([]graph.ID, 0, len(h.uniq))
+	out := make([][]graph.ID, len(h.parts))
+	for i, p := range h.parts {
+		v0 := len(buf)
+		for _, j := range h.miss[p] {
+			buf = append(buf, h.uniq[j])
+		}
+		out[i] = buf[v0:len(buf):len(buf)]
+	}
+	return out
+}
+
+// hopReply is the part of a Neighbors or SampleNeighbors reply the hop
+// routine reads. lists has one row per miss sent to the part; a draw
+// hop's reply may carry no lists, or nil rows, for rows the server drew
+// itself into samples (width per slot, in row order).
+type hopReply struct {
+	epoch, head, attrHead uint64
+	since                 []uint64
+	lists                 [][]graph.ID
+	samples               []graph.ID
+}
+
+// resolve fetches h's misses — send issues parts[i]'s request into reply
+// slot i, one concurrent round — and stitches the replies back in
+// ascending part order through read, so degraded serving, admission order
+// and error selection are reproducible.
+func resolve[R any](h *hop, m Method, send func(i, p int, reply *R) error, read func(*R) hopReply) error {
+	c := h.c
+	h.hs.rpcs.Add(int64(len(h.parts)))
+	replies := make([]R, len(h.parts))
+	errs := c.scatter(h.parts, func(i, p int) error {
+		return c.timed(m, func() error { return send(i, p, &replies[i]) })
+	})
+	for i, p := range h.parts {
+		js := h.miss[p]
+		if err := errs[i]; err != nil {
+			if !c.degraded(err) {
+				return err
+			}
+			// Shard down: serve what the cache still holds, however stale,
+			// through the same slot-pure streams (weighted draws degrade to
+			// uniform over the stale list), and count every draw.
+			for _, j := range js {
+				ns, _ := c.Cache.GetStale(h.uniq[j], h.t, 1)
+				n := h.serve(j, ns)
+				c.degradedDraws.Add(n)
+				h.hs.degraded.Add(n)
+			}
+			degradeSpan(h.span, h.pin)
+			continue
+		}
+		r := read(&replies[i])
+		c.observe(p, h.span, h.pin, r.epoch, r.head, r.attrHead)
+		if err := h.fill(p, js, r); err != nil {
+			return err
+		}
+	}
+	return nil
+}
+
+// fill validates part p's reply to its misses js and serves them from it:
+// full lists are admitted with their install stamps and served, drawn rows
+// are copied out of samples.
+func (h *hop) fill(p int, js []int, r hopReply) error {
+	drawn := h.lists == nil && len(r.lists) == 0
+	if len(r.lists) != len(js) && !drawn {
+		return rowsError(p, "lists", len(r.lists), len(js))
+	}
+	isList := func(row int) bool { return !drawn && (h.lists != nil || r.lists[row] != nil) }
+	want := 0
+	for row, j := range js {
+		if !isList(row) {
+			want += len(h.slots(j)) * h.width
+		}
+	}
+	if len(r.samples) != want {
+		return fmt.Errorf("cluster: server %d returned %d samples, want %d", p, len(r.samples), want)
+	}
+	k := 0
+	for row, j := range js {
+		if isList(row) {
+			ns := r.lists[row]
+			h.c.Cache.Observe(h.uniq[j], h.t, 1, r.epoch, replySince(r.since, row, r.epoch), ns)
+			h.serve(j, ns)
+			continue
+		}
+		for _, pos := range h.slots(j) {
+			copy(h.draws[pos*h.width:(pos+1)*h.width], r.samples[k:k+h.width])
+			k += h.width
+		}
+	}
+	return nil
+}
+
+// rowsError reports a reply whose row count disagrees with its request.
+func rowsError(part int, what string, got, want int) error {
+	return fmt.Errorf("cluster: server %d returned %d %s for %d vertices", part, got, what, want)
+}
+
+// drawInto fills dst with uniform draws from ns, padding with v when ns is
+// empty (mirroring the server- and graph-side contract).
+func drawInto(dst []graph.ID, v graph.ID, ns []graph.ID, rng *sampling.Rng) {
+	if len(ns) == 0 {
+		for i := range dst {
+			dst[i] = v
+		}
+		return
+	}
+	for i := range dst {
+		dst[i] = ns[rng.Intn(len(ns))]
+	}
+}
+
+// neighborsBatchSpan is the list hop: Neighbors RPCs for the misses.
+func (c *Client) neighborsBatchSpan(dst [][]graph.ID, vs []graph.ID, t graph.EdgeType, pin *sampling.Pin, span *sampling.EpochSpan, hopN int) error {
+	if len(dst) != len(vs) {
+		return fmt.Errorf("cluster: NeighborsBatch dst length %d, want %d", len(dst), len(vs))
+	}
+	h := c.startHop(t, pin, span, hopN, len(vs))
+	defer h.done()
+	h.lists = dst
+	h.group(vs, true)
+	verts := h.missVertices()
+	return resolve(h, MNeighbors, func(i, p int, reply *NeighborsReply) error {
+		req := NeighborsRequest{Vertices: verts[i], EdgeType: t}
+		req.Pin, req.Pinned = pinFields(pin, p)
+		return c.T.Neighbors(p, req, reply)
+	}, func(r *NeighborsReply) hopReply {
+		return hopReply{epoch: r.Epoch, head: r.Head, attrHead: r.AttrHead, since: r.Since, lists: r.Neighbors}
+	})
+}
+
+// sampleBatchSpan is the draw hop: SampleNeighbors RPCs carrying each
+// missed vertex once with its multiplicity and batch slots.
+func (c *Client) sampleBatchSpan(dst []graph.ID, vs []graph.ID, t graph.EdgeType, width int, byWeight bool, seed uint64, pin *sampling.Pin, span *sampling.EpochSpan, hopN int) error {
+	if len(dst) != len(vs)*width {
+		return fmt.Errorf("cluster: SampleBatch dst length %d, want %d", len(dst), len(vs)*width)
+	}
+	h := c.startHop(t, pin, span, hopN, len(vs))
+	defer h.done()
+	h.draws, h.width, h.seed = dst, width, seed
+	h.group(vs, !byWeight)
+	// Per-part Counts and Slots are carved out of two shared buffers, like
+	// the vertices: each scatter goroutine only reads its own sub-slices.
+	verts := h.missVertices()
+	counts := make([]int, 0, len(h.uniq))
+	slots := make([]int32, 0, len(vs))
+	reqs := make([]SampleRequest, len(h.parts))
+	wantLists := c.Cache.Admits()
+	for i, p := range h.parts {
+		c0, s0 := len(counts), len(slots)
+		for _, j := range h.miss[p] {
+			s := h.slots(j)
+			counts = append(counts, len(s))
+			for _, pos := range s {
+				slots = append(slots, int32(pos))
+			}
+		}
+		reqs[i] = SampleRequest{
+			Vertices:  verts[i],
+			Counts:    counts[c0:len(counts):len(counts)],
+			Slots:     slots[s0:len(slots):len(slots)],
+			EdgeType:  t,
+			Width:     width,
+			ByWeight:  byWeight,
+			WantLists: wantLists,
+			Seed:      seed,
+		}
+		reqs[i].Pin, reqs[i].Pinned = pinFields(pin, p)
+	}
+	return resolve(h, MSampleNeighbors, func(i, p int, reply *SampleReply) error {
+		return c.T.SampleNeighbors(p, reqs[i], reply)
+	}, func(r *SampleReply) hopReply {
+		return hopReply{epoch: r.Epoch, head: r.Head, attrHead: r.AttrHead, since: r.Since, lists: r.Lists, samples: r.Samples}
+	})
+}

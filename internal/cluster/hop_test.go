@@ -1,0 +1,286 @@
+package cluster
+
+import (
+	"fmt"
+	"math/rand"
+	"testing"
+
+	"repro/internal/core"
+	"repro/internal/graph"
+	"repro/internal/partition"
+	"repro/internal/storage"
+)
+
+// newHopCluster wires a client over fresh servers for g with a
+// caller-chosen shard count, transport layer and neighbor cache.
+func newHopCluster(t *testing.T, g *graph.Graph, shards int, wrap func(Caller) Transport, cache storage.NeighborCache) *Client {
+	t.Helper()
+	a, err := (partition.HashPartitioner{}).Partition(g, shards)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var tr Transport = NewLocalTransport(FromGraph(g, a), 0, 0)
+	if wrap != nil {
+		tr = wrap(tr.(Caller))
+	}
+	return NewClient(a, tr, cache)
+}
+
+// TestCacheMatrixBitIdentical is the slot-purity guard: a fixed-seed
+// depth-4 pipelined training run must produce bit-identical losses with no
+// neighbor cache, a replacing LRU and a static importance cache, on both a
+// 1-shard and a 2-shard cluster. A cache may only change where a draw
+// executes (client-side from a cached list, or on the server), never its
+// value. Run with -race: three prefetch workers share the cache.
+func TestCacheMatrixBitIdentical(t *testing.T) {
+	const steps = 24
+	g := churnTestGraph(200)
+	caches := []struct {
+		name string
+		mk   func() storage.NeighborCache
+	}{
+		{"none", func() storage.NeighborCache { return storage.NoCache{} }},
+		{"lru", func() storage.NeighborCache { return storage.NewLRUNeighborCache(256) }},
+		{"importance", func() storage.NeighborCache { return storage.NewImportanceCacheTopFraction(g, 2, 0.2) }},
+	}
+
+	run := func(shards int, cache storage.NeighborCache) ([]float64, int64) {
+		t.Helper()
+		c := newHopCluster(t, g, shards, nil, cache)
+		rng := rand.New(rand.NewSource(42))
+		enc := churnEncoder(g.NumVertices(), []int{3, 2}, rng)
+		cfg := core.TrainerConfig{EdgeType: 0, HopNums: []int{3, 2}, Batch: 16, NegK: 2, LR: 0.05}
+		trn, err := core.NewLinkTrainerOver(NewEnv(c, 1), c, enc, cfg, rng)
+		if err != nil {
+			t.Fatal(err)
+		}
+		pl := core.NewPipeline(trn, core.PipelineConfig{Depth: 4, Workers: 3})
+		trn.SetSource(pl)
+		defer pl.Close()
+		losses := make([]float64, 0, steps)
+		for i := 0; i < steps; i++ {
+			mb, err := pl.Next()
+			if err != nil {
+				t.Fatal(err)
+			}
+			l, err := trn.Step(mb)
+			if err != nil {
+				t.Fatal(err)
+			}
+			pl.Recycle(mb)
+			losses = append(losses, l)
+		}
+		var hits int64
+		for _, hm := range c.Metrics().Hops {
+			hits += hm.CacheHits
+		}
+		return losses, hits
+	}
+
+	// Loss curves are compared within a topology only: TRAVERSE splits
+	// (and therefore negative pools) legitimately differ across shard
+	// counts.
+	for _, shards := range []int{1, 2} {
+		want, _ := run(shards, caches[0].mk())
+		for _, cc := range caches[1:] {
+			got, hits := run(shards, cc.mk())
+			if hits == 0 {
+				t.Fatalf("shards=%d cache=%s: no cache hits, the matrix would prove nothing", shards, cc.name)
+			}
+			for i := range want {
+				if got[i] != want[i] {
+					t.Fatalf("shards=%d cache=%s step %d: loss %g != no-cache %g", shards, cc.name, i, got[i], want[i])
+				}
+			}
+		}
+	}
+}
+
+// TestStaticCacheServesFetchedLists: a static cache hit must answer
+// exactly what a fetch would — hop 1 is the adjacency list with its
+// duplicate edges, and MultiHop's cached frontiers match the fetched ones.
+func TestStaticCacheServesFetchedLists(t *testing.T) {
+	g := churnTestGraph(120)
+	dup := false
+	for v := 0; v < g.NumVertices() && !dup; v++ {
+		seen := map[graph.ID]bool{}
+		for _, u := range g.OutNeighbors(graph.ID(v), 0) {
+			dup = dup || seen[u]
+			seen[u] = true
+		}
+	}
+	if !dup {
+		t.Fatal("graph has no duplicate edges; the test would prove nothing")
+	}
+	fetch := newHopCluster(t, g, 2, nil, storage.NoCache{})
+	cached := newHopCluster(t, g, 2, nil, storage.NewImportanceCacheTopFraction(g, 2, 1.0))
+	vs := make([]graph.ID, g.NumVertices())
+	for i := range vs {
+		vs[i] = graph.ID(i)
+	}
+	want := make([][]graph.ID, len(vs))
+	got := make([][]graph.ID, len(vs))
+	if err := fetch.NeighborsBatch(want, vs, 0); err != nil {
+		t.Fatal(err)
+	}
+	if err := cached.NeighborsBatch(got, vs, 0); err != nil {
+		t.Fatal(err)
+	}
+	for _, v := range vs {
+		if fmt.Sprint(got[v]) != fmt.Sprint(want[v]) {
+			t.Fatalf("vertex %d: cached list %v, fetched %v", v, got[v], want[v])
+		}
+		wf, err := fetch.MultiHop(v, 0, 2)
+		if err != nil {
+			t.Fatal(err)
+		}
+		gf, err := cached.MultiHop(v, 0, 2)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if fmt.Sprint(gf) != fmt.Sprint(wf) {
+			t.Fatalf("vertex %d: cached frontiers %v, fetched %v", v, gf, wf)
+		}
+	}
+	if m := cached.Metrics(); m.RPCs != 0 {
+		t.Fatalf("fully cached reads made %d RPCs", m.RPCs)
+	}
+}
+
+// truncating answers every call through inner, then drops the last row of
+// the reply to method m — a server bug the client must turn into an error.
+type truncating struct {
+	Caller
+	m Method
+}
+
+func (c truncating) Call(part int, m Method, req, reply any) error {
+	if err := c.Caller.Call(part, m, req, reply); err != nil || m != c.m {
+		return err
+	}
+	switch r := reply.(type) {
+	case *NeighborsReply:
+		r.Neighbors = r.Neighbors[:len(r.Neighbors)-1]
+	case *AttrsReply:
+		r.Attrs = r.Attrs[:len(r.Attrs)-1]
+	case *EdgesReply:
+		r.Dst = r.Dst[:len(r.Dst)-1]
+	case *NegPoolReply:
+		r.Counts = r.Counts[:len(r.Counts)-1]
+	case *SampleReply:
+		r.Samples = r.Samples[:len(r.Samples)-1]
+	}
+	return nil
+}
+
+// TestShortRepliesError: a reply with fewer rows than its request must
+// surface as an error naming the server, never as an index panic.
+func TestShortRepliesError(t *testing.T) {
+	g := churnTestGraph(60)
+	vs := []graph.ID{0, 1, 2, 3, 4, 5, 6, 7}
+	cases := []struct {
+		m    Method
+		call func(c *Client) error
+	}{
+		{MNeighbors, func(c *Client) error { return c.NeighborsBatch(make([][]graph.ID, len(vs)), vs, 0) }},
+		{MNeighbors, func(c *Client) error { _, _, _, err := c.SinceOf(vs, 0); return err }},
+		{MAttrs, func(c *Client) error { _, err := c.Attrs(vs); return err }},
+		{MAttrs, func(c *Client) error { _, _, _, err := c.SinceOf(vs, 0); return err }},
+		{MSampleEdges, func(c *Client) error { _, err := c.SampleEdges(0, 16, 1); return err }},
+		{MNegativePool, func(c *Client) error { _, _, err := c.NegativePool(0); return err }},
+		{MSampleNeighbors, func(c *Client) error { return c.SampleBatch(make([]graph.ID, 2*len(vs)), vs, 0, 2, false, 1) }},
+	}
+	for i, tc := range cases {
+		t.Run(fmt.Sprintf("%d-%v", i, tc.m), func(t *testing.T) {
+			c := newHopCluster(t, g, 2, func(inner Caller) Transport { return typed(truncating{inner, tc.m}) }, storage.NoCache{})
+			defer func() {
+				if p := recover(); p != nil {
+					t.Fatalf("short %v reply panicked: %v", tc.m, p)
+				}
+			}()
+			if err := tc.call(c); err == nil {
+				t.Fatalf("short %v reply accepted", tc.m)
+			}
+		})
+	}
+}
+
+// downShard fails every call to one shard as a shard-down error while down
+// is set.
+type downShard struct {
+	Caller
+	part int
+	down *bool
+}
+
+func (c downShard) Call(part int, m Method, req, reply any) error {
+	if *c.down && part == c.part {
+		return &ShardDownError{Part: part, Err: ErrUnreachable}
+	}
+	return c.Caller.Call(part, m, req, reply)
+}
+
+// TestNeighborsDegradesToStaleList: Client.Neighbors is a one-vertex
+// NeighborsBatch, so with Degrade set it serves the cached list when the
+// vertex's shard is down, counts the degraded read, and still reports the
+// failure without Degrade.
+func TestNeighborsDegradesToStaleList(t *testing.T) {
+	g := churnTestGraph(60)
+	down := false
+	c := newHopCluster(t, g, 2, func(inner Caller) Transport { return typed(downShard{inner, 1, &down}) }, storage.NewLRUNeighborCache(64))
+	var v graph.ID = -1
+	for u := 0; u < g.NumVertices(); u++ {
+		if c.Assign.Part(graph.ID(u)) == 1 && len(g.OutNeighbors(graph.ID(u), 0)) > 0 {
+			v = graph.ID(u)
+			break
+		}
+	}
+	if v < 0 {
+		t.Fatal("no vertex with out-edges on shard 1")
+	}
+	want, err := c.Neighbors(v, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	// Move the client's head past the cached entry so the probe misses and
+	// the read must go to the (down) shard.
+	c.pins.noteHead(1, 5, 0)
+	down = true
+	if _, err := c.Neighbors(v, 0); !IsShardDown(err) {
+		t.Fatalf("without Degrade: err = %v, want shard down", err)
+	}
+	c.Degrade = true
+	got, err := c.Neighbors(v, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if fmt.Sprint(got) != fmt.Sprint(want) {
+		t.Fatalf("degraded Neighbors = %v, want stale %v", got, want)
+	}
+	if c.DegradedDraws() != 1 {
+		t.Fatalf("degraded draws = %d, want 1", c.DegradedDraws())
+	}
+}
+
+// skewTestGraph builds a two-lane workload graph: type 0 ("hot") edges
+// among a small hub set that every round resamples, type 1 ("cold") edges
+// among a long tail each touched once.
+func skewTestGraph(nHot, nCold int) *graph.Graph {
+	s := graph.MustSchema([]string{"v"}, []string{"hot", "cold"})
+	b := graph.NewBuilder(s, true)
+	n := nHot + nCold
+	for i := 0; i < n; i++ {
+		b.AddVertex(0, []float64{float64(i), 1})
+	}
+	for v := 0; v < nHot; v++ {
+		for e := 1; e <= 4; e++ {
+			b.AddEdge(graph.ID(v), graph.ID((v+e)%nHot), 0, 1)
+		}
+	}
+	for v := nHot; v < n; v++ {
+		for e := 1; e <= 4; e++ {
+			b.AddEdge(graph.ID(v), graph.ID(nHot+(v-nHot+e)%nCold), 1, 1)
+		}
+	}
+	return b.Finalize()
+}

@@ -5,7 +5,6 @@ import (
 	"sync/atomic"
 
 	"repro/internal/sampling"
-	"repro/internal/storage"
 )
 
 // This file implements the client side of epoch pinning: a shared,
@@ -157,9 +156,7 @@ func (c *Client) Pin() (*sampling.Pin, error) {
 		// entry would wrongly hit once the fresh store reaches epoch 7),
 		// so the cache is flushed.
 		if old := m.heads[part].Load(); reply.Head < old {
-			if f, ok := c.Cache.(storage.Flusher); ok {
-				f.Flush()
-			}
+			c.Cache.Flush()
 		}
 		m.heads[part].Store(reply.Head)
 		advance(&m.attrHeads[part], reply.AttrHead)

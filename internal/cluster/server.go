@@ -136,24 +136,6 @@
 // and a few atomic adds per operation, with no allocation, no lock, and no
 // random-stream interaction (fixed-seed runs stay bit-identical with
 // instrumentation on, which the chaos tests assert).
-//
-// # Adaptive sampling plans
-//
-// The per-lane counters are not just readable — they drive an optimizer.
-// internal/plan turns each lane's windowed cache-hit rate into a strategy
-// choice: hub-heavy reused lanes fetch full adjacency lists once and draw
-// locally (ClientDraws), churn-only lanes skip cache probes and admission
-// entirely (ServerDraws, so their one-shot lists stop evicting hubs from
-// replacing caches), everything else keeps the hybrid default. The client
-// consumes decisions lock-free (Client.SetPlan installs an immutable Plan;
-// Client.NewPlanner wires the feedback loop over Client.LaneStats), and
-// per-lane admission gating rides the same Plan. Because uniform draws are
-// slot-pure, a strategy only moves where a draw executes — fixed-seed
-// training is bit-identical under any plan, any mid-run plan switch, and
-// the adaptive planner's live re-decisions; only RPC volume changes.
-// Weighted draws always stay server-side (the server's alias-method
-// stream is the one deterministic executor). Decisions and their inputs
-// publish as plan.* gauges next to the lane counters they came from.
 package cluster
 
 import (

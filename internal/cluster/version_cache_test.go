@@ -40,7 +40,7 @@ func TestCacheEpochKeyedUnderUpdate(t *testing.T) {
 	}
 	// Click degree 2 <= width 3: both lists were shipped short and admitted
 	// at epoch 0.
-	if _, ok := cache.Get(0, 0, 1, 0); !ok {
+	if _, kind := cache.Get(0, 0, 1, 0); kind != storage.KindHit {
 		t.Fatal("warm-up did not admit vertex 0 at epoch 0")
 	}
 
@@ -54,7 +54,7 @@ func TestCacheEpochKeyedUnderUpdate(t *testing.T) {
 	}
 
 	// The epoch-0 entry must not answer an epoch-1 read.
-	if _, ok := cache.Get(0, 0, 1, 1); ok {
+	if _, kind := cache.Get(0, 0, 1, 1); kind == storage.KindHit {
 		t.Fatal("stale epoch-0 neighbor list served for an epoch-1 read")
 	}
 
@@ -78,12 +78,12 @@ func TestCacheEpochKeyedUnderUpdate(t *testing.T) {
 		t.Fatal(err)
 	}
 	// Vertex 0's fresh entry is the rewritten 3-neighbor list...
-	ns, ok := cache.Get(0, 0, 1, 1)
-	if !ok || len(ns) != 3 {
-		t.Fatalf("post-update entry = %v ok=%v, want rewritten 3-list", ns, ok)
+	ns, kind := cache.Get(0, 0, 1, 1)
+	if kind != storage.KindHit || len(ns) != 3 {
+		t.Fatalf("post-update entry = %v kind=%v, want rewritten 3-list", ns, kind)
 	}
 	// ...and the untouched vertex 2 was cheaply re-validated, not replaced.
-	if _, ok := cache.Get(2, 0, 1, 1); !ok {
+	if _, kind := cache.Get(2, 0, 1, 1); kind != storage.KindHit {
 		t.Fatal("untouched vertex not re-validated at the new epoch")
 	}
 	if _, _, epochMisses := cache.Counters(); epochMisses == 0 {
@@ -264,16 +264,16 @@ func TestPipelineLRUMatchesDepth0Cluster(t *testing.T) {
 // store's adjacency at that exact epoch, a pinned batch consumed a
 // stale-generation list and the test fails.
 type verifyingLRU struct {
+	*storage.LRUNeighborCache
 	t       *testing.T
-	inner   *storage.LRUNeighborCache
 	servers []*Server
 	assign  *partition.Assignment
 	checked atomic.Int64
 }
 
-func (v *verifyingLRU) Get(x graph.ID, et graph.EdgeType, h int, epoch uint64) ([]graph.ID, bool) {
-	ns, ok := v.inner.Get(x, et, h, epoch)
-	if ok && h == 1 {
+func (v *verifyingLRU) Get(x graph.ID, et graph.EdgeType, h int, epoch uint64) ([]graph.ID, storage.GetKind) {
+	ns, kind := v.LRUNeighborCache.Get(x, et, h, epoch)
+	if kind == storage.KindHit && h == 1 {
 		srv := v.servers[v.assign.Part(x)]
 		view, err := srv.Store().At(epoch)
 		switch {
@@ -285,31 +285,25 @@ func (v *verifyingLRU) Get(x graph.ID, et graph.EdgeType, h int, epoch uint64) (
 			want, _, okv := view.Neighbors(x, et)
 			if !okv {
 				v.t.Errorf("verify: server does not own %d", x)
-				return ns, ok
+				return ns, kind
 			}
 			if len(ns) != len(want) {
 				v.t.Errorf("STALE CACHE: vertex %d type %d epoch %d: cached %v, store %v", x, et, epoch, ns, want)
-				return ns, ok
+				return ns, kind
 			}
 			for i := range want {
 				if ns[i] != want[i] {
 					v.t.Errorf("STALE CACHE: vertex %d type %d epoch %d: cached %v, store %v", x, et, epoch, ns, want)
-					return ns, ok
+					return ns, kind
 				}
 			}
 			v.checked.Add(1)
 		}
 	}
-	return ns, ok
+	return ns, kind
 }
 
-func (v *verifyingLRU) Observe(x graph.ID, et graph.EdgeType, h int, epoch, since uint64, nbrs []graph.ID) {
-	v.inner.Observe(x, et, h, epoch, since, nbrs)
-}
-
-func (v *verifyingLRU) Admits() bool        { return true }
-func (v *verifyingLRU) Name() string        { return "verifying-lru" }
-func (v *verifyingLRU) CachedVertices() int { return v.inner.CachedVertices() }
+func (v *verifyingLRU) Name() string { return "verifying-lru" }
 
 // TestPinnedTrainingUnderChurnLRU is the churn acceptance test with a
 // replacing LRU neighbor cache enabled (run with -race): depth-4 pipelined
@@ -339,7 +333,7 @@ func TestPinnedTrainingUnderChurnLRU(t *testing.T) {
 
 	// Churned: same seed, verifying LRU, update storms on edge type 1.
 	inner := storage.NewLRUNeighborCache(256)
-	vc := &verifyingLRU{t: t, inner: inner}
+	vc := &verifyingLRU{LRUNeighborCache: inner, t: t}
 	trn, servers := newChurnTrainerCache(t, g, 42, func(srvs []*Server, a *partition.Assignment) storage.NeighborCache {
 		vc.servers, vc.assign = srvs, a
 		return vc
@@ -509,7 +503,7 @@ func TestCacheFlushOnServerRestart(t *testing.T) {
 	if err := view.(sampling.BatchSampler).SampleBatch(dst, []graph.ID{0}, 0, 3, false, 7); err != nil {
 		t.Fatal(err)
 	}
-	if _, ok := cache.Get(0, 0, 1, 2); !ok {
+	if _, kind := cache.Get(0, 0, 1, 2); kind != storage.KindHit {
 		t.Fatal("warm-up did not admit under the old incarnation")
 	}
 
@@ -532,7 +526,7 @@ func TestCacheFlushOnServerRestart(t *testing.T) {
 	if n := cache.CachedVertices(); n != 0 {
 		t.Fatalf("cache still holds %d old-incarnation entries after restart", n)
 	}
-	if _, ok := cache.Get(0, 0, 1, 2); ok {
+	if _, kind := cache.Get(0, 0, 1, 2); kind == storage.KindHit {
 		t.Fatal("old-incarnation entry survived the restart flush")
 	}
 }

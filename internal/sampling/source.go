@@ -127,9 +127,7 @@ type PinSource interface {
 // HopTagged is an optional Source capability for per-hop attribution:
 // SetHop tells the source which (1-based) hop of a neighborhood expansion
 // the following batch calls serve, so instrumented sources can break their
-// always-on metrics down per (edge type, hop) — the breakdown the adaptive
-// sampling planner (internal/plan) chooses per-lane execution strategies
-// and cache-admission policy against. SetHop(0) clears the tag
+// always-on metrics down per (edge type, hop). SetHop(0) clears the tag
 // (direct, unattributed calls). A hop tag is single-consumer state, so the
 // capability belongs on per-consumer views (EpochView), not on shared
 // sources; Neighborhood.SampleInto tags its source when the capability is

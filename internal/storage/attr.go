@@ -17,7 +17,7 @@ import (
 type AttributeIndex struct {
 	keys  map[string]int32
 	vecs  [][]float64
-	cache *LRU
+	cache *LRU[[]float64]
 }
 
 // NewAttributeIndex creates an index whose access cache holds cacheCap
@@ -25,7 +25,7 @@ type AttributeIndex struct {
 func NewAttributeIndex(cacheCap int) *AttributeIndex {
 	return &AttributeIndex{
 		keys:  make(map[string]int32),
-		cache: NewLRU(cacheCap),
+		cache: NewLRU[[]float64](cacheCap),
 	}
 }
 
@@ -61,7 +61,7 @@ func (ai *AttributeIndex) Lookup(idx int32) []float64 {
 		return nil
 	}
 	if v, ok := ai.cache.Get(int64(idx)); ok {
-		return v.([]float64)
+		return v
 	}
 	v := ai.vecs[idx]
 	ai.cache.Put(int64(idx), v)

@@ -2,7 +2,6 @@ package storage
 
 import (
 	"fmt"
-	"math/rand"
 	"sort"
 	"sync"
 	"sync/atomic"
@@ -32,13 +31,32 @@ import (
 // a fixed-seed training run consumes.
 type NeighborCache interface {
 	// Get returns the cached hop-h type-t out-neighbor list of v (h is
-	// 1-based) valid at update epoch `epoch`, and whether it was present
-	// and valid.
-	Get(v graph.ID, t graph.EdgeType, h int, epoch uint64) ([]graph.ID, bool)
+	// 1-based) when it is valid at update epoch `epoch` (KindHit), and
+	// otherwise classifies the miss: no entry (KindMiss), or an entry
+	// invalid at that epoch (KindEpochMiss).
+	Get(v graph.ID, t graph.EdgeType, h int, epoch uint64) ([]graph.ID, GetKind)
+	// GetStale returns the cached hop-h type-t list of v ignoring epoch
+	// validity, and whether any entry was present. Clients use it only for
+	// graceful degradation while a shard is unreachable: a stale neighbor
+	// list beats failing the batch, and every such read is counted
+	// (Client.DegradedDraws) so the staleness is visible rather than silent.
+	GetStale(v graph.ID, t graph.EdgeType, h int) ([]graph.ID, bool)
 	// Observe notifies the cache of a fetch result so replacing strategies
 	// can admit it and every strategy can track validity: the list was
 	// served at `epoch` and was installed at `since` (since <= epoch).
 	Observe(v graph.ID, t graph.EdgeType, h int, epoch, since uint64, nbrs []graph.ID)
+	// Admits reports whether Observe can ever admit new entries. Static
+	// caches and NoCache return false — they only re-validate entries they
+	// already hold — so data producers skip preparing admission payloads
+	// nobody keeps.
+	Admits() bool
+	// Flush drops all runtime validity state. Clients call it when a
+	// shard's epoch numbering restarts (a lease reply reveals a head
+	// regression): intervals recorded under the old incarnation are
+	// incomparable with the new one, so replacing caches drop their entries
+	// and static caches reset their re-validation watermarks to the build
+	// epoch.
+	Flush()
 	// Name identifies the strategy in reports.
 	Name() string
 	// CachedVertices reports how many vertices currently have hop-1
@@ -46,27 +64,7 @@ type NeighborCache interface {
 	CachedVertices() int
 }
 
-// Admitter is an optional NeighborCache capability reporting whether
-// Observe can ever admit new entries. Static caches (importance, random,
-// none) return false — they only re-validate entries they already hold —
-// letting data producers skip preparing admission payloads for consumers
-// that will drop them.
-type Admitter interface {
-	Admits() bool
-}
-
-// StaleReader is an optional NeighborCache capability serving an entry
-// regardless of its epoch validity. Clients use it only for graceful
-// degradation while a shard is unreachable: a stale neighbor list beats
-// failing the batch, and every such read is counted (Client.DegradedDraws)
-// so the staleness is visible rather than silent.
-type StaleReader interface {
-	// GetStale returns the cached hop-h type-t list of v ignoring epoch
-	// validity, and whether any entry was present.
-	GetStale(v graph.ID, t graph.EdgeType, h int) ([]graph.ID, bool)
-}
-
-// GetKind classifies one cache lookup for instrumentation.
+// GetKind classifies one cache lookup.
 type GetKind uint8
 
 const (
@@ -78,24 +76,6 @@ const (
 	// price of version safety under churn.
 	KindEpochMiss
 )
-
-// KindedGetter is an optional NeighborCache capability: GetKinded is Get
-// plus the miss classification, so per-(edge type, hop) instrumentation can
-// split absent-entry misses from epoch misses without a second probe.
-// GetKinded counts toward the cache's cumulative counters exactly like Get.
-type KindedGetter interface {
-	GetKinded(v graph.ID, t graph.EdgeType, h int, epoch uint64) ([]graph.ID, GetKind)
-}
-
-// Flusher is an optional NeighborCache capability dropping all runtime
-// validity state. Clients call it when a shard's epoch numbering restarts
-// (a lease reply reveals a head regression): intervals recorded under the
-// old incarnation are incomparable with the new one, so replacing caches
-// drop their entries and static caches reset their re-validation
-// watermarks to the build epoch.
-type Flusher interface {
-	Flush()
-}
 
 // hopKey packs (vertex, edge type, hop) into an int64 cache key. Hops are
 // tiny (h <= 7); edge types get 13 bits, so schemas are bounded to
@@ -115,10 +95,12 @@ func checkEdgeTypes(n int) {
 	}
 }
 
-// staticEntry is one static-cache neighbor list with its epoch validity.
-// The list and `since` are fixed at construction (or by a superseding
-// Observe under the owner's rules); `through` is a monotone watermark
-// advanced lock-free by concurrent re-validations.
+// ---------------------------------------------------------------------------
+// Static caches (importance-based, Algorithm 2 lines 5-9; random baseline)
+
+// staticEntry is one StaticCache neighbor list with its epoch validity.
+// The list and `since` are fixed at construction; `through` is a monotone
+// watermark advanced lock-free by concurrent re-validations.
 type staticEntry struct {
 	nbrs    []graph.ID
 	since   uint64
@@ -139,38 +121,62 @@ func (e *staticEntry) extendThrough(epoch uint64) {
 	}
 }
 
-// staticObserve is the shared Observe logic of the static caches: an
-// existing entry whose install stamp matches the reply's Since is the same
-// list — extend its validity to the serving epoch; anything else is
-// ignored (membership is fixed at construction, and multi-hop entries
-// cannot be re-validated from a hop-1 reply).
-func staticObserve(entries map[int64]*staticEntry, v graph.ID, t graph.EdgeType, h int, epoch, since uint64) {
-	if h != 1 {
-		return
-	}
-	if e, ok := entries[hopKey(v, t, h)]; ok && e.since == since {
-		e.extendThrough(epoch)
-	}
-}
-
-// ---------------------------------------------------------------------------
-// Importance-based cache (Algorithm 2 lines 5-9)
-
-// ImportanceCache statically caches the 1..k-hop out-neighborhoods of
-// vertices whose importance Imp^(k)(v) = D_i^(k)(v)/D_o^(k)(v) meets the
-// per-depth thresholds tau[k-1], one frontier per edge type. Theorem 2
-// shows importance is power-law distributed, so a small threshold already
-// restricts the cache to a small vertex fraction.
+// StaticCache holds the 1..depth-hop out-neighborhoods of a fixed vertex
+// set under every edge type; its constructors choose the vertices. The
+// importance constructors pick the vertices AliGraph caches: Imp^(k)(v) =
+// D_i^(k)(v)/D_o^(k)(v) is power-law distributed (Theorem 2), so a small
+// threshold already restricts the cache to a small vertex fraction.
 //
 // Entries are built from the epoch-0 graph (since = through = 0): the cache
 // answers a query at a later epoch only after a fetch re-validated that the
 // vertex is still untouched there (Observe with Since == 0 extends the
-// entry). Multi-hop entries are never extended — a hop-1 reply cannot vouch
-// for the whole frontier — so MultiHop falls back to fetches once the
-// observed head moves.
-type ImportanceCache struct {
+// entry). Membership is fixed at construction, so Observe never admits.
+// Multi-hop entries are never extended — a hop-1 reply cannot vouch for the
+// whole frontier — so MultiHop falls back to fetches once the observed head
+// moves. Get takes no lock: the entry map is read-only after construction
+// and the watermarks are atomic.
+type StaticCache struct {
+	name    string
 	entries map[int64]*staticEntry
 	hop1    int
+}
+
+// NewStaticCache caches the 1..depth-hop out-neighborhoods of every vertex
+// in vs, reporting itself as name.
+func NewStaticCache(g *graph.Graph, name string, vs []graph.ID, depth int) *StaticCache {
+	c := &StaticCache{name: name, entries: make(map[int64]*staticEntry)}
+	c.add(g, vs, depth)
+	return c
+}
+
+// add caches hops 1..depth of every vertex in vs not already cached to at
+// least that depth.
+func (c *StaticCache) add(g *graph.Graph, vs []graph.ID, depth int) {
+	s := g.AcquireScratch()
+	defer g.ReleaseScratch(s)
+	nt := g.Schema().NumEdgeTypes()
+	checkEdgeTypes(nt)
+	for _, v := range vs {
+		if _, ok := c.entries[hopKey(v, 0, 1)]; !ok {
+			c.hop1++
+		}
+		for h := 1; h <= depth; h++ {
+			for t := 0; t < nt; t++ {
+				key := hopKey(v, graph.EdgeType(t), h)
+				if _, ok := c.entries[key]; ok {
+					continue
+				}
+				// Hop 1 holds the adjacency list exactly as a server
+				// serves it (duplicates and self-loops included), so a hit
+				// draws what a fetch would; deeper hops hold frontiers.
+				ns := g.OutNeighbors(v, graph.EdgeType(t))
+				if h > 1 {
+					ns = g.KHopFrontierType(v, graph.EdgeType(t), h, s)
+				}
+				c.entries[key] = &staticEntry{nbrs: append([]graph.ID(nil), ns...)}
+			}
+		}
+	}
 }
 
 // SelectImportant returns the vertices with Imp^(h)(v) >= tau, for depth h.
@@ -187,34 +193,13 @@ func SelectImportant(g *graph.Graph, h int, tau float64) []graph.ID {
 	return out
 }
 
-// NewImportanceCache builds the static cache: for each depth k in 1..len(tau),
-// every vertex with Imp^(k) >= tau[k-1] has its 1..k-hop out-neighborhoods
-// cached (Algorithm 2).
-func NewImportanceCache(g *graph.Graph, tau []float64) *ImportanceCache {
-	c := &ImportanceCache{entries: make(map[int64]*staticEntry)}
-	s := g.AcquireScratch()
-	defer g.ReleaseScratch(s)
-	nt := g.Schema().NumEdgeTypes()
-	checkEdgeTypes(nt)
+// NewImportanceCache builds the importance cache of Algorithm 2: for each
+// depth k in 1..len(tau), every vertex with Imp^(k) >= tau[k-1] has its
+// 1..k-hop out-neighborhoods cached.
+func NewImportanceCache(g *graph.Graph, tau []float64) *StaticCache {
+	c := &StaticCache{name: "importance", entries: make(map[int64]*staticEntry)}
 	for k := 1; k <= len(tau); k++ {
-		for _, v := range SelectImportant(g, k, tau[k-1]) {
-			counted := false
-			for h := 1; h <= k; h++ {
-				for t := 0; t < nt; t++ {
-					key := hopKey(v, graph.EdgeType(t), h)
-					if _, ok := c.entries[key]; ok {
-						if h == 1 {
-							counted = true
-						}
-						continue
-					}
-					c.entries[key] = &staticEntry{nbrs: append([]graph.ID(nil), g.KHopFrontierType(v, graph.EdgeType(t), h, s)...)}
-				}
-			}
-			if !counted {
-				c.hop1++
-			}
-		}
+		c.add(g, SelectImportant(g, k, tau[k-1]), k)
 	}
 	return c
 }
@@ -222,40 +207,17 @@ func NewImportanceCache(g *graph.Graph, tau []float64) *ImportanceCache {
 // NewImportanceCacheTopFraction caches the top-frac fraction of vertices
 // ranked by Imp^(h); used by the Figure 9 sweep where the x-axis is the
 // cached-vertex percentage rather than the threshold.
-func NewImportanceCacheTopFraction(g *graph.Graph, h int, frac float64) *ImportanceCache {
+func NewImportanceCacheTopFraction(g *graph.Graph, h int, frac float64) *StaticCache {
 	imps := g.ImportanceAll(h)
-	order := make([]int, len(imps))
+	order := make([]graph.ID, len(imps))
 	for i := range order {
-		order[i] = i
+		order[i] = graph.ID(i)
 	}
 	sort.Slice(order, func(a, b int) bool { return imps[order[a]] > imps[order[b]] })
-	k := int(frac * float64(len(order)))
-	c := &ImportanceCache{entries: make(map[int64]*staticEntry)}
-	s := g.AcquireScratch()
-	defer g.ReleaseScratch(s)
-	nt := g.Schema().NumEdgeTypes()
-	checkEdgeTypes(nt)
-	for _, vi := range order[:k] {
-		v := graph.ID(vi)
-		for hh := 1; hh <= h; hh++ {
-			for t := 0; t < nt; t++ {
-				c.entries[hopKey(v, graph.EdgeType(t), hh)] = &staticEntry{nbrs: append([]graph.ID(nil), g.KHopFrontierType(v, graph.EdgeType(t), hh, s)...)}
-			}
-		}
-		c.hop1++
-	}
-	return c
+	return NewStaticCache(g, "importance", order[:int(frac*float64(len(order)))], h)
 }
 
-func (c *ImportanceCache) Get(v graph.ID, t graph.EdgeType, h int, epoch uint64) ([]graph.ID, bool) {
-	if e, ok := c.entries[hopKey(v, t, h)]; ok && e.validAt(epoch) {
-		return e.nbrs, true
-	}
-	return nil, false
-}
-
-// GetKinded implements KindedGetter.
-func (c *ImportanceCache) GetKinded(v graph.ID, t graph.EdgeType, h int, epoch uint64) ([]graph.ID, GetKind) {
+func (c *StaticCache) Get(v graph.ID, t graph.EdgeType, h int, epoch uint64) ([]graph.ID, GetKind) {
 	e, ok := c.entries[hopKey(v, t, h)]
 	switch {
 	case !ok:
@@ -267,110 +229,37 @@ func (c *ImportanceCache) GetKinded(v graph.ID, t graph.EdgeType, h int, epoch u
 	}
 }
 
-func (c *ImportanceCache) Observe(v graph.ID, t graph.EdgeType, h int, epoch, since uint64, _ []graph.ID) {
-	staticObserve(c.entries, v, t, h, epoch, since)
-}
-
-func (c *ImportanceCache) Admits() bool { return false }
-
-// GetStale implements StaleReader (degraded reads while a shard is down).
-func (c *ImportanceCache) GetStale(v graph.ID, t graph.EdgeType, h int) ([]graph.ID, bool) {
+func (c *StaticCache) GetStale(v graph.ID, t graph.EdgeType, h int) ([]graph.ID, bool) {
 	if e, ok := c.entries[hopKey(v, t, h)]; ok {
 		return e.nbrs, true
 	}
 	return nil, false
 }
 
+// Observe re-validates: an existing hop-1 entry whose install stamp matches
+// the reply's Since is the same list, so its validity extends to the
+// serving epoch; anything else is ignored.
+func (c *StaticCache) Observe(v graph.ID, t graph.EdgeType, h int, epoch, since uint64, _ []graph.ID) {
+	if h != 1 {
+		return
+	}
+	if e, ok := c.entries[hopKey(v, t, h)]; ok && e.since == since {
+		e.extendThrough(epoch)
+	}
+}
+
+func (c *StaticCache) Admits() bool { return false }
+
 // Flush resets every entry's re-validation watermark to the build epoch.
-func (c *ImportanceCache) Flush() {
+func (c *StaticCache) Flush() {
 	for _, e := range c.entries {
 		e.through.Store(0)
 	}
 }
 
-func (c *ImportanceCache) Name() string { return "importance" }
+func (c *StaticCache) Name() string { return c.name }
 
-func (c *ImportanceCache) CachedVertices() int { return c.hop1 }
-
-// ---------------------------------------------------------------------------
-// Random static cache (Figure 9 baseline)
-
-// RandomCache statically caches the neighborhoods of a uniformly random
-// vertex fraction. Randomly selected vertices are unlikely to be the hubs
-// other vertices route through, which is why this baseline loses. Epoch
-// validity follows the same re-validation rules as ImportanceCache.
-type RandomCache struct {
-	entries map[int64]*staticEntry
-	hop1    int
-}
-
-// NewRandomCache caches hops 1..h of a frac fraction of vertices drawn with
-// rng.
-func NewRandomCache(g *graph.Graph, h int, frac float64, rng *rand.Rand) *RandomCache {
-	c := &RandomCache{entries: make(map[int64]*staticEntry)}
-	n := g.NumVertices()
-	k := int(frac * float64(n))
-	perm := rng.Perm(n)
-	s := g.AcquireScratch()
-	defer g.ReleaseScratch(s)
-	nt := g.Schema().NumEdgeTypes()
-	checkEdgeTypes(nt)
-	for _, vi := range perm[:k] {
-		v := graph.ID(vi)
-		for hh := 1; hh <= h; hh++ {
-			for t := 0; t < nt; t++ {
-				c.entries[hopKey(v, graph.EdgeType(t), hh)] = &staticEntry{nbrs: append([]graph.ID(nil), g.KHopFrontierType(v, graph.EdgeType(t), hh, s)...)}
-			}
-		}
-		c.hop1++
-	}
-	return c
-}
-
-func (c *RandomCache) Get(v graph.ID, t graph.EdgeType, h int, epoch uint64) ([]graph.ID, bool) {
-	if e, ok := c.entries[hopKey(v, t, h)]; ok && e.validAt(epoch) {
-		return e.nbrs, true
-	}
-	return nil, false
-}
-
-// GetKinded implements KindedGetter.
-func (c *RandomCache) GetKinded(v graph.ID, t graph.EdgeType, h int, epoch uint64) ([]graph.ID, GetKind) {
-	e, ok := c.entries[hopKey(v, t, h)]
-	switch {
-	case !ok:
-		return nil, KindMiss
-	case e.validAt(epoch):
-		return e.nbrs, KindHit
-	default:
-		return nil, KindEpochMiss
-	}
-}
-
-func (c *RandomCache) Observe(v graph.ID, t graph.EdgeType, h int, epoch, since uint64, _ []graph.ID) {
-	staticObserve(c.entries, v, t, h, epoch, since)
-}
-
-func (c *RandomCache) Admits() bool { return false }
-
-// GetStale implements StaleReader (degraded reads while a shard is down).
-func (c *RandomCache) GetStale(v graph.ID, t graph.EdgeType, h int) ([]graph.ID, bool) {
-	if e, ok := c.entries[hopKey(v, t, h)]; ok {
-		return e.nbrs, true
-	}
-	return nil, false
-}
-
-// Flush resets every entry's re-validation watermark to the build epoch.
-func (c *RandomCache) Flush() {
-	for _, e := range c.entries {
-		e.through.Store(0)
-	}
-}
-
-func (c *RandomCache) Name() string { return "random" }
-
-func (c *RandomCache) CachedVertices() int { return c.hop1 }
+func (c *StaticCache) CachedVertices() int { return c.hop1 }
 
 // ---------------------------------------------------------------------------
 // LRU replacing cache (Figure 9 baseline)
@@ -396,7 +285,7 @@ type lruEntryVal struct {
 // safe for concurrent samplers.
 type LRUNeighborCache struct {
 	mu  sync.Mutex
-	lru *LRU
+	lru *LRU[*lruEntryVal]
 
 	hits, misses, epochMisses int64
 }
@@ -404,20 +293,13 @@ type LRUNeighborCache struct {
 // NewLRUNeighborCache creates an LRU neighbor cache with the given entry
 // capacity.
 func NewLRUNeighborCache(capacity int) *LRUNeighborCache {
-	return &LRUNeighborCache{lru: NewLRU(capacity)}
+	return &LRUNeighborCache{lru: NewLRU[*lruEntryVal](capacity)}
 }
 
-func (c *LRUNeighborCache) Get(v graph.ID, t graph.EdgeType, h int, epoch uint64) ([]graph.ID, bool) {
-	ns, kind := c.GetKinded(v, t, h, epoch)
-	return ns, kind == KindHit
-}
-
-// GetKinded implements KindedGetter (Get with the miss classified).
-func (c *LRUNeighborCache) GetKinded(v graph.ID, t graph.EdgeType, h int, epoch uint64) ([]graph.ID, GetKind) {
+func (c *LRUNeighborCache) Get(v graph.ID, t graph.EdgeType, h int, epoch uint64) ([]graph.ID, GetKind) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	if x, ok := c.lru.Get(hopKey(v, t, h)); ok {
-		e := x.(*lruEntryVal)
+	if e, ok := c.lru.Get(hopKey(v, t, h)); ok {
 		if e.since <= epoch && epoch <= e.through {
 			c.hits++
 			return e.nbrs, KindHit
@@ -433,8 +315,7 @@ func (c *LRUNeighborCache) Observe(v graph.ID, t graph.EdgeType, h int, epoch, s
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	key := hopKey(v, t, h)
-	if x, ok := c.lru.Get(key); ok {
-		e := x.(*lruEntryVal)
+	if e, ok := c.lru.Get(key); ok {
 		if e.since == since {
 			// Same installed list observed at a newer epoch: re-validate.
 			if epoch > e.through {
@@ -453,17 +334,18 @@ func (c *LRUNeighborCache) Observe(v graph.ID, t graph.EdgeType, h int, epoch, s
 	c.lru.Put(key, &lruEntryVal{nbrs: nbrs, since: since, through: epoch})
 }
 
-// GetStale implements StaleReader (degraded reads while a shard is down);
-// it counts as neither hit nor miss, since no valid-at-epoch answer was
-// requested.
+// GetStale counts as neither hit nor miss, since no valid-at-epoch answer
+// was requested.
 func (c *LRUNeighborCache) GetStale(v graph.ID, t graph.EdgeType, h int) ([]graph.ID, bool) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	if x, ok := c.lru.Get(hopKey(v, t, h)); ok {
-		return x.(*lruEntryVal).nbrs, true
+	if e, ok := c.lru.Get(hopKey(v, t, h)); ok {
+		return e.nbrs, true
 	}
 	return nil, false
 }
+
+func (c *LRUNeighborCache) Admits() bool { return true }
 
 // Flush drops every entry (epoch numbering restarted on a shard); the
 // cumulative counters survive.
@@ -509,9 +391,11 @@ func (c *LRUNeighborCache) HitRate() float64 {
 // NoCache disables neighbor caching; every access is remote.
 type NoCache struct{}
 
-func (NoCache) Get(graph.ID, graph.EdgeType, int, uint64) ([]graph.ID, bool)      { return nil, false }
+func (NoCache) Get(graph.ID, graph.EdgeType, int, uint64) ([]graph.ID, GetKind)   { return nil, KindMiss }
+func (NoCache) GetStale(graph.ID, graph.EdgeType, int) ([]graph.ID, bool)         { return nil, false }
 func (NoCache) Observe(graph.ID, graph.EdgeType, int, uint64, uint64, []graph.ID) {}
 func (NoCache) Admits() bool                                                      { return false }
+func (NoCache) Flush()                                                            {}
 func (NoCache) Name() string                                                      { return "none" }
 func (NoCache) CachedVertices() int                                               { return 0 }
 

@@ -17,15 +17,23 @@
 // fetched at a different update generation. Because batched draws are
 // slot-pure (sampling.SlotRng), these conservative misses change RPC
 // traffic but never the values a fixed-seed training run consumes.
+//
+// The seam is one interface, and every cache implements all of it: Get
+// classifies its misses (absent entry or epoch miss) for the client's
+// per-lane counters, GetStale serves degraded reads while a shard is down,
+// Admits tells producers whether full lists are worth shipping, and Flush
+// drops validity state when a shard's epoch numbering restarts. The
+// implementations are NoCache, the StaticCache (importance-selected, or
+// random for the Figure 9 baseline) and the LRUNeighborCache.
 package storage
 
 import "container/list"
 
 // LRU is a fixed-capacity least-recently-used cache from int64 keys to
-// arbitrary values. It is not safe for concurrent use; callers that share a
+// values of type V. It is not safe for concurrent use; callers that share a
 // cache across goroutines wrap it (the graph-server request buckets
 // serialize access instead, see internal/sampling).
-type LRU struct {
+type LRU[V any] struct {
 	cap   int
 	ll    *list.List
 	items map[int64]*list.Element
@@ -33,69 +41,70 @@ type LRU struct {
 	hits, misses, evictions int64
 }
 
-type lruEntry struct {
+type lruEntry[V any] struct {
 	key int64
-	val interface{}
+	val V
 }
 
 // NewLRU creates an LRU cache holding at most capacity entries.
 // A capacity <= 0 yields a cache that stores nothing.
-func NewLRU(capacity int) *LRU {
-	return &LRU{cap: capacity, ll: list.New(), items: make(map[int64]*list.Element)}
+func NewLRU[V any](capacity int) *LRU[V] {
+	return &LRU[V]{cap: capacity, ll: list.New(), items: make(map[int64]*list.Element)}
 }
 
 // Get returns the cached value for key and whether it was present,
 // promoting the entry to most-recently-used.
-func (c *LRU) Get(key int64) (interface{}, bool) {
+func (c *LRU[V]) Get(key int64) (V, bool) {
 	if e, ok := c.items[key]; ok {
 		c.ll.MoveToFront(e)
 		c.hits++
-		return e.Value.(*lruEntry).val, true
+		return e.Value.(*lruEntry[V]).val, true
 	}
 	c.misses++
-	return nil, false
+	var zero V
+	return zero, false
 }
 
 // Put inserts or refreshes key, evicting the least-recently-used entry when
 // over capacity.
-func (c *LRU) Put(key int64, val interface{}) {
+func (c *LRU[V]) Put(key int64, val V) {
 	if c.cap <= 0 {
 		return
 	}
 	if e, ok := c.items[key]; ok {
 		c.ll.MoveToFront(e)
-		e.Value.(*lruEntry).val = val
+		e.Value.(*lruEntry[V]).val = val
 		return
 	}
-	e := c.ll.PushFront(&lruEntry{key, val})
+	e := c.ll.PushFront(&lruEntry[V]{key, val})
 	c.items[key] = e
 	if c.ll.Len() > c.cap {
 		oldest := c.ll.Back()
 		if oldest != nil {
 			c.ll.Remove(oldest)
-			delete(c.items, oldest.Value.(*lruEntry).key)
+			delete(c.items, oldest.Value.(*lruEntry[V]).key)
 			c.evictions++
 		}
 	}
 }
 
 // Len reports the number of cached entries.
-func (c *LRU) Len() int { return c.ll.Len() }
+func (c *LRU[V]) Len() int { return c.ll.Len() }
 
 // Flush drops every cached entry, keeping the cumulative counters; used for
 // generation-style invalidation (e.g. an attribute-epoch advance).
-func (c *LRU) Flush() {
+func (c *LRU[V]) Flush() {
 	c.ll.Init()
 	c.items = make(map[int64]*list.Element)
 }
 
 // Stats returns cumulative hit/miss/eviction counters.
-func (c *LRU) Stats() (hits, misses, evictions int64) {
+func (c *LRU[V]) Stats() (hits, misses, evictions int64) {
 	return c.hits, c.misses, c.evictions
 }
 
 // HitRate returns hits / (hits+misses), or 0 before any access.
-func (c *LRU) HitRate() float64 {
+func (c *LRU[V]) HitRate() float64 {
 	total := c.hits + c.misses
 	if total == 0 {
 		return 0

@@ -9,10 +9,10 @@ import (
 )
 
 func TestLRUBasic(t *testing.T) {
-	c := NewLRU(2)
+	c := NewLRU[string](2)
 	c.Put(1, "a")
 	c.Put(2, "b")
-	if v, ok := c.Get(1); !ok || v.(string) != "a" {
+	if v, ok := c.Get(1); !ok || v != "a" {
 		t.Fatalf("get(1) = %v,%v", v, ok)
 	}
 	c.Put(3, "c") // evicts 2 (1 was just used)
@@ -35,19 +35,19 @@ func TestLRUBasic(t *testing.T) {
 }
 
 func TestLRUUpdateExisting(t *testing.T) {
-	c := NewLRU(2)
+	c := NewLRU[string](2)
 	c.Put(1, "a")
 	c.Put(1, "a2")
 	if c.Len() != 1 {
 		t.Fatalf("len = %d", c.Len())
 	}
-	if v, _ := c.Get(1); v.(string) != "a2" {
+	if v, _ := c.Get(1); v != "a2" {
 		t.Fatalf("v = %v", v)
 	}
 }
 
 func TestLRUZeroCapacity(t *testing.T) {
-	c := NewLRU(0)
+	c := NewLRU[string](0)
 	c.Put(1, "a")
 	if _, ok := c.Get(1); ok {
 		t.Fatal("zero-cap cache must store nothing")
@@ -62,7 +62,7 @@ func TestQuickLRUCapacity(t *testing.T) {
 	f := func(seed int64) bool {
 		rng := rand.New(rand.NewSource(seed))
 		capn := 1 + rng.Intn(16)
-		c := NewLRU(capn)
+		c := NewLRU[int64](capn)
 		var last int64
 		for i := 0; i < 200; i++ {
 			k := int64(rng.Intn(64))
@@ -185,16 +185,16 @@ func TestImportanceCache(t *testing.T) {
 	if c.CachedVertices() != 1 {
 		t.Fatalf("cached = %d", c.CachedVertices())
 	}
-	ns, ok := c.Get(0, 0, 1, 0)
-	if !ok || len(ns) != 1 || ns[0] != 1 {
-		t.Fatalf("hop1(hub) = %v,%v", ns, ok)
+	ns, kind := c.Get(0, 0, 1, 0)
+	if kind != KindHit || len(ns) != 1 || ns[0] != 1 {
+		t.Fatalf("hop1(hub) = %v,%v", ns, kind)
 	}
 	// Hop 2 of the hub is empty (sink has no out-edges) but must be cached.
-	ns2, ok2 := c.Get(0, 0, 2, 0)
-	if !ok2 || len(ns2) != 0 {
-		t.Fatalf("hop2(hub) = %v,%v", ns2, ok2)
+	ns2, kind2 := c.Get(0, 0, 2, 0)
+	if kind2 != KindHit || len(ns2) != 0 {
+		t.Fatalf("hop2(hub) = %v,%v", ns2, kind2)
 	}
-	if _, ok := c.Get(2, 0, 1, 0); ok {
+	if _, kind := c.Get(2, 0, 1, 0); kind == KindHit {
 		t.Fatal("spoke should not be cached")
 	}
 	if CacheRate(c, g.NumVertices()) <= 0 {
@@ -210,44 +210,34 @@ func TestImportanceCacheTopFraction(t *testing.T) {
 		t.Fatalf("cached = %d want %d", c.CachedVertices(), want)
 	}
 	// The hub must rank first.
-	if _, ok := c.Get(0, 0, 1, 0); !ok {
+	if _, kind := c.Get(0, 0, 1, 0); kind != KindHit {
 		t.Fatal("hub should be among the top fraction")
-	}
-}
-
-func TestRandomCache(t *testing.T) {
-	g := hubGraph(20)
-	rng := rand.New(rand.NewSource(1))
-	c := NewRandomCache(g, 2, 0.5, rng)
-	want := int(0.5 * float64(g.NumVertices()))
-	if c.CachedVertices() != want {
-		t.Fatalf("cached = %d want %d", c.CachedVertices(), want)
 	}
 }
 
 func TestLRUNeighborCache(t *testing.T) {
 	c := NewLRUNeighborCache(2)
-	if _, ok := c.Get(1, 0, 1, 0); ok {
+	if _, kind := c.Get(1, 0, 1, 0); kind == KindHit {
 		t.Fatal("empty cache hit")
 	}
 	c.Observe(1, 0, 1, 0, 0, []graph.ID{2})
 	c.Observe(2, 0, 1, 0, 0, []graph.ID{3})
 	c.Observe(3, 0, 1, 0, 0, []graph.ID{4}) // evicts (1,0,1)
-	if _, ok := c.Get(1, 0, 1, 0); ok {
+	if _, kind := c.Get(1, 0, 1, 0); kind == KindHit {
 		t.Fatal("expected eviction of oldest entry")
 	}
-	if ns, ok := c.Get(3, 0, 1, 0); !ok || ns[0] != 4 {
-		t.Fatalf("get(3) = %v,%v", ns, ok)
+	if ns, kind := c.Get(3, 0, 1, 0); kind != KindHit || ns[0] != 4 {
+		t.Fatalf("get(3) = %v,%v", ns, kind)
 	}
 	// Entries are keyed by edge type: type 1 of vertex 3 is a miss.
-	if _, ok := c.Get(3, 1, 1, 0); ok {
+	if _, kind := c.Get(3, 1, 1, 0); kind == KindHit {
 		t.Fatal("cross-type cache hit")
 	}
 }
 
 func TestNoCache(t *testing.T) {
 	var c NoCache
-	if _, ok := c.Get(1, 0, 1, 0); ok {
+	if _, kind := c.Get(1, 0, 1, 0); kind == KindHit {
 		t.Fatal("NoCache must always miss")
 	}
 	c.Observe(1, 0, 1, 0, 0, nil)
@@ -293,11 +283,11 @@ func TestLRUNeighborCacheEpochValidity(t *testing.T) {
 	c := NewLRUNeighborCache(8)
 	old := []graph.ID{2, 3}
 	c.Observe(1, 0, 1, 0, 0, old) // fetched at epoch 0, installed at 0
-	if _, ok := c.Get(1, 0, 1, 0); !ok {
+	if _, kind := c.Get(1, 0, 1, 0); kind != KindHit {
 		t.Fatal("entry must be valid at its fetch epoch")
 	}
 	// Epoch 3 is past the entry's known-unchanged horizon: epoch miss.
-	if _, ok := c.Get(1, 0, 1, 3); ok {
+	if _, kind := c.Get(1, 0, 1, 3); kind == KindHit {
 		t.Fatal("entry served past its validity interval")
 	}
 	if h, m, em := c.Counters(); h != 1 || m != 0 || em != 1 {
@@ -306,18 +296,18 @@ func TestLRUNeighborCacheEpochValidity(t *testing.T) {
 	// Re-validation: same install stamp observed at epoch 3 extends.
 	c.Observe(1, 0, 1, 3, 0, old)
 	for e := uint64(0); e <= 3; e++ {
-		if ns, ok := c.Get(1, 0, 1, e); !ok || ns[0] != 2 {
+		if ns, kind := c.Get(1, 0, 1, e); kind != KindHit || ns[0] != 2 {
 			t.Fatalf("re-validated entry invalid at epoch %d", e)
 		}
 	}
 	// Supersede: the vertex was rewritten at epoch 5.
 	rewritten := []graph.ID{9}
 	c.Observe(1, 0, 1, 5, 5, rewritten)
-	if _, ok := c.Get(1, 0, 1, 3); ok {
+	if _, kind := c.Get(1, 0, 1, 3); kind == KindHit {
 		t.Fatal("pre-rewrite epoch served the rewritten list")
 	}
-	if ns, ok := c.Get(1, 0, 1, 5); !ok || ns[0] != 9 {
-		t.Fatalf("rewritten entry not served at its epoch: %v %v", ns, ok)
+	if ns, kind := c.Get(1, 0, 1, 5); kind != KindHit || ns[0] != 9 {
+		t.Fatalf("rewritten entry not served at its epoch: %v %v", ns, kind)
 	}
 	if c.HitRate() <= 0 {
 		t.Fatal("hit rate not tracked")
@@ -330,32 +320,32 @@ func TestLRUNeighborCacheEpochValidity(t *testing.T) {
 func TestStaticCacheEpochRevalidation(t *testing.T) {
 	g := hubGraph(10)
 	c := NewImportanceCache(g, []float64{5.0})
-	if _, ok := c.Get(0, 0, 1, 0); !ok {
+	if _, kind := c.Get(0, 0, 1, 0); kind != KindHit {
 		t.Fatal("hub not cached at build epoch")
 	}
 	// A later epoch misses until re-validated.
-	if _, ok := c.Get(0, 0, 1, 2); ok {
+	if _, kind := c.Get(0, 0, 1, 2); kind == KindHit {
 		t.Fatal("static cache answered an unvalidated epoch")
 	}
 	c.Observe(0, 0, 1, 2, 0, nil) // reply: still the epoch-0 list at epoch 2
-	if _, ok := c.Get(0, 0, 1, 2); !ok {
+	if _, kind := c.Get(0, 0, 1, 2); kind != KindHit {
 		t.Fatal("re-validated static entry still missing")
 	}
-	if _, ok := c.Get(0, 0, 1, 1); !ok {
+	if _, kind := c.Get(0, 0, 1, 1); kind != KindHit {
 		t.Fatal("interval [0,2] must cover epoch 1")
 	}
 	// The vertex was rewritten at epoch 4: the stamp mismatch means the
 	// static entry can never re-validate past it.
 	c.Observe(0, 0, 1, 4, 4, []graph.ID{5})
-	if _, ok := c.Get(0, 0, 1, 4); ok {
+	if _, kind := c.Get(0, 0, 1, 4); kind == KindHit {
 		t.Fatal("static cache served a vertex an update rewrote")
 	}
 	// Static membership: observes never admit new keys.
 	c.Observe(2, 0, 1, 0, 0, []graph.ID{0})
-	if _, ok := c.Get(2, 0, 1, 0); ok {
+	if _, kind := c.Get(2, 0, 1, 0); kind == KindHit {
 		t.Fatal("static cache admitted a new entry")
 	}
-	if ad, ok := interface{}(c).(Admitter); !ok || ad.Admits() {
+	if c.Admits() {
 		t.Fatal("static cache must report Admits() == false")
 	}
 }
