@@ -416,9 +416,9 @@ func (f *clusterAttrFeatures) Rows(t *nn.Tape, vs []ID) *nn.Node {
 			row[j] = a[j]
 		}
 	}
-	// Serve what the batch prefetched; anything missing (contexts sampled
-	// outside the pipeline, e.g. by a ContextFn) falls through to one
-	// batched fetch.
+	// Serve what the batch prefetched; anything missing (contexts the
+	// pipeline did not prefetch, e.g. a ContextFn trainer's) falls through
+	// to one batched fetch.
 	var missing []ID
 	var missingIdx []int
 	for i, v := range vs {

@@ -56,8 +56,6 @@ func main() {
 		demo         = flag.Bool("demo", false, "generate Taobao-sim instead of reading files")
 		scale        = flag.Float64("scale", 0.1, "demo dataset scale")
 		compactThr   = flag.Int("compact-threshold", 100000, "fold old snapshot overlays into a fresh base once the head overlay holds this many entries (0 disables auto-compaction; the Compact RPC always works)")
-		compactGap   = flag.Duration("compact-interval", 0, "minimum time between threshold-triggered background folds (0 = fold as soon as signaled)")
-		dedupWindow  = flag.Int("dedup-window", 1024, "retried-RPC idempotency tokens remembered per server (0 disables write dedup)")
 		metricsAddr  = flag.String("metrics-addr", "", "serve observability on this address (/metrics text, /metrics.json, /debug/pprof/)")
 	)
 	flag.Parse()
@@ -107,8 +105,6 @@ func main() {
 	servers := cluster.FromGraph(g, a)
 	srv := servers[*part]
 	srv.SetCompactThreshold(*compactThr)
-	srv.SetCompactInterval(*compactGap)
-	srv.SetUpdateDedup(*dedupWindow)
 
 	rpcSrv, err := cluster.ServeRPC(srv, *addr)
 	if err != nil {

@@ -1,6 +1,7 @@
 package algo
 
 import (
+	"math"
 	"math/rand"
 	"testing"
 
@@ -377,6 +378,37 @@ func TestASGCN(t *testing.T) {
 	}
 	if len(m.Embedding(0, 0)) != cfg.Dim {
 		t.Fatal("AS-GCN dim")
+	}
+}
+
+// The layer-wise samplers draw from the trainer's seeded stream, so two
+// fits under one seed must produce the same embedding bits.
+func TestLayerwiseFitsRepeatBitForBit(t *testing.T) {
+	g := dataset.Taobao(dataset.TaobaoSmallConfig(0.02))
+	fits := map[string]func() Embedder{
+		"FastGCN": func() Embedder { return NewFastGCN(quickGNNConfig()) },
+		"AS-GCN": func() Embedder {
+			cfg := quickGNNConfig()
+			cfg.UseAttrs = true
+			return NewASGCN(cfg)
+		},
+	}
+	for name, fit := range fits {
+		a, b := fit(), fit()
+		if err := a.Fit(g); err != nil {
+			t.Fatal(err)
+		}
+		if err := b.Fit(g); err != nil {
+			t.Fatal(err)
+		}
+		for v := 0; v < g.NumVertices(); v++ {
+			ea, eb := a.Embedding(graph.ID(v), 0), b.Embedding(graph.ID(v), 0)
+			for j := range ea {
+				if math.Float64bits(ea[j]) != math.Float64bits(eb[j]) {
+					t.Fatalf("%s: vertex %d dim %d: %v vs %v across two fixed-seed fits", name, v, j, ea[j], eb[j])
+				}
+			}
+		}
 	}
 }
 

@@ -82,19 +82,24 @@ func adaptiveContext(g *graph.Graph, et graph.EdgeType, hopNums []int, norms []f
 		ctx.Layers[0] = vs
 		cur := vs
 		for h, width := range hopNums {
+			// Candidates in first-seen order while scanning cur: the alias
+			// table's layout, and so every fixed-seed draw, must not depend
+			// on map iteration order.
 			score := make(map[graph.ID]float64)
+			var cands []graph.ID
 			for _, v := range cur {
 				for _, u := range g.OutNeighbors(v, et) {
+					if _, seen := score[u]; !seen {
+						cands = append(cands, u)
+					}
 					score[u] += norms[u]
 				}
 			}
 			inPool := make(map[graph.ID]bool)
-			if len(score) > 0 {
-				cands := make([]graph.ID, 0, len(score))
-				weights := make([]float64, 0, len(score))
-				for u, s := range score {
-					cands = append(cands, u)
-					weights = append(weights, s)
+			if len(cands) > 0 {
+				weights := make([]float64, len(cands))
+				for i, u := range cands {
+					weights[i] = score[u]
 				}
 				al := sampling.NewAlias(weights)
 				for i := 0; i < width*4; i++ {

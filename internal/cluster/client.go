@@ -13,12 +13,12 @@ import (
 )
 
 // Client is a worker's view of the distributed graph: it implements the
-// batch-first sampling.Source seam (plus the BatchSampler capability) over
-// live graph servers. Every hop of a mini-batch is served by deduplicating
-// hub vertices (power-law batches repeat the same hot vertices), answering
-// what it can from the pluggable NeighborCache (Section 3.2), and stitching
-// the cache misses into one sub-batch per owning server exactly as Section
-// 3.3 describes ("we first partition the vertices into sub-batches, and the
+// batch-first sampling.Source seam, and its sampling.PinSource capability,
+// over live graph servers. Every hop of a mini-batch is served by
+// deduplicating hub vertices (power-law batches repeat the same hot
+// vertices), answering what it can from the pluggable NeighborCache
+// (Section 3.2), and stitching the cache misses into one sub-batch per
+// owning server exactly as Section 3.3 describes ("we first partition the vertices into sub-batches, and the
 // context of each sub-batch will be stitched together after being
 // returned"). Fixed-width draws additionally move the sampling to the
 // server (SampleNeighbors RPC), so hub adjacency lists never cross the
@@ -106,14 +106,6 @@ func (c *Client) Neighbors(v graph.ID, t graph.EdgeType) ([]graph.ID, error) {
 	dst := [][]graph.ID{nil}
 	err := c.NeighborsBatch(dst, []graph.ID{v}, t)
 	return dst[0], err
-}
-
-// NeighborsBatch implements sampling.Source: dst[i] receives the
-// out-neighbor list of vs[i]. Duplicate vertices are fetched once, cache
-// hits skip the network entirely, and the misses cost at most one RPC per
-// owning server.
-func (c *Client) NeighborsBatch(dst [][]graph.ID, vs []graph.ID, t graph.EdgeType) error {
-	return c.neighborsBatchSpan(dst, vs, t, nil, nil, 0)
 }
 
 // observe folds one reply's epoch bookkeeping: the head feeds the pin
@@ -219,7 +211,7 @@ func (c *Client) BatchNeighbors(vs []graph.ID, t graph.EdgeType) ([][]graph.ID, 
 	return out, nil
 }
 
-// SampleBatch implements sampling.BatchSampler: width neighbor draws per
+// SampleBatch implements sampling.Source: width neighbor draws per
 // vertex of vs, executed where the adjacency lives. Unique vertices with a
 // cached hop-1 list valid at the read epoch are drawn client-side (uniform
 // only: caches hold no weights); the rest are grouped into one
@@ -654,24 +646,19 @@ type epochView struct {
 	c    *Client
 	pin  *sampling.Pin
 	span sampling.EpochSpan
-	hop  int // current hop tag (sampling.HopTagged); 0 = unattributed
+	hop  int // current hop tag (SetHop); 0 = unattributed
 }
 
-// EpochView implements sampling.EpochedSource.
+// EpochView implements sampling.PinSource.
 func (c *Client) EpochView() sampling.EpochView { return &epochView{c: c} }
 
-// NeighborsBatch implements sampling.Source.
-func (v *epochView) NeighborsBatch(dst [][]graph.ID, vs []graph.ID, t graph.EdgeType) error {
-	return v.c.neighborsBatchSpan(dst, vs, t, v.pin, &v.span, v.hop)
-}
-
-// SampleBatch implements sampling.BatchSampler, preserving the server-side
-// fixed-width draw path through the view.
+// SampleBatch implements sampling.Source through the view: the client's
+// server-side fixed-width draw path, at the view's pin and hop tag.
 func (v *epochView) SampleBatch(dst []graph.ID, vs []graph.ID, t graph.EdgeType, width int, byWeight bool, seed uint64) error {
 	return v.c.sampleBatchSpan(dst, vs, t, width, byWeight, seed, v.pin, &v.span, v.hop)
 }
 
-// SetHop implements sampling.HopTagged: the NEIGHBORHOOD sampler tags the
+// SetHop implements sampling.EpochView: the NEIGHBORHOOD sampler tags the
 // view with the 1-based hop it is expanding, and the client's per-(edge
 // type, hop) lanes attribute work to it. Views are single-consumer, so the
 // tag needs no synchronization.

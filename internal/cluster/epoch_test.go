@@ -7,7 +7,6 @@ import (
 	"repro/internal/core"
 	"repro/internal/graph"
 	"repro/internal/partition"
-	"repro/internal/sampling"
 	"repro/internal/storage"
 )
 
@@ -37,8 +36,7 @@ func TestEpochViewDetectsMixedEpochs(t *testing.T) {
 	dst := make([]graph.ID, len(batch)*3)
 
 	view := c.EpochView()
-	vbs := view.(sampling.BatchSampler) // views keep the server-side draw path
-	if err := vbs.SampleBatch(dst, batch, 0, 3, false, 1); err != nil {
+	if err := view.SampleBatch(dst, batch, 0, 3, false, 1); err != nil {
 		t.Fatal(err)
 	}
 	span := view.Span()
@@ -67,7 +65,7 @@ func TestEpochViewDetectsMixedEpochs(t *testing.T) {
 	if view.Span().Seen {
 		t.Fatal("reset span not empty")
 	}
-	if err := vbs.SampleBatch(dst, batch, 0, 3, false, 2); err != nil {
+	if err := view.SampleBatch(dst, batch, 0, 3, false, 2); err != nil {
 		t.Fatal(err)
 	}
 	span = view.Span()

@@ -128,9 +128,9 @@ type MethodMetrics struct {
 
 // hopStats is one (edge type, hop) sampling lane's always-on counters: every
 // batch expansion the client executes is attributed to the hop the
-// NEIGHBORHOOD sampler tagged (sampling.HopTagged; hop 0 collects direct,
-// untagged calls): time, per-shard sub-request counts and cache outcomes
-// per lane.
+// NEIGHBORHOOD sampler tagged (sampling.EpochView.SetHop; hop 0 collects
+// direct, untagged calls): time, per-shard sub-request counts and cache
+// outcomes per lane.
 type hopStats struct {
 	calls     obs.Counter // batch expansions (one per SampleBatch/NeighborsBatch)
 	slots     obs.Counter // batch slots across those calls (len(vs))

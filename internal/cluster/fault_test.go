@@ -401,17 +401,6 @@ func TestUpdateTokenDedup(t *testing.T) {
 		t.Fatalf("head = %d, want %d: tokened replay re-applied", head, head0+2)
 	}
 
-	// Dedup disabled: the same token applies twice.
-	srv.SetUpdateDedup(0)
-	if err := srv.ServeUpdate(req, &r1); err != nil {
-		t.Fatal(err)
-	}
-	if err := srv.ServeUpdate(req, &r2); err != nil {
-		t.Fatal(err)
-	}
-	if head := srv.store.Head(); head != head0+4 {
-		t.Fatalf("head = %d, want %d with dedup disabled", head, head0+4)
-	}
 }
 
 // TestLeaseReleaseTokenDedup: a replayed Lease must not leak a second

@@ -265,20 +265,21 @@ func drawInto(dst []graph.ID, v graph.ID, ns []graph.ID, rng *sampling.Rng) {
 	}
 }
 
-// neighborsBatchSpan is the list hop: Neighbors RPCs for the misses.
-func (c *Client) neighborsBatchSpan(dst [][]graph.ID, vs []graph.ID, t graph.EdgeType, pin *sampling.Pin, span *sampling.EpochSpan, hopN int) error {
+// NeighborsBatch is the list hop, at the head epoch: dst[i] receives the
+// out-neighbor list of vs[i]. Duplicate vertices are fetched once, cache
+// hits skip the network entirely, and the misses cost at most one
+// Neighbors RPC per owning server.
+func (c *Client) NeighborsBatch(dst [][]graph.ID, vs []graph.ID, t graph.EdgeType) error {
 	if len(dst) != len(vs) {
 		return fmt.Errorf("cluster: NeighborsBatch dst length %d, want %d", len(dst), len(vs))
 	}
-	h := c.startHop(t, pin, span, hopN, len(vs))
+	h := c.startHop(t, nil, nil, 0, len(vs))
 	defer h.done()
 	h.lists = dst
 	h.group(vs, true)
 	verts := h.missVertices()
 	return resolve(h, MNeighbors, func(i, p int, reply *NeighborsReply) error {
-		req := NeighborsRequest{Vertices: verts[i], EdgeType: t}
-		req.Pin, req.Pinned = pinFields(pin, p)
-		return c.T.Neighbors(p, req, reply)
+		return c.T.Neighbors(p, NeighborsRequest{Vertices: verts[i], EdgeType: t}, reply)
 	}, func(r *NeighborsReply) hopReply {
 		return hopReply{epoch: r.Epoch, head: r.Head, attrHead: r.AttrHead, since: r.Since, lists: r.Neighbors}
 	})

@@ -1,0 +1,74 @@
+package cluster
+
+import (
+	"testing"
+
+	"repro/internal/graph"
+	"repro/internal/partition"
+)
+
+// TestHostileRequestsRejected sends malformed requests — edge types outside
+// the schema, negative draw counts, unbounded draw totals — through the
+// in-process transport and through loopback RPC. Each must come back as an
+// error (net/rpc does not recover a handler panic, so a panic would kill
+// the shard), and the server must answer a well-formed call afterwards.
+func TestHostileRequestsRejected(t *testing.T) {
+	g := churnTestGraph(60)
+	a, err := (partition.HashPartitioner{}).Partition(g, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	vs := []graph.ID{2, 3}
+	type call struct {
+		name string
+		m    Method
+		req  any
+	}
+	var calls []call
+	for _, et := range []graph.EdgeType{7, -1} {
+		calls = append(calls,
+			call{"Neighbors/type", MNeighbors, NeighborsRequest{Vertices: vs, EdgeType: et}},
+			call{"SampleNeighbors/type", MSampleNeighbors, SampleRequest{Vertices: vs, EdgeType: et, Width: 2}},
+			call{"SampleNeighbors/weighted/type", MSampleNeighbors, SampleRequest{Vertices: vs, EdgeType: et, Width: 2, ByWeight: true}},
+			call{"SampleEdges/type", MSampleEdges, EdgesRequest{EdgeType: et, Count: 4}},
+			call{"NegativePool/type", MNegativePool, NegPoolRequest{EdgeType: et}},
+		)
+	}
+	calls = append(calls,
+		call{"SampleNeighbors/negative count", MSampleNeighbors, SampleRequest{Vertices: vs[:1], Counts: []int{-5}, Width: 2}},
+		call{"SampleNeighbors/huge count", MSampleNeighbors, SampleRequest{Vertices: vs[:1], Counts: []int{1 << 62}, Width: 2}},
+		call{"SampleNeighbors/huge width", MSampleNeighbors, SampleRequest{Vertices: vs[:1], Width: 1 << 62}},
+		call{"SampleEdges/huge count", MSampleEdges, EdgesRequest{Count: 1 << 62}},
+	)
+
+	local := NewLocalTransport(FromGraph(g, a), 0, 0)
+	rs, err := ServeRPC(FromGraph(g, a)[0], "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer rs.Close()
+	wire, err := DialRPC([]string{rs.Addr()})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer wire.Close()
+
+	for _, st := range []struct {
+		name string
+		c    Caller
+	}{{"local", local}, {"rpc", wire}} {
+		for _, c := range calls {
+			if err := st.c.Call(0, c.m, c.req, methods[c.m].newReply()); err == nil {
+				t.Errorf("%s via %s: hostile request accepted", c.name, st.name)
+			}
+		}
+		var reply SampleReply
+		ok := SampleRequest{Vertices: vs, Counts: []int{1, 2}, Width: 2, Seed: 1}
+		if err := st.c.Call(0, MSampleNeighbors, ok, &reply); err != nil {
+			t.Fatalf("well-formed call via %s after hostile ones: %v", st.name, err)
+		}
+		if len(reply.Samples) != 6 {
+			t.Fatalf("well-formed call via %s: %d samples, want 6", st.name, len(reply.Samples))
+		}
+	}
+}

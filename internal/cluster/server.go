@@ -17,9 +17,9 @@
 // slot-pure so cache and shard layout never perturb fixed-seed training,
 // and servers bound their snapshot-overlay memory by folding old overlays
 // into a fresh base (Compact RPC, or the SetCompactThreshold trigger on a
-// rate-limited background goroutine — ServeUpdate only signals, so the
-// fold's O(V+E) walk never sits on an update's reply path) without
-// disturbing leased epochs or live readers.
+// background goroutine — ServeUpdate only signals, so the fold's O(V+E)
+// walk never sits on an update's reply path) without disturbing leased
+// epochs or live readers.
 //
 // # Transport stack
 //
@@ -61,7 +61,7 @@
 //     re-issues them under a CallPolicy (per-attempt deadline, bounded
 //     exponential backoff with jitter, retry budget). Update, Lease and
 //     Release are retried too, made safe by client idempotency tokens the
-//     server deduplicates (SetUpdateDedup bounds the ring): a retry whose
+//     server deduplicates (a ring of the last 1024 tokens): a retry whose
 //     predecessor executed returns the recorded reply instead of
 //     double-applying a batch, double-pinning a lease, or double-releasing
 //     one. Each client mints tokens under a crypto/rand per-process nonce,
@@ -182,11 +182,10 @@ type Server struct {
 	// compactKick (1-buffered) carries ServeUpdate's fold signals to the
 	// compactor; sends never block and coalesce while a fold runs, and the
 	// buffered token guarantees the state AFTER the last signaled update is
-	// re-examined. compactGap rate-limits successive background folds.
+	// re-examined.
 	compactKick chan struct{}
 	compactQuit chan struct{}
 	compactWG   sync.WaitGroup
-	compactGap  time.Duration
 
 	mu sync.RWMutex
 	// boot, when set, answers the Bootstrap RPC: the global partition
@@ -196,12 +195,11 @@ type Server struct {
 
 	// dedup is the bounded idempotency-token ring: token -> recorded reply
 	// for the non-idempotent RPCs (Update, Lease, Release), evicted FIFO at
-	// dedupCap entries. It makes "executed but the reply was lost" retries
-	// safe.
+	// dedupWindow entries. It makes "executed but the reply was lost"
+	// retries safe.
 	dedupMu   sync.Mutex
 	dedup     map[uint64]any
 	dedupFIFO []uint64
-	dedupCap  int
 
 	// met holds the server's always-on instruments (see serverobs.go):
 	// per-RPC serve latency, compaction timings, applied-update counters.
@@ -210,22 +208,10 @@ type Server struct {
 	met serverMetrics
 }
 
-// defaultDedupWindow bounds the idempotency-token ring when SetUpdateDedup
-// was never called.
-const defaultDedupWindow = 1024
-
-// SetUpdateDedup resizes the idempotency-token window (default 1024
-// entries); n <= 0 disables dedup entirely (tokens are then ignored).
-func (s *Server) SetUpdateDedup(n int) {
-	s.dedupMu.Lock()
-	s.dedupCap = n
-	if n <= 0 {
-		s.dedupCap = -1
-		s.dedup = nil
-		s.dedupFIFO = nil
-	}
-	s.dedupMu.Unlock()
-}
+// dedupWindow bounds the idempotency-token ring: a retry is recognized as
+// long as fewer than dedupWindow other tokened calls landed since its
+// first attempt.
+const dedupWindow = 1024
 
 // dedupLookup returns the recorded reply for token, if any. Token 0 (legacy
 // callers) never matches.
@@ -251,19 +237,13 @@ func (s *Server) dedupRecord(token uint64, reply any) {
 	}
 	s.dedupMu.Lock()
 	defer s.dedupMu.Unlock()
-	if s.dedupCap < 0 {
-		return // disabled
-	}
-	if s.dedupCap == 0 {
-		s.dedupCap = defaultDedupWindow
-	}
 	if s.dedup == nil {
-		s.dedup = make(map[uint64]any, s.dedupCap)
+		s.dedup = make(map[uint64]any, dedupWindow)
 	}
 	if _, ok := s.dedup[token]; ok {
 		return
 	}
-	for len(s.dedupFIFO) >= s.dedupCap {
+	for len(s.dedupFIFO) >= dedupWindow {
 		delete(s.dedup, s.dedupFIFO[0])
 		s.dedupFIFO = s.dedupFIFO[1:]
 	}
@@ -303,16 +283,6 @@ func (s *Server) SetCompactThreshold(n int) {
 	s.mu.Unlock()
 }
 
-// SetCompactInterval rate-limits the background compactor: at least d
-// between successive threshold-triggered folds (signals arriving earlier
-// coalesce and the fold runs once the gap has passed). Default 0: fold as
-// soon as signaled. The Compact RPC is never rate-limited.
-func (s *Server) SetCompactInterval(d time.Duration) {
-	s.mu.Lock()
-	s.compactGap = d
-	s.mu.Unlock()
-}
-
 // Close stops the background compactor (a no-op when compaction was never
 // armed). Idempotent; the server remains fully usable for RPCs afterwards,
 // only the threshold trigger goes dead.
@@ -328,35 +298,18 @@ func (s *Server) Close() {
 }
 
 // compactor is the background fold loop: it waits for ServeUpdate's
-// signals, enforces the configured minimum gap between folds, and runs the
-// same gate + fold an inline trigger would have — just never on an
-// update's critical path.
+// signals and runs the same gate + fold an inline trigger would have — just
+// never on an update's critical path. The gate's retain/2 stride already
+// amortizes successive folds.
 func (s *Server) compactor(kick, quit chan struct{}) {
 	defer s.compactWG.Done()
-	var last time.Time
 	for {
 		select {
 		case <-quit:
 			return
 		case <-kick:
 		}
-		s.mu.RLock()
-		gap := s.compactGap
-		s.mu.RUnlock()
-		if gap > 0 && !last.IsZero() {
-			if wait := gap - time.Since(last); wait > 0 {
-				t := time.NewTimer(wait)
-				select {
-				case <-quit:
-					t.Stop()
-					return
-				case <-t.C:
-				}
-			}
-		}
-		if s.maybeCompact() {
-			last = time.Now()
-		}
+		s.maybeCompact()
 	}
 }
 
@@ -442,6 +395,21 @@ func (s *Server) view(pinned bool, pin uint64) (view version.View, head, attrHea
 	return view, head, attrHead, nil
 }
 
+// maxDraws bounds the sampled IDs one SampleNeighbors or SampleEdges
+// request may ask for, so a hostile count is an error instead of an
+// allocation without bound. A training hop draws a few thousand.
+const maxDraws = 1 << 22
+
+// checkType rejects an edge type outside the store's schema. Every handler
+// that reads per-type adjacency calls it first: an index out of range in a
+// net/rpc handler would take the whole server process down.
+func (s *Server) checkType(t graph.EdgeType) error {
+	if n := s.store.NumEdgeTypes(); t < 0 || int(t) >= n {
+		return fmt.Errorf("cluster: server %d: edge type %d out of range [0, %d)", s.ID, t, n)
+	}
+	return nil
+}
+
 // ---------------------------------------------------------------------------
 // Wire types shared by all transports. Exported fields for encoding/gob.
 
@@ -506,6 +474,9 @@ type AttrsReply struct {
 // update generation even while ServeUpdate batches land concurrently.
 func (s *Server) ServeNeighbors(req NeighborsRequest, reply *NeighborsReply) error {
 	defer obsSince(&s.met.rpc[MNeighbors], time.Now())
+	if err := s.checkType(req.EdgeType); err != nil {
+		return err
+	}
 	view, head, attrHead, err := s.view(req.Pinned, req.Pin)
 	if err != nil {
 		return err
@@ -758,19 +729,19 @@ func (s *Server) ServeCompact(_ CompactRequest, reply *CompactReply) error {
 }
 
 // maybeCompact runs one threshold-armed compaction attempt (the background
-// compactor's body), reporting whether a fold actually ran. The fold is an
+// compactor's body). The fold is an
 // O(V+E) base rebuild and only prunes entries behind the retention floor,
 // so beyond the entry threshold the gate also requires the floor to have
 // advanced at least half a retention window past the current base — a
 // workload whose in-window touched set alone exceeds the threshold then
 // pays one amortized rebuild per retain/2 epochs instead of one per signal
 // (which could never shrink the overlay anyway).
-func (s *Server) maybeCompact() bool {
+func (s *Server) maybeCompact() {
 	s.mu.RLock()
 	thr := s.compactThreshold
 	s.mu.RUnlock()
 	if thr <= 0 {
-		return false
+		return
 	}
 	gate := func() bool {
 		ov := s.store.Overlay()
@@ -784,24 +755,23 @@ func (s *Server) maybeCompact() bool {
 		return s.store.Floor() >= ov.BaseEpoch+stride
 	}
 	if !gate() {
-		return false
+		return
 	}
 	// Single runner: a Compact RPC that passed the gate together with the
 	// compactor skips instead of queueing whole-shard rebuilds behind the
 	// store's compaction mutex; the gate is re-checked after winning in
 	// case a just-finished fold already advanced the base.
 	if !s.compacting.CompareAndSwap(false, true) {
-		return false
+		return
 	}
 	defer s.compacting.Store(false)
 	if !gate() {
-		return false
+		return
 	}
 	// The only Compact error is "before Seal", impossible on a serving store.
 	foldStart := time.Now()
 	s.store.Compact()
 	s.met.compaction.Observe(int64(time.Since(foldStart)))
-	return true
 }
 
 // ServeSampleNeighbors handles a server-side fixed-width draw request: the
@@ -814,14 +784,13 @@ func (s *Server) maybeCompact() bool {
 // cache hit over the same adjacency would have produced.
 func (s *Server) ServeSampleNeighbors(req SampleRequest, reply *SampleReply) error {
 	defer obsSince(&s.met.rpc[MSampleNeighbors], time.Now())
-	if req.Width <= 0 {
-		return fmt.Errorf("cluster: non-positive sample width %d", req.Width)
+	if req.Width <= 0 || req.Width > maxDraws {
+		return fmt.Errorf("cluster: sample width %d out of range [1, %d]", req.Width, maxDraws)
 	}
 	if len(req.Counts) > 0 && len(req.Counts) != len(req.Vertices) {
 		return fmt.Errorf("cluster: %d counts for %d vertices", len(req.Counts), len(req.Vertices))
 	}
-	view, head, attrHead, err := s.view(req.Pinned, req.Pin)
-	if err != nil {
+	if err := s.checkType(req.EdgeType); err != nil {
 		return err
 	}
 	total, groups := 0, 0
@@ -830,8 +799,15 @@ func (s *Server) ServeSampleNeighbors(req SampleRequest, reply *SampleReply) err
 		if len(req.Counts) > 0 {
 			c = req.Counts[i]
 		}
+		if c < 0 || c > (maxDraws-total)/req.Width {
+			return fmt.Errorf("cluster: count %d at vertex %d: negative, or more than %d draws in one request", c, i, maxDraws)
+		}
 		total += c * req.Width
 		groups += c
+	}
+	view, head, attrHead, err := s.view(req.Pinned, req.Pin)
+	if err != nil {
+		return err
 	}
 	if len(req.Slots) > 0 && len(req.Slots) != groups {
 		return fmt.Errorf("cluster: %d slots for %d draw groups", len(req.Slots), groups)
@@ -928,6 +904,9 @@ func (s *Server) ServeStats(_ StatsRequest, reply *StatsReply) error {
 // at the head epoch.
 func (s *Server) ServeNegativePool(req NegPoolRequest, reply *NegPoolReply) error {
 	defer obsSince(&s.met.rpc[MNegativePool], time.Now())
+	if err := s.checkType(req.EdgeType); err != nil {
+		return err
+	}
 	view := s.store.HeadView()
 	counts := make(map[graph.ID]int64)
 	for _, v := range s.store.LocalVertices() {
@@ -956,6 +935,12 @@ func (s *Server) ServeNegativePool(req NegPoolRequest, reply *NegPoolReply) erro
 // touched are mixed in exactly either way.
 func (s *Server) ServeSampleEdges(req EdgesRequest, reply *EdgesReply) error {
 	defer obsSince(&s.met.rpc[MSampleEdges], time.Now())
+	if err := s.checkType(req.EdgeType); err != nil {
+		return err
+	}
+	if req.Count > maxDraws {
+		return fmt.Errorf("cluster: %d edges requested, at most %d per request", req.Count, maxDraws)
+	}
 	view, head, attrHead, err := s.view(req.Pinned, req.Pin)
 	if err != nil {
 		return err

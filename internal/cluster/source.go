@@ -8,18 +8,18 @@ import (
 	"repro/internal/sampling"
 )
 
-// The per-vertex ClientSource adapter (one RPC per vertex per hop) is gone:
-// Client itself implements the batch-first sampling.Source and
-// sampling.BatchSampler contracts, so NEIGHBORHOOD sampling pays at most
-// one SampleNeighbors RPC per owning server per hop. This file holds the
+// Client itself implements the batch-first sampling.Source seam (and its
+// PinSource capability), so NEIGHBORHOOD sampling pays at most one
+// SampleNeighbors RPC per owning server per hop. This file holds the one
 // remaining adapter: the trainer environment (core.TrainEnv) that lets
 // core.LinkTrainer run its TRAVERSE and NEGATIVE stages against live
 // shards.
 
-// Env adapts a Client to the trainer environment seam: positive edges come
-// from the distributed TRAVERSE (SampleEdges RPCs), the negative pool is
-// merged from per-server destination counts, and the vertex universe is the
-// partition assignment's domain. Env is safe for concurrent use.
+// Env adapts a Client to core.TrainEnv: positive edges come from the
+// distributed TRAVERSE (SampleEdges RPCs), the negative pool is merged
+// from per-server destination counts, the vertex universe is the
+// partition assignment's domain, and the observed epoch is the newest
+// shard head. Env is safe for concurrent use.
 type Env struct {
 	C *Client
 
@@ -33,19 +33,11 @@ func NewEnv(c *Client, seed int64) *Env {
 	return &Env{C: c, rng: rand.New(rand.NewSource(seed))}
 }
 
-// SampleEdges draws n positive edges of type t uniformly over the cluster.
-func (e *Env) SampleEdges(t graph.EdgeType, n int) ([]graph.Edge, error) {
-	e.mu.Lock()
-	seed := uint64(e.rng.Int63())
-	e.mu.Unlock()
-	return e.C.SampleEdges(t, n, seed)
-}
-
-// AppendEdges implements the trainer's batch-environment capability
-// (core.BatchEnv): the same distributed TRAVERSE draw appended into a
-// recycled buffer, reading the pinned snapshot when the batch carries one,
-// with each contributing server's reply recorded into span so mini-batches
-// are stamped with what their edge batch saw.
+// AppendEdges implements core.TrainEnv: n positive edges of type t drawn
+// uniformly over the cluster into a recycled buffer, reading the pinned
+// snapshot when the batch carries one, with each contributing server's
+// reply recorded into span so mini-batches are stamped with what their
+// edge batch saw.
 func (e *Env) AppendEdges(dst []graph.Edge, t graph.EdgeType, n int, pin *sampling.Pin, span *sampling.EpochSpan) ([]graph.Edge, error) {
 	return e.C.AppendSampleEdges(dst, t, n, e.EdgeSeed(), pin, span)
 }
@@ -67,14 +59,15 @@ func (e *Env) AppendEdgesSeeded(dst []graph.Edge, t graph.EdgeType, n int, seed 
 	return e.C.AppendSampleEdges(dst, t, n, seed, pin, span)
 }
 
-// ObservedEpoch implements core.EpochedEnv: the newest head epoch observed
-// on any shard — the staleness clock that triggers negative-pool refreshes.
+// ObservedEpoch implements core.TrainEnv: the newest head epoch observed on
+// any shard — the staleness clock that triggers negative-pool refreshes.
 func (e *Env) ObservedEpoch() uint64 { return e.C.MaxObservedHead() }
 
-// NegativePool returns global negative candidates with in-degree counts.
+// NegativePool implements core.TrainEnv: global negative candidates with
+// in-degree counts.
 func (e *Env) NegativePool(t graph.EdgeType) ([]graph.ID, []float64, error) {
 	return e.C.NegativePool(t)
 }
 
-// NumVertices reports the size of the vertex universe.
+// NumVertices implements core.TrainEnv: the size of the vertex universe.
 func (e *Env) NumVertices() int { return len(e.C.Assign.Of) }

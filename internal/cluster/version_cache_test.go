@@ -32,10 +32,9 @@ func TestCacheEpochKeyedUnderUpdate(t *testing.T) {
 	}
 	view := c.EpochView()
 	view.SetPin(pin1)
-	vbs := view.(sampling.BatchSampler)
 	batch := []graph.ID{0, 2}
 	dst := make([]graph.ID, len(batch)*3)
-	if err := vbs.SampleBatch(dst, batch, 0, 3, false, 7); err != nil {
+	if err := view.SampleBatch(dst, batch, 0, 3, false, 7); err != nil {
 		t.Fatal(err)
 	}
 	// Click degree 2 <= width 3: both lists were shipped short and admitted
@@ -74,7 +73,7 @@ func TestCacheEpochKeyedUnderUpdate(t *testing.T) {
 	}
 	view.SetPin(pin2)
 	dst2 := make([]graph.ID, len(batch)*4)
-	if err := vbs.SampleBatch(dst2, batch, 0, 4, false, 8); err != nil {
+	if err := view.SampleBatch(dst2, batch, 0, 4, false, 8); err != nil {
 		t.Fatal(err)
 	}
 	// Vertex 0's fresh entry is the rewritten 3-neighbor list...
@@ -500,7 +499,7 @@ func TestCacheFlushOnServerRestart(t *testing.T) {
 	view := c.EpochView()
 	view.SetPin(pin)
 	dst := make([]graph.ID, 3)
-	if err := view.(sampling.BatchSampler).SampleBatch(dst, []graph.ID{0}, 0, 3, false, 7); err != nil {
+	if err := view.SampleBatch(dst, []graph.ID{0}, 0, 3, false, 7); err != nil {
 		t.Fatal(err)
 	}
 	if _, kind := cache.Get(0, 0, 1, 2); kind != storage.KindHit {

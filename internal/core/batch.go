@@ -1,7 +1,6 @@
 package core
 
 import (
-	"errors"
 	"time"
 
 	"repro/internal/graph"
@@ -23,10 +22,8 @@ type MiniBatch struct {
 	// NegK negatives per source vertex, flattened batch-major.
 	Src, Dst, Negs []graph.ID
 	// Ctxs are the sampled multi-hop contexts of Src, Dst and Negs, in that
-	// order, valid when HasCtxs. Trainers with a ContextFn (layer-wise
-	// samplers) leave them empty and sample at encode time instead.
-	Ctxs    [3]sampling.Context
-	HasCtxs bool
+	// order: NEIGHBORHOOD expansions, or the trainer's ContextFn draws.
+	Ctxs [3]sampling.Context
 	// Attrs maps every vertex appearing in the contexts to its prefetched
 	// hop-0 attribute row; nil when the feature source is local (attributes
 	// are then read at encode time, as before).
@@ -62,13 +59,16 @@ type MiniBatch struct {
 	planned bool
 }
 
+// dropEdges clears the batch's positives and negatives, so the owner lane
+// redraws them on the next attempt.
+func (mb *MiniBatch) dropEdges() {
+	mb.Src, mb.Dst, mb.Negs = mb.Src[:0], mb.Dst[:0], mb.Negs[:0]
+}
+
 // reset clears the batch for reuse, keeping every buffer. The caller is
 // responsible for releasing mb.Pin first.
 func (mb *MiniBatch) reset() {
-	mb.Src = mb.Src[:0]
-	mb.Dst = mb.Dst[:0]
-	mb.Negs = mb.Negs[:0]
-	mb.HasCtxs = false
+	mb.dropEdges()
 	mb.Epochs.Reset()
 	mb.Pin = nil
 	mb.err = nil
@@ -96,42 +96,20 @@ type BatchSource interface {
 	Recycle(*MiniBatch)
 }
 
-// BatchEnv is an optional TrainEnv capability used by batch sources:
-// TRAVERSE batches appended into a caller-owned buffer (allocation-free in
-// steady state), read from the pinned snapshot when the batch carries one,
-// with what the serving shards observed recorded into span. Environments
-// without it fall back to SampleEdges, unstamped and unpinned.
-type BatchEnv interface {
-	AppendEdges(dst []graph.Edge, t graph.EdgeType, n int, pin *sampling.Pin, span *sampling.EpochSpan) ([]graph.Edge, error)
-}
-
-// SeededBatchEnv is an optional BatchEnv refinement for environments whose
-// TRAVERSE draw is a pure function of an explicit seed (cluster clients).
-// Batch sources draw EdgeSeed exactly once per batch and replay
+// SeededBatchEnv is an optional TrainEnv capability for environments
+// whose TRAVERSE draw is a pure function of an explicit seed (cluster
+// clients). Batch sources draw EdgeSeed exactly once per batch and replay
 // AppendEdgesSeeded with it on fault retries, so a retried TRAVERSE
 // consumes no extra positions of the sequential edge-seed stream — without
 // it, every retry would shift all subsequent draws and a fault-free run
-// could never be reproduced bit for bit. Environments without the
-// refinement (local graphs, whose draws cannot fail) keep the plain
-// AppendEdges path.
+// could never be reproduced bit for bit. Local graphs, whose draws cannot
+// fail, keep the plain AppendEdges path and its draw sequence.
 type SeededBatchEnv interface {
-	BatchEnv
 	// EdgeSeed draws the next TRAVERSE seed from the sequential stream.
 	EdgeSeed() uint64
 	// AppendEdgesSeeded is AppendEdges driven by an explicit seed.
 	AppendEdgesSeeded(dst []graph.Edge, t graph.EdgeType, n int, seed uint64, pin *sampling.Pin, span *sampling.EpochSpan) ([]graph.Edge, error)
 }
-
-// EpochedEnv is an optional TrainEnv capability reporting the newest update
-// epoch the environment has observed across the backing store; trainers use
-// it as the staleness clock for epoch-refreshed negative pools.
-type EpochedEnv interface {
-	ObservedEpoch() uint64
-}
-
-// errNoContexts is returned when a trainer without a ContextFn receives a
-// batch whose contexts were never sampled.
-var errNoContexts = errors.New("core: mini-batch carries no sampled contexts")
 
 // assembleEdges fills mb.Src/Dst/Negs from one TRAVERSE batch plus aligned
 // negatives, reading mb.Pin's snapshot when set and recording what the
@@ -150,10 +128,8 @@ func (tr *LinkTrainer) assembleEdges(mb *MiniBatch) error {
 			mb.hasEdgeSeed = true
 		}
 		edges, err = se.AppendEdgesSeeded(mb.edges[:0], tr.EdgeType, tr.Batch, mb.edgeSeed, mb.Pin, &mb.Epochs)
-	} else if be, ok := tr.Env.(BatchEnv); ok {
-		edges, err = be.AppendEdges(mb.edges[:0], tr.EdgeType, tr.Batch, mb.Pin, &mb.Epochs)
 	} else {
-		edges, err = tr.Env.SampleEdges(tr.EdgeType, tr.Batch)
+		edges, err = tr.Env.AppendEdges(mb.edges[:0], tr.EdgeType, tr.Batch, mb.Pin, &mb.Epochs)
 	}
 	if err != nil {
 		return err
@@ -170,6 +146,21 @@ func (tr *LinkTrainer) assembleEdges(mb *MiniBatch) error {
 		mb.Dst = append(mb.Dst, e.Dst)
 	}
 	mb.Negs = tr.neg.AppendSample(mb.Negs[:0], mb.Src, tr.NegK)
+	return nil
+}
+
+// drawContexts fills mb.Ctxs from the trainer's ContextFn — Src, Dst, then
+// Negs — in place of the NEIGHBORHOOD expansions. Layer-wise samplers draw
+// from the trainer's streams, so like assembleEdges it runs on the owner
+// lane, right after the positives and negatives it expands.
+func (tr *LinkTrainer) drawContexts(mb *MiniBatch) error {
+	for e, vs := range [3][]graph.ID{mb.Src, mb.Dst, mb.Negs} {
+		ctx, err := tr.ContextFn(vs)
+		if err != nil {
+			return err
+		}
+		mb.Ctxs[e] = *ctx
+	}
 	return nil
 }
 

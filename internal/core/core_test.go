@@ -93,6 +93,18 @@ func TestConcatFeatures(t *testing.T) {
 	}
 }
 
+// selfRecorder is a Combiner that records the self rows it receives: at
+// hop 2 those are the hop-1 outputs.
+type selfRecorder struct {
+	operator.Combiner
+	self *nn.Node
+}
+
+func (c *selfRecorder) Combine(t *nn.Tape, self, neigh *nn.Node) *nn.Node {
+	c.self = self
+	return c.Combiner.Combine(t, self, neigh)
+}
+
 func TestEncoderShapes(t *testing.T) {
 	rng := rand.New(rand.NewSource(3))
 	g := cycleGraph(10)
@@ -101,25 +113,30 @@ func TestEncoderShapes(t *testing.T) {
 	if enc.OutDim() != 6 {
 		t.Fatalf("out dim = %d", enc.OutDim())
 	}
+	rec := &selfRecorder{Combiner: enc.Comb[1]}
+	enc.Comb[1] = rec
 	nbr := sampling.NewNeighborhood(sampling.NewGraphSource(g), rng)
 	ctx, err := nbr.Sample(0, []graph.ID{0, 3, 7}, []int{2, 2})
 	if err != nil {
 		t.Fatal(err)
 	}
-	enc.NormalizeFinal = true // pure Algorithm 1: every hop normalized
 	tp := nn.NewTape()
 	h := enc.Encode(tp, ctx)
 	if h.Val.Rows != 3 || h.Val.Cols != 6 {
 		t.Fatalf("encode shape %dx%d", h.Val.Rows, h.Val.Cols)
 	}
-	// Normalized rows have unit norm.
+	// The intermediate hop is normalized (Algorithm 1 line 7): its rows
+	// have unit norm.
+	if rec.self == nil || rec.self.Val.Rows != 3 || rec.self.Val.Cols != 8 {
+		t.Fatal("hop-2 COMBINE did not see the 3x8 hop-1 rows")
+	}
 	for i := 0; i < 3; i++ {
 		s := 0.0
-		for _, v := range h.Val.Row(i) {
+		for _, v := range rec.self.Val.Row(i) {
 			s += v * v
 		}
 		if math.Abs(s-1) > 1e-9 {
-			t.Fatalf("row %d norm² = %f", i, s)
+			t.Fatalf("hop-1 row %d norm² = %f", i, s)
 		}
 	}
 }

@@ -28,9 +28,7 @@ type Encoder struct {
 	// (Algorithm 1 line 7). The final hop is left unnormalized so the
 	// dot-product training logits are unbounded; normalizing the output
 	// caps logits at [-1, 1] and starves the negative-sampling gradient.
-	// Set NormalizeFinal to normalize the last hop too (pure Algorithm 1).
-	Normalize      bool
-	NormalizeFinal bool
+	Normalize bool
 }
 
 // Params returns all trainable parameters of the encoder.
@@ -54,10 +52,7 @@ func (e *Encoder) OutDim() int {
 }
 
 func (e *Encoder) normalizeHop(k, kmax int) bool {
-	if !e.Normalize {
-		return false
-	}
-	return k < kmax || e.NormalizeFinal
+	return e.Normalize && k < kmax
 }
 
 // Encode computes embeddings for ctx.Layers[0] (B x OutDim).

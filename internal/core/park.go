@@ -62,16 +62,16 @@ func parkDelay(n int) time.Duration {
 type lane struct {
 	owner bool
 	nbr   *sampling.Neighborhood // nil when the lane does not expand
-	view  sampling.EpochView     // nil when the source records no epochs
+	view  sampling.EpochView     // nil when the source does not pin
 }
 
-// expandingLane builds a lane with its own epoch view of the trainer's
-// source.
+// expandingLane builds a lane that expands through its own epoch view of
+// the trainer's source when the source pins.
 func (p *Pipeline) expandingLane(owner bool) *lane {
 	l := &lane{owner: owner}
 	src := p.tr.Src
-	if es, ok := src.(sampling.EpochedSource); ok {
-		l.view = es.EpochView()
+	if p.ps != nil {
+		l.view = p.ps.EpochView()
 		src = l.view
 	}
 	l.nbr = &sampling.Neighborhood{Src: src, ByWeight: p.tr.nbr.ByWeight}
@@ -79,9 +79,9 @@ func (p *Pipeline) expandingLane(owner bool) *lane {
 }
 
 // assemble runs lane l's stages of mb in order — pin, TRAVERSE + negatives
-// + seed plan (owner), the three NEIGHBORHOOD expansions and the attribute
-// prefetch (expanding) — under the file's fault policy, leaving a hard
-// error or ErrPipelineClosed in mb.err.
+// + seed plan or ContextFn contexts (owner), the three NEIGHBORHOOD
+// expansions and the attribute prefetch (expanding) — under the file's
+// fault policy, leaving a hard error or ErrPipelineClosed in mb.err.
 //
 // After a lost lease only the owner redraws TRAVERSE, at the fresh pin, so
 // a depth-0 batch stays single-valued. A worker replays only from the
@@ -106,7 +106,7 @@ func (p *Pipeline) assemble(mb *MiniBatch, l *lane) {
 			p.ps.Discard(mb.Pin)
 			p.unpin(mb)
 			if l.owner {
-				mb.Src, mb.Dst, mb.Negs = mb.Src[:0], mb.Dst[:0], mb.Negs[:0]
+				mb.dropEdges()
 				mb.Epochs.Reset()
 			}
 		default:
@@ -121,7 +121,9 @@ func (p *Pipeline) assemble(mb *MiniBatch, l *lane) {
 // completed are skipped, so replaying a parked batch redraws nothing from
 // the sequential streams: TRAVERSE runs while the batch holds no positives
 // (the owner clears them only after a lost lease), and the seeds are
-// planned once per batch.
+// planned once per batch. A ContextFn trainer's contexts are drawn with the
+// positives they expand; a failed draw cannot be replayed, so it drops the
+// positives and the retry redraws the whole batch.
 func (p *Pipeline) assembleOnce(mb *MiniBatch, l *lane) error {
 	tr := p.tr
 	start := time.Now()
@@ -138,7 +140,12 @@ func (p *Pipeline) assembleOnce(mb *MiniBatch, l *lane) error {
 		if err := tr.assembleEdges(mb); err != nil {
 			return err
 		}
-		if !mb.planned && tr.ContextFn == nil {
+		if tr.ContextFn != nil {
+			if err := tr.drawContexts(mb); err != nil {
+				mb.dropEdges()
+				return err
+			}
+		} else if !mb.planned {
 			p.plan(mb)
 		}
 		p.met.schedule.Observe(int64(time.Since(start)))
@@ -158,7 +165,6 @@ func (p *Pipeline) assembleOnce(mb *MiniBatch, l *lane) error {
 		}
 	}
 	p.met.sample.Observe(int64(time.Since(sampleStart)))
-	mb.HasCtxs = true
 	if p.prefetch != nil {
 		// Remote feature rows are fetched here, at the batch's pinned
 		// epoch, so the encode reads the same snapshot as every other stage.
@@ -185,23 +191,17 @@ func (p *Pipeline) assembleOnce(mb *MiniBatch, l *lane) error {
 	return nil
 }
 
-// plan takes mb's three expansion seeds from the sequential seed stream. A
-// batched source consumes exactly one seed per hop, so a snapshot plus a
+// plan takes mb's three expansion seeds from the sequential seed stream.
+// An expansion consumes exactly one seed per hop, so a snapshot plus a
 // fixed skip hands the expanding lane precisely the draws a single
-// goroutine would have made. Generic sources consume a data-dependent
-// number of draws per expansion; each encode gets an independently seeded
-// fork so concurrent batches never replay overlapping stream segments.
+// goroutine would have made.
 func (p *Pipeline) plan(mb *MiniBatch) {
 	if p.srng == nil {
 		p.srng = sampling.NewRng(uint64(p.tr.Rng.Int63()))
 	}
 	for e := range mb.seeds {
-		if p.batched {
-			mb.seeds[e] = p.srng.Snapshot()
-			p.srng.Skip(len(p.tr.HopNums))
-		} else {
-			mb.seeds[e] = *sampling.NewRng(p.srng.Uint64())
-		}
+		mb.seeds[e] = p.srng.Snapshot()
+		p.srng.Skip(len(p.tr.HopNums))
 	}
 	mb.planned = true
 }

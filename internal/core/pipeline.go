@@ -41,20 +41,16 @@ var ErrPipelineClosed = errors.New("core: pipeline closed")
 // Determinism: a single owner goroutine (the scheduler; the caller at depth
 // 0) performs every draw from the trainer's sequential random streams in
 // batch order — the TRAVERSE batch, the negatives, and a snapshot of the
-// NEIGHBORHOOD seed stream per encode (each hop of a batched source
-// consumes exactly one seed, so the owner advances the stream without
-// sampling anything). Workers then execute the
-// expensive expansions from those snapshots, and a collector releases
-// batches in sequence order. For sources with the BatchSampler capability
-// (local graphs, cluster clients) the training losses are therefore
-// bit-identical at every Depth and Workers setting — including with a
-// replacing (LRU) neighbor cache: batched draws are slot-pure
+// NEIGHBORHOOD seed stream per encode (each hop consumes exactly one seed,
+// so the owner advances the stream without sampling anything). Workers
+// then execute the expensive expansions from those snapshots, and a
+// collector releases batches in sequence order. The training losses are
+// therefore bit-identical at every Depth and Workers setting — including
+// with a replacing (LRU) neighbor cache: draws are slot-pure
 // (sampling.SlotRng derives each slot's stream from the hop seed and the
 // slot index alone), so cache warm-up timing, admission order across
 // workers, and hit/miss patterns can shift RPC traffic but never the
-// sampled values. Generic sources stay correct but draw from independently
-// seeded per-encode forks of the stream (their expansions consume
-// data-dependent draw counts, which a fixed skip cannot budget).
+// sampled values.
 //
 // Buffers: MiniBatches circulate through a fixed free list of
 // Depth+Workers+1 batches (one batch at depth 0), so steady-state
@@ -69,9 +65,8 @@ type Pipeline struct {
 	prefetch PrefetchingFeatures
 	// ps is the source's pinning capability (cluster clients). When
 	// present, every batch is stamped with a pin of the snapshot current at
-	// schedule time and every stage reads it.
-	ps      sampling.PinSource
-	batched bool // the source implements sampling.BatchSampler
+	// schedule time and every stage reads it through its lane's EpochView.
+	ps sampling.PinSource
 
 	// srng is the NEIGHBORHOOD seed stream, drawn only by the owner lane;
 	// created lazily from the trainer's Rng after the first batch's edge
@@ -101,14 +96,14 @@ type Pipeline struct {
 // NewPipeline builds and starts a batch source over tr's environment and
 // sampler stack. The trainer must not have trained yet (the pipeline takes
 // over its random streams). Above depth 0 the trainer must not use a
-// ContextFn — layer-wise sampling closures are not goroutine-safe and would
-// race the scheduler on the trainer's rand.Rand; NewPipeline panics rather
-// than letting that misuse surface as a data race far from its cause.
+// ContextFn — layer-wise sampling closures are not required to be
+// goroutine-safe, and a scheduler drawing them ahead of the consumer would
+// race inference on the trainer's rand.Rand; NewPipeline panics rather than
+// letting that misuse surface as a data race far from its cause.
 // Install the pipeline with tr.SetSource.
 func NewPipeline(tr *LinkTrainer, cfg PipelineConfig) *Pipeline {
 	p := &Pipeline{tr: tr, prefetch: tr.prefetcher(), stop: make(chan struct{})}
 	p.ps, _ = tr.Src.(sampling.PinSource)
-	_, p.batched = tr.Src.(sampling.BatchSampler)
 	if cfg.Depth < 1 {
 		p.cfg = PipelineConfig{}
 		p.inline = &MiniBatch{}
@@ -119,7 +114,7 @@ func NewPipeline(tr *LinkTrainer, cfg PipelineConfig) *Pipeline {
 		return p
 	}
 	if tr.ContextFn != nil {
-		panic("core: Pipeline is incompatible with a ContextFn trainer (layer-wise samplers draw from the trainer's rand.Rand at encode time)")
+		panic("core: Pipeline is incompatible with a ContextFn trainer (layer-wise samplers draw from the trainer's rand.Rand and need not be goroutine-safe)")
 	}
 	if cfg.Workers < 1 {
 		cfg.Workers = 2

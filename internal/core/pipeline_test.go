@@ -2,8 +2,10 @@ package core
 
 import (
 	"errors"
+	"math"
 	"math/rand"
 	"runtime"
+	"slices"
 	"sync"
 	"testing"
 	"time"
@@ -186,12 +188,12 @@ type failEnv struct {
 	left int
 }
 
-func (e *failEnv) SampleEdges(t graph.EdgeType, n int) ([]graph.Edge, error) {
+func (e *failEnv) AppendEdges(dst []graph.Edge, t graph.EdgeType, n int, pin *sampling.Pin, span *sampling.EpochSpan) ([]graph.Edge, error) {
 	if e.left <= 0 {
 		return nil, errors.New("env down")
 	}
 	e.left--
-	return e.TrainEnv.SampleEdges(t, n)
+	return e.TrainEnv.AppendEdges(dst, t, n, pin, span)
 }
 
 // An assembly error must surface from Next in sequence position and stick;
@@ -235,7 +237,7 @@ type downErr struct{}
 func (downErr) Error() string   { return "shard down" }
 func (downErr) Transient() bool { return true }
 
-func (e *downEnv) SampleEdges(graph.EdgeType, int) ([]graph.Edge, error) {
+func (e *downEnv) AppendEdges([]graph.Edge, graph.EdgeType, int, *sampling.Pin, *sampling.EpochSpan) ([]graph.Edge, error) {
 	e.calls <- struct{}{}
 	return nil, downErr{}
 }
@@ -281,6 +283,49 @@ func TestPipelineRejectsContextFn(t *testing.T) {
 		}
 	}()
 	NewPipeline(tr, PipelineConfig{Depth: 1, Workers: 1})
+}
+
+// A ContextFn trainer's contexts are drawn at batch assembly, right after
+// the positives and negatives they expand: Src, Dst, then Negs. A draw that
+// fails transiently cannot be replayed, so the retry redraws the batch and
+// its contexts still expand its own vertex lists.
+func TestSyncSourceDrawsContextFnContexts(t *testing.T) {
+	grng := rand.New(rand.NewSource(6))
+	g := twoCommunityGraph(20, grng)
+	tr := newPipelineTestTrainer(g, 31)
+	nbr := sampling.NewNeighborhood(sampling.NewGraphSource(g), tr.Rng)
+	var drawn [][]graph.ID
+	fail := true
+	tr.ContextFn = func(vs []graph.ID) (*sampling.Context, error) {
+		if fail && len(drawn) == 1 {
+			fail = false
+			drawn = drawn[:0]
+			return nil, downErr{}
+		}
+		drawn = append(drawn, append([]graph.ID(nil), vs...))
+		return nbr.Sample(tr.EdgeType, vs, tr.HopNums)
+	}
+	src := NewSyncSource(tr)
+	defer src.Close()
+	mb, err := src.Next()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if fail {
+		t.Fatal("the failing ContextFn call never ran")
+	}
+	if len(drawn) != 3 {
+		t.Fatalf("%d ContextFn calls in the delivered batch, want 3", len(drawn))
+	}
+	for e, vs := range [3][]graph.ID{mb.Src, mb.Dst, mb.Negs} {
+		if !slices.Equal(drawn[e], vs) || !slices.Equal(mb.Ctxs[e].Layers[0], vs) {
+			t.Fatalf("context %d expands %v, batch list is %v", e, mb.Ctxs[e].Layers[0], vs)
+		}
+	}
+	if loss, err := tr.Step(mb); err != nil || math.IsNaN(loss) {
+		t.Fatalf("Step on ContextFn contexts: loss %v, err %v", loss, err)
+	}
+	src.Recycle(mb)
 }
 
 // Epoch spans merge TRAVERSE and NEIGHBORHOOD observations; a local graph

@@ -13,17 +13,23 @@ import (
 // TrainEnv supplies the training-loop inputs that are not neighbor
 // expansions: positive edge batches (TRAVERSE), the negative candidate pool
 // with raw positive-occurrence counts (NEGATIVE applies the unigram^0.75
-// smoothing itself), and the size of the vertex universe. A local graph and
-// a distributed cluster client both satisfy it, which is what decouples the
-// trainer from *graph.Graph.
+// smoothing itself), the size of the vertex universe, and the newest update
+// epoch observed. A local graph and a distributed cluster client both
+// satisfy it, which is what decouples the trainer from *graph.Graph.
 type TrainEnv interface {
-	// SampleEdges draws n edges of type t uniformly over the edge set.
-	SampleEdges(t graph.EdgeType, n int) ([]graph.Edge, error)
+	// AppendEdges appends n edges of type t drawn uniformly over the edge
+	// set to dst (allocation-free in steady state), reading the pinned
+	// snapshot when pin is set and recording what the serving shards
+	// observed into span.
+	AppendEdges(dst []graph.Edge, t graph.EdgeType, n int, pin *sampling.Pin, span *sampling.EpochSpan) ([]graph.Edge, error)
 	// NegativePool returns negative candidates for edge type t with their
 	// unnormalized positive counts (in-degrees).
 	NegativePool(t graph.EdgeType) (cands []graph.ID, counts []float64, err error)
 	// NumVertices reports the vertex universe size (IDs are dense).
 	NumVertices() int
+	// ObservedEpoch reports the newest update epoch observed across the
+	// backing store: the staleness clock of epoch-refreshed negative pools.
+	ObservedEpoch() uint64
 }
 
 // LocalEnv adapts an in-memory graph to TrainEnv.
@@ -37,17 +43,14 @@ func NewLocalEnv(g *graph.Graph, rng *rand.Rand) *LocalEnv {
 	return &LocalEnv{G: g, trav: sampling.NewTraverse(g, rng)}
 }
 
-// SampleEdges implements TrainEnv.
-func (e *LocalEnv) SampleEdges(t graph.EdgeType, n int) ([]graph.Edge, error) {
-	return e.trav.SampleEdges(t, n), nil
-}
-
-// AppendEdges implements BatchEnv: draw-for-draw identical to SampleEdges
-// but into a recycled buffer. Local graphs have no update epochs or
-// snapshot pins, so both are ignored.
+// AppendEdges implements TrainEnv with the local TRAVERSE sampler. Local
+// graphs have no update epochs or snapshot pins, so both are ignored.
 func (e *LocalEnv) AppendEdges(dst []graph.Edge, t graph.EdgeType, n int, _ *sampling.Pin, _ *sampling.EpochSpan) ([]graph.Edge, error) {
 	return e.trav.AppendEdges(dst, t, n), nil
 }
+
+// ObservedEpoch implements TrainEnv: an in-memory graph never advances.
+func (e *LocalEnv) ObservedEpoch() uint64 { return 0 }
 
 // NegativePool implements TrainEnv.
 func (e *LocalEnv) NegativePool(t graph.EdgeType) ([]graph.ID, []float64, error) {
@@ -72,8 +75,8 @@ func (e *LocalEnv) NumVertices() int { return e.G.NumVertices() }
 // Batch production and consumption are decoupled: a BatchSource assembles
 // MiniBatches (a Pipeline: inline at depth 0, ahead of the consumer on
 // worker goroutines above it) and Step consumes one — forward, loss,
-// backward, optimizer — without doing any sampling of its own. Train and StepNext tie the two
-// together.
+// backward, optimizer — without doing any sampling of its own. Train and
+// StepNext tie the two together.
 type LinkTrainer struct {
 	Env      TrainEnv
 	Src      sampling.Source
@@ -86,18 +89,19 @@ type LinkTrainer struct {
 	Rng      *rand.Rand
 
 	// ContextFn, when non-nil, overrides NEIGHBORHOOD sampling (FastGCN's
-	// layer-wise sampling swaps the SAMPLE strategy this way). Batches then
-	// carry no contexts and Step samples at encode time; ContextFn closures
-	// are not required to be goroutine-safe, so they are incompatible with
-	// a Pipeline source.
+	// layer-wise sampling swaps the SAMPLE strategy this way). Batch
+	// assembly calls it for Src, Dst and Negs right after drawing them, and
+	// the batch carries its contexts like any other; ContextFn closures are
+	// not required to be goroutine-safe, so they are incompatible with a
+	// Pipeline deeper than 0. Inference (Embed, EmbedAll) calls it too.
 	ContextFn func(vs []graph.ID) (*sampling.Context, error)
 
-	// NegRefresh, when positive over an EpochedEnv, rebuilds the negative
-	// pool from a fresh NegativePool call whenever the environment's
-	// observed head epoch has advanced by at least NegRefresh since the
-	// pool was last built — on a streaming graph the pool would otherwise
-	// stay frozen at construction time forever. The rebuild consumes zero
-	// rng draws, so refreshed and unrefreshed runs stay draw-aligned.
+	// NegRefresh, when positive, rebuilds the negative pool from a fresh
+	// NegativePool call whenever the environment's observed head epoch has
+	// advanced by at least NegRefresh since the pool was last built — on a
+	// streaming graph the pool would otherwise stay frozen at construction
+	// time forever. The rebuild consumes zero rng draws, so refreshed and
+	// unrefreshed runs stay draw-aligned.
 	NegRefresh uint64
 
 	nbr *sampling.Neighborhood
@@ -166,9 +170,7 @@ func NewLinkTrainerOver(env TrainEnv, src sampling.Source, enc *Encoder, cfg Tra
 		nbr: sampling.NewNeighborhood(src, rng),
 		neg: sampling.NewNegativeFromPool(cands, sampling.UnigramWeights(counts), rng),
 	}
-	if ee, ok := env.(EpochedEnv); ok {
-		tr.negEpoch = ee.ObservedEpoch()
-	}
+	tr.negEpoch = env.ObservedEpoch()
 	return tr, nil
 }
 
@@ -188,11 +190,7 @@ func (tr *LinkTrainer) maybeRefreshNegatives() error {
 	if tr.NegRefresh == 0 {
 		return nil
 	}
-	ee, ok := tr.Env.(EpochedEnv)
-	if !ok {
-		return nil
-	}
-	h := ee.ObservedEpoch()
+	h := tr.Env.ObservedEpoch()
 	if h < tr.negEpoch+tr.NegRefresh {
 		return nil
 	}
@@ -235,11 +233,11 @@ func (tr *LinkTrainer) prefetcher() PrefetchingFeatures {
 	return tr.prefetch
 }
 
-// Step consumes one assembled MiniBatch: three encodes on one tape, the
-// negative-sampling loss, backward, gradient clip and optimizer step. All
-// sampling happened at batch-assembly time (or happens via ContextFn);
-// Step itself performs pure compute, which is exactly what a prefetching
-// source overlaps with the next batches' sampling.
+// Step consumes one assembled MiniBatch: three encodes of its contexts on
+// one tape, the negative-sampling loss, backward, gradient clip and
+// optimizer step. All sampling happened at batch-assembly time; Step
+// itself performs pure compute, which is exactly what a prefetching source
+// overlaps with the next batches' sampling.
 func (tr *LinkTrainer) Step(mb *MiniBatch) (float64, error) {
 	if pf := tr.prefetcher(); pf != nil && mb.Attrs != nil {
 		pf.ServePrefetched(mb.Attrs)
@@ -247,18 +245,9 @@ func (tr *LinkTrainer) Step(mb *MiniBatch) (float64, error) {
 	}
 
 	t := nn.NewTape()
-	hs, err := tr.encodeTrain(t, mb, 0, mb.Src)
-	if err != nil {
-		return 0, err
-	}
-	hd, err := tr.encodeTrain(t, mb, 1, mb.Dst)
-	if err != nil {
-		return 0, err
-	}
-	hn, err := tr.encodeTrain(t, mb, 2, mb.Negs)
-	if err != nil {
-		return 0, err
-	}
+	hs := tr.Enc.Encode(t, &mb.Ctxs[0])
+	hd := tr.Enc.Encode(t, &mb.Ctxs[1])
+	hn := tr.Enc.Encode(t, &mb.Ctxs[2])
 
 	// Repeat each source NegK times to align with its negatives.
 	rep := make([]int, len(mb.Negs))
@@ -302,22 +291,6 @@ func (tr *LinkTrainer) Train(steps int) ([]float64, error) {
 		losses[i] = l
 	}
 	return losses, nil
-}
-
-// encodeTrain encodes one of the batch's three vertex lists using its
-// pre-sampled context (or ContextFn when the SAMPLE strategy is overridden).
-func (tr *LinkTrainer) encodeTrain(t *nn.Tape, mb *MiniBatch, i int, vs []graph.ID) (*nn.Node, error) {
-	if tr.ContextFn != nil {
-		ctx, err := tr.ContextFn(vs)
-		if err != nil {
-			return nil, err
-		}
-		return tr.Enc.Encode(t, ctx), nil
-	}
-	if !mb.HasCtxs {
-		return nil, errNoContexts
-	}
-	return tr.Enc.Encode(t, &mb.Ctxs[i]), nil
 }
 
 // encodeInference samples a context for vs (ContextFn or a per-call

@@ -413,8 +413,8 @@ func TestGradTransposeAndDivScalar(t *testing.T) {
 	build := func() float64 {
 		tp := NewTape()
 		x := tp.Use(w)
-		xt := tp.TransposeNode(x)       // 2 x 3
-		s := tp.SumAll(tp.Exp(x))       // positive scalar
+		xt := tp.TransposeNode(x) // 2 x 3
+		s := tp.SumAll(tp.Exp(x)) // positive scalar
 		y := tp.DivScalarNode(xt, s)
 		loss := tp.MSE(y, target)
 		tp.Backward(loss)

@@ -8,12 +8,11 @@
 //
 // The hot path is batched, parallel and allocation-free in steady state:
 //
-//   - Source is batch-first: one NeighborsBatch (or fixed-width SampleBatch,
-//     via the optional BatchSampler capability) call covers a whole hop of a
-//     mini-batch. The in-memory graph (GraphSource) and the distributed
-//     cluster client are two implementations of the same seam; the remote
-//     one dedups hub vertices and pays at most one round trip per owning
-//     server per hop.
+//   - Source is batch-first: one fixed-width SampleBatch call covers a
+//     whole hop of a mini-batch. The in-memory graph (GraphSource) and the
+//     distributed cluster client are two implementations of the same seam;
+//     the remote one dedups hub vertices and pays at most one round trip
+//     per owning server per hop.
 //   - AliasIndex precomputes one Walker alias table per vertex for a
 //     (graph, edge type) pair, flattened into CSR-aligned arrays, so a
 //     weighted neighbor draw is O(1) with zero per-draw construction.

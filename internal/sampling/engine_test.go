@@ -186,53 +186,6 @@ func TestSampleIntoSteadyStateAllocFree(t *testing.T) {
 	}
 }
 
-// listSource is a minimal Source without the BatchSampler capability,
-// standing in for exotic backends that only serve neighbor lists.
-type listSource struct {
-	g *graph.Graph
-}
-
-func (s listSource) NeighborsBatch(dst [][]graph.ID, vs []graph.ID, t graph.EdgeType) error {
-	for i, v := range vs {
-		dst[i] = s.g.OutNeighbors(v, t)
-	}
-	return nil
-}
-
-// TestSampleIntoGenericSource exercises the NeighborsBatch fallback path:
-// uniform sampling works (and pads isolated vertices), weighted sampling is
-// an explicit error since weights never leave a batch source.
-func TestSampleIntoGenericSource(t *testing.T) {
-	g := userItemGraph()
-	s := NewNeighborhood(listSource{g}, rand.New(rand.NewSource(1)))
-	var ctx Context
-	rng := NewRng(5)
-	batch := []graph.ID{0, 1, 6}
-	if err := s.SampleInto(&ctx, 0, batch, []int{3, 2}, rng); err != nil {
-		t.Fatal(err)
-	}
-	if len(ctx.Layers[1]) != 9 || len(ctx.Layers[2]) != 18 {
-		t.Fatalf("layer sizes %d %d", len(ctx.Layers[1]), len(ctx.Layers[2]))
-	}
-	for i, v := range batch {
-		for _, u := range ctx.NeighborsOf(0, i) {
-			if u != v && !g.HasEdge(v, u, 0) {
-				t.Fatalf("%d -> %d is not an edge", v, u)
-			}
-		}
-	}
-	// Vertex 6 is isolated: its draws must be itself.
-	for _, u := range ctx.NeighborsOf(0, 2) {
-		if u != 6 {
-			t.Fatalf("isolated vertex padded with %d", u)
-		}
-	}
-	s.ByWeight = true
-	if err := s.SampleInto(&ctx, 0, batch, []int{2}, rng); err != ErrWeightedUnsupported {
-		t.Fatalf("weighted over generic source: %v, want ErrWeightedUnsupported", err)
-	}
-}
-
 func TestSampleVerticesEmptyPool(t *testing.T) {
 	// Edge type 1 ("buy") exists in the schema but carries no edges: the old
 	// rejection loop would spin forever here.

@@ -48,7 +48,7 @@ func (r *Rng) Float64() float64 {
 // per-call seed: the state is a full splitmix64 scramble of (seed, slot), so
 // nearby slots are uncorrelated rather than shifted copies of one stream.
 // This is the mechanism behind cache-oblivious batched draws: every
-// BatchSampler implementation fills slot i from SlotRng(seed, i), which
+// Source implementation fills slot i from SlotRng(seed, i), which
 // makes the samples a pure function of (seed, slot, neighbor list) — the
 // same values whether a slot was served from a local graph, a neighbor
 // cache, or a remote shard, and regardless of which other slots hit or

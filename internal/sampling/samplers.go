@@ -143,10 +143,6 @@ func (s *Traverse) EpochVertices(t graph.EdgeType) []graph.ID {
 type Context struct {
 	HopNums []int
 	Layers  [][]graph.ID
-
-	// nbrs is scratch for the generic (non-BatchSampler) source path: one
-	// neighbor-list slot per current-layer vertex, reused across hops.
-	nbrs [][]graph.ID
 }
 
 // NeighborsOf returns the sampled neighbors of the i-th vertex of layer h
@@ -166,8 +162,7 @@ type Neighborhood struct {
 	Src Source
 	Rng *rand.Rand
 	// ByWeight selects neighbors proportionally to edge weight instead of
-	// uniformly; it requires Src to implement BatchSampler (weights never
-	// leave the source).
+	// uniformly (weights never leave the source).
 	ByWeight bool
 }
 
@@ -195,10 +190,9 @@ func (s *Neighborhood) Sample(t graph.EdgeType, batch []graph.ID, hopNums []int)
 // so a warm call performs zero allocations. ctx and rng must not be shared
 // between goroutines; s itself may be.
 //
-// Each hop is one SampleBatch call when the source has the capability
-// (local graphs draw in place; distributed clients dedup hubs and pay at
-// most one RPC per owning server), and one NeighborsBatch call plus
-// client-side uniform draws otherwise.
+// Each hop is one SampleBatch call, seeded by one rng draw: local graphs
+// draw in place; distributed clients dedup hubs and pay at most one RPC
+// per owning server. An EpochView source is tagged with the hop it serves.
 func (s *Neighborhood) SampleInto(ctx *Context, t graph.EdgeType, batch []graph.ID, hopNums []int, rng *Rng) error {
 	ctx.HopNums = append(ctx.HopNums[:0], hopNums...)
 	for len(ctx.Layers) < len(hopNums)+1 {
@@ -207,15 +201,14 @@ func (s *Neighborhood) SampleInto(ctx *Context, t graph.EdgeType, batch []graph.
 	ctx.Layers = ctx.Layers[:len(hopNums)+1]
 	ctx.Layers[0] = append(ctx.Layers[0][:0], batch...)
 
-	sampler, batched := s.Src.(BatchSampler)
-	ht, _ := s.Src.(HopTagged)
-	if ht != nil {
-		defer ht.SetHop(0)
+	view, _ := s.Src.(EpochView)
+	if view != nil {
+		defer view.SetHop(0)
 	}
 	cur := ctx.Layers[0]
 	for h, width := range hopNums {
-		if ht != nil {
-			ht.SetHop(h + 1)
+		if view != nil {
+			view.SetHop(h + 1)
 		}
 		need := len(cur) * width
 		next := ctx.Layers[h+1]
@@ -224,47 +217,11 @@ func (s *Neighborhood) SampleInto(ctx *Context, t graph.EdgeType, batch []graph.
 		} else {
 			next = next[:need]
 		}
-		if batched {
-			if err := sampler.SampleBatch(next, cur, t, width, s.ByWeight, rng.Uint64()); err != nil {
-				return err
-			}
-		} else if err := s.sampleGeneric(ctx, next, cur, t, width, rng); err != nil {
+		if err := s.Src.SampleBatch(next, cur, t, width, s.ByWeight, rng.Uint64()); err != nil {
 			return err
 		}
 		ctx.Layers[h+1] = next
 		cur = next
-	}
-	return nil
-}
-
-// sampleGeneric draws client-side from full neighbor lists fetched with one
-// NeighborsBatch call per hop; it is the fallback for sources without the
-// BatchSampler capability. dst must hold len(cur)*width entries.
-func (s *Neighborhood) sampleGeneric(ctx *Context, dst, cur []graph.ID, t graph.EdgeType, width int, rng *Rng) error {
-	if s.ByWeight {
-		return ErrWeightedUnsupported
-	}
-	if cap(ctx.nbrs) < len(cur) {
-		ctx.nbrs = make([][]graph.ID, len(cur))
-	}
-	nbrs := ctx.nbrs[:len(cur)]
-	if err := s.Src.NeighborsBatch(nbrs, cur, t); err != nil {
-		return err
-	}
-	o := 0
-	for i, v := range cur {
-		ns := nbrs[i]
-		if len(ns) == 0 {
-			for k := 0; k < width; k++ {
-				dst[o] = v
-				o++
-			}
-			continue
-		}
-		for k := 0; k < width; k++ {
-			dst[o] = ns[rng.Intn(len(ns))]
-			o++
-		}
 	}
 	return nil
 }

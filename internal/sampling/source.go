@@ -1,38 +1,25 @@
 package sampling
 
 import (
-	"errors"
 	"fmt"
 	"sync"
 
 	"repro/internal/graph"
 )
 
-// Source is the batch-first contract between NEIGHBORHOOD sampling and
-// whatever holds the adjacency: an in-memory graph, a graph-server
-// partition, or a distributed client stitching per-server sub-batches
-// (Section 3.3). One call covers one whole hop of a mini-batch, which is
-// what lets remote implementations dedup hub vertices and pay one round
-// trip per owning server instead of one per vertex.
+// Source is the one contract between NEIGHBORHOOD sampling and whatever
+// holds the adjacency: an in-memory graph, or a distributed client
+// stitching per-server sub-batches (Section 3.3). One call covers one
+// whole hop of a mini-batch, which is what lets a remote implementation
+// dedup hub vertices, draw where the adjacency lives, and pay at most one
+// round trip per owning server instead of one per vertex.
 type Source interface {
-	// NeighborsBatch fills dst[i] with the out-neighbor list of vs[i] under
-	// edge type t; len(dst) must equal len(vs). The returned slices may
-	// alias source-owned (or cache-owned) memory and must be treated as
-	// read-only by the caller.
-	NeighborsBatch(dst [][]graph.ID, vs []graph.ID, t graph.EdgeType) error
-}
-
-// BatchSampler is an optional Source capability: fixed-width neighbor draws
-// executed where the adjacency lives, so a remote source ships width
-// sampled IDs per vertex instead of full hub adjacency lists. Weighted
-// draws (edge-weight proportional) are part of the capability; sources
-// without it only serve uniform selection through NeighborsBatch.
-type BatchSampler interface {
 	// SampleBatch fills dst (len(vs)*width entries, batch-major) with width
-	// neighbor draws per vertex of vs under edge type t. Vertices with no
-	// type-t out-edges are padded with themselves, keeping the output
-	// aligned. seed makes the draw deterministic for a given source state;
-	// callers advance their own Rng to produce per-hop seeds.
+	// neighbor draws per vertex of vs under edge type t, uniform or (with
+	// byWeight) proportional to edge weight. Vertices with no type-t
+	// out-edges are padded with themselves, keeping the output aligned.
+	// seed makes the draw deterministic for a given source state; callers
+	// advance their own Rng to produce per-hop seeds.
 	//
 	// Draws are slot-pure: the samples filling dst[i*width:(i+1)*width]
 	// come from SlotRng(seed, i) and are therefore a pure function of
@@ -43,10 +30,6 @@ type BatchSampler interface {
 	// vary without perturbing a fixed-seed training run.
 	SampleBatch(dst []graph.ID, vs []graph.ID, t graph.EdgeType, width int, byWeight bool, seed uint64) error
 }
-
-// ErrWeightedUnsupported is returned when weighted neighborhood sampling is
-// requested from a Source that does not implement BatchSampler.
-var ErrWeightedUnsupported = errors.New("sampling: weighted draws require a Source implementing BatchSampler")
 
 // EpochSpan accumulates the min/max update epochs observed in the replies
 // that served a unit of work (one mini-batch). Distributed sources stamp
@@ -108,10 +91,11 @@ type Pin struct {
 	Epochs []uint64
 }
 
-// PinSource is an optional Source capability for backends that can lease
-// snapshot epochs. The scheduler of a batch pipeline pins the snapshot
-// current at schedule time and stamps the batch with it; every stage of the
-// batch then reads that snapshot.
+// PinSource is the Source capability of epoched backends (cluster
+// clients), whose replies are stamped with update epochs and which can
+// lease snapshot epochs. The owner of a batch pipeline pins the snapshot
+// current at schedule time and stamps the batch with it; every stage of
+// the batch then reads that snapshot through its own EpochView.
 type PinSource interface {
 	Source
 	// Pin acquires a reference to a pin of the backend's current snapshot.
@@ -122,34 +106,15 @@ type PinSource interface {
 	// shard), so the next Pin call must lease a fresh snapshot. References
 	// still held must be released with Unpin as usual.
 	Discard(p *Pin)
-}
-
-// HopTagged is an optional Source capability for per-hop attribution:
-// SetHop tells the source which (1-based) hop of a neighborhood expansion
-// the following batch calls serve, so instrumented sources can break their
-// always-on metrics down per (edge type, hop). SetHop(0) clears the tag
-// (direct, unattributed calls). A hop tag is single-consumer state, so the
-// capability belongs on per-consumer views (EpochView), not on shared
-// sources; Neighborhood.SampleInto tags its source when the capability is
-// present and always clears it on the way out.
-type HopTagged interface {
-	SetHop(h int)
-}
-
-// EpochedSource is an optional Source capability for backends whose replies
-// are stamped with update epochs. EpochView returns a private view of the
-// source for one consumer (e.g. one pipeline worker): the view serves the
-// same data but records the epochs it observes, so concurrent consumers of
-// a shared source each get a per-batch span without synchronization.
-type EpochedSource interface {
-	Source
+	// EpochView returns a private view of the source for one consumer (one
+	// pipeline lane): it serves the same data but records the epochs it
+	// observes, so concurrent consumers of a shared source each get a
+	// per-batch span without synchronization.
 	EpochView() EpochView
 }
 
 // EpochView is a single-consumer Source view that records observed reply
 // epochs. Views are not safe for concurrent use; the source behind them is.
-// Views of epoched sources that also implement BatchSampler implement it
-// too, preserving the server-side fixed-width draw path.
 type EpochView interface {
 	Source
 	// Span returns the epochs observed since the last ResetSpan.
@@ -160,12 +125,16 @@ type EpochView interface {
 	// to head reads). While pinned the span records p.Stamp, so a completed
 	// batch's span is single-valued — Mixed() becomes an invariant.
 	SetPin(p *Pin)
+	// SetHop tells the view which (1-based) hop of a neighborhood expansion
+	// the following calls serve, so the backend can break its metrics down
+	// per (edge type, hop); 0 clears the tag. Neighborhood.SampleInto tags
+	// a view source per hop and always clears the tag on the way out.
+	SetHop(h int)
 }
 
-// GraphSource serves neighbors from an in-memory graph. It implements both
-// Source and BatchSampler; weighted draws go through a lazily built
-// per-edge-type AliasIndex that is shared, immutable once built, and safe
-// for concurrent use.
+// GraphSource serves neighbors from an in-memory graph. Weighted draws go
+// through a lazily built per-edge-type AliasIndex that is shared, immutable
+// once built, and safe for concurrent use.
 type GraphSource struct {
 	G *graph.Graph
 
@@ -176,19 +145,7 @@ type GraphSource struct {
 // NewGraphSource wraps an in-memory graph as a batch Source.
 func NewGraphSource(g *graph.Graph) *GraphSource { return &GraphSource{G: g} }
 
-// NeighborsBatch implements Source; the filled slices alias the graph's CSR
-// storage.
-func (s *GraphSource) NeighborsBatch(dst [][]graph.ID, vs []graph.ID, t graph.EdgeType) error {
-	if len(dst) != len(vs) {
-		return fmt.Errorf("sampling: NeighborsBatch dst length %d, want %d", len(dst), len(vs))
-	}
-	for i, v := range vs {
-		dst[i] = s.G.OutNeighbors(v, t)
-	}
-	return nil
-}
-
-// SampleBatch implements BatchSampler. Warm calls perform zero allocations:
+// SampleBatch implements Source. Warm calls perform zero allocations:
 // the Rng lives on the stack and the alias index is reused across calls.
 func (s *GraphSource) SampleBatch(dst []graph.ID, vs []graph.ID, t graph.EdgeType, width int, byWeight bool, seed uint64) error {
 	if len(dst) != len(vs)*width {
