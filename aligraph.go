@@ -78,7 +78,7 @@
 // serve.Server.RegisterObs.
 //
 // See examples/ for runnable end-to-end programs; examples/distributed
-// trains GraphSAGE against net/rpc shards while streaming updates into
+// trains GraphSAGE against TCP shards while streaming updates into
 // them, and examples/serving runs the inference tier over live shards under
 // churn.
 package aligraph
@@ -344,7 +344,7 @@ func (p *Platform) NewGraphSAGE(cfg TrainConfig) *Trainer {
 
 // ClusterPlatform is the distributed counterpart of Platform: the same
 // sampling and training seams, served by graph shards behind a
-// cluster.Transport (in-process servers or live net/rpc) through a routing,
+// cluster.Transport (in-process servers or live TCP shards) through a routing,
 // caching cluster.Client. Because the client implements the batch-first
 // sampling.Source contract, every layer above it — NEIGHBORHOOD sampling,
 // the encoder, the link trainer — is byte-for-byte the code that runs

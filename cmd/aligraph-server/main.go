@@ -1,4 +1,5 @@
-// Command aligraph-server runs one graph-server partition over net/rpc.
+// Command aligraph-server runs one graph-server partition over TCP, speaking
+// the cluster package's binary RPC protocol.
 // It loads a TSV graph (or generates Taobao-sim with -demo), partitions it,
 // keeps the shard selected by -part, and serves the batched RPC surface —
 // Neighbors/Attrs fetches plus the sampling RPCs behind distributed

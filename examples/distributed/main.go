@@ -1,6 +1,6 @@
 // Distributed: the storage-layer machinery end to end — partition a
 // Taobao-sim graph with METIS, serve each partition from a graph server
-// over real net/rpc on loopback TCP, compare multi-hop neighborhood access
+// over the binary RPC protocol on loopback TCP, compare multi-hop neighborhood access
 // with and without importance-based caching (the Figure 9 experiment on a
 // live cluster), then train GraphSAGE on a LIVE, CHANGING graph: the
 // training worker bootstraps graph-free (assignment and schema from the

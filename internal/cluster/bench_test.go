@@ -185,3 +185,69 @@ func BenchmarkClusterSample(b *testing.B) {
 		})
 	}
 }
+
+// BenchmarkRPCRoundTrip measures one call over loopback TCP to a single
+// shard (ServeRPC, DialRPC): framing, encoding and decoding both ways, the
+// kernel round trip and the handler, at payloads shaped like the
+// benchmark's sample workload. Attrs asks for 1000 rows of width 16;
+// SampleNeighbors draws width 5 for 200 vertices of degree 1 to 9, the
+// short ones answered with their lists.
+func BenchmarkRPCRoundTrip(b *testing.B) {
+	const n, width = 2000, 16
+	gb := graph.NewBuilder(graph.SimpleSchema(), true)
+	for v := range n {
+		attr := make([]float64, width)
+		for j := range attr {
+			attr[j] = float64(v) + float64(j)/width
+		}
+		gb.AddVertex(0, attr)
+	}
+	for v := range n {
+		for k := range 1 + v%9 {
+			gb.AddEdge(graph.ID(v), graph.ID((v*7+k+1)%n), 0, 1)
+		}
+	}
+	g := gb.Finalize()
+	a, err := (partition.HashPartitioner{}).Partition(g, 1)
+	if err != nil {
+		b.Fatal(err)
+	}
+	rs, err := ServeRPC(FromGraph(g, a)[0], "127.0.0.1:0")
+	if err != nil {
+		b.Fatal(err)
+	}
+	defer rs.Close()
+	tr, err := DialRPC([]string{rs.Addr()})
+	if err != nil {
+		b.Fatal(err)
+	}
+	defer tr.Close()
+
+	attrsReq := AttrsRequest{Vertices: make([]graph.ID, 1000)}
+	for i := range attrsReq.Vertices {
+		attrsReq.Vertices[i] = graph.ID(i)
+	}
+	sampleReq := SampleRequest{Vertices: make([]graph.ID, 200), Slots: make([]int32, 200), Width: 5, WantLists: true, Seed: 1}
+	for i := range sampleReq.Vertices {
+		sampleReq.Vertices[i] = graph.ID(i * 10)
+		sampleReq.Slots[i] = int32(i)
+	}
+	b.Run("Attrs", func(b *testing.B) {
+		b.ReportAllocs()
+		for i := 0; i < b.N; i++ {
+			var reply AttrsReply
+			if err := tr.Attrs(0, attrsReq, &reply); err != nil || len(reply.Attrs) != 1000 {
+				b.Fatal(err, len(reply.Attrs))
+			}
+		}
+	})
+	b.Run("SampleNeighbors", func(b *testing.B) {
+		b.ReportAllocs()
+		for i := 0; i < b.N; i++ {
+			var reply SampleReply
+			if err := tr.SampleNeighbors(0, sampleReq, &reply); err != nil {
+				b.Fatal(err)
+			}
+		}
+	})
+}

@@ -1,17 +1,21 @@
 package cluster
 
 import (
+	"math/rand"
 	"testing"
 
 	"repro/internal/graph"
 	"repro/internal/partition"
+	"repro/internal/sampling"
 )
 
 // TestHostileRequestsRejected sends malformed requests — edge types outside
-// the schema, negative draw counts, unbounded draw totals — through the
-// in-process transport and through loopback RPC. Each must come back as an
-// error (net/rpc does not recover a handler panic, so a panic would kill
-// the shard), and the server must answer a well-formed call afterwards.
+// the schema, negative draw counts, unbounded draw totals, added edges whose
+// destination lies outside the vertex universe — through the in-process
+// transport and through loopback RPC. Each must come back as an error (the
+// RPC server does not recover a handler panic, so a panic would kill the
+// shard), and the server must answer a well-formed call afterwards. A client
+// sampling vertex 0 after the rejected updates must not panic either.
 func TestHostileRequestsRejected(t *testing.T) {
 	g := churnTestGraph(60)
 	a, err := (partition.HashPartitioner{}).Partition(g, 1)
@@ -40,6 +44,9 @@ func TestHostileRequestsRejected(t *testing.T) {
 		call{"SampleNeighbors/huge width", MSampleNeighbors, SampleRequest{Vertices: vs[:1], Width: 1 << 62}},
 		call{"SampleEdges/huge count", MSampleEdges, EdgesRequest{Count: 1 << 62}},
 	)
+	for _, dst := range []graph.ID{1 << 40, -3, 60} {
+		calls = append(calls, call{"Update/destination", MUpdate, UpdateRequest{Add: []RawEdge{{Src: 0, Dst: dst}}}})
+	}
 
 	local := NewLocalTransport(FromGraph(g, a), 0, 0)
 	rs, err := ServeRPC(FromGraph(g, a)[0], "127.0.0.1:0")
@@ -69,6 +76,19 @@ func TestHostileRequestsRejected(t *testing.T) {
 		}
 		if len(reply.Samples) != 6 {
 			t.Fatalf("well-formed call via %s: %d samples, want 6", st.name, len(reply.Samples))
+		}
+		c := NewClient(a, typed(st.c), nil)
+		ns, err := c.Neighbors(0, 0)
+		if err != nil {
+			t.Fatalf("neighbors of 0 via %s: %v", st.name, err)
+		}
+		if _, err := c.Attrs(ns); err != nil {
+			t.Fatalf("attrs of 0's neighbors via %s: %v", st.name, err)
+		}
+		var ctx sampling.Context
+		nbr := sampling.NewNeighborhood(c, rand.New(rand.NewSource(1)))
+		if err := nbr.SampleInto(&ctx, 0, []graph.ID{0}, []int{5, 3}, sampling.NewRng(1)); err != nil {
+			t.Fatalf("sampling 0 via %s: %v", st.name, err)
 		}
 	}
 }

@@ -1,8 +1,6 @@
 package cluster
 
 import (
-	"bytes"
-	"encoding/gob"
 	"fmt"
 	"reflect"
 	"testing"
@@ -10,6 +8,7 @@ import (
 	"repro/internal/graph"
 	"repro/internal/obs"
 	"repro/internal/partition"
+	"repro/internal/version"
 )
 
 // harness gives a test Caller the typed Transport methods.
@@ -21,46 +20,14 @@ type harness struct {
 // typed makes c a Transport, for test harnesses that implement only Caller.
 func typed(c Caller) Transport { return harness{facade{c}, c} }
 
-// TestMethodTableNamesGraphService: every table row names an exported
-// GraphService method and a Transport method with the row's request and
-// reply types, so a wire-name typo fails here and not at the first call.
-func TestMethodTableNamesGraphService(t *testing.T) {
-	svc := reflect.TypeOf(&GraphService{})
-	tr := reflect.TypeOf((*Transport)(nil)).Elem()
-	if svc.NumMethod() != int(numMethods) {
-		t.Errorf("GraphService has %d methods, the table %d", svc.NumMethod(), numMethods)
-	}
-	for m := range numMethods {
-		spec := methods[m]
-		if spec.wire != "Graph."+spec.name {
-			t.Errorf("%v: wire name %q", m, spec.wire)
-		}
-		rm, ok := svc.MethodByName(spec.name)
-		if !ok {
-			t.Errorf("%v: GraphService has no method %q", m, spec.name)
-			continue
-		}
-		reply := reflect.TypeOf(spec.newReply())
-		if rm.Type.NumIn() != 3 || rm.Type.In(2) != reply {
-			t.Errorf("%v: GraphService.%s is %v, want reply type %v", m, spec.name, rm.Type, reply)
-		}
-		tm, ok := tr.MethodByName(spec.name)
-		if !ok {
-			t.Errorf("%v: Transport has no method %q", m, spec.name)
-			continue
-		}
-		if tm.Type.In(1) != rm.Type.In(1) || tm.Type.In(2) != reply {
-			t.Errorf("%v: Transport.%s is %v, GraphService.%s is %v", m, spec.name, tm.Type, spec.name, rm.Type)
-		}
-	}
-}
-
 // TestMethodTableAgreement sends the same request for every Method, to each
 // shard, through three stacks over identical clusters: in-process, loopback
 // TCP, and retry over seeded reply loss over in-process. The replies must be
-// deeply equal. Requests run in table order, so Update, Lease, Release and
-// Compact change every cluster the same way; under reply loss the tokened
-// ones are answered from the server's dedup ring.
+// deeply equal, nil and empty slices told apart. Requests run in table
+// order, so Update, Lease, Release and Compact change every cluster the same
+// way; under reply loss the tokened ones are answered from the server's
+// dedup ring. Then two application errors, an unowned vertex and a pinned
+// read of an evicted epoch, must fail identically through every stack.
 func TestMethodTableAgreement(t *testing.T) {
 	g := churnTestGraph(60)
 	a, err := (partition.HashPartitioner{}).Partition(g, 2)
@@ -89,46 +56,13 @@ func TestMethodTableAgreement(t *testing.T) {
 	defer wire.Close()
 	ft := NewFaultTransport(NewLocalTransport(FromGraph(g, a), 0, 0), 2, FaultConfig{Seed: 3, ReplyDropRate: 0.3})
 	chaos := NewRetryTransport(ft, 2, CallPolicy{Attempts: 20}, 1)
-	// gob does not tell a nil slice from an empty one, so the loopback
-	// stack's replies are compared with the local reply's wire form.
 	stacks := []struct {
 		name string
 		c    Caller
-		gob  bool
-	}{{"local", local, false}, {"rpc", wire, true}, {"retry/fault/local", chaos, false}}
+	}{{"local", local}, {"rpc", wire}, {"retry/fault/local", chaos}}
 
 	var leased [2]uint64
-	request := func(m Method, p int) any {
-		vs := owned[p][:4]
-		switch m {
-		case MNeighbors:
-			return NeighborsRequest{Vertices: vs, EdgeType: 0}
-		case MSampleNeighbors:
-			return SampleRequest{Vertices: vs, Counts: []int{1, 2, 1, 1}, EdgeType: 0, Width: 3, Seed: 7}
-		case MSampleEdges:
-			return EdgesRequest{EdgeType: 0, Count: 6, Seed: 7}
-		case MNegativePool:
-			return NegPoolRequest{EdgeType: 0}
-		case MStats:
-			return StatsRequest{}
-		case MAttrs:
-			return AttrsRequest{Vertices: vs}
-		case MBootstrap:
-			return BootstrapRequest{}
-		case MUpdate:
-			return UpdateRequest{
-				Add:     []RawEdge{{Src: vs[0], Dst: vs[1], Type: 1, Weight: 2}},
-				SetAttr: []AttrUpdate{{V: vs[2], Attr: []float64{9, 9}}},
-			}
-		case MLease:
-			return LeaseRequest{}
-		case MRelease:
-			return ReleaseRequest{Epoch: leased[p]}
-		case MCompact:
-			return CompactRequest{}
-		}
-		panic(fmt.Sprintf("no request for %v", m))
-	}
+	request := func(m Method, p int) any { return agreementRequest(m, owned[p][:4], leased[p]) }
 	for m := range numMethods {
 		for p := range 2 {
 			var want any
@@ -141,11 +75,7 @@ func TestMethodTableAgreement(t *testing.T) {
 					want = reply
 					continue
 				}
-				ref := want
-				if st.gob {
-					ref = wireForm(t, m, want)
-				}
-				if !reflect.DeepEqual(reply, ref) {
+				if !reflect.DeepEqual(reply, want) {
 					t.Errorf("%v on part %d: %s replied %+v, %s %+v", m, p, st.name, reply, stacks[0].name, want)
 				}
 			}
@@ -154,23 +84,83 @@ func TestMethodTableAgreement(t *testing.T) {
 			}
 		}
 	}
+
+	// Application errors cross every stack with the same text and stay
+	// non-transient. Enough updates first push epoch 1 out of the ring.
+	for i := range version.DefaultRetain + 1 {
+		for _, st := range stacks {
+			for p := range 2 {
+				req := UpdateRequest{SetAttr: []AttrUpdate{{V: owned[p][0], Attr: []float64{float64(i)}}}}
+				if err := st.c.Call(p, MUpdate, req, new(UpdateReply)); err != nil {
+					t.Fatalf("update via %s: %v", st.name, err)
+				}
+			}
+		}
+	}
+	for _, row := range []struct {
+		name    string
+		req     func(p int) AttrsRequest
+		evicted bool
+	}{
+		{"unowned vertex", func(p int) AttrsRequest { return AttrsRequest{Vertices: owned[1-p][:1]} }, false},
+		{"evicted epoch", func(p int) AttrsRequest { return AttrsRequest{Vertices: owned[p][:1], Pinned: true, Pin: 1} }, true},
+	} {
+		for p := range 2 {
+			var want string
+			for _, st := range stacks {
+				err := st.c.Call(p, MAttrs, row.req(p), new(AttrsReply))
+				switch {
+				case err == nil:
+					t.Fatalf("%s on part %d via %s: no error", row.name, p, st.name)
+				case IsTransient(err):
+					t.Errorf("%s on part %d via %s: %v is transient", row.name, p, st.name, err)
+				case version.IsEvicted(err) != row.evicted:
+					t.Errorf("%s on part %d via %s: IsEvicted(%v) = %v", row.name, p, st.name, err, !row.evicted)
+				}
+				if want == "" {
+					want = err.Error()
+				} else if err.Error() != want {
+					t.Errorf("%s on part %d: %s failed with %q, %s with %q", row.name, p, st.name, err, stacks[0].name, want)
+				}
+			}
+		}
+	}
 	if _, replyDrops, _, _ := ft.Injected(); replyDrops == 0 || chaos.Retries() == 0 {
 		t.Fatalf("no reply was lost (%d) or retried (%d); the chaos stack proved nothing", replyDrops, chaos.Retries())
 	}
 }
 
-// wireForm returns reply as it arrives after a gob round trip.
-func wireForm(t *testing.T, m Method, reply any) any {
-	t.Helper()
-	var buf bytes.Buffer
-	if err := gob.NewEncoder(&buf).Encode(reply); err != nil {
-		t.Fatal(err)
+// agreementRequest is a well-formed request for m to the part owning vs;
+// leased is an epoch the part has leased, for Release.
+func agreementRequest(m Method, vs []graph.ID, leased uint64) any {
+	switch m {
+	case MNeighbors:
+		return NeighborsRequest{Vertices: vs, EdgeType: 0}
+	case MSampleNeighbors:
+		return SampleRequest{Vertices: vs, Counts: []int{1, 2, 1, 1}, EdgeType: 0, Width: 3, Seed: 7}
+	case MSampleEdges:
+		return EdgesRequest{EdgeType: 0, Count: 6, Seed: 7}
+	case MNegativePool:
+		return NegPoolRequest{EdgeType: 0}
+	case MStats:
+		return StatsRequest{}
+	case MAttrs:
+		return AttrsRequest{Vertices: vs}
+	case MBootstrap:
+		return BootstrapRequest{}
+	case MUpdate:
+		return UpdateRequest{
+			Add:     []RawEdge{{Src: vs[0], Dst: vs[1], Type: 1, Weight: 2}},
+			SetAttr: []AttrUpdate{{V: vs[2], Attr: []float64{9, 9}}},
+		}
+	case MLease:
+		return LeaseRequest{}
+	case MRelease:
+		return ReleaseRequest{Epoch: leased}
+	case MCompact:
+		return CompactRequest{}
 	}
-	out := methods[m].newReply()
-	if err := gob.NewDecoder(&buf).Decode(out); err != nil {
-		t.Fatal(err)
-	}
-	return out
+	panic(fmt.Sprintf("no request for %v", m))
 }
 
 // TestRegisteredMetricNames: every per-RPC instrument name the client and

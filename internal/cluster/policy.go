@@ -26,9 +26,10 @@ import (
 // tokens the server deduplicates. See the package comment for the full
 // failure model.
 
-// unreachableMarker survives net/rpc's error flattening, mirroring the
-// version package's marker discipline, so transient-failure classification
-// works on both wrapped errors and reconstituted string errors.
+// unreachableMarker survives an error's flattening to a string on the wire,
+// mirroring the version package's marker discipline, so transient-failure
+// classification works on both wrapped errors and reconstituted string
+// errors.
 const unreachableMarker = "shard unreachable"
 
 // ErrUnreachable marks a transport-level delivery failure: the request (or

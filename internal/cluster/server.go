@@ -24,11 +24,11 @@
 // # Transport stack
 //
 // The set of RPCs lives in one place: the method table (transport.go). Each
-// Method's row holds its name (metric names and the net/rpc name
-// "Graph.<name>"), its Server handler, a fresh-reply constructor and reply
-// copy for the retry layer, and whether its request carries an idempotency
-// token (Update, Lease, Release). Client and server metrics are arrays
-// indexed by Method.
+// Method's row holds its name (metric names, and the name the RPC client
+// calls it by), its Server handler, the wire layouts of its request and
+// reply (codec.go), a fresh-reply constructor and reply copy for the retry
+// layer, and whether its request carries an idempotency token (Update,
+// Lease, Release). Client and server metrics are arrays indexed by Method.
 //
 // Every transport layer implements one interface, Caller: Call(part,
 // method, req, reply), Kick(part) and Close. LocalTransport runs the
@@ -41,13 +41,14 @@
 // also embeds the typed facade, so every layer is a Transport: the client,
 // UpdateStream and the serving tier program against the typed Transport
 // interface, and code outside the package (the benchmark's recorder) can
-// implement Transport and sit on top of any layer. GraphService spells the
-// RPCs out once more, because net/rpc dispatches by method name; a test
-// checks it against the table.
+// implement Transport and sit on top of any layer. Over TCP, RPCServer
+// decodes each request through its row and runs the row's handler, so no
+// RPC is spelled out anywhere else.
 //
 // Layers must be safe for concurrent per-shard calls: Local and Latency
-// use atomic counters, RPCTransport multiplexes on net/rpc clients, and
-// Retry and Fault guard their state with locks.
+// use atomic counters, RPCTransport multiplexes on net/rpc clients (over
+// the package's own codec), and Retry and Fault guard their state with
+// locks.
 //
 // # Failure model
 //
@@ -401,8 +402,8 @@ func (s *Server) view(pinned bool, pin uint64) (view version.View, head, attrHea
 const maxDraws = 1 << 22
 
 // checkType rejects an edge type outside the store's schema. Every handler
-// that reads per-type adjacency calls it first: an index out of range in a
-// net/rpc handler would take the whole server process down.
+// that reads per-type adjacency calls it first: an index out of range in an
+// RPC handler would take the whole server process down.
 func (s *Server) checkType(t graph.EdgeType) error {
 	if n := s.store.NumEdgeTypes(); t < 0 || int(t) >= n {
 		return fmt.Errorf("cluster: server %d: edge type %d out of range [0, %d)", s.ID, t, n)
@@ -411,7 +412,7 @@ func (s *Server) checkType(t graph.EdgeType) error {
 }
 
 // ---------------------------------------------------------------------------
-// Wire types shared by all transports. Exported fields for encoding/gob.
+// Wire types shared by all transports. Their layouts on TCP are in codec.go.
 
 // NeighborsRequest asks for the out-neighbors of a batch of vertices under
 // one edge type. Batching amortizes the per-call network cost; the client's
@@ -616,8 +617,8 @@ type EdgesRequest struct {
 	Pinned   bool
 }
 
-// EdgesReply carries sampled edges as parallel arrays (gob-friendly),
-// stamped with the epoch served and the server's head.
+// EdgesReply carries sampled edges as parallel arrays, stamped with the
+// epoch served and the server's head.
 type EdgesReply struct {
 	Src, Dst []graph.ID
 	Weight   []float64

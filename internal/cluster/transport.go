@@ -67,8 +67,7 @@ func (m Method) String() string { return methods[m].name }
 // methodSpec is one row of the method table: what a transport layer needs
 // to know about an RPC without spelling out its request and reply types.
 type methodSpec struct {
-	name string // metric name
-	wire string // net/rpc service method, "Graph.<name>"
+	name string // metric name, and the name rpc.Client calls it by
 	// serve runs the RPC's handler on s.
 	serve func(s *Server, req, reply any) error
 	// newReply returns a fresh reply pointer (one per retry attempt), and
@@ -79,34 +78,55 @@ type methodSpec struct {
 	// (Update, Lease, Release): it returns req with a token from mint when
 	// req carries none.
 	stamp func(req any, mint func() uint64) any
+	// putReq and putReply append the wire form (codec.go) of a request
+	// value or a reply pointer to b; getReq and getReply decode one from a
+	// frame body, the reply as a fresh pointer.
+	putReq, putReply func(b []byte, v any) []byte
+	getReq, getReply func(body []byte) (any, error)
 }
 
 // methods is the method table, the one list of the RPCs that transport
-// layers work from.
+// layers work from. Each row names the RPC, its handler, the wire layouts
+// of its request and reply, and where its request keeps an idempotency
+// token, if it has one.
 var methods = [numMethods]methodSpec{
-	MNeighbors:       defineMethod("Neighbors", (*Server).ServeNeighbors, nil),
-	MSampleNeighbors: defineMethod("SampleNeighbors", (*Server).ServeSampleNeighbors, nil),
-	MSampleEdges:     defineMethod("SampleEdges", (*Server).ServeSampleEdges, nil),
-	MNegativePool:    defineMethod("NegativePool", (*Server).ServeNegativePool, nil),
-	MStats:           defineMethod("Stats", (*Server).ServeStats, nil),
-	MAttrs:           defineMethod("Attrs", (*Server).ServeAttrs, nil),
-	MBootstrap:       defineMethod("Bootstrap", (*Server).ServeBootstrap, nil),
-	MUpdate:          defineMethod("Update", (*Server).ServeUpdate, func(r *UpdateRequest) *uint64 { return &r.Token }),
-	MLease:           defineMethod("Lease", (*Server).ServeLease, func(r *LeaseRequest) *uint64 { return &r.Token }),
-	MRelease:         defineMethod("Release", (*Server).ServeRelease, func(r *ReleaseRequest) *uint64 { return &r.Token }),
-	MCompact:         defineMethod("Compact", (*Server).ServeCompact, nil),
+	MNeighbors:       defineMethod("Neighbors", (*Server).ServeNeighbors, neighborsRequestWire, neighborsReplyWire, nil),
+	MSampleNeighbors: defineMethod("SampleNeighbors", (*Server).ServeSampleNeighbors, sampleRequestWire, sampleReplyWire, nil),
+	MSampleEdges:     defineMethod("SampleEdges", (*Server).ServeSampleEdges, edgesRequestWire, edgesReplyWire, nil),
+	MNegativePool:    defineMethod("NegativePool", (*Server).ServeNegativePool, negPoolRequestWire, negPoolReplyWire, nil),
+	MStats:           defineMethod("Stats", (*Server).ServeStats, noFields[StatsRequest], statsReplyWire, nil),
+	MAttrs:           defineMethod("Attrs", (*Server).ServeAttrs, attrsRequestWire, attrsReplyWire, nil),
+	MBootstrap:       defineMethod("Bootstrap", (*Server).ServeBootstrap, noFields[BootstrapRequest], bootstrapReplyWire, nil),
+	MUpdate: defineMethod("Update", (*Server).ServeUpdate, updateRequestWire, updateReplyWire,
+		func(r *UpdateRequest) *uint64 { return &r.Token }),
+	MLease: defineMethod("Lease", (*Server).ServeLease, leaseRequestWire, leaseReplyWire,
+		func(r *LeaseRequest) *uint64 { return &r.Token }),
+	MRelease: defineMethod("Release", (*Server).ServeRelease, releaseRequestWire, noFields[ReleaseReply],
+		func(r *ReleaseRequest) *uint64 { return &r.Token }),
+	MCompact: defineMethod("Compact", (*Server).ServeCompact, noFields[CompactRequest], compactReplyWire, nil),
 }
 
-// defineMethod builds the table row of the RPC handled by serve; token, if
+// defineMethod builds the table row of the RPC handled by serve, whose
+// request and reply travel under the layouts reqWire and repWire; token, if
 // not nil, locates the request's idempotency token. It is the only place the
 // table's untyped requests and replies are converted back to their types.
-func defineMethod[Req, Rep any](name string, serve func(*Server, Req, *Rep) error, token func(*Req) *uint64) methodSpec {
+func defineMethod[Req, Rep any](name string, serve func(*Server, Req, *Rep) error,
+	reqWire func(*wire, *Req), repWire func(*wire, *Rep), token func(*Req) *uint64) methodSpec {
 	spec := methodSpec{
 		name:      name,
-		wire:      "Graph." + name,
 		serve:     func(s *Server, req, reply any) error { return serve(s, req.(Req), reply.(*Rep)) },
 		newReply:  func() any { return new(Rep) },
 		copyReply: func(dst, src any) { *dst.(*Rep) = *src.(*Rep) },
+		putReq: func(b []byte, req any) []byte {
+			r := req.(Req)
+			return encode(b, &r, reqWire)
+		},
+		putReply: func(b []byte, reply any) []byte { return encode(b, reply.(*Rep), repWire) },
+		getReq:   func(body []byte) (any, error) { return decode(body, reqWire) },
+		getReply: func(body []byte) (any, error) {
+			r, err := decode(body, repWire)
+			return &r, err
+		},
 	}
 	if token != nil {
 		spec.stamp = func(req any, mint func() uint64) any {

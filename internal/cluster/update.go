@@ -1,6 +1,7 @@
 package cluster
 
 import (
+	"fmt"
 	"time"
 
 	"repro/internal/graph"
@@ -18,7 +19,7 @@ import (
 // placement decisions need only local state.
 
 // AttrUpdate replaces the attribute row of one local vertex — the
-// vertex-attribute op of an update batch. Exported fields for encoding/gob.
+// vertex-attribute op of an update batch.
 type AttrUpdate struct {
 	V    graph.ID
 	Attr []float64
@@ -46,7 +47,9 @@ type UpdateReply struct {
 }
 
 // ServeUpdate applies a batch of mutations all-or-nothing. Additions and
-// attribute rewrites whose vertex is not local reject the whole batch;
+// attribute rewrites whose vertex is not local, and additions whose
+// destination lies outside the vertex universe the server bootstraps its
+// clients with, reject the whole batch;
 // removals of absent edges are ignored (idempotent deletes, the common
 // stream semantics). Each applied batch advances the server's epoch by
 // exactly one; in-flight readers are unaffected (their views are immutable
@@ -56,6 +59,9 @@ func (s *Server) ServeUpdate(req UpdateRequest, reply *UpdateReply) error {
 	if r, ok := dedupLookup[UpdateReply](s, req.Token); ok {
 		*reply = r
 		return nil
+	}
+	if err := s.checkDestinations(req.Add); err != nil {
+		return err
 	}
 	d := version.Delta{}
 	for _, e := range req.Add {
@@ -87,6 +93,25 @@ func (s *Server) ServeUpdate(req UpdateRequest, reply *UpdateReply) error {
 		s.signalCompact()
 	}
 	return err
+}
+
+// checkDestinations rejects an added edge whose destination is not a vertex
+// of the bootstrap assignment: every client that read the edge would index
+// its assignment with it. A server without bootstrap information has
+// served no client an assignment, and checks nothing.
+func (s *Server) checkDestinations(add []RawEdge) error {
+	s.mu.RLock()
+	boot := s.boot
+	s.mu.RUnlock()
+	if boot == nil {
+		return nil
+	}
+	for _, e := range add {
+		if e.Dst < 0 || e.Dst >= graph.ID(len(boot.Assign)) {
+			return fmt.Errorf("cluster: server %d: edge %d->%d: destination outside [0, %d)", s.ID, e.Src, e.Dst, len(boot.Assign))
+		}
+	}
+	return nil
 }
 
 // groupByPartition routes raw mutations to their owning partitions (edges

@@ -119,7 +119,7 @@ func TestUpdateOverRPC(t *testing.T) {
 	defer tr.Close()
 	// Updates travel over the same wire as reads.
 	var reply UpdateReply
-	if err := tr.clients[0].Call("Graph.Update", UpdateRequest{
+	if err := tr.Update(0, UpdateRequest{
 		Add: []RawEdge{{Src: 0, Dst: 7, Type: 1, Weight: 1}},
 	}, &reply); err != nil {
 		t.Fatal(err)

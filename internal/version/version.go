@@ -37,8 +37,8 @@
 //     unless leased: Lease(epoch)/Release(epoch) reference-count readers
 //     that pinned a snapshot, and an epoch with live leases survives any
 //     number of Appends. Reads of an evicted epoch fail with ErrEvicted,
-//     which IsEvicted recognizes even after an error crosses an net/rpc
-//     boundary as a flattened string; clients react by re-pinning the
+//     which IsEvicted recognizes even after an error crosses an RPC
+//     boundary (errors cross as strings); clients react by re-pinning the
 //     current head and retrying.
 //   - Compact bounds memory under an unbounded update stream: it folds the
 //     state at the retention floor into a freshly sealed base (CSR, degree
@@ -80,7 +80,7 @@ const DefaultRetain = 8
 
 // evictedMarker and futureMarker are the substrings the Is* helpers match
 // on; they must appear in every corresponding error, including those
-// flattened to strings by net/rpc.
+// flattened to strings on the RPC wire.
 const (
 	evictedMarker = "epoch evicted"
 	futureMarker  = "epoch not reached"
