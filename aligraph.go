@@ -397,6 +397,10 @@ func (p *ClusterPlatform) CacheRate() float64 {
 // It implements core.PrefetchingFeatures: the prefetch pipeline fetches a
 // future batch's rows on its worker goroutines and the trainer serves them
 // at encode time, so attribute RPC latency hides behind compute.
+//
+// Rows is safe for the concurrent calls of one training step: it only reads
+// the installed prefetched map, which is swapped between steps, and its
+// fallback fetch goes through the concurrency-safe fetcher.
 type clusterAttrFeatures struct {
 	fetch cluster.AttrFetcher
 	d     int

@@ -21,6 +21,10 @@ import (
 type FeatureSource interface {
 	Dim() int
 	// Rows returns a len(vs) x Dim node with one feature row per vertex.
+	// LinkTrainer.Step encodes its three contexts on three goroutines, so
+	// implementations must be safe for concurrent calls during one step:
+	// AttrFeatures and TableFeatures only read, and ConcatFeatures only
+	// calls its sources.
 	Rows(t *nn.Tape, vs []graph.ID) *nn.Node
 	// Params returns trainable parameters (empty for static sources).
 	Params() []*nn.Param

@@ -2,6 +2,7 @@ package core
 
 import (
 	"math/rand"
+	"sync"
 	"sync/atomic"
 
 	"repro/internal/graph"
@@ -233,10 +234,14 @@ func (tr *LinkTrainer) prefetcher() PrefetchingFeatures {
 	return tr.prefetch
 }
 
-// Step consumes one assembled MiniBatch: three encodes of its contexts on
-// one tape, the negative-sampling loss, backward, gradient clip and
-// optimizer step. All sampling happened at batch-assembly time; Step
-// itself performs pure compute, which is exactly what a prefetching source
+// Step consumes one assembled MiniBatch: three encodes of its contexts,
+// the negative-sampling loss, backward, gradient clip and optimizer step.
+// The source, destination and negative contexts are encoded on three forks
+// of the step's tape (nn.Tape.Fork), one goroutine each, and the forks also
+// run their backward passes concurrently; the loss head is recorded on the
+// parent. The losses and parameters are bit-identical to three encodes on
+// one tape. All sampling happened at batch-assembly time; Step itself
+// performs pure compute, which is exactly what a prefetching source
 // overlaps with the next batches' sampling.
 func (tr *LinkTrainer) Step(mb *MiniBatch) (float64, error) {
 	if pf := tr.prefetcher(); pf != nil && mb.Attrs != nil {
@@ -245,9 +250,18 @@ func (tr *LinkTrainer) Step(mb *MiniBatch) (float64, error) {
 	}
 
 	t := nn.NewTape()
-	hs := tr.Enc.Encode(t, &mb.Ctxs[0])
-	hd := tr.Enc.Encode(t, &mb.Ctxs[1])
-	hn := tr.Enc.Encode(t, &mb.Ctxs[2])
+	var h [3]*nn.Node
+	var wg sync.WaitGroup
+	for i := range h {
+		f := t.Fork()
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			h[i] = tr.Enc.Encode(f, &mb.Ctxs[i])
+		}()
+	}
+	wg.Wait()
+	hs, hd, hn := h[0], h[1], h[2]
 
 	// Repeat each source NegK times to align with its negatives.
 	rep := make([]int, len(mb.Negs))

@@ -8,6 +8,7 @@ package nn
 
 import (
 	"math/rand"
+	"sync"
 
 	"repro/internal/tensor"
 )
@@ -49,7 +50,6 @@ type Node struct {
 	Val  *tensor.Matrix
 	grad *tensor.Matrix
 
-	tape  *Tape
 	needs bool   // participates in backprop
 	back  func() // accumulates into input grads; nil for leaves
 	param *Param // non-nil for parameter leaves
@@ -60,19 +60,60 @@ type Node struct {
 func (n *Node) Grad() *tensor.Matrix { return n.grad }
 
 // Tape records operations in execution order so Backward can replay them in
-// reverse. A tape is used for one forward/backward pass and then discarded.
+// reverse. A tape serves one forward/backward pass and is then discarded.
 // Every op allocates its output afresh, and zeroing those allocations is a
 // measurable share of a training step, so only Backward allocates gradient
 // buffers: a forward-only tape (inference, evaluation) allocates none.
+//
+// A tape that holds no nodes yet may be forked, so that independent
+// sub-graphs are recorded and differentiated on their own goroutines. The
+// contract of a fork:
+//   - Fork panics on a tape that already holds nodes, and on a fork (forks
+//     do not nest);
+//   - a fork records only its own nodes, Use leaves and Inputs, from one
+//     goroutine at a time;
+//   - the parent's later nodes may consume fork outputs.
+//
+// A parent and its forks compute what one plain tape would if every fork's
+// nodes were recorded on it first, in Fork order, followed by the parent's
+// own nodes. Backward on the parent unwinds the parent's nodes, then every
+// fork concurrently. A fork does not write parameter gradients while it
+// unwinds: it logs each write, and the parent replays the logs, last fork
+// first and each in the order it was recorded. Every Param.Grad element
+// therefore receives the same additions in the same order as on the single
+// tape, and the bits match it.
 type Tape struct {
 	nodes []*Node
+	forks []*Tape
+	fork  bool
+	log   []gradWrite // a fork's deferred parameter-gradient writes
+}
+
+// gradWrite is one logged contribution to a parameter's gradient.
+type gradWrite struct {
+	p   *Param
+	add func(g *tensor.Matrix)
 }
 
 // NewTape creates an empty tape.
 func NewTape() *Tape { return &Tape{} }
 
+// Fork returns a child tape whose nodes precede the parent's in backward
+// order; see Tape for the contract.
+func (t *Tape) Fork() *Tape {
+	if t.fork {
+		panic("nn: Fork on a fork; forks do not nest")
+	}
+	if len(t.nodes) > 0 {
+		panic("nn: Fork on a tape that already holds nodes")
+	}
+	f := &Tape{fork: true}
+	t.forks = append(t.forks, f)
+	return f
+}
+
 func (t *Tape) node(val *tensor.Matrix, needs bool, back func()) *Node {
-	n := &Node{Val: val, tape: t, needs: needs, back: back}
+	n := &Node{Val: val, needs: needs, back: back}
 	t.nodes = append(t.nodes, n)
 	return n
 }
@@ -90,24 +131,79 @@ func (t *Tape) Use(p *Param) *Node {
 	return n
 }
 
+// accum applies one gradient contribution, add, to the gradient of the
+// input n; it is the only way an op writes an input's gradient. A
+// parameter's gradient goes through accumParam. Any other buffer is
+// allocated on first write, which is how a fork's output gains its buffer
+// when the parent unwinds first.
+func (t *Tape) accum(n *Node, add func(g *tensor.Matrix)) {
+	if n.param != nil {
+		t.accumParam(n.param, add)
+		return
+	}
+	add(n.gradBuf())
+}
+
+// accumParam applies add to p.Grad, or on a fork logs it for the parent to
+// replay in single-tape order.
+func (t *Tape) accumParam(p *Param, add func(g *tensor.Matrix)) {
+	if t.fork {
+		t.log = append(t.log, gradWrite{p, add})
+		return
+	}
+	add(p.Grad)
+}
+
+func (n *Node) gradBuf() *tensor.Matrix {
+	if n.grad == nil {
+		n.grad = tensor.New(n.Val.Rows, n.Val.Cols)
+	}
+	return n.grad
+}
+
+// unwind gives every node that needs one a gradient buffer and runs the
+// tape's backward closures in reverse order.
+func (t *Tape) unwind() {
+	for _, n := range t.nodes {
+		if n.needs {
+			n.gradBuf()
+		}
+	}
+	for i := len(t.nodes) - 1; i >= 0; i-- {
+		n := t.nodes[i]
+		if n.back != nil && n.needs {
+			n.back()
+		}
+	}
+}
+
 // Backward runs reverse-mode differentiation from a scalar (1x1) loss node.
+// Called on a parent tape, it also differentiates the forks (see Tape).
 func (t *Tape) Backward(loss *Node) {
+	if t.fork {
+		panic("nn: Backward on a fork; call it on the parent tape")
+	}
 	if loss.Val.Rows != 1 || loss.Val.Cols != 1 {
 		panic("nn: Backward requires a scalar loss node")
 	}
 	if !loss.needs {
 		return // loss does not depend on any parameter
 	}
-	for _, n := range t.nodes {
-		if n.needs && n.grad == nil {
-			n.grad = tensor.New(n.Val.Rows, n.Val.Cols)
-		}
+	loss.gradBuf().Data[0] = 1
+	t.unwind()
+	var wg sync.WaitGroup
+	for _, f := range t.forks {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			f.unwind()
+		}()
 	}
-	loss.grad.Data[0] = 1
-	for i := len(t.nodes) - 1; i >= 0; i-- {
-		n := t.nodes[i]
-		if n.back != nil && n.needs {
-			n.back()
+	wg.Wait()
+	for i := len(t.forks) - 1; i >= 0; i-- {
+		for _, w := range t.forks[i].log {
+			w.add(w.p.Grad)
 		}
+		t.forks[i].log = nil
 	}
 }

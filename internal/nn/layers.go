@@ -158,8 +158,7 @@ func (t *Tape) TransposeNode(a *Node) *Node {
 	out := t.node(val, a.needs, nil)
 	if a.needs {
 		out.back = func() {
-			gt := out.grad.Transpose()
-			a.grad.AddInPlace(gt)
+			t.accum(a, addMatrix(out.grad.Transpose()))
 		}
 	}
 	return out
@@ -175,14 +174,14 @@ func (t *Tape) DivScalarNode(a, s *Node) *Node {
 	if needs {
 		out.back = func() {
 			if a.needs {
-				a.grad.Axpy(1/sv, out.grad)
+				t.accum(a, func(g *tensor.Matrix) { g.Axpy(1/sv, out.grad) })
 			}
 			if s.needs {
 				g := 0.0
 				for i, ov := range out.grad.Data {
 					g -= ov * a.Val.Data[i] / (sv * sv)
 				}
-				s.grad.Data[0] += g
+				t.accum(s, func(sg *tensor.Matrix) { sg.Data[0] += g })
 			}
 		}
 	}

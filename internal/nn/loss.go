@@ -31,10 +31,12 @@ func (t *Tape) BCEWithLogits(logits *Node, labels *tensor.Matrix) *Node {
 	out := t.node(val, logits.needs, nil)
 	if logits.needs {
 		out.back = func() {
-			g := out.grad.Data[0] / n
-			for i, x := range logits.Val.Data {
-				logits.grad.Data[i] += g * (sigmoid(x) - labels.Data[i])
-			}
+			t.accum(logits, func(lg *tensor.Matrix) {
+				g := out.grad.Data[0] / n
+				for i, x := range logits.Val.Data {
+					lg.Data[i] += g * (sigmoid(x) - labels.Data[i])
+				}
+			})
 		}
 	}
 	return out
@@ -58,18 +60,20 @@ func (t *Tape) SoftmaxCE(logits *Node, labels []int) *Node {
 	out := t.node(val, logits.needs, nil)
 	if logits.needs {
 		out.back = func() {
-			g := out.grad.Data[0] / float64(rows)
-			for i := 0; i < rows; i++ {
-				lrow := logits.grad.Row(i)
-				prow := probs.Row(i)
-				for j := range lrow {
-					d := prow[j]
-					if j == labels[i] {
-						d -= 1
+			t.accum(logits, func(lg *tensor.Matrix) {
+				g := out.grad.Data[0] / float64(rows)
+				for i := 0; i < rows; i++ {
+					lrow := lg.Row(i)
+					prow := probs.Row(i)
+					for j := range lrow {
+						d := prow[j]
+						if j == labels[i] {
+							d -= 1
+						}
+						lrow[j] += g * d
 					}
-					lrow[j] += g * d
 				}
-			}
+			})
 		}
 	}
 	return out
@@ -100,9 +104,11 @@ func (t *Tape) L2Penalty(lambda float64, params ...*Param) *Node {
 	out.back = func() {
 		g := out.grad.Data[0]
 		for _, p := range params {
-			for i, v := range p.Val.Data {
-				p.Grad.Data[i] += g * lambda * v
-			}
+			t.accumParam(p, func(pg *tensor.Matrix) {
+				for i, v := range p.Val.Data {
+					pg.Data[i] += g * lambda * v
+				}
+			})
 		}
 	}
 	return out

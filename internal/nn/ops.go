@@ -8,7 +8,38 @@ import (
 
 // This file defines the differentiable operations recorded on the tape.
 // Every op computes its value eagerly and registers a closure that
-// accumulates gradients into its inputs when the tape unwinds.
+// accumulates gradients into its inputs when the tape unwinds, each write
+// through Tape.accum. The costly part of a contribution (a product kernel)
+// runs before the write, so on a fork only the final add is deferred.
+
+// addMatrix returns a gradient write that adds m element-wise.
+func addMatrix(m *tensor.Matrix) func(g *tensor.Matrix) {
+	return func(g *tensor.Matrix) { g.AddInPlace(m) }
+}
+
+// addProduct returns a gradient write that adds the element-wise product
+// of x and y.
+func addProduct(x, y *tensor.Matrix) func(g *tensor.Matrix) {
+	return func(g *tensor.Matrix) {
+		for i, xv := range x.Data {
+			g.Data[i] += xv * y.Data[i]
+		}
+	}
+}
+
+// addRowScaled returns a gradient write that adds row i of m scaled by
+// s.Data[i], for every row (s is R x 1).
+func addRowScaled(s, m *tensor.Matrix) func(g *tensor.Matrix) {
+	return func(g *tensor.Matrix) {
+		for i := 0; i < g.Rows; i++ {
+			sv := s.Data[i]
+			row := g.Row(i)
+			for j, mv := range m.Row(i) {
+				row[j] += sv * mv
+			}
+		}
+	}
+}
 
 // MatMul returns a @ b.
 func (t *Tape) MatMul(a, b *Node) *Node {
@@ -18,10 +49,10 @@ func (t *Tape) MatMul(a, b *Node) *Node {
 	if needs {
 		out.back = func() {
 			if a.needs {
-				a.grad.AddInPlace(tensor.MatMulTransB(out.grad, b.Val))
+				t.accum(a, addMatrix(tensor.MatMulTransB(out.grad, b.Val)))
 			}
 			if b.needs {
-				b.grad.AddInPlace(tensor.MatMulTransA(a.Val, out.grad))
+				t.accum(b, addMatrix(tensor.MatMulTransA(a.Val, out.grad)))
 			}
 		}
 	}
@@ -37,10 +68,10 @@ func (t *Tape) Add(a, b *Node) *Node {
 	if needs {
 		out.back = func() {
 			if a.needs {
-				a.grad.AddInPlace(out.grad)
+				t.accum(a, addMatrix(out.grad))
 			}
 			if b.needs {
-				b.grad.AddInPlace(out.grad)
+				t.accum(b, addMatrix(out.grad))
 			}
 		}
 	}
@@ -64,15 +95,17 @@ func (t *Tape) AddBias(a, bias *Node) *Node {
 	if needs {
 		out.back = func() {
 			if a.needs {
-				a.grad.AddInPlace(out.grad)
+				t.accum(a, addMatrix(out.grad))
 			}
 			if bias.needs {
-				brow := bias.grad.Row(0)
-				for i := 0; i < out.grad.Rows; i++ {
-					for j, gv := range out.grad.Row(i) {
-						brow[j] += gv
+				t.accum(bias, func(bg *tensor.Matrix) {
+					brow := bg.Row(0)
+					for i := 0; i < out.grad.Rows; i++ {
+						for j, gv := range out.grad.Row(i) {
+							brow[j] += gv
+						}
 					}
-				}
+				})
 			}
 		}
 	}
@@ -88,10 +121,10 @@ func (t *Tape) Sub(a, b *Node) *Node {
 	if needs {
 		out.back = func() {
 			if a.needs {
-				a.grad.AddInPlace(out.grad)
+				t.accum(a, addMatrix(out.grad))
 			}
 			if b.needs {
-				b.grad.Axpy(-1, out.grad)
+				t.accum(b, func(g *tensor.Matrix) { g.Axpy(-1, out.grad) })
 			}
 		}
 	}
@@ -107,14 +140,10 @@ func (t *Tape) Mul(a, b *Node) *Node {
 	if needs {
 		out.back = func() {
 			if a.needs {
-				for i, g := range out.grad.Data {
-					a.grad.Data[i] += g * b.Val.Data[i]
-				}
+				t.accum(a, addProduct(out.grad, b.Val))
 			}
 			if b.needs {
-				for i, g := range out.grad.Data {
-					b.grad.Data[i] += g * a.Val.Data[i]
-				}
+				t.accum(b, addProduct(out.grad, a.Val))
 			}
 		}
 	}
@@ -127,7 +156,9 @@ func (t *Tape) Scale(a *Node, s float64) *Node {
 	val.ScaleInPlace(s)
 	out := t.node(val, a.needs, nil)
 	if a.needs {
-		out.back = func() { a.grad.Axpy(s, out.grad) }
+		out.back = func() {
+			t.accum(a, func(g *tensor.Matrix) { g.Axpy(s, out.grad) })
+		}
 	}
 	return out
 }
@@ -137,9 +168,11 @@ func (t *Tape) unary(a *Node, fwd func(float64) float64, dfdx func(x, y float64)
 	out := t.node(val, a.needs, nil)
 	if a.needs {
 		out.back = func() {
-			for i, g := range out.grad.Data {
-				a.grad.Data[i] += g * dfdx(a.Val.Data[i], val.Data[i])
-			}
+			t.accum(a, func(ag *tensor.Matrix) {
+				for i, g := range out.grad.Data {
+					ag.Data[i] += g * dfdx(a.Val.Data[i], val.Data[i])
+				}
+			})
 		}
 	}
 	return out
@@ -183,18 +216,20 @@ func (t *Tape) Softmax(a *Node) *Node {
 	out := t.node(val, a.needs, nil)
 	if a.needs {
 		out.back = func() {
-			for i := 0; i < val.Rows; i++ {
-				y := val.Row(i)
-				g := out.grad.Row(i)
-				dot := 0.0
-				for j := range y {
-					dot += y[j] * g[j]
+			t.accum(a, func(ag *tensor.Matrix) {
+				for i := 0; i < val.Rows; i++ {
+					y := val.Row(i)
+					g := out.grad.Row(i)
+					dot := 0.0
+					for j := range y {
+						dot += y[j] * g[j]
+					}
+					arow := ag.Row(i)
+					for j := range y {
+						arow[j] += y[j] * (g[j] - dot)
+					}
 				}
-				arow := a.grad.Row(i)
-				for j := range y {
-					arow[j] += y[j] * (g[j] - dot)
-				}
-			}
+			})
 		}
 	}
 	return out
@@ -232,13 +267,16 @@ func (t *Tape) Concat(ns ...*Node) *Node {
 			off := 0
 			for _, n := range ns {
 				if n.needs {
-					for i := 0; i < n.Val.Rows; i++ {
-						grow := out.grad.Row(i)[off : off+n.Val.Cols]
-						nrow := n.grad.Row(i)
-						for j, g := range grow {
-							nrow[j] += g
+					lo := off
+					t.accum(n, func(ng *tensor.Matrix) {
+						for i := 0; i < ng.Rows; i++ {
+							grow := out.grad.Row(i)[lo : lo+ng.Cols]
+							nrow := ng.Row(i)
+							for j, g := range grow {
+								nrow[j] += g
+							}
 						}
-					}
+					})
 				}
 				off += n.Val.Cols
 			}
@@ -256,12 +294,14 @@ func (t *Tape) SliceCols(a *Node, lo, hi int) *Node {
 	out := t.node(val, a.needs, nil)
 	if a.needs {
 		out.back = func() {
-			for i := 0; i < val.Rows; i++ {
-				arow := a.grad.Row(i)
-				for j, g := range out.grad.Row(i) {
-					arow[lo+j] += g
+			t.accum(a, func(ag *tensor.Matrix) {
+				for i := 0; i < val.Rows; i++ {
+					arow := ag.Row(i)
+					for j, g := range out.grad.Row(i) {
+						arow[lo+j] += g
+					}
 				}
-			}
+			})
 		}
 	}
 	return out
@@ -274,12 +314,14 @@ func (t *Tape) Gather(a *Node, idx []int) *Node {
 	out := t.node(val, a.needs, nil)
 	if a.needs {
 		out.back = func() {
-			for i, r := range idx {
-				arow := a.grad.Row(r)
-				for j, g := range out.grad.Row(i) {
-					arow[j] += g
+			t.accum(a, func(ag *tensor.Matrix) {
+				for i, r := range idx {
+					arow := ag.Row(r)
+					for j, g := range out.grad.Row(i) {
+						arow[j] += g
+					}
 				}
-			}
+			})
 		}
 	}
 	return out
@@ -292,13 +334,15 @@ func (t *Tape) MeanRows(a *Node) *Node {
 	if a.needs {
 		inv := 1 / float64(a.Val.Rows)
 		out.back = func() {
-			g := out.grad.Row(0)
-			for i := 0; i < a.Val.Rows; i++ {
-				arow := a.grad.Row(i)
-				for j, gv := range g {
-					arow[j] += gv * inv
+			t.accum(a, func(ag *tensor.Matrix) {
+				g := out.grad.Row(0)
+				for i := 0; i < ag.Rows; i++ {
+					arow := ag.Row(i)
+					for j, gv := range g {
+						arow[j] += gv * inv
+					}
 				}
-			}
+			})
 		}
 	}
 	return out
@@ -343,15 +387,17 @@ func (t *Tape) MeanGroupsOf(a *Node, idx []int, k int) *Node {
 	if a.needs {
 		inv := 1 / float64(k)
 		out.back = func() {
-			for g := 0; g < b; g++ {
-				grow := out.grad.Row(g)
-				for i := g * k; i < (g+1)*k; i++ {
-					arow := a.grad.Row(row(i))[:len(grow)]
-					for j, gv := range grow {
-						arow[j] += gv * inv
+			t.accum(a, func(ag *tensor.Matrix) {
+				for g := 0; g < b; g++ {
+					grow := out.grad.Row(g)
+					for i := g * k; i < (g+1)*k; i++ {
+						arow := ag.Row(row(i))[:len(grow)]
+						for j, gv := range grow {
+							arow[j] += gv * inv
+						}
 					}
 				}
-			}
+			})
 		}
 	}
 	return out
@@ -367,9 +413,12 @@ func (t *Tape) MaxGroups(a *Node, k int) *Node {
 	val := tensor.New(b, a.Val.Cols)
 	argmax := make([]int, b*a.Val.Cols)
 	for g := 0; g < b; g++ {
+		// A column in which no row beats -Inf (all NaN or -Inf) routes its
+		// gradient to the group's first row, never outside the group.
 		orow := val.Row(g)
 		for j := range orow {
 			orow[j] = math.Inf(-1)
+			argmax[g*a.Val.Cols+j] = g * k
 		}
 		for r := 0; r < k; r++ {
 			row := a.Val.Row(g*k + r)
@@ -385,12 +434,14 @@ func (t *Tape) MaxGroups(a *Node, k int) *Node {
 	if a.needs {
 		cols := a.Val.Cols
 		out.back = func() {
-			for g := 0; g < b; g++ {
-				grow := out.grad.Row(g)
-				for j, gv := range grow {
-					a.grad.Row(argmax[g*cols+j])[j] += gv
+			t.accum(a, func(ag *tensor.Matrix) {
+				for g := 0; g < b; g++ {
+					grow := out.grad.Row(g)
+					for j, gv := range grow {
+						ag.Row(argmax[g*cols+j])[j] += gv
+					}
 				}
-			}
+			})
 		}
 	}
 	return out
@@ -418,12 +469,14 @@ func (t *Tape) ScatterMean(a *Node, rows []int, outRows int) *Node {
 	out := t.node(val, a.needs, nil)
 	if a.needs {
 		out.back = func() {
-			for i, r := range rows {
-				arow := a.grad.Row(i)
-				for j, g := range out.grad.Row(r) {
-					arow[j] += g / counts[r]
+			t.accum(a, func(ag *tensor.Matrix) {
+				for i, r := range rows {
+					arow := ag.Row(i)
+					for j, g := range out.grad.Row(r) {
+						arow[j] += g / counts[r]
+					}
 				}
-			}
+			})
 		}
 	}
 	return out
@@ -439,10 +492,12 @@ func (t *Tape) SumAll(a *Node) *Node {
 	out := t.node(val, a.needs, nil)
 	if a.needs {
 		out.back = func() {
-			g := out.grad.Data[0]
-			for i := range a.grad.Data {
-				a.grad.Data[i] += g
-			}
+			t.accum(a, func(ag *tensor.Matrix) {
+				g := out.grad.Data[0]
+				for i := range ag.Data {
+					ag.Data[i] += g
+				}
+			})
 		}
 	}
 	return out
@@ -472,21 +527,14 @@ func (t *Tape) RowDot(a, b *Node) *Node {
 	needs := a.needs || b.needs
 	out := t.node(val, needs, nil)
 	if needs {
+		// Each row-dot adds once into each element of a's and of b's
+		// gradient, so a's rows may go first and b's after.
 		out.back = func() {
-			for i := 0; i < a.Val.Rows; i++ {
-				g := out.grad.Data[i]
-				if a.needs {
-					ar := a.grad.Row(i)
-					for j, bv := range b.Val.Row(i) {
-						ar[j] += g * bv
-					}
-				}
-				if b.needs {
-					br := b.grad.Row(i)
-					for j, av := range a.Val.Row(i) {
-						br[j] += g * av
-					}
-				}
+			if a.needs {
+				t.accum(a, addRowScaled(out.grad, b.Val))
+			}
+			if b.needs {
+				t.accum(b, addRowScaled(out.grad, a.Val))
 			}
 		}
 	}
@@ -517,25 +565,26 @@ func (t *Tape) RowL2Normalize(a *Node) *Node {
 	out := t.node(val, a.needs, nil)
 	if a.needs {
 		out.back = func() {
-			for i := 0; i < a.Val.Rows; i++ {
-				if norms[i] == 0 {
-					arow := a.grad.Row(i)
-					for j, g := range out.grad.Row(i) {
-						arow[j] += g
+			t.accum(a, func(ag *tensor.Matrix) {
+				for i := 0; i < ag.Rows; i++ {
+					arow := ag.Row(i)
+					if norms[i] == 0 {
+						for j, g := range out.grad.Row(i) {
+							arow[j] += g
+						}
+						continue
 					}
-					continue
+					y := val.Row(i)
+					g := out.grad.Row(i)
+					dot := 0.0
+					for j := range y {
+						dot += y[j] * g[j]
+					}
+					for j := range y {
+						arow[j] += (g[j] - y[j]*dot) / norms[i]
+					}
 				}
-				y := val.Row(i)
-				g := out.grad.Row(i)
-				dot := 0.0
-				for j := range y {
-					dot += y[j] * g[j]
-				}
-				arow := a.grad.Row(i)
-				for j := range y {
-					arow[j] += (g[j] - y[j]*dot) / norms[i]
-				}
-			}
+			})
 		}
 	}
 	return out

@@ -2,6 +2,8 @@ package nn
 
 import (
 	"math"
+	"runtime"
+	"sync"
 
 	"repro/internal/tensor"
 )
@@ -107,21 +109,49 @@ func NewAdam(lr float64) *Adam {
 	}
 }
 
-// Step implements Optimizer.
+// Step implements Optimizer. Every element updates independently of the
+// others, so the combined element range of params is split evenly across
+// GOMAXPROCS goroutines with no effect on the bits. The params must be
+// distinct.
 func (o *Adam) Step(params []*Param) {
 	o.t++
+	total := 0
+	for _, p := range params {
+		if o.m[p] == nil {
+			o.m[p] = tensor.New(p.Val.Rows, p.Val.Cols)
+			o.v[p] = tensor.New(p.Val.Rows, p.Val.Cols)
+		}
+		total += len(p.Grad.Data)
+	}
+	w := runtime.GOMAXPROCS(0)
+	var wg sync.WaitGroup
+	for i := 1; i < w; i++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			o.update(params, total*i/w, total*(i+1)/w)
+		}()
+	}
+	o.update(params, 0, total/w)
+	wg.Wait()
+}
+
+// update applies the Adam step to elements [lo, hi) of the concatenation of
+// params' elements and clears their gradients.
+func (o *Adam) update(params []*Param, lo, hi int) {
 	bc1 := 1 - math.Pow(o.Beta1, float64(o.t))
 	bc2 := 1 - math.Pow(o.Beta2, float64(o.t))
 	lr, b1, b2, eps := o.LR, o.Beta1, o.Beta2, o.Eps
+	off := 0
 	for _, p := range params {
-		m, v := o.m[p], o.v[p]
-		if m == nil {
-			m = tensor.New(p.Val.Rows, p.Val.Cols)
-			v = tensor.New(p.Val.Rows, p.Val.Cols)
-			o.m[p], o.v[p] = m, v
+		n := len(p.Grad.Data)
+		a, b := max(lo-off, 0), min(hi-off, n)
+		off += n
+		if a >= b {
+			continue
 		}
-		grad := p.Grad.Data
-		val, md, vd := p.Val.Data[:len(grad)], m.Data[:len(grad)], v.Data[:len(grad)]
+		grad := p.Grad.Data[a:b]
+		val, md, vd := p.Val.Data[a:b], o.m[p].Data[a:b], o.v[p].Data[a:b]
 		for i, g := range grad {
 			md[i] = b1*md[i] + (1-b1)*g
 			vd[i] = b2*vd[i] + (1-b2)*g*g
@@ -129,7 +159,7 @@ func (o *Adam) Step(params []*Param) {
 			vh := vd[i] / bc2
 			val[i] -= lr * mh / (math.Sqrt(vh) + eps)
 		}
-		p.ZeroGrad()
+		clear(grad)
 	}
 }
 
