@@ -33,8 +33,8 @@
 // 4.1) — without perturbing a single random draw relative to synchronous
 // training. Cluster workers start graph-free: the partition assignment and
 // schema come from the servers' Bootstrap RPC, hot neighbor lists from the
-// pluggable neighbor cache, and hot attribute rows from a client-side LRU
-// (TrainConfig.AttrCache, invalidated by attribute epoch).
+// pluggable neighbor cache, and hot attribute rows from a 4096-row
+// client-side LRU (cluster.AttrCache, invalidated by attribute epoch).
 //
 // Underneath the cluster storage layer sits internal/version, a
 // multi-version snapshot store: each server holds an immutable base
@@ -141,8 +141,6 @@ type Config struct {
 	// caching: vertices with Imp^(k) >= CacheThresholds[k-1] have their
 	// 1..k-hop neighborhoods cached (Section 3.2). Empty disables.
 	CacheThresholds []float64
-	// AttrCache sizes the LRU caches fronting the attribute indices.
-	AttrCache int
 	// Seed drives all platform randomness.
 	Seed int64
 }
@@ -150,7 +148,7 @@ type Config struct {
 // DefaultConfig mirrors the paper's recommended settings: threshold 0.2 at
 // depth 2 caches only the power-law head.
 func DefaultConfig() Config {
-	return Config{Partitions: 1, Partitioner: "hash", CacheThresholds: []float64{0.2, 0.2}, AttrCache: 4096, Seed: 1}
+	return Config{Partitions: 1, Partitioner: "hash", CacheThresholds: []float64{0.2, 0.2}, Seed: 1}
 }
 
 // Platform ties the storage and sampling layers over one graph.
@@ -184,7 +182,7 @@ func NewPlatform(g *Graph, cfg Config) (*Platform, error) {
 	}
 	p := &Platform{
 		G:      g,
-		Store:  storage.BuildStore(g, storage.StoreOptions{VertexAttrCache: cfg.AttrCache, EdgeAttrCache: cfg.AttrCache}),
+		Store:  storage.BuildStore(g),
 		Assign: assign,
 		src:    sampling.NewGraphSource(g),
 		rng:    rand.New(rand.NewSource(cfg.Seed)),
@@ -250,9 +248,6 @@ type TrainConfig struct {
 	// Pipeline sets the batch source: asynchronous prefetching when
 	// Depth > 0, inline assembly at Depth 0.
 	Pipeline PipelineConfig
-	// AttrCache caps the client-side attribute LRU (cluster training with
-	// UseAttrs); 0 disables it and every encode fetches over RPC.
-	AttrCache int
 	// NegRefresh rebuilds the negative pool whenever the observed cluster
 	// head epoch advances by at least this many epochs; 0 keeps the pool
 	// frozen at construction (the historical behavior, and the only option
@@ -262,7 +257,7 @@ type TrainConfig struct {
 
 // DefaultTrainConfig returns laptop-scale defaults.
 func DefaultTrainConfig() TrainConfig {
-	return TrainConfig{Dim: 32, HopNums: []int{5, 3}, Batch: 64, NegK: 4, LR: 0.02, AttrCache: 4096}
+	return TrainConfig{Dim: 32, HopNums: []int{5, 3}, Batch: 64, NegK: 4, LR: 0.02}
 }
 
 // Trainer wraps the Algorithm 1 encoder with the unsupervised
@@ -304,7 +299,7 @@ func withPipeline(tr *Trainer, cfg TrainConfig) *Trainer {
 // newSAGEEncoder assembles the GraphSAGE-style encoder shared by both
 // platforms: mean AGGREGATE, concat COMBINE, materialization enabled.
 func newSAGEEncoder(feat core.FeatureSource, cfg TrainConfig, rng *rand.Rand) *core.Encoder {
-	enc := &core.Encoder{Features: feat, Materialize: true, Normalize: true}
+	enc := &core.Encoder{Features: feat, Materialize: true}
 	in := feat.Dim()
 	for k := range cfg.HopNums {
 		agg := operator.NewMeanAggregator("agg", in, cfg.Dim, rng)
@@ -387,9 +382,13 @@ func (p *ClusterPlatform) CacheRate() float64 {
 	return storage.CacheRate(p.Client.Cache, p.NumVertices())
 }
 
+// attrCacheRows caps the client-side attribute LRU of a cluster trainer
+// with UseAttrs.
+const attrCacheRows = 4096
+
 // clusterAttrFeatures serves hop-0 attribute rows through batched Attrs
-// RPCs (with per-server sub-batching and dedup in the client), optionally
-// behind a client-side LRU over hot vertices (TrainConfig.AttrCache). A
+// RPCs (with per-server sub-batching and dedup in the client), behind a
+// client-side LRU over hot vertices (cluster.AttrCache). A
 // fetch failure yields zero rows for the batch — the feature interface has
 // no error path — so transient shard outages degrade the features instead
 // of crashing training.
@@ -402,7 +401,7 @@ func (p *ClusterPlatform) CacheRate() float64 {
 // the installed prefetched map, which is swapped between steps, and its
 // fallback fetch goes through the concurrency-safe fetcher.
 type clusterAttrFeatures struct {
-	fetch cluster.AttrFetcher
+	fetch *cluster.AttrCache
 	d     int
 
 	// prefetched, when set, answers Rows without touching the network
@@ -475,10 +474,7 @@ func (p *ClusterPlatform) NewGraphSAGE(cfg TrainConfig) (*Trainer, error) {
 		if ad == 0 {
 			ad = 16
 		}
-		var fetch cluster.AttrFetcher = p.Client
-		if cfg.AttrCache > 0 {
-			fetch = cluster.NewAttrCache(p.Client, cfg.AttrCache)
-		}
+		fetch := cluster.NewAttrCache(p.Client, attrCacheRows)
 		feat = &core.ConcatFeatures{Srcs: []core.FeatureSource{&clusterAttrFeatures{fetch: fetch, d: ad}, feat}}
 	}
 	enc := newSAGEEncoder(feat, cfg, rng)

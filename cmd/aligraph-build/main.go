@@ -54,24 +54,9 @@ func main() {
 		if err != nil {
 			log.Fatal(err)
 		}
-		l := graphio.NewLoader(schema, *directed)
-		vf, err := os.Open(*verticesPath)
-		if err != nil {
+		if g, err = graphio.LoadFiles(schema, *directed, *verticesPath, *edgesPath); err != nil {
 			log.Fatal(err)
 		}
-		if err := l.ReadVertices(vf); err != nil {
-			log.Fatal(err)
-		}
-		vf.Close()
-		ef, err := os.Open(*edgesPath)
-		if err != nil {
-			log.Fatal(err)
-		}
-		if err := l.ReadEdges(ef); err != nil {
-			log.Fatal(err)
-		}
-		ef.Close()
-		g, _ = l.Finalize()
 	default:
 		log.Fatal("need -vertices and -edges, or -demo")
 	}
@@ -92,7 +77,7 @@ func main() {
 		pt.Name(), *partitions, time.Since(start).Round(time.Millisecond),
 		a.Sizes(), 100*a.CutFraction(g), a.Imbalance())
 
-	st := storage.BuildStore(g, storage.DefaultStoreOptions())
+	st := storage.BuildStore(g)
 	rep := st.Space()
 	fmt.Printf("attribute store: %d distinct vectors, dedup %.2fMB vs inline %.2fMB (%.1fx)\n",
 		rep.Distinct, float64(rep.DedupBytes)/1e6, float64(rep.InlineBytes)/1e6, rep.Ratio)

@@ -4,10 +4,12 @@
 // / link-score / top-k lookups with request coalescing and an epoch-aware
 // embedding cache (see internal/serve).
 //
-// Two retry transports are dialed over one connection pool sharing a single
-// per-shard breaker view: the lookup path and the churn pusher observe the
-// same shard health, so an outage detected by either side fast-fails both
-// instead of each re-probing the dead shard.
+// Lookups and out-of-band churn go through one retry transport
+// (cluster.DefaultCallPolicy), so they share its per-shard breakers: an
+// outage detected by either side fast-fails both instead of each
+// re-probing the dead shard. The coalescer and the embedding cache run at
+// the serve.Config defaults (1 ms flush window, 64 vertices per batch, a
+// staleness budget of 8 epochs, 4096 cached embeddings).
 //
 // With -load N the built-in generator issues N lookups at -concurrency
 // workers — optionally against live churn (-churn in-band|out-of-band) —
@@ -54,17 +56,11 @@ func main() {
 		edgeType     = flag.Int("edge-type", 0, "edge type to embed over")
 		useAttrs     = flag.Bool("attrs", true, "feed vertex attributes to the encoder")
 		cacheFrac    = flag.Float64("cache", 0.2, "LRU neighbor-cached vertex fraction")
-		flushWindow  = flag.Duration("flush-window", time.Millisecond, "coalescer flush window")
-		maxBatch     = flag.Int("max-batch", 64, "max deduplicated vertices per encoder batch")
-		maxLag       = flag.Uint64("max-lag", 8, "staleness budget in update epochs")
-		cacheCap     = flag.Int("cache-cap", 4096, "embedding cache capacity")
 		refresh      = flag.Duration("refresh", 50*time.Millisecond, "background refresher period (0 disables)")
 		httpAddr     = flag.String("http", "", "serve HTTP lookups on this address")
 		load         = flag.Int("load", 0, "issue N lookups from the built-in generator, print metrics, exit")
 		concurrency  = flag.Int("concurrency", 8, "load-generator workers")
 		churn        = flag.String("churn", "", "push one synthetic edge update per 10 lookups: 'in-band' (through the tier, scoped invalidation) or 'out-of-band' (directly to shards, refresher-driven)")
-		rpcTimeout   = flag.Duration("rpc-timeout", 5*time.Second, "per-RPC deadline")
-		rpcRetries   = flag.Int("rpc-retries", 4, "attempts per idempotent RPC")
 		stats        = flag.Bool("stats", false, "print per-RPC client metrics (per-method and per-hop) at shutdown")
 		metricsAddr  = flag.String("metrics-addr", "", "serve observability on this address (/metrics text, /metrics.json, /debug/pprof/)")
 	)
@@ -81,17 +77,10 @@ func main() {
 	if err != nil {
 		log.Fatal(err)
 	}
-	pol := cluster.DefaultCallPolicy()
-	pol.Timeout = *rpcTimeout
-	pol.Attempts = *rpcRetries
-	// One shared breaker view across both transports: lookups and the churn
-	// pusher agree on which shards are down.
-	health := cluster.NewShardHealth(len(addrs))
-	lookupT := cluster.NewRetryTransportShared(rpcTr, pol, 1, health)
-	defer lookupT.Close()
-	pushT := cluster.NewRetryTransportShared(rpcTr, pol, 2, health)
+	tr := cluster.NewRetryTransport(rpcTr, len(addrs), cluster.DefaultCallPolicy(), 1)
+	defer tr.Close()
 
-	assign, schema, err := cluster.Bootstrap(lookupT, 0)
+	assign, schema, err := cluster.Bootstrap(tr, 0)
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -100,7 +89,7 @@ func main() {
 	if *cacheFrac > 0 {
 		cache = storage.NewLRUNeighborCache(int(*cacheFrac * float64(numVertices)))
 	}
-	cp := aligraph.NewClusterPlatform(assign, lookupT, cache, 1)
+	cp := aligraph.NewClusterPlatform(assign, tr, cache, 1)
 	fmt.Printf("cluster: %d shards, %d vertices, %d vertex / %d edge types (bootstrapped)\n",
 		assign.P, numVertices, schema.NumVertexTypes(), schema.NumEdgeTypes())
 
@@ -130,10 +119,6 @@ func main() {
 		*trainSteps, time.Since(start).Round(time.Millisecond), losses[0], losses[len(losses)-1])
 
 	srv := cp.Serve(trainer, aligraph.ServeConfig{
-		FlushWindow:  *flushWindow,
-		MaxBatch:     *maxBatch,
-		MaxLag:       *maxLag,
-		CacheCap:     *cacheCap,
 		RefreshEvery: *refresh,
 		EdgeType:     aligraph.EdgeType(*edgeType),
 	})
@@ -150,7 +135,7 @@ func main() {
 	}
 
 	if *load > 0 {
-		runLoad(srv, cp, pushT, assign.P, numVertices, aligraph.EdgeType(*edgeType), *load, *concurrency, *churn)
+		runLoad(srv, cp, numVertices, aligraph.EdgeType(*edgeType), *load, *concurrency, *churn)
 		if *httpAddr == "" {
 			return
 		}
@@ -160,8 +145,8 @@ func main() {
 
 // runLoad drives the tier at the requested concurrency, optionally pushing
 // synthetic churn, and prints the serving metrics the CI smoke asserts on.
-func runLoad(srv *aligraph.InferenceServer, cp *aligraph.ClusterPlatform, pushT cluster.Transport,
-	parts, numVertices int, et aligraph.EdgeType, load, concurrency int, churn string) {
+func runLoad(srv *aligraph.InferenceServer, cp *aligraph.ClusterPlatform,
+	numVertices int, et aligraph.EdgeType, load, concurrency int, churn string) {
 	var (
 		wg     sync.WaitGroup
 		issued atomic.Int64
@@ -205,12 +190,12 @@ func runLoad(srv *aligraph.InferenceServer, cp *aligraph.ClusterPlatform, pushT 
 							log.Fatalf("in-band update: %v", err)
 						}
 					case "out-of-band":
-						// Straight to the owning shard over the push
-						// transport: the tier only learns of it from the
+						// Straight to the owning shard, bypassing the
+						// tier: it only learns of the update from the
 						// refresher's head probes.
 						var ur cluster.UpdateReply
 						p := cp.Client.Assign.Part(add[0].Src)
-						if err := pushT.Update(p, cluster.UpdateRequest{Add: add}, &ur); err != nil {
+						if err := cp.Client.T.Update(p, cluster.UpdateRequest{Add: add}, &ur); err != nil {
 							log.Fatalf("out-of-band update: %v", err)
 						}
 					default:

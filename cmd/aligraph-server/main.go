@@ -70,24 +70,9 @@ func main() {
 		if err != nil {
 			log.Fatal(err)
 		}
-		l := graphio.NewLoader(schema, *directed)
-		vf, err := os.Open(*verticesPath)
-		if err != nil {
+		if g, err = graphio.LoadFiles(schema, *directed, *verticesPath, *edgesPath); err != nil {
 			log.Fatal(err)
 		}
-		if err := l.ReadVertices(vf); err != nil {
-			log.Fatal(err)
-		}
-		vf.Close()
-		ef, err := os.Open(*edgesPath)
-		if err != nil {
-			log.Fatal(err)
-		}
-		if err := l.ReadEdges(ef); err != nil {
-			log.Fatal(err)
-		}
-		ef.Close()
-		g, _ = l.Finalize()
 	default:
 		log.Fatal("need -vertices and -edges, or -demo")
 	}

@@ -8,14 +8,16 @@
 // NEGATIVE pools, NEIGHBORHOOD expansion via the batched SampleNeighbors
 // RPC) and attribute fetches go over the wire, with hot-vertex neighbor and
 // attribute LRUs client-side. -prefetch N assembles N mini-batches ahead of
-// the optimizer on parallel workers, overlapping graph-service latency with
-// the forward/backward pass.
+// the optimizer on two parallel workers, overlapping graph-service latency
+// with the forward/backward pass. The worker dials every shard at startup
+// and retries under cluster.DefaultCallPolicy; each scatter round reaches
+// all its shards at once.
 //
 // With -stream (cluster mode only) the trainer trains on a live, changing
-// graph: synthetic edge-update batches are interleaved with training
-// batches through the streaming BatchSource, each applied batch advances
-// the owning shard's epoch, and every training batch stays pinned to one
-// consistent snapshot while the updates land.
+// graph: one synthetic batch of 8 random edges per step is interleaved
+// with training batches through the streaming BatchSource, each applied
+// batch advances the owning shard's epoch, and every training batch stays
+// pinned to one consistent snapshot while the updates land.
 //
 // -metrics-addr serves the process's observability registry live (/metrics
 // text, /metrics.json, /debug/pprof/): cluster-client RPC histograms and
@@ -48,6 +50,13 @@ import (
 	"repro/internal/storage"
 )
 
+// The synthetic -stream feed: edges per update batch, and the seed of its
+// edge draws.
+const (
+	streamBatch = 8
+	streamSeed  = 7
+)
+
 func main() {
 	var (
 		verticesPath = flag.String("vertices", "", "vertex TSV path")
@@ -66,17 +75,9 @@ func main() {
 		clusterAddrs = flag.String("cluster", "", "comma-separated graph-server addresses; train against live RPC shards")
 		cacheFrac    = flag.Float64("cache", 0.2, "LRU neighbor-cached vertex fraction (cluster mode)")
 		prefetch     = flag.Int("prefetch", 0, "mini-batches assembled ahead of the optimizer (0 = synchronous)")
-		prefetchWrk  = flag.Int("prefetch-workers", 2, "parallel batch-assembly goroutines when -prefetch > 0")
 		stream       = flag.Bool("stream", false, "interleave synthetic live edge updates with training (cluster mode)")
-		streamBatch  = flag.Int("stream-batch", 8, "edges per synthetic update batch with -stream")
-		streamSeed   = flag.Int64("stream-seed", 7, "randomness seed for -stream update generation")
-		rpcTimeout   = flag.Duration("rpc-timeout", 5*time.Second, "per-RPC deadline (cluster mode)")
-		rpcRetries   = flag.Int("rpc-retries", 4, "attempts per idempotent RPC before a shard counts as down (cluster mode)")
-		dialTimeout  = flag.Duration("dial-timeout", cluster.DefaultDialTimeout, "per-shard TCP connect timeout (cluster mode)")
-		lazyDial     = flag.Bool("lazy-dial", false, "connect to shards on first use instead of at startup (cluster mode)")
 		degrade      = flag.Bool("degrade", false, "serve a down shard's reads from stale caches instead of failing (cluster mode)")
 		negRefresh   = flag.Uint64("neg-refresh", 0, "rebuild the negative pool every N observed update epochs; 0 = frozen pool (cluster mode)")
-		fanout       = flag.Int("fanout", 0, "max concurrent per-shard sub-requests per scatter round: 0 = all shards at once, 1 = sequential (cluster mode)")
 		stats        = flag.Bool("stats", false, "print per-RPC client metrics after training (cluster mode)")
 		metricsAddr  = flag.String("metrics-addr", "", "serve observability on this address (/metrics text, /metrics.json, /debug/pprof/)")
 		metricsOut   = flag.String("metrics-out", "", "write a final metrics snapshot (JSON) to this file at exit")
@@ -116,7 +117,7 @@ func main() {
 	cfg.LR = *lr
 	cfg.EdgeType = aligraph.EdgeType(*edgeType)
 	cfg.UseAttrs = *useAttrs
-	cfg.Pipeline = aligraph.PipelineConfig{Depth: *prefetch, Workers: *prefetchWrk}
+	cfg.Pipeline = aligraph.PipelineConfig{Depth: *prefetch}
 	cfg.NegRefresh = *negRefresh
 
 	var trainer *aligraph.Trainer
@@ -125,19 +126,16 @@ func main() {
 		// The transport stack is fault-tolerant end to end: the RPC layer
 		// redials dropped connections lazily, and the retry layer applies
 		// per-call deadlines, bounded backoff, and a per-shard breaker to
-		// every idempotent call.
+		// every idempotent call (cluster.DefaultCallPolicy).
 		addrs := strings.Split(*clusterAddrs, ",")
-		rpcTr, err := cluster.DialRPCConfig(addrs, cluster.DialConfig{Timeout: *dialTimeout, Lazy: *lazyDial})
+		rpcTr, err := cluster.DialRPC(addrs)
 		if err != nil {
 			log.Fatal(err)
 		}
-		pol := cluster.DefaultCallPolicy()
-		pol.Timeout = *rpcTimeout
-		pol.Attempts = *rpcRetries
 		// The seed only shapes backoff jitter; idempotency tokens are minted
 		// under a per-process random nonce, so many workers sharing these
 		// shards never collide in the servers' dedup rings.
-		tr := cluster.NewRetryTransport(rpcTr, len(addrs), pol, 1)
+		tr := cluster.NewRetryTransport(rpcTr, len(addrs), cluster.DefaultCallPolicy(), 1)
 		defer tr.Close()
 		assign, schema, err := cluster.Bootstrap(tr, 0)
 		if err != nil {
@@ -155,7 +153,6 @@ func main() {
 		if *degrade {
 			cp.Client.Degrade = true
 		}
-		cp.Client.Fanout = *fanout
 		cp.Client.RegisterObs(reg)
 		if *stats {
 			defer func() { fmt.Printf("client metrics:\n%s", cp.Client.Metrics()) }()
@@ -174,10 +171,10 @@ func main() {
 			// shard's epoch; the trainer's per-batch snapshot pins keep
 			// each mini-batch consistent regardless.
 			feed := cp.NewUpdateStream()
-			srng := rand.New(rand.NewSource(*streamSeed))
+			srng := rand.New(rand.NewSource(streamSeed))
 			for i := 0; i < *steps; i++ {
-				add := make([]cluster.RawEdge, 0, *streamBatch)
-				for j := 0; j < *streamBatch; j++ {
+				add := make([]cluster.RawEdge, 0, streamBatch)
+				for j := 0; j < streamBatch; j++ {
 					add = append(add, cluster.RawEdge{
 						Src:    aligraph.ID(srng.Intn(numVertices)),
 						Dst:    aligraph.ID(srng.Intn(numVertices)),
@@ -188,7 +185,7 @@ func main() {
 				feed.PushEdges(assign, add, nil, nil)
 			}
 			ss := trainer.StreamUpdates(feed, aligraph.StreamConfig{MaxPerTick: assign.P})
-			fmt.Printf("stream: queued %d update batches (%d edges per step)\n", feed.Pending(), *streamBatch)
+			fmt.Printf("stream: queued %d update batches (%d edges per step)\n", feed.Pending(), streamBatch)
 			defer func() {
 				fmt.Printf("stream: applied %d update batches during training\n", ss.Applied())
 			}()
@@ -203,24 +200,9 @@ func main() {
 			if err != nil {
 				log.Fatal(err)
 			}
-			l := graphio.NewLoader(schema, *directed)
-			vf, err := os.Open(*verticesPath)
-			if err != nil {
+			if g, err = graphio.LoadFiles(schema, *directed, *verticesPath, *edgesPath); err != nil {
 				log.Fatal(err)
 			}
-			if err := l.ReadVertices(vf); err != nil {
-				log.Fatal(err)
-			}
-			vf.Close()
-			ef, err := os.Open(*edgesPath)
-			if err != nil {
-				log.Fatal(err)
-			}
-			if err := l.ReadEdges(ef); err != nil {
-				log.Fatal(err)
-			}
-			ef.Close()
-			g, _ = l.Finalize()
 		default:
 			log.Fatal("need -vertices and -edges, -demo, or -cluster")
 		}
@@ -234,7 +216,7 @@ func main() {
 	defer trainer.Close()
 	trainer.RegisterObs(reg)
 	if *prefetch > 0 {
-		fmt.Printf("prefetch: %d batches ahead, %d workers\n", *prefetch, *prefetchWrk)
+		fmt.Printf("prefetch: %d batches ahead\n", *prefetch)
 	}
 
 	start := time.Now()

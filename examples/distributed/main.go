@@ -34,10 +34,9 @@ import (
 
 func main() {
 	var (
-		parts  = flag.Int("parts", 4, "number of graph-server partitions")
-		scale  = flag.Float64("scale", 0.1, "Taobao-sim dataset scale")
-		steps  = flag.Int("steps", 60, "GraphSAGE training mini-batches")
-		fanout = flag.Int("fanout", 0, "max concurrent per-shard sub-requests per scatter round: 0 = all shards at once, 1 = sequential")
+		parts = flag.Int("parts", 4, "number of graph-server partitions")
+		scale = flag.Float64("scale", 0.1, "Taobao-sim dataset scale")
+		steps = flag.Int("steps", 60, "GraphSAGE training mini-batches")
 	)
 	flag.Parse()
 
@@ -74,7 +73,6 @@ func main() {
 	users := g.VerticesOfType(0)
 	workload := func(c storage.NeighborCache) time.Duration {
 		client := cluster.NewClient(assign, tr, c)
-		client.Fanout = *fanout
 		rng := rand.New(rand.NewSource(1))
 		start := time.Now()
 		for i := 0; i < 300; i++ {
@@ -108,7 +106,6 @@ func main() {
 	fmt.Printf("\nbootstrap: %d partitions, %d vertices, %d vertex / %d edge types — no local graph needed\n",
 		bassign.P, len(bassign.Of), schema.NumVertexTypes(), schema.NumEdgeTypes())
 	cp := aligraph.NewClusterPlatform(bassign, tr, storage.NewLRUNeighborCache(len(bassign.Of)/5), 1)
-	cp.Client.Fanout = *fanout
 	cfg := aligraph.DefaultTrainConfig()
 	cfg.HopNums = []int{3, 2}
 	cfg.Batch = 32

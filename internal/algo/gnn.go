@@ -110,7 +110,7 @@ func (m *GCN) Fit(g *graph.Graph) error {
 		widened[i] = h * 2
 	}
 	cfg.HopNums = widened
-	enc := &core.Encoder{Features: features(g, cfg, rng), Materialize: true, Normalize: true}
+	enc := &core.Encoder{Features: features(g, cfg, rng), Materialize: true}
 	in := enc.Features.Dim()
 	for range cfg.HopNums {
 		enc.Agg = append(enc.Agg, operator.NewMeanAggregator("gcn.agg", in, cfg.Dim, rng))
@@ -178,7 +178,7 @@ func features(g *graph.Graph, cfg GNNConfig, rng *rand.Rand) core.FeatureSource 
 }
 
 func buildEncoder(g *graph.Graph, cfg GNNConfig, mkAgg func(name string, in, out int) operator.Aggregator, rng *rand.Rand) *core.Encoder {
-	enc := &core.Encoder{Features: features(g, cfg, rng), Materialize: true, Normalize: true}
+	enc := &core.Encoder{Features: features(g, cfg, rng), Materialize: true}
 	in := enc.Features.Dim()
 	for k := range cfg.HopNums {
 		agg := mkAgg("agg", in, cfg.Dim)

@@ -70,7 +70,7 @@ func AblationLockFree(ops int, producers int) string {
 // attribute indices versus inline storage.
 func AblationAttrStorage(scale float64) string {
 	g := dataset.Taobao(dataset.TaobaoSmallConfig(scale))
-	s := storage.BuildStore(g, storage.DefaultStoreOptions())
+	s := storage.BuildStore(g)
 	rep := s.Space()
 	return fmt.Sprintf(
 		"Ablation: attribute storage inline %.1fMB vs dedup %.1fMB (%.1fx, %d distinct vectors)\n",

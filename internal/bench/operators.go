@@ -45,7 +45,7 @@ func Table5(scale float64) []Table5Result {
 		rng := rand.New(rand.NewSource(1))
 
 		feat := core.NewTableFeatures("emb", g.NumVertices(), 32, rng)
-		enc := &core.Encoder{Features: feat, Normalize: true}
+		enc := &core.Encoder{Features: feat}
 		in := 32
 		for k := 0; k < 2; k++ {
 			enc.Agg = append(enc.Agg, operator.NewMeanAggregator("agg", in, 32, rng))

@@ -8,14 +8,6 @@ import (
 	"repro/internal/storage"
 )
 
-// AttrFetcher fetches attribute rows for a batch of vertices, optionally at
-// a pinned snapshot; Client implements it over Attrs RPCs and AttrCache
-// decorates it with a client-side LRU.
-type AttrFetcher interface {
-	Attrs(vs []graph.ID) ([][]float64, error)
-	AttrsAt(vs []graph.ID, pin *sampling.Pin) ([][]float64, error)
-}
-
 // AttrCache fronts a Client's attribute fetches with a mutex-guarded LRU
 // over hot vertices. Mini-batches over power-law graphs repeat the same hub
 // vertices in every hop-0 feature lookup, so without a cache each encode
@@ -30,10 +22,13 @@ type AttrFetcher interface {
 // rows' AttrEpoch, so a concurrent fetch that raced a flush cannot re-admit
 // rows from before it. Edge-only updates do not advance AttrHead and leave
 // the cache warm. The flush is cache-wide (coarse but safe); per-row
-// invalidation would need servers to ship touched-vertex lists. Under
-// pinned fetches the cache may still serve a row fetched at a newer
-// attribute epoch than the pin (rows are not version-keyed); strict
-// per-pin attribute isolation requires AttrCache disabled.
+// invalidation would need servers to ship touched-vertex lists.
+//
+// Each row is cached with the epoch it was installed at (AttrsReply.Since).
+// A pinned read is served from the cache only when that epoch is at or
+// below the pin's epoch on the row's shard: a row rewritten after the pin
+// was leased is fetched at the pin instead, so a prefetching pipeline with
+// older pins in flight reads each pin's own attributes.
 //
 // AttrCache is safe for concurrent use — the prefetching pipeline's
 // workers share one.
@@ -41,26 +36,33 @@ type AttrCache struct {
 	C *Client
 
 	mu       sync.Mutex
-	lru      *storage.LRU[[]float64]
+	lru      *storage.LRU[attrRow]
 	attrSeen map[int]uint64 // newest AttrEpoch observed per partition
 	flushes  int
+}
+
+// attrRow is one cached attribute row and the epoch it was installed at.
+type attrRow struct {
+	row   []float64
+	since uint64
 }
 
 // NewAttrCache creates an attribute LRU over c holding at most capacity
 // rows.
 func NewAttrCache(c *Client, capacity int) *AttrCache {
-	return &AttrCache{C: c, lru: storage.NewLRU[[]float64](capacity), attrSeen: make(map[int]uint64)}
+	return &AttrCache{C: c, lru: storage.NewLRU[attrRow](capacity), attrSeen: make(map[int]uint64)}
 }
 
-// Attrs implements AttrFetcher at the head epoch.
+// Attrs is AttrsAt at the head epoch.
 func (a *AttrCache) Attrs(vs []graph.ID) ([][]float64, error) {
 	return a.AttrsAt(vs, nil)
 }
 
-// AttrsAt implements AttrFetcher: cached rows are served locally, the
-// misses are deduplicated and fetched through the client (one Attrs RPC per
-// owning server), then admitted — after any attribute-epoch advance flushed
-// the stale generation.
+// AttrsAt is Client.AttrsAt through the cache: cached rows are served
+// locally (under a pin, only rows installed at or before it), the misses
+// are deduplicated and fetched through the client (one Attrs RPC per
+// owning server), then admitted — after any attribute-epoch advance
+// flushed the stale generation.
 func (a *AttrCache) AttrsAt(vs []graph.ID, pin *sampling.Pin) ([][]float64, error) {
 	out := make([][]float64, len(vs))
 	var missing []graph.ID
@@ -85,8 +87,8 @@ func (a *AttrCache) AttrsAt(vs []graph.ID, pin *sampling.Pin) ([][]float64, erro
 			missIdx[v] = append(idxs, i)
 			continue
 		}
-		if row, ok := a.lru.Get(int64(v)); ok {
-			out[i] = row
+		if e, ok := a.lru.Get(int64(v)); ok && (pin == nil || e.since <= pin.Epochs[a.C.Assign.Part(v)]) {
+			out[i] = e.row
 			continue
 		}
 		missIdx[v] = []int{i}
@@ -96,11 +98,16 @@ func (a *AttrCache) AttrsAt(vs []graph.ID, pin *sampling.Pin) ([][]float64, erro
 	if len(missing) == 0 {
 		return out, nil
 	}
-	// replyEpochs records the attr epoch each partition served THIS call;
-	// the note callback runs sequentially on this goroutine.
+	// replyEpochs records the attr epoch each partition served THIS call,
+	// since the install epoch of each fetched row; the note callback runs
+	// sequentially on this goroutine.
 	replyEpochs := make(map[int]uint64)
-	rows, err := a.C.attrsObserve(missing, pin, func(part int, attrEpoch uint64) {
-		replyEpochs[part] = attrEpoch
+	since := make(map[graph.ID]uint64, len(missing))
+	rows, err := a.C.attrsObserve(missing, pin, func(part int, batch []graph.ID, reply *AttrsReply) {
+		replyEpochs[part] = reply.AttrEpoch
+		for j, v := range batch {
+			since[v] = replySince(reply.Since, j, reply.Epoch)
+		}
 	})
 	if err != nil {
 		return nil, err
@@ -123,7 +130,7 @@ func (a *AttrCache) AttrsAt(vs []graph.ID, pin *sampling.Pin) ([][]float64, erro
 	// re-admitting our older rows would poison the cache past the flush.
 	for j, v := range missing {
 		if ae, ok := replyEpochs[a.C.Assign.Part(v)]; ok && ae >= a.attrSeen[a.C.Assign.Part(v)] {
-			a.lru.Put(int64(v), rows[j])
+			a.lru.Put(int64(v), attrRow{row: rows[j], since: since[v]})
 		}
 	}
 	a.mu.Unlock()

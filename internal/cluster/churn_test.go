@@ -10,6 +10,7 @@ import (
 	"repro/internal/nn"
 	"repro/internal/operator"
 	"repro/internal/partition"
+	"repro/internal/sampling"
 	"repro/internal/storage"
 	"repro/internal/version"
 )
@@ -43,7 +44,7 @@ func churnTestGraph(n int) *graph.Graph {
 func churnEncoder(n int, hops []int, rng *rand.Rand) *core.Encoder {
 	const dim = 8
 	feat := core.NewTableFeatures("emb", n, dim, rng)
-	enc := &core.Encoder{Features: feat, Materialize: true, Normalize: true}
+	enc := &core.Encoder{Features: feat, Materialize: true}
 	in := dim
 	for k := range hops {
 		enc.Agg = append(enc.Agg, operator.NewMeanAggregator("agg", in, dim, rng))
@@ -213,7 +214,7 @@ func TestEvictionRepinRetry(t *testing.T) {
 	}
 	g := b.Finalize()
 
-	srv := NewServerRetain(0, 1, 2) // retain only 2 epochs
+	srv := &Server{store: version.NewStoreRetain(1, 2)} // retain only 2 epochs
 	for v := 0; v < g.NumVertices(); v++ {
 		srv.AddVertex(graph.ID(v), g.VertexAttr(graph.ID(v)))
 		ns := g.OutNeighbors(graph.ID(v), 0)
@@ -416,6 +417,68 @@ func TestAttrCacheEpochInvalidation(t *testing.T) {
 	}
 	if rows[0][0] != 4242 {
 		t.Fatalf("post-invalidation row = %v (stale %v not dropped)", rows[0], oldVal)
+	}
+}
+
+// TestAttrCachePinnedReadSkipsNewerRow: a row rewritten after a pin was
+// leased and cached under a newer pin must not be served to the older pin,
+// which still reads its own snapshot's row.
+func TestAttrCachePinnedReadSkipsNewerRow(t *testing.T) {
+	g := churnTestGraph(120)
+	a, err := (partition.HashPartitioner{}).Partition(g, 2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	servers := FromGraph(g, a)
+	c := NewClient(a, NewLocalTransport(servers, 0, 0), storage.NoCache{})
+	cache := NewAttrCache(c, 64)
+	v := servers[0].LocalVertices()[0]
+	vs := []graph.ID{v}
+
+	pinA, err := c.Pin()
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer c.Unpin(pinA)
+	old, err := c.AttrsAt(vs, pinA)
+	if err != nil {
+		t.Fatal(err)
+	}
+	newRow := []float64{old[0][0] + 100}
+	var reply UpdateReply
+	if err := servers[0].ServeUpdate(UpdateRequest{SetAttr: []AttrUpdate{{V: v, Attr: newRow}}}, &reply); err != nil {
+		t.Fatal(err)
+	}
+	// An unpinned read observes the new head, so the next Pin leases it.
+	if _, err := c.Attrs(vs); err != nil {
+		t.Fatal(err)
+	}
+	pinB, err := c.Pin()
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer c.Unpin(pinB)
+	if pinB.Epochs[0] <= pinA.Epochs[0] {
+		t.Fatalf("pin B epochs %v do not follow pin A epochs %v", pinB.Epochs, pinA.Epochs)
+	}
+
+	for _, step := range []struct {
+		name string
+		pin  *sampling.Pin
+		want float64
+	}{
+		{"pin B admits the new row", pinB, newRow[0]},
+		{"pin A reads its own row", pinA, old[0][0]},
+		{"pin B hits the new row", pinB, newRow[0]},
+		{"pin A again", pinA, old[0][0]},
+	} {
+		rows, err := cache.AttrsAt(vs, step.pin)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if rows[0][0] != step.want {
+			t.Fatalf("%s: got %v, want %v", step.name, rows[0][0], step.want)
+		}
 	}
 }
 

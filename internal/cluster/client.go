@@ -460,9 +460,9 @@ func (c *Client) AttrsAt(vs []graph.ID, pin *sampling.Pin) ([][]float64, error) 
 }
 
 // attrsObserve is the attrs fetch core: note (nil to skip) receives each
-// contributing server's partition and attribute epoch, which AttrCache uses
-// for epoch-based invalidation.
-func (c *Client) attrsObserve(vs []graph.ID, pin *sampling.Pin, note func(part int, attrEpoch uint64)) ([][]float64, error) {
+// contributing server's partition, sub-batch and reply, whose attribute
+// epoch and per-row install epochs AttrCache uses for invalidation.
+func (c *Client) attrsObserve(vs []graph.ID, pin *sampling.Pin, note func(part int, batch []graph.ID, reply *AttrsReply)) ([][]float64, error) {
 	out := make([][]float64, len(vs))
 	res := make(map[graph.ID][]float64, len(vs))
 	subBatch := make(map[int][]graph.ID)
@@ -497,7 +497,7 @@ func (c *Client) attrsObserve(vs []graph.ID, pin *sampling.Pin, note func(part i
 			return nil, rowsError(p, "attribute rows", len(reply.Attrs), len(batch))
 		}
 		if note != nil {
-			note(p, reply.AttrEpoch)
+			note(p, batch, reply)
 		}
 		for j, v := range batch {
 			res[v] = reply.Attrs[j]

@@ -204,43 +204,6 @@ func (b *breaker) current() int {
 	return b.state
 }
 
-// ShardHealth is a shareable per-shard breaker view. Every RetryTransport
-// owns one, but several transports may share a single instance
-// (NewRetryTransportShared): a serving tier running separate lookup and
-// update-push transports against the same shard fleet wants one transport's
-// discovery of a dead shard to fast-fail the others immediately, instead of
-// each client burning its own probe budget against the corpse. Breaker
-// transitions are applied by whichever sharing transport observes them,
-// under each breaker's own lock; policies are per-transport, so sharing
-// transports should use compatible FailThreshold/Cooldown settings.
-type ShardHealth struct {
-	breakers []breaker
-}
-
-// NewShardHealth creates a health view over parts shards, all closed.
-func NewShardHealth(parts int) *ShardHealth {
-	if parts < 1 {
-		parts = 1
-	}
-	return &ShardHealth{breakers: make([]breaker, parts)}
-}
-
-// Parts reports how many shards the view tracks.
-func (h *ShardHealth) Parts() int { return len(h.breakers) }
-
-// Open reports whether part's breaker is currently open (fast-failing).
-func (h *ShardHealth) Open(part int) bool {
-	if part < 0 || part >= len(h.breakers) {
-		return false
-	}
-	return h.breakers[part].current() == breakerOpen
-}
-
-// breakerFor returns part's breaker, clamping out-of-range parts.
-func (h *ShardHealth) breakerFor(part int) *breaker {
-	return &h.breakers[min(max(part, 0), len(h.breakers)-1)]
-}
-
 // RetryTransport applies a CallPolicy to every RPC of an inner layer.
 // Reads are idempotent by construction (slot-/seed-pure draws at pinned
 // epochs); Update, Lease and Release are stamped with idempotency tokens the
@@ -254,8 +217,8 @@ type RetryTransport struct {
 	Caller // the inner layer; Close is not retried
 	Policy CallPolicy
 
-	health *ShardHealth
-	now    func() time.Time // the breaker clock
+	breakers []breaker        // one per shard
+	now      func() time.Time // the breaker clock
 
 	mu  sync.Mutex
 	rng sampling.Rng // deterministic backoff jitter
@@ -275,39 +238,28 @@ type RetryTransport struct {
 // (which all tend to pass the same fixed seed) can never mint colliding
 // token sequences and alias each other's entries in the server dedup ring.
 func NewRetryTransport(inner Caller, parts int, policy CallPolicy, seed uint64) *RetryTransport {
-	return NewRetryTransportShared(inner, policy, seed, NewShardHealth(parts))
-}
-
-// NewRetryTransportShared is NewRetryTransport with a caller-supplied
-// ShardHealth, so several transports against the same shard fleet share one
-// breaker view: a breaker any of them opens fast-fails all of them, and a
-// successful half-open probe by one closes it for all. Retry/fast-fail
-// counters and token nonces stay per-transport.
-func NewRetryTransportShared(inner Caller, policy CallPolicy, seed uint64, health *ShardHealth) *RetryTransport {
 	if policy.Attempts < 1 {
 		policy.Attempts = 1
 	}
 	if policy.MaxBackoff < policy.Backoff {
 		policy.MaxBackoff = policy.Backoff
 	}
-	if health == nil {
-		health = NewShardHealth(1)
-	}
 	t := &RetryTransport{
-		Caller: inner,
-		Policy: policy,
-		health: health,
-		now:    time.Now,
-		rng:    *sampling.NewRng(seed ^ 0x9E3779B97F4A7C15),
-		nonce:  randomNonce(seed),
+		Caller:   inner,
+		Policy:   policy,
+		breakers: make([]breaker, max(parts, 1)),
+		now:      time.Now,
+		rng:      *sampling.NewRng(seed ^ 0x9E3779B97F4A7C15),
+		nonce:    randomNonce(seed),
 	}
 	t.facade = facade{t}
 	return t
 }
 
-// Health returns the transport's shard-health view (shareable via
-// NewRetryTransportShared).
-func (t *RetryTransport) Health() *ShardHealth { return t.health }
+// breakerFor returns part's breaker, clamping out-of-range parts.
+func (t *RetryTransport) breakerFor(part int) *breaker {
+	return &t.breakers[min(max(part, 0), len(t.breakers)-1)]
+}
 
 // randomNonce draws a process-unique 64-bit token nonce, falling back to a
 // seed-mixed constant only if the system entropy source is unavailable.
@@ -330,7 +282,10 @@ func (t *RetryTransport) FastFails() int64 { return t.fastFails.Load() }
 // BreakerOpen reports whether part's breaker is currently open (tests,
 // diagnostics).
 func (t *RetryTransport) BreakerOpen(part int) bool {
-	return t.health.Open(part)
+	if part < 0 || part >= len(t.breakers) {
+		return false
+	}
+	return t.breakers[part].current() == breakerOpen
 }
 
 // nextToken mints a client-unique idempotency token (never 0). The full
@@ -414,7 +369,7 @@ func (t *RetryTransport) Call(part int, m Method, req, reply any) error {
 	if spec.stamp != nil {
 		req = spec.stamp(req, t.nextToken)
 	}
-	br := t.health.breakerFor(part)
+	br := t.breakerFor(part)
 	var last error
 	for attempt := 0; ; attempt++ {
 		if !br.allow(&t.Policy, t.now()) {

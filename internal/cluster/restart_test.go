@@ -159,10 +159,9 @@ func localVertices(a *partition.Assignment, part, n int) []graph.ID {
 	return out
 }
 
-// TestDialRPCLazyAndEager: eager dialing fails fast on an unreachable
-// address; lazy construction succeeds and defers the failure to first use,
-// which then heals once a server appears.
-func TestDialRPCLazyAndEager(t *testing.T) {
+// TestDialRPCFailsOnDeadAddress: DialRPC connects to every shard up
+// front, so an unreachable address fails construction.
+func TestDialRPCFailsOnDeadAddress(t *testing.T) {
 	// A listener we close immediately: the address is valid but dead.
 	g := churnTestGraph(40)
 	a, err := (partition.HashPartitioner{}).Partition(g, 1)
@@ -178,30 +177,7 @@ func TestDialRPCLazyAndEager(t *testing.T) {
 	rs.Close()
 
 	if _, err := DialRPC([]string{addr}); err == nil {
-		t.Fatal("eager dial of a dead address must fail construction")
-	}
-
-	lt, err := DialRPCConfig([]string{addr}, DialConfig{Timeout: 200 * time.Millisecond, Lazy: true})
-	if err != nil {
-		t.Fatalf("lazy dial must not fail construction: %v", err)
-	}
-	defer lt.Close()
-	var sr StatsReply
-	if err := lt.Stats(0, StatsRequest{}, &sr); err == nil {
-		t.Fatal("first use against a dead address must fail")
-	}
-
-	// Boot the server; the next call dials fresh and succeeds.
-	rs2, err := ServeRPC(srv, addr)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer rs2.Close()
-	if err := lt.Stats(0, StatsRequest{}, &sr); err != nil {
-		t.Fatalf("lazy transport did not heal once the server appeared: %v", err)
-	}
-	if sr.NumVertices == 0 {
-		t.Fatal("healed call returned empty stats")
+		t.Fatal("dialing a dead address must fail construction")
 	}
 }
 
@@ -259,7 +235,7 @@ func TestDeadlineKickSeversHungConnection(t *testing.T) {
 		}
 	}()
 
-	tr, err := DialRPCConfig([]string{lis.Addr().String()}, DialConfig{Timeout: time.Second})
+	tr, err := DialRPC([]string{lis.Addr().String()})
 	if err != nil {
 		t.Fatal(err)
 	}

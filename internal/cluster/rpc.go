@@ -245,21 +245,9 @@ func (rs *RPCServer) Close() error {
 	return err
 }
 
-// DefaultDialTimeout bounds connection establishment when the caller does
-// not configure one; the historical DialRPC blocked indefinitely on an
-// unresponsive address.
-const DefaultDialTimeout = 5 * time.Second
-
-// DialConfig tunes DialRPCConfig.
-type DialConfig struct {
-	// Timeout bounds each TCP connect (default DefaultDialTimeout).
-	Timeout time.Duration
-	// Lazy defers connecting: unreachable shards do not fail construction,
-	// their connections are established (with the same timeout) on first
-	// call. Combined with a RetryTransport this lets a client start while a
-	// shard is still booting.
-	Lazy bool
-}
+// dialTimeout bounds each TCP connect, so an unresponsive address fails
+// a dial instead of blocking it.
+const dialTimeout = 5 * time.Second
 
 // RPCTransport dials one RPC client per partition, lazily redialing after a
 // transport-level failure so a restarted server is transparently
@@ -267,35 +255,21 @@ type DialConfig struct {
 // call to that shard dials afresh.
 type RPCTransport struct {
 	facade
-	addrs       []string
-	dialTimeout time.Duration
+	addrs []string
 
 	mu      sync.Mutex
 	clients []*rpc.Client
 	closed  bool
 }
 
-// DialRPC connects to the given per-partition addresses eagerly with the
-// default timeout; any unreachable address fails construction (the
-// historical contract). Use DialRPCConfig for lazy dialing.
+// DialRPC connects to the given per-partition addresses; any unreachable
+// address fails construction.
 func DialRPC(addrs []string) (*RPCTransport, error) {
-	return DialRPCConfig(addrs, DialConfig{})
-}
-
-// DialRPCConfig connects to the given per-partition addresses under cfg.
-func DialRPCConfig(addrs []string, cfg DialConfig) (*RPCTransport, error) {
-	if cfg.Timeout <= 0 {
-		cfg.Timeout = DefaultDialTimeout
-	}
 	t := &RPCTransport{
-		addrs:       append([]string(nil), addrs...),
-		dialTimeout: cfg.Timeout,
-		clients:     make([]*rpc.Client, len(addrs)),
+		addrs:   append([]string(nil), addrs...),
+		clients: make([]*rpc.Client, len(addrs)),
 	}
 	t.facade = facade{t}
-	if cfg.Lazy {
-		return t, nil
-	}
 	for i := range t.addrs {
 		c, err := t.dial(i)
 		if err != nil {
@@ -307,9 +281,9 @@ func DialRPCConfig(addrs []string, cfg DialConfig) (*RPCTransport, error) {
 	return t, nil
 }
 
-// dial establishes one connection with the configured timeout.
+// dial establishes one connection to part's server.
 func (t *RPCTransport) dial(part int) (*rpc.Client, error) {
-	conn, err := net.DialTimeout("tcp", t.addrs[part], t.dialTimeout)
+	conn, err := net.DialTimeout("tcp", t.addrs[part], dialTimeout)
 	if err != nil {
 		return nil, fmt.Errorf("cluster: dial %s: %w", t.addrs[part], err)
 	}

@@ -69,9 +69,10 @@
 //     so concurrent workers sharing the same servers never alias each
 //     other's dedup entries.
 //
-//   - What reconnects: RPCTransport drops a connection on transport-level
-//     failure (io.EOF, rpc.ErrShutdown, net errors) and redials lazily on
-//     the next call; a per-attempt deadline expiry additionally kicks the
+//   - What reconnects: DialRPC connects to every shard up front (an
+//     unreachable one fails construction after a 5-s dial timeout). After
+//     that, RPCTransport drops a connection on transport-level failure
+//     (io.EOF, rpc.ErrShutdown, net errors) and redials on the next call; a per-attempt deadline expiry additionally kicks the
 //     shard down the layer stack to the connection (Caller.Kick), so a
 //     silent partition with no FIN/RST cannot park every retry on the same
 //     hung conn. Either way a restarted server is transparently re-adopted.
@@ -81,8 +82,10 @@
 //     evicted/future retry machinery.
 //
 //   - What degrades: with Client.Degrade set, a shard whose retry budget is
-//     exhausted (or whose breaker is open — three-state per-shard health in
-//     RetryTransport) is served from stale cache entries instead of failing
+//     exhausted (or whose breaker is open — three-state per-shard health
+//     owned by each RetryTransport; traffic that should share breakers,
+//     such as aligraph-serve's lookups and churn, goes through one
+//     transport) is served from stale cache entries instead of failing
 //     the batch: neighbor hops come from cache-admitted lists via the
 //     slot-pure draw path, attribute rows fall back to zeros, TRAVERSE and
 //     NegativePool skip the dead shard's mass. Every such draw is counted
@@ -102,10 +105,11 @@
 //
 // Every multi-shard round — a hop's neighbor fetch, a sampled expansion,
 // attribute fills, TRAVERSE/NegativePool scans, Stats refreshes, the pin
-// manager's Lease/Release rounds, and UpdateStream/ApplyDelta pushes — is
-// built on one scatter-gather primitive (fanout.go): the per-shard
-// sub-requests launch together (bounded by Client.Fanout; 0 means all at
-// once, 1 restores sequential issue), so a hop costs max over the touched
+// manager's Lease/Release rounds, and UpdateStream pushes — is built on
+// one scatter-gather primitive (fanout.go): the per-shard sub-requests
+// launch together (a client's rounds are bounded by Client.Fanout, 0
+// meaning all at once and 1 sequential issue; UpdateStream always pushes
+// to every touched shard at once), so a hop costs max over the touched
 // shards' RTTs rather than their sum. What stays sequential is the gather:
 // each sub-request writes only its own reply slot, and the calling
 // goroutine stitches replies back in ascending part order after the round
@@ -256,11 +260,6 @@ func (s *Server) dedupRecord(token uint64, reply any) {
 // edge types, retaining version.DefaultRetain update epochs.
 func NewServer(id, numEdgeTypes int) *Server {
 	return &Server{ID: id, store: version.NewStore(numEdgeTypes)}
-}
-
-// NewServerRetain is NewServer with an explicit epoch-retention window.
-func NewServerRetain(id, numEdgeTypes, retain int) *Server {
-	return &Server{ID: id, store: version.NewStoreRetain(numEdgeTypes, retain)}
 }
 
 // Store exposes the server's snapshot store (tests and tooling).

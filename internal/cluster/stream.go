@@ -19,13 +19,6 @@ import (
 type UpdateStream struct {
 	T Transport
 
-	// Fanout bounds how many shards one Apply tick pushes to concurrently:
-	// 0 (default) delivers to every touched shard at once, 1 restores
-	// sequential delivery. Batches bound for the SAME shard always deliver
-	// in FIFO order regardless — only cross-shard deliveries (which were
-	// never ordered: different servers, independent epochs) overlap.
-	Fanout int
-
 	mu      sync.Mutex
 	queue   []streamBatch
 	applied int
@@ -77,8 +70,9 @@ func (s *UpdateStream) Applied() int {
 
 // Apply implements core.UpdateFeed: deliver up to max queued batches to
 // their owning servers. Batches for distinct shards are pushed in one
-// concurrent scatter round (bounded by Fanout); batches for one shard keep
-// their queue order. On a delivery error the failed batch — and everything
+// concurrent scatter round; batches for one shard keep their queue order
+// (cross-shard deliveries were never ordered: different servers,
+// independent epochs). On a delivery error the failed batch — and everything
 // queued behind it for the same shard — returns to the front of the queue
 // in original order, the successes still count, and the lowest-part
 // failure surfaces (deterministic regardless of delivery interleaving).
@@ -108,7 +102,7 @@ func (s *UpdateStream) Apply(max int) (int, error) {
 	}
 	parts := sortedParts(byPart)
 	done := make([]int, len(parts)) // delivered prefix length per part
-	errs := scatterGather(len(parts), s.Fanout, func(i int) error {
+	errs := scatterGather(len(parts), 0, func(i int) error {
 		for _, k := range byPart[parts[i]] {
 			var reply UpdateReply
 			if err := s.T.Update(taken[k].part, taken[k].req, &reply); err != nil {

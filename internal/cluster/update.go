@@ -116,8 +116,7 @@ func (s *Server) checkDestinations(add []RawEdge) error {
 
 // groupByPartition routes raw mutations to their owning partitions (edges
 // and attribute rewrites live with their source/subject vertex), building
-// one atomic UpdateRequest per touched server. Shared by ApplyDelta and
-// UpdateStream.PushEdges so the routing rule exists once.
+// one atomic UpdateRequest per touched server (UpdateStream.PushEdges).
 func groupByPartition(part func(graph.ID) int, add, remove []RawEdge, attrs []AttrUpdate) map[int]*UpdateRequest {
 	reqs := make(map[int]*UpdateRequest)
 	get := func(v graph.ID) *UpdateRequest {
@@ -142,35 +141,4 @@ func groupByPartition(part func(graph.ID) int, add, remove []RawEdge, attrs []At
 		r.SetAttr = append(r.SetAttr, a)
 	}
 	return reqs
-}
-
-// rawEdges converts graph edges to wire records.
-func rawEdges(es []graph.Edge) []RawEdge {
-	out := make([]RawEdge, len(es))
-	for i, e := range es {
-		out[i] = RawEdge{Src: e.Src, Dst: e.Dst, Type: e.Type, Weight: e.Weight}
-	}
-	return out
-}
-
-// ApplyDelta routes a snapshot delta (graph.Dynamic.Delta) to the owning
-// servers, grouping mutations per partition. Each per-server batch applies
-// atomically and the per-server pushes run concurrently (each batch touches
-// a different server); counts fold back in ascending part order and the
-// lowest-part failure surfaces, so results are reproducible.
-func ApplyDelta(servers []*Server, assign func(graph.ID) int, delta graph.EdgeDelta) (added, removed int, err error) {
-	reqs := groupByPartition(assign, rawEdges(delta.Added), rawEdges(delta.Removed), nil)
-	parts := sortedParts(reqs)
-	replies := make([]UpdateReply, len(parts))
-	errs := scatterGather(len(parts), 0, func(i int) error {
-		return servers[parts[i]].ServeUpdate(*reqs[parts[i]], &replies[i])
-	})
-	for i := range parts {
-		if errs[i] != nil {
-			return added, removed, errs[i]
-		}
-		added += replies[i].Added
-		removed += replies[i].Removed
-	}
-	return added, removed, nil
 }

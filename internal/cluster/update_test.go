@@ -1,6 +1,7 @@
 package cluster
 
 import (
+	"sync/atomic"
 	"testing"
 
 	"repro/internal/graph"
@@ -63,23 +64,51 @@ func TestServeUpdate(t *testing.T) {
 	}
 }
 
+// updateCounter sums the Added and Removed counts of the Update replies
+// that pass through it.
+type updateCounter struct {
+	facade
+	Caller
+	added, removed atomic.Int64
+}
+
+func (c *updateCounter) Call(part int, m Method, req, reply any) error {
+	err := c.Caller.Call(part, m, req, reply)
+	if r, ok := reply.(*UpdateReply); ok && err == nil {
+		c.added.Add(int64(r.Added))
+		c.removed.Add(int64(r.Removed))
+	}
+	return err
+}
+
+// TestApplyDelta: a delta pushed through UpdateStream.PushEdges is grouped
+// into one batch per owning shard, and Apply lands each mutation on the
+// shard that owns its source.
 func TestApplyDelta(t *testing.T) {
 	g := testGraph(t)
 	a, _ := partition.HashPartitioner{}.Partition(g, 2)
 	servers := FromGraph(g, a)
+	counted := &updateCounter{Caller: NewLocalTransport(servers, 0, 0)}
+	counted.facade = facade{counted}
+	feed := NewUpdateStream(counted)
 
-	delta := graph.EdgeDelta{
-		Added: []graph.Edge{
-			{Src: 0, Dst: 6, Type: 0, Weight: 1},
-			{Src: 1, Dst: 7, Type: 0, Weight: 1},
-		},
-		Removed: []graph.Edge{{Src: 2, Dst: 6, Type: 0}},
+	add := []RawEdge{
+		{Src: 0, Dst: 6, Type: 0, Weight: 1},
+		{Src: 1, Dst: 7, Type: 0, Weight: 1},
 	}
-	added, removed, err := ApplyDelta(servers, a.Part, delta)
+	remove := []RawEdge{{Src: 2, Dst: 6, Type: 0}}
+	feed.PushEdges(a, add, remove, nil)
+	if got := feed.Pending(); got != 2 {
+		t.Fatalf("pending batches = %d, want one per touched shard (2)", got)
+	}
+	applied, err := feed.Apply(10)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if added != 2 || removed != 1 {
+	if applied != 2 || feed.Pending() != 0 || feed.Applied() != 2 {
+		t.Fatalf("applied=%d pending=%d total=%d", applied, feed.Pending(), feed.Applied())
+	}
+	if added, removed := counted.added.Load(), counted.removed.Load(); added != 2 || removed != 1 {
 		t.Fatalf("added=%d removed=%d", added, removed)
 	}
 	// Each addition landed on its owner.

@@ -19,7 +19,7 @@ func BenchmarkTrainStep(b *testing.B) {
 	g := dataset.Taobao(dataset.TaobaoSmallConfig(2))
 	rng := rand.New(rand.NewSource(1))
 	feat := &ConcatFeatures{Srcs: []FeatureSource{NewAttrFeatures(g, 16), NewTableFeatures("emb", g.NumVertices(), 32, rng)}}
-	enc := &Encoder{Features: feat, Materialize: true, Normalize: true}
+	enc := &Encoder{Features: feat, Materialize: true}
 	hops := []int{5, 3}
 	in := feat.Dim()
 	for k := range hops {

@@ -13,7 +13,7 @@ import (
 )
 
 func newEncoder(g *graph.Graph, feat FeatureSource, dims []int, materialize bool, rng *rand.Rand) *Encoder {
-	e := &Encoder{Features: feat, Materialize: materialize, Normalize: true}
+	e := &Encoder{Features: feat, Materialize: materialize}
 	in := feat.Dim()
 	for k, out := range dims {
 		e.Agg = append(e.Agg, operator.NewMeanAggregator("agg", in, out, rng))

@@ -9,9 +9,12 @@ import (
 
 // Encoder runs Algorithm 1 over a sampled multi-hop context: hop k applies
 // AGGREGATE to the (k-1)-hop embeddings of each vertex's sampled neighbors,
-// COMBINE merges with the vertex's own (k-1)-hop embedding, and rows are
-// L2-normalized (line 7). Hop counts and widths come from the context; one
-// Aggregator/Combiner pair per hop.
+// COMBINE merges with the vertex's own (k-1)-hop embedding, and the rows
+// of every intermediate hop are L2-normalized (line 7). The final hop is
+// left unnormalized so the dot-product training logits are unbounded;
+// normalizing the output caps logits at [-1, 1] and starves the
+// negative-sampling gradient. Hop counts and widths come from the context;
+// one Aggregator/Combiner pair per hop.
 type Encoder struct {
 	Features FeatureSource
 	Agg      []operator.Aggregator
@@ -23,12 +26,6 @@ type Encoder struct {
 	// Disabled, each occurrence recomputes its subtree — the baseline
 	// measured in Table 5.
 	Materialize bool
-
-	// Normalize applies row L2 normalization after every intermediate hop
-	// (Algorithm 1 line 7). The final hop is left unnormalized so the
-	// dot-product training logits are unbounded; normalizing the output
-	// caps logits at [-1, 1] and starves the negative-sampling gradient.
-	Normalize bool
 }
 
 // Params returns all trainable parameters of the encoder.
@@ -49,10 +46,6 @@ func (e *Encoder) OutDim() int {
 		return e.Features.Dim()
 	}
 	return e.Comb[len(e.Comb)-1].OutDim()
-}
-
-func (e *Encoder) normalizeHop(k, kmax int) bool {
-	return e.Normalize && k < kmax
 }
 
 // Encode computes embeddings for ctx.Layers[0] (B x OutDim).
@@ -79,7 +72,7 @@ func (e *Encoder) encodePositional(t *nn.Tape, ctx *sampling.Context) *nn.Node {
 		for l := 0; l < L-k; l++ {
 			agg := e.Agg[k-1].Aggregate(t, h[l+1], nil, ctx.HopNums[l])
 			comb := e.Comb[k-1].Combine(t, h[l], agg)
-			if e.normalizeHop(k, kmax) {
+			if k < kmax {
 				comb = t.RowL2Normalize(comb)
 			}
 			next[l] = comb
@@ -157,7 +150,7 @@ func (e *Encoder) encodeMaterialized(t *nn.Tape, ctx *sampling.Context) *nn.Node
 		agg := e.Agg[k-1].Aggregate(t, hhat, flat, width)
 		self := t.Gather(hhat, selfIdx)
 		comb := e.Comb[k-1].Combine(t, self, agg)
-		if e.normalizeHop(k, kmax) {
+		if k < kmax {
 			comb = t.RowL2Normalize(comb)
 		}
 		hhat = comb

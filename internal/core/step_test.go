@@ -18,7 +18,7 @@ func newStepTestTrainer(g *graph.Graph, agg, comb string, materialize bool, seed
 	const d = 12 // feature and hidden width alike, so every combiner fits
 	rng := rand.New(rand.NewSource(seed))
 	feat := &ConcatFeatures{Srcs: []FeatureSource{NewAttrFeatures(g, 4), NewTableFeatures("emb", g.NumVertices(), d-4, rng)}}
-	enc := &Encoder{Features: feat, Materialize: materialize, Normalize: true}
+	enc := &Encoder{Features: feat, Materialize: materialize}
 	hops := []int{3, 2}
 	for range hops {
 		switch agg {

@@ -26,15 +26,12 @@ type UpdateFeed interface {
 
 // StreamConfig tunes a StreamSource.
 type StreamConfig struct {
-	// Every applies pending updates before every Every-th batch (default 1:
-	// before each batch).
-	Every int
 	// MaxPerTick bounds the update batches applied per tick (default 1).
 	MaxPerTick int
 }
 
 // StreamSource is the live-training BatchSource: it drains an UpdateFeed
-// between batches pulled from the inner source. With a prefetching inner
+// before each batch pulled from the inner source. With a prefetching inner
 // Pipeline the feed's updates and the producer's pinned batches overlap
 // freely — batches already scheduled keep reading their pinned epochs,
 // batches scheduled after an update pin the new snapshot.
@@ -43,16 +40,12 @@ type StreamSource struct {
 	feed  UpdateFeed
 	cfg   StreamConfig
 
-	n       uint64
 	applied atomic.Int64
 }
 
 // NewStreamSource wraps inner so that pending updates from feed are applied
 // between training batches.
 func NewStreamSource(inner BatchSource, feed UpdateFeed, cfg StreamConfig) *StreamSource {
-	if cfg.Every < 1 {
-		cfg.Every = 1
-	}
 	if cfg.MaxPerTick < 1 {
 		cfg.MaxPerTick = 1
 	}
@@ -62,14 +55,11 @@ func NewStreamSource(inner BatchSource, feed UpdateFeed, cfg StreamConfig) *Stre
 // Next implements BatchSource: drain the feed's tick, then hand out the
 // next training batch.
 func (s *StreamSource) Next() (*MiniBatch, error) {
-	if s.n%uint64(s.cfg.Every) == 0 {
-		k, err := s.feed.Apply(s.cfg.MaxPerTick)
-		if err != nil {
-			return nil, err
-		}
-		s.applied.Add(int64(k))
+	k, err := s.feed.Apply(s.cfg.MaxPerTick)
+	if err != nil {
+		return nil, err
 	}
-	s.n++
+	s.applied.Add(int64(k))
 	return s.inner.Next()
 }
 

@@ -18,6 +18,7 @@ import (
 	"bufio"
 	"fmt"
 	"io"
+	"os"
 	"strconv"
 	"strings"
 
@@ -136,6 +137,33 @@ func (l *Loader) ReadEdges(r io.Reader) error {
 // Finalize returns the built graph and the raw-id to dense-id mapping.
 func (l *Loader) Finalize() (*graph.Graph, map[int64]graph.ID) {
 	return l.builder.Finalize(), l.idMap
+}
+
+// LoadFiles builds a graph from a vertex TSV file and an edge TSV file. An
+// error names the file it came from.
+func LoadFiles(schema *graph.Schema, directed bool, verticesPath, edgesPath string) (*graph.Graph, error) {
+	l := NewLoader(schema, directed)
+	if err := readFile(verticesPath, l.ReadVertices); err != nil {
+		return nil, err
+	}
+	if err := readFile(edgesPath, l.ReadEdges); err != nil {
+		return nil, err
+	}
+	g, _ := l.Finalize()
+	return g, nil
+}
+
+// readFile opens path and hands it to read.
+func readFile(path string, read func(io.Reader) error) error {
+	f, err := os.Open(path)
+	if err != nil {
+		return err // *fs.PathError names the path
+	}
+	defer f.Close()
+	if err := read(f); err != nil {
+		return fmt.Errorf("%s: %w", path, err)
+	}
+	return nil
 }
 
 func parseAttrs(s string) ([]float64, error) {

@@ -2,9 +2,13 @@ package graphio
 
 import (
 	"bytes"
+	"os"
+	"path/filepath"
+	"reflect"
 	"strings"
 	"testing"
 
+	"repro/internal/dataset"
 	"repro/internal/graph"
 )
 
@@ -125,5 +129,84 @@ func TestEdgeAttrs(t *testing.T) {
 	a := g.EdgeAttr(idMap[1], 0, 0)
 	if len(a) != 2 || a[1] != 8 {
 		t.Fatalf("edge attr = %v", a)
+	}
+}
+
+// writeFile writes body to name under dir and returns the path.
+func writeFile(t *testing.T, dir, name string, write func(*os.File) error) string {
+	t.Helper()
+	path := filepath.Join(dir, name)
+	f, err := os.Create(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := write(f); err != nil {
+		t.Fatal(err)
+	}
+	if err := f.Close(); err != nil {
+		t.Fatal(err)
+	}
+	return path
+}
+
+// TestLoadFilesRoundTrip: a demo graph written with WriteVertices and
+// WriteEdges loads back through LoadFiles with the same types, attributes,
+// adjacency and weights.
+func TestLoadFilesRoundTrip(t *testing.T) {
+	g := dataset.Taobao(dataset.TaobaoSmallConfig(0.05))
+	dir := t.TempDir()
+	vpath := writeFile(t, dir, "v.tsv", func(f *os.File) error { return WriteVertices(f, g) })
+	epath := writeFile(t, dir, "e.tsv", func(f *os.File) error { return WriteEdges(f, g) })
+
+	got, err := LoadFiles(g.Schema(), g.Directed(), vpath, epath)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got.NumVertices() != g.NumVertices() || got.NumEdges() != g.NumEdges() {
+		t.Fatalf("loaded n=%d m=%d, wrote n=%d m=%d", got.NumVertices(), got.NumEdges(), g.NumVertices(), g.NumEdges())
+	}
+	for v := graph.ID(0); v < graph.ID(g.NumVertices()); v++ {
+		if got.VertexType(v) != g.VertexType(v) {
+			t.Fatalf("vertex %d: type %d, want %d", v, got.VertexType(v), g.VertexType(v))
+		}
+		if !reflect.DeepEqual(got.VertexAttr(v), g.VertexAttr(v)) {
+			t.Fatalf("vertex %d: attrs %v, want %v", v, got.VertexAttr(v), g.VertexAttr(v))
+		}
+		for et := graph.EdgeType(0); et < graph.EdgeType(g.Schema().NumEdgeTypes()); et++ {
+			if !reflect.DeepEqual(got.OutNeighbors(v, et), g.OutNeighbors(v, et)) ||
+				!reflect.DeepEqual(got.OutWeights(v, et), g.OutWeights(v, et)) {
+				t.Fatalf("vertex %d type %d: out %v %v, want %v %v", v, et,
+					got.OutNeighbors(v, et), got.OutWeights(v, et), g.OutNeighbors(v, et), g.OutWeights(v, et))
+			}
+		}
+	}
+}
+
+// TestLoadFilesErrorsNamePath: a missing file and a malformed line each
+// fail with an error that names the offending file.
+func TestLoadFilesErrorsNamePath(t *testing.T) {
+	dir := t.TempDir()
+	text := func(s string) func(*os.File) error {
+		return func(f *os.File) error { _, err := f.WriteString(s); return err }
+	}
+	vpath := writeFile(t, dir, "v.tsv", text("1\tuser\n2\titem\n"))
+	epath := writeFile(t, dir, "e.tsv", text("1\t2\tclick\n"))
+	badV := writeFile(t, dir, "bad-v.tsv", text("1\tuser\nx\titem\n"))
+	badE := writeFile(t, dir, "bad-e.tsv", text("1\t2\tclick\tnot-a-weight\n"))
+	missing := filepath.Join(dir, "missing.tsv")
+
+	if g, err := LoadFiles(schema(), true, vpath, epath); err != nil || g.NumEdges() != 1 {
+		t.Fatalf("valid files: err=%v", err)
+	}
+	for _, tc := range []struct{ name, vertices, edges, want string }{
+		{"missing vertices", missing, epath, missing},
+		{"missing edges", vpath, missing, missing},
+		{"malformed vertex line", badV, epath, badV},
+		{"malformed edge line", vpath, badE, badE},
+	} {
+		_, err := LoadFiles(schema(), true, tc.vertices, tc.edges)
+		if err == nil || !strings.Contains(err.Error(), tc.want) {
+			t.Errorf("%s: err = %v, want one naming %s", tc.name, err, tc.want)
+		}
 	}
 }

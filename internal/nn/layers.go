@@ -33,10 +33,9 @@ func (d *Dense) Forward(t *Tape, x *Node) *Node {
 // Params returns the trainable parameters.
 func (d *Dense) Params() []*Param { return []*Param{d.W, d.B} }
 
-// ActReLU, ActTanh and ActSigmoid are activation adapters for Dense.
-func ActReLU(t *Tape, n *Node) *Node    { return t.ReLU(n) }
-func ActTanh(t *Tape, n *Node) *Node    { return t.Tanh(n) }
-func ActSigmoid(t *Tape, n *Node) *Node { return t.Sigmoid(n) }
+// ActReLU and ActTanh are activation adapters for Dense.
+func ActReLU(t *Tape, n *Node) *Node { return t.ReLU(n) }
+func ActTanh(t *Tape, n *Node) *Node { return t.Tanh(n) }
 
 // MLP is a stack of dense layers.
 type MLP struct {

@@ -289,10 +289,8 @@ func TestMLPTrainsXOR(t *testing.T) {
 
 func TestOptimizersDecreaseLoss(t *testing.T) {
 	for name, mk := range map[string]func() Optimizer{
-		"sgd":      func() Optimizer { return SGD{LR: 0.1} },
-		"momentum": func() Optimizer { return NewMomentum(0.05, 0.9) },
-		"adagrad":  func() Optimizer { return NewAdaGrad(0.5) },
-		"adam":     func() Optimizer { return NewAdam(0.05) },
+		"sgd":  func() Optimizer { return SGD{LR: 0.1} },
+		"adam": func() Optimizer { return NewAdam(0.05) },
 	} {
 		t.Run(name, func(t *testing.T) {
 			rng := rand.New(rand.NewSource(14))
@@ -354,22 +352,6 @@ func TestBackwardConstantLossNoop(t *testing.T) {
 	tp.Backward(loss) // must not panic even though nothing requires grad
 	if loss.Val.Data[0] != 2.5 {
 		t.Fatalf("loss = %f", loss.Val.Data[0])
-	}
-}
-
-func TestAdaGradSkipsZeroGradRows(t *testing.T) {
-	rng := rand.New(rand.NewSource(15))
-	emb := NewParam("emb", 4, 2, rng)
-	before := emb.Val.Clone()
-	opt := NewAdaGrad(0.1)
-	// Only touch row 1.
-	emb.Grad.Set(1, 0, 1.0)
-	opt.Step([]*Param{emb})
-	if emb.Val.At(0, 0) != before.At(0, 0) {
-		t.Fatal("untouched row moved")
-	}
-	if emb.Val.At(1, 0) == before.At(1, 0) {
-		t.Fatal("touched row did not move")
 	}
 }
 

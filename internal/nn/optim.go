@@ -35,65 +35,6 @@ func (o SGD) Step(params []*Param) {
 	}
 }
 
-// Momentum is SGD with classical momentum.
-type Momentum struct {
-	LR, Beta float64
-	vel      map[*Param]*tensor.Matrix
-}
-
-// NewMomentum creates a momentum optimizer.
-func NewMomentum(lr, beta float64) *Momentum {
-	return &Momentum{LR: lr, Beta: beta, vel: make(map[*Param]*tensor.Matrix)}
-}
-
-// Step implements Optimizer.
-func (o *Momentum) Step(params []*Param) {
-	for _, p := range params {
-		v := o.vel[p]
-		if v == nil {
-			v = tensor.New(p.Val.Rows, p.Val.Cols)
-			o.vel[p] = v
-		}
-		for i, g := range p.Grad.Data {
-			v.Data[i] = o.Beta*v.Data[i] + g
-			p.Val.Data[i] -= o.LR * v.Data[i]
-		}
-		p.ZeroGrad()
-	}
-}
-
-// AdaGrad adapts per-coordinate learning rates by accumulated squared
-// gradients; a good default for sparse embedding tables.
-type AdaGrad struct {
-	LR  float64
-	Eps float64
-	acc map[*Param]*tensor.Matrix
-}
-
-// NewAdaGrad creates an AdaGrad optimizer.
-func NewAdaGrad(lr float64) *AdaGrad {
-	return &AdaGrad{LR: lr, Eps: 1e-8, acc: make(map[*Param]*tensor.Matrix)}
-}
-
-// Step implements Optimizer.
-func (o *AdaGrad) Step(params []*Param) {
-	for _, p := range params {
-		a := o.acc[p]
-		if a == nil {
-			a = tensor.New(p.Val.Rows, p.Val.Cols)
-			o.acc[p] = a
-		}
-		for i, g := range p.Grad.Data {
-			if g == 0 {
-				continue // sparse embedding rows: skip untouched coordinates
-			}
-			a.Data[i] += g * g
-			p.Val.Data[i] -= o.LR * g / (math.Sqrt(a.Data[i]) + o.Eps)
-		}
-		p.ZeroGrad()
-	}
-}
-
 // Adam is the Adam optimizer (Kingma & Ba).
 type Adam struct {
 	LR, Beta1, Beta2, Eps float64

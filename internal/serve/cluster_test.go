@@ -50,7 +50,7 @@ func clusterFixtureT(tb testing.TB, n int, wrap func(cluster.Caller) cluster.Tra
 
 	rng := rand.New(rand.NewSource(17))
 	feat := core.NewTableFeatures("emb", n, 8, rng)
-	enc := &core.Encoder{Features: feat, Materialize: true, Normalize: true}
+	enc := &core.Encoder{Features: feat, Materialize: true}
 	in, dim, hops := feat.Dim(), 8, []int{3, 2}
 	for k := range hops {
 		enc.Agg = append(enc.Agg, operator.NewMeanAggregator("agg", in, dim, rng))

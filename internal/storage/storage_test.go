@@ -139,7 +139,7 @@ func buildUserItem(t *testing.T) *graph.Graph {
 
 func TestStoreDedupAndSpace(t *testing.T) {
 	g := buildUserItem(t)
-	s := BuildStore(g, DefaultStoreOptions())
+	s := BuildStore(g)
 	if s.VIndex.NumDistinct() != 4 { // male, female, item100, item200
 		t.Fatalf("distinct vertex attrs = %d", s.VIndex.NumDistinct())
 	}

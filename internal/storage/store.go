@@ -16,29 +16,19 @@ type Store struct {
 	vattrIdx []int32 // per-vertex index into VIndex, -1 when absent
 }
 
-// StoreOptions configures store construction.
-type StoreOptions struct {
-	// VertexAttrCache and EdgeAttrCache size the LRU caches fronting I_V
-	// and I_E. Zero disables caching.
-	VertexAttrCache int
-	EdgeAttrCache   int
-}
-
-// DefaultStoreOptions mirrors the production defaults: small caches that
-// capture the frequently accessed head of the attribute distribution.
-func DefaultStoreOptions() StoreOptions {
-	return StoreOptions{VertexAttrCache: 4096, EdgeAttrCache: 4096}
-}
+// attrCacheRows sizes each LRU cache fronting I_V and I_E: small caches
+// that capture the frequently accessed head of the attribute distribution.
+const attrCacheRows = 4096
 
 // BuildStore constructs the physical store for g, interning every vertex
 // attribute vector into I_V. Edge attributes are interned lazily because the
 // CSR already pools them; I_E is populated on first access patterns via
 // InternEdgeAttr.
-func BuildStore(g *graph.Graph, opts StoreOptions) *Store {
+func BuildStore(g *graph.Graph) *Store {
 	s := &Store{
 		G:        g,
-		VIndex:   NewAttributeIndex(opts.VertexAttrCache),
-		EIndex:   NewAttributeIndex(opts.EdgeAttrCache),
+		VIndex:   NewAttributeIndex(attrCacheRows),
+		EIndex:   NewAttributeIndex(attrCacheRows),
 		vattrIdx: make([]int32, g.NumVertices()),
 	}
 	for v := 0; v < g.NumVertices(); v++ {

@@ -35,13 +35,6 @@ func FromSlice(rows, cols int, data []float64) *Matrix {
 	return &Matrix{Rows: rows, Cols: cols, Data: data}
 }
 
-// FromRow copies a vector into a 1 x n matrix.
-func FromRow(v []float64) *Matrix {
-	m := New(1, len(v))
-	copy(m.Data, v)
-	return m
-}
-
 // At returns element (i, j).
 func (m *Matrix) At(i, j int) float64 { return m.Data[i*m.Cols+j] }
 
