@@ -2,10 +2,10 @@ package cluster
 
 import (
 	"bytes"
+	"context"
 	"errors"
 	"math"
 	"net"
-	"net/rpc"
 	"reflect"
 	"runtime"
 	"strings"
@@ -129,7 +129,7 @@ func FuzzWireDecode(f *testing.F) {
 	for m := range numMethods {
 		req := agreementRequest(m, owned[:4], leased)
 		reply := methods[m].newReply()
-		if err := local.Call(0, m, req, reply); err != nil {
+		if err := local.Call(context.Background(), 0, m, req, reply); err != nil {
 			f.Fatalf("%v: %v", m, err)
 		}
 		if r, ok := reply.(*LeaseReply); ok {
@@ -206,7 +206,8 @@ func hasNaN(v reflect.Value) bool {
 // TestMalformedFrames: on either end, a body that does not decode fails only
 // its own call and the connection goes on; a frame that breaks the format
 // closes the connection. The client then fails its pending call with an
-// error wrapping rpc.ErrShutdown, which IsTransient retries.
+// error wrapping both ErrUnreachable and the malformed-frame cause, which
+// IsTransient retries.
 func TestMalformedFrames(t *testing.T) {
 	garbage := func(b []byte, _ any) []byte { return append(b, 1, 2, 3) }
 	roundTrip := func(conn net.Conn, h frameHeader, put func([]byte, any) []byte, v any) (frameHeader, []byte, error) {
@@ -298,7 +299,7 @@ func TestMalformedFrames(t *testing.T) {
 	if err := tr.Stats(0, StatsRequest{}, &reply); err != nil || reply.NumVertices != 7 {
 		t.Fatalf("call after a garbage body: %+v, %v", reply, err)
 	}
-	if err := tr.Stats(0, StatsRequest{}, &reply); !errors.Is(err, rpc.ErrShutdown) || !IsTransient(err) {
-		t.Fatalf("bad reply header: %v, want a transient error wrapping rpc.ErrShutdown", err)
+	if err := tr.Stats(0, StatsRequest{}, &reply); !errors.Is(err, ErrUnreachable) || !errors.Is(err, errMalformed) || !IsTransient(err) {
+		t.Fatalf("bad reply header: %v, want a transient error wrapping ErrUnreachable and errMalformed", err)
 	}
 }

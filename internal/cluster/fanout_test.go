@@ -1,6 +1,7 @@
 package cluster
 
 import (
+	"context"
 	"errors"
 	"runtime"
 	"sync"
@@ -313,13 +314,13 @@ type updateSpy struct {
 	seq map[int][]float64 // part -> weight markers in arrival order
 }
 
-func (s *updateSpy) Call(part int, m Method, req, reply any) error {
+func (s *updateSpy) Call(ctx context.Context, part int, m Method, req, reply any) error {
 	if m == MUpdate {
 		s.mu.Lock()
 		s.seq[part] = append(s.seq[part], req.(UpdateRequest).Add[0].Weight)
 		s.mu.Unlock()
 	}
-	return s.Caller.Call(part, m, req, reply)
+	return s.Caller.Call(ctx, part, m, req, reply)
 }
 
 // TestUpdateStreamParallelApply drives the concurrent Apply path: batches

@@ -1,6 +1,7 @@
 package cluster
 
 import (
+	"context"
 	"fmt"
 	"sync"
 	"sync/atomic"
@@ -46,8 +47,8 @@ type FaultConfig struct {
 	Outages []Outage
 }
 
-// FaultTransport injects cfg's faults in front of its inner layer; Kick and
-// Close are never faulted. Safe for concurrent use.
+// FaultTransport injects cfg's faults in front of its inner layer; Close is
+// never faulted. Safe for concurrent use.
 type FaultTransport struct {
 	facade
 	Caller // the inner layer
@@ -104,9 +105,10 @@ func (t *FaultTransport) Injected() (drops, replyDrops, spikes, outages int64) {
 }
 
 // fault runs the per-call fault decision for part. It returns a non-nil err
-// when the request is lost (outage window or random drop), and dropReply
-// when the call must execute but its reply be discarded.
-func (t *FaultTransport) fault(part int) (dropReply bool, err error) {
+// when the request is lost (outage window, random drop, or a latency spike
+// that outlasts ctx), and dropReply when the call must execute but its
+// reply be discarded.
+func (t *FaultTransport) fault(ctx context.Context, part int) (dropReply bool, err error) {
 	p := part
 	if p < 0 || p >= len(t.calls) {
 		p = 0
@@ -135,7 +137,11 @@ func (t *FaultTransport) fault(part int) (dropReply bool, err error) {
 	}
 	if spike > 0 {
 		t.spikes.Add(1)
-		time.Sleep(spike)
+		select {
+		case <-time.After(spike):
+		case <-ctx.Done():
+			return false, fmt.Errorf("cluster: injected spike on shard %d (call %d): %w: %w", p, seq, ErrUnreachable, ctx.Err())
+		}
 	}
 	if drop {
 		t.drops.Add(1)
@@ -154,12 +160,12 @@ func lostReply(part int) error {
 // above uses a fresh reply per attempt and discards it on error, exactly as
 // a real lost reply behaves. Reply drops on Update, Lease and Release are
 // what exercise the server-side idempotency-token dedup.
-func (t *FaultTransport) Call(part int, m Method, req, reply any) error {
-	dropReply, err := t.fault(part)
+func (t *FaultTransport) Call(ctx context.Context, part int, m Method, req, reply any) error {
+	dropReply, err := t.fault(ctx, part)
 	if err != nil {
 		return err
 	}
-	if err := t.Caller.Call(part, m, req, reply); err != nil {
+	if err := t.Caller.Call(ctx, part, m, req, reply); err != nil {
 		return err
 	}
 	if dropReply {

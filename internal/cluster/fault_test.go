@@ -1,6 +1,7 @@
 package cluster
 
 import (
+	"context"
 	"errors"
 	"math"
 	"math/rand"
@@ -230,9 +231,9 @@ type errStats struct {
 	calls int
 }
 
-func (e *errStats) Call(part int, m Method, req, reply any) error {
+func (e *errStats) Call(ctx context.Context, part int, m Method, req, reply any) error {
 	if m != MStats {
-		return e.Caller.Call(part, m, req, reply)
+		return e.Caller.Call(ctx, part, m, req, reply)
 	}
 	e.calls++
 	return errors.New("cluster: synthetic application error")
@@ -349,8 +350,8 @@ type replyLossOnce struct {
 	lost bool
 }
 
-func (w *replyLossOnce) Call(part int, m Method, req, reply any) error {
-	err := w.Caller.Call(part, m, req, reply)
+func (w *replyLossOnce) Call(ctx context.Context, part int, m Method, req, reply any) error {
+	err := w.Caller.Call(ctx, part, m, req, reply)
 	if m == MUpdate && err == nil && !w.lost {
 		w.lost = true
 		return lostReply(part)
@@ -474,13 +475,13 @@ type releaseSpy struct {
 	releases map[int]int
 }
 
-func (s *releaseSpy) Call(part int, m Method, req, reply any) error {
+func (s *releaseSpy) Call(ctx context.Context, part int, m Method, req, reply any) error {
 	if m == MRelease {
 		s.mu.Lock()
 		s.releases[part]++
 		s.mu.Unlock()
 	}
-	return s.Caller.Call(part, m, req, reply)
+	return s.Caller.Call(ctx, part, m, req, reply)
 }
 
 func (s *releaseSpy) count(part int) int {

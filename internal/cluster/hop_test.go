@@ -1,6 +1,7 @@
 package cluster
 
 import (
+	"context"
 	"fmt"
 	"math/rand"
 	"testing"
@@ -154,8 +155,8 @@ type truncating struct {
 	m Method
 }
 
-func (c truncating) Call(part int, m Method, req, reply any) error {
-	if err := c.Caller.Call(part, m, req, reply); err != nil || m != c.m {
+func (c truncating) Call(ctx context.Context, part int, m Method, req, reply any) error {
+	if err := c.Caller.Call(ctx, part, m, req, reply); err != nil || m != c.m {
 		return err
 	}
 	switch r := reply.(type) {
@@ -213,11 +214,11 @@ type downShard struct {
 	down *bool
 }
 
-func (c downShard) Call(part int, m Method, req, reply any) error {
+func (c downShard) Call(ctx context.Context, part int, m Method, req, reply any) error {
 	if *c.down && part == c.part {
 		return &ShardDownError{Part: part, Err: ErrUnreachable}
 	}
-	return c.Caller.Call(part, m, req, reply)
+	return c.Caller.Call(ctx, part, m, req, reply)
 }
 
 // TestNeighborsDegradesToStaleList: Client.Neighbors is a one-vertex

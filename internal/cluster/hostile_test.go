@@ -1,6 +1,7 @@
 package cluster
 
 import (
+	"context"
 	"math/rand"
 	"testing"
 
@@ -65,13 +66,13 @@ func TestHostileRequestsRejected(t *testing.T) {
 		c    Caller
 	}{{"local", local}, {"rpc", wire}} {
 		for _, c := range calls {
-			if err := st.c.Call(0, c.m, c.req, methods[c.m].newReply()); err == nil {
+			if err := st.c.Call(context.Background(), 0, c.m, c.req, methods[c.m].newReply()); err == nil {
 				t.Errorf("%s via %s: hostile request accepted", c.name, st.name)
 			}
 		}
 		var reply SampleReply
 		ok := SampleRequest{Vertices: vs, Counts: []int{1, 2}, Width: 2, Seed: 1}
-		if err := st.c.Call(0, MSampleNeighbors, ok, &reply); err != nil {
+		if err := st.c.Call(context.Background(), 0, MSampleNeighbors, ok, &reply); err != nil {
 			t.Fatalf("well-formed call via %s after hostile ones: %v", st.name, err)
 		}
 		if len(reply.Samples) != 6 {

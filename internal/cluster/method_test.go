@@ -1,6 +1,7 @@
 package cluster
 
 import (
+	"context"
 	"fmt"
 	"reflect"
 	"testing"
@@ -68,7 +69,7 @@ func TestMethodTableAgreement(t *testing.T) {
 			var want any
 			for _, st := range stacks {
 				reply := methods[m].newReply()
-				if err := st.c.Call(p, m, request(m, p), reply); err != nil {
+				if err := st.c.Call(context.Background(), p, m, request(m, p), reply); err != nil {
 					t.Fatalf("%v on part %d via %s: %v", m, p, st.name, err)
 				}
 				if want == nil {
@@ -91,7 +92,7 @@ func TestMethodTableAgreement(t *testing.T) {
 		for _, st := range stacks {
 			for p := range 2 {
 				req := UpdateRequest{SetAttr: []AttrUpdate{{V: owned[p][0], Attr: []float64{float64(i)}}}}
-				if err := st.c.Call(p, MUpdate, req, new(UpdateReply)); err != nil {
+				if err := st.c.Call(context.Background(), p, MUpdate, req, new(UpdateReply)); err != nil {
 					t.Fatalf("update via %s: %v", st.name, err)
 				}
 			}
@@ -108,7 +109,7 @@ func TestMethodTableAgreement(t *testing.T) {
 		for p := range 2 {
 			var want string
 			for _, st := range stacks {
-				err := st.c.Call(p, MAttrs, row.req(p), new(AttrsReply))
+				err := st.c.Call(context.Background(), p, MAttrs, row.req(p), new(AttrsReply))
 				switch {
 				case err == nil:
 					t.Fatalf("%s on part %d via %s: no error", row.name, p, st.name)

@@ -1,6 +1,7 @@
 package cluster
 
 import (
+	"context"
 	"fmt"
 	"sync"
 	"testing"
@@ -52,16 +53,14 @@ func (s *restartScript) swapIn() {
 
 // Call implements Caller: a scripted fault, or the inner call with no swap
 // under way.
-func (s *restartScript) Call(part int, m Method, req, reply any) error {
+func (s *restartScript) Call(ctx context.Context, part int, m Method, req, reply any) error {
 	if err := s.fault(part, m == MLease); err != nil {
 		return err
 	}
 	s.swap.RLock()
 	defer s.swap.RUnlock()
-	return s.inner.Call(part, m, req, reply)
+	return s.inner.Call(ctx, part, m, req, reply)
 }
-
-func (s *restartScript) Kick(int) {}
 
 func (s *restartScript) Close() error { return s.inner.Close() }
 

@@ -1,14 +1,11 @@
 package cluster
 
 import (
+	"context"
 	crand "crypto/rand"
 	"encoding/binary"
 	"errors"
 	"fmt"
-	"io"
-	"net"
-	"net/rpc"
-	"strings"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -26,10 +23,9 @@ import (
 // tokens the server deduplicates. See the package comment for the full
 // failure model.
 
-// unreachableMarker survives an error's flattening to a string on the wire,
-// mirroring the version package's marker discipline, so transient-failure
-// classification works on both wrapped errors and reconstituted string
-// errors.
+// unreachableMarker names a delivery failure in error text: ErrUnreachable
+// and ShardDownError carry it. Classification never reads it; IsTransient
+// works on wrapped errors only, and every delivery failure is wrapped.
 const unreachableMarker = "shard unreachable"
 
 // ErrUnreachable marks a transport-level delivery failure: the request (or
@@ -39,7 +35,7 @@ const unreachableMarker = "shard unreachable"
 var ErrUnreachable = errors.New("cluster: " + unreachableMarker)
 
 // errBreakerOpen is the fast-fail result while a shard's breaker is open.
-var errBreakerOpen = errors.New("cluster: breaker open: " + unreachableMarker)
+var errBreakerOpen = fmt.Errorf("cluster: breaker open: %w", ErrUnreachable)
 
 // ShardDownError is returned by RetryTransport once a call's retry budget is
 // exhausted (or immediately, while the shard's breaker is open). It carries
@@ -70,37 +66,20 @@ func IsShardDown(err error) bool {
 }
 
 // IsTransient reports whether err is a transport-level delivery failure —
-// retrying the call is legal and may succeed. Application errors from a
-// live server (unknown vertex, evicted epoch) are NOT transient: the server
+// retrying the call is legal and may succeed. Every such failure wraps
+// ErrUnreachable or reports Transient(). Application errors from a live
+// server (unknown vertex, evicted epoch) are NOT transient: the server
 // answered, so retrying verbatim would return the same error.
 func IsTransient(err error) bool {
-	if err == nil {
-		return false
-	}
-	if errors.Is(err, ErrUnreachable) || errors.Is(err, rpc.ErrShutdown) ||
-		errors.Is(err, io.EOF) || errors.Is(err, io.ErrUnexpectedEOF) {
-		return true
-	}
-	var ne net.Error
-	if errors.As(err, &ne) {
-		return true
-	}
 	var te interface{ Transient() bool }
-	if errors.As(err, &te) {
-		return te.Transient()
-	}
-	// Flattened (stringified) forms: rpc.ServerError and friends.
-	s := err.Error()
-	return strings.Contains(s, unreachableMarker) ||
-		strings.Contains(s, rpc.ErrShutdown.Error()) ||
-		strings.Contains(s, "connection refused") ||
-		strings.Contains(s, "connection reset")
+	return errors.Is(err, ErrUnreachable) || errors.As(err, &te) && te.Transient()
 }
 
 // CallPolicy tunes RetryTransport: per-attempt deadline, retry budget,
 // backoff shape, and breaker thresholds.
 type CallPolicy struct {
-	// Timeout bounds each attempt; 0 disables the deadline.
+	// Timeout bounds each attempt through its context; 0 disables the
+	// deadline.
 	Timeout time.Duration
 	// Attempts is the total attempts per call (minimum 1).
 	Attempts int
@@ -319,40 +298,11 @@ func (t *RetryTransport) sleepBackoff(attempt int) {
 	time.Sleep(time.Duration(float64(d) * (0.5 + 0.5*j)))
 }
 
-// Kicker is implemented by transports that can proactively sever a shard's
-// underlying connection. Every Caller can (RPCTransport does it, Local does
-// nothing, wrapping layers pass it inward); the interface remains for
-// Transport implementations outside this package. RetryTransport kicks a
-// shard on deadline expiry: without it, a silently partitioned connection
-// (no FIN/RST) would keep every retry queued on the same hung conn and leak
-// one goroutine per abandoned attempt.
+// Kicker is no longer implemented by any layer: a deadline fails only its
+// own call, and RPCTransport closes a silent connection itself. The
+// declaration stays because perfbench's recorder still forwards it.
 type Kicker interface {
 	Kick(part int)
-}
-
-// withDeadline runs call against part, bounding it by the policy's
-// per-attempt timeout. The attempt runs on its own goroutine; an abandoned
-// (timed-out) attempt keeps writing only to its own reply value, never the
-// caller's. On expiry the shard's connection is severed (Kick) so the
-// abandoned attempt unblocks with a connection error — its goroutine exits
-// instead of leaking — and the next attempt redials afresh instead of
-// re-queueing on a dead conn.
-func (t *RetryTransport) withDeadline(part int, call func() error) error {
-	d := t.Policy.Timeout
-	if d <= 0 {
-		return call()
-	}
-	done := make(chan error, 1)
-	go func() { done <- call() }()
-	timer := time.NewTimer(d)
-	defer timer.Stop()
-	select {
-	case err := <-done:
-		return err
-	case <-timer.C:
-		t.Caller.Kick(part)
-		return fmt.Errorf("cluster: call exceeded %v deadline: %w", d, ErrUnreachable)
-	}
 }
 
 // Call implements Caller: the retry loop. Update, Lease and Release are
@@ -361,10 +311,10 @@ func (t *RetryTransport) withDeadline(part int, call func() error) error {
 // reply instead of re-applying a batch, pinning a second lease, or dropping
 // another pin's lease (leases are refcounted). Compaction needs no token:
 // folding an already-folded floor is a no-op. Each attempt gets a fresh
-// reply value; the caller's reply is written exactly once, on the caller
-// goroutine, after a successful attempt — so a deadline-abandoned attempt
-// can never race the caller.
-func (t *RetryTransport) Call(part int, m Method, req, reply any) error {
+// reply value under a context bounded by Policy.Timeout; the caller's reply
+// is written exactly once, after a successful attempt. Retrying stops early
+// once ctx itself ends.
+func (t *RetryTransport) Call(ctx context.Context, part int, m Method, req, reply any) error {
 	spec := &methods[m]
 	if spec.stamp != nil {
 		req = spec.stamp(req, t.nextToken)
@@ -380,7 +330,12 @@ func (t *RetryTransport) Call(part int, m Method, req, reply any) error {
 			return &ShardDownError{Part: part, Err: last}
 		}
 		r := spec.newReply()
-		err := t.withDeadline(part, func() error { return t.Caller.Call(part, m, req, r) })
+		actx, cancel := ctx, func() {}
+		if t.Policy.Timeout > 0 {
+			actx, cancel = context.WithTimeout(ctx, t.Policy.Timeout)
+		}
+		err := t.Caller.Call(actx, part, m, req, r)
+		cancel()
 		if err == nil {
 			br.success()
 			spec.copyReply(reply, r)
@@ -395,7 +350,7 @@ func (t *RetryTransport) Call(part int, m Method, req, reply any) error {
 		}
 		br.failure(&t.Policy, t.now())
 		last = err
-		if attempt+1 >= t.Policy.Attempts {
+		if attempt+1 >= t.Policy.Attempts || ctx.Err() != nil {
 			break
 		}
 		t.retries.Add(1)

@@ -5,6 +5,7 @@ import (
 	"math"
 	"math/rand"
 	"net"
+	"runtime"
 	"sync/atomic"
 	"testing"
 	"time"
@@ -212,12 +213,13 @@ func TestRPCTransportDoubleClose(t *testing.T) {
 	}
 }
 
-// TestDeadlineKickSeversHungConnection: a server that accepts and then goes
+// TestDeadlineSeversSilentConnection: a server that accepts and then goes
 // silent (a partition with no FIN/RST) must not pin every retry to the same
-// hung connection. On each deadline expiry the retry layer kicks the shard's
-// conn — unblocking the abandoned attempt's goroutine — and the next attempt
-// dials a FRESH connection, observable as one accepted conn per attempt.
-func TestDeadlineKickSeversHungConnection(t *testing.T) {
+// hung connection. An attempt whose deadline expires with nothing read
+// since it was written closes its connection, and the next attempt dials a
+// FRESH one, observable as one accepted conn per attempt. Close then leaves
+// no reader goroutine behind.
+func TestDeadlineSeversSilentConnection(t *testing.T) {
 	lis, err := net.Listen("tcp", "127.0.0.1:0")
 	if err != nil {
 		t.Fatal(err)
@@ -235,6 +237,7 @@ func TestDeadlineKickSeversHungConnection(t *testing.T) {
 		}
 	}()
 
+	base := runtime.NumGoroutine()
 	tr, err := DialRPC([]string{lis.Addr().String()})
 	if err != nil {
 		t.Fatal(err)
@@ -255,9 +258,92 @@ func TestDeadlineKickSeversHungConnection(t *testing.T) {
 		t.Fatalf("accepted %d connections for 3 attempts; retries re-queued on a hung conn", got)
 	}
 	tr.mu.Lock()
-	c0 := tr.clients[0]
+	c0 := tr.conns[0]
 	tr.mu.Unlock()
 	if c0 != nil {
 		t.Fatal("deadline expiry left the hung connection installed")
+	}
+
+	if err := tr.Close(); err != nil {
+		t.Fatal(err)
+	}
+	deadline := time.Now().Add(5 * time.Second)
+	for runtime.NumGoroutine() > base {
+		if time.Now().After(deadline) {
+			buf := make([]byte, 1<<16)
+			n := runtime.Stack(buf, true)
+			t.Fatalf("goroutines leaked after Close: %d > baseline %d\n%s", runtime.NumGoroutine(), base, buf[:n])
+		}
+		time.Sleep(10 * time.Millisecond)
+	}
+}
+
+// TestDeadlineFailsOnlyItsOwnCall: one call's deadline must not fail a
+// concurrent on-time call to the same shard. A scripted peer never answers
+// frame 1, answers frame 2 at once and holds frame 3 until released. Call A
+// (frame 1) runs under a 50-ms deadline; calls C (frame 2) and B (frame 3)
+// share A's connection through a second retry layer with no deadline. Once
+// A has failed, the peer answers B, and B must succeed: A's expiry may not
+// sever a connection that has answered since A was written.
+func TestDeadlineFailsOnlyItsOwnCall(t *testing.T) {
+	lis, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer lis.Close()
+	got1, got3, release := make(chan struct{}), make(chan struct{}), make(chan struct{})
+	go func() {
+		conn, err := lis.Accept()
+		if err != nil {
+			return
+		}
+		defer conn.Close()
+		for i := 0; ; i++ {
+			frame, err := readFrame(conn, nil)
+			if err != nil {
+				return
+			}
+			h, _, _ := parseFrame(frame)
+			switch i {
+			case 0:
+				close(got1)
+				continue // never answered
+			case 2:
+				close(got3)
+				<-release
+			}
+			frame, _ = putFrame(nil, h, methods[MStats].putReply, &StatsReply{NumVertices: i})
+			conn.Write(frame)
+		}
+	}()
+
+	tr, err := DialRPC([]string{lis.Addr().String()})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer tr.Close()
+	timed := NewRetryTransport(tr, 1, CallPolicy{Timeout: 50 * time.Millisecond, Attempts: 1}, 1)
+	untimed := NewRetryTransport(tr, 1, CallPolicy{}, 2)
+
+	aDone := make(chan error, 1)
+	go func() {
+		var r StatsReply
+		aDone <- timed.Stats(0, StatsRequest{}, &r)
+	}()
+	<-got1
+	var c StatsReply
+	if err := untimed.Stats(0, StatsRequest{}, &c); err != nil || c.NumVertices != 1 {
+		t.Fatalf("call C: %+v, %v", c, err)
+	}
+	bDone := make(chan error, 1)
+	var b StatsReply
+	go func() { bDone <- untimed.Stats(0, StatsRequest{}, &b) }()
+	<-got3
+	if err := <-aDone; !IsShardDown(err) {
+		t.Fatalf("call A: want ShardDownError from its deadline, got %v", err)
+	}
+	close(release)
+	if err := <-bDone; err != nil || b.NumVertices != 2 {
+		t.Fatalf("call B failed with A's deadline: %+v, %v", b, err)
 	}
 }

@@ -2,12 +2,11 @@ package cluster
 
 import (
 	"bufio"
+	"context"
 	"errors"
 	"fmt"
 	"io"
 	"net"
-	"net/rpc"
-	"reflect"
 	"slices"
 	"sync"
 	"time"
@@ -18,10 +17,10 @@ import (
 // speak one frame format over the codec in codec.go: a uint32 length, a
 // header (sequence number, method index, error text), then the request or
 // reply under its method's layout. The server is a read loop over the method
-// table; the client is net/rpc's rpc.Client over a ClientCodec, which keeps
-// its sequence numbers, pending-call bookkeeping and ErrShutdown semantics.
-// The wire types are the same NeighborsRequest / AttrsRequest pairs used by
-// LocalTransport, so the client is oblivious to which transport it runs on.
+// table; the client keeps a table of pending calls per connection, keyed by
+// sequence number, filled by one reader goroutine. The wire types are the
+// same NeighborsRequest / AttrsRequest pairs used by LocalTransport, so the
+// client is oblivious to which transport it runs on.
 
 // maxFrame caps a frame's length. A longer frame closes the connection; a
 // reply that would exceed it is answered with an error instead.
@@ -34,6 +33,9 @@ const keepBuf = 64 << 10
 // errMalformed marks a frame that breaks the format; the connection it came
 // on is closed.
 var errMalformed = errors.New("cluster: malformed frame")
+
+// errTransportClosed fails every call after RPCTransport.Close.
+var errTransportClosed = errors.New("cluster: transport closed")
 
 // frameHeader opens every frame, after its length.
 type frameHeader struct {
@@ -224,8 +226,7 @@ func (rs *RPCServer) serveConn(conn net.Conn) {
 func (rs *RPCServer) Addr() string { return rs.lis.Addr().String() }
 
 // Close stops the listener and severs every established connection, so
-// clients observe the same io.EOF/ErrShutdown a crashed process would
-// produce. Idempotent.
+// clients see their connections drop as at a crashed process. Idempotent.
 func (rs *RPCServer) Close() error {
 	rs.mu.Lock()
 	if rs.closed {
@@ -249,252 +250,274 @@ func (rs *RPCServer) Close() error {
 // a dial instead of blocking it.
 const dialTimeout = 5 * time.Second
 
-// RPCTransport dials one RPC client per partition, lazily redialing after a
-// transport-level failure so a restarted server is transparently
-// re-adopted: the dead client is dropped on the failing call and the next
-// call to that shard dials afresh.
+// RPCTransport holds one connection per partition, dialed lazily again
+// after a connection dies so a restarted server is transparently
+// re-adopted: a dead connection fails the call that finds it, that call
+// drops it, and the next call to that shard dials afresh.
 type RPCTransport struct {
 	facade
 	addrs []string
 
-	mu      sync.Mutex
-	clients []*rpc.Client
-	closed  bool
+	mu     sync.Mutex
+	conns  []*clientConn
+	closed bool
 }
 
 // DialRPC connects to the given per-partition addresses; any unreachable
 // address fails construction.
 func DialRPC(addrs []string) (*RPCTransport, error) {
 	t := &RPCTransport{
-		addrs:   append([]string(nil), addrs...),
-		clients: make([]*rpc.Client, len(addrs)),
+		addrs: append([]string(nil), addrs...),
+		conns: make([]*clientConn, len(addrs)),
 	}
 	t.facade = facade{t}
 	for i := range t.addrs {
-		c, err := t.dial(i)
+		c, err := t.dial(context.Background(), i)
 		if err != nil {
 			t.Close()
 			return nil, err
 		}
-		t.clients[i] = c
+		t.conns[i] = c
 	}
 	return t, nil
 }
 
-// dial establishes one connection to part's server.
-func (t *RPCTransport) dial(part int) (*rpc.Client, error) {
-	conn, err := net.DialTimeout("tcp", t.addrs[part], dialTimeout)
+// dial establishes one connection to part's server and starts its reader.
+func (t *RPCTransport) dial(ctx context.Context, part int) (*clientConn, error) {
+	conn, err := (&net.Dialer{Timeout: dialTimeout}).DialContext(ctx, "tcp", t.addrs[part])
 	if err != nil {
-		return nil, fmt.Errorf("cluster: dial %s: %w", t.addrs[part], err)
+		return nil, fmt.Errorf("cluster: dial %s: %w: %w", t.addrs[part], ErrUnreachable, err)
 	}
-	return rpc.NewClientWithCodec(&clientCodec{conn: conn, r: bufio.NewReader(conn)}), nil
+	c := &clientConn{conn: conn, pending: make(map[uint64]*pendingCall)}
+	go c.readLoop()
+	return c, nil
 }
 
-// clientCodec is net/rpc's client side of the frame format. rpc.Client
-// serializes WriteRequest calls and reads replies from one goroutine, so
-// the codec needs no lock of its own. Each reply body is decoded together
-// with its header: a malformed body then fails only its own call (as a
-// ServerError), while a malformed frame closes the connection and fails
-// every pending call with an error wrapping rpc.ErrShutdown.
-type clientCodec struct {
-	conn       net.Conn
-	r          *bufio.Reader
-	wbuf, rbuf []byte
-	// m and reply are the method and the decoded body of the last frame
-	// read; reply is nil for an error frame.
-	m     Method
-	reply any
-}
-
-// methodByName maps a table row's name, the ServiceMethod RPCTransport
-// passes to rpc.Client, back to its Method.
-var methodByName = func() map[string]Method {
-	byName := make(map[string]Method, numMethods)
-	for m := range numMethods {
-		byName[methods[m].name] = m
-	}
-	return byName
-}()
-
-func (c *clientCodec) WriteRequest(r *rpc.Request, req any) error {
-	m, ok := methodByName[r.ServiceMethod]
-	if !ok {
-		return fmt.Errorf("cluster: no method %q", r.ServiceMethod)
-	}
-	frame, err := putFrame(c.wbuf, frameHeader{seq: r.Seq, method: uint8(m)}, methods[m].putReq, req)
-	c.wbuf = keep(frame)
-	if err != nil {
-		return err
-	}
-	_, err = c.conn.Write(frame)
-	return err
-}
-
-func (c *clientCodec) ReadResponseHeader(r *rpc.Response) error {
-	c.reply = nil
-	frame, err := readFrame(c.r, c.rbuf)
-	if errors.Is(err, errMalformed) {
-		return c.fail(err)
-	}
-	if err != nil {
-		return err // a dead connection, which rpc.Client reports as it always has
-	}
-	c.rbuf = keep(frame)
-	h, body, err := parseFrame(frame)
-	if err != nil {
-		return c.fail(err)
-	}
-	c.m = Method(h.method)
-	r.Seq, r.ServiceMethod, r.Error = h.seq, methods[c.m].name, h.err
-	if h.err == "" {
-		reply, err := methods[c.m].getReply(body)
-		if err != nil {
-			r.Error = fmt.Sprintf("cluster: malformed %v reply: %v", c.m, err)
-		} else {
-			c.reply = reply
-		}
-	}
-	return nil
-}
-
-func (c *clientCodec) ReadResponseBody(reply any) error {
-	if reply == nil || c.reply == nil {
-		return nil
-	}
-	if reflect.TypeOf(reply) != reflect.TypeOf(c.reply) {
-		return c.fail(fmt.Errorf("%w: a %T reply for a %T call", errMalformed, c.reply, reply))
-	}
-	methods[c.m].copyReply(reply, c.reply)
-	return nil
-}
-
-// fail closes the connection after a malformed frame; rpc.Client hands the
-// error, which wraps rpc.ErrShutdown, to every pending call.
-func (c *clientCodec) fail(err error) error {
-	c.conn.Close()
-	return fmt.Errorf("%w: %v", rpc.ErrShutdown, err)
-}
-
-func (c *clientCodec) Close() error { return c.conn.Close() }
-
-// client returns part's live client, dialing (or redialing after a dropped
-// connection) if needed.
-func (t *RPCTransport) client(part int) (*rpc.Client, error) {
+// conn returns part's connection, dialing if there is none.
+func (t *RPCTransport) conn(ctx context.Context, part int) (*clientConn, error) {
 	t.mu.Lock()
-	if t.closed {
-		t.mu.Unlock()
-		return nil, fmt.Errorf("cluster: transport closed")
+	c, closed := t.conns[part], t.closed
+	t.mu.Unlock()
+	if closed {
+		return nil, errTransportClosed
 	}
-	if c := t.clients[part]; c != nil {
-		t.mu.Unlock()
+	if c != nil {
 		return c, nil
 	}
-	t.mu.Unlock()
-	c, err := t.dial(part)
+	c, err := t.dial(ctx, part)
 	if err != nil {
 		return nil, err
 	}
 	t.mu.Lock()
-	if t.closed {
-		t.mu.Unlock()
-		c.Close()
-		return nil, fmt.Errorf("cluster: transport closed")
+	defer t.mu.Unlock()
+	switch {
+	case t.closed:
+		c.conn.Close() // its reader then exits
+		return nil, errTransportClosed
+	case t.conns[part] != nil: // a concurrent caller dialed first
+		c.conn.Close()
+		return t.conns[part], nil
 	}
-	if cur := t.clients[part]; cur != nil {
-		// A concurrent caller dialed first; use theirs.
-		t.mu.Unlock()
-		c.Close()
-		return cur, nil
-	}
-	t.clients[part] = c
-	t.mu.Unlock()
+	t.conns[part] = c
 	return c, nil
 }
 
-// Kick implements Caller: it severs part's current connection
-// unconditionally. Closing the rpc.Client fails its pending calls
-// with ErrShutdown — unblocking any deadline-abandoned attempt still parked
-// on the conn — and the next call to part dials afresh. Needed because a
-// deadline expiry observed by RetryTransport never flows through this
-// transport's own call path, so connFatal alone would leave a silently hung
-// connection (network partition with no FIN/RST) in place forever.
-func (t *RPCTransport) Kick(part int) {
+// Call implements Caller: it issues m over part's connection and drops the
+// connection if it died.
+func (t *RPCTransport) Call(ctx context.Context, part int, m Method, req, reply any) error {
 	if part < 0 || part >= len(t.addrs) {
-		return
-	}
-	t.mu.Lock()
-	c := t.clients[part]
-	t.clients[part] = nil
-	t.mu.Unlock()
-	if c != nil {
-		c.Close()
-	}
-}
-
-// drop discards part's client if it is still the one that failed (pointer
-// identity, so a newer redialed client is never discarded by a stale
-// failure), closing the dead connection.
-func (t *RPCTransport) drop(part int, c *rpc.Client) {
-	t.mu.Lock()
-	if t.clients[part] == c {
-		t.clients[part] = nil
-	}
-	t.mu.Unlock()
-	c.Close()
-}
-
-// connFatal reports whether a call error means the connection itself is
-// dead and must be redialed.
-func connFatal(err error) bool {
-	if errors.Is(err, rpc.ErrShutdown) || errors.Is(err, io.EOF) || errors.Is(err, io.ErrUnexpectedEOF) {
-		return true
-	}
-	var ne net.Error
-	return errors.As(err, &ne)
-}
-
-// Call implements Caller: it issues m over part's connection, dropping the
-// connection if the failure killed it.
-func (t *RPCTransport) Call(part int, m Method, req, reply any) error {
-	if part < 0 || part >= len(t.clients) {
 		return fmt.Errorf("cluster: no client for partition %d", part)
 	}
-	c, err := t.client(part)
+	c, err := t.conn(ctx, part)
 	if err != nil {
 		return err
 	}
-	if err := c.Call(methods[m].name, req, reply); err != nil {
-		if connFatal(err) {
-			t.drop(part, c)
+	if err = c.call(ctx, m, req, reply); err != nil && c.dead() {
+		t.mu.Lock()
+		if t.conns[part] == c { // never a newer connection
+			t.conns[part] = nil
 		}
-		return err
+		t.mu.Unlock()
 	}
-	return nil
+	return err
 }
 
-// Close implements Caller: every client is closed even when an earlier
-// close errors (the errors are joined), and double-Close is safe.
+// Close implements Caller: every connection is closed and its pending calls
+// fail; double-Close is safe.
 func (t *RPCTransport) Close() error {
 	t.mu.Lock()
-	if t.closed {
-		t.mu.Unlock()
-		return nil
-	}
-	t.closed = true
-	clients := make([]*rpc.Client, len(t.clients))
-	copy(clients, t.clients)
-	for i := range t.clients {
-		t.clients[i] = nil
-	}
+	conns := t.conns
+	t.conns, t.closed = make([]*clientConn, len(conns)), true
 	t.mu.Unlock()
 	var errs []error
-	for i, c := range clients {
+	for i, c := range conns {
 		if c == nil {
 			continue
 		}
-		if err := c.Close(); err != nil && !errors.Is(err, rpc.ErrShutdown) {
+		if err := c.fail(errTransportClosed); err != nil && !errors.Is(err, net.ErrClosed) {
 			errs = append(errs, fmt.Errorf("cluster: close %s: %w", t.addrs[i], err))
 		}
 	}
 	return errors.Join(errs...)
+}
+
+// clientConn is the client end of one connection. A call registers under a
+// fresh seq and writes its frame whole under wmu; one reader goroutine hands
+// each reply to the call pending under the reply's seq and drops a reply no
+// call waits for. A malformed reply body fails only its own call; a frame
+// that breaks the format, or a failed read or write, kills the connection
+// and fails every pending call; its reader exits then.
+type clientConn struct {
+	conn net.Conn
+
+	wmu  sync.Mutex
+	wbuf []byte
+
+	mu      sync.Mutex
+	seq     uint64
+	pending map[uint64]*pendingCall
+	reads   uint64 // reply frames read so far
+	err     error  // why the connection died; nil while it lives
+}
+
+// pendingCall is one call waiting for its reply.
+type pendingCall struct {
+	m     Method
+	reads uint64 // the connection's reads when the call was written
+	reply any    // the decoded reply, once done is closed
+	err   error
+	done  chan struct{}
+}
+
+// call issues m and waits for its reply or for ctx. A call whose ctx ends
+// first gives up its pending entry, so its reply is dropped when it comes;
+// if nothing at all was read since the call was written, the peer is
+// silent and the connection is closed, so the next call redials. A write is
+// bounded by ctx's deadline too: a frame cut short leaves the stream
+// unreadable, so a failed write kills the connection.
+func (c *clientConn) call(ctx context.Context, m Method, req, reply any) error {
+	pc := &pendingCall{m: m, done: make(chan struct{})}
+	c.mu.Lock()
+	if c.err != nil {
+		c.mu.Unlock()
+		return c.err
+	}
+	c.seq++
+	seq := c.seq
+	pc.reads = c.reads
+	c.pending[seq] = pc
+	c.mu.Unlock()
+
+	c.wmu.Lock()
+	frame, err := putFrame(c.wbuf, frameHeader{seq: seq, method: uint8(m)}, methods[m].putReq, req)
+	c.wbuf = keep(frame)
+	if err == nil {
+		deadline, _ := ctx.Deadline()
+		werr := c.conn.SetWriteDeadline(deadline)
+		if werr == nil {
+			_, werr = c.conn.Write(frame)
+		}
+		if werr != nil {
+			c.fail(werr)
+		}
+	}
+	c.wmu.Unlock()
+	if err != nil { // the request was never sent
+		c.mu.Lock()
+		delete(c.pending, seq)
+		c.mu.Unlock()
+		return err
+	}
+
+	select {
+	case <-pc.done:
+	case <-ctx.Done():
+		c.mu.Lock()
+		_, waiting := c.pending[seq]
+		delete(c.pending, seq)
+		silent := c.reads == pc.reads
+		c.mu.Unlock()
+		if !waiting { // the reply won the race
+			<-pc.done
+			break
+		}
+		if silent {
+			c.fail(fmt.Errorf("no reply since a %v call was written: %w", m, ctx.Err()))
+		}
+		return fmt.Errorf("cluster: %v call: %w: %w", m, ErrUnreachable, ctx.Err())
+	}
+	if pc.err != nil {
+		return pc.err
+	}
+	methods[m].copyReply(reply, pc.reply)
+	return nil
+}
+
+// readLoop delivers replies until the connection dies.
+func (c *clientConn) readLoop() {
+	r := bufio.NewReader(c.conn)
+	var buf []byte
+	for {
+		frame, err := readFrame(r, buf)
+		if err == nil {
+			buf = keep(frame)
+			err = c.deliver(frame)
+		}
+		if err != nil {
+			c.fail(err)
+			return
+		}
+	}
+}
+
+// deliver hands one reply frame to the call pending under its seq.
+func (c *clientConn) deliver(frame []byte) error {
+	h, body, err := parseFrame(frame)
+	if err != nil {
+		return err
+	}
+	c.mu.Lock()
+	c.reads++
+	pc := c.pending[h.seq]
+	if pc != nil && pc.m != Method(h.method) {
+		c.mu.Unlock()
+		return fmt.Errorf("%w: a %v reply to a %v call", errMalformed, Method(h.method), pc.m)
+	}
+	delete(c.pending, h.seq)
+	c.mu.Unlock()
+	if pc == nil {
+		return nil // its call gave up
+	}
+	if h.err != "" {
+		pc.err = errors.New(h.err)
+	} else if pc.reply, err = methods[pc.m].getReply(body); err != nil {
+		pc.err = fmt.Errorf("cluster: malformed %v reply: %v", pc.m, err)
+	}
+	close(pc.done)
+	return nil
+}
+
+// fail kills the connection with cause, the first cause sticking, and
+// fails every pending call with an error wrapping ErrUnreachable. It
+// returns the connection's Close error.
+func (c *clientConn) fail(cause error) error {
+	c.mu.Lock()
+	if c.err == nil {
+		c.err = fmt.Errorf("cluster: connection to %s: %w: %w", c.conn.RemoteAddr(), ErrUnreachable, cause)
+	}
+	pending := c.pending
+	c.pending = nil
+	c.mu.Unlock()
+	for _, pc := range pending {
+		pc.err = c.err
+		close(pc.done)
+	}
+	return c.conn.Close()
+}
+
+// dead reports whether the connection has died.
+func (c *clientConn) dead() bool {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	return c.err != nil
 }

@@ -24,21 +24,22 @@
 // # Transport stack
 //
 // The set of RPCs lives in one place: the method table (transport.go). Each
-// Method's row holds its name (metric names, and the name the RPC client
-// calls it by), its Server handler, the wire layouts of its request and
-// reply (codec.go), a fresh-reply constructor and reply copy for the retry
-// layer, and whether its request carries an idempotency token (Update,
-// Lease, Release). Client and server metrics are arrays indexed by Method.
+// Method's row holds its name (in metric names and error text), its Server
+// handler, the wire layouts of its request and reply (codec.go), a
+// fresh-reply constructor and reply copy for the retry layer, and whether
+// its request carries an idempotency token (Update, Lease, Release). Client
+// and server metrics are arrays indexed by Method.
 //
-// Every transport layer implements one interface, Caller: Call(part,
-// method, req, reply), Kick(part) and Close. LocalTransport runs the
-// handler in process (counting calls and sleeping RemoteLatency for non-home
-// parts); RPCTransport sends the call over TCP. LatencyTransport,
-// FaultTransport and RetryTransport each wrap an inner Caller, do their one
-// thing (sleep; inject a seeded fault; retry under a CallPolicy) and call
-// inward, passing Kick and Close straight through. A production stack is
-// Retry over RPC; chaos tests run Retry over Fault over Local. Each layer
-// also embeds the typed facade, so every layer is a Transport: the client,
+// Every transport layer implements one interface, Caller: Call(ctx, part,
+// method, req, reply) and Close. LocalTransport runs the handler in process
+// (counting calls and sleeping RemoteLatency for non-home parts);
+// RPCTransport sends the call over TCP and gives up when ctx ends.
+// LatencyTransport, FaultTransport and RetryTransport each wrap an inner
+// Caller, do their one thing (sleep; inject a seeded fault; retry under a
+// CallPolicy, each attempt under its own deadline) and call inward, passing
+// Close straight through. A production stack is Retry over RPC; chaos tests
+// run Retry over Fault over Local. Each layer also embeds the typed facade,
+// which calls with no deadline, so every layer is a Transport: the client,
 // UpdateStream and the serving tier program against the typed Transport
 // interface, and code outside the package (the benchmark's recorder) can
 // implement Transport and sit on top of any layer. Over TCP, RPCServer
@@ -46,8 +47,9 @@
 // RPC is spelled out anywhere else.
 //
 // Layers must be safe for concurrent per-shard calls: Local and Latency
-// use atomic counters, RPCTransport multiplexes on net/rpc clients (over
-// the package's own codec), and Retry and Fault guard their state with
+// use atomic counters, RPCTransport multiplexes calls on one connection per
+// shard (a pending-call table keyed by sequence number, one reader
+// goroutine, one write lock), and Retry and Fault guard their state with
 // locks.
 //
 // # Failure model
@@ -71,11 +73,14 @@
 //
 //   - What reconnects: DialRPC connects to every shard up front (an
 //     unreachable one fails construction after a 5-s dial timeout). After
-//     that, RPCTransport drops a connection on transport-level failure
-//     (io.EOF, rpc.ErrShutdown, net errors) and redials on the next call; a per-attempt deadline expiry additionally kicks the
-//     shard down the layer stack to the connection (Caller.Kick), so a
-//     silent partition with no FIN/RST cannot park every retry on the same
-//     hung conn. Either way a restarted server is transparently re-adopted.
+//     that, a failed read or write, or a malformed frame, kills a
+//     connection and fails its pending calls with errors wrapping
+//     ErrUnreachable; the call that finds it dead drops it, and the next
+//     call redials. A per-attempt deadline fails only its own call, except
+//     that a connection with nothing read since that call was written is
+//     silent and is closed, so a partition with no FIN/RST cannot park every
+//     retry on the same hung conn. Either way a restarted server is
+//     transparently re-adopted.
 //     Its head regression then surfaces on the next Lease reply, which resets
 //     the head watermark and flushes epoch-keyed caches (the PR 4/5 path),
 //     and pinned batches reading now-future epochs re-pin via the existing

@@ -1,6 +1,7 @@
 package cluster
 
 import (
+	"context"
 	"fmt"
 	"sync/atomic"
 	"time"
@@ -67,7 +68,7 @@ func (m Method) String() string { return methods[m].name }
 // methodSpec is one row of the method table: what a transport layer needs
 // to know about an RPC without spelling out its request and reply types.
 type methodSpec struct {
-	name string // metric name, and the name rpc.Client calls it by
+	name string // the name in metric names and error text
 	// serve runs the RPC's handler on s.
 	serve func(s *Server, req, reply any) error
 	// newReply returns a fresh reply pointer (one per retry attempt), and
@@ -143,62 +144,62 @@ func defineMethod[Req, Rep any](name string, serve func(*Server, Req, *Rep) erro
 
 // Caller is a transport layer's single entry point. Call issues RPC m to
 // the server owning part; req is m's request value and reply a pointer to
-// m's reply type. Kick severs part's connection where a layer has one (see
-// Kicker). Wrapping layers (Latency, Fault, Retry) take an inner Caller and
-// pass Kick and Close through to it.
+// m's reply type. RPCTransport and FaultTransport's latency spikes honour
+// ctx: when it ends first, the call fails with an error wrapping
+// ErrUnreachable. In-process handlers run to completion. Wrapping layers
+// (Latency, Fault, Retry) take an inner Caller and pass Close through to it.
 type Caller interface {
-	Call(part int, m Method, req, reply any) error
-	Kick(part int)
+	Call(ctx context.Context, part int, m Method, req, reply any) error
 	Close() error
 }
 
 // facade implements Transport's typed methods on a Caller, each as one
-// Call. Every layer embeds a facade over itself, so every layer is also a
-// Transport.
+// Call without a deadline. Every layer embeds a facade over itself, so every
+// layer is also a Transport.
 type facade struct{ c Caller }
 
 func (f facade) Neighbors(part int, req NeighborsRequest, reply *NeighborsReply) error {
-	return f.c.Call(part, MNeighbors, req, reply)
+	return f.c.Call(context.Background(), part, MNeighbors, req, reply)
 }
 
 func (f facade) SampleNeighbors(part int, req SampleRequest, reply *SampleReply) error {
-	return f.c.Call(part, MSampleNeighbors, req, reply)
+	return f.c.Call(context.Background(), part, MSampleNeighbors, req, reply)
 }
 
 func (f facade) SampleEdges(part int, req EdgesRequest, reply *EdgesReply) error {
-	return f.c.Call(part, MSampleEdges, req, reply)
+	return f.c.Call(context.Background(), part, MSampleEdges, req, reply)
 }
 
 func (f facade) NegativePool(part int, req NegPoolRequest, reply *NegPoolReply) error {
-	return f.c.Call(part, MNegativePool, req, reply)
+	return f.c.Call(context.Background(), part, MNegativePool, req, reply)
 }
 
 func (f facade) Stats(part int, req StatsRequest, reply *StatsReply) error {
-	return f.c.Call(part, MStats, req, reply)
+	return f.c.Call(context.Background(), part, MStats, req, reply)
 }
 
 func (f facade) Attrs(part int, req AttrsRequest, reply *AttrsReply) error {
-	return f.c.Call(part, MAttrs, req, reply)
+	return f.c.Call(context.Background(), part, MAttrs, req, reply)
 }
 
 func (f facade) Bootstrap(part int, req BootstrapRequest, reply *BootstrapReply) error {
-	return f.c.Call(part, MBootstrap, req, reply)
+	return f.c.Call(context.Background(), part, MBootstrap, req, reply)
 }
 
 func (f facade) Update(part int, req UpdateRequest, reply *UpdateReply) error {
-	return f.c.Call(part, MUpdate, req, reply)
+	return f.c.Call(context.Background(), part, MUpdate, req, reply)
 }
 
 func (f facade) Lease(part int, req LeaseRequest, reply *LeaseReply) error {
-	return f.c.Call(part, MLease, req, reply)
+	return f.c.Call(context.Background(), part, MLease, req, reply)
 }
 
 func (f facade) Release(part int, req ReleaseRequest, reply *ReleaseReply) error {
-	return f.c.Call(part, MRelease, req, reply)
+	return f.c.Call(context.Background(), part, MRelease, req, reply)
 }
 
 func (f facade) Compact(part int, req CompactRequest, reply *CompactReply) error {
-	return f.c.Call(part, MCompact, req, reply)
+	return f.c.Call(context.Background(), part, MCompact, req, reply)
 }
 
 // LocalTransport serves requests by direct method calls on in-process
@@ -225,8 +226,8 @@ func NewLocalTransport(servers []*Server, home int, remoteLatency time.Duration)
 }
 
 // Call implements Caller: it pays for the call, then runs m's handler on
-// part's server.
-func (t *LocalTransport) Call(part int, m Method, req, reply any) error {
+// part's server. The handler runs to completion whatever ctx says.
+func (t *LocalTransport) Call(_ context.Context, part int, m Method, req, reply any) error {
 	if part < 0 || part >= len(t.Servers) {
 		return fmt.Errorf("cluster: no server for partition %d", part)
 	}
@@ -240,9 +241,6 @@ func (t *LocalTransport) Call(part int, m Method, req, reply any) error {
 	}
 	return methods[m].serve(t.Servers[part], req, reply)
 }
-
-// Kick implements Caller; in-process servers have no connection to sever.
-func (t *LocalTransport) Kick(int) {}
 
 // Close implements Caller.
 func (t *LocalTransport) Close() error { return nil }
@@ -278,12 +276,12 @@ func NewLatencyTransport(inner Caller, d time.Duration) *LatencyTransport {
 }
 
 // Call implements Caller: it sleeps Delay, then calls the inner layer.
-func (t *LatencyTransport) Call(part int, m Method, req, reply any) error {
+func (t *LatencyTransport) Call(ctx context.Context, part int, m Method, req, reply any) error {
 	atomic.AddInt64(&t.calls, 1)
 	if t.Delay > 0 {
 		time.Sleep(t.Delay)
 	}
-	return t.Caller.Call(part, m, req, reply)
+	return t.Caller.Call(ctx, part, m, req, reply)
 }
 
 // Calls reports how many calls paid the delay.

@@ -1,6 +1,7 @@
 package cluster
 
 import (
+	"context"
 	"sync/atomic"
 	"testing"
 
@@ -72,8 +73,8 @@ type updateCounter struct {
 	added, removed atomic.Int64
 }
 
-func (c *updateCounter) Call(part int, m Method, req, reply any) error {
-	err := c.Caller.Call(part, m, req, reply)
+func (c *updateCounter) Call(ctx context.Context, part int, m Method, req, reply any) error {
+	err := c.Caller.Call(ctx, part, m, req, reply)
 	if r, ok := reply.(*UpdateReply); ok && err == nil {
 		c.added.Add(int64(r.Added))
 		c.removed.Add(int64(r.Removed))
