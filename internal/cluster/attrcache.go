@@ -106,7 +106,7 @@ func (a *AttrCache) AttrsAt(vs []graph.ID, pin *sampling.Pin) ([][]float64, erro
 	rows, err := a.C.attrsObserve(missing, pin, func(part int, batch []graph.ID, reply *AttrsReply) {
 		replyEpochs[part] = reply.AttrEpoch
 		for j, v := range batch {
-			since[v] = replySince(reply.Since, j, reply.Epoch)
+			since[v] = reply.Since[j]
 		}
 	})
 	if err != nil {

@@ -139,10 +139,10 @@ func BenchmarkClusterSample(b *testing.B) {
 				for j := range coldVs {
 					coldVs[j] = graph.ID(nHot + (i*coldPer+j)%nCold)
 				}
-				if err := c.SampleBatch(coldDst, coldVs, 1, width, false, uint64(i)); err != nil {
+				if err := c.SampleBatch(coldDst, coldVs, 1, width, uint64(i)); err != nil {
 					b.Fatal(err)
 				}
-				if err := c.SampleBatch(hotDst, hotVs, 0, width, false, uint64(i)); err != nil {
+				if err := c.SampleBatch(hotDst, hotVs, 0, width, uint64(i)); err != nil {
 					b.Fatal(err)
 				}
 			}

@@ -87,19 +87,6 @@ func (c *Client) cacheEpoch(pin *sampling.Pin, part int) uint64 {
 	return c.pins.heads[part].Load()
 }
 
-// replySince extracts the j-th install stamp of a reply's Since array,
-// tolerating absent arrays from down-level servers. The fallback is the
-// reply's serving epoch: the list is then only claimed valid at the single
-// point it was observed ([epoch, epoch]) — claiming 0 would assert it
-// predates every update, exactly the stale-entry admission the seam
-// exists to prevent.
-func replySince(since []uint64, j int, servedEpoch uint64) uint64 {
-	if j < len(since) {
-		return since[j]
-	}
-	return servedEpoch
-}
-
 // Neighbors returns the out-neighbors of v under edge type t: a one-vertex
 // NeighborsBatch.
 func (c *Client) Neighbors(v graph.ID, t graph.EdgeType) ([]graph.ID, error) {
@@ -211,25 +198,21 @@ func (c *Client) BatchNeighbors(vs []graph.ID, t graph.EdgeType) ([][]graph.ID, 
 	return out, nil
 }
 
-// SampleBatch implements sampling.Source: width neighbor draws per
+// SampleBatch implements sampling.Source: width uniform neighbor draws per
 // vertex of vs, executed where the adjacency lives. Unique vertices with a
-// cached hop-1 list valid at the read epoch are drawn client-side (uniform
-// only: caches hold no weights); the rest are grouped into one
-// SampleNeighbors RPC per owning server, carrying each unique vertex once
-// with its multiplicity and batch positions so repeated hubs get
-// independent draws without being re-sent. Every draw group derives its
+// cached hop-1 list valid at the read epoch are drawn client-side; the rest
+// are grouped into one SampleNeighbors RPC per owning server, carrying each
+// unique vertex once with its multiplicity and batch positions so repeated
+// hubs get independent draws without being re-sent. Every draw group derives its
 // stream from its batch slot (sampling.SlotRng), so a fixed seed yields
 // fixed values no matter which slots hit the cache, how the graph is
 // sharded, or when a replacing cache admitted an entry — the property
 // behind the pipeline's bit-reproducibility with LRU caches. Low-degree
-// uniform vertices come back as full (short) lists, which are drawn
-// locally and admitted (with their install stamp), so replacing caches
-// warm up under a pure training workload. Weighted draws skip the cache
-// and always run server-side: caches hold no weights, and the server's
-// alias-method stream is the one executor that keeps fixed seeds
-// bit-identical.
-func (c *Client) SampleBatch(dst []graph.ID, vs []graph.ID, t graph.EdgeType, width int, byWeight bool, seed uint64) error {
-	return c.sampleBatchSpan(dst, vs, t, width, byWeight, seed, nil, nil, 0)
+// vertices come back as full (short) lists, which are drawn locally and
+// admitted (with their install stamp), so replacing caches warm up under a
+// pure training workload.
+func (c *Client) SampleBatch(dst []graph.ID, vs []graph.ID, t graph.EdgeType, width int, seed uint64) error {
+	return c.sampleBatchSpan(dst, vs, t, width, seed, nil, nil, 0)
 }
 
 // clusterStats returns the per-server size counters, fetching them on first
@@ -270,31 +253,25 @@ func (c *Client) clusterStats(refresh bool) ([]StatsReply, error) {
 }
 
 // edgeSplit returns the per-server mass the TRAVERSE batch is split by:
-// edge counts for uniform draws, edge-weight sums for weighted ones. For a
-// pinned batch the mass comes from the pinned epoch's counters (they rode
-// the Lease reply, so this costs no RPC) — the per-server allocation then
-// matches the snapshot actually being sampled, not the moving head.
+// the servers' type-t edge counts. For a pinned batch the mass comes from
+// the pinned epoch's counters (they rode the Lease reply, so this costs no
+// RPC) — the per-server allocation then matches the snapshot actually
+// being sampled, not the moving head.
 // Unpinned callers use the cached head stats, re-confirmed against live
 // servers before concluding the type is empty (dynamic inserts).
-func (c *Client) edgeSplit(t graph.EdgeType, byWeight bool, pin *sampling.Pin) ([]float64, float64, error) {
-	mass := func(edges []int64, weights []float64) float64 {
-		if byWeight {
-			if int(t) < len(weights) {
-				return weights[t]
-			}
-			return 0
-		}
+func (c *Client) edgeSplit(t graph.EdgeType, pin *sampling.Pin) ([]float64, float64, error) {
+	mass := func(edges []int64) float64 {
 		if int(t) < len(edges) {
 			return float64(edges[t])
 		}
 		return 0
 	}
 	if pin != nil {
-		if edges, weights := c.pins.statsFor(pin); edges != nil {
+		if edges := c.pins.statsFor(pin); edges != nil {
 			ws := make([]float64, c.Assign.P)
 			total := 0.0
 			for p := 0; p < c.Assign.P; p++ {
-				ws[p] = mass(edges[p], weights[p])
+				ws[p] = mass(edges[p])
 				total += ws[p]
 			}
 			return ws, total, nil
@@ -304,7 +281,7 @@ func (c *Client) edgeSplit(t graph.EdgeType, byWeight bool, pin *sampling.Pin) (
 		ws := make([]float64, len(stats))
 		total := 0.0
 		for p, st := range stats {
-			ws[p] = mass(st.EdgesByType, st.WeightByType)
+			ws[p] = mass(st.EdgesByType)
 			total += ws[p]
 		}
 		return ws, total
@@ -333,16 +310,6 @@ func (c *Client) SampleEdges(t graph.EdgeType, n int, seed uint64) ([]graph.Edge
 	return c.AppendSampleEdges(nil, t, n, seed, nil, nil)
 }
 
-// SampleEdgesWeighted draws n edges of type t proportionally to edge weight
-// over the cluster's global edge set: the batch is split across servers by
-// their local type-t weight sums (the Stats RPC reports them), then each
-// contributing server draws weight-proportionally from its own edge set.
-// The composition is exactly the global weighted draw a single machine
-// would make.
-func (c *Client) SampleEdgesWeighted(t graph.EdgeType, n int, seed uint64) ([]graph.Edge, error) {
-	return c.appendSampleEdges(nil, t, n, seed, true, nil, nil)
-}
-
 // AppendSampleEdges is SampleEdges into a caller-owned buffer, reading the
 // pinned snapshot when pin is non-nil and recording what each contributing
 // server's reply observed into span (nil to skip). Batch sources use it to
@@ -351,11 +318,7 @@ func (c *Client) SampleEdgesWeighted(t graph.EdgeType, n int, seed uint64) ([]gr
 // counters (carried on the Lease reply), so the allocation matches the
 // snapshot being sampled even while the head moves.
 func (c *Client) AppendSampleEdges(dst []graph.Edge, t graph.EdgeType, n int, seed uint64, pin *sampling.Pin, span *sampling.EpochSpan) ([]graph.Edge, error) {
-	return c.appendSampleEdges(dst, t, n, seed, false, pin, span)
-}
-
-func (c *Client) appendSampleEdges(dst []graph.Edge, t graph.EdgeType, n int, seed uint64, byWeight bool, pin *sampling.Pin, span *sampling.EpochSpan) ([]graph.Edge, error) {
-	ws, total, err := c.edgeSplit(t, byWeight, pin)
+	ws, total, err := c.edgeSplit(t, pin)
 	if err != nil {
 		return nil, err
 	}
@@ -377,7 +340,7 @@ func (c *Client) appendSampleEdges(dst []graph.Edge, t graph.EdgeType, n int, se
 		if k == 0 {
 			continue
 		}
-		req := EdgesRequest{EdgeType: t, Count: k, ByWeight: byWeight, Seed: rng.Uint64()}
+		req := EdgesRequest{EdgeType: t, Count: k, Seed: rng.Uint64()}
 		req.Pin, req.Pinned = pinFields(pin, p)
 		parts = append(parts, p)
 		reqs[p] = req
@@ -496,6 +459,9 @@ func (c *Client) attrsObserve(vs []graph.ID, pin *sampling.Pin, note func(part i
 		if len(reply.Attrs) != len(batch) {
 			return nil, rowsError(p, "attribute rows", len(reply.Attrs), len(batch))
 		}
+		if len(reply.Since) < len(batch) {
+			return nil, rowsError(p, "row install stamps", len(reply.Since), len(batch))
+		}
 		if note != nil {
 			note(p, batch, reply)
 		}
@@ -552,14 +518,21 @@ func (c *Client) SinceOf(vs []graph.ID, t graph.EdgeType) (adj, attr, upto []uin
 		nr, ar := &nReplies[i], &aReplies[i]
 		c.observe(p, nil, nil, nr.Epoch, nr.Head, nr.AttrHead)
 		c.observe(p, nil, nil, ar.Epoch, ar.Head, ar.AttrHead)
-		if n := len(subBatch[p]); len(nr.Neighbors) != n || len(ar.Attrs) != n {
-			return nil, nil, nil, fmt.Errorf("cluster: server %d returned %d lists and %d attribute rows for %d vertices", p, len(nr.Neighbors), len(ar.Attrs), n)
+		switch n := len(subBatch[p]); {
+		case len(nr.Neighbors) != n:
+			return nil, nil, nil, rowsError(p, "lists", len(nr.Neighbors), n)
+		case len(nr.Since) < n:
+			return nil, nil, nil, rowsError(p, "list install stamps", len(nr.Since), n)
+		case len(ar.Attrs) != n:
+			return nil, nil, nil, rowsError(p, "attribute rows", len(ar.Attrs), n)
+		case len(ar.Since) < n:
+			return nil, nil, nil, rowsError(p, "row install stamps", len(ar.Since), n)
 		}
 		served := min(nr.Epoch, ar.Epoch)
 		for j, v := range subBatch[p] {
 			k := idx[v]
-			adj[k] = replySince(nr.Since, j, nr.Epoch)
-			attr[k] = replySince(ar.Since, j, ar.Epoch)
+			adj[k] = nr.Since[j]
+			attr[k] = ar.Since[j]
 			upto[k] = served
 		}
 	}
@@ -654,8 +627,8 @@ func (c *Client) EpochView() sampling.EpochView { return &epochView{c: c} }
 
 // SampleBatch implements sampling.Source through the view: the client's
 // server-side fixed-width draw path, at the view's pin and hop tag.
-func (v *epochView) SampleBatch(dst []graph.ID, vs []graph.ID, t graph.EdgeType, width int, byWeight bool, seed uint64) error {
-	return v.c.sampleBatchSpan(dst, vs, t, width, byWeight, seed, v.pin, &v.span, v.hop)
+func (v *epochView) SampleBatch(dst []graph.ID, vs []graph.ID, t graph.EdgeType, width int, seed uint64) error {
+	return v.c.sampleBatchSpan(dst, vs, t, width, seed, v.pin, &v.span, v.hop)
 }
 
 // SetHop implements sampling.EpochView: the NEIGHBORHOOD sampler tags the

@@ -353,64 +353,6 @@ func TestClientBatchedDistributedSampling(t *testing.T) {
 	}
 }
 
-// weightedStarGraph builds a graph whose vertex 0 has out-neighbors 1..n
-// with the given weights.
-func weightedStarGraph(weights []float64) *graph.Graph {
-	b := graph.NewBuilder(graph.SimpleSchema(), true)
-	b.AddVertices(0, len(weights)+1)
-	for i, w := range weights {
-		b.AddEdge(0, graph.ID(i+1), 0, w)
-	}
-	return b.Finalize()
-}
-
-// TestRemoteWeightedSampleChiSquare verifies that server-side weighted
-// draws (SampleNeighbors RPC through the per-server AliasIndex) follow the
-// edge weights with the same statistics as the local engine: chi-square
-// goodness-of-fit on 60k draws, p=0.001 critical value, deterministic
-// seeds. The weights and bound match TestAliasIndexChiSquare in
-// internal/sampling.
-func TestRemoteWeightedSampleChiSquare(t *testing.T) {
-	weights := []float64{1, 2, 3, 4, 10}
-	g := weightedStarGraph(weights)
-	a, _ := partition.HashPartitioner{}.Partition(g, 2)
-	servers := FromGraph(g, a)
-	tr := NewLocalTransport(servers, 0, 0)
-	client := NewClient(a, tr, nil)
-
-	nbr := sampling.NewNeighborhood(client, rand.New(rand.NewSource(1)))
-	nbr.ByWeight = true
-	const draws = 60000
-	var ctx sampling.Context
-	if err := nbr.SampleInto(&ctx, 0, []graph.ID{0}, []int{draws}, sampling.NewRng(12345)); err != nil {
-		t.Fatal(err)
-	}
-	counts := make([]int, len(weights))
-	for _, u := range ctx.Layers[1] {
-		if u < 1 || int(u) > len(weights) {
-			t.Fatalf("draw out of range: %d", u)
-		}
-		counts[u-1]++
-	}
-	total := 0.0
-	for _, w := range weights {
-		total += w
-	}
-	chi2 := 0.0
-	for i, c := range counts {
-		exp := float64(draws) * weights[i] / total
-		chi2 += (float64(c) - exp) * (float64(c) - exp) / exp
-	}
-	// Critical value of chi-square with df=4 at p=0.001.
-	if chi2 > 18.47 {
-		t.Fatalf("chi-square = %.2f > 18.47; counts = %v", chi2, counts)
-	}
-	// The star fits on one server: the whole batch must cost one RPC.
-	if local, remote := tr.Calls(); local+remote != 1 {
-		t.Fatalf("weighted draw cost %d RPCs, want 1", local+remote)
-	}
-}
-
 func TestClientNegativePoolMatchesInDegrees(t *testing.T) {
 	g := testGraph(t)
 	a, _ := partition.HashPartitioner{}.Partition(g, 2)
@@ -481,14 +423,14 @@ func TestSampleBatchWarmsReplacingCache(t *testing.T) {
 
 	dst := make([]graph.ID, 4*3)
 	batch := []graph.ID{0, 1, 2, 3}
-	if err := client.SampleBatch(dst, batch, 0, 3, false, 7); err != nil {
+	if err := client.SampleBatch(dst, batch, 0, 3, 7); err != nil {
 		t.Fatal(err)
 	}
 	if cache.CachedVertices() == 0 {
 		t.Fatal("training hop did not warm the LRU cache")
 	}
 	tr.ResetCalls()
-	if err := client.SampleBatch(dst, batch, 0, 3, false, 8); err != nil {
+	if err := client.SampleBatch(dst, batch, 0, 3, 8); err != nil {
 		t.Fatal(err)
 	}
 	if local, remote := tr.Calls(); local+remote != 0 {
@@ -513,10 +455,10 @@ func TestCacheKeyedByEdgeType(t *testing.T) {
 	client := NewClient(a, NewLocalTransport(servers, 0, 0), storage.NewLRUNeighborCache(64))
 
 	dst := make([]graph.ID, 4)
-	if err := client.SampleBatch(dst, []graph.ID{0}, 0, 4, false, 7); err != nil {
+	if err := client.SampleBatch(dst, []graph.ID{0}, 0, 4, 7); err != nil {
 		t.Fatal(err)
 	}
-	if err := client.SampleBatch(dst, []graph.ID{0}, 1, 4, false, 7); err != nil {
+	if err := client.SampleBatch(dst, []graph.ID{0}, 1, 4, 7); err != nil {
 		t.Fatal(err)
 	}
 	for _, u := range dst {
@@ -582,8 +524,6 @@ func TestClientConcurrentSharedCache(t *testing.T) {
 	tr := NewLocalTransport(servers, 0, 0)
 	client := NewClient(a, tr, storage.NewImportanceCacheTopFraction(g, 2, 0.3))
 	nbr := sampling.NewNeighborhood(client, rand.New(rand.NewSource(1)))
-	wNbr := sampling.NewNeighborhood(client, rand.New(rand.NewSource(2)))
-	wNbr.ByWeight = true
 
 	var wg sync.WaitGroup
 	for w := 0; w < 8; w++ {
@@ -596,10 +536,6 @@ func TestClientConcurrentSharedCache(t *testing.T) {
 			for i := 0; i < 30; i++ {
 				if err := nbr.SampleInto(&ctx, 0, batch, []int{4, 2}, rng); err != nil {
 					t.Errorf("SampleInto: %v", err)
-					return
-				}
-				if err := wNbr.SampleInto(&ctx, 0, batch, []int{3}, rng); err != nil {
-					t.Errorf("weighted SampleInto: %v", err)
 					return
 				}
 				if _, err := client.MultiHop(batch[2], 0, 2); err != nil {

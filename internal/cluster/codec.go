@@ -293,7 +293,6 @@ func neighborsRequestWire(w *wire, r *NeighborsRequest) {
 
 func neighborsReplyWire(w *wire, r *NeighborsReply) {
 	idRows(w, &r.Neighbors)
-	f64Rows(w, &r.Weights)
 	nums(w, &r.Since)
 	num(w, &r.Epoch)
 	num(w, &r.Head)
@@ -306,7 +305,6 @@ func sampleRequestWire(w *wire, r *SampleRequest) {
 	i32s(w, &r.Slots)
 	i32(w, &r.EdgeType)
 	num(w, &r.Width)
-	w.boolean(&r.ByWeight)
 	w.boolean(&r.WantLists)
 	num(w, &r.Seed)
 	num(w, &r.Pin)
@@ -325,7 +323,6 @@ func sampleReplyWire(w *wire, r *SampleReply) {
 func edgesRequestWire(w *wire, r *EdgesRequest) {
 	i32(w, &r.EdgeType)
 	num(w, &r.Count)
-	w.boolean(&r.ByWeight)
 	num(w, &r.Seed)
 	num(w, &r.Pin)
 	w.boolean(&r.Pinned)
@@ -350,7 +347,6 @@ func negPoolReplyWire(w *wire, r *NegPoolReply) {
 func statsReplyWire(w *wire, r *StatsReply) {
 	num(w, &r.NumVertices)
 	nums(w, &r.EdgesByType)
-	f64s(w, &r.WeightByType)
 	num(w, &r.Head)
 	num(w, &r.AttrHead)
 }
@@ -410,7 +406,6 @@ func leaseReplyWire(w *wire, r *LeaseReply) {
 	num(w, &r.Head)
 	num(w, &r.AttrHead)
 	nums(w, &r.EdgesByType)
-	f64s(w, &r.WeightByType)
 }
 
 func releaseRequestWire(w *wire, r *ReleaseRequest) {

@@ -36,7 +36,7 @@ func TestEpochViewDetectsMixedEpochs(t *testing.T) {
 	dst := make([]graph.ID, len(batch)*3)
 
 	view := c.EpochView()
-	if err := view.SampleBatch(dst, batch, 0, 3, false, 1); err != nil {
+	if err := view.SampleBatch(dst, batch, 0, 3, 1); err != nil {
 		t.Fatal(err)
 	}
 	span := view.Span()
@@ -65,7 +65,7 @@ func TestEpochViewDetectsMixedEpochs(t *testing.T) {
 	if view.Span().Seen {
 		t.Fatal("reset span not empty")
 	}
-	if err := view.SampleBatch(dst, batch, 0, 3, false, 2); err != nil {
+	if err := view.SampleBatch(dst, batch, 0, 3, 2); err != nil {
 		t.Fatal(err)
 	}
 	span = view.Span()

@@ -106,7 +106,7 @@ func TestFanoutBitIdenticalUnderFaultsRace(t *testing.T) {
 	wantSample := make(map[uint64][]graph.ID, len(seeds))
 	for _, s := range seeds {
 		dst := make([]graph.ID, len(batch)*width)
-		if err := ref.SampleBatch(dst, batch, 0, width, false, s); err != nil {
+		if err := ref.SampleBatch(dst, batch, 0, width, s); err != nil {
 			t.Fatal(err)
 		}
 		wantSample[s] = dst
@@ -149,7 +149,7 @@ func TestFanoutBitIdenticalUnderFaultsRace(t *testing.T) {
 			dst := make([]graph.ID, len(batch)*width)
 			for iter := 0; iter < 12; iter++ {
 				seed := seeds[(w+iter)%len(seeds)]
-				if err := c.SampleBatch(dst, batch, 0, width, false, seed); err != nil {
+				if err := c.SampleBatch(dst, batch, 0, width, seed); err != nil {
 					t.Errorf("SampleBatch: %v", err)
 					return
 				}
@@ -267,7 +267,7 @@ func TestClientMetrics(t *testing.T) {
 
 	batch := []graph.ID{0, 1, 2, 3, 4, 5}
 	dst := make([]graph.ID, len(batch)*3)
-	if err := c.SampleBatch(dst, batch, 0, 3, false, 9); err != nil {
+	if err := c.SampleBatch(dst, batch, 0, 3, 9); err != nil {
 		t.Fatal(err)
 	}
 	if _, err := c.BatchNeighbors(batch, 0); err != nil {

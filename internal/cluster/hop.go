@@ -80,11 +80,11 @@ func (h *hop) serve(j int, ns []graph.ID) int64 {
 	return int64(len(s))
 }
 
-// group dedups vs, serves what the cache holds (when probe is set), and
-// groups the rest by owning part. The probe is keyed by the owning shard's
-// pinned epoch (or observed head), so a stale-generation entry misses
-// instead of being served.
-func (h *hop) group(vs []graph.ID, probe bool) {
+// group dedups vs, serves what the cache holds, and groups the rest by
+// owning part. The probe is keyed by the owning shard's pinned epoch (or
+// observed head), so a stale-generation entry misses instead of being
+// served.
+func (h *hop) group(vs []graph.ID) {
 	c := h.c
 	idx := make(map[graph.ID]int, len(vs))
 	of := make([]int, len(vs))
@@ -118,11 +118,9 @@ func (h *hop) group(vs []graph.ID, probe bool) {
 	h.miss = make([][]int, c.Assign.P)
 	for j, v := range h.uniq {
 		p := c.Assign.Part(v)
-		if probe {
-			if ns, ok := h.probe(v, c.cacheEpoch(h.pin, p)); ok {
-				h.serve(j, ns)
-				continue
-			}
+		if ns, ok := h.probe(v, c.cacheEpoch(h.pin, p)); ok {
+			h.serve(j, ns)
+			continue
 		}
 		h.miss[p] = append(h.miss[p], j)
 	}
@@ -192,8 +190,7 @@ func resolve[R any](h *hop, m Method, send func(i, p int, reply *R) error, read 
 				return err
 			}
 			// Shard down: serve what the cache still holds, however stale,
-			// through the same slot-pure streams (weighted draws degrade to
-			// uniform over the stale list), and count every draw.
+			// through the same slot-pure streams, and count every draw.
 			for _, j := range js {
 				ns, _ := c.Cache.GetStale(h.uniq[j], h.t, 1)
 				n := h.serve(j, ns)
@@ -214,11 +211,18 @@ func resolve[R any](h *hop, m Method, send func(i, p int, reply *R) error, read 
 
 // fill validates part p's reply to its misses js and serves them from it:
 // full lists are admitted with their install stamps and served, drawn rows
-// are copied out of samples.
+// are copied out of samples. A reply that carries lists must stamp every
+// row: an admission without its install epoch could claim validity across
+// an update.
 func (h *hop) fill(p int, js []int, r hopReply) error {
 	drawn := h.lists == nil && len(r.lists) == 0
-	if len(r.lists) != len(js) && !drawn {
-		return rowsError(p, "lists", len(r.lists), len(js))
+	if !drawn {
+		if len(r.lists) != len(js) {
+			return rowsError(p, "lists", len(r.lists), len(js))
+		}
+		if len(r.since) < len(js) {
+			return rowsError(p, "install stamps", len(r.since), len(js))
+		}
 	}
 	isList := func(row int) bool { return !drawn && (h.lists != nil || r.lists[row] != nil) }
 	want := 0
@@ -234,7 +238,7 @@ func (h *hop) fill(p int, js []int, r hopReply) error {
 	for row, j := range js {
 		if isList(row) {
 			ns := r.lists[row]
-			h.c.Cache.Observe(h.uniq[j], h.t, 1, r.epoch, replySince(r.since, row, r.epoch), ns)
+			h.c.Cache.Observe(h.uniq[j], h.t, 1, r.epoch, r.since[row], ns)
 			h.serve(j, ns)
 			continue
 		}
@@ -276,7 +280,7 @@ func (c *Client) NeighborsBatch(dst [][]graph.ID, vs []graph.ID, t graph.EdgeTyp
 	h := c.startHop(t, nil, nil, 0, len(vs))
 	defer h.done()
 	h.lists = dst
-	h.group(vs, true)
+	h.group(vs)
 	verts := h.missVertices()
 	return resolve(h, MNeighbors, func(i, p int, reply *NeighborsReply) error {
 		return c.T.Neighbors(p, NeighborsRequest{Vertices: verts[i], EdgeType: t}, reply)
@@ -287,14 +291,14 @@ func (c *Client) NeighborsBatch(dst [][]graph.ID, vs []graph.ID, t graph.EdgeTyp
 
 // sampleBatchSpan is the draw hop: SampleNeighbors RPCs carrying each
 // missed vertex once with its multiplicity and batch slots.
-func (c *Client) sampleBatchSpan(dst []graph.ID, vs []graph.ID, t graph.EdgeType, width int, byWeight bool, seed uint64, pin *sampling.Pin, span *sampling.EpochSpan, hopN int) error {
+func (c *Client) sampleBatchSpan(dst []graph.ID, vs []graph.ID, t graph.EdgeType, width int, seed uint64, pin *sampling.Pin, span *sampling.EpochSpan, hopN int) error {
 	if len(dst) != len(vs)*width {
 		return fmt.Errorf("cluster: SampleBatch dst length %d, want %d", len(dst), len(vs)*width)
 	}
 	h := c.startHop(t, pin, span, hopN, len(vs))
 	defer h.done()
 	h.draws, h.width, h.seed = dst, width, seed
-	h.group(vs, !byWeight)
+	h.group(vs)
 	// Per-part Counts and Slots are carved out of two shared buffers, like
 	// the vertices: each scatter goroutine only reads its own sub-slices.
 	verts := h.missVertices()
@@ -317,7 +321,6 @@ func (c *Client) sampleBatchSpan(dst []graph.ID, vs []graph.ID, t graph.EdgeType
 			Slots:     slots[s0:len(slots):len(slots)],
 			EdgeType:  t,
 			Width:     width,
-			ByWeight:  byWeight,
 			WantLists: wantLists,
 			Seed:      seed,
 		}

@@ -149,15 +149,28 @@ func TestStaticCacheServesFetchedLists(t *testing.T) {
 }
 
 // truncating answers every call through inner, then drops the last row of
-// the reply to method m — a server bug the client must turn into an error.
+// the reply to method m — or, with since set, the last install stamp of
+// its Since array — a server bug the client must turn into an error.
 type truncating struct {
 	Caller
-	m Method
+	m     Method
+	since bool
 }
 
 func (c truncating) Call(ctx context.Context, part int, m Method, req, reply any) error {
 	if err := c.Caller.Call(ctx, part, m, req, reply); err != nil || m != c.m {
 		return err
+	}
+	if c.since {
+		switch r := reply.(type) {
+		case *NeighborsReply:
+			r.Since = r.Since[:len(r.Since)-1]
+		case *AttrsReply:
+			r.Since = r.Since[:len(r.Since)-1]
+		case *SampleReply:
+			r.Since = r.Since[:len(r.Since)-1]
+		}
+		return nil
 	}
 	switch r := reply.(type) {
 	case *NeighborsReply:
@@ -174,26 +187,42 @@ func (c truncating) Call(ctx context.Context, part int, m Method, req, reply any
 	return nil
 }
 
-// TestShortRepliesError: a reply with fewer rows than its request must
-// surface as an error naming the server, never as an index panic.
+// TestShortRepliesError: a reply with fewer rows than its request, or
+// with fewer install stamps (Since) than the rows it carries, must surface
+// as an error naming the server, never as an index panic or a row admitted
+// without its stamp.
 func TestShortRepliesError(t *testing.T) {
 	g := churnTestGraph(60)
 	vs := []graph.ID{0, 1, 2, 3, 4, 5, 6, 7}
 	cases := []struct {
-		m    Method
-		call func(c *Client) error
+		m     Method
+		call  func(c *Client) error
+		since bool
+		cache func() storage.NeighborCache
 	}{
-		{MNeighbors, func(c *Client) error { return c.NeighborsBatch(make([][]graph.ID, len(vs)), vs, 0) }},
-		{MNeighbors, func(c *Client) error { _, _, _, err := c.SinceOf(vs, 0); return err }},
-		{MAttrs, func(c *Client) error { _, err := c.Attrs(vs); return err }},
-		{MAttrs, func(c *Client) error { _, _, _, err := c.SinceOf(vs, 0); return err }},
-		{MSampleEdges, func(c *Client) error { _, err := c.SampleEdges(0, 16, 1); return err }},
-		{MNegativePool, func(c *Client) error { _, _, err := c.NegativePool(0); return err }},
-		{MSampleNeighbors, func(c *Client) error { return c.SampleBatch(make([]graph.ID, 2*len(vs)), vs, 0, 2, false, 1) }},
+		{m: MNeighbors, call: func(c *Client) error { return c.NeighborsBatch(make([][]graph.ID, len(vs)), vs, 0) }},
+		{m: MNeighbors, call: func(c *Client) error { _, _, _, err := c.SinceOf(vs, 0); return err }},
+		{m: MAttrs, call: func(c *Client) error { _, err := c.Attrs(vs); return err }},
+		{m: MAttrs, call: func(c *Client) error { _, _, _, err := c.SinceOf(vs, 0); return err }},
+		{m: MSampleEdges, call: func(c *Client) error { _, err := c.SampleEdges(0, 16, 1); return err }},
+		{m: MNegativePool, call: func(c *Client) error { _, _, err := c.NegativePool(0); return err }},
+		{m: MSampleNeighbors, call: func(c *Client) error { return c.SampleBatch(make([]graph.ID, 2*len(vs)), vs, 0, 2, 1) }},
+		{m: MNeighbors, call: func(c *Client) error { return c.NeighborsBatch(make([][]graph.ID, len(vs)), vs, 0) }, since: true},
+		{m: MNeighbors, call: func(c *Client) error { _, _, _, err := c.SinceOf(vs, 0); return err }, since: true},
+		{m: MAttrs, call: func(c *Client) error { _, err := c.Attrs(vs); return err }, since: true},
+		{m: MAttrs, call: func(c *Client) error { _, _, _, err := c.SinceOf(vs, 0); return err }, since: true},
+		// An admitting cache makes the server ship short lists (width 3
+		// covers every vertex here), each needing its install stamp.
+		{m: MSampleNeighbors, call: func(c *Client) error { return c.SampleBatch(make([]graph.ID, 3*len(vs)), vs, 0, 3, 1) }, since: true,
+			cache: func() storage.NeighborCache { return storage.NewLRUNeighborCache(64) }},
 	}
 	for i, tc := range cases {
 		t.Run(fmt.Sprintf("%d-%v", i, tc.m), func(t *testing.T) {
-			c := newHopCluster(t, g, 2, func(inner Caller) Transport { return typed(truncating{inner, tc.m}) }, storage.NoCache{})
+			var cache storage.NeighborCache = storage.NoCache{}
+			if tc.cache != nil {
+				cache = tc.cache()
+			}
+			c := newHopCluster(t, g, 2, func(inner Caller) Transport { return typed(truncating{inner, tc.m, tc.since}) }, cache)
 			defer func() {
 				if p := recover(); p != nil {
 					t.Fatalf("short %v reply panicked: %v", tc.m, p)

@@ -34,7 +34,6 @@ func TestHostileRequestsRejected(t *testing.T) {
 		calls = append(calls,
 			call{"Neighbors/type", MNeighbors, NeighborsRequest{Vertices: vs, EdgeType: et}},
 			call{"SampleNeighbors/type", MSampleNeighbors, SampleRequest{Vertices: vs, EdgeType: et, Width: 2}},
-			call{"SampleNeighbors/weighted/type", MSampleNeighbors, SampleRequest{Vertices: vs, EdgeType: et, Width: 2, ByWeight: true}},
 			call{"SampleEdges/type", MSampleEdges, EdgesRequest{EdgeType: et, Count: 4}},
 			call{"NegativePool/type", MNegativePool, NegPoolRequest{EdgeType: et}},
 		)

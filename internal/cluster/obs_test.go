@@ -38,7 +38,7 @@ func TestHopMetrics(t *testing.T) {
 	}
 	// A direct batch call, outside any hop loop, lands in hop 0.
 	dst := make([]graph.ID, len(seeds)*3)
-	if err := c.SampleBatch(dst, seeds, 0, 3, false, 99); err != nil {
+	if err := c.SampleBatch(dst, seeds, 0, 3, 99); err != nil {
 		t.Fatal(err)
 	}
 

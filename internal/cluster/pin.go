@@ -18,15 +18,14 @@ import (
 // last batch holding them recycles.
 
 // pinState tracks one issued pin's reference count plus the per-shard
-// edge-count and edge-weight stats of the leased epochs (they ride the
-// Lease replies). TRAVERSE batch splits under this pin read them instead
-// of the head's moving counters.
+// edge counts of the leased epochs (they ride the Lease replies). TRAVERSE
+// batch splits under this pin read them instead of the head's moving
+// counters.
 type pinState struct {
-	pin     *sampling.Pin
-	refs    int
-	dead    bool // lease observed lost (eviction); never handed out again
-	edges   [][]int64
-	weights [][]float64
+	pin   *sampling.Pin
+	refs  int
+	dead  bool // lease observed lost (eviction); never handed out again
+	edges [][]int64
 	// leased[part] records whether this pin actually holds a server-side
 	// lease on part. A degraded Pin records a down shard's last observed
 	// head WITHOUT leasing it; releasing that epoch anyway would decrement
@@ -104,7 +103,6 @@ func (c *Client) Pin() (*sampling.Pin, error) {
 	// so head bookkeeping and error selection stay deterministic.
 	epochs := make([]uint64, c.Assign.P)
 	edges := make([][]int64, c.Assign.P)
-	weights := make([][]float64, c.Assign.P)
 	leased := make([]bool, c.Assign.P)
 	replies := make([]LeaseReply, c.Assign.P)
 	errs := c.scatter(allParts(c.Assign.P), func(i, part int) error {
@@ -121,7 +119,7 @@ func (c *Client) Pin() (*sampling.Pin, error) {
 				// re-pin path takes over. No lease was taken, so leased[part]
 				// stays false and release paths skip it.
 				epochs[part] = m.heads[part].Load()
-				edges[part], weights[part] = nil, nil
+				edges[part] = nil
 				c.degradedDraws.Add(1)
 				continue
 			}
@@ -145,7 +143,6 @@ func (c *Client) Pin() (*sampling.Pin, error) {
 		epochs[part] = reply.Epoch
 		leased[part] = true
 		edges[part] = reply.EdgesByType
-		weights[part] = reply.WeightByType
 		// A lease reply is authoritative about the shard's head, so store
 		// it outright rather than advancing the monotone watermark: after a
 		// server restart (head back near 0) the watermark would otherwise
@@ -165,7 +162,7 @@ func (c *Client) Pin() (*sampling.Pin, error) {
 	m.mu.Lock()
 	m.seq++
 	pin := &sampling.Pin{Stamp: m.seq, Epochs: epochs}
-	st := &pinState{pin: pin, refs: 1, edges: edges, weights: weights, leased: leased}
+	st := &pinState{pin: pin, refs: 1, edges: edges, leased: leased}
 	m.states[pin] = st
 	old := m.cur
 	m.cur = st
@@ -261,16 +258,15 @@ func (c *Client) releaseLeases(st *pinState) {
 	})
 }
 
-// statsFor returns the per-shard edge-count and edge-weight stats leased
-// with p, or nils when the pin is unknown (callers then fall back to head
-// stats).
-func (m *pinManager) statsFor(p *sampling.Pin) ([][]int64, [][]float64) {
+// statsFor returns the per-shard edge counts leased with p, or nil when
+// the pin is unknown (callers then fall back to head stats).
+func (m *pinManager) statsFor(p *sampling.Pin) [][]int64 {
 	m.mu.Lock()
 	defer m.mu.Unlock()
 	if st, ok := m.states[p]; ok {
-		return st.edges, st.weights
+		return st.edges
 	}
-	return nil, nil
+	return nil
 }
 
 // currentPin reports, for tests and diagnostics, the pin the manager would

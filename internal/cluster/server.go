@@ -3,7 +3,7 @@
 // 3.3) on a multi-version snapshot store (internal/version), a routing
 // client that implements the batch-first sampling.Source seam (hub dedup,
 // one stitched sub-batch per owning server, pluggable neighbor cache per
-// Section 3.2, server-side fixed-width SampleNeighbors draws) and its
+// Section 3.2, server-side fixed-width uniform SampleNeighbors draws) and its
 // epoch-pinning capability (Lease/Release RPCs let a training batch read
 // one consistent snapshot across every shard while updates stream in), a
 // layered transport stack (below), and the parallel graph-building pipeline
@@ -19,7 +19,12 @@
 // into a fresh base (Compact RPC, or the SetCompactThreshold trigger on a
 // background goroutine — ServeUpdate only signals, so the fold's O(V+E)
 // walk never sits on an update's reply path) without disturbing leased
-// epochs or live readers.
+// epochs or live readers. Every draw is uniform: edge weights are stored,
+// updated and carried on TRAVERSE edges (EdgesReply.Weight), but no draw
+// reads them. A neighbour draw depends only on the list a snapshot serves,
+// so a pinned SampleNeighbors request answers bit-identically across a
+// fold; a pinned SampleEdges request keeps its distribution but not its
+// bits (see ServeCompact).
 //
 // # Transport stack
 //
@@ -429,19 +434,19 @@ type NeighborsRequest struct {
 	Pinned   bool
 }
 
-// NeighborsReply carries per-vertex neighbor and weight lists aligned with
-// the request order. Epoch is the epoch served (the pin for pinned
-// requests); Head is the server's current head epoch, which clients use to
+// NeighborsReply carries per-vertex neighbor lists aligned with the
+// request order. Epoch is the epoch served (the pin for pinned requests);
+// Head is the server's current head epoch, which clients use to
 // notice that their pin went stale; AttrHead is the newest epoch on this
 // server that rewrote any attribute row, which attribute caches use to
 // invalidate without ever issuing an extra RPC — the signal rides on every
 // sampling reply, so even a fully-hot attribute cache observes it. Since[i]
 // is the epoch at which Neighbors[i] was installed (0 = predates every
 // update): together with Epoch it gives neighbor caches the exact validity
-// interval of each list.
+// interval of each list. Clients reject a reply with fewer stamps than
+// lists as malformed.
 type NeighborsReply struct {
 	Neighbors [][]graph.ID
-	Weights   [][]float64
 	Since     []uint64
 	Epoch     uint64
 	Head      uint64
@@ -464,7 +469,8 @@ type AttrsRequest struct {
 // Since[i] is the epoch at which Attrs[i] was installed (0 = predates every
 // update) — the row-level analogue of NeighborsReply.Since, so an embedding
 // cache's validity interval covers feature changes exactly, per row, not
-// just via the shard-wide AttrEpoch watermark.
+// just via the shard-wide AttrEpoch watermark. Clients reject a reply with
+// fewer stamps than rows as malformed.
 type AttrsReply struct {
 	Attrs     [][]float64
 	Since     []uint64
@@ -487,18 +493,16 @@ func (s *Server) ServeNeighbors(req NeighborsRequest, reply *NeighborsReply) err
 		return err
 	}
 	reply.Neighbors = make([][]graph.ID, len(req.Vertices))
-	reply.Weights = make([][]float64, len(req.Vertices))
 	reply.Since = make([]uint64, len(req.Vertices))
 	reply.Epoch = view.Epoch()
 	reply.Head = head
 	reply.AttrHead = attrHead
 	for i, v := range req.Vertices {
-		ns, ws, ok := view.Neighbors(v, req.EdgeType)
+		ns, _, ok := view.Neighbors(v, req.EdgeType)
 		if !ok {
 			return fmt.Errorf("cluster: server %d does not own vertex %d", s.ID, v)
 		}
 		reply.Neighbors[i] = ns
-		reply.Weights[i] = ws
 		reply.Since[i] = view.ChangedAt(v, req.EdgeType)
 	}
 	return nil
@@ -528,12 +532,12 @@ func (s *Server) ServeAttrs(req AttrsRequest, reply *AttrsReply) error {
 	return nil
 }
 
-// SampleRequest asks for fixed-width neighbor draws executed server-side:
-// instead of shipping a hub's full adjacency list, the server returns Width
-// sampled IDs per requested slot. Vertices are deduplicated by the client;
-// Counts[i] (1 when nil) is how many independent Width-wide draw groups
-// vertex i needs, so repeated batch entries stay uncorrelated without being
-// re-sent.
+// SampleRequest asks for fixed-width uniform neighbor draws executed
+// server-side: instead of shipping a hub's full adjacency list, the server
+// returns Width sampled IDs per requested slot. Vertices are deduplicated
+// by the client; Counts[i] (1 when nil) is how many independent Width-wide
+// draw groups vertex i needs, so repeated batch entries stay uncorrelated
+// without being re-sent.
 type SampleRequest struct {
 	Vertices []graph.ID
 	Counts   []int
@@ -547,10 +551,9 @@ type SampleRequest struct {
 	Slots    []int32
 	EdgeType graph.EdgeType
 	Width    int
-	ByWeight bool
-	// WantLists lets the server answer low-degree uniform vertices with
-	// their full (short) adjacency list instead of draws; clients set it
-	// when their cache can admit the lists.
+	// WantLists lets the server answer low-degree vertices with their full
+	// (short) adjacency list instead of draws; clients set it when their
+	// cache can admit the lists.
 	WantLists bool
 	Seed      uint64
 	Pin       uint64
@@ -560,10 +563,10 @@ type SampleRequest struct {
 // SampleReply carries the drawn neighbor IDs: for each request vertex in
 // order, Counts[i]*Width draws, flattened. Vertices with no out-edges of
 // the requested type are padded with themselves. As an optimization, a
-// uniform-draw vertex whose degree does not exceed Width ships its full
-// (short) adjacency list in Lists[i] instead of contributing to Samples:
-// that is never more bytes than Counts[i]*Width draws and lets the client
-// draw locally and warm replacing caches; Since[i] stamps each shipped
+// vertex whose degree does not exceed Width ships its full (short)
+// adjacency list in Lists[i] instead of contributing to Samples: that is
+// never more bytes than Counts[i]*Width draws and lets the client draw
+// locally and warm replacing caches; Since[i] stamps each shipped
 // list's install epoch so the admission is version-exact. Epoch stamps the
 // reply with the epoch served; Head with the server's current head.
 type SampleReply struct {
@@ -578,19 +581,16 @@ type SampleReply struct {
 // StatsRequest asks for the server's local size counters.
 type StatsRequest struct{}
 
-// StatsReply reports local vertex and per-edge-type edge counts and edge
-// weight sums (at the head epoch); clients use the edge counts to spread
-// uniform TRAVERSE batches across servers, and the weight sums to spread
-// weight-proportional ones. Head and AttrHead stamp the head epoch the
-// counters were read at, so a Stats round doubles as a cheap head probe —
-// a serving tier polls it to observe out-of-band churn without touching
-// any vertex data.
+// StatsReply reports local vertex and per-edge-type edge counts (at the
+// head epoch); clients use the edge counts to spread TRAVERSE batches
+// across servers. Head and AttrHead stamp the head epoch the counters were
+// read at, so a Stats round doubles as a cheap head probe — a serving tier
+// polls it to observe out-of-band churn without touching any vertex data.
 type StatsReply struct {
-	NumVertices  int
-	EdgesByType  []int64
-	WeightByType []float64
-	Head         uint64
-	AttrHead     uint64
+	NumVertices int
+	EdgesByType []int64
+	Head        uint64
+	AttrHead    uint64
 }
 
 // NegPoolRequest asks for the server's negative-sampling candidate counts
@@ -609,13 +609,11 @@ type NegPoolReply struct {
 	Counts   []int64
 }
 
-// EdgesRequest asks for Count edges of one type drawn from the server's
-// local edge set — uniformly, or proportionally to edge weight when
-// ByWeight is set — optionally at a pinned epoch.
+// EdgesRequest asks for Count edges of one type drawn uniformly from the
+// server's local edge set, optionally at a pinned epoch.
 type EdgesRequest struct {
 	EdgeType graph.EdgeType
 	Count    int
-	ByWeight bool
 	Seed     uint64
 	Pin      uint64
 	Pinned   bool
@@ -643,15 +641,14 @@ type LeaseRequest struct {
 
 // LeaseReply reports the epoch actually leased, the server's head, and its
 // newest attribute-rewriting epoch, plus the leased epoch's per-type edge
-// counts and edge-weight sums. The stats ride the lease so a client can
+// counts. The counts ride the lease so a client can
 // split pinned TRAVERSE batches across shards from the snapshot's own
 // counters with zero extra RPCs.
 type LeaseReply struct {
-	Epoch        uint64
-	Head         uint64
-	AttrHead     uint64
-	EdgesByType  []int64
-	WeightByType []float64
+	Epoch       uint64
+	Head        uint64
+	AttrHead    uint64
+	EdgesByType []int64
 }
 
 // ReleaseRequest drops one lease on Epoch. Token, when non-zero,
@@ -691,12 +688,11 @@ func (s *Server) ServeLease(req LeaseRequest, reply *LeaseReply) error {
 		*reply = r
 		return nil
 	}
-	epoch, attrEpoch, edges, weights := s.store.LeaseHeadStats()
+	epoch, attrEpoch, edges := s.store.LeaseHeadStats()
 	reply.Epoch = epoch
 	reply.Head = epoch
 	reply.AttrHead = attrEpoch
 	reply.EdgesByType = edges
-	reply.WeightByType = weights
 	s.dedupRecord(req.Token, *reply)
 	return nil
 }
@@ -714,10 +710,11 @@ func (s *Server) ServeRelease(req ReleaseRequest, reply *ReleaseReply) error {
 
 // ServeCompact folds overlays behind the retention floor into a fresh base
 // (version.Store.Compact). Live views and leased epochs stay readable
-// throughout and keep serving the same adjacency and draw distributions;
-// the head epoch does not move, so from a client's perspective shard
-// memory stopped growing and (at most) fixed-seed draws on fold-touched
-// vertices re-randomized within their distribution.
+// throughout and keep serving the same adjacency; the head epoch does not
+// move, so from a client's perspective shard memory stopped growing.
+// Pinned SampleNeighbors draws are bit-identical across the fold; pinned
+// SampleEdges (TRAVERSE) draws may re-randomize within their
+// distribution, because a folded vertex changes sampler region.
 func (s *Server) ServeCompact(_ CompactRequest, reply *CompactReply) error {
 	defer obsSince(&s.met.rpc[MCompact], time.Now())
 	foldStart := time.Now()
@@ -781,12 +778,11 @@ func (s *Server) maybeCompact() {
 
 // ServeSampleNeighbors handles a server-side fixed-width draw request: the
 // RPC that keeps hub adjacency lists from crossing the network. All draws
-// read one snapshot view; weighted draws go through the view's epoch-stable
-// base AliasIndex for untouched vertices and a per-vertex weighted scan for
-// vertices an update rewrote — invalidation scoped to touched vertices, not
-// whole edge types. Each draw group derives its stream from its batch slot
-// (sampling.SlotRng), so the values are identical to what a client-side
-// cache hit over the same adjacency would have produced.
+// read one snapshot view. Each draw group derives its stream from its batch
+// slot (sampling.SlotRng) and indexes the vertex's list uniformly, so the
+// values are identical to what a client-side cache hit over the same
+// adjacency would have produced, and a compaction that folds the list into
+// the base does not change them.
 func (s *Server) ServeSampleNeighbors(req SampleRequest, reply *SampleReply) error {
 	defer obsSince(&s.met.rpc[MSampleNeighbors], time.Now())
 	if req.Width <= 0 || req.Width > maxDraws {
@@ -817,10 +813,6 @@ func (s *Server) ServeSampleNeighbors(req SampleRequest, reply *SampleReply) err
 	if len(req.Slots) > 0 && len(req.Slots) != groups {
 		return fmt.Errorf("cluster: %d slots for %d draw groups", len(req.Slots), groups)
 	}
-	var ai *sampling.AliasIndex
-	if req.ByWeight {
-		ai = view.AliasIndex(req.EdgeType)
-	}
 	out := make([]graph.ID, 0, total)
 	var lists [][]graph.ID
 	var since []uint64
@@ -842,7 +834,7 @@ func (s *Server) ServeSampleNeighbors(req SampleRequest, reply *SampleReply) err
 	reply.Head = head
 	reply.AttrHead = attrHead
 	for i, v := range req.Vertices {
-		ns, ws, slot, touched, ok := view.NeighborsSlot(v, req.EdgeType)
+		ns, _, ok := view.Neighbors(v, req.EdgeType)
 		if !ok {
 			return fmt.Errorf("cluster: server %d does not own vertex %d", s.ID, v)
 		}
@@ -855,22 +847,6 @@ func (s *Server) ServeSampleNeighbors(req SampleRequest, reply *SampleReply) err
 			cursor += c
 			for k := 0; k < c*req.Width; k++ {
 				out = append(out, v)
-			}
-		case req.ByWeight:
-			for g := 0; g < c; g++ {
-				rng := sampling.SlotRng(req.Seed, slotOf())
-				for k := 0; k < req.Width; k++ {
-					d := -1
-					if touched {
-						d = version.WeightedDraw(ws, &rng)
-					} else {
-						d = ai.Draw(graph.ID(slot), &rng)
-					}
-					if d < 0 || d >= len(ns) {
-						d = rng.Intn(len(ns))
-					}
-					out = append(out, ns[d])
-				}
 			}
 		case req.WantLists && len(ns) <= req.Width:
 			cursor += c
@@ -898,7 +874,6 @@ func (s *Server) ServeStats(_ StatsRequest, reply *StatsReply) error {
 	view := s.store.HeadView()
 	reply.NumVertices = s.store.NumVertices()
 	reply.EdgesByType = view.EdgeCounts(reply.EdgesByType[:0])
-	reply.WeightByType = view.EdgeWeightSums(reply.WeightByType[:0])
 	reply.Head = view.Epoch()
 	reply.AttrHead = view.AttrEpoch()
 	return nil
@@ -934,10 +909,9 @@ func (s *Server) ServeNegativePool(req NegPoolRequest, reply *NegPoolReply) erro
 }
 
 // ServeSampleEdges handles a TRAVERSE edge-sampling request: Count edges of
-// the given type over the local edge set of the epoch served — uniform (a
-// vertex drawn proportionally to its out-degree, then a uniform adjacency
-// entry) or, with ByWeight, proportional to edge weight; vertices an update
-// touched are mixed in exactly either way.
+// the given type drawn uniformly over the local edge set of the epoch
+// served (a vertex drawn proportionally to its out-degree, then a uniform
+// adjacency entry); vertices an update touched are mixed in exactly.
 func (s *Server) ServeSampleEdges(req EdgesRequest, reply *EdgesReply) error {
 	defer obsSince(&s.met.rpc[MSampleEdges], time.Now())
 	if err := s.checkType(req.EdgeType); err != nil {
@@ -961,16 +935,9 @@ func (s *Server) ServeSampleEdges(req EdgesRequest, reply *EdgesReply) error {
 	reply.Dst = make([]graph.ID, 0, req.Count)
 	reply.Weight = make([]float64, 0, req.Count)
 	for k := 0; k < req.Count; k++ {
-		var src, dst graph.ID
-		var w float64
-		var ok bool
-		if req.ByWeight {
-			src, dst, w, ok = view.SampleEdgeWeighted(req.EdgeType, rng)
-		} else {
-			src, dst, w, ok = view.SampleEdge(req.EdgeType, rng)
-		}
+		src, dst, w, ok := view.SampleEdge(req.EdgeType, rng)
 		if !ok {
-			break // no type-t edges (or weight mass) at this epoch
+			break // no type-t edges at this epoch
 		}
 		reply.Src = append(reply.Src, src)
 		reply.Dst = append(reply.Dst, dst)

@@ -34,7 +34,7 @@ func TestCacheEpochKeyedUnderUpdate(t *testing.T) {
 	view.SetPin(pin1)
 	batch := []graph.ID{0, 2}
 	dst := make([]graph.ID, len(batch)*3)
-	if err := view.SampleBatch(dst, batch, 0, 3, false, 7); err != nil {
+	if err := view.SampleBatch(dst, batch, 0, 3, 7); err != nil {
 		t.Fatal(err)
 	}
 	// Click degree 2 <= width 3: both lists were shipped short and admitted
@@ -73,7 +73,7 @@ func TestCacheEpochKeyedUnderUpdate(t *testing.T) {
 	}
 	view.SetPin(pin2)
 	dst2 := make([]graph.ID, len(batch)*4)
-	if err := view.SampleBatch(dst2, batch, 0, 4, false, 8); err != nil {
+	if err := view.SampleBatch(dst2, batch, 0, 4, 8); err != nil {
 		t.Fatal(err)
 	}
 	// Vertex 0's fresh entry is the rewritten 3-neighbor list...
@@ -152,74 +152,77 @@ func TestPinnedTraverseSplitUsesPinnedStats(t *testing.T) {
 	}
 }
 
-// TestDistributedWeightedTraverseChiSquare: SampleEdgesWeighted draws edges
-// across shards proportionally to edge weight, matching the statistics of
-// a local weighted draw over the whole graph — chi-square goodness-of-fit
-// on both, p=0.001 critical value, deterministic seeds.
-func TestDistributedWeightedTraverseChiSquare(t *testing.T) {
-	weights := []float64{1, 2, 3, 4, 10, 5}
-	s := graph.MustSchema([]string{"v"}, []string{"e"})
-	b := graph.NewBuilder(s, true)
-	b.AddVertices(0, len(weights))
-	for i, w := range weights {
-		b.AddEdge(graph.ID(i), graph.ID((i+1)%len(weights)), 0, w)
-	}
-	g := b.Finalize()
-	a, _ := partition.HashPartitioner{}.Partition(g, 2)
-	servers := FromGraph(g, a)
-	tr := NewLocalTransport(servers, 0, 0)
-	c := NewClient(a, tr, nil)
-
-	const draws = 60000
-	total := 0.0
-	for _, w := range weights {
-		total += w
-	}
-	chi2Of := func(counts []int) float64 {
-		chi2 := 0.0
-		for i, n := range counts {
-			exp := draws * weights[i] / total
-			d := float64(n) - exp
-			chi2 += d * d / exp
-		}
-		return chi2
-	}
-
-	edges, err := c.SampleEdgesWeighted(0, draws, 12345)
+// TestPinnedDrawsSurviveCompaction: a pinned SampleNeighbors request
+// answers bit-identically before and after a compaction folds the drawn
+// vertex's overlay list into the base. Neighbour draws index the served
+// list uniformly with the slot's stream, and the fold keeps the list and
+// its order, so moving the list from overlay to base must not move a draw.
+func TestPinnedDrawsSurviveCompaction(t *testing.T) {
+	g := powerLawTestGraph(200)
+	a, err := (partition.HashPartitioner{}).Partition(g, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(edges) != draws {
-		t.Fatalf("drew %d/%d edges", len(edges), draws)
-	}
-	distCounts := make([]int, len(weights))
-	for _, e := range edges {
-		if !g.HasEdge(e.Src, e.Dst, 0) {
-			t.Fatalf("sampled non-edge (%d,%d)", e.Src, e.Dst)
+	srv := FromGraph(g, a)[0]
+	const v = graph.ID(5)
+	update := func(add ...RawEdge) {
+		t.Helper()
+		if err := srv.ServeUpdate(UpdateRequest{Add: add}, &UpdateReply{}); err != nil {
+			t.Fatal(err)
 		}
-		distCounts[e.Src]++
 	}
-
-	// Local reference: the same weighted draw over the whole (unsharded)
-	// edge set.
-	localCounts := make([]int, len(weights))
-	al := sampling.NewAlias(weights)
-	rng := sampling.NewRng(999)
-	for i := 0; i < draws; i++ {
-		localCounts[al.DrawRng(rng)]++
+	update(RawEdge{Src: v, Dst: 7, Weight: 3}, RawEdge{Src: v, Dst: 11, Weight: 0.5})
+	for i := 0; i < 20; i++ {
+		update(RawEdge{Src: graph.ID(20 + i), Dst: graph.ID(100 + i), Weight: 1})
 	}
-
-	// Chi-square with df=5 at p=0.001 is 20.52: both the distributed and
-	// the local draw must fit the weight distribution.
-	if chi2 := chi2Of(distCounts); chi2 > 20.52 {
-		t.Fatalf("distributed weighted draw chi-square %.2f > 20.52; counts %v", chi2, distCounts)
+	var lease LeaseReply
+	if err := srv.ServeLease(LeaseRequest{}, &lease); err != nil {
+		t.Fatal(err)
 	}
-	if chi2 := chi2Of(localCounts); chi2 > 20.52 {
-		t.Fatalf("local weighted draw chi-square %.2f > 20.52; counts %v", chi2, localCounts)
+	req := SampleRequest{
+		Vertices: []graph.ID{v},
+		Counts:   []int{4},
+		Slots:    []int32{0, 1, 2, 3},
+		Width:    8,
+		Seed:     42,
+		Pin:      lease.Epoch,
+		Pinned:   true,
 	}
-	// Cost: one Stats round plus at most one SampleEdges RPC per server.
-	if local, remote := tr.Calls(); local+remote > 2*int64(a.P) {
-		t.Fatalf("weighted TRAVERSE cost %d RPCs, want <= %d", local+remote, 2*a.P)
+	touched := func() bool {
+		t.Helper()
+		view, err := srv.store.At(lease.Epoch)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return view.Touched(v, 0)
+	}
+	var before, after SampleReply
+	if err := srv.ServeSampleNeighbors(req, &before); err != nil {
+		t.Fatal(err)
+	}
+	if !touched() {
+		t.Fatal("vertex not served from an overlay before the fold")
+	}
+	var cr CompactReply
+	if err := srv.ServeCompact(CompactRequest{}, &cr); err != nil {
+		t.Fatal(err)
+	}
+	if cr.BaseEpoch == 0 {
+		t.Fatal("compaction folded nothing")
+	}
+	if touched() {
+		t.Fatal("vertex still served from an overlay after the fold")
+	}
+	if err := srv.ServeSampleNeighbors(req, &after); err != nil {
+		t.Fatal(err)
+	}
+	if len(before.Samples) != 32 || len(after.Samples) != 32 {
+		t.Fatalf("drew %d and %d samples, want 32", len(before.Samples), len(after.Samples))
+	}
+	for i := range before.Samples {
+		if before.Samples[i] != after.Samples[i] {
+			t.Fatalf("draw %d moved across the fold: %d -> %d\nbefore %v\nafter  %v", i, before.Samples[i], after.Samples[i], before.Samples, after.Samples)
+		}
 	}
 }
 
@@ -499,7 +502,7 @@ func TestCacheFlushOnServerRestart(t *testing.T) {
 	view := c.EpochView()
 	view.SetPin(pin)
 	dst := make([]graph.ID, 3)
-	if err := view.SampleBatch(dst, []graph.ID{0}, 0, 3, false, 7); err != nil {
+	if err := view.SampleBatch(dst, []graph.ID{0}, 0, 3, 7); err != nil {
 		t.Fatal(err)
 	}
 	if _, kind := cache.Get(0, 0, 1, 2); kind != storage.KindHit {

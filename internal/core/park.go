@@ -74,7 +74,7 @@ func (p *Pipeline) expandingLane(owner bool) *lane {
 		l.view = p.ps.EpochView()
 		src = l.view
 	}
-	l.nbr = &sampling.Neighborhood{Src: src, ByWeight: p.tr.nbr.ByWeight}
+	l.nbr = &sampling.Neighborhood{Src: src}
 	return l
 }
 

@@ -182,9 +182,6 @@ func (g *Graph) OutWeights(v ID, t EdgeType) []float64 { return g.out[t].weights
 // InNeighbors returns the in-neighbors of v along edges of type t.
 func (g *Graph) InNeighbors(v ID, t EdgeType) []ID { return g.in[t].neighbors(v) }
 
-// InWeights returns the weights aligned with InNeighbors(v, t).
-func (g *Graph) InWeights(v ID, t EdgeType) []float64 { return g.in[t].weights(v) }
-
 // OutDegree returns the out-degree of v restricted to edge type t.
 func (g *Graph) OutDegree(v ID, t EdgeType) int { return g.out[t].degree(v) }
 

@@ -13,11 +13,10 @@
 //     distributed cluster client are two implementations of the same seam;
 //     the remote one dedups hub vertices and pays at most one round trip
 //     per owning server per hop.
-//   - AliasIndex precomputes one Walker alias table per vertex for a
-//     (graph, edge type) pair, flattened into CSR-aligned arrays, so a
-//     weighted neighbor draw is O(1) with zero per-draw construction.
-//     Neighborhood builds the index lazily on first weighted use and shares
-//     it across goroutines (it is immutable once built).
+//   - Neighbour draws are uniform over a vertex's out-list. Edge weights
+//     stay in the graph and ride on TRAVERSE edges (Edge.Weight); the
+//     weighted draws this package offers are the Alias tables behind
+//     NEGATIVE and the learnable Weighted sampler.
 //   - Neighborhood.SampleInto reuses the layer buffers of a caller-owned
 //     Context across mini-batches, so steady-state expansion performs no
 //     allocation at all.
@@ -34,29 +33,21 @@ import (
 
 // Alias is a Walker alias table: O(n) construction, O(1) weighted sampling.
 // It is the workhorse behind NEGATIVE sampling (unigram^0.75 distributions)
-// and weighted neighbor selection.
+// and degree-proportional vertex selection.
 type Alias struct {
 	prob  []float64
 	alias []int32
 }
 
-// aliasScratch holds the worklists reused across fillAlias calls so that
-// batch construction (AliasIndex) performs no per-vertex allocation.
-type aliasScratch struct {
-	scaled []float64
-	small  []int32
-	large  []int32
-}
-
-// fillAlias builds a Walker alias table over weights into prob and alias
-// (both len(weights)). Negative weights count as zero; an all-zero or empty
-// weight vector degrades to uniform. Indices stored in alias are local to
-// this table (0..len(weights)-1).
-func fillAlias(prob []float64, alias []int32, weights []float64, s *aliasScratch) {
+// NewAlias builds an alias table over the given weights. Negative weights
+// count as zero; a nil or all-zero weight vector yields a uniform table.
+func NewAlias(weights []float64) *Alias {
 	n := len(weights)
 	if n == 0 {
-		return
+		return &Alias{}
 	}
+	a := &Alias{prob: make([]float64, n), alias: make([]int32, n)}
+	prob, alias := a.prob, a.alias
 	total := 0.0
 	for _, w := range weights {
 		if w > 0 {
@@ -68,16 +59,11 @@ func fillAlias(prob []float64, alias []int32, weights []float64, s *aliasScratch
 			prob[i] = 1
 			alias[i] = int32(i)
 		}
-		return
+		return a
 	}
-	if cap(s.scaled) < n {
-		s.scaled = make([]float64, n)
-		s.small = make([]int32, 0, n)
-		s.large = make([]int32, 0, n)
-	}
-	scaled := s.scaled[:n]
-	small := s.small[:0]
-	large := s.large[:0]
+	scaled := make([]float64, n)
+	small := make([]int32, 0, n)
+	large := make([]int32, 0, n)
 	for i, w := range weights {
 		if w < 0 {
 			w = 0
@@ -111,27 +97,12 @@ func fillAlias(prob []float64, alias []int32, weights []float64, s *aliasScratch
 		prob[i] = 1
 		alias[i] = int32(i)
 	}
-	s.small = small[:0]
-	s.large = large[:0]
-}
-
-// NewAlias builds an alias table over the given non-negative weights. A nil
-// or all-zero weight vector yields a uniform table.
-func NewAlias(weights []float64) *Alias {
-	n := len(weights)
-	if n == 0 {
-		return &Alias{}
-	}
-	a := &Alias{prob: make([]float64, n), alias: make([]int32, n)}
-	fillAlias(a.prob, a.alias, weights, &aliasScratch{})
 	return a
 }
 
 // drawAlias resolves one probe of a Walker table: keep slot i with
 // probability prob[i], otherwise redirect to its alias. Both Alias draw
-// variants funnel through this; AliasIndex.Draw repeats the two lines
-// inline because constructing segment subslices costs ~15% on the weighted
-// sampling hot path.
+// variants funnel through this.
 func drawAlias(prob []float64, alias []int32, i int, u float64) int {
 	if u < prob[i] {
 		return i

@@ -7,8 +7,7 @@ import (
 	"repro/internal/graph"
 )
 
-// Before/after numbers for these benchmarks are tracked in CHANGES.md; the
-// "before" weighted path constructed a fresh alias table per vertex per hop.
+// Before/after numbers for these benchmarks are tracked in CHANGES.md.
 
 func benchSampleGraph(n, deg int) *graph.Graph {
 	b := graph.NewBuilder(graph.SimpleSchema(), true)
@@ -29,34 +28,18 @@ func BenchmarkNeighborhoodSample(b *testing.B) {
 		batch[i] = graph.ID(i)
 	}
 	hops := []int{5, 3}
-	for _, w := range []bool{false, true} {
-		name := "uniform"
-		if w {
-			name = "weighted"
-		}
-		b.Run(name, func(b *testing.B) {
-			s := NewNeighborhood(NewGraphSource(g), rand.New(rand.NewSource(1)))
-			s.ByWeight = w
-			var ctx Context
-			rng := NewRng(1)
-			b.ReportAllocs()
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				if err := s.SampleInto(&ctx, 0, batch, hops, rng); err != nil {
-					b.Fatal(err)
-				}
+	b.Run("uniform", func(b *testing.B) {
+		s := NewNeighborhood(NewGraphSource(g), rand.New(rand.NewSource(1)))
+		var ctx Context
+		rng := NewRng(1)
+		b.ReportAllocs()
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			if err := s.SampleInto(&ctx, 0, batch, hops, rng); err != nil {
+				b.Fatal(err)
 			}
-		})
-	}
-}
-
-func BenchmarkAliasIndexBuild(b *testing.B) {
-	g := benchSampleGraph(5000, 16)
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		NewAliasIndex(g, 0)
-	}
+		}
+	})
 }
 
 func BenchmarkRng(b *testing.B) {

@@ -9,7 +9,7 @@ import (
 )
 
 // weightedStar builds a graph whose vertex 0 has out-neighbors 1..n with the
-// given weights, for distribution tests.
+// given weights.
 func weightedStar(weights []float64) *graph.Graph {
 	b := graph.NewBuilder(graph.SimpleSchema(), true)
 	b.AddVertices(0, len(weights)+1)
@@ -17,65 +17,6 @@ func weightedStar(weights []float64) *graph.Graph {
 		b.AddEdge(0, graph.ID(i+1), 0, w)
 	}
 	return b.Finalize()
-}
-
-// TestAliasIndexChiSquare verifies that AliasIndex draws follow the edge
-// weights: a chi-square goodness-of-fit on 60k draws against expected
-// frequencies, with the p=0.001 critical value for the relevant degrees of
-// freedom. Failure probability under a correct sampler is ~0.1%, and the
-// Rng is deterministic, so the test is stable.
-func TestAliasIndexChiSquare(t *testing.T) {
-	weights := []float64{1, 2, 3, 4, 10}
-	g := weightedStar(weights)
-	ai := NewAliasIndex(g, 0)
-	rng := NewRng(12345)
-
-	const draws = 60000
-	counts := make([]int, len(weights))
-	for i := 0; i < draws; i++ {
-		d := ai.Draw(0, rng)
-		if d < 0 || d >= len(weights) {
-			t.Fatalf("draw out of range: %d", d)
-		}
-		counts[d]++
-	}
-	total := 0.0
-	for _, w := range weights {
-		total += w
-	}
-	chi2 := 0.0
-	for i, c := range counts {
-		exp := float64(draws) * weights[i] / total
-		chi2 += (float64(c) - exp) * (float64(c) - exp) / exp
-	}
-	// Critical value of chi-square with df=4 at p=0.001.
-	if chi2 > 18.47 {
-		t.Fatalf("chi-square = %.2f > 18.47; counts = %v", chi2, counts)
-	}
-}
-
-func TestAliasIndexEmptyAndUniform(t *testing.T) {
-	// Vertex with no out-edges draws -1; zero weights degrade to uniform.
-	b := graph.NewBuilder(graph.SimpleSchema(), true)
-	b.AddVertices(0, 4)
-	b.AddEdge(0, 1, 0, 0)
-	b.AddEdge(0, 2, 0, 0)
-	g := b.Finalize()
-	ai := NewAliasIndex(g, 0)
-	rng := NewRng(1)
-	if ai.Draw(3, rng) != -1 {
-		t.Fatal("edge-less vertex must draw -1")
-	}
-	if ai.Degree(0) != 2 || ai.Degree(3) != 0 {
-		t.Fatalf("degrees: %d %d", ai.Degree(0), ai.Degree(3))
-	}
-	seen := map[int]bool{}
-	for i := 0; i < 200; i++ {
-		seen[ai.Draw(0, rng)] = true
-	}
-	if !seen[0] || !seen[1] {
-		t.Fatalf("zero-weight draws not uniform: %v", seen)
-	}
 }
 
 func TestSampleIntoMatchesSampleSemantics(t *testing.T) {
@@ -113,32 +54,12 @@ func TestSampleIntoMatchesSampleSemantics(t *testing.T) {
 	}
 }
 
-func TestSampleIntoWeighted(t *testing.T) {
-	g := weightedStar([]float64{1, 99})
-	s := NewNeighborhood(NewGraphSource(g), rand.New(rand.NewSource(1)))
-	s.ByWeight = true
-	var ctx Context
-	if err := s.SampleInto(&ctx, 0, []graph.ID{0}, []int{400}, NewRng(3)); err != nil {
-		t.Fatal(err)
-	}
-	heavy := 0
-	for _, u := range ctx.Layers[1] {
-		if u == 2 {
-			heavy++
-		}
-	}
-	if heavy < 360 {
-		t.Fatalf("weighted SampleInto picked heavy neighbor only %d/400", heavy)
-	}
-}
-
-// TestSampleIntoConcurrent shares one Neighborhood (and its lazily built
-// AliasIndex) across goroutines, each with its own Context and Rng; run
-// with -race to validate the sharing contract.
+// TestSampleIntoConcurrent shares one Neighborhood across goroutines, each
+// with its own Context and Rng; run with -race to validate the sharing
+// contract.
 func TestSampleIntoConcurrent(t *testing.T) {
 	g := userItemGraph()
 	s := NewNeighborhood(NewGraphSource(g), rand.New(rand.NewSource(1)))
-	s.ByWeight = true // exercises the concurrent lazy index build
 	var wg sync.WaitGroup
 	for w := 0; w < 8; w++ {
 		wg.Add(1)
@@ -165,12 +86,11 @@ func TestSampleIntoConcurrent(t *testing.T) {
 func TestSampleIntoSteadyStateAllocFree(t *testing.T) {
 	g := weightedStar([]float64{1, 2, 3, 4})
 	s := NewNeighborhood(NewGraphSource(g), rand.New(rand.NewSource(1)))
-	s.ByWeight = true
 	var ctx Context
 	rng := NewRng(7)
 	batch := []graph.ID{0, 0, 0, 0}
 	hops := []int{5, 3}
-	// Warm: builds the alias index and grows the layer buffers.
+	// Warm: grows the layer buffers.
 	for i := 0; i < 4; i++ {
 		if err := s.SampleInto(&ctx, 0, batch, hops, rng); err != nil {
 			t.Fatal(err)

@@ -156,14 +156,10 @@ func (c *Context) NeighborsOf(h, i int) []graph.ID {
 // (Figure 5: context = s2.sample(edge_type, vertex, hop_nums)).
 //
 // A Neighborhood is safe for concurrent SampleInto calls as long as each
-// goroutine supplies its own Context and Rng; per-source shared state (like
-// GraphSource's lazily built AliasIndex) carries its own synchronization.
+// goroutine supplies its own Context and Rng.
 type Neighborhood struct {
 	Src Source
 	Rng *rand.Rand
-	// ByWeight selects neighbors proportionally to edge weight instead of
-	// uniformly (weights never leave the source).
-	ByWeight bool
 }
 
 // NewNeighborhood creates a NEIGHBORHOOD sampler over src.
@@ -217,7 +213,7 @@ func (s *Neighborhood) SampleInto(ctx *Context, t graph.EdgeType, batch []graph.
 		} else {
 			next = next[:need]
 		}
-		if err := s.Src.SampleBatch(next, cur, t, width, s.ByWeight, rng.Uint64()); err != nil {
+		if err := s.Src.SampleBatch(next, cur, t, width, rng.Uint64()); err != nil {
 			return err
 		}
 		ctx.Layers[h+1] = next

@@ -193,28 +193,6 @@ func TestNeighborhoodPadsIsolated(t *testing.T) {
 	}
 }
 
-func TestNeighborhoodByWeight(t *testing.T) {
-	// Vertex 0 has two neighbors with weights 1 and 99; weighted sampling
-	// must strongly prefer the heavy one.
-	b := graph.NewBuilder(graph.SimpleSchema(), true)
-	b.AddVertices(0, 3)
-	b.AddEdge(0, 1, 0, 1)
-	b.AddEdge(0, 2, 0, 99)
-	g := b.Finalize()
-	s := NewNeighborhood(NewGraphSource(g), rand.New(rand.NewSource(1)))
-	s.ByWeight = true
-	ctx, _ := s.Sample(0, []graph.ID{0}, []int{200})
-	heavy := 0
-	for _, u := range ctx.Layers[1] {
-		if u == 2 {
-			heavy++
-		}
-	}
-	if heavy < 180 {
-		t.Fatalf("weighted sampling picked heavy neighbor only %d/200", heavy)
-	}
-}
-
 func TestNegativeSampler(t *testing.T) {
 	g := userItemGraph()
 	rng := rand.New(rand.NewSource(5))

@@ -2,7 +2,6 @@ package sampling
 
 import (
 	"fmt"
-	"sync"
 
 	"repro/internal/graph"
 )
@@ -15,9 +14,9 @@ import (
 // round trip per owning server instead of one per vertex.
 type Source interface {
 	// SampleBatch fills dst (len(vs)*width entries, batch-major) with width
-	// neighbor draws per vertex of vs under edge type t, uniform or (with
-	// byWeight) proportional to edge weight. Vertices with no type-t
-	// out-edges are padded with themselves, keeping the output aligned.
+	// uniform neighbor draws per vertex of vs under edge type t. Vertices
+	// with no type-t out-edges are padded with themselves, keeping the
+	// output aligned.
 	// seed makes the draw deterministic for a given source state; callers
 	// advance their own Rng to produce per-hop seeds.
 	//
@@ -28,7 +27,7 @@ type Source interface {
 	// from an in-memory graph, a neighbor cache, or a remote shard — which
 	// is what lets replacing caches, shard layouts and admission timing
 	// vary without perturbing a fixed-seed training run.
-	SampleBatch(dst []graph.ID, vs []graph.ID, t graph.EdgeType, width int, byWeight bool, seed uint64) error
+	SampleBatch(dst []graph.ID, vs []graph.ID, t graph.EdgeType, width int, seed uint64) error
 }
 
 // EpochSpan accumulates the min/max update epochs observed in the replies
@@ -132,72 +131,36 @@ type EpochView interface {
 	SetHop(h int)
 }
 
-// GraphSource serves neighbors from an in-memory graph. Weighted draws go
-// through a lazily built per-edge-type AliasIndex that is shared, immutable
-// once built, and safe for concurrent use.
+// GraphSource serves neighbors from an in-memory graph. It holds no state
+// besides the graph, so it is safe for concurrent use.
 type GraphSource struct {
 	G *graph.Graph
-
-	mu      sync.RWMutex
-	indexes map[graph.EdgeType]*AliasIndex
 }
 
 // NewGraphSource wraps an in-memory graph as a batch Source.
 func NewGraphSource(g *graph.Graph) *GraphSource { return &GraphSource{G: g} }
 
-// SampleBatch implements Source. Warm calls perform zero allocations:
-// the Rng lives on the stack and the alias index is reused across calls.
-func (s *GraphSource) SampleBatch(dst []graph.ID, vs []graph.ID, t graph.EdgeType, width int, byWeight bool, seed uint64) error {
+// SampleBatch implements Source. It performs zero allocations: the Rng
+// lives on the stack.
+func (s *GraphSource) SampleBatch(dst []graph.ID, vs []graph.ID, t graph.EdgeType, width int, seed uint64) error {
 	if len(dst) != len(vs)*width {
 		return fmt.Errorf("sampling: SampleBatch dst length %d, want %d", len(dst), len(vs)*width)
-	}
-	var ai *AliasIndex
-	if byWeight {
-		ai = s.aliasIndex(t)
 	}
 	o := 0
 	for slot, v := range vs {
 		ns := s.G.OutNeighbors(v, t)
 		rng := SlotRng(seed, slot)
-		switch {
-		case len(ns) == 0:
+		if len(ns) == 0 {
 			for i := 0; i < width; i++ {
 				dst[o] = v
 				o++
 			}
-		case ai != nil:
-			for i := 0; i < width; i++ {
-				dst[o] = ns[ai.Draw(v, &rng)]
-				o++
-			}
-		default:
-			for i := 0; i < width; i++ {
-				dst[o] = ns[rng.Intn(len(ns))]
-				o++
-			}
+			continue
+		}
+		for i := 0; i < width; i++ {
+			dst[o] = ns[rng.Intn(len(ns))]
+			o++
 		}
 	}
 	return nil
-}
-
-// aliasIndex returns the shared alias index for edge type t, building it on
-// first use. Safe for concurrent callers.
-func (s *GraphSource) aliasIndex(t graph.EdgeType) *AliasIndex {
-	s.mu.RLock()
-	ai := s.indexes[t]
-	s.mu.RUnlock()
-	if ai != nil {
-		return ai
-	}
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if ai = s.indexes[t]; ai != nil {
-		return ai
-	}
-	ai = NewAliasIndex(s.G, t)
-	if s.indexes == nil {
-		s.indexes = make(map[graph.EdgeType]*AliasIndex)
-	}
-	s.indexes[t] = ai
-	return ai
 }

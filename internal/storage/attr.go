@@ -79,9 +79,6 @@ func (ai *AttributeIndex) Direct(idx int32) []float64 {
 // NumDistinct reports N_A, the number of distinct attribute vectors stored.
 func (ai *AttributeIndex) NumDistinct() int { return len(ai.vecs) }
 
-// CacheHitRate exposes the LRU cache hit rate.
-func (ai *AttributeIndex) CacheHitRate() float64 { return ai.cache.HitRate() }
-
 // Bytes estimates the storage footprint of the deduplicated vectors.
 func (ai *AttributeIndex) Bytes() int64 {
 	var b int64

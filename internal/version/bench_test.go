@@ -46,8 +46,7 @@ func benchGraph(n int) (*graph.Graph, *Store) {
 // version.View against the PR 1 unversioned path (raw CSR slices via
 // graph.OutNeighbors). Both must be 0 allocs/op; the versioned head read
 // adds one overlay map probe per vertex once any update epoch exists, and
-// nothing at all on a store with no updates. /weighted compares the
-// epoch-stable base AliasIndex draw against the unversioned AliasIndex.
+// nothing at all on a store with no updates.
 func BenchmarkVersionedSample(b *testing.B) {
 	const n, width = 2000, 5
 	g, s := benchGraph(n)
@@ -113,52 +112,6 @@ func BenchmarkVersionedSample(b *testing.B) {
 			}
 		}
 		sampleView(b, s.HeadView())
-	})
-	b.Run("weighted/unversioned", func(b *testing.B) {
-		ai := sampling.NewAliasIndex(g, 0)
-		rng := sampling.NewRng(1)
-		b.ReportAllocs()
-		for i := 0; i < b.N; i++ {
-			o := 0
-			for _, x := range batch {
-				ns := g.OutNeighbors(x, 0)
-				for k := 0; k < width; k++ {
-					if d := ai.Draw(x, rng); d >= 0 {
-						dst[o] = ns[d]
-					} else {
-						dst[o] = x
-					}
-					o++
-				}
-			}
-		}
-	})
-	b.Run("weighted/head", func(b *testing.B) {
-		rng := sampling.NewRng(1)
-		view := s.HeadView()
-		ai := view.AliasIndex(0) // resolved once per request, like the server
-		b.ReportAllocs()
-		b.ResetTimer()
-		for i := 0; i < b.N; i++ {
-			o := 0
-			for _, x := range batch {
-				ns, ws, slot, touched, _ := view.NeighborsSlot(x, 0)
-				for k := 0; k < width; k++ {
-					d := -1
-					if touched {
-						d = WeightedDraw(ws, rng)
-					} else {
-						d = ai.Draw(graph.ID(slot), rng)
-					}
-					if d >= 0 {
-						dst[o] = ns[d]
-					} else {
-						dst[o] = x
-					}
-					o++
-				}
-			}
-		}
 	})
 }
 

@@ -253,119 +253,6 @@ func TestCompactSinceStampsSurviveFold(t *testing.T) {
 	}
 }
 
-// TestSampleEdgeWeightedProportions: weighted edge draws follow edge weight
-// at every epoch — base-only, with an overlay mixing in a heavy touched
-// vertex, and after a compaction folded the overlay into the base.
-func TestSampleEdgeWeightedProportions(t *testing.T) {
-	check := func(t *testing.T, v View, want map[[2]graph.ID]float64) {
-		t.Helper()
-		total := 0.0
-		for _, w := range want {
-			total += w
-		}
-		const draws = 40000
-		rng := sampling.NewRng(9)
-		counts := make(map[[2]graph.ID]int)
-		for i := 0; i < draws; i++ {
-			src, dst, _, ok := v.SampleEdgeWeighted(0, rng)
-			if !ok {
-				t.Fatal("no weighted edge drawn")
-			}
-			if _, legal := want[[2]graph.ID{src, dst}]; !legal {
-				t.Fatalf("drew (%d,%d) outside the epoch's edge set", src, dst)
-			}
-			counts[[2]graph.ID{src, dst}]++
-		}
-		chi2 := 0.0
-		for e, w := range want {
-			exp := draws * w / total
-			d := float64(counts[e]) - exp
-			chi2 += d * d / exp
-		}
-		// p=0.001 critical values for df up to 5: stay below 20.5.
-		if chi2 > 20.5 {
-			t.Fatalf("chi-square %.2f; counts %v", chi2, counts)
-		}
-	}
-
-	build := func() *Store {
-		s := NewStoreRetain(1, 2)
-		for v := graph.ID(0); v < 5; v++ {
-			s.AddVertex(v, nil)
-		}
-		s.AddEdge(0, 1, 0, 1)
-		s.AddEdge(0, 2, 0, 2)
-		s.AddEdge(1, 2, 0, 3)
-		s.AddEdge(2, 3, 0, 4)
-		s.Seal()
-		return s
-	}
-
-	t.Run("base", func(t *testing.T) {
-		s := build()
-		check(t, s.HeadView(), map[[2]graph.ID]float64{
-			{0, 1}: 1, {0, 2}: 2, {1, 2}: 3, {2, 3}: 4,
-		})
-	})
-	t.Run("overlay", func(t *testing.T) {
-		s := build()
-		if _, _, _, _, err := s.Append(Delta{Add: []EdgeOp{{Src: 3, Dst: 0, Type: 0, Weight: 10}}}); err != nil {
-			t.Fatal(err)
-		}
-		check(t, s.HeadView(), map[[2]graph.ID]float64{
-			{0, 1}: 1, {0, 2}: 2, {1, 2}: 3, {2, 3}: 4, {3, 0}: 10,
-		})
-	})
-	t.Run("after-compact", func(t *testing.T) {
-		s := build()
-		if _, _, _, _, err := s.Append(Delta{Add: []EdgeOp{{Src: 3, Dst: 0, Type: 0, Weight: 10}}}); err != nil {
-			t.Fatal(err)
-		}
-		for i := 0; i < 3; i++ {
-			if _, _, _, _, err := s.Append(Delta{Add: []EdgeOp{{Src: 4, Dst: 0, Type: 0, Weight: 1}}, Remove: []EdgeOp{{Src: 4, Dst: 0, Type: 0}}}); err != nil {
-				t.Fatal(err)
-			}
-		}
-		if _, err := s.Compact(); err != nil {
-			t.Fatal(err)
-		}
-		if s.BaseEpoch() == 0 {
-			t.Fatal("no fold happened")
-		}
-		check(t, s.HeadView(), map[[2]graph.ID]float64{
-			{0, 1}: 1, {0, 2}: 2, {1, 2}: 3, {2, 3}: 4, {3, 0}: 10,
-		})
-	})
-}
-
-// TestEdgeWeightSumsTrackEpochs: the per-type weight sums (the distributed
-// weighted TRAVERSE's split mass) follow adds, removes and compactions.
-func TestEdgeWeightSumsTrackEpochs(t *testing.T) {
-	s := buildStore(8) // type-0 weights: 1+2+1+1 = 5, type-1: 5
-	if got := s.HeadView().EdgeWeightSum(0); got != 5 {
-		t.Fatalf("base weight sum = %v, want 5", got)
-	}
-	if got := s.HeadView().EdgeWeightSum(1); got != 5 {
-		t.Fatalf("base type-1 weight sum = %v, want 5", got)
-	}
-	if _, _, _, _, err := s.Append(Delta{
-		Add:    []EdgeOp{{Src: 0, Dst: 3, Type: 0, Weight: 7}},
-		Remove: []EdgeOp{{Src: 0, Dst: 2, Type: 0}}, // weight 2
-	}); err != nil {
-		t.Fatal(err)
-	}
-	if got := s.HeadView().EdgeWeightSum(0); got != 10 {
-		t.Fatalf("post-update weight sum = %v, want 10", got)
-	}
-	v0, err := s.At(0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got := v0.EdgeWeightSum(0); got != 5 {
-		t.Fatalf("epoch-0 weight sum = %v, want 5", got)
-	}
-}
-
 // TestAttrSinceStampsSurviveFold is the attribute analogue of the adjacency
 // since-stamp test: AttrChangedAt must report the exact install epoch of a
 // row through overlays AND through a compaction that folds the row into the

@@ -10,9 +10,9 @@
 // Design:
 //
 //   - Base snapshots are immutable. A baseState freezes the whole shard at
-//     one epoch (CSR adjacency, attribute rows, edge/weight totals, lazily
-//     built alias and degree tables); the original one is built by Seal at
-//     epoch 0 and later ones by Compact. An overlay is immutable once
+//     one epoch (CSR adjacency, attribute rows, edge totals, lazily built
+//     degree tables); the original one is built by Seal at epoch 0 and
+//     later ones by Compact. An overlay is immutable once
 //     Append installs it, and it permanently pairs with the base it was
 //     built against, so a View (base pointer + overlay pointer) reads
 //     entirely lock-free after the single lock acquisition that resolved
@@ -41,25 +41,23 @@
 //     boundary (errors cross as strings); clients react by re-pinning the
 //     current head and retrying.
 //   - Compact bounds memory under an unbounded update stream: it folds the
-//     state at the retention floor into a freshly sealed base (CSR, degree
-//     tables and alias indexes rebuilt off-lock from immutable inputs,
-//     then atomically swapped in) and rebases the retained overlays by
+//     state at the retention floor into a freshly sealed base (CSR and
+//     degree tables rebuilt off-lock from immutable inputs, then
+//     atomically swapped in) and rebases the retained overlays by
 //     pruning every entry whose stamp the new base already covers, so the
 //     cumulative maps stop growing monotonically. Leased epochs below the
 //     floor keep their old overlay and old base pointer and stay readable
 //     throughout; live Views are untouched. Clients never notice: the head
 //     epoch does not move and every retained epoch answers exactly as
 //     before.
-//   - Weighted neighbor draws stay O(1) on untouched vertices at every
-//     epoch: the base AliasIndex (built lazily, slot-indexed, immutable) is
-//     valid for any vertex whose adjacency a view resolves from its base,
-//     which is exactly the per-vertex invalidation scope an update has.
-//     Touched vertices take a linear-scan weighted draw over their overlay
-//     list. Uniform edge draws (TRAVERSE) mix a per-overlay sampler over
-//     the touched vertices with the immutable base degree alias, and
-//     weight-proportional edge draws mix the same two regions by weight
-//     mass (SampleEdgeWeighted) — the server side of the distributed
-//     weighted TRAVERSE.
+//   - Every draw is uniform; edge weights are stored, updated, compacted
+//     and returned by Neighbors, but no draw reads them. A neighbour draw
+//     indexes the vertex's list with the caller's stream, so it depends
+//     only on the list a view serves and is bit-stable across compaction.
+//     Uniform edge draws (TRAVERSE, SampleEdge) mix a per-overlay sampler
+//     over the touched vertices with the immutable base degree alias; a
+//     compaction moves vertices between those two regions, so a pinned
+//     edge draw keeps its distribution but not its bits (see Compact).
 package version
 
 import (
@@ -173,9 +171,9 @@ type baseCSR struct {
 }
 
 // baseState freezes the whole shard at one epoch. It is immutable after
-// construction except for the lazily built (atomic, build-once) alias and
-// degree tables; Views and overlays hold baseState pointers, so a
-// compaction installing a newer base never disturbs an existing reader.
+// construction except for the lazily built (atomic, build-once) degree
+// tables; Views and overlays hold baseState pointers, so a compaction
+// installing a newer base never disturbs an existing reader.
 type baseState struct {
 	epoch uint64 // the update epoch whose state this base freezes
 
@@ -183,13 +181,9 @@ type baseState struct {
 	pos   map[graph.ID]int
 	dense bool // local[i] == i for all i: slot lookup is arithmetic
 
-	csr     []baseCSR
-	attrs   map[graph.ID][]float64
-	edges   []int64   // per-type edge totals at epoch
-	weights []float64 // per-type edge-weight totals at epoch
-	// weightsPos caches the per-type positive-weight mass so edge samplers
-	// derive their base remainder in O(touched), not an O(E) rescan.
-	weightsPos []float64
+	csr   []baseCSR
+	attrs map[graph.ID][]float64
+	edges []int64 // per-type edge totals at epoch
 
 	// since records, for entries folded out of overlays by compaction, the
 	// epoch at which the vertex's current list was installed (absent = the
@@ -200,10 +194,8 @@ type baseState struct {
 	since     map[akey]uint64
 	attrSince map[graph.ID]uint64
 
-	aliasMu  sync.Mutex
-	alias    []atomic.Pointer[sampling.AliasIndex] // per type; slot-indexed, immutable
-	degAlias []atomic.Pointer[baseDegree]          // per type, degree-proportional
-	wtAlias  []atomic.Pointer[baseDegree]          // per type, weight-proportional
+	degMu    sync.Mutex
+	degAlias []atomic.Pointer[baseDegree] // per type, degree-proportional
 }
 
 // overlay is the cumulative diff-versus-base at one epoch. All fields
@@ -216,10 +208,9 @@ type overlay struct {
 	// attrEpoch is the most recent epoch <= this one that rewrote any
 	// attribute row; attribute caches invalidate on its advance.
 	attrEpoch uint64
-	// edgeCount / weightSum are the per-type totals of local edges and edge
-	// weight at this epoch (absolute, so they survive rebasing unchanged).
+	// edgeCount is the per-type total of local edges at this epoch
+	// (absolute, so it survives rebasing unchanged).
 	edgeCount []int64
-	weightSum []float64
 
 	smu      sync.Mutex
 	samplers []*edgeSampler // per edge type, built lazily
@@ -341,8 +332,6 @@ func (s *Store) Seal() {
 	}
 	b.csr = make([]baseCSR, s.numTypes)
 	b.edges = make([]int64, s.numTypes)
-	b.weights = make([]float64, s.numTypes)
-	b.weightsPos = make([]float64, s.numTypes)
 	for t := 0; t < s.numTypes; t++ {
 		c := baseCSR{offs: make([]int64, len(b.local)+1)}
 		for i, v := range b.local {
@@ -357,26 +346,11 @@ func (s *Store) Seal() {
 		}
 		b.csr[t] = c
 		b.edges[t] = m
-		for _, w := range c.wts {
-			b.weights[t] += w
-			if w > 0 {
-				b.weightsPos[t] += w
-			}
-		}
 	}
-	b.alias = make([]atomic.Pointer[sampling.AliasIndex], s.numTypes)
 	b.degAlias = make([]atomic.Pointer[baseDegree], s.numTypes)
-	b.wtAlias = make([]atomic.Pointer[baseDegree], s.numTypes)
 	s.bAdj, s.bWts = nil, nil
 	s.zero = b
 	s.sealed = true
-}
-
-// Sealed reports whether the base has been frozen.
-func (s *Store) Sealed() bool {
-	s.mu.RLock()
-	defer s.mu.RUnlock()
-	return s.sealed
 }
 
 // LocalVertices returns the sorted local vertex IDs (shared slice; do not
@@ -521,28 +495,25 @@ func (s *Store) LeaseHead() uint64 {
 // the head's attribute epoch, read under one lock acquisition so the pair
 // is consistent even under concurrent Appends.
 func (s *Store) LeaseHeadInfo() (epoch, attrEpoch uint64) {
-	e, a, _, _ := s.LeaseHeadStats()
+	e, a, _ := s.LeaseHeadStats()
 	return e, a
 }
 
 // LeaseHeadStats is LeaseHeadInfo extended with the head epoch's per-type
-// edge counts and edge-weight sums, all from one lock acquisition. Lease
-// replies carry them so clients can split pinned TRAVERSE batches across
-// shards using the counters of the snapshot they actually sample — not the
-// moving head's.
-func (s *Store) LeaseHeadStats() (epoch, attrEpoch uint64, edges []int64, weights []float64) {
+// edge counts, all from one lock acquisition. Lease replies carry them so
+// clients can split pinned TRAVERSE batches across shards using the
+// counters of the snapshot they actually sample — not the moving head's.
+func (s *Store) LeaseHeadStats() (epoch, attrEpoch uint64, edges []int64) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	s.leases[s.head]++
 	if ov := s.overlays[s.head]; ov != nil {
 		attrEpoch = ov.attrEpoch
 		edges = append([]int64(nil), ov.edgeCount...)
-		weights = append([]float64(nil), ov.weightSum...)
 	} else {
 		edges = append([]int64(nil), s.cur.edges...)
-		weights = append([]float64(nil), s.cur.weights...)
 	}
-	return s.head, attrEpoch, edges, weights
+	return s.head, attrEpoch, edges
 }
 
 // Release drops one lease on epoch; when the last lease on an epoch behind
@@ -649,7 +620,6 @@ func (s *Store) Append(delta Delta) (epoch uint64, added, removed, attrsSet int,
 	adj := make(map[akey]adjList, mapLen(prev))
 	attrs := make(map[graph.ID]attrRow, attrLen(prev))
 	counts := make([]int64, s.numTypes)
-	wsums := make([]float64, s.numTypes)
 	if prev != nil {
 		for k, l := range prev.adj {
 			adj[k] = l
@@ -658,10 +628,8 @@ func (s *Store) Append(delta Delta) (epoch uint64, added, removed, attrsSet int,
 			attrs[v] = a
 		}
 		copy(counts, prev.edgeCount)
-		copy(wsums, prev.weightSum)
 	} else {
 		copy(counts, base.edges)
-		copy(wsums, base.weights)
 	}
 	fresh := make(map[akey]struct{})
 
@@ -700,7 +668,6 @@ func (s *Store) Append(delta Delta) (epoch uint64, added, removed, attrsSet int,
 		l.wts = append(l.wts, e.Weight)
 		adj[k] = l
 		counts[e.Type]++
-		wsums[e.Type] += e.Weight
 		added++
 	}
 	for _, e := range delta.Remove {
@@ -723,12 +690,10 @@ func (s *Store) Append(delta Delta) (epoch uint64, added, removed, attrsSet int,
 			continue
 		}
 		l = own(k)
-		w := l.wts[hit]
 		l.nbr = append(l.nbr[:hit], l.nbr[hit+1:]...)
 		l.wts = append(l.wts[:hit], l.wts[hit+1:]...)
 		adj[k] = l
 		counts[e.Type]--
-		wsums[e.Type] -= w
 		removed++
 	}
 	for _, a := range delta.SetAttr {
@@ -761,7 +726,6 @@ func (s *Store) Append(delta Delta) (epoch uint64, added, removed, attrsSet int,
 		adj:       adj,
 		attrs:     attrs,
 		edgeCount: counts,
-		weightSum: wsums,
 		samplers:  make([]*edgeSampler, s.numTypes),
 	}
 	if attrsSet > 0 {
@@ -824,17 +788,16 @@ type CompactStats struct {
 //     readers; the old base's memory is released when the last such lease
 //     goes.
 //   - The head epoch does not move: retained epochs keep serving exactly
-//     the same adjacency, attributes, counts and draw DISTRIBUTIONS
-//     (pruned entries resurface from the new base, whose since-stamps keep
-//     cache validity exact). One caveat: a vertex folded into the base
-//     flips from the overlay's weighted-scan draw path to the base alias
-//     path, so a fixed-seed draw stream touching folded vertices may map
-//     uniforms to different (equally distributed) samples than the same
-//     seed produced before the fold — making those streams bit-stable
-//     would require keeping the very per-epoch history compaction exists
-//     to drop. Untouched vertices and untouched edge types draw
-//     bit-identically across folds, which is what the churned-vs-quiesced
-//     training invariants rely on.
+//     the same adjacency, attributes and counts (pruned entries resurface
+//     from the new base in the same order, whose since-stamps keep cache
+//     validity exact). A neighbour draw indexes the served list with the
+//     caller's stream, so it is bit-identical across a fold. Edge draws
+//     (SampleEdge) keep their distribution but not their bits: a folded
+//     vertex moves from the overlay region of the edge sampler into the
+//     base degree alias, so a fixed seed may map to a different, equally
+//     distributed edge — making those streams bit-stable would require
+//     keeping the very per-epoch history compaction exists to drop.
+//     Untouched edge types draw bit-identically across folds.
 //
 // Compact is a no-op when the floor has not moved past the current base.
 func (s *Store) Compact() (CompactStats, error) {
@@ -874,20 +837,16 @@ func (s *Store) Compact() (CompactStats, error) {
 	// still pair with an older base than s.cur), all immutable inputs.
 	oldBase := fold.base
 	nb := &baseState{
-		epoch:      target,
-		local:      oldBase.local,
-		pos:        oldBase.pos,
-		dense:      oldBase.dense,
-		csr:        make([]baseCSR, s.numTypes),
-		edges:      append([]int64(nil), fold.edgeCount...),
-		weights:    append([]float64(nil), fold.weightSum...),
-		weightsPos: make([]float64, s.numTypes),
-		attrs:      make(map[graph.ID][]float64, len(oldBase.attrs)),
-		since:      make(map[akey]uint64, len(oldBase.since)+len(fold.adj)),
-		attrSince:  make(map[graph.ID]uint64, len(oldBase.attrSince)+len(fold.attrs)),
-		alias:      make([]atomic.Pointer[sampling.AliasIndex], s.numTypes),
-		degAlias:   make([]atomic.Pointer[baseDegree], s.numTypes),
-		wtAlias:    make([]atomic.Pointer[baseDegree], s.numTypes),
+		epoch:     target,
+		local:     oldBase.local,
+		pos:       oldBase.pos,
+		dense:     oldBase.dense,
+		csr:       make([]baseCSR, s.numTypes),
+		edges:     append([]int64(nil), fold.edgeCount...),
+		attrs:     make(map[graph.ID][]float64, len(oldBase.attrs)),
+		since:     make(map[akey]uint64, len(oldBase.since)+len(fold.adj)),
+		attrSince: make(map[graph.ID]uint64, len(oldBase.attrSince)+len(fold.attrs)),
+		degAlias:  make([]atomic.Pointer[baseDegree], s.numTypes),
 	}
 	for k, e := range oldBase.since {
 		nb.since[k] = e
@@ -921,11 +880,6 @@ func (s *Store) Compact() (CompactStats, error) {
 			}
 		}
 		nb.csr[t] = c
-		for _, w := range c.wts {
-			if w > 0 {
-				nb.weightsPos[t] += w
-			}
-		}
 	}
 	for v, a := range oldBase.attrs {
 		nb.attrs[v] = a
@@ -964,7 +918,6 @@ func (s *Store) Compact() (CompactStats, error) {
 			attrs:     nattrs,
 			attrEpoch: ov.attrEpoch,
 			edgeCount: ov.edgeCount,
-			weightSum: ov.weightSum,
 			samplers:  make([]*edgeSampler, s.numTypes),
 		}
 		stats.Rebased++
@@ -988,29 +941,6 @@ func (s *Store) Compact() (CompactStats, error) {
 	return stats, nil
 }
 
-// aliasIndex lazily builds (once; immutable afterwards) the slot-indexed
-// weighted-draw alias tables over this base's adjacency of type t. It is
-// valid at every epoch for vertices a view of this base resolves from it,
-// and the hot read path is a single atomic load.
-func (b *baseState) aliasIndex(t graph.EdgeType) *sampling.AliasIndex {
-	if ai := b.alias[t].Load(); ai != nil {
-		return ai
-	}
-	b.aliasMu.Lock()
-	defer b.aliasMu.Unlock()
-	if ai := b.alias[t].Load(); ai != nil {
-		return ai
-	}
-	c := &b.csr[t]
-	ws := make([][]float64, len(b.local))
-	for i := range b.local {
-		ws[i] = c.wts[c.offs[i]:c.offs[i+1]]
-	}
-	ai := sampling.NewAliasIndexFromWeights(ws)
-	b.alias[t].Store(ai)
-	return ai
-}
-
 // degreeTable lazily builds the degree-proportional vertex table over base
 // slots with at least one type-t out-edge; drawing a slot from it and then
 // a uniform adjacency entry is a uniform draw over the base edge set.
@@ -1018,8 +948,8 @@ func (b *baseState) degreeTable(t graph.EdgeType) *baseDegree {
 	if d := b.degAlias[t].Load(); d != nil {
 		return d
 	}
-	b.aliasMu.Lock()
-	defer b.aliasMu.Unlock()
+	b.degMu.Lock()
+	defer b.degMu.Unlock()
 	if d := b.degAlias[t].Load(); d != nil {
 		return d
 	}
@@ -1034,38 +964,5 @@ func (b *baseState) degreeTable(t graph.EdgeType) *baseDegree {
 	}
 	d := &baseDegree{al: sampling.NewAlias(ws), pool: pool}
 	b.degAlias[t].Store(d)
-	return d
-}
-
-// weightTable lazily builds the weight-proportional vertex table over base
-// slots with positive type-t out-weight; drawing a slot from it and then a
-// weighted adjacency entry (via aliasIndex) is a weight-proportional draw
-// over the base edge set.
-func (b *baseState) weightTable(t graph.EdgeType) *baseDegree {
-	if d := b.wtAlias[t].Load(); d != nil {
-		return d
-	}
-	b.aliasMu.Lock()
-	defer b.aliasMu.Unlock()
-	if d := b.wtAlias[t].Load(); d != nil {
-		return d
-	}
-	c := &b.csr[t]
-	var pool []int32
-	var ws []float64
-	for i := range b.local {
-		sum := 0.0
-		for _, w := range c.wts[c.offs[i]:c.offs[i+1]] {
-			if w > 0 {
-				sum += w
-			}
-		}
-		if sum > 0 {
-			pool = append(pool, int32(i))
-			ws = append(ws, sum)
-		}
-	}
-	d := &baseDegree{al: sampling.NewAlias(ws), pool: pool}
-	b.wtAlias[t].Store(d)
 	return d
 }

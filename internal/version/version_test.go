@@ -206,43 +206,6 @@ func TestLeaseOfEvictedEpochFails(t *testing.T) {
 	}
 }
 
-func TestWeightedDrawsAcrossEpochs(t *testing.T) {
-	s := buildStore(8)
-	rng := sampling.NewRng(7)
-	v0 := s.HeadView()
-	// Untouched vertex: draws go through the base alias and stay in range.
-	for i := 0; i < 100; i++ {
-		d := v0.DrawNeighbor(0, 0, rng)
-		if d < 0 || d > 1 {
-			t.Fatalf("draw %d out of range", d)
-		}
-	}
-	if _, _, _, _, err := s.Append(Delta{Add: []EdgeOp{{Src: 0, Dst: 3, Type: 0, Weight: 100}}}); err != nil {
-		t.Fatal(err)
-	}
-	v1 := s.HeadView()
-	// Touched vertex: the overlay scan path dominates toward the heavy edge.
-	heavy := 0
-	for i := 0; i < 1000; i++ {
-		d := v1.DrawNeighbor(0, 0, rng)
-		if d < 0 || d > 2 {
-			t.Fatalf("draw %d out of range", d)
-		}
-		if d == 2 {
-			heavy++
-		}
-	}
-	if heavy < 900 {
-		t.Fatalf("weight-100 edge drawn %d/1000 times", heavy)
-	}
-	// The old view still draws only among the base edges.
-	for i := 0; i < 100; i++ {
-		if d := v0.DrawNeighbor(0, 0, rng); d > 1 {
-			t.Fatalf("epoch-0 draw reached overlay edge: %d", d)
-		}
-	}
-}
-
 func TestSampleEdgeMatchesEpoch(t *testing.T) {
 	s := buildStore(8)
 	if _, _, _, _, err := s.Append(Delta{

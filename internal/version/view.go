@@ -33,9 +33,6 @@ func (v View) AttrEpoch() uint64 {
 	return v.ov.attrEpoch
 }
 
-// Owns reports whether the store holds vertex x.
-func (v View) Owns(x graph.ID) bool { return v.b.slot(x) >= 0 }
-
 // Neighbors returns x's out-neighbors and weights under edge type t at the
 // view's epoch. The slices alias immutable storage (base CSR or an overlay
 // entry) and must be treated as read-only. ok is false when x is not local.
@@ -52,27 +49,6 @@ func (v View) Neighbors(x graph.ID, t graph.EdgeType) (ns []graph.ID, ws []float
 	c := &v.b.csr[t]
 	lo, hi := c.offs[slot], c.offs[slot+1]
 	return c.nbr[lo:hi], c.wts[lo:hi], true
-}
-
-// NeighborsSlot is Neighbors fused with the per-vertex metadata a sampling
-// loop needs: the base slot of x (for AliasIndex draws) and whether the
-// returned list came from an overlay (touched), in which case the base
-// alias does not apply and draws must weigh the returned ws directly (see
-// WeightedDraw). Resolving once per vertex and drawing many times keeps the
-// per-draw cost identical to the unversioned engine.
-func (v View) NeighborsSlot(x graph.ID, t graph.EdgeType) (ns []graph.ID, ws []float64, slot int, touched, ok bool) {
-	slot = v.b.slot(x)
-	if slot < 0 {
-		return nil, nil, -1, false, false
-	}
-	if v.ov != nil {
-		if l, hit := v.ov.adj[akey{x, t}]; hit {
-			return l.nbr, l.wts, slot, true, true
-		}
-	}
-	c := &v.b.csr[t]
-	lo, hi := c.offs[slot], c.offs[slot+1]
-	return c.nbr[lo:hi], c.wts[lo:hi], slot, false, true
 }
 
 // ChangedAt reports the epoch at which x's type-t adjacency, as served at
@@ -105,22 +81,6 @@ func (v View) AttrChangedAt(x graph.ID) uint64 {
 	return v.b.attrSince[x]
 }
 
-// AliasIndex returns the slot-indexed weighted-draw index over THIS view's
-// base (built lazily, immutable, shared). It is valid for every vertex
-// whose NeighborsSlot reports touched == false; after a compaction, views
-// of different epochs may pair with different bases, which is why pinned
-// serving must resolve the index through the view rather than the store.
-func (v View) AliasIndex(t graph.EdgeType) *sampling.AliasIndex {
-	return v.b.aliasIndex(t)
-}
-
-// WeightedDraw draws an index of ws proportionally to weight by cumulative
-// scan — the slow path for overlay-touched vertices, whose base alias entry
-// no longer applies. Returns -1 on an empty list.
-func WeightedDraw(ws []float64, rng *sampling.Rng) int {
-	return weightedScan(ws, rng)
-}
-
 // Touched reports whether x's type-t adjacency at this view differs from
 // its base (i.e. was rewritten by some epoch the base does not cover).
 // Untouched vertices may be served by base-built indexes.
@@ -151,15 +111,6 @@ func (v View) EdgeCount(t graph.EdgeType) int64 {
 	return v.b.edges[t]
 }
 
-// EdgeWeightSum reports the total type-t edge weight at the view's epoch;
-// the distributed weighted TRAVERSE splits batches across shards with it.
-func (v View) EdgeWeightSum(t graph.EdgeType) float64 {
-	if v.ov != nil {
-		return v.ov.weightSum[t]
-	}
-	return v.b.weights[t]
-}
-
 // EdgeCounts appends the per-type local edge totals at the view's epoch.
 func (v View) EdgeCounts(dst []int64) []int64 {
 	for t := 0; t < v.s.numTypes; t++ {
@@ -168,66 +119,10 @@ func (v View) EdgeCounts(dst []int64) []int64 {
 	return dst
 }
 
-// EdgeWeightSums appends the per-type local edge-weight totals at the
-// view's epoch.
-func (v View) EdgeWeightSums(dst []float64) []float64 {
-	for t := 0; t < v.s.numTypes; t++ {
-		dst = append(dst, v.EdgeWeightSum(graph.EdgeType(t)))
-	}
-	return dst
-}
-
-// DrawNeighbor draws one out-edge slot of x under t proportionally to edge
-// weight, returning its index into the view's neighbor list (-1 when x has
-// no type-t out-edges). Untouched vertices draw O(1) through the immutable
-// base AliasIndex; touched vertices pay a linear scan of their overlay
-// weights — the per-vertex invalidation scope of an update.
-func (v View) DrawNeighbor(x graph.ID, t graph.EdgeType, rng *sampling.Rng) int {
-	slot := v.b.slot(x)
-	if slot < 0 {
-		return -1
-	}
-	if v.ov != nil {
-		if l, touched := v.ov.adj[akey{x, t}]; touched {
-			return weightedScan(l.wts, rng)
-		}
-	}
-	return v.b.aliasIndex(t).Draw(graph.ID(slot), rng)
-}
-
-// weightedScan draws an index proportionally to ws by cumulative scan
-// (uniform when the weights sum to zero); -1 on an empty list.
-func weightedScan(ws []float64, rng *sampling.Rng) int {
-	if len(ws) == 0 {
-		return -1
-	}
-	total := 0.0
-	for _, w := range ws {
-		if w > 0 {
-			total += w
-		}
-	}
-	if total <= 0 {
-		return rng.Intn(len(ws))
-	}
-	x := rng.Float64() * total
-	for i, w := range ws {
-		if w <= 0 {
-			continue
-		}
-		x -= w
-		if x < 0 {
-			return i
-		}
-	}
-	return len(ws) - 1
-}
-
-// edgeSampler draws local edges at one overlay's epoch by mixing two
-// regions: the touched vertices' overlay lists and the untouched remainder
-// of the base edge set (rejection draws through the immutable base degree
-// or weight alias). It carries both the uniform (degree-mass) and the
-// weight-proportional mixture, built lazily once per (overlay, edge type)
+// edgeSampler draws local edges uniformly at one overlay's epoch by mixing
+// two regions: the touched vertices' overlay lists and the untouched
+// remainder of the base edge set (rejection draws through the immutable
+// base degree alias). It is built lazily once per (overlay, edge type)
 // against the overlay's own base; immutable afterwards.
 type edgeSampler struct {
 	b          *baseState
@@ -235,12 +130,7 @@ type edgeSampler struct {
 	touchedAl  *sampling.Alias // over touched, weighted by overlay degree
 	overlaySum int64           // total overlay-region edges
 	baseRem    int64           // base edges on untouched vertices
-	// Weight-proportional mixture.
-	touchedW    []graph.ID      // overlay vertices with positive weight mass
-	touchedWAl  *sampling.Alias // over touchedW, weighted by list weight sum
-	overlayWSum float64         // total overlay-region edge weight
-	baseWRem    float64         // base edge weight on untouched vertices
-	isTouched   map[int32]bool  // base slots superseded by the overlay
+	isTouched  map[int32]bool  // base slots superseded by the overlay
 }
 
 func (ov *overlay) sampler(t graph.EdgeType) *edgeSampler {
@@ -251,9 +141,8 @@ func (ov *overlay) sampler(t graph.EdgeType) *edgeSampler {
 	}
 	b := ov.base
 	es := &edgeSampler{b: b, isTouched: make(map[int32]bool)}
-	var ws, wws []float64
+	var ws []float64
 	baseTouchedDeg := int64(0)
-	baseTouchedW := 0.0
 	c := &b.csr[t]
 	for k, l := range ov.adj {
 		if k.t != t {
@@ -262,37 +151,16 @@ func (ov *overlay) sampler(t graph.EdgeType) *edgeSampler {
 		slot := b.slot(k.v)
 		es.isTouched[int32(slot)] = true
 		baseTouchedDeg += c.offs[slot+1] - c.offs[slot]
-		for _, w := range c.wts[c.offs[slot]:c.offs[slot+1]] {
-			if w > 0 {
-				baseTouchedW += w
-			}
-		}
 		if len(l.nbr) > 0 {
 			es.touched = append(es.touched, k.v)
 			ws = append(ws, float64(len(l.nbr)))
 			es.overlaySum += int64(len(l.nbr))
 		}
-		wsum := 0.0
-		for _, w := range l.wts {
-			if w > 0 {
-				wsum += w
-			}
-		}
-		if wsum > 0 {
-			es.touchedW = append(es.touchedW, k.v)
-			wws = append(wws, wsum)
-			es.overlayWSum += wsum
-		}
 	}
 	// Deterministic touched order for reproducible draws at a fixed seed.
 	sortTouched(es.touched, ws)
-	sortTouched(es.touchedW, wws)
 	es.touchedAl = sampling.NewAlias(ws)
-	es.touchedWAl = sampling.NewAlias(wws)
 	es.baseRem = b.edges[t] - baseTouchedDeg
-	// The base's positive-weight mass is precomputed (Seal/Compact), so the
-	// remainder costs O(touched), not an O(E) rescan per overlay.
-	es.baseWRem = b.weightsPos[t] - baseTouchedW
 	ov.samplers[t] = es
 	return es
 }
@@ -345,39 +213,6 @@ func (v View) SampleEdge(t graph.EdgeType, rng *sampling.Rng) (src, dst graph.ID
 	return v.drawBaseEdge(es.b, t, rng, es.isTouched)
 }
 
-// SampleEdgeWeighted draws one type-t edge proportionally to edge weight
-// over the view's local edge set — the server side of the distributed
-// weighted TRAVERSE. ok is false when the view carries no positive type-t
-// weight. Untouched vertices draw through the base weight table plus the
-// per-vertex AliasIndex (O(1)); touched vertices mix in by their exact
-// overlay weight mass.
-func (v View) SampleEdgeWeighted(t graph.EdgeType, rng *sampling.Rng) (src, dst graph.ID, w float64, ok bool) {
-	var es *edgeSampler
-	if v.ov != nil {
-		es = v.ov.sampler(t)
-		if es.overlayWSum == 0 && len(es.isTouched) == 0 {
-			es = nil
-		}
-	}
-	if es == nil {
-		return v.drawBaseEdgeWeighted(v.b, t, rng, nil)
-	}
-	total := es.overlayWSum + es.baseWRem
-	if total <= 0 {
-		return 0, 0, 0, false
-	}
-	if es.overlayWSum > 0 && rng.Float64()*total < es.overlayWSum {
-		x := es.touchedW[es.touchedWAl.DrawRng(rng)]
-		ns, ws, _ := v.Neighbors(x, t)
-		i := weightedScan(ws, rng)
-		if i < 0 {
-			return 0, 0, 0, false
-		}
-		return x, ns[i], ws[i], true
-	}
-	return v.drawBaseEdgeWeighted(es.b, t, rng, es.isTouched)
-}
-
 // drawBaseEdge draws uniformly over b's base edge set, skipping slots in
 // skip (whose base edges are superseded by an overlay). Rejection is
 // bounded; after that a deterministic linear fallback scans for the first
@@ -406,42 +241,6 @@ func (v View) drawBaseEdge(b *baseState, t graph.EdgeType, rng *sampling.Rng, sk
 		lo, hi := c.offs[slot], c.offs[slot+1]
 		i := lo + int64(rng.Intn(int(hi-lo)))
 		return b.local[slot], c.nbr[i], c.wts[i], true
-	}
-	return 0, 0, 0, false
-}
-
-// drawBaseEdgeWeighted draws weight-proportionally over b's base edge set,
-// skipping overlay-superseded slots: a slot from the weight table, then a
-// weighted adjacency entry through the per-vertex alias. Same bounded
-// rejection + linear fallback as the uniform path.
-func (v View) drawBaseEdgeWeighted(b *baseState, t graph.EdgeType, rng *sampling.Rng, skip map[int32]bool) (src, dst graph.ID, w float64, ok bool) {
-	d := b.weightTable(t)
-	al, pool := d.al, d.pool
-	if al.Len() == 0 {
-		return 0, 0, 0, false
-	}
-	ai := b.aliasIndex(t)
-	c := &b.csr[t]
-	pick := func(slot int32) (graph.ID, graph.ID, float64, bool) {
-		i := ai.Draw(graph.ID(slot), rng)
-		if i < 0 {
-			return 0, 0, 0, false
-		}
-		lo := c.offs[slot]
-		return b.local[slot], c.nbr[lo+int64(i)], c.wts[lo+int64(i)], true
-	}
-	for tries := 0; tries < 64; tries++ {
-		slot := pool[al.DrawRng(rng)]
-		if skip != nil && skip[slot] {
-			continue
-		}
-		return pick(slot)
-	}
-	for _, slot := range pool {
-		if skip != nil && skip[slot] {
-			continue
-		}
-		return pick(slot)
 	}
 	return 0, 0, 0, false
 }
