@@ -62,8 +62,8 @@
 //
 // Observability (internal/obs) is always on and shared by every layer: the
 // cluster client keeps per-(edge type, hop) sampling lanes (time, RPC fan-out,
-// cache hit / epoch-miss / degraded-draw rates per hop), servers time every
-// RPC handler and compaction fold, the pipeline times each batch-lifecycle
+// cache hit / epoch-miss rates per hop), servers time every RPC handler
+// and compaction fold, the pipeline times each batch-lifecycle
 // stage (schedule / sample / prefetch / consume, plus park and replay
 // counts), and the serving tier folds its counters into the same registry.
 // Instruments are lock-free atomics and log-bucketed histograms owned
@@ -388,10 +388,12 @@ const attrCacheRows = 4096
 
 // clusterAttrFeatures serves hop-0 attribute rows through batched Attrs
 // RPCs (with per-server sub-batching and dedup in the client), behind a
-// client-side LRU over hot vertices (cluster.AttrCache). A
-// fetch failure yields zero rows for the batch — the feature interface has
-// no error path — so transient shard outages degrade the features instead
-// of crashing training.
+// client-side LRU over hot vertices (cluster.AttrCache). The feature
+// interface has no error path, so a failed fetch is recorded on the tape
+// (nn.Tape.Fail), and inference returns it instead of a vector encoded
+// from zero rows. Training never fetches here: the batch pipeline
+// prefetches every row at the batch's pin and parks the batch when that
+// fetch fails.
 //
 // It implements core.PrefetchingFeatures: the prefetch pipeline fetches a
 // future batch's rows on its worker goroutines and the trainer serves them
@@ -433,10 +435,12 @@ func (f *clusterAttrFeatures) Rows(t *nn.Tape, vs []ID) *nn.Node {
 		missingIdx = append(missingIdx, i)
 	}
 	if len(missing) > 0 {
-		if attrs, err := f.fetch.Attrs(missing); err == nil {
-			for k, a := range attrs {
-				fill(missingIdx[k], a)
-			}
+		attrs, err := f.fetch.Attrs(missing)
+		if err != nil {
+			t.Fail(err)
+		}
+		for k, a := range attrs {
+			fill(missingIdx[k], a)
 		}
 	}
 	return t.Input(m)

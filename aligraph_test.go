@@ -1,7 +1,10 @@
 package aligraph
 
 import (
+	"context"
+	"errors"
 	"sync"
+	"sync/atomic"
 	"testing"
 
 	"repro/internal/cluster"
@@ -257,5 +260,50 @@ func TestSchemaFacade(t *testing.T) {
 	g := b.Finalize()
 	if g.NumEdges() != 1 {
 		t.Fatal("facade build")
+	}
+}
+
+// failingAttrs fails every Attrs call and passes the rest through.
+type failingAttrs struct {
+	cluster.Caller
+	fails atomic.Int64
+}
+
+func (f *failingAttrs) Call(ctx context.Context, part int, m cluster.Method, req, reply any) error {
+	if m == cluster.MAttrs {
+		f.fails.Add(1)
+		return errors.New("attrs unavailable")
+	}
+	return f.Caller.Call(ctx, part, m, req, reply)
+}
+
+// TestClusterEmbedSurfacesAttrFetchError: inference on a UseAttrs cluster
+// trainer fetches its hop-0 attribute rows itself, and a failed fetch must
+// fail the embed rather than encode zero rows into a vector that looks
+// healthy.
+func TestClusterEmbedSurfacesAttrFetchError(t *testing.T) {
+	g := dataset.Taobao(dataset.TaobaoSmallConfig(0.03))
+	assign, err := (partition.HashPartitioner{}).Partition(g, 2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	failing := &failingAttrs{Caller: cluster.NewLocalTransport(cluster.FromGraph(g, assign), 0, 0)}
+	cp := NewClusterPlatform(assign, cluster.NewLatencyTransport(failing, 0), nil, 1)
+	tc := DefaultTrainConfig()
+	tc.HopNums = []int{3, 2}
+	tc.UseAttrs = true
+	trainer, err := cp.NewGraphSAGE(tc)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer trainer.Close()
+	if emb, _, err := trainer.EmbedCtx([]ID{0, 1}); err == nil {
+		t.Fatalf("EmbedCtx with every Attrs call failing returned %dx%d rows and no error", emb.Rows, emb.Cols)
+	}
+	if _, err := trainer.Embed([]ID{0, 1}); err == nil {
+		t.Fatal("Embed with every Attrs call failing returned no error")
+	}
+	if failing.fails.Load() == 0 {
+		t.Fatal("no Attrs call was made; the test proves nothing")
 	}
 }

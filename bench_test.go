@@ -214,10 +214,9 @@ func BenchmarkTrainStep(b *testing.B) {
 		})
 	}
 
-	// Cluster variants: shards x prefetch x fan-out mode. fanout=seq issues
-	// per-shard RPCs one after another (a hop costs shards x RTT); fanout=par
-	// scatters them concurrently (max RTT) — the headline comparison for the
-	// scatter-gather fan-out, and it compounds with prefetch overlap.
+	// Cluster variants: shards x prefetch, over 200µs per-call latency.
+	// Every scatter round reaches its shards at once (a hop costs max RTT),
+	// and prefetch overlaps the rounds with compute.
 	for _, shards := range []int{2, 4} {
 		assign, err := (partition.HashPartitioner{}).Partition(g, shards)
 		if err != nil {
@@ -225,20 +224,15 @@ func BenchmarkTrainStep(b *testing.B) {
 		}
 		servers := cluster.FromGraph(g, assign)
 		for _, depth := range []int{0, 4} {
-			for _, mode := range []string{"seq", "par"} {
-				b.Run(fmt.Sprintf("cluster/shards=%d/prefetch=%d/fanout=%s", shards, depth, mode), func(b *testing.B) {
-					tr := cluster.NewLatencyTransport(cluster.NewLocalTransport(servers, -1, 0), 200*time.Microsecond)
-					cp := NewClusterPlatform(assign, tr, storage.NewImportanceCacheTopFraction(g, 2, 0.2), 1)
-					if mode == "seq" {
-						cp.Client.Fanout = 1
-					}
-					trainer, err := cp.NewGraphSAGE(trainCfg(depth))
-					if err != nil {
-						b.Fatal(err)
-					}
-					run(b, trainer)
-				})
-			}
+			b.Run(fmt.Sprintf("cluster/shards=%d/prefetch=%d", shards, depth), func(b *testing.B) {
+				tr := cluster.NewLatencyTransport(cluster.NewLocalTransport(servers, -1, 0), 200*time.Microsecond)
+				cp := NewClusterPlatform(assign, tr, storage.NewImportanceCacheTopFraction(g, 2, 0.2), 1)
+				trainer, err := cp.NewGraphSAGE(trainCfg(depth))
+				if err != nil {
+					b.Fatal(err)
+				}
+				run(b, trainer)
+			})
 		}
 	}
 }

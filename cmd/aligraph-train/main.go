@@ -76,7 +76,6 @@ func main() {
 		cacheFrac    = flag.Float64("cache", 0.2, "LRU neighbor-cached vertex fraction (cluster mode)")
 		prefetch     = flag.Int("prefetch", 0, "mini-batches assembled ahead of the optimizer (0 = synchronous)")
 		stream       = flag.Bool("stream", false, "interleave synthetic live edge updates with training (cluster mode)")
-		degrade      = flag.Bool("degrade", false, "serve a down shard's reads from stale caches instead of failing (cluster mode)")
 		negRefresh   = flag.Uint64("neg-refresh", 0, "rebuild the negative pool every N observed update epochs; 0 = frozen pool (cluster mode)")
 		stats        = flag.Bool("stats", false, "print per-RPC client metrics after training (cluster mode)")
 		metricsAddr  = flag.String("metrics-addr", "", "serve observability on this address (/metrics text, /metrics.json, /debug/pprof/)")
@@ -150,9 +149,6 @@ func main() {
 			cache = storage.NewLRUNeighborCache(int(*cacheFrac * float64(numVertices)))
 		}
 		cp := aligraph.NewClusterPlatform(assign, tr, cache, 1)
-		if *degrade {
-			cp.Client.Degrade = true
-		}
 		cp.Client.RegisterObs(reg)
 		if *stats {
 			defer func() { fmt.Printf("client metrics:\n%s", cp.Client.Metrics()) }()

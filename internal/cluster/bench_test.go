@@ -75,40 +75,34 @@ func BenchmarkClusterSample(b *testing.B) {
 	}
 
 	// Fan-out: the same hop sequence with 200µs injected per-call latency
-	// (LatencyTransport), sequential versus concurrent scatter. Sequential
-	// prices a hop at shards x RTT; concurrent at max(RTT) — so the par
-	// variants should hold roughly flat as shards double while seq scales
-	// linearly.
+	// (LatencyTransport). Every scatter round launches its shards at once,
+	// so a hop costs max(RTT), not shards x RTT: ns/op should hold roughly
+	// flat as shards double.
 	for _, shards := range []int{2, 4} {
 		a, err := (partition.HashPartitioner{}).Partition(g, shards)
 		if err != nil {
 			b.Fatal(err)
 		}
 		servers := FromGraph(g, a)
-		for _, mode := range []string{"seq", "par"} {
-			b.Run(fmt.Sprintf("shards=%d/fanout=%s", shards, mode), func(b *testing.B) {
-				tr := NewLatencyTransport(NewLocalTransport(servers, 0, 0), 200*time.Microsecond)
-				c := NewClient(a, tr, storage.NoCache{})
-				if mode == "seq" {
-					c.Fanout = 1
+		b.Run(fmt.Sprintf("shards=%d/rtt=200us", shards), func(b *testing.B) {
+			tr := NewLatencyTransport(NewLocalTransport(servers, 0, 0), 200*time.Microsecond)
+			c := NewClient(a, tr, storage.NoCache{})
+			nbr := sampling.NewNeighborhood(c, rand.New(rand.NewSource(1)))
+			var ctx sampling.Context
+			rng := sampling.NewRng(1)
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				if err := nbr.SampleInto(&ctx, 0, batch, hops, rng); err != nil {
+					b.Fatal(err)
 				}
-				nbr := sampling.NewNeighborhood(c, rand.New(rand.NewSource(1)))
-				var ctx sampling.Context
-				rng := sampling.NewRng(1)
-				b.ReportAllocs()
-				b.ResetTimer()
-				for i := 0; i < b.N; i++ {
-					if err := nbr.SampleInto(&ctx, 0, batch, hops, rng); err != nil {
-						b.Fatal(err)
-					}
-				}
-				b.StopTimer()
-				m := c.Metrics()
-				if m.Fanouts > 0 {
-					b.ReportMetric(m.FanoutWidth, "fanWidth")
-				}
-			})
-		}
+			}
+			b.StopTimer()
+			m := c.Metrics()
+			if m.Fanouts > 0 {
+				b.ReportMetric(m.FanoutWidth, "fanWidth")
+			}
+		})
 	}
 
 	// Skew: a two-lane workload (one hub set resampled every op, one
@@ -227,9 +221,10 @@ func BenchmarkRPCRoundTrip(b *testing.B) {
 	for i := range attrsReq.Vertices {
 		attrsReq.Vertices[i] = graph.ID(i)
 	}
-	sampleReq := SampleRequest{Vertices: make([]graph.ID, 200), Slots: make([]int32, 200), Width: 5, WantLists: true, Seed: 1}
+	sampleReq := SampleRequest{Vertices: make([]graph.ID, 200), Counts: make([]int, 200), Slots: make([]int32, 200), Width: 5, WantLists: true, Seed: 1}
 	for i := range sampleReq.Vertices {
 		sampleReq.Vertices[i] = graph.ID(i * 10)
+		sampleReq.Counts[i] = 1
 		sampleReq.Slots[i] = int32(i)
 	}
 	b.Run("Attrs", func(b *testing.B) {

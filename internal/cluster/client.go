@@ -6,7 +6,6 @@ import (
 	"sync"
 
 	"repro/internal/graph"
-	"repro/internal/obs"
 	"repro/internal/partition"
 	"repro/internal/sampling"
 	"repro/internal/storage"
@@ -33,29 +32,9 @@ type Client struct {
 	T      Transport
 	Cache  storage.NeighborCache
 
-	// Degrade enables graceful degradation: when a shard's call fails with
-	// a transport-level (transient/shard-down) error, its hops are served
-	// from stale cache entries (NeighborCache.GetStale) via the slot-pure draw
-	// path instead of failing the batch — TRAVERSE and NegativePool simply
-	// skip the dead shard's mass, attribute rows fall back to zeros. Every
-	// degraded draw is counted in DegradedDraws. Set it before training;
-	// off (the default) such errors surface to the caller.
-	Degrade bool
-
-	// Fanout bounds how many per-shard sub-requests of one scatter round
-	// run concurrently: 0 (the default) launches every target shard at
-	// once, so a multi-shard hop costs max(RTT) instead of shards x RTT;
-	// 1 restores strictly sequential issue order (benchmarks compare
-	// against it); N > 1 caps in-flight sub-requests at N. Reply values
-	// are identical in every mode — draws are slot-/seed-pure and replies
-	// are gathered in sorted part order — only latency changes.
-	Fanout int
-
 	// pins manages the shared, reference-counted epoch pin (see pin.go);
 	// Client implements sampling.PinSource with it.
 	pins *pinManager
-
-	degradedDraws obs.Counter
 
 	// met holds the per-RPC observability counters behind Metrics(), and
 	// hops the per-(edge type, hop) sampling lanes (see fanout.go). Both are
@@ -112,12 +91,6 @@ func (c *Client) observe(part int, span *sampling.EpochSpan, pin *sampling.Pin, 
 	}
 }
 
-// DegradedDraws reports how many reads were served from stale cache state
-// (or padded) because a shard was unreachable with Degrade set. Safe to
-// call concurrently with training; nonzero means embeddings consumed
-// degraded data.
-func (c *Client) DegradedDraws() int64 { return c.degradedDraws.Load() }
-
 // MaxObservedHead reports the newest head epoch the client has observed on
 // any shard (every sampling reply carries its shard's head). Trainers use
 // it as the staleness clock for epoch-refreshed negative pools.
@@ -155,28 +128,12 @@ func (c *Client) ObservedAttrHeads(dst []uint64) []uint64 {
 // observed per-shard head watermarks, returning them (index = partition).
 // This is how a serving tier notices out-of-band churn — updates applied by
 // other writers — even when its own request stream is fully cache-hot and
-// makes no data RPCs. Degraded (down) shards keep their last observed heads.
+// makes no data RPCs.
 func (c *Client) ProbeHeads() ([]uint64, []uint64, error) {
 	if _, err := c.clusterStats(true); err != nil {
 		return nil, nil, err
 	}
 	return c.ObservedHeads(nil), c.ObservedAttrHeads(nil), nil
-}
-
-// degraded reports whether err should be absorbed by stale-serving: the
-// client degrades (Degrade set) and the error is a transport-level failure
-// (never an application error from a live server).
-func (c *Client) degraded(err error) bool {
-	return c.Degrade && (IsShardDown(err) || IsTransient(err))
-}
-
-// degradeSpan keeps a pinned batch's span single-valued when a shard's
-// reply is replaced by stale serving (unpinned reads record nothing: they
-// observed no real epoch).
-func degradeSpan(span *sampling.EpochSpan, pin *sampling.Pin) {
-	if span != nil && pin != nil {
-		span.Observe(pin.Stamp)
-	}
 }
 
 // pinFields returns the request pin fields for an optionally pinned call to
@@ -230,25 +187,15 @@ func (c *Client) clusterStats(refresh bool) ([]StatsReply, error) {
 	errs := c.scatter(allParts(c.Assign.P), func(i, p int) error {
 		return c.timed(MStats, func() error { return c.T.Stats(p, StatsRequest{}, &stats[p]) })
 	})
-	partial := false
-	for p := 0; p < c.Assign.P; p++ {
-		if err := errs[p]; err != nil {
-			if !c.degraded(err) {
-				return nil, err
-			}
-			// Dead shard: zero mass, and the partial set is never cached so
-			// recovery restores its share on the next refresh.
-			stats[p] = StatsReply{}
-			partial = true
-			continue
+	for p := range stats {
+		if errs[p] != nil {
+			return nil, errs[p]
 		}
 		// Stats replies carry head stamps, so a stats round doubles as a
-		// head probe (noteHead is monotone: a zeroed reply cannot regress).
+		// head probe.
 		c.pins.noteHead(p, stats[p].Head, stats[p].AttrHead)
 	}
-	if !partial {
-		c.stats = stats
-	}
+	c.stats = stats
 	return stats, nil
 }
 
@@ -351,16 +298,8 @@ func (c *Client) AppendSampleEdges(dst []graph.Edge, t graph.EdgeType, n int, se
 	})
 	edges := dst
 	for i, p := range parts {
-		if err := errs[i]; err != nil {
-			if !c.degraded(err) {
-				return nil, err
-			}
-			// Dead shard: its share of the TRAVERSE batch is skipped (the
-			// batch shrinks rather than failing); counted so the gap is
-			// visible.
-			c.degradedDraws.Add(int64(counts[p]))
-			degradeSpan(span, pin)
-			continue
+		if errs[i] != nil {
+			return nil, errs[i]
 		}
 		reply := &replies[i]
 		c.observe(p, span, pin, reply.Epoch, reply.Head, reply.AttrHead)
@@ -383,13 +322,8 @@ func (c *Client) NegativePool(t graph.EdgeType) ([]graph.ID, []float64, error) {
 		return c.timed(MNegativePool, func() error { return c.T.NegativePool(p, NegPoolRequest{EdgeType: t}, &replies[i]) })
 	})
 	for p := 0; p < c.Assign.P; p++ {
-		if err := errs[p]; err != nil {
-			if !c.degraded(err) {
-				return nil, nil, err
-			}
-			// Dead shard: the pool is built without its candidates.
-			c.degradedDraws.Add(1)
-			continue
+		if errs[p] != nil {
+			return nil, nil, errs[p]
 		}
 		if len(replies[p].Counts) != len(replies[p].Vertices) {
 			return nil, nil, rowsError(p, "counts", len(replies[p].Counts), len(replies[p].Vertices))
@@ -445,15 +379,10 @@ func (c *Client) attrsObserve(vs []graph.ID, pin *sampling.Pin, note func(part i
 		return c.timed(MAttrs, func() error { return c.T.Attrs(p, req, &replies[i]) })
 	})
 	for i, p := range parts {
-		batch := subBatch[p]
-		if err := errs[i]; err != nil {
-			if !c.degraded(err) {
-				return nil, err
-			}
-			// Dead shard: nil rows; feature layers above fill zeros.
-			c.degradedDraws.Add(int64(len(batch)))
-			continue
+		if errs[i] != nil {
+			return nil, errs[i]
 		}
+		batch := subBatch[p]
 		reply := &replies[i]
 		c.observe(p, nil, pin, reply.Epoch, reply.Head, reply.AttrHead)
 		if len(reply.Attrs) != len(batch) {
@@ -483,8 +412,7 @@ func (c *Client) attrsObserve(vs []graph.ID, pin *sampling.Pin, note func(part i
 // certify "vs[i] is unchanged over [max(adj[i],attr[i]), upto[i]]" — the
 // revalidation proof an embedding cache needs to extend an entry's validity
 // interval without recomputing the embedding. One concurrent scatter round
-// (Neighbors + Attrs per owning shard); errors surface, never degrade — a
-// proof built on stale data would defeat its purpose.
+// (Neighbors + Attrs per owning shard).
 func (c *Client) SinceOf(vs []graph.ID, t graph.EdgeType) (adj, attr, upto []uint64, err error) {
 	subBatch := make(map[int][]graph.ID)
 	idx := make(map[graph.ID]int, len(vs))

@@ -22,37 +22,25 @@ import (
 // determinism story does not depend on arrival order: every sub-request
 // writes only its own reply slot, and the caller stitches replies back in
 // ascending part order on its own goroutine after the whole round lands —
-// so cache admissions, span observations, degraded-draw counting and error
-// selection happen in exactly the order a sequential client would produce.
+// so cache admissions, span observations and error selection happen in
+// exactly the order a sequential client would produce.
 
-// scatterGather runs call(0..n-1) and returns the per-call errors. With
-// limit == 1 (or a single call) the calls run inline in index order — the
-// sequential mode benchmarks compare against. Otherwise every call gets its
-// own goroutine, with at most limit in flight when limit > 1 (limit <= 0
-// launches all at once). The returned slice is indexed like the calls; the
+// scatterGather runs call(0..n-1) and returns the per-call errors. A single
+// call runs inline; otherwise every call gets its own goroutine, all
+// launched at once. The returned slice is indexed like the calls; the
 // caller decides how errors aggregate (by convention: the lowest-index
 // failure wins, so retries and tests stay deterministic).
-func scatterGather(n, limit int, call func(i int) error) []error {
+func scatterGather(n int, call func(i int) error) []error {
 	errs := make([]error, n)
-	if n <= 1 || limit == 1 {
-		for i := 0; i < n; i++ {
-			errs[i] = call(i)
-		}
+	if n == 1 {
+		errs[0] = call(0)
 		return errs
-	}
-	var sem chan struct{}
-	if limit > 1 && limit < n {
-		sem = make(chan struct{}, limit)
 	}
 	var wg sync.WaitGroup
 	for i := 0; i < n; i++ {
 		wg.Add(1)
 		go func(i int) {
 			defer wg.Done()
-			if sem != nil {
-				sem <- struct{}{}
-				defer func() { <-sem }()
-			}
 			errs[i] = call(i)
 		}(i)
 	}
@@ -138,7 +126,6 @@ type hopStats struct {
 	lookups   obs.Counter // cache probes (one per unique vertex probed)
 	cacheHits obs.Counter // unique vertices served from the neighbor cache
 	epochMiss obs.Counter // cache probes that failed only on epoch validity
-	degraded  obs.Counter // draws served from stale cache state (shard down)
 	nanos     obs.Counter // wall clock, whole expansions
 }
 
@@ -200,7 +187,6 @@ type HopMetrics struct {
 	Lookups     int64
 	CacheHits   int64
 	EpochMisses int64
-	Degraded    int64
 	Time        time.Duration
 }
 
@@ -208,16 +194,15 @@ type HopMetrics struct {
 // counts per-shard sub-requests as the client issued them; Retries and
 // FastFails are pulled from the retry layer when the client's transport
 // provides one (RetryStats). FanoutWidth is the average number of shards a
-// multi-shard scatter round spanned — with concurrent fan-out enabled, the
-// latency of such a round is max over those shards rather than their sum.
+// multi-shard scatter round spanned; the latency of such a round is the max
+// over those shards rather than their sum.
 type Metrics struct {
-	RPCs          int64
-	Retries       int64
-	FastFails     int64
-	DegradedDraws int64
-	Fanouts       int64
-	FanoutWidth   float64
-	Methods       map[string]MethodMetrics
+	RPCs        int64
+	Retries     int64
+	FastFails   int64
+	Fanouts     int64
+	FanoutWidth float64
+	Methods     map[string]MethodMetrics
 	// Hops breaks the sampling work down per (edge type, hop) lane, keyed
 	// "t<type>.h<hop>" (hop 0 collects direct calls made outside a tagged
 	// NEIGHBORHOOD expansion).
@@ -234,8 +219,7 @@ type RetryStats interface {
 // String formats the snapshot for CLIs (aligraph-train -stats) and logs.
 func (m Metrics) String() string {
 	var b strings.Builder
-	fmt.Fprintf(&b, "rpc: %d sub-requests, %d retries, %d fast-fails, %d degraded draws\n",
-		m.RPCs, m.Retries, m.FastFails, m.DegradedDraws)
+	fmt.Fprintf(&b, "rpc: %d sub-requests, %d retries, %d fast-fails\n", m.RPCs, m.Retries, m.FastFails)
 	fmt.Fprintf(&b, "fan-out: %d multi-shard rounds, avg width %.2f\n", m.Fanouts, m.FanoutWidth)
 	names := make([]string, 0, len(m.Methods))
 	for name, mm := range m.Methods {
@@ -267,8 +251,8 @@ func (m Metrics) String() string {
 			if hm.Calls > 0 {
 				avg = hm.Time / time.Duration(hm.Calls)
 			}
-			fmt.Fprintf(&b, "  %-8s calls=%-7d slots=%-8d rpcs=%-7d cache-hits=%-8d epoch-miss=%-6d degraded=%-6d avg=%v\n",
-				lane, hm.Calls, hm.Slots, hm.RPCs, hm.CacheHits, hm.EpochMisses, hm.Degraded, avg.Round(time.Microsecond))
+			fmt.Fprintf(&b, "  %-8s calls=%-7d slots=%-8d rpcs=%-7d cache-hits=%-8d epoch-miss=%-6d avg=%v\n",
+				lane, hm.Calls, hm.Slots, hm.RPCs, hm.CacheHits, hm.EpochMisses, avg.Round(time.Microsecond))
 		}
 	}
 	return b.String()
@@ -287,8 +271,7 @@ func (c *Client) timed(m Method, call func() error) error {
 }
 
 // scatter is the Client's fan-out entry point: call(i, parts[i]) runs for
-// every target shard, concurrently up to the client's Fanout limit, and the
-// per-part errors come back indexed like parts. Callers gather replies in
+// every target shard at once, and the per-part errors come back indexed like parts. Callers gather replies in
 // parts order afterwards (parts are pre-sorted), which keeps every
 // aggregation deterministic.
 func (c *Client) scatter(parts []int, call func(i, part int) error) []error {
@@ -296,16 +279,15 @@ func (c *Client) scatter(parts []int, call func(i, part int) error) []error {
 		c.met.fanouts.Add(1)
 		c.met.fanWidth.Add(int64(len(parts)))
 	}
-	return scatterGather(len(parts), c.Fanout, func(i int) error { return call(i, parts[i]) })
+	return scatterGather(len(parts), func(i int) error { return call(i, parts[i]) })
 }
 
 // Metrics snapshots the client's per-RPC counters. Safe to call
 // concurrently with training; counters are cumulative since NewClient.
 func (c *Client) Metrics() Metrics {
 	m := Metrics{
-		DegradedDraws: c.degradedDraws.Load(),
-		Fanouts:       c.met.fanouts.Load(),
-		Methods:       make(map[string]MethodMetrics, numMethods),
+		Fanouts: c.met.fanouts.Load(),
+		Methods: make(map[string]MethodMetrics, numMethods),
 	}
 	for i := range numMethods {
 		mc := &c.met.rpc[i]
@@ -338,7 +320,6 @@ func (c *Client) Metrics() Metrics {
 				Lookups:     hs.lookups.Load(),
 				CacheHits:   hs.cacheHits.Load(),
 				EpochMisses: hs.epochMiss.Load(),
-				Degraded:    hs.degraded.Load(),
 				Time:        time.Duration(hs.nanos.Load()),
 			}
 		}
@@ -348,7 +329,7 @@ func (c *Client) Metrics() Metrics {
 
 // RegisterObs names the client's always-on instruments in r: per-method RPC
 // latency histograms and error counters (cluster.client.rpc.<Method>.*),
-// fan-out and degraded-draw counters, retry-layer and cache gauges, and a
+// fan-out counters, retry-layer and cache gauges, and a
 // collector emitting the per-(edge type, hop) sampling lanes as
 // cluster.client.sample.t<type>.h<hop>.* series. Registration is one-time
 // setup; the hot paths keep writing the same instruments whether or not a
@@ -361,7 +342,6 @@ func (c *Client) RegisterObs(r *obs.Registry) {
 	}
 	r.RegisterCounter("cluster.client.fanout.rounds", &c.met.fanouts)
 	r.RegisterCounter("cluster.client.fanout.width_sum", &c.met.fanWidth)
-	r.RegisterCounter("cluster.client.degraded_draws", &c.degradedDraws)
 	if rs, ok := c.T.(RetryStats); ok {
 		r.Gauge("cluster.client.retries", rs.Retries)
 		r.Gauge("cluster.client.fast_fails", rs.FastFails)
@@ -381,7 +361,6 @@ func (c *Client) RegisterObs(r *obs.Registry) {
 			emit(p+"lookups", hs.lookups.Load())
 			emit(p+"cache_hits", hs.cacheHits.Load())
 			emit(p+"epoch_misses", hs.epochMiss.Load())
-			emit(p+"degraded", hs.degraded.Load())
 			emit(p+"nanos", hs.nanos.Load())
 		}
 	})

@@ -80,7 +80,7 @@ func NewFaultTransport(inner Caller, parts int, cfg FaultConfig) *FaultTransport
 }
 
 // KillShard schedules a permanent outage for part starting at its next call
-// — the "shard died now" switch for degradation tests.
+// — the "shard died now" switch for outage tests.
 func (t *FaultTransport) KillShard(part int) {
 	t.mu.Lock()
 	t.cfg.Outages = append(t.cfg.Outages, Outage{Part: part, From: t.calls[part]})

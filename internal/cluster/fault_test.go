@@ -3,14 +3,15 @@ package cluster
 import (
 	"context"
 	"errors"
-	"math"
 	"math/rand"
+	"runtime"
 	"sync"
 	"testing"
 	"time"
 
 	"repro/internal/core"
 	"repro/internal/graph"
+	"repro/internal/obs"
 	"repro/internal/partition"
 	"repro/internal/storage"
 )
@@ -121,17 +122,18 @@ func TestChaosTrainingBitIdentical(t *testing.T) {
 		drops, replyDrops, spikes, outages, rt.Retries(), rt.FastFails())
 }
 
-// TestPermanentShardBlackoutDegrades kills one shard for good mid-training
-// with Client.Degrade set: training must continue on cache-served stale
-// lists (counted in DegradedDraws) instead of crashing, and the dead
-// shard's breaker must open so its calls fast-fail rather than burn the
-// full retry budget every batch.
-func TestPermanentShardBlackoutDegrades(t *testing.T) {
+// TestPermanentShardBlackoutParks kills one shard for good mid-training:
+// no read answers without it, so the dead shard's breaker opens (its calls
+// fast-fail instead of burning the retry budget every batch) and the
+// pipeline parks the batches that need it rather than failing or serving
+// anything stale. Close ends the parking: Train returns ErrPipelineClosed
+// and every goroutine the run started exits.
+func TestPermanentShardBlackoutParks(t *testing.T) {
+	base := runtime.NumGoroutine()
 	g := churnTestGraph(200)
 	var ft *FaultTransport
 	var rt *RetryTransport
-	cache := storage.NewLRUNeighborCache(4096)
-	trn, c, _ := newFaultTrainer(t, g, 11, cache, func(inner Caller) Transport {
+	trn, _, _ := newFaultTrainer(t, g, 11, storage.NewLRUNeighborCache(4096), func(inner Caller) Transport {
 		ft = NewFaultTransport(inner, 2, FaultConfig{Seed: 1})
 		rt = NewRetryTransport(ft, 2, CallPolicy{
 			Timeout:       time.Second,
@@ -143,38 +145,54 @@ func TestPermanentShardBlackoutDegrades(t *testing.T) {
 		}, 3)
 		return rt
 	}, faultTrainerConfig())
-	c.Degrade = true
+	pl := core.NewPipeline(trn, core.PipelineConfig{Depth: 2, Workers: 2})
+	reg := obs.NewRegistry()
+	pl.RegisterObs(reg)
+	trn.SetSource(pl)
+	parks := func() int64 { return reg.Snapshot().Counters["core.pipeline.parks"] }
 
-	// Warm phase: both shards healthy, caches admit hot lists.
-	warm, err := trn.Train(10)
-	if err != nil {
+	// Warm phase: both shards healthy, nothing parks.
+	if _, err := trn.Train(5); err != nil {
 		t.Fatal(err)
 	}
-	if c.DegradedDraws() != 0 {
-		t.Fatalf("degraded draws before any fault: %d", c.DegradedDraws())
+	if n := parks(); n != 0 {
+		t.Fatalf("%d parks before any fault", n)
 	}
 
 	ft.KillShard(1)
-
-	after, err := trn.Train(20)
-	if err != nil {
-		t.Fatalf("training died on a permanently dead shard despite Degrade: %v", err)
-	}
-	for i, l := range append(warm, after...) {
-		if math.IsNaN(l) || math.IsInf(l, 0) {
-			t.Fatalf("step %d: non-finite loss %v", i, l)
+	done := make(chan error, 1)
+	go func() {
+		_, err := trn.Train(20)
+		done <- err
+	}()
+	deadline := time.Now().Add(20 * time.Second)
+	for parks() == 0 || rt.FastFails() == 0 {
+		if time.Now().After(deadline) {
+			t.Fatalf("dead shard: %d parks, %d fast-fails; want both > 0", parks(), rt.FastFails())
 		}
+		time.Sleep(5 * time.Millisecond)
 	}
-	if c.DegradedDraws() == 0 {
-		t.Fatal("no degraded draws counted while a shard was dead")
+	if err := pl.Close(); err != nil {
+		t.Fatal(err)
+	}
+	if err := <-done; !errors.Is(err, core.ErrPipelineClosed) {
+		t.Fatalf("Train over a dead shard returned %v, want ErrPipelineClosed", err)
 	}
 	if !rt.BreakerOpen(1) {
-		t.Error("dead shard's breaker never opened")
+		t.Error("dead shard's breaker is not open")
 	}
-	if rt.FastFails() == 0 {
-		t.Error("open breaker never fast-failed a call")
+	t.Logf("parks: %d, fast-fails: %d", parks(), rt.FastFails())
+
+	deadline = time.Now().Add(5 * time.Second)
+	for runtime.NumGoroutine() > base+2 {
+		if time.Now().After(deadline) {
+			buf := make([]byte, 1<<16)
+			n := runtime.Stack(buf, true)
+			t.Fatalf("goroutines leaked after Close: %d > baseline %d\n%s", runtime.NumGoroutine(), base, buf[:n])
+		}
+		runtime.GC()
+		time.Sleep(10 * time.Millisecond)
 	}
-	t.Logf("degraded draws: %d, fast-fails: %d", c.DegradedDraws(), rt.FastFails())
 }
 
 // TestNegativePoolEpochRefresh: with NegRefresh set, the trainer rebuilds
@@ -490,53 +508,34 @@ func (s *releaseSpy) count(part int) int {
 	return s.releases[part]
 }
 
-// TestDegradedPinReleaseSkipsUnleasedShard: a degraded Pin records a down
-// shard's last observed head WITHOUT taking a lease; releasing that pin must
-// not send Release for the unleased shard — the epoch it recorded is the one
-// an earlier live pin still holds a lease on, and a spurious Release would
-// decrement that pin's refcount and let the server evict an epoch in use.
-func TestDegradedPinReleaseSkipsUnleasedShard(t *testing.T) {
+// TestPinUnwindsLeasesOnFailure: a Pin whose Lease round fails on one
+// shard returns the error and releases every lease the round did take, so
+// a failed Pin leaves no epoch pinned on the live shard.
+func TestPinUnwindsLeasesOnFailure(t *testing.T) {
 	g := churnTestGraph(80)
 	a, err := (partition.HashPartitioner{}).Partition(g, 2)
 	if err != nil {
 		t.Fatal(err)
 	}
 	servers := FromGraph(g, a)
-	spy := &releaseSpy{Caller: NewLocalTransport(servers, 0, 0), releases: make(map[int]int)}
-	ft := NewFaultTransport(spy, 2, FaultConfig{})
-	rt := NewRetryTransport(ft, 2, CallPolicy{Attempts: 2}, 3)
-	c := NewClient(a, rt, storage.NoCache{})
-	c.Degrade = true
-
-	p1, err := c.Pin() // live: leases both shards
-	if err != nil {
-		t.Fatal(err)
-	}
+	ft := NewFaultTransport(NewLocalTransport(servers, 0, 0), 2, FaultConfig{})
 	ft.KillShard(1)
+	spy := &releaseSpy{Caller: ft, releases: make(map[int]int)}
+	c := NewClient(a, typed(spy), storage.NoCache{})
 
-	// Force staleness so the next Pin re-leases instead of reusing p1.
-	advance(&c.pins.heads[0], p1.Epochs[0]+1)
-	p2, err := c.Pin() // degraded: leases shard 0, records shard 1 unleased
-	if err != nil {
-		t.Fatalf("degraded pin failed: %v", err)
+	if p, err := c.Pin(); err == nil || p != nil {
+		t.Fatalf("Pin over a dead shard = %v, %v; want an error", p, err)
 	}
-	if p2.Epochs[1] != p1.Epochs[1] {
-		t.Fatalf("degraded pin recorded epoch %d for the dead shard, want last observed %d",
-			p2.Epochs[1], p1.Epochs[1])
+	if got := spy.count(0); got != 1 {
+		t.Fatalf("unwind sent %d Release(s) to the live shard, want 1", got)
 	}
-
-	// Supersede p2 so dropping its last reference releases its leases.
-	advance(&c.pins.heads[0], p2.Epochs[0]+1)
-	if _, err := c.Pin(); err != nil {
-		t.Fatal(err)
+	if got := spy.count(1); got != 0 {
+		t.Fatalf("unwind sent %d Release(s) to the shard that took no lease", got)
 	}
-
-	r0, r1 := spy.count(0), spy.count(1)
-	c.Unpin(p2)
-	if got := spy.count(1); got != r1 {
-		t.Fatalf("degraded pin sent %d Release(s) to the dead shard for a lease it never took", got-r1)
+	if total, _ := servers[0].Store().LeaseStats(); total != 0 {
+		t.Fatalf("live shard still holds %d lease(s) after the unwind", total)
 	}
-	if got := spy.count(0); got != r0+1 {
-		t.Fatalf("degraded pin released %d leases on the live shard, want 1", got-r0)
+	if c.currentPin() != nil {
+		t.Fatal("failed Pin installed a current pin")
 	}
 }

@@ -17,8 +17,7 @@ import (
 //   - group: dedup in first-appearance order with occurrence positions, an
 //     epoch-keyed cache probe per unique vertex (counted in the lane's
 //     counters), and the misses grouped by owning part in ascending order;
-//   - resolve: one concurrent scatter round, per-part reply validation,
-//     the degraded fallback to stale cached lists when a shard is down, and
+//   - resolve: one concurrent scatter round, per-part reply validation and
 //     admission (Observe) of every full list a reply carries.
 //
 // The two kinds differ only in the per-part request their caller builds
@@ -61,23 +60,19 @@ func (h *hop) done() { h.hs.nanos.Add(int64(time.Since(h.t0))) }
 // slots returns the batch slots uniq[j] occupies, ascending.
 func (h *hop) slots(j int) []int { return h.occ[h.start[j]:h.start[j+1]] }
 
-// serve fills every slot of uniq[j] from the list ns (a cache hit, a
-// reply's full list, or a stale list) and returns how many draws that
-// was: one list for a list hop, one per slot for a draw hop. An empty ns
-// pads draws with the vertex itself, mirroring the server contract.
-func (h *hop) serve(j int, ns []graph.ID) int64 {
+// serve fills every slot of uniq[j] from the list ns (a cache hit or a
+// reply's full list).
+func (h *hop) serve(j int, ns []graph.ID) {
 	s := h.slots(j)
 	if h.lists != nil {
 		for _, pos := range s {
 			h.lists[pos] = ns
 		}
-		return 1
+		return
 	}
 	for _, pos := range s {
-		rng := sampling.SlotRng(h.seed, pos)
-		drawInto(h.draws[pos*h.width:(pos+1)*h.width], h.uniq[j], ns, &rng)
+		sampling.DrawSlot(h.draws[pos*h.width:(pos+1)*h.width], h.uniq[j], ns, h.seed, pos)
 	}
-	return int64(len(s))
 }
 
 // group dedups vs, serves what the cache holds, and groups the rest by
@@ -174,8 +169,8 @@ type hopReply struct {
 
 // resolve fetches h's misses — send issues parts[i]'s request into reply
 // slot i, one concurrent round — and stitches the replies back in
-// ascending part order through read, so degraded serving, admission order
-// and error selection are reproducible.
+// ascending part order through read, so admission order and error
+// selection are reproducible.
 func resolve[R any](h *hop, m Method, send func(i, p int, reply *R) error, read func(*R) hopReply) error {
 	c := h.c
 	h.hs.rpcs.Add(int64(len(h.parts)))
@@ -184,25 +179,12 @@ func resolve[R any](h *hop, m Method, send func(i, p int, reply *R) error, read 
 		return c.timed(m, func() error { return send(i, p, &replies[i]) })
 	})
 	for i, p := range h.parts {
-		js := h.miss[p]
-		if err := errs[i]; err != nil {
-			if !c.degraded(err) {
-				return err
-			}
-			// Shard down: serve what the cache still holds, however stale,
-			// through the same slot-pure streams, and count every draw.
-			for _, j := range js {
-				ns, _ := c.Cache.GetStale(h.uniq[j], h.t, 1)
-				n := h.serve(j, ns)
-				c.degradedDraws.Add(n)
-				h.hs.degraded.Add(n)
-			}
-			degradeSpan(h.span, h.pin)
-			continue
+		if errs[i] != nil {
+			return errs[i]
 		}
 		r := read(&replies[i])
 		c.observe(p, h.span, h.pin, r.epoch, r.head, r.attrHead)
-		if err := h.fill(p, js, r); err != nil {
+		if err := h.fill(p, h.miss[p], r); err != nil {
 			return err
 		}
 	}
@@ -253,20 +235,6 @@ func (h *hop) fill(p int, js []int, r hopReply) error {
 // rowsError reports a reply whose row count disagrees with its request.
 func rowsError(part int, what string, got, want int) error {
 	return fmt.Errorf("cluster: server %d returned %d %s for %d vertices", part, got, what, want)
-}
-
-// drawInto fills dst with uniform draws from ns, padding with v when ns is
-// empty (mirroring the server- and graph-side contract).
-func drawInto(dst []graph.ID, v graph.ID, ns []graph.ID, rng *sampling.Rng) {
-	if len(ns) == 0 {
-		for i := range dst {
-			dst[i] = v
-		}
-		return
-	}
-	for i := range dst {
-		dst[i] = ns[rng.Intn(len(ns))]
-	}
 }
 
 // NeighborsBatch is the list hop, at the head epoch: dst[i] receives the

@@ -250,11 +250,11 @@ func (c downShard) Call(ctx context.Context, part int, m Method, req, reply any)
 	return c.Caller.Call(ctx, part, m, req, reply)
 }
 
-// TestNeighborsDegradesToStaleList: Client.Neighbors is a one-vertex
-// NeighborsBatch, so with Degrade set it serves the cached list when the
-// vertex's shard is down, counts the degraded read, and still reports the
-// failure without Degrade.
-func TestNeighborsDegradesToStaleList(t *testing.T) {
+// TestNeighborsFailsOnDownShard: Client.Neighbors is a one-vertex
+// NeighborsBatch, and when the vertex's shard is down it reports the
+// failure. A cached list no longer valid at the client's epoch is not
+// served in its place.
+func TestNeighborsFailsOnDownShard(t *testing.T) {
 	g := churnTestGraph(60)
 	down := false
 	c := newHopCluster(t, g, 2, func(inner Caller) Transport { return typed(downShard{inner, 1, &down}) }, storage.NewLRUNeighborCache(64))
@@ -268,27 +268,15 @@ func TestNeighborsDegradesToStaleList(t *testing.T) {
 	if v < 0 {
 		t.Fatal("no vertex with out-edges on shard 1")
 	}
-	want, err := c.Neighbors(v, 0)
-	if err != nil {
+	if _, err := c.Neighbors(v, 0); err != nil {
 		t.Fatal(err)
 	}
 	// Move the client's head past the cached entry so the probe misses and
 	// the read must go to the (down) shard.
 	c.pins.noteHead(1, 5, 0)
 	down = true
-	if _, err := c.Neighbors(v, 0); !IsShardDown(err) {
-		t.Fatalf("without Degrade: err = %v, want shard down", err)
-	}
-	c.Degrade = true
-	got, err := c.Neighbors(v, 0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if fmt.Sprint(got) != fmt.Sprint(want) {
-		t.Fatalf("degraded Neighbors = %v, want stale %v", got, want)
-	}
-	if c.DegradedDraws() != 1 {
-		t.Fatalf("degraded draws = %d, want 1", c.DegradedDraws())
+	if got, err := c.Neighbors(v, 0); !IsShardDown(err) || got != nil {
+		t.Fatalf("Neighbors on a down shard = %v, %v; want nil, shard down", got, err)
 	}
 }
 

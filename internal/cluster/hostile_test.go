@@ -11,9 +11,10 @@ import (
 )
 
 // TestHostileRequestsRejected sends malformed requests — edge types outside
-// the schema, negative draw counts, unbounded draw totals, added edges whose
-// destination lies outside the vertex universe — through the in-process
-// transport and through loopback RPC. Each must come back as an error (the
+// the schema, negative draw counts, unbounded draw totals, draw requests
+// without their Counts or Slots, added edges whose destination lies outside
+// the vertex universe — through the in-process transport and through
+// loopback RPC. Each must come back as an error (the
 // RPC server does not recover a handler panic, so a panic would kill the
 // shard), and the server must answer a well-formed call afterwards. A client
 // sampling vertex 0 after the rejected updates must not panic either.
@@ -33,7 +34,7 @@ func TestHostileRequestsRejected(t *testing.T) {
 	for _, et := range []graph.EdgeType{7, -1} {
 		calls = append(calls,
 			call{"Neighbors/type", MNeighbors, NeighborsRequest{Vertices: vs, EdgeType: et}},
-			call{"SampleNeighbors/type", MSampleNeighbors, SampleRequest{Vertices: vs, EdgeType: et, Width: 2}},
+			call{"SampleNeighbors/type", MSampleNeighbors, SampleRequest{Vertices: vs, Counts: []int{1, 1}, Slots: []int32{0, 1}, EdgeType: et, Width: 2}},
 			call{"SampleEdges/type", MSampleEdges, EdgesRequest{EdgeType: et, Count: 4}},
 			call{"NegativePool/type", MNegativePool, NegPoolRequest{EdgeType: et}},
 		)
@@ -41,7 +42,9 @@ func TestHostileRequestsRejected(t *testing.T) {
 	calls = append(calls,
 		call{"SampleNeighbors/negative count", MSampleNeighbors, SampleRequest{Vertices: vs[:1], Counts: []int{-5}, Width: 2}},
 		call{"SampleNeighbors/huge count", MSampleNeighbors, SampleRequest{Vertices: vs[:1], Counts: []int{1 << 62}, Width: 2}},
-		call{"SampleNeighbors/huge width", MSampleNeighbors, SampleRequest{Vertices: vs[:1], Width: 1 << 62}},
+		call{"SampleNeighbors/huge width", MSampleNeighbors, SampleRequest{Vertices: vs[:1], Counts: []int{1}, Slots: []int32{0}, Width: 1 << 62}},
+		call{"SampleNeighbors/missing counts", MSampleNeighbors, SampleRequest{Vertices: vs, Slots: []int32{0, 1}, Width: 2}},
+		call{"SampleNeighbors/missing slots", MSampleNeighbors, SampleRequest{Vertices: vs, Counts: []int{1, 1}, Width: 2}},
 		call{"SampleEdges/huge count", MSampleEdges, EdgesRequest{Count: 1 << 62}},
 	)
 	for _, dst := range []graph.ID{1 << 40, -3, 60} {
@@ -70,7 +73,7 @@ func TestHostileRequestsRejected(t *testing.T) {
 			}
 		}
 		var reply SampleReply
-		ok := SampleRequest{Vertices: vs, Counts: []int{1, 2}, Width: 2, Seed: 1}
+		ok := SampleRequest{Vertices: vs, Counts: []int{1, 2}, Slots: []int32{0, 1, 2}, Width: 2, Seed: 1}
 		if err := st.c.Call(context.Background(), 0, MSampleNeighbors, ok, &reply); err != nil {
 			t.Fatalf("well-formed call via %s after hostile ones: %v", st.name, err)
 		}

@@ -26,11 +26,6 @@ type pinState struct {
 	refs  int
 	dead  bool // lease observed lost (eviction); never handed out again
 	edges [][]int64
-	// leased[part] records whether this pin actually holds a server-side
-	// lease on part. A degraded Pin records a down shard's last observed
-	// head WITHOUT leasing it; releasing that epoch anyway would decrement
-	// a lease some other pin holds (nil means every part is leased).
-	leased []bool
 }
 
 // pinManager lives inside Client.
@@ -103,26 +98,12 @@ func (c *Client) Pin() (*sampling.Pin, error) {
 	// so head bookkeeping and error selection stay deterministic.
 	epochs := make([]uint64, c.Assign.P)
 	edges := make([][]int64, c.Assign.P)
-	leased := make([]bool, c.Assign.P)
 	replies := make([]LeaseReply, c.Assign.P)
 	errs := c.scatter(allParts(c.Assign.P), func(i, part int) error {
 		return c.timed(MLease, func() error { return c.T.Lease(part, LeaseRequest{}, &replies[i]) })
 	})
 	for part := 0; part < c.Assign.P; part++ {
 		if err := errs[part]; err != nil {
-			if c.degraded(err) {
-				// Down shard under degradation: pin the last head observed
-				// from it with nil stats — edgeSplit then allocates it zero
-				// TRAVERSE mass and its reads degrade to stale cache
-				// serving. When the shard recovers at a different epoch the
-				// read errors surface as evicted/future and the existing
-				// re-pin path takes over. No lease was taken, so leased[part]
-				// stays false and release paths skip it.
-				epochs[part] = m.heads[part].Load()
-				edges[part] = nil
-				c.degradedDraws.Add(1)
-				continue
-			}
 			// Unwind every lease the round DID take (the scatter contacted
 			// all shards, so later parts may hold leases too), then surface
 			// the lowest-part hard failure.
@@ -141,7 +122,6 @@ func (c *Client) Pin() (*sampling.Pin, error) {
 		}
 		reply := &replies[part]
 		epochs[part] = reply.Epoch
-		leased[part] = true
 		edges[part] = reply.EdgesByType
 		// A lease reply is authoritative about the shard's head, so store
 		// it outright rather than advancing the monotone watermark: after a
@@ -162,7 +142,7 @@ func (c *Client) Pin() (*sampling.Pin, error) {
 	m.mu.Lock()
 	m.seq++
 	pin := &sampling.Pin{Stamp: m.seq, Epochs: epochs}
-	st := &pinState{pin: pin, refs: 1, edges: edges, leased: leased}
+	st := &pinState{pin: pin, refs: 1, edges: edges}
 	m.states[pin] = st
 	old := m.cur
 	m.cur = st
@@ -239,19 +219,9 @@ func (c *Client) Discard(p *sampling.Pin) {
 // releaseLeases best-effort-releases st's per-server leases in one
 // concurrent scatter round; a failed release only delays that epoch's
 // eviction until the ring bound would have anyway (it can never corrupt
-// reads). Parts the pin never leased (degraded pins record a down shard's
-// last head without a lease) are skipped: releasing them would decrement a
-// lease held by another pin on the same epoch, letting the server evict an
-// epoch still in use.
+// reads).
 func (c *Client) releaseLeases(st *pinState) {
-	parts := make([]int, 0, len(st.pin.Epochs))
-	for part := range st.pin.Epochs {
-		if st.leased != nil && !st.leased[part] {
-			continue
-		}
-		parts = append(parts, part)
-	}
-	c.scatter(parts, func(i, part int) error {
+	c.scatter(allParts(len(st.pin.Epochs)), func(i, part int) error {
 		return c.timed(MRelease, func() error {
 			return c.T.Release(part, ReleaseRequest{Epoch: st.pin.Epochs[part]}, &ReleaseReply{})
 		})

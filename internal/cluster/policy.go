@@ -39,8 +39,7 @@ var errBreakerOpen = fmt.Errorf("cluster: breaker open: %w", ErrUnreachable)
 
 // ShardDownError is returned by RetryTransport once a call's retry budget is
 // exhausted (or immediately, while the shard's breaker is open). It carries
-// the shard so degradation layers can count and scope stale serving, and it
-// reports Transient() so pipeline layers above (which cannot import this
+// the shard that failed, and it reports Transient() so pipeline layers above (which cannot import this
 // package's helpers) can classify it through an interface assertion.
 type ShardDownError struct {
 	Part int
@@ -55,7 +54,7 @@ func (e *ShardDownError) Error() string {
 func (e *ShardDownError) Unwrap() error { return e.Err }
 
 // Transient reports that the failure is a delivery failure, not an
-// application error: waiting and retrying (or degrading) is legal.
+// application error: waiting and retrying is legal.
 func (e *ShardDownError) Transient() bool { return true }
 
 // IsShardDown reports whether err is a retry-budget-exhausted (or
@@ -189,8 +188,7 @@ func (b *breaker) current() int {
 // server deduplicates, so "the request executed but the reply was lost"
 // retries cannot double-apply a mutation or leak a lease. Per-shard breakers
 // convert a persistently failing shard into immediate ShardDownError
-// fast-fails, which the client's degradation layer (Client.Degrade) turns
-// into cache-served draws.
+// fast-fails, on which the batch pipeline parks until the shard answers.
 type RetryTransport struct {
 	facade
 	Caller // the inner layer; Close is not retried

@@ -91,18 +91,15 @@
 //     and pinned batches reading now-future epochs re-pin via the existing
 //     evicted/future retry machinery.
 //
-//   - What degrades: with Client.Degrade set, a shard whose retry budget is
-//     exhausted (or whose breaker is open — three-state per-shard health
-//     owned by each RetryTransport; traffic that should share breakers,
-//     such as aligraph-serve's lookups and churn, goes through one
-//     transport) is served from stale cache entries instead of failing
-//     the batch: neighbor hops come from cache-admitted lists via the
-//     slot-pure draw path, attribute rows fall back to zeros, TRAVERSE and
-//     NegativePool skip the dead shard's mass. Every such draw is counted
-//     in Client.DegradedDraws so staleness is visible, never silent.
-//     Without Degrade, the pipeline parks affected batches (capped
-//     backoff, until the shard answers or the pipeline closes) instead of
-//     killing the trainer.
+//   - What parks: a shard whose retry budget is exhausted, or whose
+//     breaker is open (three-state per-shard health owned by each
+//     RetryTransport; traffic that should share breakers, such as
+//     aligraph-serve's lookups and churn, goes through one transport),
+//     fails the read with a transport error. No read answers from data it
+//     did not fetch at its epoch: the batch pipeline parks the affected
+//     batch (capped backoff, until the shard answers or the pipeline
+//     closes) and replays it at the same pin, so fixed-seed training is
+//     bit-identical to a fault-free run.
 //
 //   - What surfaces: application errors from a live server — unknown
 //     vertex, malformed request, evicted/future epoch — are never retried
@@ -117,20 +114,19 @@
 // attribute fills, TRAVERSE/NegativePool scans, Stats refreshes, the pin
 // manager's Lease/Release rounds, and UpdateStream pushes — is built on
 // one scatter-gather primitive (fanout.go): the per-shard sub-requests
-// launch together (a client's rounds are bounded by Client.Fanout, 0
-// meaning all at once and 1 sequential issue; UpdateStream always pushes
-// to every touched shard at once), so a hop costs max over the touched
-// shards' RTTs rather than their sum. What stays sequential is the gather:
-// each sub-request writes only its own reply slot, and the calling
-// goroutine stitches replies back in ascending part order after the round
-// lands. Cache admissions, span observations, pin-head bookkeeping,
-// degraded-draw counting and error aggregation (the lowest-part failure
+// launch together (a single-shard round runs inline), so a hop costs max
+// over the touched shards' RTTs rather than their sum. What stays
+// sequential is the gather: each sub-request writes only its own reply
+// slot, and the calling goroutine stitches replies back in ascending part
+// order after the round lands. Cache admissions, span observations,
+// pin-head bookkeeping and error aggregation (the lowest-part failure
 // wins) therefore happen in exactly the order a sequential client would
 // produce them — and since draws are slot-/seed-pure, reply values are
-// independent of arrival order too, so fixed-seed training is bit-identical
-// with fan-out on or off, faults or no faults. The only ordering the scatter gives up is cross-shard update
-// delivery order, which was never meaningful (different servers, epochs
-// advance independently); per-shard FIFO is preserved.
+// independent of arrival order too, so fixed-seed training is
+// bit-identical, faults or no faults. The only ordering the scatter gives
+// up is cross-shard update delivery order, which was never meaningful
+// (different servers, epochs advance independently); per-shard FIFO is
+// preserved.
 //
 // # Observability
 //
@@ -139,8 +135,8 @@
 // client keeps one histogram per RPC method (count/sum/p50/p99/max — the
 // Metrics() cumulative fields are derived from it) plus per-(edge type, hop)
 // sampling lanes: each NEIGHBORHOOD hop driven through a hop-tagged epoch
-// view records its wall time, RPC fan-out, cache hits, epoch-keyed misses
-// and degraded draws in its own lane (direct calls land in hop 0), so "hop 2
+// view records its wall time, RPC fan-out, cache hits and epoch-keyed
+// misses in its own lane (direct calls land in hop 0), so "hop 2
 // of edge type 1 is slow because its epoch-miss rate doubled" is readable
 // off one snapshot. Servers time every RPC handler and compaction fold and
 // gauge their snapshot store (epoch head/floor/base, overlay-ring occupancy,
@@ -535,9 +531,9 @@ func (s *Server) ServeAttrs(req AttrsRequest, reply *AttrsReply) error {
 // SampleRequest asks for fixed-width uniform neighbor draws executed
 // server-side: instead of shipping a hub's full adjacency list, the server
 // returns Width sampled IDs per requested slot. Vertices are deduplicated
-// by the client; Counts[i] (1 when nil) is how many independent Width-wide
-// draw groups vertex i needs, so repeated batch entries stay uncorrelated
-// without being re-sent.
+// by the client; Counts[i] is how many independent Width-wide draw groups
+// vertex i needs, so repeated batch entries stay uncorrelated without being
+// re-sent. Counts and Slots are required.
 type SampleRequest struct {
 	Vertices []graph.ID
 	Counts   []int
@@ -546,8 +542,7 @@ type SampleRequest struct {
 	// is batch slot Slots[cursor]. Draws are slot-pure — derived from
 	// sampling.SlotRng(Seed, slot) — so the values a slot receives are
 	// identical whether it is drawn here, from a client-side cache hit, or
-	// on a different shard layout. Absent (legacy callers), the server
-	// numbers groups sequentially.
+	// on a different shard layout.
 	Slots    []int32
 	EdgeType graph.EdgeType
 	Width    int
@@ -778,90 +773,66 @@ func (s *Server) maybeCompact() {
 
 // ServeSampleNeighbors handles a server-side fixed-width draw request: the
 // RPC that keeps hub adjacency lists from crossing the network. All draws
-// read one snapshot view. Each draw group derives its stream from its batch
-// slot (sampling.SlotRng) and indexes the vertex's list uniformly, so the
-// values are identical to what a client-side cache hit over the same
-// adjacency would have produced, and a compaction that folds the list into
-// the base does not change them.
+// read one snapshot view. Each draw group is drawn by sampling.DrawSlot
+// from its batch slot, so the values are identical to what a client-side
+// cache hit over the same adjacency would have produced, and a compaction
+// that folds the list into the base does not change them.
 func (s *Server) ServeSampleNeighbors(req SampleRequest, reply *SampleReply) error {
 	defer obsSince(&s.met.rpc[MSampleNeighbors], time.Now())
 	if req.Width <= 0 || req.Width > maxDraws {
 		return fmt.Errorf("cluster: sample width %d out of range [1, %d]", req.Width, maxDraws)
 	}
-	if len(req.Counts) > 0 && len(req.Counts) != len(req.Vertices) {
+	if len(req.Counts) != len(req.Vertices) {
 		return fmt.Errorf("cluster: %d counts for %d vertices", len(req.Counts), len(req.Vertices))
 	}
 	if err := s.checkType(req.EdgeType); err != nil {
 		return err
 	}
 	total, groups := 0, 0
-	for i := range req.Vertices {
-		c := 1
-		if len(req.Counts) > 0 {
-			c = req.Counts[i]
-		}
+	for i, c := range req.Counts {
 		if c < 0 || c > (maxDraws-total)/req.Width {
 			return fmt.Errorf("cluster: count %d at vertex %d: negative, or more than %d draws in one request", c, i, maxDraws)
 		}
 		total += c * req.Width
 		groups += c
 	}
+	if len(req.Slots) != groups {
+		return fmt.Errorf("cluster: %d slots for %d draw groups", len(req.Slots), groups)
+	}
 	view, head, attrHead, err := s.view(req.Pinned, req.Pin)
 	if err != nil {
 		return err
 	}
-	if len(req.Slots) > 0 && len(req.Slots) != groups {
-		return fmt.Errorf("cluster: %d slots for %d draw groups", len(req.Slots), groups)
-	}
-	out := make([]graph.ID, 0, total)
+	out := make([]graph.ID, total)
 	var lists [][]graph.ID
 	var since []uint64
 	if req.WantLists {
 		lists = make([][]graph.ID, len(req.Vertices))
 		since = make([]uint64, len(req.Vertices))
 	}
-	cursor := 0
-	slotOf := func() int {
-		i := cursor
-		cursor++
-		if len(req.Slots) > 0 {
-			return int(req.Slots[i])
-		}
-		return i
-	}
 
 	reply.Epoch = view.Epoch()
 	reply.Head = head
 	reply.AttrHead = attrHead
+	o, cursor := 0, 0
 	for i, v := range req.Vertices {
 		ns, _, ok := view.Neighbors(v, req.EdgeType)
 		if !ok {
 			return fmt.Errorf("cluster: server %d does not own vertex %d", s.ID, v)
 		}
-		c := 1
-		if len(req.Counts) > 0 {
-			c = req.Counts[i]
-		}
-		switch {
-		case len(ns) == 0:
-			cursor += c
-			for k := 0; k < c*req.Width; k++ {
-				out = append(out, v)
-			}
-		case req.WantLists && len(ns) <= req.Width:
-			cursor += c
+		slots := req.Slots[cursor : cursor+req.Counts[i]]
+		cursor += len(slots)
+		if req.WantLists && len(ns) > 0 && len(ns) <= req.Width {
 			lists[i] = append([]graph.ID(nil), ns...)
 			since[i] = view.ChangedAt(v, req.EdgeType)
-		default:
-			for g := 0; g < c; g++ {
-				rng := sampling.SlotRng(req.Seed, slotOf())
-				for k := 0; k < req.Width; k++ {
-					out = append(out, ns[rng.Intn(len(ns))])
-				}
-			}
+			continue
+		}
+		for _, slot := range slots {
+			sampling.DrawSlot(out[o:o+req.Width], v, ns, req.Seed, int(slot))
+			o += req.Width
 		}
 	}
-	reply.Samples = out
+	reply.Samples = out[:o]
 	reply.Lists = lists
 	reply.Since = since
 	return nil

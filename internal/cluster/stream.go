@@ -102,7 +102,7 @@ func (s *UpdateStream) Apply(max int) (int, error) {
 	}
 	parts := sortedParts(byPart)
 	done := make([]int, len(parts)) // delivered prefix length per part
-	errs := scatterGather(len(parts), 0, func(i int) error {
+	errs := scatterGather(len(parts), func(i int) error {
 		for _, k := range byPart[parts[i]] {
 			var reply UpdateReply
 			if err := s.T.Update(taken[k].part, taken[k].req, &reply); err != nil {

@@ -311,20 +311,26 @@ func (tr *LinkTrainer) Train(steps int) ([]float64, error) {
 // fixed-seed inference stream) and encodes it; used by Embed/Score/
 // EmbedAll. All state is call-local — a fresh Context and a fresh Rng
 // seeded with inferenceSeed — so concurrent callers never share buffers
-// or streams, and the same vs always samples the same context.
+// or streams, and the same vs always samples the same context. A feature
+// source that failed to fetch its rows fails the call (nn.Tape.Err).
 func (tr *LinkTrainer) encodeInference(t *nn.Tape, vs []graph.ID) (*nn.Node, *sampling.Context, error) {
+	var ctx *sampling.Context
 	if tr.ContextFn != nil {
-		ctx, err := tr.ContextFn(vs)
-		if err != nil {
+		var err error
+		if ctx, err = tr.ContextFn(vs); err != nil {
 			return nil, nil, err
 		}
-		return tr.Enc.Encode(t, ctx), ctx, nil
+	} else {
+		ctx = new(sampling.Context)
+		if err := tr.nbr.SampleInto(ctx, tr.EdgeType, vs, tr.HopNums, sampling.NewRng(inferenceSeed)); err != nil {
+			return nil, nil, err
+		}
 	}
-	ctx := new(sampling.Context)
-	if err := tr.nbr.SampleInto(ctx, tr.EdgeType, vs, tr.HopNums, sampling.NewRng(inferenceSeed)); err != nil {
+	h := tr.Enc.Encode(t, ctx)
+	if err := t.Err(); err != nil {
 		return nil, nil, err
 	}
-	return tr.Enc.Encode(t, ctx), ctx, nil
+	return h, ctx, nil
 }
 
 // Embed encodes vertices for inference (no gradient is consumed). Safe for

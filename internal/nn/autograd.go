@@ -82,11 +82,16 @@ func (n *Node) Grad() *tensor.Matrix { return n.grad }
 // first and each in the order it was recorded. Every Param.Grad element
 // therefore receives the same additions in the same order as on the single
 // tape, and the bits match it.
+//
+// A leaf producer that cannot produce its value (a feature source whose
+// rows sit behind a failed network fetch) records the failure with Fail;
+// the tape's owner checks Err before using the forward pass's result.
 type Tape struct {
 	nodes []*Node
 	forks []*Tape
 	fork  bool
 	log   []gradWrite // a fork's deferred parameter-gradient writes
+	err   error
 }
 
 // gradWrite is one logged contribution to a parameter's gradient.
@@ -97,6 +102,16 @@ type gradWrite struct {
 
 // NewTape creates an empty tape.
 func NewTape() *Tape { return &Tape{} }
+
+// Fail records err as the tape's failure; the first one recorded wins.
+func (t *Tape) Fail(err error) {
+	if t.err == nil {
+		t.err = err
+	}
+}
+
+// Err reports the failure recorded on t with Fail, or nil.
+func (t *Tape) Err() error { return t.err }
 
 // Fork returns a child tape whose nodes precede the parent's in backward
 // order; see Tape for the contract.

@@ -146,21 +146,26 @@ func (s *GraphSource) SampleBatch(dst []graph.ID, vs []graph.ID, t graph.EdgeTyp
 	if len(dst) != len(vs)*width {
 		return fmt.Errorf("sampling: SampleBatch dst length %d, want %d", len(dst), len(vs)*width)
 	}
-	o := 0
 	for slot, v := range vs {
-		ns := s.G.OutNeighbors(v, t)
-		rng := SlotRng(seed, slot)
-		if len(ns) == 0 {
-			for i := 0; i < width; i++ {
-				dst[o] = v
-				o++
-			}
-			continue
-		}
-		for i := 0; i < width; i++ {
-			dst[o] = ns[rng.Intn(len(ns))]
-			o++
-		}
+		DrawSlot(dst[slot*width:(slot+1)*width], v, s.G.OutNeighbors(v, t), seed, slot)
 	}
 	return nil
+}
+
+// DrawSlot fills dst with batch slot slot's uniform neighbour draws: each
+// entry indexes ns under SlotRng(seed, slot), and an empty ns pads dst with
+// v itself. It is the one draw rule of the seam: GraphSource, the graph
+// server and the cluster client's cache hits all draw through it, so their
+// draws are bit-identical by construction.
+func DrawSlot(dst []graph.ID, v graph.ID, ns []graph.ID, seed uint64, slot int) {
+	if len(ns) == 0 {
+		for i := range dst {
+			dst[i] = v
+		}
+		return
+	}
+	rng := SlotRng(seed, slot)
+	for i := range dst {
+		dst[i] = ns[rng.Intn(len(ns))]
+	}
 }

@@ -65,7 +65,7 @@ func (s *Server) revalidate(stale []storage.StaleEntry) {
 	heads := s.cl.ObservedHeads(nil)
 	adj, attr, upto, err := s.cl.SinceOf(union, s.cfg.EdgeType)
 	if err != nil {
-		return // degraded proofs are worthless; recompute via the dirty path
+		return // no proof without every shard's stamps; recompute via the dirty path
 	}
 	cand := make([]uint64, s.parts)
 	has := make([]bool, s.parts)

@@ -155,8 +155,8 @@ type request struct {
 // cache then has a single never-advancing shard clock (entries are valid
 // forever) and ApplyUpdate is unavailable. With a client, the cache's
 // invalidation frontier is seeded from a head probe so scoped invalidation
-// is effective from the first request; if the probe fails (all shards
-// degraded) the tier still starts, falling back to the pure lag bound.
+// is effective from the first request; if the probe fails (a shard is
+// down) the tier still starts, falling back to the pure lag bound.
 func New(emb Embedder, cl *cluster.Client, cfg Config) *Server {
 	cfg.defaults()
 	parts := 1

@@ -35,12 +35,6 @@ type NeighborCache interface {
 	// otherwise classifies the miss: no entry (KindMiss), or an entry
 	// invalid at that epoch (KindEpochMiss).
 	Get(v graph.ID, t graph.EdgeType, h int, epoch uint64) ([]graph.ID, GetKind)
-	// GetStale returns the cached hop-h type-t list of v ignoring epoch
-	// validity, and whether any entry was present. Clients use it only for
-	// graceful degradation while a shard is unreachable: a stale neighbor
-	// list beats failing the batch, and every such read is counted
-	// (Client.DegradedDraws) so the staleness is visible rather than silent.
-	GetStale(v graph.ID, t graph.EdgeType, h int) ([]graph.ID, bool)
 	// Observe notifies the cache of a fetch result so replacing strategies
 	// can admit it and every strategy can track validity: the list was
 	// served at `epoch` and was installed at `since` (since <= epoch).
@@ -229,13 +223,6 @@ func (c *StaticCache) Get(v graph.ID, t graph.EdgeType, h int, epoch uint64) ([]
 	}
 }
 
-func (c *StaticCache) GetStale(v graph.ID, t graph.EdgeType, h int) ([]graph.ID, bool) {
-	if e, ok := c.entries[hopKey(v, t, h)]; ok {
-		return e.nbrs, true
-	}
-	return nil, false
-}
-
 // Observe re-validates: an existing hop-1 entry whose install stamp matches
 // the reply's Since is the same list, so its validity extends to the
 // serving epoch; anything else is ignored.
@@ -334,17 +321,6 @@ func (c *LRUNeighborCache) Observe(v graph.ID, t graph.EdgeType, h int, epoch, s
 	c.lru.Put(key, &lruEntryVal{nbrs: nbrs, since: since, through: epoch})
 }
 
-// GetStale counts as neither hit nor miss, since no valid-at-epoch answer
-// was requested.
-func (c *LRUNeighborCache) GetStale(v graph.ID, t graph.EdgeType, h int) ([]graph.ID, bool) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	if e, ok := c.lru.Get(hopKey(v, t, h)); ok {
-		return e.nbrs, true
-	}
-	return nil, false
-}
-
 func (c *LRUNeighborCache) Admits() bool { return true }
 
 // Flush drops every entry (epoch numbering restarted on a shard); the
@@ -392,7 +368,6 @@ func (c *LRUNeighborCache) HitRate() float64 {
 type NoCache struct{}
 
 func (NoCache) Get(graph.ID, graph.EdgeType, int, uint64) ([]graph.ID, GetKind)   { return nil, KindMiss }
-func (NoCache) GetStale(graph.ID, graph.EdgeType, int) ([]graph.ID, bool)         { return nil, false }
 func (NoCache) Observe(graph.ID, graph.EdgeType, int, uint64, uint64, []graph.ID) {}
 func (NoCache) Admits() bool                                                      { return false }
 func (NoCache) Flush()                                                            {}

@@ -20,8 +20,7 @@
 //
 // The seam is one interface, and every cache implements all of it: Get
 // classifies its misses (absent entry or epoch miss) for the client's
-// per-lane counters, GetStale serves degraded reads while a shard is down,
-// Admits tells producers whether full lists are worth shipping, and Flush
+// per-lane counters, Admits tells producers whether full lists are worth shipping, and Flush
 // drops validity state when a shard's epoch numbering restarts. The
 // implementations are NoCache, the StaticCache (importance-selected, or
 // random for the Figure 9 baseline) and the LRUNeighborCache.
