@@ -306,7 +306,7 @@ func newSAGEEncoder(feat core.FeatureSource, cfg TrainConfig, rng *rand.Rand) *c
 		enc.Agg = append(enc.Agg, agg)
 		act := nn.ActReLU
 		if k == len(cfg.HopNums)-1 {
-			act = nil // linear output layer
+			act = nn.ActIdentity // linear output layer
 		}
 		enc.Comb = append(enc.Comb, operator.NewConcatCombinerAct("comb", in, cfg.Dim, cfg.Dim, act, rng))
 		in = cfg.Dim

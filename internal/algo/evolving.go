@@ -259,7 +259,7 @@ func MultiClassLinkEval(m DynamicModel, s *dataset.DynamicSeries, seed int64) (m
 
 	rng := rand.New(rand.NewSource(seed))
 	featDim := len(m.Features(0, 0))
-	clf := nn.NewDense("clf", featDim, classes, nil, rng)
+	clf := nn.NewDense("clf", featDim, classes, nn.ActIdentity, rng)
 	opt := nn.NewAdam(0.05)
 	X := tensor.New(len(trainEdges), featDim)
 	y := make([]int, len(trainEdges))

@@ -185,7 +185,7 @@ func buildEncoder(g *graph.Graph, cfg GNNConfig, mkAgg func(name string, in, out
 		enc.Agg = append(enc.Agg, agg)
 		act := nn.ActReLU
 		if k == len(cfg.HopNums)-1 {
-			act = nil // linear output layer
+			act = nn.ActIdentity // linear output layer
 		}
 		enc.Comb = append(enc.Comb, operator.NewConcatCombinerAct("comb", in, agg.OutDim(), cfg.Dim, act, rng))
 		in = cfg.Dim

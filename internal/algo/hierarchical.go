@@ -69,9 +69,9 @@ func (h *Hierarchical) Fit(g *graph.Graph) error {
 
 	x := nn.NewParamGaussian("hier.x", n, h.Dim, 0.1, rng)
 	gnn1 := nn.NewDense("hier.gnn1", h.Dim, h.Dim, nn.ActReLU, rng)
-	pool := nn.NewDense("hier.pool", h.Dim, h.Clusters, nil, rng)
+	pool := nn.NewDense("hier.pool", h.Dim, h.Clusters, nn.ActIdentity, rng)
 	gnn2 := nn.NewDense("hier.gnn2", h.Dim, h.Dim, nn.ActReLU, rng)
-	out := nn.NewDense("hier.out", 2*h.Dim, h.Dim, nil, rng)
+	out := nn.NewDense("hier.out", 2*h.Dim, h.Dim, nn.ActIdentity, rng)
 	params := []*nn.Param{x}
 	for _, l := range []*nn.Dense{gnn1, pool, gnn2, out} {
 		params = append(params, l.Params()...)
@@ -95,7 +95,7 @@ func (h *Hierarchical) Fit(g *graph.Graph) error {
 		z2 := gnn2.Forward(t, t.MatMul(a2, x2)) // K x d
 		// Distribute cluster embeddings back: S @ Z2 (n x d).
 		up := t.MatMul(s, z2)
-		return out.Forward(t, t.Concat(z, up))
+		return out.Forward(t, z, up)
 	}
 
 	for step := 0; step < h.Steps; step++ {

@@ -67,7 +67,7 @@ func (d *DAE) FitRec(sp *RecSplit) error {
 	d.inter = interactionMatrix(sp.Train, sp.Users, sp.Items, sp.EdgeType)
 	nItems := len(sp.Items)
 	d.mlpIn = nn.NewDense("dae.enc", nItems, d.Hidden, nn.ActTanh, rng)
-	d.mlpOut = nn.NewDense("dae.dec", d.Hidden, nItems, nil, rng)
+	d.mlpOut = nn.NewDense("dae.dec", d.Hidden, nItems, nn.ActIdentity, rng)
 	params := append(d.mlpIn.Params(), d.mlpOut.Params()...)
 	opt := nn.NewAdam(d.LR)
 
@@ -175,8 +175,8 @@ func (v *BetaVAE) FitRec(sp *RecSplit) error {
 	v.inter = interactionMatrix(sp.Train, sp.Users, sp.Items, sp.EdgeType)
 	nItems := len(sp.Items)
 	v.enc = nn.NewDense("vae.enc", nItems, v.Hidden, nn.ActTanh, rng)
-	v.mu = nn.NewDense("vae.mu", v.Hidden, v.Latent, nil, rng)
-	v.logvar = nn.NewDense("vae.logvar", v.Hidden, v.Latent, nil, rng)
+	v.mu = nn.NewDense("vae.mu", v.Hidden, v.Latent, nn.ActIdentity, rng)
+	v.logvar = nn.NewDense("vae.logvar", v.Hidden, v.Latent, nn.ActIdentity, rng)
 	v.dec = nn.NewMLP("vae.dec", []int{v.Latent, v.Hidden, nItems}, nn.ActTanh, rng)
 	params := append(append(append(v.enc.Params(), v.mu.Params()...), v.logvar.Params()...), v.dec.Params()...)
 	opt := nn.NewAdam(v.LR)

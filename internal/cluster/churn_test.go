@@ -50,7 +50,7 @@ func churnEncoder(n int, hops []int, rng *rand.Rand) *core.Encoder {
 		enc.Agg = append(enc.Agg, operator.NewMeanAggregator("agg", in, dim, rng))
 		act := nn.ActReLU
 		if k == len(hops)-1 {
-			act = nil
+			act = nn.ActIdentity
 		}
 		enc.Comb = append(enc.Comb, operator.NewConcatCombinerAct("comb", in, dim, dim, act, rng))
 		in = dim

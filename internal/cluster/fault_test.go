@@ -3,9 +3,12 @@ package cluster
 import (
 	"context"
 	"errors"
+	"fmt"
+	"math"
 	"math/rand"
 	"runtime"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -198,48 +201,102 @@ func TestPermanentShardBlackoutParks(t *testing.T) {
 // TestNegativePoolEpochRefresh: with NegRefresh set, the trainer rebuilds
 // its negative pool once the observed head epoch outruns the pool by the
 // threshold — the pool follows a streaming graph instead of staying frozen
-// at construction.
+// at construction — and a transient failure of the refresh parks the batch
+// instead of drawing from the old pool, so fixed-seed losses do not depend
+// on the fault.
 func TestNegativePoolEpochRefresh(t *testing.T) {
 	g := churnTestGraph(160)
 	cfg := faultTrainerConfig()
 	cfg.NegRefresh = 2
 	trn, c, servers := newFaultTrainer(t, g, 21, storage.NoCache{}, nil, cfg)
+	// The same trainer again, whose refresh-round NegativePool call fails
+	// once with a delivery failure: the batch parks and replays, so its
+	// losses must match the fault-free trainer's bit for bit.
+	var flaky *flakyNegPool
+	ftrn, fc, fservers := newFaultTrainer(t, g, 21, storage.NoCache{}, func(inner Caller) Transport {
+		flaky = &flakyNegPool{Caller: inner}
+		return NewRetryTransport(flaky, 2, CallPolicy{Attempts: 1}, 1)
+	}, cfg)
 
-	if _, err := trn.Train(3); err != nil {
-		t.Fatal(err)
+	var want, got []float64
+	train := func(steps int) {
+		t.Helper()
+		w, err := trn.Train(steps)
+		if err != nil {
+			t.Fatal(err)
+		}
+		g, err := ftrn.Train(steps)
+		if err != nil {
+			t.Fatal(err)
+		}
+		want, got = append(want, w...), append(got, g...)
 	}
-	if trn.NegRebuilds() != 0 {
-		t.Fatalf("pool rebuilt before any update: %d", trn.NegRebuilds())
+	train(3)
+	if trn.NegRebuilds() != 0 || ftrn.NegRebuilds() != 0 {
+		t.Fatalf("pool rebuilt before any update: %d, %d", trn.NegRebuilds(), ftrn.NegRebuilds())
 	}
 
-	// Advance shard epochs past the threshold with churn-type updates on
-	// vertices each server owns.
-	for part, srv := range servers {
-		local := make([]graph.ID, 0, 2)
-		for v := range c.Assign.Of {
-			if c.Assign.Of[v] == part {
-				local = append(local, graph.ID(v))
-				if len(local) == 2 {
-					break
+	// Advance shard epochs past the threshold with updates on vertices each
+	// server owns, identically on both clusters. The edges have the trained
+	// type, so the refreshed pool differs from the old one.
+	for _, cl := range []struct {
+		c       *Client
+		servers []*Server
+	}{{c, servers}, {fc, fservers}} {
+		for part, srv := range cl.servers {
+			local := make([]graph.ID, 0, 2)
+			for v := range cl.c.Assign.Of {
+				if cl.c.Assign.Of[v] == part {
+					local = append(local, graph.ID(v))
+					if len(local) == 2 {
+						break
+					}
+				}
+			}
+			for i := 0; i < 3; i++ {
+				req := UpdateRequest{Add: []RawEdge{{Src: local[0], Dst: local[1], Type: 0, Weight: 1}}}
+				if err := srv.ServeUpdate(req, &UpdateReply{}); err != nil {
+					t.Fatal(err)
 				}
 			}
 		}
-		for i := 0; i < 3; i++ {
-			req := UpdateRequest{Add: []RawEdge{{Src: local[0], Dst: local[1], Type: 1, Weight: 1}}}
-			if err := srv.ServeUpdate(req, &UpdateReply{}); err != nil {
-				t.Fatal(err)
-			}
-		}
 	}
 
-	// The first post-update batch observes the new heads (reply watermarks),
-	// and the next one refreshes the pool.
-	if _, err := trn.Train(4); err != nil {
-		t.Fatal(err)
-	}
+	// The first post-update batch observes the new heads (reply watermarks)
+	// in its TRAVERSE and refreshes the pool before drawing negatives; on
+	// the flaky cluster that refresh fails once.
+	flaky.armed.Store(true)
+	train(4)
 	if trn.NegRebuilds() == 0 {
 		t.Fatalf("observed head advanced to %d but the negative pool was never rebuilt", c.MaxObservedHead())
 	}
+	if ftrn.NegRebuilds() != trn.NegRebuilds() {
+		t.Fatalf("flaky trainer rebuilt the pool %d times, fault-free one %d", ftrn.NegRebuilds(), trn.NegRebuilds())
+	}
+	if n := flaky.fails.Load(); n != 1 {
+		t.Fatalf("NegativePool failed %d times, want 1", n)
+	}
+	for i := range want {
+		if math.Float64bits(got[i]) != math.Float64bits(want[i]) {
+			t.Fatalf("step %d: loss %v after a failed refresh, %v fault-free", i, got[i], want[i])
+		}
+	}
+}
+
+// flakyNegPool wraps a Caller, failing the first NegativePool call after
+// armed is set with a delivery failure.
+type flakyNegPool struct {
+	Caller
+	armed atomic.Bool
+	fails atomic.Int32
+}
+
+func (f *flakyNegPool) Call(ctx context.Context, part int, m Method, req, reply any) error {
+	if m == MNegativePool && f.armed.CompareAndSwap(true, false) {
+		f.fails.Add(1)
+		return fmt.Errorf("injected NegativePool failure: %w", ErrUnreachable)
+	}
+	return f.Caller.Call(ctx, part, m, req, reply)
 }
 
 // errStats wraps a Caller, failing Stats with a non-transient

@@ -25,7 +25,7 @@ func BenchmarkTrainStep(b *testing.B) {
 	for k := range hops {
 		act := nn.ActReLU
 		if k == len(hops)-1 {
-			act = nil
+			act = nn.ActIdentity
 		}
 		enc.Agg = append(enc.Agg, operator.NewMeanAggregator("agg", in, 32, rng))
 		enc.Comb = append(enc.Comb, operator.NewConcatCombinerAct("comb", in, 32, 32, act, rng))

@@ -185,8 +185,9 @@ func (tr *LinkTrainer) NegRebuilds() int64 { return tr.negRebuilds.Load() }
 // the edge batch succeeds and before negatives are drawn: the rebuild
 // consumes no rng draws (the alias table is deterministic in the pool), so
 // the negative draw stream continues uninterrupted over the new pool. A
-// transient fetch failure skips the refresh — serving draws from the stale
-// pool IS the degraded mode — while an application error surfaces.
+// fetch failure is returned like any other: a transient one parks the batch,
+// whose replay keeps its edge seed and has drawn no negative yet, so it
+// refreshes and draws exactly as a fault-free run does.
 func (tr *LinkTrainer) maybeRefreshNegatives() error {
 	if tr.NegRefresh == 0 {
 		return nil
@@ -197,9 +198,6 @@ func (tr *LinkTrainer) maybeRefreshNegatives() error {
 	}
 	cands, counts, err := tr.Env.NegativePool(tr.EdgeType)
 	if err != nil {
-		if transientErr(err) {
-			return nil
-		}
 		return err
 	}
 	tr.neg = sampling.NewNegativeFromPool(cands, sampling.UnigramWeights(counts), tr.neg.Rng)

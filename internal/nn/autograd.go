@@ -50,9 +50,10 @@ type Node struct {
 	Val  *tensor.Matrix
 	grad *tensor.Matrix
 
-	needs bool   // participates in backprop
-	back  func() // accumulates into input grads; nil for leaves
-	param *Param // non-nil for parameter leaves
+	needs   bool   // participates in backprop
+	written bool   // a contribution has been written to grad
+	back    func() // accumulates into input grads; nil for leaves
+	param   *Param // non-nil for parameter leaves
 }
 
 // Grad exposes the accumulated gradient of a node after Backward; intended
@@ -61,9 +62,16 @@ func (n *Node) Grad() *tensor.Matrix { return n.grad }
 
 // Tape records operations in execution order so Backward can replay them in
 // reverse. A tape serves one forward/backward pass and is then discarded.
-// Every op allocates its output afresh, and zeroing those allocations is a
+// Every op allocates its output afresh, and allocating and zeroing are a
 // measurable share of a training step, so only Backward allocates gradient
-// buffers: a forward-only tape (inference, evaluation) allocates none.
+// buffers (a forward-only tape, as in inference and evaluation, allocates
+// none). One rule keeps product kernels from building temporaries: when a
+// kernel's result is the first contribution to a node's gradient, the
+// kernel writes it straight into the fresh, all-zero buffer; any later
+// contribution, and any to a parameter, goes through a temporary that is
+// then added (see accumKernel). Either way every element gets the bits of
+// temporary-plus-add, and a second Backward accumulates into the buffers
+// the first one left.
 //
 // A tape that holds no nodes yet may be forked, so that independent
 // sub-graphs are recorded and differentiated on their own goroutines. The
@@ -147,16 +155,35 @@ func (t *Tape) Use(p *Param) *Node {
 }
 
 // accum applies one gradient contribution, add, to the gradient of the
-// input n; it is the only way an op writes an input's gradient. A
-// parameter's gradient goes through accumParam. Any other buffer is
-// allocated on first write, which is how a fork's output gains its buffer
-// when the parent unwinds first.
+// input n; it is the only way an op writes an input's gradient besides
+// accumKernel. A parameter's gradient goes through accumParam. Any other
+// buffer is allocated on first write, which is how a fork's output gains its
+// buffer when the parent unwinds first.
 func (t *Tape) accum(n *Node, add func(g *tensor.Matrix)) {
 	if n.param != nil {
 		t.accumParam(n.param, add)
 		return
 	}
 	add(n.gradBuf())
+	n.written = true
+}
+
+// accumKernel applies one gradient contribution that kernel computes by
+// accumulating into an all-zero matrix of n's shape. The first contribution
+// to a node's gradient finds its buffer freshly allocated, all +0: kernel
+// writes into it, which leaves exactly what a temporary added to it would
+// (a sum that starts at +0 is never −0, and +0 + s = s). Otherwise kernel
+// fills a temporary and accum adds it, which keeps a parameter's write on a
+// fork deferred and a second Backward accumulating.
+func (t *Tape) accumKernel(n *Node, kernel func(dst *tensor.Matrix)) {
+	if n.param == nil && !n.written {
+		kernel(n.gradBuf())
+		n.written = true
+		return
+	}
+	tmp := tensor.New(n.Val.Rows, n.Val.Cols)
+	kernel(tmp)
+	t.accum(n, addMatrix(tmp))
 }
 
 // accumParam applies add to p.Grad, or on a fork logs it for the parent to
@@ -205,6 +232,7 @@ func (t *Tape) Backward(loss *Node) {
 		return // loss does not depend on any parameter
 	}
 	loss.gradBuf().Data[0] = 1
+	loss.written = true
 	t.unwind()
 	var wg sync.WaitGroup
 	for _, f := range t.forks {

@@ -1,19 +1,77 @@
 package nn
 
 import (
+	"math"
 	"math/rand"
 
 	"repro/internal/tensor"
 )
 
-// Dense is a fully connected layer y = act(x @ W + b).
+// Activation is a Dense layer's element-wise nonlinearity, which the layer
+// applies and differentiates itself. The zero value is the identity.
+type Activation uint8
+
+const (
+	ActIdentity Activation = iota
+	ActReLU
+	ActTanh
+)
+
+// apply replaces every element of m with its activation: Tape.ReLU's and
+// Tape.Tanh's forward functions, in place. ReLU leaves a positive element
+// as it is, which is what math.Max(0, v) returns for it.
+func (a Activation) apply(m *tensor.Matrix) {
+	switch a {
+	case ActReLU:
+		for i, v := range m.Data {
+			if !(v > 0) {
+				m.Data[i] = math.Max(0, v)
+			}
+		}
+	case ActTanh:
+		for i, v := range m.Data {
+			m.Data[i] = math.Tanh(v)
+		}
+	}
+}
+
+// grad returns the gradient with respect to the pre-activation z given the
+// output y and its gradient g. For the identity that is g itself; otherwise
+// a fresh matrix holding +0 + g·act′, the bits Tape.ReLU's and Tape.Tanh's
+// backward write into their input's fresh gradient buffer. ReLU's
+// derivative reads y > 0, which holds exactly when z > 0.
+func (a Activation) grad(y, g *tensor.Matrix) *tensor.Matrix {
+	if a == ActIdentity {
+		return g
+	}
+	dz := tensor.New(g.Rows, g.Cols)
+	switch a {
+	case ActReLU:
+		for i, gv := range g.Data {
+			var d float64
+			if y.Data[i] > 0 {
+				d = 1
+			}
+			dz.Data[i] += gv * d
+		}
+	case ActTanh:
+		for i, gv := range g.Data {
+			yv := y.Data[i]
+			dz.Data[i] += gv * (1 - yv*yv)
+		}
+	}
+	return dz
+}
+
+// Dense is a fully connected layer y = act(x @ W + b) and one tape node:
+// the operator of Section 3.4 with its forward and backward computation.
 type Dense struct {
 	W, B *Param
-	Act  func(t *Tape, n *Node) *Node // nil = identity
+	Act  Activation
 }
 
 // NewDense creates a dense layer with Xavier init.
-func NewDense(name string, in, out int, act func(*Tape, *Node) *Node, rng *rand.Rand) *Dense {
+func NewDense(name string, in, out int, act Activation, rng *rand.Rand) *Dense {
 	return &Dense{
 		W:   NewParam(name+".W", in, out, rng),
 		B:   NewParamZero(name+".b", 1, out),
@@ -21,21 +79,64 @@ func NewDense(name string, in, out int, act func(*Tape, *Node) *Node, rng *rand.
 	}
 }
 
-// Forward applies the layer on the tape.
-func (d *Dense) Forward(t *Tape, x *Node) *Node {
-	h := t.AddBias(t.MatMul(x, t.Use(d.W)), t.Use(d.B))
-	if d.Act != nil {
-		h = d.Act(t, h)
+// Forward applies the layer to the input x = [xs[0] || xs[1] || ...], the
+// column blocks Concat would join, without building x: block p is
+// multiplied by the matching row block W_p of W, the products accumulate in
+// one buffer, and the bias and activation are applied to it in place. The
+// output and every gradient have the bits of MatMul, AddBias and the
+// activation over Concat(xs...), which record up to four nodes and two
+// parameter leaves where the layer records one node.
+//
+// Backward forms the pre-activation gradient dz and writes from it the
+// bias gradient, each block's input gradient dz @ W_pᵀ (through
+// accumKernel, so a block's first contribution lands in its fresh buffer)
+// and W's gradient, whose row block p is x_pᵀ @ dz.
+func (d *Dense) Forward(t *Tape, xs ...*Node) *Node {
+	rows := xs[0].Val.Rows
+	val := tensor.New(rows, d.W.Val.Cols)
+	off := 0
+	for _, x := range xs {
+		tensor.MatMulAdd(val, x.Val, d.W.Val.RowSlice(off, off+x.Val.Cols))
+		off += x.Val.Cols
 	}
-	return h
+	if off != d.W.Val.Rows {
+		panic("nn: Dense input width does not match W's rows")
+	}
+	for i := 0; i < rows; i++ {
+		row := val.Row(i)
+		for j, bv := range d.B.Val.Row(0) {
+			row[j] += bv
+		}
+	}
+	d.Act.apply(val)
+	out := t.node(val, true, nil)
+	out.back = func() {
+		dz := d.Act.grad(val, out.grad)
+		t.accumParam(d.B, func(bg *tensor.Matrix) {
+			brow := bg.Row(0)
+			for i := 0; i < dz.Rows; i++ {
+				for j, gv := range dz.Row(i) {
+					brow[j] += gv
+				}
+			}
+		})
+		gw := tensor.New(d.W.Val.Rows, d.W.Val.Cols)
+		off := 0
+		for _, x := range xs {
+			lo, hi := off, off+x.Val.Cols
+			if x.needs {
+				t.accumKernel(x, func(g *tensor.Matrix) { tensor.MatMulTransBAdd(g, dz, d.W.Val.RowSlice(lo, hi)) })
+			}
+			tensor.MatMulTransAAdd(gw.RowSlice(lo, hi), x.Val, dz)
+			off = hi
+		}
+		t.accumParam(d.W, addMatrix(gw))
+	}
+	return out
 }
 
 // Params returns the trainable parameters.
 func (d *Dense) Params() []*Param { return []*Param{d.W, d.B} }
-
-// ActReLU and ActTanh are activation adapters for Dense.
-func ActReLU(t *Tape, n *Node) *Node { return t.ReLU(n) }
-func ActTanh(t *Tape, n *Node) *Node { return t.Tanh(n) }
 
 // MLP is a stack of dense layers.
 type MLP struct {
@@ -44,10 +145,10 @@ type MLP struct {
 
 // NewMLP builds dims[0] -> dims[1] -> ... with act on all but the last
 // layer.
-func NewMLP(name string, dims []int, act func(*Tape, *Node) *Node, rng *rand.Rand) *MLP {
+func NewMLP(name string, dims []int, act Activation, rng *rand.Rand) *MLP {
 	m := &MLP{}
 	for i := 0; i+1 < len(dims); i++ {
-		var a func(*Tape, *Node) *Node
+		a := ActIdentity
 		if i+2 < len(dims) {
 			a = act
 		}

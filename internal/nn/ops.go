@@ -9,8 +9,9 @@ import (
 // This file defines the differentiable operations recorded on the tape.
 // Every op computes its value eagerly and registers a closure that
 // accumulates gradients into its inputs when the tape unwinds, each write
-// through Tape.accum. The costly part of a contribution (a product kernel)
-// runs before the write, so on a fork only the final add is deferred.
+// through Tape.accum or, for a product kernel, Tape.accumKernel. The costly
+// part of a contribution (a product kernel) runs before the write, so on a
+// fork only the final add is deferred.
 
 // addMatrix returns a gradient write that adds m element-wise.
 func addMatrix(m *tensor.Matrix) func(g *tensor.Matrix) {
@@ -49,10 +50,10 @@ func (t *Tape) MatMul(a, b *Node) *Node {
 	if needs {
 		out.back = func() {
 			if a.needs {
-				t.accum(a, addMatrix(tensor.MatMulTransB(out.grad, b.Val)))
+				t.accumKernel(a, func(g *tensor.Matrix) { tensor.MatMulTransBAdd(g, out.grad, b.Val) })
 			}
 			if b.needs {
-				t.accum(b, addMatrix(tensor.MatMulTransA(a.Val, out.grad)))
+				t.accumKernel(b, func(g *tensor.Matrix) { tensor.MatMulTransAAdd(g, a.Val, out.grad) })
 			}
 		}
 	}

@@ -3,10 +3,11 @@
 // reduces the aligned neighbor embeddings produced by NEIGHBORHOOD sampling
 // (B*K x d, K per vertex) into one vector per vertex (B x d); a Combiner
 // merges a vertex's previous-hop embedding with the aggregated neighborhood
-// into the next-hop embedding. All operators are differentiable: forward
-// builds tape nodes, backward is handled by the autograd engine, matching
+// into the next-hop embedding. All operators are differentiable, matching
 // the paper's "a typical operator is made up of forward and backward
-// computations".
+// computations": each one's dense layer (nn.Dense) is one tape node that
+// carries its own forward and backward computation, and the autograd engine
+// chains those nodes with the reductions around them.
 package operator
 
 import (
@@ -206,7 +207,7 @@ type SumCombinerProj struct {
 
 // NewSumCombinerProj creates a projecting sum combiner dSelf -> out.
 func NewSumCombinerProj(name string, dSelf, out int, rng *rand.Rand) *SumCombinerProj {
-	return &SumCombinerProj{proj: nn.NewDense(name+".proj", dSelf, out, nil, rng), out: out}
+	return &SumCombinerProj{proj: nn.NewDense(name+".proj", dSelf, out, nn.ActIdentity, rng), out: out}
 }
 
 // Name implements Combiner.
@@ -224,7 +225,9 @@ func (c *SumCombinerProj) Params() []*nn.Param { return c.proj.Params() }
 func (c *SumCombinerProj) OutDim() int { return c.out }
 
 // ConcatCombiner computes act(W[self || neigh] + b), the GraphSAGE
-// combine.
+// combine. self and neigh reach the dense layer as two column blocks, each
+// multiplied by its own row block of W, so the concatenation and its
+// gradient are never built.
 type ConcatCombiner struct {
 	dense *nn.Dense
 	out   int
@@ -236,10 +239,10 @@ func NewConcatCombiner(name string, d1, d2, out int, rng *rand.Rand) *ConcatComb
 }
 
 // NewConcatCombinerAct creates a concat combiner with an explicit
-// activation (nil = linear). Final-hop combiners should be linear: a ReLU
+// activation (nn.ActIdentity = linear). Final-hop combiners should be linear: a ReLU
 // output layer dies under the negative-sampling objective, which pushes
 // most pair scores negative.
-func NewConcatCombinerAct(name string, d1, d2, out int, act func(*nn.Tape, *nn.Node) *nn.Node, rng *rand.Rand) *ConcatCombiner {
+func NewConcatCombinerAct(name string, d1, d2, out int, act nn.Activation, rng *rand.Rand) *ConcatCombiner {
 	return &ConcatCombiner{dense: nn.NewDense(name+".comb", d1+d2, out, act, rng), out: out}
 }
 
@@ -248,7 +251,7 @@ func (c *ConcatCombiner) Name() string { return "concat" }
 
 // Combine implements Combiner.
 func (c *ConcatCombiner) Combine(t *nn.Tape, self, neigh *nn.Node) *nn.Node {
-	return c.dense.Forward(t, t.Concat(self, neigh))
+	return c.dense.Forward(t, self, neigh)
 }
 
 // Params implements Combiner.

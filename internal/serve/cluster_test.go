@@ -56,7 +56,7 @@ func clusterFixtureT(tb testing.TB, n int, wrap func(cluster.Caller) cluster.Tra
 		enc.Agg = append(enc.Agg, operator.NewMeanAggregator("agg", in, dim, rng))
 		act := nn.ActReLU
 		if k == len(hops)-1 {
-			act = nil
+			act = nn.ActIdentity
 		}
 		enc.Comb = append(enc.Comb, operator.NewConcatCombinerAct("comb", in, dim, dim, act, rng))
 		in = dim

@@ -89,16 +89,45 @@ func TestMatMulKernelsBitExact(t *testing.T) {
 		a := kernelInput(rng, n, k)
 		b := kernelInput(rng, k, m)
 		sameBits(t, name+" MatMul", MatMul(a, b), matMulNaive(a, b))
-		into := New(n, m)
-		into.Fill(7) // MatMulInto overwrites
-		MatMulInto(into, a, b)
-		sameBits(t, name+" MatMulInto", into, matMulNaive(a, b))
 
 		bt := kernelInput(rng, m, k)
 		sameBits(t, name+" MatMulTransB", MatMulTransB(a, bt), matMulTransBDot(a, bt))
 
 		c := kernelInput(rng, n, m)
 		sameBits(t, name+" MatMulTransA", MatMulTransA(a, c), matMulNaive(a.Transpose(), c))
+	}
+}
+
+// TestMatMulAddColumnBlocksBitExact splits the inner dimension k into two
+// blocks, as a dense layer over [x1 || x2] does: the Add kernels applied
+// block by block (a's column blocks against b's row blocks) give the bits
+// of the kernels over the whole operands.
+func TestMatMulAddColumnBlocksBitExact(t *testing.T) {
+	rng := rand.New(rand.NewSource(12))
+	for _, s := range kernelShapes {
+		n, k, m := s[0], s[1], s[2]
+		for _, split := range []int{0, k / 3, k} {
+			name := fmt.Sprintf("%dx%dx%d split %d", n, k, m, split)
+			a1, a2 := kernelInput(rng, n, split), kernelInput(rng, n, k-split)
+			a := ConcatCols(a1, a2)
+			b := kernelInput(rng, k, m)
+			got := New(n, m)
+			MatMulAdd(got, a1, b.RowSlice(0, split))
+			MatMulAdd(got, a2, b.RowSlice(split, k))
+			sameBits(t, name+" MatMulAdd", got, MatMul(a, b))
+
+			dy := kernelInput(rng, n, m)
+			gw := New(k, m)
+			MatMulTransAAdd(gw.RowSlice(0, split), a1, dy)
+			MatMulTransAAdd(gw.RowSlice(split, k), a2, dy)
+			sameBits(t, name+" MatMulTransAAdd", gw, MatMulTransA(a, dy))
+
+			gx := MatMulTransB(dy, b)
+			gx1, gx2 := New(n, split), New(n, k-split)
+			MatMulTransBAdd(gx1, dy, b.RowSlice(0, split))
+			MatMulTransBAdd(gx2, dy, b.RowSlice(split, k))
+			sameBits(t, name+" MatMulTransBAdd", ConcatCols(gx1, gx2), gx)
+		}
 	}
 }
 

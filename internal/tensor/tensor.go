@@ -3,8 +3,9 @@
 // this reproduction substitutes a small float64 matrix library — the models
 // in the paper are small MLPs, attention heads, LSTM cells and VAEs over
 // sampled mini-batches, all expressible as dense matrix programs. Every
-// operation returns a freshly allocated (and zeroed) matrix; the kernels
-// are scalar Go loops, with no SIMD and no buffer reuse.
+// operation returns a freshly allocated (and zeroed) matrix, except the
+// product kernels' Add forms, which accumulate into a matrix the caller
+// owns; the kernels are scalar Go loops, with no SIMD.
 package tensor
 
 import (
@@ -49,6 +50,11 @@ func (m *Matrix) Clone() *Matrix {
 	out := New(m.Rows, m.Cols)
 	copy(out.Data, m.Data)
 	return out
+}
+
+// RowSlice returns rows [lo, hi) of m as a matrix that shares m's storage.
+func (m *Matrix) RowSlice(lo, hi int) *Matrix {
+	return &Matrix{Rows: hi - lo, Cols: m.Cols, Data: m.Data[lo*m.Cols : hi*m.Cols]}
 }
 
 // Zero resets all elements in place.
@@ -116,29 +122,23 @@ func (m *Matrix) Axpy(a float64, x *Matrix) {
 
 // MatMul computes a @ b into a fresh matrix.
 func MatMul(a, b *Matrix) *Matrix {
-	if a.Cols != b.Rows {
-		panic(fmt.Sprintf("tensor: matmul %dx%d @ %dx%d", a.Rows, a.Cols, b.Rows, b.Cols))
-	}
 	out := New(a.Rows, b.Cols)
-	matMulAdd(out, a, b)
+	MatMulAdd(out, a, b)
 	return out
 }
 
-// MatMulInto computes a @ b into out.
-func MatMulInto(out, a, b *Matrix) {
-	if out.Rows != a.Rows || out.Cols != b.Cols || a.Cols != b.Rows {
-		panic("tensor: matmul shape mismatch")
-	}
-	out.Zero()
-	matMulAdd(out, a, b)
-}
-
-// matMulAdd adds a @ b into out in ikj order: each row of out accumulates
+// MatMulAdd adds a @ b into out in ikj order: each row of out accumulates
 // the rows of b scaled by the row's entries of a, so every output element
 // sums its products in k order, exactly as a dot product would. Zero
 // entries of a (ReLU outputs) are skipped, and the rest are applied four at
-// a time.
-func matMulAdd(out, a, b *Matrix) {
+// a time. Into an all-zero out it gives MatMul's bits; into a partial sum
+// it continues each element's sum, so the column blocks of a matrix, each
+// multiplied in turn by the matching row block of b, give the bits of one
+// product over the whole matrix.
+func MatMulAdd(out, a, b *Matrix) {
+	if out.Rows != a.Rows || out.Cols != b.Cols || a.Cols != b.Rows {
+		panic(fmt.Sprintf("tensor: matmul %dx%d @ %dx%d into %dx%d", a.Rows, a.Cols, b.Rows, b.Cols, out.Rows, out.Cols))
+	}
 	ks := make([]int, 0, a.Cols) // the nonzero columns of a's current row
 	for i := 0; i < a.Rows; i++ {
 		arow, orow := a.Row(i), out.Row(i)
@@ -184,14 +184,20 @@ func addScaled4(o []float64, x0, x1, x2, x3 float64, b0, b1, b2, b3 []float64) {
 	}
 }
 
-// MatMulTransA computes aᵀ @ b. Row i of the result accumulates the rows of
-// b scaled by column i of a, in k order. Each column's nonzero entries wait
-// in pend until four are ready for one addScaled4 pass.
+// MatMulTransA computes aᵀ @ b into a fresh matrix.
 func MatMulTransA(a, b *Matrix) *Matrix {
-	if a.Rows != b.Rows {
+	out := New(a.Cols, b.Cols)
+	MatMulTransAAdd(out, a, b)
+	return out
+}
+
+// MatMulTransAAdd adds aᵀ @ b into out. Row i of out accumulates the rows
+// of b scaled by column i of a, in k order. Each column's nonzero entries
+// wait in pend until four are ready for one addScaled4 pass.
+func MatMulTransAAdd(out, a, b *Matrix) {
+	if a.Rows != b.Rows || out.Rows != a.Cols || out.Cols != b.Cols {
 		panic("tensor: matmulTransA shape mismatch")
 	}
-	out := New(a.Cols, b.Cols)
 	type term struct {
 		x float64
 		k int
@@ -221,22 +227,26 @@ func MatMulTransA(a, b *Matrix) *Matrix {
 			addScaled(out.Row(i), t.x, b.Row(t.k))
 		}
 	}
+}
+
+// MatMulTransB computes a @ bᵀ into a fresh matrix.
+func MatMulTransB(a, b *Matrix) *Matrix {
+	out := New(a.Rows, b.Rows)
+	MatMulTransBAdd(out, a, b)
 	return out
 }
 
-// MatMulTransB computes a @ bᵀ through MatMul's kernel over a transposed
+// MatMulTransBAdd adds a @ bᵀ into out through MatMulAdd over a transposed
 // copy of b (in the backward pass b is a weight matrix, small beside a).
-// Element (i, j) sums a[i][k]*b[j][k] in k order, as a dot product would,
-// and gets the same bits: the kernel skips the products of zero entries of
-// a, and for finite b each of those is ±0, which leaves unchanged a sum
-// that starts at +0.
-func MatMulTransB(a, b *Matrix) *Matrix {
+// Into an all-zero out, element (i, j) sums a[i][k]*b[j][k] in k order, as
+// a dot product would, and gets the same bits: the kernel skips the
+// products of zero entries of a, and for finite b each of those is ±0,
+// which leaves unchanged a sum that starts at +0.
+func MatMulTransBAdd(out, a, b *Matrix) {
 	if a.Cols != b.Cols {
 		panic("tensor: matmulTransB shape mismatch")
 	}
-	out := New(a.Rows, b.Rows)
-	matMulAdd(out, a, b.Transpose())
-	return out
+	MatMulAdd(out, a, b.Transpose())
 }
 
 // Transpose returns mᵀ.
