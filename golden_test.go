@@ -18,7 +18,8 @@ var goldenVertices = []ID{0, 5, 42}
 const goldenSteps = 16
 
 // goldenTrainConfig is the shipped GraphSAGE set-up with attributes: hops
-// [5,3], so the materialized encoder pads the second hop's groups.
+// [5,3], so the materialized encoder shares rows across layers of two
+// widths.
 func goldenTrainConfig(pl PipelineConfig) TrainConfig {
 	tc := DefaultTrainConfig()
 	tc.UseAttrs = true
@@ -118,67 +119,67 @@ func TestGoldenBits(t *testing.T) {
 
 var (
 	goldenLocalLosses = []uint64{
-		0x3ff8233b6e050fb7, 0x3ff7e0528b822196, 0x3ff64736290d184b, 0x3ff601fdb202d073,
-		0x3ff620202bea7442, 0x3ff60d883dfd5baa, 0x3ff65a67b836d1a0, 0x3ff5e614d0834372,
-		0x3ff5cd44821e3601, 0x3ff5e8e6352e7aec, 0x3ff5aa81a6b28fa8, 0x3ff5389855573052,
-		0x3ff5b838952b5301, 0x3ff5387c48083815, 0x3ff4e83d582bbc83, 0x3ff4d64ddfb37826,
+		0x3ff7ff13e0ac93c9, 0x3ff8047cd63d3bac, 0x3ff644eb596da6a8, 0x3ff613ded89e0b94,
+		0x3ff61ce2206d9607, 0x3ff6050ecc549533, 0x3ff6194f36efd391, 0x3ff5fc74600d4d4a,
+		0x3ff61135edbc7f12, 0x3ff5f25703426d04, 0x3ff5d4d6ec601888, 0x3ff54b0020cda352,
+		0x3ff5c489cab66ea5, 0x3ff4f038068ad2b9, 0x3ff4da3aa9b381ad, 0x3ff4ed0429bc590c,
 	}
 	goldenLocalEmb = []uint64{
-		0xbf851b6bf432efb8, 0x3f989df4912ce738, 0x3fc364d414cf8e41, 0xbfbeaf0770a62eab,
-		0x3fd0c309d8741cca, 0xbfaa00d468d937ec, 0x3f78a8767532a090, 0x3fba27427f74ca19,
-		0xbfc422ffd3a1634d, 0xbfc5d09a9a1eff46, 0xbfb231142803db7c, 0x3facd83623e8a4b6,
-		0xbfa4e243dc7f42dd, 0x3fca08461036c583, 0x3fae749d944c8dcf, 0xbfb3d87289dad294,
-		0x3fd29a4ef1a155f8, 0xbfb34a5356f8a046, 0x3f846581eb785f12, 0x3fd0044201354b90,
-		0xbfb6361a2cf2db29, 0x3fbaba77ff7cd2d6, 0xbf89aa2750e0a148, 0xbfa6dc49c74744bf,
-		0xbfa551d5b43c8c48, 0xbfb38e3150219ef9, 0x3fb5d6fd6d3a1db2, 0xbfb64cdf3e8c88d5,
-		0x3fa0d030ed546cc4, 0x3fc59cc6c72a81f5, 0x3fa24cbc7936da2f, 0xbfcf79166b757b98,
-		0xbfa279a1f7502560, 0x3fc5766a212e67d2, 0xbfc208a58af8154f, 0xbfc82c7dc54b4d93,
-		0x3f9b6578dfa45c14, 0x3fb54e802ab20283, 0x3f9604552d04318e, 0x3f907ae570b0bf8d,
-		0x3faae56ae1246725, 0xbfbe017a360e3f96, 0xbfc1c53da404846c, 0xbfa0750082d402fa,
-		0xbfca8b27d445156a, 0x3f9e4dda7ebb0a0c, 0xbfbc91527f7bfcf1, 0x3f8419dd52d9b35e,
-		0xbf8e0903db0db830, 0x3fa933405bf5af9e, 0x3fbcb19f7a47ab5a, 0x3fbd77d6cf54fef0,
-		0xbfb4cfa0044cb711, 0xbfc14ac5c472c4ec, 0xbfb50f090a8879a0, 0xbfca5151b85dd317,
-		0xbf9d8078765ad7f3, 0x3faa12ef70281c58, 0x3fc5a644b737c03e, 0xbfb88d11c7209bb2,
-		0x3f38c39fc11ff880, 0xbfa3cf76be78fda5, 0xbfbb7595d8e4116c, 0xbfa0e25b47fe47e4,
-		0x3fc945b83da86cbf, 0x3fac2293edf40c62, 0xbf8b1b82748064ec, 0x3fca607aae1b8dfd,
-		0x3fb242b6e6da02f0, 0x3fbb6c8b8b4bef6d, 0xbfd4e70564464bb5, 0xbfc3137cc2808357,
-		0x3fa49717701cd2c7, 0xbfd001a9f62d99c0, 0x3f8c9aa19cbfe03c, 0xbfc4b0aec90a2b39,
-		0x3fad9646c9f173de, 0xbf95e7f37a13e795, 0x3fb08343a074f6a0, 0xbfc2e797bed213dc,
-		0x3fbf1270c9c35fb4, 0x3fc55861edb705ca, 0xbfc412f11f1974fd, 0xbfbdbe27dfb65403,
-		0x3fbf8c536816221e, 0x3fbec673e933e958, 0x3facf63f5128460d, 0x3fca831d7d89ea8c,
-		0x3fc53c00cabfc8db, 0xbfb76e5f91f45bbf, 0x3fa348b3db075d79, 0x3f9369056098e57e,
-		0x3fc0416678d3a04e, 0x3fcc2755c8127fd7, 0xbf9cb8f7c61e002c, 0x3fb26f215c919748,
+		0x3fb48659e42665fb, 0x3fa8d560e988f141, 0x3f9985658c42e36a, 0xbfc4d640baccff95,
+		0x3fc69104546e3f34, 0xbfa70aeb0466ee9e, 0xbfbc864873ac7368, 0xbf8668b17401d0aa,
+		0xbfd6d993b06478c8, 0xbfc711cf7b016d18, 0x3fabcb74b85302b2, 0x3fa1fa518ccf16a6,
+		0xbfc4b749401641ab, 0x3fae87e03c6702cb, 0xbfa4c4287e084778, 0xbfc1a75cbdb6fdbe,
+		0x3fd3c4731c3bbd91, 0xbfbe6944e985d369, 0xbfb6af4bff350ed8, 0x3fc0f8bbcdd1a756,
+		0xbfc2aff1640613ee, 0x3fc0c9ca29302650, 0x3fce0a6bc58bb58e, 0x3fb8df129f889768,
+		0xbfc66468f0522c93, 0xbfbd1c0a81f414ae, 0x3fb873d09b7cf5d5, 0xbfabff52924d875a,
+		0xbf3002b2dd9e8ca0, 0x3fc88bcc937a1105, 0x3f9925af069031c2, 0xbfb64d38603c03ab,
+		0x3fb8270a8ee286be, 0xbfb1ff6b967d07e1, 0xbfc36a2dd9d02128, 0xbfccb3499d321fe6,
+		0xbfb946d3129bc003, 0x3fbbb3a4aefd9b5c, 0x3f90d126396e5ac4, 0xbf912065715350a3,
+		0x3fc16314c39507a2, 0x3fa38b542e7a7d7b, 0xbfb299e06695c29f, 0x3f9b5fd3c4f8c58d,
+		0xbfceb1d51f5f7088, 0xbfb2dc4f8e23a962, 0xbfbd6f288f3d8932, 0xbfa599b0d1c3b0dd,
+		0xbfb36c88b0a73325, 0x3fb552ac3ca5634e, 0xbfb085d01ca66fd2, 0xbfb4c176d7f8367b,
+		0x3f95a0d8a5416373, 0xbf8ca8b9fdc1dfd0, 0x3fce9252b562687b, 0xbfc86913c19c1da9,
+		0x3fa00637b4f7ee60, 0xbfb0fa8df73a4c48, 0x3fb5eb744591c918, 0x3f95fae348e38a27,
+		0xbfb234209a5127f6, 0xbfb680f530d3f548, 0xbfa3bd767e8fbe26, 0xbf8025847fc29c98,
+		0x3fc96308f965edef, 0xbfa442443e098014, 0xbfc100403b6e6554, 0xbfc855b0f3410bd6,
+		0x3fb295ec086e5961, 0x3fd2a1babd870296, 0xbfb693c6f14bfe86, 0xbfc8f1ff2fbe3a5f,
+		0x3fa429d14385a26a, 0xbfcb000832d297b1, 0x3fcde4769a028e5c, 0xbfc4e81ddd62a368,
+		0xbf77e4618ba2c5fc, 0xbfa87ececc8f815e, 0xbfbdc023a282352a, 0xbfc0d522f89f5ba8,
+		0xbfbe49c145f0551c, 0x3fa24dd5691738c2, 0xbfd92cc735199fae, 0xbfcc64264cc765ea,
+		0x3fd0f08bae1a8525, 0x3fc3b9eb5c60c093, 0x3fd302e5a22cbb9e, 0x3fbc995c4b226374,
+		0x3fd155fddbb0d926, 0xbfd69cceb91bb3b8, 0xbfc049800e5a850f, 0x3fa5222675f849ae,
+		0xbfb381c65cfa2f1e, 0x3fcb2cc055ba54b1, 0x3fb4aef680420539, 0xbf7994b79e3622cc,
 	}
 	goldenClusterLosses = []uint64{
-		0x3ff80a12307d3a7a, 0x3ff8090fafcdc1c0, 0x3ff636cbb497eba2, 0x3ff63f3389f1e3f0,
-		0x3ff658251935e1b6, 0x3ff60bf98d21b69b, 0x3ff61a48d2a235d8, 0x3ff6089ab2213688,
-		0x3ff63d91fcaa494f, 0x3ff5c509b50a5ba0, 0x3ff5c62c0f8b80a0, 0x3ff5aba9ac8a0618,
-		0x3ff5701d9b978474, 0x3ff55baa5bba8bd7, 0x3ff48315283bf5b6, 0x3ff59f3e682a5938,
+		0x3ff83e8267470fa6, 0x3ff804cc5a064190, 0x3ff65c9bd14ef6ee, 0x3ff619b31aee8e64,
+		0x3ff6766ebf26a164, 0x3ff5eb157949e787, 0x3ff62cd06853dd40, 0x3ff5f7b62868a47d,
+		0x3ff61425a89c7c8c, 0x3ff5840f8e16cba2, 0x3ff5be6499fc309c, 0x3ff5cc9831ff1dc8,
+		0x3ff584cb4cb983b0, 0x3ff57f410d0bd39c, 0x3ff4e3db8a2ff054, 0x3ff564c357f717ed,
 	}
 	goldenClusterEmb = []uint64{
-		0xbfb4d6195f804aa2, 0xbfa89f1b306a919a, 0x3f953631ac1978cc, 0xbfb83f94e6d9e2dd,
-		0x3fc6df99d7665d43, 0x3f96bf064a1fbcf8, 0x3fb523500fabfe35, 0xbf9e3dfdc8cda97c,
-		0x3f97ef0d166de11a, 0x3f9c076ea5e8e608, 0xbfc3d249bef53c16, 0xbfba6f3a29157d5d,
-		0xbfc47e09a4089462, 0x3fae097050c2f69d, 0x3fbfd59d73645511, 0x3fb70da347c6bfef,
-		0x3fd3e808d163aa06, 0xbf98a379478140e3, 0x3fbd13f88b34e85d, 0x3fb1bce126fab04e,
-		0xbfc91c33ccbf3100, 0x3fb412e923b5b9f4, 0x3fb5a47f6d9c8639, 0xbfc4a286324b9bfe,
-		0x3fb752530627883e, 0xbfb95a1c82588277, 0x3f9478a48b2ebbc4, 0xbf891c347164f6f1,
-		0xbf8960783bff03f5, 0xbf86e4db7f1651b4, 0xbfa67573479b05c4, 0x3fb67892a88ac120,
-		0x3fbc0735715e4d11, 0xbf8cfbe8176a6881, 0xbfc2f3892741d7e9, 0xbfa30b50d77caf9a,
-		0xbfb28c98ec0fdcb6, 0x3fba5da43f3448c3, 0xbfa92b0e0f64270b, 0x3fae06d7f8f97018,
-		0x3fb14d64e90b3088, 0x3f6be483daef1f64, 0xbfc95cebc938a74c, 0x3fc3fd69ef58d3d6,
-		0xbfbc8525834de4d8, 0x3fb4ceee2b5ffbac, 0xbfaacfc8820f03e1, 0xbfb15becacd3ad6a,
-		0x3f98c05d4795a818, 0x3fb1bfb96f46e097, 0x3fa4b6249706aaac, 0x3fb0418190b46cbc,
-		0x3fb9e06ca1945b50, 0xbfb470dd9e893724, 0xbfc0d695a6507b1c, 0xbfab40caad6f0ab0,
-		0x3fb3e2daac67e7b1, 0xbfc267ef7cc890b0, 0x3fc52b6ed36f0360, 0x3f92399fe0dd97e0,
-		0xbfa75a2dac5ae309, 0xbfb5d7458d77075e, 0xbfb06427a8d2c445, 0x3f948f0e807b1ac1,
-		0x3fd0aec9fd3eda5b, 0x3fd6f50fabcf3ee9, 0xbfc640319211b1cf, 0xbfb6209249f17193,
-		0x3fc42c77484fb115, 0x3fb1adf87666fae8, 0xbfc7beabb9fa44f5, 0x3fcbc7fa7552ab6e,
-		0x3fc7c27cf8b2dfd9, 0xbfc2097fee23c6bd, 0xbfbb64afbe77338b, 0x3fab7b904e67b717,
-		0xbfc09fafd054f208, 0x3fc9c6cca2fbc2ca, 0xbf910ff3a7e2d0e0, 0xbfb7c252c44564cb,
-		0x3fd85c71e78128e2, 0xbfcd953a8b7be536, 0xbf97f482a8cddb98, 0x3fcb1429574d0e0d,
-		0x3f939ed006cf2072, 0x3fa91870a92b227d, 0xbfc7527a120473c8, 0x3fb78ce2f60979b2,
-		0x3fc8b7632997ee9e, 0xbfceaa2692a2fc46, 0x3fcc8c2d587b2d10, 0xbfcf454ace06fe29,
-		0xbfa494eccff64250, 0x3fc78bfcbf853659, 0xbfb70a3362effa19, 0xbfa8f2cebbd257d7,
+		0x3f9637f108e5e849, 0xbfbadfeed1388e1f, 0x3fbe475530a42e39, 0x3fb04644d5ce00cf,
+		0x3f9eb7492cd7ad06, 0xbfb285ef5d3b3ab4, 0xbfb5e1f8d2655987, 0xbfc54c18337e9ff2,
+		0xbfd213c7f5512334, 0x3f5956d2082f9d98, 0xbfa87b7dd0e60314, 0xbf8ccf0b05f84ff8,
+		0xbfb67c387b325a32, 0xbfbef3ff37ce3ee2, 0x3fafb63015bed317, 0xbfb36bc53055b86d,
+		0x3fbc65448ad90815, 0x3fb689b61dc979cb, 0x3fafb87d0d3c539b, 0xbfbad848327425d4,
+		0xbfbe5ee659ee52fa, 0x3fb831fa136cd046, 0x3fc858003668c130, 0xbf99de5f241dcb28,
+		0xbfc995e0bff1a46d, 0xbf919de3c2805854, 0xbfba2417c51467d0, 0x3fa3eac83427010d,
+		0x3fbe4b8ce67fc0cd, 0xbf8bee650e70c2b9, 0xbf922ea1a7af218c, 0x3fb6ba6090ede5a9,
+		0x3fc60c33c400535c, 0x3f857fc29e05beb8, 0xbfcfcaa6f1dd185c, 0xbfb79013cb5c6834,
+		0xbfb0db7b7f49e299, 0x3fa0597cd7796ece, 0x3fb098c26273c624, 0x3fc6872905d991d4,
+		0x3fc13c751e3d9438, 0x3fbc94751f525356, 0xbfcaa6859276d1b3, 0x3fbda152d5da9290,
+		0xbfc0eed8adb8c66e, 0x3fa9b2d80ab56f6e, 0xbfb06d2921f9d5e2, 0xbf8938ed2324b664,
+		0x3fa3becef6b92e14, 0xbfa15660ae470335, 0x3f6102116a71e5b0, 0x3fb156d887db32f0,
+		0x3f453fe3c0442278, 0xbfb2dd6cb18ca989, 0xbfa2477792188a16, 0x3fc26a0fb3a45ec6,
+		0x3fb40680d787d280, 0xbfcfe370a35ca440, 0x3fb69456acd1ab4c, 0x3fa7bcad7027cc66,
+		0xbfb071b3f7c9ba8c, 0xbfbdfb4dc2d7ce10, 0x3f774bb529dcf920, 0x3fae0d05f1855deb,
+		0x3fd277ef1659e12e, 0x3fc87b60b1f513bc, 0xbfc5bfedda7d59ca, 0xbfaa86ff37fb65f1,
+		0x3fb94a29daf3951c, 0x3fc7672ec6ab4764, 0xbfc0377c0fbd65e9, 0xbfa33e7bc4626d1c,
+		0x3fc36f503fcaaacd, 0xbfc421371f79111e, 0xbfa1fcd07724a92c, 0xbf860f5530046ba0,
+		0xbfc62c661bde14a2, 0xbfa1cf130005ef81, 0xbfc6a57c14082497, 0xbfaeaf8f48840f98,
+		0x3fb298b6bb81f0a1, 0x3f9535f1adc003ca, 0xbfd3f61ab1a91253, 0x3f9b4737769c04aa,
+		0x3fc83f0d79313808, 0x3fb9a6503aa8637e, 0x3fb1fe9a37a3860f, 0x3fd3405f91e8d0b7,
+		0x3fc6b0ce0d921a8d, 0xbfd961d843b2a93e, 0x3fbfd9002276be38, 0xbfb695dac90fcc87,
+		0xbf98badaca4e5b54, 0x3fd120abef3ad973, 0xbfa83a0b16e90cc2, 0x3fb9b9bf8340b62d,
 	}
 )

@@ -90,18 +90,19 @@ func Table5(scale float64) []Table5Result {
 
 // hopVectors counts the hop vectors Algorithm 1 computes over ctx: hop k
 // needs a vector for every vertex of layers 0..L-1-k — one per occurrence
-// without materialization, one per distinct vertex with it (Section 3.4).
+// without materialization, one per distinct vertex of each layer with it
+// (Section 3.4).
 func hopVectors(ctx *sampling.Context) (without, with int) {
 	L := len(ctx.Layers)
 	for k := 1; k < L; k++ {
-		distinct := make(map[graph.ID]struct{})
 		for l := 0; l <= L-1-k; l++ {
 			without += len(ctx.Layers[l])
+			distinct := make(map[graph.ID]struct{})
 			for _, v := range ctx.Layers[l] {
 				distinct[v] = struct{}{}
 			}
+			with += len(distinct)
 		}
-		with += len(distinct)
 	}
 	return without, with
 }

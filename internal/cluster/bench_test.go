@@ -221,11 +221,9 @@ func BenchmarkRPCRoundTrip(b *testing.B) {
 	for i := range attrsReq.Vertices {
 		attrsReq.Vertices[i] = graph.ID(i)
 	}
-	sampleReq := SampleRequest{Vertices: make([]graph.ID, 200), Counts: make([]int, 200), Slots: make([]int32, 200), Width: 5, WantLists: true, Seed: 1}
+	sampleReq := SampleRequest{Vertices: make([]graph.ID, 200), Width: 5, WantLists: true, Seed: 1}
 	for i := range sampleReq.Vertices {
 		sampleReq.Vertices[i] = graph.ID(i * 10)
-		sampleReq.Counts[i] = 1
-		sampleReq.Slots[i] = int32(i)
 	}
 	b.Run("Attrs", func(b *testing.B) {
 		b.ReportAllocs()

@@ -159,12 +159,12 @@ func (c *Client) BatchNeighbors(vs []graph.ID, t graph.EdgeType) ([][]graph.ID, 
 // vertex of vs, executed where the adjacency lives. Unique vertices with a
 // cached hop-1 list valid at the read epoch are drawn client-side; the rest
 // are grouped into one SampleNeighbors RPC per owning server, carrying each
-// unique vertex once with its multiplicity and batch positions so repeated
-// hubs get independent draws without being re-sent. Every draw group derives its
-// stream from its batch slot (sampling.SlotRng), so a fixed seed yields
-// fixed values no matter which slots hit the cache, how the graph is
-// sharded, or when a replacing cache admitted an entry — the property
-// behind the pipeline's bit-reproducibility with LRU caches. Low-degree
+// unique vertex once. Every vertex's group is drawn once by
+// sampling.DrawVertex from (seed, vertex) and copied to each of its batch
+// slots, so a fixed seed yields fixed values no matter which vertices hit
+// the cache, how the graph is sharded, when a replacing cache admitted an
+// entry, or what else shares the batch — the property behind the
+// pipeline's bit-reproducibility with LRU caches. Low-degree
 // vertices come back as full (short) lists, which are drawn locally and
 // admitted (with their install stamp), so replacing caches warm up under a
 // pure training workload.

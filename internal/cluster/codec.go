@@ -143,26 +143,6 @@ func i32[T ~int32](w *wire, p *T) {
 	}
 }
 
-// i32s is a slice of 4-byte integers.
-func i32s[T ~int32](w *wire, p *[]T) {
-	n, ok := w.head(len(*p), *p == nil, 4)
-	switch {
-	case !ok:
-	case w.sizing:
-		w.n += 4 * n
-	case !w.decoding:
-		for _, v := range *p {
-			w.buf = le.AppendUint32(w.buf, uint32(v))
-		}
-	default:
-		s, b := make([]T, n), w.take(4*uint64(n))
-		for i := range s {
-			s[i] = T(le.Uint32(b[4*i:]))
-		}
-		*p = s
-	}
-}
-
 // f64 is a float64 by its IEEE bits.
 func (w *wire) f64(p *float64) {
 	if !w.decoding {
@@ -301,8 +281,6 @@ func neighborsReplyWire(w *wire, r *NeighborsReply) {
 
 func sampleRequestWire(w *wire, r *SampleRequest) {
 	nums(w, &r.Vertices)
-	nums(w, &r.Counts)
-	i32s(w, &r.Slots)
 	i32(w, &r.EdgeType)
 	num(w, &r.Width)
 	w.boolean(&r.WantLists)

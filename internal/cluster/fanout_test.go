@@ -65,7 +65,7 @@ func TestScatterGatherOrderAndErrors(t *testing.T) {
 // goroutines share ONE concurrent-fan-out Client whose transport injects
 // drops, lost replies and shard outages, and every draw must come back
 // bit-identical to a fault-free reference client.
-// Slot-/seed-pure draws plus ordered gathers make the reply values
+// Vertex-/seed-pure draws plus ordered gathers make the reply values
 // independent of both scheduling and retries.
 func TestFanoutBitIdenticalUnderFaultsRace(t *testing.T) {
 	g := churnTestGraph(200)

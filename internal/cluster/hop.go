@@ -11,14 +11,15 @@ import (
 
 // hop is one hop of a mini-batch in flight: the sampling operator behind
 // both NeighborsBatch (a list hop: dst[i] receives vs[i]'s full list) and
-// SampleBatch (a draw hop: width slot-pure draws per batch slot). Its
+// SampleBatch (a draw hop: width vertex-keyed draws per batch slot). Its
 // common steps each live here once:
 //
-//   - group: dedup in first-appearance order with occurrence positions, an
-//     epoch-keyed cache probe per unique vertex (counted in the lane's
-//     counters), and the misses grouped by owning part in ascending order;
+//   - dedup: unique vertices in first-appearance order, an epoch-keyed
+//     cache probe per unique vertex (counted in the lane's counters), and
+//     the misses grouped by owning part in ascending order;
 //   - resolve: one concurrent scatter round, per-part reply validation and
-//     admission (Observe) of every full list a reply carries.
+//     admission (Observe) of every full list a reply carries;
+//   - expand: every later occurrence of a vertex copies its first one.
 //
 // The two kinds differ only in the per-part request their caller builds
 // (Neighbors vs SampleNeighbors) and in serve, which fills the caller's
@@ -33,15 +34,15 @@ type hop struct {
 
 	// Output: a list hop fills lists (one per batch slot, so non-nil once
 	// there is a slot); a draw hop leaves lists nil and fills draws, width
-	// per slot, each slot from SlotRng(seed, slot).
+	// per slot, each vertex's group drawn once by DrawVertex(seed).
 	lists [][]graph.ID
 	draws []graph.ID
 	width int
 	seed  uint64
 
 	uniq  []graph.ID // unique vertices, first-appearance order
-	occ   []int      // batch slots grouped by unique vertex, ascending
-	start []int      // uniq[j]'s slots are occ[start[j]:start[j+1]]
+	first []int      // batch slot of uniq[j]'s first occurrence
+	of    []int      // per batch slot: its index into uniq
 	miss  [][]int    // per part: indices into uniq of its cache misses
 	parts []int      // parts with misses, ascending
 }
@@ -57,58 +58,55 @@ func (c *Client) startHop(t graph.EdgeType, pin *sampling.Pin, span *sampling.Ep
 // done charges the hop's wall clock to its lane.
 func (h *hop) done() { h.hs.nanos.Add(int64(time.Since(h.t0))) }
 
-// slots returns the batch slots uniq[j] occupies, ascending.
-func (h *hop) slots(j int) []int { return h.occ[h.start[j]:h.start[j+1]] }
+// group returns the draw group of uniq[j]'s first occurrence.
+func (h *hop) group(j int) []graph.ID {
+	pos := h.first[j]
+	return h.draws[pos*h.width : (pos+1)*h.width]
+}
 
-// serve fills every slot of uniq[j] from the list ns (a cache hit or a
+// serve fills uniq[j]'s first slot from the list ns (a cache hit or a
 // reply's full list).
 func (h *hop) serve(j int, ns []graph.ID) {
-	s := h.slots(j)
 	if h.lists != nil {
-		for _, pos := range s {
-			h.lists[pos] = ns
-		}
+		h.lists[h.first[j]] = ns
 		return
 	}
-	for _, pos := range s {
-		sampling.DrawSlot(h.draws[pos*h.width:(pos+1)*h.width], h.uniq[j], ns, h.seed, pos)
+	sampling.DrawVertex(h.group(j), h.uniq[j], ns, h.seed)
+}
+
+// expand copies each vertex's first slot into its later occurrences.
+func (h *hop) expand() {
+	for pos, j := range h.of {
+		f := h.first[j]
+		if f == pos {
+			continue
+		}
+		if h.lists != nil {
+			h.lists[pos] = h.lists[f]
+		} else {
+			copy(h.draws[pos*h.width:(pos+1)*h.width], h.group(j))
+		}
 	}
 }
 
-// group dedups vs, serves what the cache holds, and groups the rest by
-// owning part. The probe is keyed by the owning shard's pinned epoch (or
-// observed head), so a stale-generation entry misses instead of being
-// served.
-func (h *hop) group(vs []graph.ID) {
+// dedup indexes vs by unique vertex, serves what the cache holds, and
+// groups the rest by owning part. The probe is keyed by the owning shard's
+// pinned epoch (or observed head), so a stale-generation entry misses
+// instead of being served.
+func (h *hop) dedup(vs []graph.ID) {
 	c := h.c
 	idx := make(map[graph.ID]int, len(vs))
-	of := make([]int, len(vs))
+	h.of = make([]int, len(vs))
 	for i, v := range vs {
 		j, ok := idx[v]
 		if !ok {
 			j = len(h.uniq)
 			idx[v] = j
 			h.uniq = append(h.uniq, v)
+			h.first = append(h.first, i)
 		}
-		of[i] = j
+		h.of[i] = j
 	}
-	// Bucket the slots by unique vertex: count, prefix-sum, place (which
-	// leaves start shifted one bucket left), shift back.
-	n := len(h.uniq)
-	h.start = make([]int, n+1)
-	for _, j := range of {
-		h.start[j+1]++
-	}
-	for j := 1; j <= n; j++ {
-		h.start[j] += h.start[j-1]
-	}
-	h.occ = make([]int, len(vs))
-	for i, j := range of {
-		h.occ[h.start[j]] = i
-		h.start[j]++
-	}
-	copy(h.start[1:], h.start[:n])
-	h.start[0] = 0
 
 	h.miss = make([][]int, c.Assign.P)
 	for j, v := range h.uniq {
@@ -159,7 +157,7 @@ func (h *hop) missVertices() [][]graph.ID {
 // hopReply is the part of a Neighbors or SampleNeighbors reply the hop
 // routine reads. lists has one row per miss sent to the part; a draw
 // hop's reply may carry no lists, or nil rows, for rows the server drew
-// itself into samples (width per slot, in row order).
+// itself into samples (width per row, in row order).
 type hopReply struct {
 	epoch, head, attrHead uint64
 	since                 []uint64
@@ -170,7 +168,8 @@ type hopReply struct {
 // resolve fetches h's misses — send issues parts[i]'s request into reply
 // slot i, one concurrent round — and stitches the replies back in
 // ascending part order through read, so admission order and error
-// selection are reproducible.
+// selection are reproducible. It then expands the unique vertices' results
+// into every batch slot.
 func resolve[R any](h *hop, m Method, send func(i, p int, reply *R) error, read func(*R) hopReply) error {
 	c := h.c
 	h.hs.rpcs.Add(int64(len(h.parts)))
@@ -188,6 +187,7 @@ func resolve[R any](h *hop, m Method, send func(i, p int, reply *R) error, read 
 			return err
 		}
 	}
+	h.expand()
 	return nil
 }
 
@@ -208,9 +208,9 @@ func (h *hop) fill(p int, js []int, r hopReply) error {
 	}
 	isList := func(row int) bool { return !drawn && (h.lists != nil || r.lists[row] != nil) }
 	want := 0
-	for row, j := range js {
+	for row := range js {
 		if !isList(row) {
-			want += len(h.slots(j)) * h.width
+			want += h.width
 		}
 	}
 	if len(r.samples) != want {
@@ -224,10 +224,7 @@ func (h *hop) fill(p int, js []int, r hopReply) error {
 			h.serve(j, ns)
 			continue
 		}
-		for _, pos := range h.slots(j) {
-			copy(h.draws[pos*h.width:(pos+1)*h.width], r.samples[k:k+h.width])
-			k += h.width
-		}
+		k += copy(h.group(j), r.samples[k:k+h.width])
 	}
 	return nil
 }
@@ -248,7 +245,7 @@ func (c *Client) NeighborsBatch(dst [][]graph.ID, vs []graph.ID, t graph.EdgeTyp
 	h := c.startHop(t, nil, nil, 0, len(vs))
 	defer h.done()
 	h.lists = dst
-	h.group(vs)
+	h.dedup(vs)
 	verts := h.missVertices()
 	return resolve(h, MNeighbors, func(i, p int, reply *NeighborsReply) error {
 		return c.T.Neighbors(p, NeighborsRequest{Vertices: verts[i], EdgeType: t}, reply)
@@ -258,7 +255,7 @@ func (c *Client) NeighborsBatch(dst [][]graph.ID, vs []graph.ID, t graph.EdgeTyp
 }
 
 // sampleBatchSpan is the draw hop: SampleNeighbors RPCs carrying each
-// missed vertex once with its multiplicity and batch slots.
+// missed vertex once.
 func (c *Client) sampleBatchSpan(dst []graph.ID, vs []graph.ID, t graph.EdgeType, width int, seed uint64, pin *sampling.Pin, span *sampling.EpochSpan, hopN int) error {
 	if len(dst) != len(vs)*width {
 		return fmt.Errorf("cluster: SampleBatch dst length %d, want %d", len(dst), len(vs)*width)
@@ -266,36 +263,13 @@ func (c *Client) sampleBatchSpan(dst []graph.ID, vs []graph.ID, t graph.EdgeType
 	h := c.startHop(t, pin, span, hopN, len(vs))
 	defer h.done()
 	h.draws, h.width, h.seed = dst, width, seed
-	h.group(vs)
-	// Per-part Counts and Slots are carved out of two shared buffers, like
-	// the vertices: each scatter goroutine only reads its own sub-slices.
+	h.dedup(vs)
 	verts := h.missVertices()
-	counts := make([]int, 0, len(h.uniq))
-	slots := make([]int32, 0, len(vs))
-	reqs := make([]SampleRequest, len(h.parts))
 	wantLists := c.Cache.Admits()
-	for i, p := range h.parts {
-		c0, s0 := len(counts), len(slots)
-		for _, j := range h.miss[p] {
-			s := h.slots(j)
-			counts = append(counts, len(s))
-			for _, pos := range s {
-				slots = append(slots, int32(pos))
-			}
-		}
-		reqs[i] = SampleRequest{
-			Vertices:  verts[i],
-			Counts:    counts[c0:len(counts):len(counts)],
-			Slots:     slots[s0:len(slots):len(slots)],
-			EdgeType:  t,
-			Width:     width,
-			WantLists: wantLists,
-			Seed:      seed,
-		}
-		reqs[i].Pin, reqs[i].Pinned = pinFields(pin, p)
-	}
 	return resolve(h, MSampleNeighbors, func(i, p int, reply *SampleReply) error {
-		return c.T.SampleNeighbors(p, reqs[i], reply)
+		req := SampleRequest{Vertices: verts[i], EdgeType: t, Width: width, WantLists: wantLists, Seed: seed}
+		req.Pin, req.Pinned = pinFields(pin, p)
+		return c.T.SampleNeighbors(p, req, reply)
 	}, func(r *SampleReply) hopReply {
 		return hopReply{epoch: r.Epoch, head: r.Head, attrHead: r.AttrHead, since: r.Since, lists: r.Lists, samples: r.Samples}
 	})

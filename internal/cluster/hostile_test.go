@@ -3,6 +3,7 @@ package cluster
 import (
 	"context"
 	"math/rand"
+	"runtime"
 	"testing"
 
 	"repro/internal/graph"
@@ -11,10 +12,9 @@ import (
 )
 
 // TestHostileRequestsRejected sends malformed requests — edge types outside
-// the schema, negative draw counts, unbounded draw totals, draw requests
-// without their Counts or Slots, added edges whose destination lies outside
-// the vertex universe — through the in-process transport and through
-// loopback RPC. Each must come back as an error (the
+// the schema, out-of-range draw widths, draw totals (vertices x width) past
+// maxDraws, added edges whose destination lies outside the vertex universe
+// — through the in-process transport and through loopback RPC. Each must come back as an error (the
 // RPC server does not recover a handler panic, so a panic would kill the
 // shard), and the server must answer a well-formed call afterwards. A client
 // sampling vertex 0 after the rejected updates must not panic either.
@@ -25,6 +25,9 @@ func TestHostileRequestsRejected(t *testing.T) {
 		t.Fatal(err)
 	}
 	vs := []graph.ID{2, 3}
+	// Two vertices at a width just over half of maxDraws: each bound alone
+	// holds, the total does not.
+	overDraws := SampleRequest{Vertices: vs, Width: maxDraws/2 + 1}
 	type call struct {
 		name string
 		m    Method
@@ -34,21 +37,33 @@ func TestHostileRequestsRejected(t *testing.T) {
 	for _, et := range []graph.EdgeType{7, -1} {
 		calls = append(calls,
 			call{"Neighbors/type", MNeighbors, NeighborsRequest{Vertices: vs, EdgeType: et}},
-			call{"SampleNeighbors/type", MSampleNeighbors, SampleRequest{Vertices: vs, Counts: []int{1, 1}, Slots: []int32{0, 1}, EdgeType: et, Width: 2}},
+			call{"SampleNeighbors/type", MSampleNeighbors, SampleRequest{Vertices: vs, EdgeType: et, Width: 2}},
 			call{"SampleEdges/type", MSampleEdges, EdgesRequest{EdgeType: et, Count: 4}},
 			call{"NegativePool/type", MNegativePool, NegPoolRequest{EdgeType: et}},
 		)
 	}
 	calls = append(calls,
-		call{"SampleNeighbors/negative count", MSampleNeighbors, SampleRequest{Vertices: vs[:1], Counts: []int{-5}, Width: 2}},
-		call{"SampleNeighbors/huge count", MSampleNeighbors, SampleRequest{Vertices: vs[:1], Counts: []int{1 << 62}, Width: 2}},
-		call{"SampleNeighbors/huge width", MSampleNeighbors, SampleRequest{Vertices: vs[:1], Counts: []int{1}, Slots: []int32{0}, Width: 1 << 62}},
-		call{"SampleNeighbors/missing counts", MSampleNeighbors, SampleRequest{Vertices: vs, Slots: []int32{0, 1}, Width: 2}},
-		call{"SampleNeighbors/missing slots", MSampleNeighbors, SampleRequest{Vertices: vs, Counts: []int{1, 1}, Width: 2}},
+		call{"SampleNeighbors/negative width", MSampleNeighbors, SampleRequest{Vertices: vs[:1], Width: -5}},
+		call{"SampleNeighbors/huge width", MSampleNeighbors, SampleRequest{Vertices: vs[:1], Width: 1 << 62}},
+		call{"SampleNeighbors/draw total", MSampleNeighbors, overDraws},
 		call{"SampleEdges/huge count", MSampleEdges, EdgesRequest{Count: 1 << 62}},
 	)
 	for _, dst := range []graph.ID{1 << 40, -3, 60} {
 		calls = append(calls, call{"Update/destination", MUpdate, UpdateRequest{Add: []RawEdge{{Src: 0, Dst: dst}}}})
+	}
+
+	// The draw total is checked before the handler sizes its output: the
+	// rejected request would have allocated a maxDraws-ID sample buffer.
+	srv := FromGraph(g, a)[0]
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	err = srv.ServeSampleNeighbors(overDraws, &SampleReply{})
+	runtime.ReadMemStats(&after)
+	if err == nil {
+		t.Fatal("draw total past maxDraws accepted")
+	}
+	if n := after.TotalAlloc - before.TotalAlloc; n > 1<<20 {
+		t.Fatalf("rejecting a draw total past maxDraws allocated %d bytes", n)
 	}
 
 	local := NewLocalTransport(FromGraph(g, a), 0, 0)
@@ -73,7 +88,7 @@ func TestHostileRequestsRejected(t *testing.T) {
 			}
 		}
 		var reply SampleReply
-		ok := SampleRequest{Vertices: vs, Counts: []int{1, 2}, Slots: []int32{0, 1, 2}, Width: 2, Seed: 1}
+		ok := SampleRequest{Vertices: vs, Width: 3, Seed: 1}
 		if err := st.c.Call(context.Background(), 0, MSampleNeighbors, ok, &reply); err != nil {
 			t.Fatalf("well-formed call via %s after hostile ones: %v", st.name, err)
 		}

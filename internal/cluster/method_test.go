@@ -138,7 +138,7 @@ func agreementRequest(m Method, vs []graph.ID, leased uint64) any {
 	case MNeighbors:
 		return NeighborsRequest{Vertices: vs, EdgeType: 0}
 	case MSampleNeighbors:
-		return SampleRequest{Vertices: vs, Counts: []int{1, 2, 1, 1}, Slots: []int32{0, 1, 2, 3, 4}, EdgeType: 0, Width: 3, Seed: 7}
+		return SampleRequest{Vertices: vs, EdgeType: 0, Width: 3, Seed: 7}
 	case MSampleEdges:
 		return EdgesRequest{EdgeType: 0, Count: 6, Seed: 7}
 	case MNegativePool:

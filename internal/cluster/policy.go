@@ -17,7 +17,7 @@ import (
 // RetryTransport wraps any Caller with per-call deadlines, bounded
 // exponential backoff with deterministic jitter, a retry budget, and a
 // per-shard three-state breaker (closed/open/half-open). Re-issuing a read
-// is safe because every sampling draw is slot- or seed-pure (the reply to a
+// is safe because every sampling draw is vertex- or seed-pure (the reply to a
 // retried request is bit-identical to the lost one at the same pinned
 // epoch), and Update/Lease/Release are made retry-safe by idempotency
 // tokens the server deduplicates. See the package comment for the full
@@ -183,7 +183,7 @@ func (b *breaker) current() int {
 }
 
 // RetryTransport applies a CallPolicy to every RPC of an inner layer.
-// Reads are idempotent by construction (slot-/seed-pure draws at pinned
+// Reads are idempotent by construction (vertex-/seed-pure draws at pinned
 // epochs); Update, Lease and Release are stamped with idempotency tokens the
 // server deduplicates, so "the request executed but the reply was lost"
 // retries cannot double-apply a mutation or leak a lease. Per-shard breakers

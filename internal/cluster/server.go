@@ -14,17 +14,17 @@
 // generation — replies carry per-list install stamps, storage.NeighborCache
 // tracks validity intervals), TRAVERSE batch splits under a pin use the
 // pinned epoch's own counters (they ride the Lease reply), draws are
-// slot-pure so cache and shard layout never perturb fixed-seed training,
-// and servers bound their snapshot-overlay memory by folding old overlays
-// into a fresh base (Compact RPC, or the SetCompactThreshold trigger on a
-// background goroutine — ServeUpdate only signals, so the fold's O(V+E)
-// walk never sits on an update's reply path) without disturbing leased
-// epochs or live readers. Every draw is uniform: edge weights are stored,
-// updated and carried on TRAVERSE edges (EdgesReply.Weight), but no draw
-// reads them. A neighbour draw depends only on the list a snapshot serves,
-// so a pinned SampleNeighbors request answers bit-identically across a
-// fold; a pinned SampleEdges request keeps its distribution but not its
-// bits (see ServeCompact).
+// vertex-keyed so cache, shard layout and batch composition never perturb
+// fixed-seed training, and servers bound their snapshot-overlay memory by
+// folding old overlays into a fresh base (Compact RPC, or the
+// SetCompactThreshold trigger on a background goroutine — ServeUpdate only
+// signals, so the fold's O(V+E) walk never sits on an update's reply path)
+// without disturbing leased epochs or live readers. Every draw is uniform:
+// edge weights are stored, updated and carried on TRAVERSE edges
+// (EdgesReply.Weight), but no draw reads them. A neighbour draw depends
+// only on the list a snapshot serves, so a pinned SampleNeighbors request
+// answers bit-identically across a fold; a pinned SampleEdges request keeps
+// its distribution but not its bits (see ServeCompact).
 //
 // # Transport stack
 //
@@ -64,7 +64,7 @@
 //
 //   - What is retried: every read RPC (Neighbors, SampleNeighbors,
 //     SampleEdges, NegativePool, Stats, Attrs, Bootstrap) is idempotent by
-//     construction — draws are slot-/seed-pure at pinned epochs, so a
+//     construction — draws are vertex-/seed-pure at pinned epochs, so a
 //     re-issued read returns bit-identical data — and RetryTransport
 //     re-issues them under a CallPolicy (per-attempt deadline, bounded
 //     exponential backoff with jitter, retry budget). Update, Lease and
@@ -121,7 +121,7 @@
 // order after the round lands. Cache admissions, span observations,
 // pin-head bookkeeping and error aggregation (the lowest-part failure
 // wins) therefore happen in exactly the order a sequential client would
-// produce them — and since draws are slot-/seed-pure, reply values are
+// produce them — and since draws are vertex-/seed-pure, reply values are
 // independent of arrival order too, so fixed-seed training is
 // bit-identical, faults or no faults. The only ordering the scatter gives
 // up is cross-shard update delivery order, which was never meaningful
@@ -530,20 +530,14 @@ func (s *Server) ServeAttrs(req AttrsRequest, reply *AttrsReply) error {
 
 // SampleRequest asks for fixed-width uniform neighbor draws executed
 // server-side: instead of shipping a hub's full adjacency list, the server
-// returns Width sampled IDs per requested slot. Vertices are deduplicated
-// by the client; Counts[i] is how many independent Width-wide draw groups
-// vertex i needs, so repeated batch entries stay uncorrelated without being
-// re-sent. Counts and Slots are required.
+// returns Width sampled IDs per requested vertex. Vertices are
+// deduplicated by the client, which copies a vertex's one group to each of
+// its batch slots. Draws are vertex-keyed — sampling.DrawVertex under
+// (Seed, vertex) — so the values a vertex receives are identical whether
+// they are drawn here, from a client-side cache hit, or on a different
+// shard layout. len(Vertices)*Width is at most maxDraws.
 type SampleRequest struct {
 	Vertices []graph.ID
-	Counts   []int
-	// Slots carries the global batch position of every draw group,
-	// flattened in Counts order (sum(Counts) entries): group j of vertex i
-	// is batch slot Slots[cursor]. Draws are slot-pure — derived from
-	// sampling.SlotRng(Seed, slot) — so the values a slot receives are
-	// identical whether it is drawn here, from a client-side cache hit, or
-	// on a different shard layout.
-	Slots    []int32
 	EdgeType graph.EdgeType
 	Width    int
 	// WantLists lets the server answer low-degree vertices with their full
@@ -556,11 +550,11 @@ type SampleRequest struct {
 }
 
 // SampleReply carries the drawn neighbor IDs: for each request vertex in
-// order, Counts[i]*Width draws, flattened. Vertices with no out-edges of
+// order, Width draws, flattened. Vertices with no out-edges of
 // the requested type are padded with themselves. As an optimization, a
 // vertex whose degree does not exceed Width ships its full (short)
 // adjacency list in Lists[i] instead of contributing to Samples: that is
-// never more bytes than Counts[i]*Width draws and lets the client draw
+// never more bytes than Width draws and lets the client draw
 // locally and warm replacing caches; Since[i] stamps each shipped
 // list's install epoch so the admission is version-exact. Epoch stamps the
 // reply with the epoch served; Head with the server's current head.
@@ -773,37 +767,24 @@ func (s *Server) maybeCompact() {
 
 // ServeSampleNeighbors handles a server-side fixed-width draw request: the
 // RPC that keeps hub adjacency lists from crossing the network. All draws
-// read one snapshot view. Each draw group is drawn by sampling.DrawSlot
-// from its batch slot, so the values are identical to what a client-side
+// read one snapshot view. Each vertex's group is drawn by
+// sampling.DrawVertex, so the values are identical to what a client-side
 // cache hit over the same adjacency would have produced, and a compaction
 // that folds the list into the base does not change them.
 func (s *Server) ServeSampleNeighbors(req SampleRequest, reply *SampleReply) error {
 	defer obsSince(&s.met.rpc[MSampleNeighbors], time.Now())
-	if req.Width <= 0 || req.Width > maxDraws {
-		return fmt.Errorf("cluster: sample width %d out of range [1, %d]", req.Width, maxDraws)
-	}
-	if len(req.Counts) != len(req.Vertices) {
-		return fmt.Errorf("cluster: %d counts for %d vertices", len(req.Counts), len(req.Vertices))
+	if req.Width <= 0 || req.Width > maxDraws || len(req.Vertices) > maxDraws/req.Width {
+		return fmt.Errorf("cluster: %d vertices x width %d: width outside [1, %d], or more than %d draws in one request",
+			len(req.Vertices), req.Width, maxDraws, maxDraws)
 	}
 	if err := s.checkType(req.EdgeType); err != nil {
 		return err
-	}
-	total, groups := 0, 0
-	for i, c := range req.Counts {
-		if c < 0 || c > (maxDraws-total)/req.Width {
-			return fmt.Errorf("cluster: count %d at vertex %d: negative, or more than %d draws in one request", c, i, maxDraws)
-		}
-		total += c * req.Width
-		groups += c
-	}
-	if len(req.Slots) != groups {
-		return fmt.Errorf("cluster: %d slots for %d draw groups", len(req.Slots), groups)
 	}
 	view, head, attrHead, err := s.view(req.Pinned, req.Pin)
 	if err != nil {
 		return err
 	}
-	out := make([]graph.ID, total)
+	out := make([]graph.ID, len(req.Vertices)*req.Width)
 	var lists [][]graph.ID
 	var since []uint64
 	if req.WantLists {
@@ -814,23 +795,19 @@ func (s *Server) ServeSampleNeighbors(req SampleRequest, reply *SampleReply) err
 	reply.Epoch = view.Epoch()
 	reply.Head = head
 	reply.AttrHead = attrHead
-	o, cursor := 0, 0
+	o := 0
 	for i, v := range req.Vertices {
 		ns, _, ok := view.Neighbors(v, req.EdgeType)
 		if !ok {
 			return fmt.Errorf("cluster: server %d does not own vertex %d", s.ID, v)
 		}
-		slots := req.Slots[cursor : cursor+req.Counts[i]]
-		cursor += len(slots)
 		if req.WantLists && len(ns) > 0 && len(ns) <= req.Width {
 			lists[i] = append([]graph.ID(nil), ns...)
 			since[i] = view.ChangedAt(v, req.EdgeType)
 			continue
 		}
-		for _, slot := range slots {
-			sampling.DrawSlot(out[o:o+req.Width], v, ns, req.Seed, int(slot))
-			o += req.Width
-		}
+		sampling.DrawVertex(out[o:o+req.Width], v, ns, req.Seed)
+		o += req.Width
 	}
 	reply.Samples = out[:o]
 	reply.Lists = lists

@@ -14,7 +14,7 @@ type Transport interface {
 	// Neighbors fetches out-neighbor lists from the server owning part.
 	Neighbors(part int, req NeighborsRequest, reply *NeighborsReply) error
 	// SampleNeighbors draws fixed-width neighbor samples on the server
-	// owning part, returning width IDs per requested slot instead of full
+	// owning part, returning width IDs per requested vertex instead of full
 	// adjacency lists.
 	SampleNeighbors(part int, req SampleRequest, reply *SampleReply) error
 	// SampleEdges draws uniform local edges from the server owning part.

@@ -181,9 +181,7 @@ func TestPinnedDrawsSurviveCompaction(t *testing.T) {
 	}
 	req := SampleRequest{
 		Vertices: []graph.ID{v},
-		Counts:   []int{4},
-		Slots:    []int32{0, 1, 2, 3},
-		Width:    8,
+		Width:    32,
 		Seed:     42,
 		Pin:      lease.Epoch,
 		Pinned:   true,
@@ -229,7 +227,7 @@ func TestPinnedDrawsSurviveCompaction(t *testing.T) {
 // TestPipelineLRUMatchesDepth0Cluster: depth-4 pipelined training over a
 // cluster with a replacing LRU neighbor cache produces losses bit-identical
 // to depth 0 — the PR 3 "statistical match only" caveat upgraded to an
-// invariant. Draws are slot-pure, so cache warm-up timing and admission
+// invariant. Draws are vertex-keyed, so cache warm-up timing and admission
 // order across pipeline workers cannot perturb the values.
 func TestPipelineLRUMatchesDepth0Cluster(t *testing.T) {
 	g := churnTestGraph(200)

@@ -141,31 +141,32 @@ func TestEncoderShapes(t *testing.T) {
 	}
 }
 
-// On a deterministic context (out-degree 1, width 1) the materialized and
-// positional encoders must agree exactly.
+// The materialized encoder computes one row per distinct vertex of each
+// layer; with vertex-keyed draws that is exactly the positional evaluation,
+// so the two agree bit for bit at the shipped hops [5,3], over a batch with
+// repeated vertices, for every aggregator and combiner.
 func TestMaterializedMatchesPositional(t *testing.T) {
-	rng := rand.New(rand.NewSource(4))
-	g := cycleGraph(8)
-	feat := NewTableFeatures("emb", 8, 4, rng)
-	enc := newEncoder(g, feat, []int{5, 5}, false, rng)
-
-	nbr := sampling.NewNeighborhood(sampling.NewGraphSource(g), rng)
-	ctx, err := nbr.Sample(0, []graph.ID{0, 4}, []int{1, 1})
-	if err != nil {
+	g := twoCommunityGraph(12, rand.New(rand.NewSource(4)))
+	batch := []graph.ID{0, 3, 0, 17, 5, 3, 3, 22, 17, 0}
+	nbr := sampling.NewNeighborhood(sampling.NewGraphSource(g), nil)
+	var ctx sampling.Context
+	if err := nbr.SampleInto(&ctx, 0, batch, []int{5, 3}, sampling.NewRng(4)); err != nil {
 		t.Fatal(err)
 	}
-
-	tp1 := nn.NewTape()
-	enc.Materialize = false
-	h1 := enc.Encode(tp1, ctx)
-
-	tp2 := nn.NewTape()
-	enc.Materialize = true
-	h2 := enc.Encode(tp2, ctx)
-
-	for i := range h1.Val.Data {
-		if math.Abs(h1.Val.Data[i]-h2.Val.Data[i]) > 1e-9 {
-			t.Fatalf("mismatch at %d: %f vs %f", i, h1.Val.Data[i], h2.Val.Data[i])
+	for _, agg := range []string{"mean", "sum", "maxpool", "lstm"} {
+		for _, comb := range []string{"sum", "sumproj", "concat"} {
+			enc := newTestEncoder(g, agg, comb, false, ctx.HopNums, rand.New(rand.NewSource(5)))
+			want := enc.Encode(nn.NewTape(), &ctx)
+			enc.Materialize = true
+			got := enc.Encode(nn.NewTape(), &ctx)
+			if got.Val.Rows != len(batch) {
+				t.Fatalf("%s/%s: %d rows, want %d", agg, comb, got.Val.Rows, len(batch))
+			}
+			for i := range want.Val.Data {
+				if math.Float64bits(got.Val.Data[i]) != math.Float64bits(want.Val.Data[i]) {
+					t.Fatalf("%s/%s: element %d materialized %v, positional %v", agg, comb, i, got.Val.Data[i], want.Val.Data[i])
+				}
+			}
 		}
 	}
 }

@@ -21,10 +21,11 @@ type Encoder struct {
 	Comb     []operator.Combiner
 
 	// Materialize enables the Section 3.4 optimization: intermediate
-	// vectors ĥ^(k) are computed once per distinct vertex in the mini-batch
-	// and shared across every occurrence (sampled hubs appear many times).
-	// Disabled, each occurrence recomputes its subtree — the baseline
-	// measured in Table 5.
+	// vectors ĥ^(k) are computed once per distinct vertex of each context
+	// layer and shared across every occurrence (sampled hubs appear many
+	// times), bit for bit equal to the positional evaluation. Disabled,
+	// each occurrence recomputes its subtree — the baseline measured in
+	// Table 5.
 	Materialize bool
 }
 
@@ -82,85 +83,79 @@ func (e *Encoder) encodePositional(t *nn.Tape, ctx *sampling.Context) *nn.Node {
 	return h[0]
 }
 
-// encodeMaterialized shares intermediate vectors among repeated vertices:
-// per hop, each distinct vertex of the mini-batch is computed once into a
-// compact matrix ĥ^(k) and every occurrence gathers its row (Section 3.4).
+// encodeMaterialized is encodePositional with every repeated row computed
+// once (Section 3.4). Draws are vertex-keyed, so all occurrences of v in
+// layer l have the same sampled subtree, and each hop's vector of v at
+// layer l is one row of that layer's compact table, shared by every
+// occurrence. Row for row the arithmetic is the positional one: layer l's
+// hop-k rows combine its own hop-(k-1) rows with the HopNums[l]-wide
+// groups of layer l+1's hop-(k-1) rows. Hop-0 features are fetched once,
+// for the distinct vertices of all layers.
 func (e *Encoder) encodeMaterialized(t *nn.Tape, ctx *sampling.Context) *nn.Node {
 	L := len(ctx.Layers)
+
+	// Per layer: the first position of each distinct vertex, and each
+	// position's row in the layer's table (at[l]) — at hop 0 that table is
+	// the shared feature table, later the layer's own distinct rows.
+	firstPos := make([][]int, L)
+	at := make([][]int, L)
+	rowOf := make([][]int, L)
+	featRow := make(map[graph.ID]int)
+	var feats []graph.ID
+	for l, layer := range ctx.Layers {
+		idx := make(map[graph.ID]int, len(layer))
+		at[l] = make([]int, len(layer))
+		rowOf[l] = make([]int, len(layer))
+		for i, v := range layer {
+			r, ok := idx[v]
+			if !ok {
+				r = len(firstPos[l])
+				idx[v] = r
+				firstPos[l] = append(firstPos[l], i)
+			}
+			rowOf[l][i] = r
+			f, ok := featRow[v]
+			if !ok {
+				f = len(feats)
+				featRow[v] = f
+				feats = append(feats, v)
+			}
+			at[l][i] = f
+		}
+	}
+	h := make([]*nn.Node, L)
+	hat := e.Features.Rows(t, feats)
+	for l := range h {
+		h[l] = hat
+	}
+
 	kmax := L - 1
-
-	// Distinct vertex table across all layers, with each vertex's sampled
-	// neighbor group (first occurrence wins, per the shared-neighbors
-	// approximation).
-	rowOf := make(map[graph.ID]int)
-	var distinct []graph.ID
-	groupOf := make(map[graph.ID][]graph.ID) // sampled neighbors of v
-	for l := 0; l < L; l++ {
-		for i, v := range ctx.Layers[l] {
-			if _, ok := rowOf[v]; !ok {
-				rowOf[v] = len(distinct)
-				distinct = append(distinct, v)
-			}
-			if l < L-1 {
-				if _, ok := groupOf[v]; !ok {
-					groupOf[v] = ctx.NeighborsOf(l, i)
-				}
-			}
-		}
-	}
-
-	// ĥ^(0): features of all distinct vertices.
-	hhat := e.Features.Rows(t, distinct)
-	curRow := rowOf
-
 	for k := 1; k <= kmax; k++ {
-		// Vertices still needed at hop k: layers 0..L-1-k.
-		needRow := make(map[graph.ID]int)
-		var need []graph.ID
-		for l := 0; l <= L-1-k; l++ {
-			for _, v := range ctx.Layers[l] {
-				if _, ok := needRow[v]; !ok {
-					needRow[v] = len(need)
-					need = append(need, v)
+		for l := 0; l < L-k; l++ {
+			width := ctx.HopNums[l]
+			flat := make([]int, 0, len(firstPos[l])*width)
+			for _, i := range firstPos[l] {
+				flat = append(flat, at[l+1][i*width:(i+1)*width]...)
+			}
+			agg := e.Agg[k-1].Aggregate(t, h[l+1], flat, width)
+			own := h[l] // from hop 2 on, the layer's own rows in order
+			if k == 1 {
+				self := make([]int, len(firstPos[l]))
+				for r, i := range firstPos[l] {
+					self[r] = at[l][i]
 				}
+				own = t.Gather(own, self)
 			}
+			comb := e.Comb[k-1].Combine(t, own, agg)
+			if k < kmax {
+				comb = t.RowL2Normalize(comb)
+			}
+			h[l] = comb
 		}
-		width := ctx.HopNums[0]
-		// Flatten each needed vertex's neighbor group rows in ĥ^(k-1).
-		flat := make([]int, 0, len(need)*width)
-		selfIdx := make([]int, len(need))
-		for i, v := range need {
-			selfIdx[i] = curRow[v]
-			grp := groupOf[v]
-			if len(grp) > width {
-				grp = grp[:width] // unify group width across layers
-			}
-			for _, u := range grp {
-				flat = append(flat, curRow[u])
-			}
-			// Pad groups narrower than width (different hop widths) with
-			// the vertex itself so the groups stay aligned.
-			for pad := len(grp); pad < width; pad++ {
-				flat = append(flat, curRow[v])
-			}
+		// The layers' own tables replace the feature table from hop 1 on.
+		if k == 1 {
+			copy(at, rowOf)
 		}
-		// AGGREGATE reads the neighbour rows of ĥ^(k-1) by index. It goes on
-		// the tape before the self Gather, so backward adds the self
-		// contributions to ĥ^(k-1)'s gradient before the neighbour ones.
-		agg := e.Agg[k-1].Aggregate(t, hhat, flat, width)
-		self := t.Gather(hhat, selfIdx)
-		comb := e.Comb[k-1].Combine(t, self, agg)
-		if k < kmax {
-			comb = t.RowL2Normalize(comb)
-		}
-		hhat = comb
-		curRow = needRow
 	}
-
-	// Expand to the batch order.
-	idx := make([]int, len(ctx.Layers[0]))
-	for i, v := range ctx.Layers[0] {
-		idx[i] = curRow[v]
-	}
-	return t.Gather(hhat, idx)
+	return t.Gather(h[0], at[0])
 }

@@ -46,9 +46,9 @@ var ErrPipelineClosed = errors.New("core: pipeline closed")
 // then execute the expensive expansions from those snapshots, and a
 // collector releases batches in sequence order. The training losses are
 // therefore bit-identical at every Depth and Workers setting — including
-// with a replacing (LRU) neighbor cache: draws are slot-pure
-// (sampling.SlotRng derives each slot's stream from the hop seed and the
-// slot index alone), so cache warm-up timing, admission order across
+// with a replacing (LRU) neighbor cache: draws are vertex-keyed
+// (sampling.DrawVertex derives each vertex's stream from the hop seed and
+// the vertex alone), so cache warm-up timing, admission order across
 // workers, and hit/miss patterns can shift RPC traffic but never the
 // sampled values.
 //

@@ -11,15 +11,12 @@ import (
 	"repro/internal/operator"
 )
 
-// newStepTestTrainer builds a deterministic trainer whose encoder uses the
-// given aggregator and combiner kinds at every hop; all randomness descends
-// from seed.
-func newStepTestTrainer(g *graph.Graph, agg, comb string, materialize bool, seed int64) *LinkTrainer {
+// newTestEncoder builds an encoder whose every hop uses the given
+// aggregator and combiner kinds, with d-wide features and hidden rows.
+func newTestEncoder(g *graph.Graph, agg, comb string, materialize bool, hops []int, rng *rand.Rand) *Encoder {
 	const d = 12 // feature and hidden width alike, so every combiner fits
-	rng := rand.New(rand.NewSource(seed))
 	feat := &ConcatFeatures{Srcs: []FeatureSource{NewAttrFeatures(g, 4), NewTableFeatures("emb", g.NumVertices(), d-4, rng)}}
 	enc := &Encoder{Features: feat, Materialize: materialize}
-	hops := []int{3, 2}
 	for range hops {
 		switch agg {
 		case "mean":
@@ -40,6 +37,16 @@ func newStepTestTrainer(g *graph.Graph, agg, comb string, materialize bool, seed
 			enc.Comb = append(enc.Comb, operator.NewConcatCombiner("comb", d, d, d, rng))
 		}
 	}
+	return enc
+}
+
+// newStepTestTrainer builds a deterministic trainer whose encoder uses the
+// given aggregator and combiner kinds at every hop; all randomness descends
+// from seed.
+func newStepTestTrainer(g *graph.Graph, agg, comb string, materialize bool, seed int64) *LinkTrainer {
+	rng := rand.New(rand.NewSource(seed))
+	hops := []int{3, 2}
+	enc := newTestEncoder(g, agg, comb, materialize, hops, rng)
 	cfg := TrainerConfig{EdgeType: 0, HopNums: hops, Batch: 8, NegK: 2, LR: 0.05}
 	return NewLinkTrainer(g, enc, cfg, rng)
 }

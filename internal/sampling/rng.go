@@ -44,22 +44,6 @@ func (r *Rng) Float64() float64 {
 	return float64(r.Uint64()>>11) / (1 << 53)
 }
 
-// SlotRng derives an independent draw stream for one batch slot from a
-// per-call seed: the state is a full splitmix64 scramble of (seed, slot), so
-// nearby slots are uncorrelated rather than shifted copies of one stream.
-// This is the mechanism behind cache-oblivious batched draws: every
-// Source implementation fills slot i from SlotRng(seed, i), which
-// makes the samples a pure function of (seed, slot, neighbor list) — the
-// same values whether a slot was served from a local graph, a neighbor
-// cache, or a remote shard, and regardless of which other slots hit or
-// missed a cache.
-func SlotRng(seed uint64, slot int) Rng {
-	z := seed + (uint64(slot)+1)*0xBF58476D1CE4E5B9
-	z = (z ^ (z >> 30)) * 0xBF58476D1CE4E5B9
-	z = (z ^ (z >> 27)) * 0x94D049BB133111EB
-	return Rng{state: z ^ (z >> 31)}
-}
-
 // Snapshot returns a copy of the generator that will produce exactly the
 // draws r would produce next, advancing independently. Combined with Skip it
 // lets a sequential scheduler hand each parallel worker the precise slice of

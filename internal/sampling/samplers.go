@@ -189,6 +189,10 @@ func (s *Neighborhood) Sample(t graph.EdgeType, batch []graph.ID, hopNums []int)
 // Each hop is one SampleBatch call, seeded by one rng draw: local graphs
 // draw in place; distributed clients dedup hubs and pay at most one RPC
 // per owning server. An EpochView source is tagged with the hop it serves.
+// Draws are vertex-keyed (DrawVertex) under the hop's seed, so within one
+// hop every occurrence of a vertex gets the same neighbour group, and a
+// vertex's subtree depends only on rng's state, not on the rest of the
+// batch: sampling {v} alone from the same rng state reproduces v's subtree.
 func (s *Neighborhood) SampleInto(ctx *Context, t graph.EdgeType, batch []graph.ID, hopNums []int, rng *Rng) error {
 	ctx.HopNums = append(ctx.HopNums[:0], hopNums...)
 	for len(ctx.Layers) < len(hopNums)+1 {

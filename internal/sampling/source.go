@@ -20,13 +20,16 @@ type Source interface {
 	// seed makes the draw deterministic for a given source state; callers
 	// advance their own Rng to produce per-hop seeds.
 	//
-	// Draws are slot-pure: the samples filling dst[i*width:(i+1)*width]
-	// come from SlotRng(seed, i) and are therefore a pure function of
-	// (seed, i, the neighbor list of vs[i]). Every implementation over the
-	// same adjacency produces identical output — whether a slot was served
-	// from an in-memory graph, a neighbor cache, or a remote shard — which
-	// is what lets replacing caches, shard layouts and admission timing
-	// vary without perturbing a fixed-seed training run.
+	// Draws are vertex-keyed: the samples filling dst[i*width:(i+1)*width]
+	// are DrawVertex's for (seed, vs[i]) and are therefore a pure function
+	// of (seed, vs[i], the neighbor list of vs[i]). Repeated occurrences of
+	// a vertex in one call get identical groups, and a vertex's group does
+	// not depend on which other vertices share the call. Every
+	// implementation over the same adjacency produces identical output —
+	// whether a vertex was served from an in-memory graph, a neighbor
+	// cache, or a remote shard — which is what lets replacing caches, shard
+	// layouts and batch composition vary without perturbing a fixed-seed
+	// run.
 	SampleBatch(dst []graph.ID, vs []graph.ID, t graph.EdgeType, width int, seed uint64) error
 }
 
@@ -146,25 +149,30 @@ func (s *GraphSource) SampleBatch(dst []graph.ID, vs []graph.ID, t graph.EdgeTyp
 	if len(dst) != len(vs)*width {
 		return fmt.Errorf("sampling: SampleBatch dst length %d, want %d", len(dst), len(vs)*width)
 	}
-	for slot, v := range vs {
-		DrawSlot(dst[slot*width:(slot+1)*width], v, s.G.OutNeighbors(v, t), seed, slot)
+	for i, v := range vs {
+		DrawVertex(dst[i*width:(i+1)*width], v, s.G.OutNeighbors(v, t), seed)
 	}
 	return nil
 }
 
-// DrawSlot fills dst with batch slot slot's uniform neighbour draws: each
-// entry indexes ns under SlotRng(seed, slot), and an empty ns pads dst with
+// DrawVertex fills dst with v's uniform neighbour draws: each entry indexes
+// ns under a stream that is a full splitmix64 scramble of (seed, v), so
+// nearby vertex IDs get uncorrelated streams, and an empty ns pads dst with
 // v itself. It is the one draw rule of the seam: GraphSource, the graph
 // server and the cluster client's cache hits all draw through it, so their
-// draws are bit-identical by construction.
-func DrawSlot(dst []graph.ID, v graph.ID, ns []graph.ID, seed uint64, slot int) {
+// draws are bit-identical by construction. The hop, context and edge type
+// ride in seed (Neighborhood.SampleInto draws one per hop).
+func DrawVertex(dst []graph.ID, v graph.ID, ns []graph.ID, seed uint64) {
 	if len(ns) == 0 {
 		for i := range dst {
 			dst[i] = v
 		}
 		return
 	}
-	rng := SlotRng(seed, slot)
+	z := seed + (uint64(v)+1)*0xBF58476D1CE4E5B9
+	z = (z ^ (z >> 30)) * 0xBF58476D1CE4E5B9
+	z = (z ^ (z >> 27)) * 0x94D049BB133111EB
+	rng := Rng{state: z ^ (z >> 31)}
 	for i := range dst {
 		dst[i] = ns[rng.Intn(len(ns))]
 	}

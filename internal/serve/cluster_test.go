@@ -195,12 +195,14 @@ func TestServeInvalidationScope(t *testing.T) {
 // possible staleness property: because every round routed its touched set
 // through the cache, any entry that survived is provably identical to a
 // fresh recompute — so after the storm, every served embedding equals the
-// trainer's direct answer bit for bit. MaxBatch=1 keeps single-vertex
-// batches, making the direct comparison exact. Run with -race.
+// trainer's direct single-vertex answer bit for bit. Eight concurrent
+// callers and MaxBatch 8 make flushes coalesce lookups into mixed batches,
+// so the comparison also holds the encoder to batch independence. Run with
+// -race.
 func TestServeChurnStormExactness(t *testing.T) {
 	const n = 48
 	_, cl, tr := clusterFixture(t, n)
-	srv := New(tr, cl, Config{FlushWindow: 100 * time.Microsecond, MaxBatch: 1, MaxLag: 3, EdgeType: 0})
+	srv := New(tr, cl, Config{FlushWindow: 100 * time.Microsecond, MaxBatch: 8, MaxLag: 3, EdgeType: 0})
 	defer srv.Close()
 
 	// Warm every vertex so the first churn rounds hit a full cache.
@@ -212,7 +214,7 @@ func TestServeChurnStormExactness(t *testing.T) {
 
 	stop := make(chan struct{})
 	var wg sync.WaitGroup
-	for w := 0; w < 4; w++ {
+	for w := 0; w < 8; w++ {
 		wg.Add(1)
 		go func(seed int64) {
 			defer wg.Done()

@@ -11,6 +11,8 @@
 //     per-batch sampling and RPC fan-out across every waiting caller, and
 //     the single-flusher design keeps the encoder free of concurrent
 //     inference batches (its feature source may hold per-batch state).
+//     Coalescing does not change results: draws are vertex-keyed, so v's
+//     embedding in a merged batch equals its embedding alone, bit for bit.
 //
 //   - Epoch-aware embedding caching. Every computed embedding is admitted
 //     to a storage.EmbeddingCache together with its sampled dependency set

@@ -26,7 +26,8 @@ import (
 // it). A Get at epoch e hits only when since <= e <= through; an Observe of
 // the same list at a newer epoch cheaply extends `through` (re-validation),
 // while an Observe with a newer `since` supersedes the entry. Because the
-// batched draw engine is slot-pure (sampling.SlotRng), a conservative
+// batched draw engine is vertex-keyed (sampling.DrawVertex draws from the
+// served list under the hop seed and the vertex alone), a conservative
 // epoch miss costs one re-validating fetch but can never change the values
 // a fixed-seed training run consumes.
 type NeighborCache interface {

@@ -15,7 +15,7 @@
 // replies confirm a vertex untouched, the LRU tags entries and misses on
 // mismatch, and no strategy can ever serve a pinned batch a neighbor list
 // fetched at a different update generation. Because batched draws are
-// slot-pure (sampling.SlotRng), these conservative misses change RPC
+// vertex-keyed (sampling.DrawVertex), these conservative misses change RPC
 // traffic but never the values a fixed-seed training run consumes.
 //
 // The seam is one interface, and every cache implements all of it: Get
