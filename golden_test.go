@@ -119,67 +119,67 @@ func TestGoldenBits(t *testing.T) {
 
 var (
 	goldenLocalLosses = []uint64{
-		0x3ff7ff13e0ac93c9, 0x3ff8047cd63d3bac, 0x3ff644eb596da6a8, 0x3ff613ded89e0b94,
-		0x3ff61ce2206d9607, 0x3ff6050ecc549533, 0x3ff6194f36efd391, 0x3ff5fc74600d4d4a,
-		0x3ff61135edbc7f12, 0x3ff5f25703426d04, 0x3ff5d4d6ec601888, 0x3ff54b0020cda352,
-		0x3ff5c489cab66ea5, 0x3ff4f038068ad2b9, 0x3ff4da3aa9b381ad, 0x3ff4ed0429bc590c,
+		0x3ff7fb505a94da8f, 0x3ff7a5cf4fbc4ef8, 0x3ff65ca4d0d5898b, 0x3ff66419cfb8663a,
+		0x3ff60f288b78e0ba, 0x3ff60f98398800c0, 0x3ff6680f9452fd0e, 0x3ff63d3c7056f5c0,
+		0x3ff5d185ec83b6ee, 0x3ff606cc4951450b, 0x3ff65d1615aa6b6c, 0x3ff5ec4aaf2da2c5,
+		0x3ff5cc8361d77b38, 0x3ff58cf05a79410c, 0x3ff5b2e7cbceafa9, 0x3ff58649d4e2edce,
 	}
 	goldenLocalEmb = []uint64{
-		0x3fb48659e42665fb, 0x3fa8d560e988f141, 0x3f9985658c42e36a, 0xbfc4d640baccff95,
-		0x3fc69104546e3f34, 0xbfa70aeb0466ee9e, 0xbfbc864873ac7368, 0xbf8668b17401d0aa,
-		0xbfd6d993b06478c8, 0xbfc711cf7b016d18, 0x3fabcb74b85302b2, 0x3fa1fa518ccf16a6,
-		0xbfc4b749401641ab, 0x3fae87e03c6702cb, 0xbfa4c4287e084778, 0xbfc1a75cbdb6fdbe,
-		0x3fd3c4731c3bbd91, 0xbfbe6944e985d369, 0xbfb6af4bff350ed8, 0x3fc0f8bbcdd1a756,
-		0xbfc2aff1640613ee, 0x3fc0c9ca29302650, 0x3fce0a6bc58bb58e, 0x3fb8df129f889768,
-		0xbfc66468f0522c93, 0xbfbd1c0a81f414ae, 0x3fb873d09b7cf5d5, 0xbfabff52924d875a,
-		0xbf3002b2dd9e8ca0, 0x3fc88bcc937a1105, 0x3f9925af069031c2, 0xbfb64d38603c03ab,
-		0x3fb8270a8ee286be, 0xbfb1ff6b967d07e1, 0xbfc36a2dd9d02128, 0xbfccb3499d321fe6,
-		0xbfb946d3129bc003, 0x3fbbb3a4aefd9b5c, 0x3f90d126396e5ac4, 0xbf912065715350a3,
-		0x3fc16314c39507a2, 0x3fa38b542e7a7d7b, 0xbfb299e06695c29f, 0x3f9b5fd3c4f8c58d,
-		0xbfceb1d51f5f7088, 0xbfb2dc4f8e23a962, 0xbfbd6f288f3d8932, 0xbfa599b0d1c3b0dd,
-		0xbfb36c88b0a73325, 0x3fb552ac3ca5634e, 0xbfb085d01ca66fd2, 0xbfb4c176d7f8367b,
-		0x3f95a0d8a5416373, 0xbf8ca8b9fdc1dfd0, 0x3fce9252b562687b, 0xbfc86913c19c1da9,
-		0x3fa00637b4f7ee60, 0xbfb0fa8df73a4c48, 0x3fb5eb744591c918, 0x3f95fae348e38a27,
-		0xbfb234209a5127f6, 0xbfb680f530d3f548, 0xbfa3bd767e8fbe26, 0xbf8025847fc29c98,
-		0x3fc96308f965edef, 0xbfa442443e098014, 0xbfc100403b6e6554, 0xbfc855b0f3410bd6,
-		0x3fb295ec086e5961, 0x3fd2a1babd870296, 0xbfb693c6f14bfe86, 0xbfc8f1ff2fbe3a5f,
-		0x3fa429d14385a26a, 0xbfcb000832d297b1, 0x3fcde4769a028e5c, 0xbfc4e81ddd62a368,
-		0xbf77e4618ba2c5fc, 0xbfa87ececc8f815e, 0xbfbdc023a282352a, 0xbfc0d522f89f5ba8,
-		0xbfbe49c145f0551c, 0x3fa24dd5691738c2, 0xbfd92cc735199fae, 0xbfcc64264cc765ea,
-		0x3fd0f08bae1a8525, 0x3fc3b9eb5c60c093, 0x3fd302e5a22cbb9e, 0x3fbc995c4b226374,
-		0x3fd155fddbb0d926, 0xbfd69cceb91bb3b8, 0xbfc049800e5a850f, 0x3fa5222675f849ae,
-		0xbfb381c65cfa2f1e, 0x3fcb2cc055ba54b1, 0x3fb4aef680420539, 0xbf7994b79e3622cc,
+		0xbfaa148f9a5b27bd, 0xbfb16ca600670202, 0x3fa35126497c03a8, 0xbfb1fd2d3c4d5f28,
+		0x3fc68eedf8a81383, 0xbfbf6f05bca1d3b2, 0x3fb8f16b7d4f6051, 0x3fb0761effe20853,
+		0xbfc05a2f4abcdae3, 0xbfc23ebedfd4f5f5, 0xbf4f4087700b3640, 0x3f965b0cd4fd491d,
+		0xbfb1eeea2593b87c, 0x3fc2ea86030e1fe3, 0xbfc3be0809bbb2ed, 0x3fac74159f0973aa,
+		0x3fd2674b7261d8d3, 0xbfc086210505c58b, 0xbfab338cf4c3cffc, 0x3fb04854f47e42de,
+		0xbf9e8ce99532b118, 0x3fca02b7cbb23988, 0x3fbfc879aff0d9a2, 0x3fb336f01706ef42,
+		0xbfb4ebd886e5807c, 0xbfc705d2359e8e75, 0x3f9a925ab701bee8, 0xbf94e53b88cf00a1,
+		0x3fa44111dd243d5b, 0x3fd094d1f5919c13, 0x3fac2b4e4a1bfc3a, 0x3fb16fb6851b1e92,
+		0xbfa08696bf3aa706, 0x3fb9b8609ab5b89a, 0xbfbcfcd5d347a20b, 0xbfce5fb46e311928,
+		0xbfb2f06b44871db8, 0x3fc4505a28031a1e, 0x3fc218db775c2e8d, 0x3fd199160e51546f,
+		0x3fa24313d94c49d4, 0x3fadb05af0c64d8c, 0xbf697fd3e8ab9780, 0xbfa3ceb3317cdade,
+		0xbfd116dbf00cf64b, 0x3fa3ae8b55365878, 0xbfbc8cb9b7a68db3, 0xbfa0ea94ae898e98,
+		0x3fc6229322624e95, 0xbfbe50fd0a45150a, 0x3fbb209864efaf90, 0x3fceaed352fd19a4,
+		0x3fa7cfb5c1f96185, 0xbfb6fbe815fcbf36, 0xbfb0da1eb12ebf74, 0x3f8ed3dea1036d2a,
+		0x3fca4a59ffb71b13, 0xbfd4c86b90883176, 0x3fb858d4965c6cde, 0xbfb2d2558af87ce2,
+		0xbfd08c09a7a46b33, 0xbfa4d55e544ecfb6, 0xbfc8b31e3d3d151e, 0x3fbf6dd445ceff2c,
+		0x3fd50b4de874d519, 0x3f8b52335896611c, 0xbfb7452316017b7d, 0xbfc7cb22bb25e5aa,
+		0xbfafbc8d2a5dee36, 0x3fcd23b23aecf1a1, 0xbfbaa6a5691f3458, 0x3fa06f0690f61ef0,
+		0x3fce7fb87403701d, 0xbf8f473d471e35b7, 0x3f420fe2bbb52440, 0xbfcf05c2b30fe271,
+		0x3fb70940e932ce52, 0xbfb5985d09962a38, 0x3fc9cb2a1bc6c0d2, 0xbfcf48301433697d,
+		0xbfcd2cea42a20aad, 0x3f95acd4a2e108a4, 0xbfcc9c81dbb95a70, 0xbf9d3f3bd09897d8,
+		0x3fd27b62ff7923b5, 0xbfaa3bd1bcfe864e, 0xbfb30e8540a0ea7e, 0x3fad3d7f6eda1c24,
+		0x3fdd8f0b09293aab, 0xbfc8a193ee95dd82, 0xbfb4ba7c17c1bad3, 0x3f9004ca363d78bd,
+		0xbfc90d28cd204ecb, 0xbfa2586576b49ff0, 0xbfafc492d566d16c, 0x3f920709a2be67e6,
 	}
 	goldenClusterLosses = []uint64{
-		0x3ff83e8267470fa6, 0x3ff804cc5a064190, 0x3ff65c9bd14ef6ee, 0x3ff619b31aee8e64,
-		0x3ff6766ebf26a164, 0x3ff5eb157949e787, 0x3ff62cd06853dd40, 0x3ff5f7b62868a47d,
-		0x3ff61425a89c7c8c, 0x3ff5840f8e16cba2, 0x3ff5be6499fc309c, 0x3ff5cc9831ff1dc8,
-		0x3ff584cb4cb983b0, 0x3ff57f410d0bd39c, 0x3ff4e3db8a2ff054, 0x3ff564c357f717ed,
+		0x3ff869c5428dfc9a, 0x3ff7f35b4d29bec5, 0x3ff6a26cfda5b310, 0x3ff644e05e760aff,
+		0x3ff6a1c61266d92b, 0x3ff65c19d293579c, 0x3ff642e8d003e3ee, 0x3ff62e9f82fd811c,
+		0x3ff5f8fb2c341c66, 0x3ff62d31a87fc270, 0x3ff616839b9fbce8, 0x3ff5cb6c76e38cfa,
+		0x3ff581913456249e, 0x3ff6135919dcb2e3, 0x3ff5730f532a908d, 0x3ff5c168593ccff8,
 	}
 	goldenClusterEmb = []uint64{
-		0x3f9637f108e5e849, 0xbfbadfeed1388e1f, 0x3fbe475530a42e39, 0x3fb04644d5ce00cf,
-		0x3f9eb7492cd7ad06, 0xbfb285ef5d3b3ab4, 0xbfb5e1f8d2655987, 0xbfc54c18337e9ff2,
-		0xbfd213c7f5512334, 0x3f5956d2082f9d98, 0xbfa87b7dd0e60314, 0xbf8ccf0b05f84ff8,
-		0xbfb67c387b325a32, 0xbfbef3ff37ce3ee2, 0x3fafb63015bed317, 0xbfb36bc53055b86d,
-		0x3fbc65448ad90815, 0x3fb689b61dc979cb, 0x3fafb87d0d3c539b, 0xbfbad848327425d4,
-		0xbfbe5ee659ee52fa, 0x3fb831fa136cd046, 0x3fc858003668c130, 0xbf99de5f241dcb28,
-		0xbfc995e0bff1a46d, 0xbf919de3c2805854, 0xbfba2417c51467d0, 0x3fa3eac83427010d,
-		0x3fbe4b8ce67fc0cd, 0xbf8bee650e70c2b9, 0xbf922ea1a7af218c, 0x3fb6ba6090ede5a9,
-		0x3fc60c33c400535c, 0x3f857fc29e05beb8, 0xbfcfcaa6f1dd185c, 0xbfb79013cb5c6834,
-		0xbfb0db7b7f49e299, 0x3fa0597cd7796ece, 0x3fb098c26273c624, 0x3fc6872905d991d4,
-		0x3fc13c751e3d9438, 0x3fbc94751f525356, 0xbfcaa6859276d1b3, 0x3fbda152d5da9290,
-		0xbfc0eed8adb8c66e, 0x3fa9b2d80ab56f6e, 0xbfb06d2921f9d5e2, 0xbf8938ed2324b664,
-		0x3fa3becef6b92e14, 0xbfa15660ae470335, 0x3f6102116a71e5b0, 0x3fb156d887db32f0,
-		0x3f453fe3c0442278, 0xbfb2dd6cb18ca989, 0xbfa2477792188a16, 0x3fc26a0fb3a45ec6,
-		0x3fb40680d787d280, 0xbfcfe370a35ca440, 0x3fb69456acd1ab4c, 0x3fa7bcad7027cc66,
-		0xbfb071b3f7c9ba8c, 0xbfbdfb4dc2d7ce10, 0x3f774bb529dcf920, 0x3fae0d05f1855deb,
-		0x3fd277ef1659e12e, 0x3fc87b60b1f513bc, 0xbfc5bfedda7d59ca, 0xbfaa86ff37fb65f1,
-		0x3fb94a29daf3951c, 0x3fc7672ec6ab4764, 0xbfc0377c0fbd65e9, 0xbfa33e7bc4626d1c,
-		0x3fc36f503fcaaacd, 0xbfc421371f79111e, 0xbfa1fcd07724a92c, 0xbf860f5530046ba0,
-		0xbfc62c661bde14a2, 0xbfa1cf130005ef81, 0xbfc6a57c14082497, 0xbfaeaf8f48840f98,
-		0x3fb298b6bb81f0a1, 0x3f9535f1adc003ca, 0xbfd3f61ab1a91253, 0x3f9b4737769c04aa,
-		0x3fc83f0d79313808, 0x3fb9a6503aa8637e, 0x3fb1fe9a37a3860f, 0x3fd3405f91e8d0b7,
-		0x3fc6b0ce0d921a8d, 0xbfd961d843b2a93e, 0x3fbfd9002276be38, 0xbfb695dac90fcc87,
-		0xbf98badaca4e5b54, 0x3fd120abef3ad973, 0xbfa83a0b16e90cc2, 0x3fb9b9bf8340b62d,
+		0x3f904cf7b65320f9, 0xbfbf35720c655d9d, 0x3fb33fe4daa21f97, 0x3f903afbbc529ba7,
+		0x3fc7765aee31e522, 0xbfbdf61597f3d186, 0xbfb6c941a3a19ed6, 0x3f954935fdf33fc8,
+		0xbfca830d08903880, 0xbfb2e562f774fd84, 0xbfbb846af3d58b0f, 0x3fa4a6f30d231b73,
+		0xbfb226b195391a86, 0x3fbeeb339f66dfc1, 0xbfb8ccc6c4421383, 0x3fa645131b1288cc,
+		0x3fc8449912a9089c, 0x3fb01adf66e93d0c, 0x3fc1659969b378b0, 0x3fbaf10234a16288,
+		0xbf7c641982a3db3e, 0x3fbb044ecb6c777c, 0x3fc0fab4aba2781d, 0xbfbefced097dc24b,
+		0xbf9fbea5236d0e98, 0xbfb0d133b3121558, 0x3f6058ac2d6d82c0, 0xbfa31d8b252f8c52,
+		0x3fb8748c9da23d81, 0x3fba62253761bd1d, 0x3f838ce65a833034, 0xbfb75811c7d70df4,
+		0x3f9599734fe2e815, 0x3fad0a9ca83c52ee, 0xbfb4fa26459d5220, 0x3f9ea722169fbaa0,
+		0xbfad9aa385286076, 0xbfa13b307fa0cb14, 0xbfb1be529aa88738, 0x3fc19687dcba0202,
+		0x3fb3dddaf4422837, 0xbfb0ec8cffd00f69, 0xbfc2e97c14135d74, 0x3fc2a8ff24487547,
+		0xbfc9165293615d57, 0xbfa49bb749d65322, 0xbfb1a296432552ba, 0xbf5a6cf3e4bb5442,
+		0x3fbd69280af3c447, 0x3f8dfdaac8c9e7e2, 0x3fcc0835e8a547dc, 0x3fb41393e4693284,
+		0xbfcf9abd60625537, 0xbfb0e3dc8e254b2d, 0xbfaccdb380498e2f, 0xbfc18f8570db6176,
+		0xbfc4bc8b77c7ebed, 0xbf75afb90f7512f8, 0x3fd3b96feff15b2b, 0x3f913551dea1a82e,
+		0x3fb4725975a10f51, 0xbfc0b4fdfb097cd3, 0xbf86bdd144fb2c46, 0xbfc6a0465a9f496d,
+		0x3fcc9161866e1a29, 0x3fc9d094c3c78b6a, 0xbfbcb3ae56336d44, 0x3fb940fe954aba69,
+		0x3fb67245f90bfd18, 0x3fa17ff8af31c6bb, 0xbfd036c2d207e224, 0xbfc85d9ca6f0eef4,
+		0xbfb7732e5524d99e, 0xbfc892b5207f9794, 0x3faaa2c801512bbd, 0xbf94ba2c6c6d828c,
+		0x3f92bbc139639d1f, 0xbf7d0449d559a868, 0xbfc1207e9507adf3, 0x3fa3b63cb6a947fb,
+		0x3fc77156b2a07dc0, 0x3fb346828bea985c, 0xbfbbcc6dd9a525d5, 0x3f72f6426d5c9950,
+		0x3fb6f0c103c45f87, 0x3f80bd66d0e3f8c4, 0x3fb5eeb6368e656d, 0x3fa9c55648b01c9a,
+		0x3fc75e99b6810913, 0xbfd168fc32b80be4, 0x3fa98df2a6459ffb, 0xbfc5d4ce40a5516e,
+		0x3fa0d598d12fc20d, 0x3fceef435b13afa5, 0xbfbcbe085e1ae422, 0xbfca75fc08a9e545,
 	}
 )

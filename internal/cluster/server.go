@@ -21,10 +21,10 @@
 // signals, so the fold's O(V+E) walk never sits on an update's reply path)
 // without disturbing leased epochs or live readers. Every draw is uniform:
 // edge weights are stored, updated and carried on TRAVERSE edges
-// (EdgesReply.Weight), but no draw reads them. A neighbour draw depends
-// only on the list a snapshot serves, so a pinned SampleNeighbors request
-// answers bit-identically across a fold; a pinned SampleEdges request keeps
-// its distribution but not its bits (see ServeCompact).
+// (EdgesReply.Weight), but no draw reads them. Neighbour and edge draws
+// depend only on the adjacency a snapshot serves, so pinned SampleNeighbors
+// and SampleEdges requests answer bit-identically across a fold (see
+// ServeCompact).
 //
 // # Transport stack
 //
@@ -701,9 +701,9 @@ func (s *Server) ServeRelease(req ReleaseRequest, reply *ReleaseReply) error {
 // (version.Store.Compact). Live views and leased epochs stay readable
 // throughout and keep serving the same adjacency; the head epoch does not
 // move, so from a client's perspective shard memory stopped growing.
-// Pinned SampleNeighbors draws are bit-identical across the fold; pinned
-// SampleEdges (TRAVERSE) draws may re-randomize within their
-// distribution, because a folded vertex changes sampler region.
+// Pinned SampleNeighbors and SampleEdges (TRAVERSE) draws are
+// bit-identical across the fold: the new base keeps every list and its
+// order, and with them every edge's rank.
 func (s *Server) ServeCompact(_ CompactRequest, reply *CompactReply) error {
 	defer obsSince(&s.met.rpc[MCompact], time.Now())
 	foldStart := time.Now()
@@ -858,8 +858,9 @@ func (s *Server) ServeNegativePool(req NegPoolRequest, reply *NegPoolReply) erro
 
 // ServeSampleEdges handles a TRAVERSE edge-sampling request: Count edges of
 // the given type drawn uniformly over the local edge set of the epoch
-// served (a vertex drawn proportionally to its out-degree, then a uniform
-// adjacency entry); vertices an update touched are mixed in exactly.
+// served, each the edge at a uniform rank in (vertex ID, list position)
+// order (version.View.SampleEdge), so vertices an update touched count
+// exactly by their current degree.
 func (s *Server) ServeSampleEdges(req EdgesRequest, reply *EdgesReply) error {
 	defer obsSince(&s.met.rpc[MSampleEdges], time.Now())
 	if err := s.checkType(req.EdgeType); err != nil {

@@ -152,11 +152,12 @@ func TestPinnedTraverseSplitUsesPinnedStats(t *testing.T) {
 	}
 }
 
-// TestPinnedDrawsSurviveCompaction: a pinned SampleNeighbors request
-// answers bit-identically before and after a compaction folds the drawn
-// vertex's overlay list into the base. Neighbour draws index the served
-// list uniformly with the slot's stream, and the fold keeps the list and
-// its order, so moving the list from overlay to base must not move a draw.
+// TestPinnedDrawsSurviveCompaction: pinned SampleNeighbors and SampleEdges
+// requests answer bit-identically before and after a compaction folds the
+// drawn vertices' overlay lists into the base. A neighbour draw indexes the
+// served list with the vertex's stream; an edge draw takes the edge at a
+// uniform rank in (vertex ID, list position) order. The fold keeps every
+// list and its order, so moving lists from overlay to base moves no draw.
 func TestPinnedDrawsSurviveCompaction(t *testing.T) {
 	g := powerLawTestGraph(200)
 	a, err := (partition.HashPartitioner{}).Partition(g, 1)
@@ -194,8 +195,13 @@ func TestPinnedDrawsSurviveCompaction(t *testing.T) {
 		}
 		return view.Touched(v, 0)
 	}
+	ereq := EdgesRequest{Count: 64, Seed: 42, Pin: lease.Epoch, Pinned: true}
 	var before, after SampleReply
+	var ebefore, eafter EdgesReply
 	if err := srv.ServeSampleNeighbors(req, &before); err != nil {
+		t.Fatal(err)
+	}
+	if err := srv.ServeSampleEdges(ereq, &ebefore); err != nil {
 		t.Fatal(err)
 	}
 	if !touched() {
@@ -214,6 +220,9 @@ func TestPinnedDrawsSurviveCompaction(t *testing.T) {
 	if err := srv.ServeSampleNeighbors(req, &after); err != nil {
 		t.Fatal(err)
 	}
+	if err := srv.ServeSampleEdges(ereq, &eafter); err != nil {
+		t.Fatal(err)
+	}
 	if len(before.Samples) != 32 || len(after.Samples) != 32 {
 		t.Fatalf("drew %d and %d samples, want 32", len(before.Samples), len(after.Samples))
 	}
@@ -221,6 +230,18 @@ func TestPinnedDrawsSurviveCompaction(t *testing.T) {
 		if before.Samples[i] != after.Samples[i] {
 			t.Fatalf("draw %d moved across the fold: %d -> %d\nbefore %v\nafter  %v", i, before.Samples[i], after.Samples[i], before.Samples, after.Samples)
 		}
+	}
+	if len(ebefore.Src) != 64 || len(eafter.Src) != 64 {
+		t.Fatalf("drew %d and %d edges, want 64", len(ebefore.Src), len(eafter.Src))
+	}
+	moved := 0
+	for i := range ebefore.Src {
+		if ebefore.Src[i] != eafter.Src[i] || ebefore.Dst[i] != eafter.Dst[i] {
+			moved++
+		}
+	}
+	if moved > 0 {
+		t.Fatalf("%d of 64 pinned edge draws moved across the fold\nbefore %v -> %v\nafter  %v -> %v", moved, ebefore.Src, ebefore.Dst, eafter.Src, eafter.Dst)
 	}
 }
 

@@ -251,6 +251,32 @@ func (g *Graph) EdgesOfType(t EdgeType, fn func(src, dst ID, w float64) bool) {
 // (undirected edges count twice).
 func (g *Graph) NumEdgesOfType(t EdgeType) int { return len(g.out[t].dst) }
 
+// OutEdgeAt returns the type-t edge of rank r in EdgesOfType order (source
+// ID, then list position), for 0 <= r < NumEdgesOfType(t). A uniform r makes
+// it a uniform edge draw.
+func (g *Graph) OutEdgeAt(t EdgeType, r int64) (src, dst ID, w float64) {
+	a := &g.out[t]
+	return ID(SearchOffsets(a.offs, r)), a.dst[r], a.w[r]
+}
+
+// SearchOffsets returns the slot i of a non-decreasing CSR offset array
+// whose range [offs[i], offs[i+1]) holds r, for offs[0] <= r <
+// offs[len(offs)-1]. Empty slots hold no rank, so the slot is unique.
+func SearchOffsets(offs []int64, r int64) int {
+	// The owning slot is the last i < len(offs)-1 with offs[i] <= r: an
+	// empty slot j has offs[j+1] == offs[j], so it is never the last. i
+	// satisfies offs[i] <= r throughout; each step halves the window [i,
+	// i+n) that holds the answer. The step is a mask, not a branch: random
+	// ranks make the branch a coin flip the CPU mispredicts half the time.
+	i, n := 0, len(offs)-1
+	for n > 1 {
+		half := n >> 1
+		i += half & int((offs[i+half]-r-1)>>63) // all ones iff offs[i+half] <= r
+		n -= half
+	}
+	return i
+}
+
 // HasEdge reports whether an edge (u, v) of type t exists.
 func (g *Graph) HasEdge(u, v ID, t EdgeType) bool {
 	ns := g.out[t].neighbors(u)

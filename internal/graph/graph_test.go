@@ -376,3 +376,21 @@ func TestQuickSortedNeighbors(t *testing.T) {
 		t.Fatal(err)
 	}
 }
+
+// TestSearchOffsets: every rank maps to the one slot whose range holds it,
+// with empty slots at the front, in the middle and at the back.
+func TestSearchOffsets(t *testing.T) {
+	for _, offs := range [][]int64{
+		{0, 1},
+		{0, 0, 0, 3, 3, 4, 9, 9},
+		{0, 2, 2, 2, 5, 5},
+		{5, 5, 6, 8},
+	} {
+		for r := offs[0]; r < offs[len(offs)-1]; r++ {
+			i := SearchOffsets(offs, r)
+			if i < 0 || i >= len(offs)-1 || offs[i] > r || r >= offs[i+1] {
+				t.Fatalf("SearchOffsets(%v, %d) = %d", offs, r, i)
+			}
+		}
+	}
+}

@@ -125,6 +125,3 @@ func (a *Alias) DrawRng(rng *Rng) int {
 	}
 	return drawAlias(a.prob, a.alias, rng.Intn(len(a.prob)), rng.Float64())
 }
-
-// Len reports the table size.
-func (a *Alias) Len() int { return len(a.prob) }

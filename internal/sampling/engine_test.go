@@ -170,3 +170,50 @@ func TestRngBasics(t *testing.T) {
 		t.Fatalf("streams from distinct seeds collided %d/100 times", same)
 	}
 }
+
+// TestRngInt64n: Int64n stays in [0, n) for n = 1, a small n (every value
+// drawn) and an n above 2^32, where both halves of the range must be hit
+// (a 32-bit reduction never reaches the upper half).
+func TestRngInt64n(t *testing.T) {
+	rng := NewRng(3)
+	for i := 0; i < 100; i++ {
+		if v := rng.Int64n(1); v != 0 {
+			t.Fatalf("Int64n(1) = %d", v)
+		}
+	}
+	seen := make([]bool, 7)
+	for i := 0; i < 1000; i++ {
+		v := rng.Int64n(7)
+		if v < 0 || v >= 7 {
+			t.Fatalf("Int64n(7) = %d", v)
+		}
+		seen[v] = true
+	}
+	for v, ok := range seen {
+		if !ok {
+			t.Fatalf("Int64n(7) never drew %d", v)
+		}
+	}
+	const big = 3<<32 + 7
+	var lower, upper int
+	for i := 0; i < 1000; i++ {
+		v := rng.Int64n(big)
+		if v < 0 || v >= big {
+			t.Fatalf("Int64n(%d) = %d", int64(big), v)
+		}
+		if v < big/2 {
+			lower++
+		} else {
+			upper++
+		}
+	}
+	if lower < 400 || upper < 400 {
+		t.Fatalf("Int64n(%d) halves: %d lower, %d upper", int64(big), lower, upper)
+	}
+	defer func() {
+		if recover() == nil {
+			t.Fatal("Int64n(0) did not panic")
+		}
+	}()
+	rng.Int64n(0)
+}

@@ -1,5 +1,7 @@
 package sampling
 
+import "math/bits"
+
 // Rng is a tiny splitmix64 pseudo-random generator: a single uint64 of
 // state, no locks, no allocation. math/rand's global functions serialize on
 // a mutex and even per-goroutine *rand.Rand values are 5x+ slower per draw
@@ -37,6 +39,24 @@ func (r *Rng) Intn(n int) int {
 		panic("sampling: Intn on non-positive n")
 	}
 	return int(((r.Uint64() >> 32) * uint64(n)) >> 32)
+}
+
+// Int64n returns a uniform int64 in [0, n) for any positive n: reduce of
+// one 64-bit word, so edge ranks over a shard's int64 edge count need no
+// 32-bit precondition. It panics if n <= 0.
+func (r *Rng) Int64n(n int64) int64 {
+	if n <= 0 {
+		panic("sampling: Int64n on non-positive n")
+	}
+	return reduce(r.Uint64(), n)
+}
+
+// reduce maps a uniform 64-bit word u to [0, n), n > 0: the high word of
+// the 64x64-bit product u*n (Lemire's multiply-high reduction, bias at most
+// n/2^64). Every TRAVERSE edge rank, local or served, is reduce of one word.
+func reduce(u uint64, n int64) int64 {
+	hi, _ := bits.Mul64(u, uint64(n))
+	return int64(hi)
 }
 
 // Float64 returns a uniform float64 in [0, 1).

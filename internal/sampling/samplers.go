@@ -22,10 +22,6 @@ type Traverse struct {
 	// whole vertex range would degenerate (or never terminate when the pool
 	// is empty) on sparse edge types.
 	eligible map[graph.EdgeType][]graph.ID
-	// edgeAlias caches, per edge type, an alias table over the eligible
-	// vertices weighted by out-degree, making SampleEdges uniform over CSR
-	// entries in O(1) per draw.
-	edgeAlias map[graph.EdgeType]*Alias
 }
 
 // NewTraverse creates a TRAVERSE sampler over g.
@@ -80,9 +76,10 @@ func (s *Traverse) SampleVerticesOfType(vt graph.VertexType, batch int) []graph.
 	return out
 }
 
-// SampleEdges draws batch edges of type t uniformly over CSR entries: a
-// source vertex proportional to its type-t out-degree (via the cached
-// degree alias table), then a uniform entry of that vertex.
+// SampleEdges draws batch edges of type t uniformly over CSR entries: each
+// draw is a uniform rank r in [0, NumEdgesOfType(t)), and the edge is the
+// r-th in (source ID, list position) order (graph.OutEdgeAt) — the rule
+// every TRAVERSE draw follows, local or served from a version.View.
 func (s *Traverse) SampleEdges(t graph.EdgeType, batch int) []graph.Edge {
 	return s.AppendEdges(make([]graph.Edge, 0, batch), t, batch)
 }
@@ -90,37 +87,18 @@ func (s *Traverse) SampleEdges(t graph.EdgeType, batch int) []graph.Edge {
 // AppendEdges is SampleEdges into a caller-owned buffer: batch draws are
 // appended to dst and the grown slice returned, so a steady-state training
 // loop recycling its MiniBatch buffers performs no per-batch allocation.
-// The draw sequence is identical to SampleEdges'.
+// The draw sequence is identical to SampleEdges': per edge, one Rng.Uint64
+// reduced to a rank as Rng.Int64n reduces one in version.View.SampleEdge.
 func (s *Traverse) AppendEdges(dst []graph.Edge, t graph.EdgeType, batch int) []graph.Edge {
-	out := dst
-	if s.G.NumEdgesOfType(t) == 0 {
-		return out
+	m := int64(s.G.NumEdgesOfType(t))
+	if m == 0 {
+		return dst
 	}
-	pool := s.pool(t)
-	al, ok := s.edgeAlias[t]
-	if !ok {
-		ws := make([]float64, len(pool))
-		for i, v := range pool {
-			ws[i] = float64(s.G.OutDegree(v, t))
-		}
-		al = NewAlias(ws)
-		if s.edgeAlias == nil {
-			s.edgeAlias = make(map[graph.EdgeType]*Alias)
-		}
-		s.edgeAlias[t] = al
+	for i := 0; i < batch; i++ {
+		src, to, w := s.G.OutEdgeAt(t, reduce(s.Rng.Uint64(), m))
+		dst = append(dst, graph.Edge{Src: src, Dst: to, Type: t, Weight: w})
 	}
-	want := len(out) + batch
-	for len(out) < want {
-		v := pool[al.Draw(s.Rng)]
-		i := s.Rng.Intn(s.G.OutDegree(v, t))
-		out = append(out, graph.Edge{
-			Src:    v,
-			Dst:    s.G.OutNeighbors(v, t)[i],
-			Type:   t,
-			Weight: s.G.OutWeights(v, t)[i],
-		})
-	}
-	return out
+	return dst
 }
 
 // EpochVertices returns all vertices with out-edges of type t in shuffled

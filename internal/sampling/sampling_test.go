@@ -2,6 +2,7 @@ package sampling
 
 import (
 	"math"
+	"math/bits"
 	"math/rand"
 	"sync"
 	"testing"
@@ -144,6 +145,28 @@ func TestTraverseEdges(t *testing.T) {
 	for _, e := range es {
 		if !g.HasEdge(e.Src, e.Dst, 1) {
 			t.Fatalf("sampled nonexistent edge %+v", e)
+		}
+	}
+}
+
+// TestTraverseEdgesFollowRankRule: the k-th local TRAVERSE draw is the
+// edge of rank r in g.EdgesOfType order, with r the high word of the k-th
+// Uint64 of an identically seeded generator times the edge count.
+func TestTraverseEdgesFollowRankRule(t *testing.T) {
+	g := userItemGraph()
+	for et := graph.EdgeType(0); et < 2; et++ {
+		var all []graph.Edge
+		g.EdgesOfType(et, func(src, dst graph.ID, w float64) bool {
+			all = append(all, graph.Edge{Src: src, Dst: dst, Type: et, Weight: w})
+			return true
+		})
+		oracle := rand.New(rand.NewSource(5))
+		got := NewTraverse(g, rand.New(rand.NewSource(5))).SampleEdges(et, 200)
+		for k, e := range got {
+			hi, _ := bits.Mul64(oracle.Uint64(), uint64(len(all)))
+			if want := all[hi]; e.Src != want.Src || e.Dst != want.Dst || e.Weight != want.Weight || e.Type != et {
+				t.Fatalf("type %d draw %d = %+v, want %+v", et, k, e, want)
+			}
 		}
 	}
 }

@@ -43,10 +43,13 @@ func benchGraph(n int) (*graph.Graph, *Store) {
 
 // BenchmarkVersionedSample compares one fixed-width uniform sampling sweep
 // (batch 256, width 5, the shape of a mini-batch hop) through a head-epoch
-// version.View against the PR 1 unversioned path (raw CSR slices via
+// version.View against the unversioned path (raw CSR slices via
 // graph.OutNeighbors). Both must be 0 allocs/op; the versioned head read
 // adds one overlay map probe per vertex once any update epoch exists, and
-// nothing at all on a store with no updates.
+// nothing at all on a store with no updates. The edges/ sub-benchmarks time
+// 64 TRAVERSE draws (View.SampleEdge), one SampleEdges request's worth: a
+// binary search over the base offsets, plus one over the overlay's rank
+// index once updates exist.
 func BenchmarkVersionedSample(b *testing.B) {
 	const n, width = 2000, 5
 	g, s := benchGraph(n)
@@ -100,18 +103,37 @@ func BenchmarkVersionedSample(b *testing.B) {
 			}
 		}
 	}
+	// drawEdges is one SampleEdges request's worth of TRAVERSE draws.
+	drawEdges := func(b *testing.B, view View) {
+		rng := sampling.NewRng(1)
+		b.ReportAllocs()
+		b.ResetTimer()
+		for i := 0; i < b.N; i++ {
+			for k := 0; k < 64; k++ {
+				if _, _, _, ok := view.SampleEdge(0, rng); !ok {
+					b.Fatal("no edge drawn")
+				}
+			}
+		}
+	}
 	b.Run("head/no-updates", func(b *testing.B) {
 		sampleView(b, s.HeadView())
 	})
-	b.Run("head/after-updates", func(b *testing.B) {
-		// 32 update epochs touching a few vertices each: the head view now
-		// carries an overlay, costing one map probe per untouched vertex.
-		for e := 0; e < 32; e++ {
-			if _, _, _, _, err := s.Append(Delta{Add: []EdgeOp{{Src: graph.ID(e), Dst: graph.ID(e + 1), Type: 0, Weight: 1}}}); err != nil {
-				b.Fatal(err)
-			}
+	b.Run("edges/head/no-updates", func(b *testing.B) {
+		drawEdges(b, s.HeadView())
+	})
+	// 32 update epochs touching a few vertices each: the head view now
+	// carries an overlay, costing one map probe per untouched vertex.
+	for e := 0; e < 32; e++ {
+		if _, _, _, _, err := s.Append(Delta{Add: []EdgeOp{{Src: graph.ID(e), Dst: graph.ID(e + 1), Type: 0, Weight: 1}}}); err != nil {
+			b.Fatal(err)
 		}
+	}
+	b.Run("head/after-updates", func(b *testing.B) {
 		sampleView(b, s.HeadView())
+	})
+	b.Run("edges/head/after-updates", func(b *testing.B) {
+		drawEdges(b, s.HeadView())
 	})
 }
 

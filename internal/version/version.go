@@ -10,14 +10,14 @@
 // Design:
 //
 //   - Base snapshots are immutable. A baseState freezes the whole shard at
-//     one epoch (CSR adjacency, attribute rows, edge totals, lazily built
-//     degree tables); the original one is built by Seal at epoch 0 and
-//     later ones by Compact. An overlay is immutable once
-//     Append installs it, and it permanently pairs with the base it was
-//     built against, so a View (base pointer + overlay pointer) reads
-//     entirely lock-free after the single lock acquisition that resolved
-//     it — and it stays valid even if its epoch is later evicted from the
-//     ring or the store's current base is swapped by a compaction.
+//     one epoch (CSR adjacency, attribute rows, edge totals); the original
+//     one is built by Seal at epoch 0 and later ones by Compact. An overlay
+//     is immutable once Append installs it (its lazily built rank indexes
+//     aside), and it permanently pairs with the base it was built against,
+//     so a View (base pointer + overlay pointer) reads entirely lock-free
+//     after the single lock acquisition that resolved it — and it stays
+//     valid even if its epoch is later evicted from the ring or the
+//     store's current base is swapped by a compaction.
 //   - Overlays are cumulative: the overlay of epoch e maps every vertex
 //     touched since its base to its full post-update adjacency (and every
 //     re-written attribute row to its value), so resolving a read is one
@@ -41,23 +41,23 @@
 //     boundary (errors cross as strings); clients react by re-pinning the
 //     current head and retrying.
 //   - Compact bounds memory under an unbounded update stream: it folds the
-//     state at the retention floor into a freshly sealed base (CSR and
-//     degree tables rebuilt off-lock from immutable inputs, then
-//     atomically swapped in) and rebases the retained overlays by
-//     pruning every entry whose stamp the new base already covers, so the
-//     cumulative maps stop growing monotonically. Leased epochs below the
+//     state at the retention floor into a freshly sealed base (CSR rebuilt
+//     off-lock from immutable inputs, then atomically swapped in) and
+//     rebases the retained overlays by pruning every entry whose stamp the
+//     new base already covers, so the cumulative maps stop growing
+//     monotonically. Leased epochs below the
 //     floor keep their old overlay and old base pointer and stay readable
 //     throughout; live Views are untouched. Clients never notice: the head
 //     epoch does not move and every retained epoch answers exactly as
 //     before.
 //   - Every draw is uniform; edge weights are stored, updated, compacted
 //     and returned by Neighbors, but no draw reads them. A neighbour draw
-//     indexes the vertex's list with the caller's stream, so it depends
-//     only on the list a view serves and is bit-stable across compaction.
-//     Uniform edge draws (TRAVERSE, SampleEdge) mix a per-overlay sampler
-//     over the touched vertices with the immutable base degree alias; a
-//     compaction moves vertices between those two regions, so a pinned
-//     edge draw keeps its distribution but not its bits (see Compact).
+//     indexes the vertex's list with the caller's stream. An edge draw
+//     (TRAVERSE, SampleEdge) takes the edge at a uniform rank in (vertex
+//     ID, list position) order: one binary search over the base CSR
+//     offsets, plus one over a per-overlay rank index of the touched
+//     vertices. Both draws depend only on the adjacency a view serves, so
+//     both are bit-stable across compaction.
 package version
 
 import (
@@ -69,7 +69,6 @@ import (
 	"sync/atomic"
 
 	"repro/internal/graph"
-	"repro/internal/sampling"
 )
 
 // DefaultRetain is the default ring bound: how many update epochs stay
@@ -171,8 +170,7 @@ type baseCSR struct {
 }
 
 // baseState freezes the whole shard at one epoch. It is immutable after
-// construction except for the lazily built (atomic, build-once) degree
-// tables; Views and overlays hold baseState pointers, so a compaction
+// construction; Views and overlays hold baseState pointers, so a compaction
 // installing a newer base never disturbs an existing reader.
 type baseState struct {
 	epoch uint64 // the update epoch whose state this base freezes
@@ -193,13 +191,10 @@ type baseState struct {
 	// attribute rows rewritten by SetAttr and later folded into the base.
 	since     map[akey]uint64
 	attrSince map[graph.ID]uint64
-
-	degMu    sync.Mutex
-	degAlias []atomic.Pointer[baseDegree] // per type, degree-proportional
 }
 
 // overlay is the cumulative diff-versus-base at one epoch. All fields
-// except the lazily built edge samplers are immutable after Append.
+// except the lazily built rank indexes are immutable after Append.
 type overlay struct {
 	epoch uint64
 	base  *baseState // the base this overlay's maps diff against
@@ -212,8 +207,8 @@ type overlay struct {
 	// (absolute, so it survives rebasing unchanged).
 	edgeCount []int64
 
-	smu      sync.Mutex
-	samplers []*edgeSampler // per edge type, built lazily
+	rankMu sync.Mutex
+	rank   []atomic.Pointer[rankIndex] // per edge type, built lazily
 }
 
 // Store is the multi-version store. Build it like a plain server shard:
@@ -243,13 +238,6 @@ type Store struct {
 	// the store lock; two interleaved rebuilds would waste work).
 	compactMu   sync.Mutex
 	compactions int64
-}
-
-// baseDegree pairs a proportional slot alias of one edge type with the slot
-// order backing it (slots with positive mass).
-type baseDegree struct {
-	al   *sampling.Alias
-	pool []int32
 }
 
 // NewStore creates an empty store for numEdgeTypes edge types with the
@@ -347,7 +335,6 @@ func (s *Store) Seal() {
 		b.csr[t] = c
 		b.edges[t] = m
 	}
-	b.degAlias = make([]atomic.Pointer[baseDegree], s.numTypes)
 	s.bAdj, s.bWts = nil, nil
 	s.zero = b
 	s.sealed = true
@@ -726,7 +713,7 @@ func (s *Store) Append(delta Delta) (epoch uint64, added, removed, attrsSet int,
 		adj:       adj,
 		attrs:     attrs,
 		edgeCount: counts,
-		samplers:  make([]*edgeSampler, s.numTypes),
+		rank:      make([]atomic.Pointer[rankIndex], s.numTypes),
 	}
 	if attrsSet > 0 {
 		ov.attrEpoch = next
@@ -790,14 +777,11 @@ type CompactStats struct {
 //   - The head epoch does not move: retained epochs keep serving exactly
 //     the same adjacency, attributes and counts (pruned entries resurface
 //     from the new base in the same order, whose since-stamps keep cache
-//     validity exact). A neighbour draw indexes the served list with the
-//     caller's stream, so it is bit-identical across a fold. Edge draws
-//     (SampleEdge) keep their distribution but not their bits: a folded
-//     vertex moves from the overlay region of the edge sampler into the
-//     base degree alias, so a fixed seed may map to a different, equally
-//     distributed edge — making those streams bit-stable would require
-//     keeping the very per-epoch history compaction exists to drop.
-//     Untouched edge types draw bit-identically across folds.
+//     validity exact). Draws are bit-identical across a fold: a neighbour
+//     draw indexes the served list with the caller's stream, and an edge
+//     draw (SampleEdge) picks by rank in (vertex ID, list position) order.
+//     The fold copies each overlay list verbatim into the new base in slot
+//     order, so every edge keeps its rank.
 //
 // Compact is a no-op when the floor has not moved past the current base.
 func (s *Store) Compact() (CompactStats, error) {
@@ -846,7 +830,6 @@ func (s *Store) Compact() (CompactStats, error) {
 		attrs:     make(map[graph.ID][]float64, len(oldBase.attrs)),
 		since:     make(map[akey]uint64, len(oldBase.since)+len(fold.adj)),
 		attrSince: make(map[graph.ID]uint64, len(oldBase.attrSince)+len(fold.attrs)),
-		degAlias:  make([]atomic.Pointer[baseDegree], s.numTypes),
 	}
 	for k, e := range oldBase.since {
 		nb.since[k] = e
@@ -918,7 +901,7 @@ func (s *Store) Compact() (CompactStats, error) {
 			attrs:     nattrs,
 			attrEpoch: ov.attrEpoch,
 			edgeCount: ov.edgeCount,
-			samplers:  make([]*edgeSampler, s.numTypes),
+			rank:      make([]atomic.Pointer[rankIndex], s.numTypes),
 		}
 		stats.Rebased++
 	}
@@ -939,30 +922,4 @@ func (s *Store) Compact() (CompactStats, error) {
 	s.compactions++
 	s.mu.Unlock()
 	return stats, nil
-}
-
-// degreeTable lazily builds the degree-proportional vertex table over base
-// slots with at least one type-t out-edge; drawing a slot from it and then
-// a uniform adjacency entry is a uniform draw over the base edge set.
-func (b *baseState) degreeTable(t graph.EdgeType) *baseDegree {
-	if d := b.degAlias[t].Load(); d != nil {
-		return d
-	}
-	b.degMu.Lock()
-	defer b.degMu.Unlock()
-	if d := b.degAlias[t].Load(); d != nil {
-		return d
-	}
-	c := &b.csr[t]
-	var pool []int32
-	var ws []float64
-	for i := range b.local {
-		if d := c.offs[i+1] - c.offs[i]; d > 0 {
-			pool = append(pool, int32(i))
-			ws = append(ws, float64(d))
-		}
-	}
-	d := &baseDegree{al: sampling.NewAlias(ws), pool: pool}
-	b.degAlias[t].Store(d)
-	return d
 }

@@ -206,8 +206,47 @@ func TestLeaseOfEvictedEpochFails(t *testing.T) {
 	}
 }
 
+// rankOrder enumerates the type-t edges v serves in (vertex ID, list
+// position) order, the order SampleEdge ranks them in.
+func rankOrder(s *Store, v View, et graph.EdgeType) [][2]graph.ID {
+	var all [][2]graph.ID
+	for _, x := range s.LocalVertices() {
+		ns, _, _ := v.Neighbors(x, et)
+		for _, u := range ns {
+			all = append(all, [2]graph.ID{x, u})
+		}
+	}
+	return all
+}
+
+// checkRankRule: the k-th SampleEdge draw is the edge of rank r in
+// rankOrder, with r the k-th Int64n(EdgeCount) of a snapshot of the same
+// Rng. It returns the draws.
+func checkRankRule(t *testing.T, what string, s *Store, v View, et graph.EdgeType, seed uint64) [][2]graph.ID {
+	t.Helper()
+	all := rankOrder(s, v, et)
+	if int64(len(all)) != v.EdgeCount(et) {
+		t.Fatalf("%s: %d edges enumerated, EdgeCount %d", what, len(all), v.EdgeCount(et))
+	}
+	rng := sampling.NewRng(seed)
+	oracle := rng.Snapshot()
+	var draws [][2]graph.ID
+	for k := 0; k < 200; k++ {
+		src, dst, _, ok := v.SampleEdge(et, rng)
+		want := all[oracle.Int64n(int64(len(all)))]
+		if !ok || src != want[0] || dst != want[1] {
+			t.Fatalf("%s: draw %d = (%d,%d) ok=%v, want rank edge %v", what, k, src, dst, ok, want)
+		}
+		draws = append(draws, want)
+	}
+	return draws
+}
+
 func TestSampleEdgeMatchesEpoch(t *testing.T) {
-	s := buildStore(8)
+	s := buildStore(2)
+	base := s.HeadView()
+	checkRankRule(t, "base", s, base, 0, 3)
+	checkRankRule(t, "base type 1", s, base, 1, 3)
 	if _, _, _, _, err := s.Append(Delta{
 		Add:    []EdgeOp{{Src: 3, Dst: 0, Type: 0, Weight: 1}},
 		Remove: []EdgeOp{{Src: 0, Dst: 1, Type: 0}},
@@ -218,6 +257,7 @@ func TestSampleEdgeMatchesEpoch(t *testing.T) {
 		{0, 2}: true, {1, 2}: true, {2, 3}: true, {3, 0}: true,
 	}
 	v := s.HeadView()
+	checkRankRule(t, "overlay", s, v, 0, 3)
 	rng := sampling.NewRng(3)
 	seen := map[[2]graph.ID]int{}
 	for i := 0; i < 4000; i++ {
@@ -235,27 +275,102 @@ func TestSampleEdgeMatchesEpoch(t *testing.T) {
 			t.Fatalf("edge %v drawn %d times (non-uniform)", e, seen[e])
 		}
 	}
-	// An update confined to another type must not perturb type-0 draws.
-	quiet := buildStore(8)
-	qrng, prng := sampling.NewRng(11), sampling.NewRng(11)
+
+	// An overlay that touches only another type draws type-0 edges exactly
+	// as the base does.
+	other := buildStore(2)
+	otherBase := other.HeadView()
+	if _, _, _, _, err := other.Append(Delta{Add: []EdgeOp{{Src: 1, Dst: 3, Type: 1, Weight: 1}}}); err != nil {
+		t.Fatal(err)
+	}
+	ov := other.HeadView()
+	want := checkRankRule(t, "base", other, otherBase, 0, 11)
+	for k, d := range checkRankRule(t, "other-type overlay", other, ov, 0, 11) {
+		if d != want[k] {
+			t.Fatalf("other-type overlay draw %d = %v, base draw %v", k, d, want[k])
+		}
+	}
+	checkRankRule(t, "other-type overlay, type 1", other, ov, 1, 11)
+
+	// An update confined to another type must not perturb type-0 draws, and
+	// neither may a compaction folding epoch 1's lists into the base.
 	if _, _, _, _, err := s.Append(Delta{Add: []EdgeOp{{Src: 0, Dst: 2, Type: 1, Weight: 1}}}); err != nil {
 		t.Fatal(err)
 	}
-	// Replay the same structural delta on the quiet store so both stores
-	// have identical type-0 edge sets, but only s has a type-1 overlay.
-	if _, _, _, _, err := quiet.Append(Delta{
-		Add:    []EdgeOp{{Src: 3, Dst: 0, Type: 0, Weight: 1}},
-		Remove: []EdgeOp{{Src: 0, Dst: 1, Type: 0}},
-	}); err != nil {
+	before := checkRankRule(t, "overlay, type-1 update", s, s.HeadView(), 0, 3)
+	for k, d := range checkRankRule(t, "overlay", s, v, 0, 3) {
+		if d != before[k] {
+			t.Fatalf("type-1 update moved type-0 draw %d: %v -> %v", k, d, before[k])
+		}
+	}
+	if st, err := s.Compact(); err != nil || st.BaseEpoch != 1 {
+		t.Fatalf("Compact = %+v, %v; want base epoch 1", st, err)
+	}
+	after, err := s.At(2)
+	if err != nil {
 		t.Fatal(err)
 	}
-	hs, hq := s.HeadView(), quiet.HeadView()
-	for i := 0; i < 200; i++ {
-		s1, d1, _, _ := hs.SampleEdge(0, prng)
-		s2, d2, _, _ := hq.SampleEdge(0, qrng)
-		if s1 != s2 || d1 != d2 {
-			t.Fatalf("draw %d diverged: (%d,%d) vs (%d,%d)", i, s1, d1, s2, d2)
+	for k, d := range checkRankRule(t, "compacted", s, after, 0, 3) {
+		if d != before[k] {
+			t.Fatalf("compaction moved draw %d: %v -> %v", k, before[k], d)
 		}
+	}
+	checkRankRule(t, "compacted, type 1", s, after, 1, 3)
+}
+
+// TestSampleEdgeUniformUnderHeavyOverlay: a chi-square test over a view
+// whose overlay supersedes 99% of the base edge mass. Vertex 0 has 1000
+// base edges and loses 10 to an update; vertices 1..10 keep one base edge
+// each. Every one of the 1000 edges must come up about 20 times in 20k
+// draws.
+func TestSampleEdgeUniformUnderHeavyOverlay(t *testing.T) {
+	s := NewStore(1)
+	for v := graph.ID(0); v <= 10; v++ {
+		s.AddVertex(v, nil)
+	}
+	for i := 0; i < 1000; i++ {
+		s.AddEdge(0, graph.ID(100+i), 0, 1)
+	}
+	for v := graph.ID(1); v <= 10; v++ {
+		s.AddEdge(v, 0, 0, 1)
+	}
+	s.Seal()
+	var rm []EdgeOp
+	for i := 0; i < 10; i++ {
+		rm = append(rm, EdgeOp{Src: 0, Dst: graph.ID(100 + i), Type: 0})
+	}
+	if _, _, removed, _, err := s.Append(Delta{Remove: rm}); err != nil || removed != 10 {
+		t.Fatalf("append: removed %d, %v", removed, err)
+	}
+	v := s.HeadView()
+	if v.EdgeCount(0) != 1000 {
+		t.Fatalf("EdgeCount = %d", v.EdgeCount(0))
+	}
+	const draws = 20000
+	counts := map[[2]graph.ID]int{}
+	rng := sampling.NewRng(1)
+	for i := 0; i < draws; i++ {
+		src, dst, _, ok := v.SampleEdge(0, rng)
+		if !ok {
+			t.Fatal("no edge drawn")
+		}
+		counts[[2]graph.ID{src, dst}]++
+	}
+	all := rankOrder(s, v, 0)
+	expect := float64(draws) / float64(len(all))
+	chi2 := 0.0
+	for _, e := range all {
+		d := float64(counts[e]) - expect
+		chi2 += d * d / expect
+		delete(counts, e)
+	}
+	if len(counts) != 0 {
+		t.Fatalf("drew edges outside the view: %v", counts)
+	}
+	// 1142.8 is the 0.999 quantile of chi-square with 999 degrees of
+	// freedom (Wilson–Hilferty).
+	if chi2 > 1142.8 {
+		t.Fatalf("chi-square %.1f over %d edges exceeds 1142.8 (p < 0.001)", chi2, len(all))
 	}
 }
 

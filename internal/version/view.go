@@ -119,128 +119,80 @@ func (v View) EdgeCounts(dst []int64) []int64 {
 	return dst
 }
 
-// edgeSampler draws local edges uniformly at one overlay's epoch by mixing
-// two regions: the touched vertices' overlay lists and the untouched
-// remainder of the base edge set (rejection draws through the immutable
-// base degree alias). It is built lazily once per (overlay, edge type)
-// against the overlay's own base; immutable afterwards.
-type edgeSampler struct {
-	b          *baseState
-	touched    []graph.ID      // overlay vertices with current degree > 0
-	touchedAl  *sampling.Alias // over touched, weighted by overlay degree
-	overlaySum int64           // total overlay-region edges
-	baseRem    int64           // base edges on untouched vertices
-	isTouched  map[int32]bool  // base slots superseded by the overlay
+// rankIndex places one overlay's type-t edges in rank order, (vertex ID,
+// list position). Entry j > 0 is the j-th touched vertex by slot, whose
+// overlay list starts at rank starts[j]; entry 0 stands for the base edges
+// before the first one. starts ends with the edge total, so [starts[j],
+// starts[j+1]) covers entry j's list and then the untouched base edges up
+// to the next touched vertex, shifted by the touched degree deltas so far.
+// Built lazily once per (overlay, edge type); immutable afterwards.
+type rankIndex struct {
+	starts  []int64
+	entries []rankEntry
 }
 
-func (ov *overlay) sampler(t graph.EdgeType) *edgeSampler {
-	ov.smu.Lock()
-	defer ov.smu.Unlock()
-	if es := ov.samplers[t]; es != nil {
-		return es
+type rankEntry struct {
+	slot int // -1 for entry 0
+	l    adjList
+}
+
+// ranks returns (building on first use) the overlay's type-t rank index.
+// It is published through an atomic pointer, so draws take no lock once it
+// exists.
+func (ov *overlay) ranks(t graph.EdgeType) *rankIndex {
+	if ix := ov.rank[t].Load(); ix != nil {
+		return ix
+	}
+	ov.rankMu.Lock()
+	defer ov.rankMu.Unlock()
+	if ix := ov.rank[t].Load(); ix != nil {
+		return ix
 	}
 	b := ov.base
-	es := &edgeSampler{b: b, isTouched: make(map[int32]bool)}
-	var ws []float64
-	baseTouchedDeg := int64(0)
 	c := &b.csr[t]
+	es := []rankEntry{{slot: -1}}
 	for k, l := range ov.adj {
-		if k.t != t {
-			continue
-		}
-		slot := b.slot(k.v)
-		es.isTouched[int32(slot)] = true
-		baseTouchedDeg += c.offs[slot+1] - c.offs[slot]
-		if len(l.nbr) > 0 {
-			es.touched = append(es.touched, k.v)
-			ws = append(ws, float64(len(l.nbr)))
-			es.overlaySum += int64(len(l.nbr))
+		if k.t == t {
+			es = append(es, rankEntry{slot: b.slot(k.v), l: l})
 		}
 	}
-	// Deterministic touched order for reproducible draws at a fixed seed.
-	sortTouched(es.touched, ws)
-	es.touchedAl = sampling.NewAlias(ws)
-	es.baseRem = b.edges[t] - baseTouchedDeg
-	ov.samplers[t] = es
-	return es
-}
-
-// sortTouched co-sorts the touched vertices (and their weights) ascending.
-// The touched set is cumulative and can grow large under a long update
-// stream, so this must stay O(n log n).
-func sortTouched(vs []graph.ID, ws []float64) {
-	sort.Sort(&touchedSorter{vs: vs, ws: ws})
-}
-
-type touchedSorter struct {
-	vs []graph.ID
-	ws []float64
-}
-
-func (t *touchedSorter) Len() int           { return len(t.vs) }
-func (t *touchedSorter) Less(i, j int) bool { return t.vs[i] < t.vs[j] }
-func (t *touchedSorter) Swap(i, j int) {
-	t.vs[i], t.vs[j] = t.vs[j], t.vs[i]
-	t.ws[i], t.ws[j] = t.ws[j], t.ws[i]
+	sort.Slice(es, func(i, j int) bool { return es[i].slot < es[j].slot })
+	ix := &rankIndex{starts: make([]int64, len(es)+1), entries: es}
+	shift := int64(0) // overlay minus base degree of the touched vertices so far
+	for j, e := range es[1:] {
+		ix.starts[j+1] = c.offs[e.slot] + shift
+		shift += int64(len(e.l.nbr)) - (c.offs[e.slot+1] - c.offs[e.slot])
+	}
+	ix.starts[len(es)] = c.offs[len(c.offs)-1] + shift
+	ov.rank[t].Store(ix)
+	return ix
 }
 
 // SampleEdge draws one type-t edge uniformly over the view's local edge
-// set. ok is false when the view has no type-t edges. For views whose
-// overlay holds no type-t entries the draw consumes exactly the random
-// stream of a base-epoch draw, so updates confined to other edge types do
-// not perturb a fixed-seed TRAVERSE sequence.
+// set: a rank r = rng.Int64n(EdgeCount(t)), and the edge of rank r in
+// (vertex ID, list position) order. ok is false when the view has no type-t
+// edges. The edge depends only on r and on the adjacency the view serves,
+// so a draw is bit-identical across a compaction (which folds overlay lists
+// into the base verbatim, in slot order) and across updates confined to
+// other edge types.
 func (v View) SampleEdge(t graph.EdgeType, rng *sampling.Rng) (src, dst graph.ID, w float64, ok bool) {
-	var es *edgeSampler
+	n := v.EdgeCount(t)
+	if n <= 0 {
+		return 0, 0, 0, false
+	}
+	r := rng.Int64n(n)
+	c := &v.b.csr[t]
 	if v.ov != nil {
-		es = v.ov.sampler(t)
-		if es.overlaySum == 0 && len(es.isTouched) == 0 {
-			es = nil // overlay untouched for t: identical to a base draw
+		// Resolve r within its overlay entry, or map it to the base rank of
+		// an untouched edge in the gap after it.
+		ix := v.ov.ranks(t)
+		j := graph.SearchOffsets(ix.starts, r)
+		e := &ix.entries[j]
+		off := r - ix.starts[j]
+		if off < int64(len(e.l.nbr)) {
+			return v.b.local[e.slot], e.l.nbr[off], e.l.wts[off], true
 		}
+		r = c.offs[e.slot+1] + off - int64(len(e.l.nbr))
 	}
-	if es == nil {
-		return v.drawBaseEdge(v.b, t, rng, nil)
-	}
-	total := es.overlaySum + es.baseRem
-	if total <= 0 {
-		return 0, 0, 0, false
-	}
-	if es.overlaySum > 0 && int64(rng.Float64()*float64(total)) < es.overlaySum {
-		x := es.touched[es.touchedAl.DrawRng(rng)]
-		ns, ws, _ := v.Neighbors(x, t)
-		i := rng.Intn(len(ns))
-		return x, ns[i], ws[i], true
-	}
-	return v.drawBaseEdge(es.b, t, rng, es.isTouched)
-}
-
-// drawBaseEdge draws uniformly over b's base edge set, skipping slots in
-// skip (whose base edges are superseded by an overlay). Rejection is
-// bounded; after that a deterministic linear fallback scans for the first
-// eligible slot, trading uniformity for termination in the pathological
-// case where overlays supersede nearly all base mass.
-func (v View) drawBaseEdge(b *baseState, t graph.EdgeType, rng *sampling.Rng, skip map[int32]bool) (src, dst graph.ID, w float64, ok bool) {
-	d := b.degreeTable(t)
-	al, pool := d.al, d.pool
-	if al.Len() == 0 {
-		return 0, 0, 0, false
-	}
-	c := &b.csr[t]
-	for tries := 0; tries < 64; tries++ {
-		slot := pool[al.DrawRng(rng)]
-		if skip != nil && skip[slot] {
-			continue
-		}
-		lo, hi := c.offs[slot], c.offs[slot+1]
-		i := lo + int64(rng.Intn(int(hi-lo)))
-		return b.local[slot], c.nbr[i], c.wts[i], true
-	}
-	for _, slot := range pool {
-		if skip != nil && skip[slot] {
-			continue
-		}
-		lo, hi := c.offs[slot], c.offs[slot+1]
-		i := lo + int64(rng.Intn(int(hi-lo)))
-		return b.local[slot], c.nbr[i], c.wts[i], true
-	}
-	return 0, 0, 0, false
+	return v.b.local[graph.SearchOffsets(c.offs, r)], c.nbr[r], c.wts[r], true
 }
