@@ -133,7 +133,7 @@ func TestEncoderShapes(t *testing.T) {
 	for i := 0; i < 3; i++ {
 		s := 0.0
 		for _, v := range rec.self.Val.Row(i) {
-			s += v * v
+			s += float64(v * v)
 		}
 		if math.Abs(s-1) > 1e-9 {
 			t.Fatalf("hop-1 row %d norm² = %f", i, s)
@@ -272,7 +272,7 @@ func TestEmbedAll(t *testing.T) {
 	for i := 0; i < m.Rows; i++ {
 		norm := 0.0
 		for _, v := range m.Row(i) {
-			norm += v * v
+			norm += float64(v * v)
 		}
 		if norm == 0 {
 			t.Fatalf("vertex %d has zero embedding", i)

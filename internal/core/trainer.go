@@ -363,7 +363,7 @@ func (tr *LinkTrainer) Score(u, v graph.ID) (float64, error) {
 	}
 	s := 0.0
 	for j := 0; j < m.Cols; j++ {
-		s += m.At(0, j) * m.At(1, j)
+		s += float64(m.At(0, j) * m.At(1, j))
 	}
 	return s, nil
 }

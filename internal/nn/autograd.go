@@ -4,6 +4,12 @@
 // operators of the operator layer (internal/operator) and every GNN in
 // internal/algo are built on it, replacing the TensorFlow runtime of the
 // paper's production deployment.
+//
+// A product that is added or subtracted is written float64(x*y): the
+// explicit conversion rounds it, which forbids the compiler to fuse it into
+// a multiply-add (arm64 would), so the bits are the same on every
+// architecture. scripts/check-nofma.sh checks this package, tensor,
+// operator and core.
 package nn
 
 import (

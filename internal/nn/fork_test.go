@@ -274,8 +274,8 @@ func adamRef(params []*Param, m, v map[*Param][]float64, step int, lr float64) {
 		}
 		md, vd := m[p], v[p]
 		for i, g := range p.Grad.Data {
-			md[i] = b1*md[i] + (1-b1)*g
-			vd[i] = b2*vd[i] + (1-b2)*g*g
+			md[i] = float64(b1*md[i]) + float64((1-b1)*g)
+			vd[i] = float64(b2*vd[i]) + float64((1-b2)*g*g)
 			p.Val.Data[i] -= lr * (md[i] / bc1) / (math.Sqrt(vd[i]/bc2) + eps)
 		}
 		p.ZeroGrad()

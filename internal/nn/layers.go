@@ -52,12 +52,12 @@ func (a Activation) grad(y, g *tensor.Matrix) *tensor.Matrix {
 			if y.Data[i] > 0 {
 				d = 1
 			}
-			dz.Data[i] += gv * d
+			dz.Data[i] += float64(gv * d)
 		}
 	case ActTanh:
 		for i, gv := range g.Data {
 			yv := y.Data[i]
-			dz.Data[i] += gv * (1 - yv*yv)
+			dz.Data[i] += float64(gv * (1 - float64(yv*yv)))
 		}
 	}
 	return dz

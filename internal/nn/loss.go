@@ -25,7 +25,7 @@ func (t *Tape) BCEWithLogits(logits *Node, labels *tensor.Matrix) *Node {
 	val := tensor.New(1, 1)
 	for i, x := range logits.Val.Data {
 		y := labels.Data[i]
-		val.Data[0] += math.Max(x, 0) - x*y + math.Log1p(math.Exp(-math.Abs(x)))
+		val.Data[0] += math.Max(x, 0) - float64(x*y) + math.Log1p(math.Exp(-math.Abs(x)))
 	}
 	val.Data[0] /= n
 	out := t.node(val, logits.needs, nil)
@@ -34,7 +34,7 @@ func (t *Tape) BCEWithLogits(logits *Node, labels *tensor.Matrix) *Node {
 			t.accum(logits, func(lg *tensor.Matrix) {
 				g := out.grad.Data[0] / n
 				for i, x := range logits.Val.Data {
-					lg.Data[i] += g * (sigmoid(x) - labels.Data[i])
+					lg.Data[i] += float64(g * (sigmoid(x) - labels.Data[i]))
 				}
 			})
 		}
@@ -70,7 +70,7 @@ func (t *Tape) SoftmaxCE(logits *Node, labels []int) *Node {
 						if j == labels[i] {
 							d -= 1
 						}
-						lrow[j] += g * d
+						lrow[j] += float64(g * d)
 					}
 				}
 			})
@@ -97,7 +97,7 @@ func (t *Tape) L2Penalty(lambda float64, params ...*Param) *Node {
 	val := tensor.New(1, 1)
 	for _, p := range params {
 		for _, v := range p.Val.Data {
-			val.Data[0] += 0.5 * lambda * v * v
+			val.Data[0] += float64(0.5 * lambda * v * v)
 		}
 	}
 	out := t.node(val, true, nil)
@@ -106,7 +106,7 @@ func (t *Tape) L2Penalty(lambda float64, params ...*Param) *Node {
 		for _, p := range params {
 			t.accumParam(p, func(pg *tensor.Matrix) {
 				for i, v := range p.Val.Data {
-					pg.Data[i] += g * lambda * v
+					pg.Data[i] += float64(g * lambda * v)
 				}
 			})
 		}

@@ -35,7 +35,7 @@ func meanGroupsRef(t *Tape, a *Node, k int) *Node {
 				for r := 0; r < k; r++ {
 					arow := a.grad.Row(g*k + r)
 					for j, gv := range grow {
-						arow[j] += gv * inv
+						arow[j] += float64(gv * inv)
 					}
 				}
 			}
@@ -175,5 +175,30 @@ func BenchmarkMeanGroupsOf(b *testing.B) {
 	for b.Loop() {
 		tp := NewTape()
 		tp.Backward(tp.SumAll(tp.MeanGroupsOf(tp.Use(p), idx, k)))
+	}
+}
+
+// BenchmarkAdamStep is one Adam step over the train workload's parameters:
+// the learned table of its 8.8k vertices and the dense layers of a
+// two-hop GraphSAGE encoder at dimension 32.
+func BenchmarkAdamStep(b *testing.B) {
+	rng := rand.New(rand.NewSource(1))
+	params := []*Param{
+		NewParam("table", 8800, 32, rng),
+		NewParam("w1", 80, 32, rng), NewParamZero("b1", 1, 32),
+		NewParam("w2", 64, 32, rng), NewParamZero("b2", 1, 32),
+	}
+	grads := make([]*tensor.Matrix, len(params))
+	for i, p := range params {
+		grads[i] = tensor.New(p.Val.Rows, p.Val.Cols)
+		grads[i].GaussianInit(rng, 1e-3)
+	}
+	opt := NewAdam(0.02)
+	b.ReportAllocs()
+	for b.Loop() {
+		for i, p := range params {
+			copy(p.Grad.Data, grads[i].Data) // the step clears the gradients
+		}
+		opt.Step(params)
 	}
 }

@@ -23,7 +23,7 @@ func addMatrix(m *tensor.Matrix) func(g *tensor.Matrix) {
 func addProduct(x, y *tensor.Matrix) func(g *tensor.Matrix) {
 	return func(g *tensor.Matrix) {
 		for i, xv := range x.Data {
-			g.Data[i] += xv * y.Data[i]
+			g.Data[i] += float64(xv * y.Data[i])
 		}
 	}
 }
@@ -36,7 +36,7 @@ func addRowScaled(s, m *tensor.Matrix) func(g *tensor.Matrix) {
 			sv := s.Data[i]
 			row := g.Row(i)
 			for j, mv := range m.Row(i) {
-				row[j] += sv * mv
+				row[j] += float64(sv * mv)
 			}
 		}
 	}
@@ -171,7 +171,7 @@ func (t *Tape) unary(a *Node, fwd func(float64) float64, dfdx func(x, y float64)
 		out.back = func() {
 			t.accum(a, func(ag *tensor.Matrix) {
 				for i, g := range out.grad.Data {
-					ag.Data[i] += g * dfdx(a.Val.Data[i], val.Data[i])
+					ag.Data[i] += float64(g * dfdx(a.Val.Data[i], val.Data[i]))
 				}
 			})
 		}
@@ -186,7 +186,7 @@ func (t *Tape) Sigmoid(a *Node) *Node {
 
 // Tanh applies tanh element-wise.
 func (t *Tape) Tanh(a *Node) *Node {
-	return t.unary(a, math.Tanh, func(_, y float64) float64 { return 1 - y*y })
+	return t.unary(a, math.Tanh, func(_, y float64) float64 { return 1 - float64(y*y) })
 }
 
 // ReLU applies max(0, x) element-wise.
@@ -223,11 +223,11 @@ func (t *Tape) Softmax(a *Node) *Node {
 					g := out.grad.Row(i)
 					dot := 0.0
 					for j := range y {
-						dot += y[j] * g[j]
+						dot += float64(y[j] * g[j])
 					}
 					arow := ag.Row(i)
 					for j := range y {
-						arow[j] += y[j] * (g[j] - dot)
+						arow[j] += float64(y[j] * (g[j] - dot))
 					}
 				}
 			})
@@ -340,7 +340,7 @@ func (t *Tape) MeanRows(a *Node) *Node {
 				for i := 0; i < ag.Rows; i++ {
 					arow := ag.Row(i)
 					for j, gv := range g {
-						arow[j] += gv * inv
+						arow[j] += float64(gv * inv)
 					}
 				}
 			})
@@ -394,7 +394,7 @@ func (t *Tape) MeanGroupsOf(a *Node, idx []int, k int) *Node {
 					for i := g * k; i < (g+1)*k; i++ {
 						arow := ag.Row(row(i))[:len(grow)]
 						for j, gv := range grow {
-							arow[j] += gv * inv
+							arow[j] += float64(gv * inv)
 						}
 					}
 				}
@@ -521,7 +521,7 @@ func (t *Tape) RowDot(a, b *Node) *Node {
 		s := 0.0
 		ar, br := a.Val.Row(i), b.Val.Row(i)
 		for j := range ar {
-			s += ar[j] * br[j]
+			s += float64(ar[j] * br[j])
 		}
 		val.Data[i] = s
 	}
@@ -551,7 +551,7 @@ func (t *Tape) RowL2Normalize(a *Node) *Node {
 		row := a.Val.Row(i)
 		s := 0.0
 		for _, v := range row {
-			s += v * v
+			s += float64(v * v)
 		}
 		norms[i] = math.Sqrt(s)
 		orow := val.Row(i)
@@ -579,10 +579,10 @@ func (t *Tape) RowL2Normalize(a *Node) *Node {
 					g := out.grad.Row(i)
 					dot := 0.0
 					for j := range y {
-						dot += y[j] * g[j]
+						dot += float64(y[j] * g[j])
 					}
 					for j := range y {
-						arow[j] += (g[j] - y[j]*dot) / norms[i]
+						arow[j] += (g[j] - float64(y[j]*dot)) / norms[i]
 					}
 				}
 			})

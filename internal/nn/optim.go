@@ -27,9 +27,9 @@ func (o SGD) Step(params []*Param) {
 	for _, p := range params {
 		for i, g := range p.Grad.Data {
 			if o.WeightDecay != 0 {
-				g += o.WeightDecay * p.Val.Data[i]
+				g += float64(o.WeightDecay * p.Val.Data[i])
 			}
-			p.Val.Data[i] -= o.LR * g
+			p.Val.Data[i] -= float64(o.LR * g)
 		}
 		p.ZeroGrad()
 	}
@@ -77,12 +77,11 @@ func (o *Adam) Step(params []*Param) {
 	wg.Wait()
 }
 
-// update applies the Adam step to elements [lo, hi) of the concatenation of
-// params' elements and clears their gradients.
+// update applies the Adam step (tensor.AdamUpdate) to elements [lo, hi) of
+// the concatenation of params' elements and clears their gradients.
 func (o *Adam) update(params []*Param, lo, hi int) {
 	bc1 := 1 - math.Pow(o.Beta1, float64(o.t))
 	bc2 := 1 - math.Pow(o.Beta2, float64(o.t))
-	lr, b1, b2, eps := o.LR, o.Beta1, o.Beta2, o.Eps
 	off := 0
 	for _, p := range params {
 		n := len(p.Grad.Data)
@@ -92,14 +91,7 @@ func (o *Adam) update(params []*Param, lo, hi int) {
 			continue
 		}
 		grad := p.Grad.Data[a:b]
-		val, md, vd := p.Val.Data[a:b], o.m[p].Data[a:b], o.v[p].Data[a:b]
-		for i, g := range grad {
-			md[i] = b1*md[i] + (1-b1)*g
-			vd[i] = b2*vd[i] + (1-b2)*g*g
-			mh := md[i] / bc1
-			vh := vd[i] / bc2
-			val[i] -= lr * mh / (math.Sqrt(vh) + eps)
-		}
+		tensor.AdamUpdate(p.Val.Data[a:b], o.m[p].Data[a:b], o.v[p].Data[a:b], grad, o.LR, o.Beta1, o.Beta2, o.Eps, bc1, bc2)
 		clear(grad)
 	}
 }
@@ -109,7 +101,7 @@ func ClipGrad(params []*Param, maxNorm float64) {
 	total := 0.0
 	for _, p := range params {
 		for _, g := range p.Grad.Data {
-			total += g * g
+			total += float64(g * g)
 		}
 	}
 	norm := math.Sqrt(total)

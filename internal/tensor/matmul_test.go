@@ -18,7 +18,7 @@ func matMulTransBDot(a, b *Matrix) *Matrix {
 			brow := b.Row(j)
 			s := 0.0
 			for k, av := range arow {
-				s += av * brow[k]
+				s += float64(av * brow[k])
 			}
 			orow[j] = s
 		}
@@ -34,7 +34,7 @@ func matMulNaive(a, b *Matrix) *Matrix {
 		for j := 0; j < b.Cols; j++ {
 			s := 0.0
 			for k := 0; k < a.Cols; k++ {
-				s += a.At(i, k) * b.At(k, j)
+				s += float64(a.At(i, k) * b.At(k, j))
 			}
 			out.Set(i, j, s)
 		}

@@ -5,7 +5,14 @@
 // sampled mini-batches, all expressible as dense matrix programs. Every
 // operation returns a freshly allocated (and zeroed) matrix, except the
 // product kernels' Add forms, which accumulate into a matrix the caller
-// owns; the kernels are scalar Go loops, with no SIMD.
+// owns. The product kernels and the Adam update have AVX2 assembly on amd64
+// (kernels_amd64.s) beside the pure-Go loops that every other architecture,
+// a CPU without AVX2 and a -tags purego build run. The assembly vectorizes
+// across output elements only: each element takes the same multiplies and
+// adds, in the same order, as in the Go loop, so both paths give the same
+// bits. No kernel fuses a multiply into an add: the Go loops convert each
+// product explicitly (float64(x*y)), which forbids the compiler to fuse it
+// on architectures such as arm64, and scripts/check-nofma.sh checks that.
 package tensor
 
 import (
@@ -116,7 +123,7 @@ func (m *Matrix) Axpy(a float64, x *Matrix) {
 	m.shapeCheck(x, "axpy")
 	d := m.Data[:len(x.Data)]
 	for i, v := range x.Data {
-		d[i] += a * v
+		d[i] += float64(a * v)
 	}
 }
 
@@ -130,57 +137,33 @@ func MatMul(a, b *Matrix) *Matrix {
 // MatMulAdd adds a @ b into out in ikj order: each row of out accumulates
 // the rows of b scaled by the row's entries of a, so every output element
 // sums its products in k order, exactly as a dot product would. Zero
-// entries of a (ReLU outputs) are skipped, and the rest are applied four at
-// a time. Into an all-zero out it gives MatMul's bits; into a partial sum
-// it continues each element's sum, so the column blocks of a matrix, each
-// multiplied in turn by the matching row block of b, give the bits of one
-// product over the whole matrix.
+// entries of a (ReLU outputs) are skipped. Into an all-zero out it gives
+// MatMul's bits; into a partial sum it continues each element's sum, so the
+// column blocks of a matrix, each multiplied in turn by the matching row
+// block of b, give the bits of one product over the whole matrix.
+//
+// Each output row is one matMulRow call: on amd64 CPUs with AVX2 an
+// assembly kernel that holds the row in vector registers across all k, and
+// elsewhere (or built with -tags purego) matMulRowGeneric. Both round every
+// product and every sum on its own, with no fused multiply-add, so they
+// give the same bits.
 func MatMulAdd(out, a, b *Matrix) {
 	if out.Rows != a.Rows || out.Cols != b.Cols || a.Cols != b.Rows {
 		panic(fmt.Sprintf("tensor: matmul %dx%d @ %dx%d into %dx%d", a.Rows, a.Cols, b.Rows, b.Cols, out.Rows, out.Cols))
 	}
-	ks := make([]int, 0, a.Cols) // the nonzero columns of a's current row
+	ks := make([]int, a.Cols) // the nonzero columns of a's current row
 	for i := 0; i < a.Rows; i++ {
-		arow, orow := a.Row(i), out.Row(i)
-		ks = ks[:0]
+		arow := a.Row(i)
+		nk := 0
 		for k, av := range arow {
+			// Every k is written and kept only if av is nonzero: a loop
+			// with no branch on the data, which has unpredictable zeros.
+			ks[nk] = k
 			if av != 0 {
-				ks = append(ks, k)
+				nk++
 			}
 		}
-		q := 0
-		for ; q+4 <= len(ks); q += 4 {
-			k0, k1, k2, k3 := ks[q], ks[q+1], ks[q+2], ks[q+3]
-			addScaled4(orow, arow[k0], arow[k1], arow[k2], arow[k3], b.Row(k0), b.Row(k1), b.Row(k2), b.Row(k3))
-		}
-		for _, k := range ks[q:] {
-			addScaled(orow, arow[k], b.Row(k))
-		}
-	}
-}
-
-// addScaled adds x*b into o.
-func addScaled(o []float64, x float64, b []float64) {
-	o = o[:len(b)]
-	for j, bv := range b {
-		o[j] += x * bv
-	}
-}
-
-// addScaled4 adds x0*b0, x1*b1, x2*b2 and x3*b3 into o. Each element takes
-// the four products one addition at a time, in that order, so the result is
-// bit-identical to four addScaled calls; it is loaded and stored once
-// instead of four times.
-func addScaled4(o []float64, x0, x1, x2, x3 float64, b0, b1, b2, b3 []float64) {
-	o = o[:len(b0)]
-	b1, b2, b3 = b1[:len(b0)], b2[:len(b0)], b3[:len(b0)]
-	for j, bv := range b0 {
-		s := o[j]
-		s += x0 * bv
-		s += x1 * b1[j]
-		s += x2 * b2[j]
-		s += x3 * b3[j]
-		o[j] = s
+		matMulRow(out.Row(i), arow, ks[:nk], b)
 	}
 }
 
@@ -192,42 +175,39 @@ func MatMulTransA(a, b *Matrix) *Matrix {
 }
 
 // MatMulTransAAdd adds aᵀ @ b into out. Row i of out accumulates the rows
-// of b scaled by column i of a, in k order. Each column's nonzero entries
-// wait in pend until four are ready for one addScaled4 pass.
+// of b scaled by column i of a, in k order. The rows of a and b are taken
+// transAChunk at a time: per chunk, each column of a is gathered with its
+// nonzero entries' positions, and one matMulRow call adds its terms into
+// out's row i, so every element of out sums its products in k order across
+// the chunks, as a dot product would.
 func MatMulTransAAdd(out, a, b *Matrix) {
 	if a.Rows != b.Rows || out.Rows != a.Cols || out.Cols != b.Cols {
 		panic("tensor: matmulTransA shape mismatch")
 	}
-	type term struct {
-		x float64
-		k int
-	}
-	pend := make([][4]term, a.Cols)
-	npend := make([]int, a.Cols)
-	for k := 0; k < a.Rows; k++ {
-		arow := a.Row(k)
-		pend, npend := pend[:len(arow)], npend[:len(arow)]
-		for i, x := range arow {
-			if x == 0 {
-				continue
+	var col [transAChunk]float64
+	var ks [transAChunk]int
+	for lo := 0; lo < a.Rows; lo += transAChunk {
+		hi := min(lo+transAChunk, a.Rows)
+		bc := b.RowSlice(lo, hi)
+		for i := 0; i < a.Cols; i++ {
+			nk := 0
+			for k, p := 0, lo*a.Cols+i; k < hi-lo; k, p = k+1, p+a.Cols {
+				x := a.Data[p]
+				col[k] = x
+				ks[nk] = k
+				if x != 0 {
+					nk++
+				}
 			}
-			p := &pend[i]
-			c := npend[i]
-			p[c] = term{x, k}
-			if c < 3 {
-				npend[i] = c + 1
-				continue
-			}
-			npend[i] = 0
-			addScaled4(out.Row(i), p[0].x, p[1].x, p[2].x, p[3].x, b.Row(p[0].k), b.Row(p[1].k), b.Row(p[2].k), b.Row(p[3].k))
-		}
-	}
-	for i, c := range npend {
-		for _, t := range pend[i][:c] {
-			addScaled(out.Row(i), t.x, b.Row(t.k))
+			matMulRow(out.Row(i), col[:hi-lo], ks[:nk], bc)
 		}
 	}
 }
+
+// transAChunk is the number of rows of a and b one MatMulTransAAdd pass
+// takes: its buffers (4 KB) live on the stack, and a chunk of the train
+// workload's operands stays in cache while each column of a is gathered.
+const transAChunk = 256
 
 // MatMulTransB computes a @ bᵀ into a fresh matrix.
 func MatMulTransB(a, b *Matrix) *Matrix {
@@ -265,7 +245,7 @@ func Dot(a, b *Matrix) float64 {
 	a.shapeCheck(b, "dot")
 	s := 0.0
 	for i, v := range a.Data {
-		s += v * b.Data[i]
+		s += float64(v * b.Data[i])
 	}
 	return s
 }
@@ -274,7 +254,7 @@ func Dot(a, b *Matrix) float64 {
 func (m *Matrix) Norm2() float64 {
 	s := 0.0
 	for _, v := range m.Data {
-		s += v * v
+		s += float64(v * v)
 	}
 	return math.Sqrt(s)
 }
@@ -292,7 +272,10 @@ func (m *Matrix) Apply(fn func(float64) float64) *Matrix {
 func (m *Matrix) XavierInit(rng *rand.Rand) {
 	limit := math.Sqrt(6.0 / float64(m.Rows+m.Cols))
 	for i := range m.Data {
-		m.Data[i] = (rng.Float64()*2 - 1) * limit
+		// Inlined, rng.Float64 is a product (an integer times 2⁻⁶³), so
+		// it is rounded explicitly too.
+		u := float64(rng.Float64())
+		m.Data[i] = (float64(u*2) - 1) * limit
 	}
 }
 
@@ -311,7 +294,7 @@ func (m *Matrix) RowL2Normalize() {
 		row := m.Row(i)
 		s := 0.0
 		for _, v := range row {
-			s += v * v
+			s += float64(v * v)
 		}
 		if s == 0 {
 			continue

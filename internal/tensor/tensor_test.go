@@ -176,13 +176,13 @@ func TestInits(t *testing.T) {
 	var sum, sumSq float64
 	for _, v := range g.Data {
 		sum += v
-		sumSq += v * v
+		sumSq += float64(v * v)
 	}
 	n := float64(len(g.Data))
 	if math.Abs(sum/n) > 0.05 {
 		t.Fatalf("gaussian mean %f", sum/n)
 	}
-	std := math.Sqrt(sumSq/n - (sum/n)*(sum/n))
+	std := math.Sqrt(sumSq/n - float64((sum/n)*(sum/n)))
 	if std < 0.4 || std > 0.6 {
 		t.Fatalf("gaussian std %f", std)
 	}
