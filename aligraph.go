@@ -9,12 +9,12 @@
 // sampling.Source contract, which answers a whole hop of a mini-batch per
 // call. They map onto this API as:
 //
-//   - storage layer:  Platform serves an in-memory graph (partitioning,
-//     attribute indices, importance-based neighbor caching);
-//     ClusterPlatform serves the same contract from live RPC graph shards,
-//     stitching one sub-batch per owning server and pushing fixed-width
-//     draws server-side (the SampleNeighbors RPC), so hub adjacency lists
-//     never cross the network.
+//   - storage layer:  Platform serves an in-memory graph in one process;
+//     ClusterPlatform serves the same contract from live RPC graph shards
+//     (partitioning, per-shard attribute rows, importance-based neighbor
+//     caching on the client), stitching one sub-batch per owning server
+//     and pushing fixed-width draws server-side (the SampleNeighbors RPC),
+//     so hub adjacency lists never cross the network.
 //   - sampling layer: Platform.Traverse / Neighborhood / Negative locally;
 //     on ClusterPlatform, Neighborhood is exposed directly while TRAVERSE
 //     and NEGATIVE run inside the trainer as SampleEdges / NegativePool
@@ -130,69 +130,27 @@ func NewSchema(vertexTypes, edgeTypes []string) (*Schema, error) {
 // NewBuilder creates a graph builder.
 func NewBuilder(s *Schema, directed bool) *Builder { return graph.NewBuilder(s, directed) }
 
-// Config tunes a Platform.
-type Config struct {
-	// Partitions is the number of graph-server partitions (0 = 1).
-	Partitions int
-	// Partitioner selects the built-in partitioner: "metis", "streaming",
-	// "hash" or "edgecut" ("" = "hash").
-	Partitioner string
-	// CacheDepth and CacheThresholds enable importance-based neighbor
-	// caching: vertices with Imp^(k) >= CacheThresholds[k-1] have their
-	// 1..k-hop neighborhoods cached (Section 3.2). Empty disables.
-	CacheThresholds []float64
-	// Seed drives all platform randomness.
-	Seed int64
-}
-
-// DefaultConfig mirrors the paper's recommended settings: threshold 0.2 at
-// depth 2 caches only the power-law head.
-func DefaultConfig() Config {
-	return Config{Partitions: 1, Partitioner: "hash", CacheThresholds: []float64{0.2, 0.2}, Seed: 1}
-}
-
-// Platform ties the storage and sampling layers over one graph.
+// Platform serves one in-memory graph to the sampling and training layers:
+// the graph, one shared batch Source over it, and a seeded generator that
+// hands every sampler and model its own rng. It is the single-process
+// counterpart of ClusterPlatform; partitioning and neighbor caching belong
+// to the sharded path, where there are remote fetches to save.
 type Platform struct {
-	G      *Graph
-	Store  *storage.Store
-	Assign *partition.Assignment
-	Cache  storage.NeighborCache
+	G *Graph
 
-	src *sampling.GraphSource // shared batch Source (and its alias indexes)
+	src *sampling.GraphSource // shared batch Source
 	mu  sync.Mutex
 	rng *rand.Rand
 }
 
-// NewPlatform builds the storage layer for g: partition assignment,
-// deduplicated attribute indices and the importance cache.
-func NewPlatform(g *Graph, cfg Config) (*Platform, error) {
-	if cfg.Partitions <= 0 {
-		cfg.Partitions = 1
+// NewPlatform serves g with every platform random draw seeded by seed. It
+// builds nothing per vertex: its cost does not grow with the graph.
+func NewPlatform(g *Graph, seed int64) *Platform {
+	return &Platform{
+		G:   g,
+		src: sampling.NewGraphSource(g),
+		rng: rand.New(rand.NewSource(seed)),
 	}
-	if cfg.Partitioner == "" {
-		cfg.Partitioner = "hash"
-	}
-	pt, err := partition.ByName(cfg.Partitioner)
-	if err != nil {
-		return nil, err
-	}
-	assign, err := pt.Partition(g, cfg.Partitions)
-	if err != nil {
-		return nil, fmt.Errorf("aligraph: partition: %w", err)
-	}
-	p := &Platform{
-		G:      g,
-		Store:  storage.BuildStore(g),
-		Assign: assign,
-		src:    sampling.NewGraphSource(g),
-		rng:    rand.New(rand.NewSource(cfg.Seed)),
-	}
-	if len(cfg.CacheThresholds) > 0 {
-		p.Cache = storage.NewImportanceCache(g, cfg.CacheThresholds)
-	} else {
-		p.Cache = storage.NoCache{}
-	}
-	return p, nil
 }
 
 // newRng derives an independently seeded rand.Rand under the platform
@@ -209,7 +167,7 @@ func (p *Platform) newRng() *rand.Rand {
 func (p *Platform) Traverse() *sampling.Traverse { return sampling.NewTraverse(p.G, p.newRng()) }
 
 // Neighborhood returns a NEIGHBORHOOD sampler. All samplers share the
-// platform's GraphSource (and therefore its lazily built alias indexes).
+// platform's GraphSource.
 func (p *Platform) Neighborhood() *sampling.Neighborhood {
 	return sampling.NewNeighborhood(p.src, p.newRng())
 }
@@ -217,11 +175,6 @@ func (p *Platform) Neighborhood() *sampling.Neighborhood {
 // Negative returns a NEGATIVE sampler for edge type t.
 func (p *Platform) Negative(t EdgeType) *sampling.Negative {
 	return sampling.NewNegative(p.G, t, p.newRng())
-}
-
-// CacheRate reports the fraction of vertices whose neighborhoods are cached.
-func (p *Platform) CacheRate() float64 {
-	return storage.CacheRate(p.Cache, p.G.NumVertices())
 }
 
 // PipelineConfig tunes the prefetching mini-batch pipeline: Depth batches
@@ -374,12 +327,6 @@ func (p *ClusterPlatform) NumVertices() int { return len(p.Client.Assign.Of) }
 // a batch costs at most one SampleNeighbors RPC per owning server.
 func (p *ClusterPlatform) Neighborhood() *sampling.Neighborhood {
 	return sampling.NewNeighborhood(p.Client, p.newRng())
-}
-
-// CacheRate reports the fraction of vertices whose neighborhoods the
-// client-side cache holds.
-func (p *ClusterPlatform) CacheRate() float64 {
-	return storage.CacheRate(p.Client.Cache, p.NumVertices())
 }
 
 // attrCacheRows caps the client-side attribute LRU of a cluster trainer
@@ -568,8 +515,9 @@ func (p *ClusterPlatform) Serve(t *Trainer, cfg ServeConfig) *InferenceServer {
 // in-process graph is immutable, so cached embeddings never expire and no
 // validity tracking runs; coalescing and the LRU cache still apply. When
 // cfg.Importance is unset it defaults to the graph's 2-hop Imp^(k) scores
-// (the same signal the neighbor-side importance cache admits by), so
-// eviction and refresh ranking prefer hub vertices out of the box.
+// (the signal a cluster's importance neighbor cache selects by,
+// Algorithm 2), so eviction and refresh ranking prefer hub vertices out of
+// the box.
 func (p *Platform) Serve(t *Trainer, cfg ServeConfig) *InferenceServer {
 	if cfg.Importance == nil {
 		imps := p.G.ImportanceAll(2)

@@ -15,19 +15,7 @@ import (
 
 func TestPlatformEndToEnd(t *testing.T) {
 	g := dataset.Taobao(dataset.TaobaoSmallConfig(0.03))
-	cfg := DefaultConfig()
-	cfg.Partitions = 2
-	cfg.Partitioner = "streaming"
-	p, err := NewPlatform(g, cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if p.CacheRate() <= 0 {
-		t.Fatal("importance cache empty")
-	}
-	if p.Assign.P != 2 {
-		t.Fatal("partition count")
-	}
+	p := NewPlatform(g, 1)
 
 	// Samplers are wired.
 	trav := p.Traverse()
@@ -69,10 +57,7 @@ func TestPlatformEndToEnd(t *testing.T) {
 // must be race-free (run with -race).
 func TestPlatformSamplersConcurrent(t *testing.T) {
 	g := dataset.Taobao(dataset.TaobaoSmallConfig(0.03))
-	p, err := NewPlatform(g, DefaultConfig())
-	if err != nil {
-		t.Fatal(err)
-	}
+	p := NewPlatform(g, 1)
 	var wg sync.WaitGroup
 	for w := 0; w < 8; w++ {
 		wg.Add(1)
@@ -116,9 +101,6 @@ func TestClusterPlatformTrains(t *testing.T) {
 
 	if cp.NumVertices() != g.NumVertices() {
 		t.Fatalf("universe %d, want %d", cp.NumVertices(), g.NumVertices())
-	}
-	if cp.CacheRate() <= 0 {
-		t.Fatal("importance cache empty")
 	}
 	ctx, err := cp.Neighborhood().Sample(0, []ID{0, 1, 2}, []int{3})
 	if err != nil || len(ctx.Layers[1]) != 9 {
@@ -230,21 +212,18 @@ func TestClusterPipelineRace(t *testing.T) {
 	}
 }
 
-func TestConfigValidation(t *testing.T) {
-	g := dataset.Taobao(dataset.TaobaoSmallConfig(0.02))
-	if _, err := NewPlatform(g, Config{Partitioner: "bogus", Partitions: 2}); err == nil {
-		t.Fatal("expected unknown partitioner error")
+// TestNewPlatformCostIndependentOfGraph: a local Platform builds nothing
+// per vertex (no partition, attribute index or neighbor cache), so
+// constructing one allocates the same at every graph size. Allocation
+// counts, unlike wall clock, are exact on any host.
+func TestNewPlatformCostIndependentOfGraph(t *testing.T) {
+	allocs := func(scale float64) float64 {
+		g := dataset.Taobao(dataset.TaobaoSmallConfig(scale))
+		return testing.AllocsPerRun(3, func() { NewPlatform(g, 1) })
 	}
-	// Zero-value config gets sane defaults.
-	p, err := NewPlatform(g, Config{})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if p.Assign.P != 1 {
-		t.Fatal("default partitions")
-	}
-	if p.CacheRate() != 0 {
-		t.Fatal("cache should be disabled by default config literal")
+	small, large := allocs(0.5), allocs(2)
+	if small != large {
+		t.Fatalf("NewPlatform allocates %.0f times at scale 0.5 but %.0f at scale 2: its cost grows with the graph", small, large)
 	}
 }
 

@@ -59,7 +59,7 @@ func BenchmarkFigure7_GraphBuild(b *testing.B) {
 	}
 }
 
-func BenchmarkFigure8_CacheRate(b *testing.B) {
+func BenchmarkFigure8_ImportanceThreshold(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		rows := bench.Figure8(benchScale())
 		if i == 0 {
@@ -206,10 +206,7 @@ func BenchmarkTrainStep(b *testing.B) {
 
 	for _, depth := range []int{0, 4} {
 		b.Run(fmt.Sprintf("local/prefetch=%d", depth), func(b *testing.B) {
-			p, err := NewPlatform(g, DefaultConfig())
-			if err != nil {
-				b.Fatal(err)
-			}
+			p := NewPlatform(g, 1)
 			run(b, p.NewGraphSAGE(trainCfg(depth)))
 		})
 	}

@@ -203,11 +203,7 @@ func main() {
 			log.Fatal("need -vertices and -edges, -demo, or -cluster")
 		}
 		fmt.Printf("graph: %d vertices, %d edges\n", g.NumVertices(), g.NumEdges())
-		platform, err := aligraph.NewPlatform(g, aligraph.DefaultConfig())
-		if err != nil {
-			log.Fatal(err)
-		}
-		trainer = platform.NewGraphSAGE(cfg)
+		trainer = aligraph.NewPlatform(g, 1).NewGraphSAGE(cfg)
 	}
 	defer trainer.Close()
 	trainer.RegisterObs(reg)

@@ -51,10 +51,7 @@ func TestEmbedBatchIndependent(t *testing.T) {
 	}
 
 	t.Run("local", func(t *testing.T) {
-		p, err := NewPlatform(g, DefaultConfig())
-		if err != nil {
-			t.Fatal(err)
-		}
+		p := NewPlatform(g, 1)
 		check(t, p.NewGraphSAGE(tc))
 	})
 

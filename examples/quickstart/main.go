@@ -1,7 +1,7 @@
 // Quickstart: build a small attributed heterogeneous graph through the
-// public API, stand up the platform (partitioning + attribute store +
-// importance cache), train a GraphSAGE-style encoder on unsupervised link
-// prediction, and inspect the learned embeddings.
+// public API, stand up a local in-memory platform, train a GraphSAGE-style
+// encoder on unsupervised link prediction, and inspect the learned
+// embeddings.
 //
 // Run with: go run ./examples/quickstart
 package main
@@ -50,12 +50,9 @@ func main() {
 	g := b.Finalize()
 	fmt.Printf("graph: %d vertices, %d edges\n", g.NumVertices(), g.NumEdges())
 
-	// 3. Stand up the platform: 2 partitions, importance-based caching.
-	platform, err := aligraph.NewPlatform(g, aligraph.DefaultConfig())
-	if err != nil {
-		log.Fatal(err)
-	}
-	fmt.Printf("importance cache covers %.1f%% of vertices\n", 100*platform.CacheRate())
+	// 3. Stand up the platform: the graph in this process, seed 1 for every
+	// sampler and model it hands out.
+	platform := aligraph.NewPlatform(g, 1)
 
 	// 4. Train.
 	cfg := aligraph.DefaultTrainConfig()

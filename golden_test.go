@@ -91,10 +91,7 @@ func TestGoldenBits(t *testing.T) {
 	g := dataset.Taobao(dataset.TaobaoSmallConfig(0.03))
 
 	t.Run("local", func(t *testing.T) {
-		p, err := NewPlatform(g, DefaultConfig())
-		if err != nil {
-			t.Fatal(err)
-		}
+		p := NewPlatform(g, 1)
 		losses, emb := goldenRun(t, p.NewGraphSAGE(goldenTrainConfig(PipelineConfig{})))
 		checkGolden(t, "losses", losses, goldenLocalLosses)
 		checkGolden(t, "embeddings", emb, goldenLocalEmb)

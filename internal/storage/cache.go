@@ -117,10 +117,12 @@ func (e *staticEntry) extendThrough(epoch uint64) {
 }
 
 // StaticCache holds the 1..depth-hop out-neighborhoods of a fixed vertex
-// set under every edge type; its constructors choose the vertices. The
-// importance constructors pick the vertices AliGraph caches: Imp^(k)(v) =
-// D_i^(k)(v)/D_o^(k)(v) is power-law distributed (Theorem 2), so a small
-// threshold already restricts the cache to a small vertex fraction.
+// set under every edge type; NewStaticCache takes the vertices. Algorithm 2
+// is SelectImportant (every vertex with Imp^(k) >= tau) fed to
+// NewStaticCache; NewImportanceCacheTopFraction ranks by the same
+// Imp^(k)(v) = D_i^(k)(v)/D_o^(k)(v), which is power-law distributed
+// (Theorem 2), so a small threshold already restricts the cache to a small
+// vertex fraction.
 //
 // Entries are built from the epoch-0 graph (since = through = 0): the cache
 // answers a query at a later epoch only after a fetch re-validated that the
@@ -131,36 +133,22 @@ func (e *staticEntry) extendThrough(epoch uint64) {
 // moves. Get takes no lock: the entry map is read-only after construction
 // and the watermarks are atomic.
 type StaticCache struct {
-	name    string
-	entries map[int64]*staticEntry
-	hop1    int
+	name     string
+	entries  map[int64]*staticEntry
+	vertices int // vertices with cached neighborhoods
 }
 
 // NewStaticCache caches the 1..depth-hop out-neighborhoods of every vertex
 // in vs, reporting itself as name.
 func NewStaticCache(g *graph.Graph, name string, vs []graph.ID, depth int) *StaticCache {
-	c := &StaticCache{name: name, entries: make(map[int64]*staticEntry)}
-	c.add(g, vs, depth)
-	return c
-}
-
-// add caches hops 1..depth of every vertex in vs not already cached to at
-// least that depth.
-func (c *StaticCache) add(g *graph.Graph, vs []graph.ID, depth int) {
-	s := g.AcquireScratch()
-	defer g.ReleaseScratch(s)
 	nt := g.Schema().NumEdgeTypes()
 	checkEdgeTypes(nt)
+	s := g.AcquireScratch()
+	defer g.ReleaseScratch(s)
+	c := &StaticCache{name: name, entries: make(map[int64]*staticEntry)}
 	for _, v := range vs {
-		if _, ok := c.entries[hopKey(v, 0, 1)]; !ok {
-			c.hop1++
-		}
 		for h := 1; h <= depth; h++ {
 			for t := 0; t < nt; t++ {
-				key := hopKey(v, graph.EdgeType(t), h)
-				if _, ok := c.entries[key]; ok {
-					continue
-				}
 				// Hop 1 holds the adjacency list exactly as a server
 				// serves it (duplicates and self-loops included), so a hit
 				// draws what a fetch would; deeper hops hold frontiers.
@@ -168,10 +156,15 @@ func (c *StaticCache) add(g *graph.Graph, vs []graph.ID, depth int) {
 				if h > 1 {
 					ns = g.KHopFrontierType(v, graph.EdgeType(t), h, s)
 				}
-				c.entries[key] = &staticEntry{nbrs: append([]graph.ID(nil), ns...)}
+				c.entries[hopKey(v, graph.EdgeType(t), h)] = &staticEntry{nbrs: append([]graph.ID(nil), ns...)}
 			}
 		}
 	}
+	if depth > 0 && nt > 0 {
+		// Every cached vertex holds depth*nt entries, whatever repeats vs has.
+		c.vertices = len(c.entries) / (depth * nt)
+	}
+	return c
 }
 
 // SelectImportant returns the vertices with Imp^(h)(v) >= tau, for depth h.
@@ -186,17 +179,6 @@ func SelectImportant(g *graph.Graph, h int, tau float64) []graph.ID {
 		}
 	}
 	return out
-}
-
-// NewImportanceCache builds the importance cache of Algorithm 2: for each
-// depth k in 1..len(tau), every vertex with Imp^(k) >= tau[k-1] has its
-// 1..k-hop out-neighborhoods cached.
-func NewImportanceCache(g *graph.Graph, tau []float64) *StaticCache {
-	c := &StaticCache{name: "importance", entries: make(map[int64]*staticEntry)}
-	for k := 1; k <= len(tau); k++ {
-		c.add(g, SelectImportant(g, k, tau[k-1]), k)
-	}
-	return c
 }
 
 // NewImportanceCacheTopFraction caches the top-frac fraction of vertices
@@ -247,7 +229,7 @@ func (c *StaticCache) Flush() {
 
 func (c *StaticCache) Name() string { return c.name }
 
-func (c *StaticCache) CachedVertices() int { return c.hop1 }
+func (c *StaticCache) CachedVertices() int { return c.vertices }
 
 // ---------------------------------------------------------------------------
 // LRU replacing cache (Figure 9 baseline)
@@ -374,12 +356,3 @@ func (NoCache) Admits() bool                                                    
 func (NoCache) Flush()                                                            {}
 func (NoCache) Name() string                                                      { return "none" }
 func (NoCache) CachedVertices() int                                               { return 0 }
-
-// CacheRate returns the fraction of vertices whose hop-1 neighborhood the
-// cache holds; this is the y-axis of Figure 8.
-func CacheRate(c NeighborCache, n int) float64 {
-	if n == 0 {
-		return 0
-	}
-	return float64(c.CachedVertices()) / float64(n)
-}

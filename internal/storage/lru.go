@@ -1,7 +1,10 @@
 // Package storage implements the AliGraph storage layer (Section 3.2):
 // separate structural and attribute storage with deduplicating attribute
 // indices I_V and I_E fronted by LRU caches, and neighbor caching of
-// important vertices selected by the Imp^(k) metric (Algorithm 2).
+// important vertices selected by the Imp^(k) metric (Algorithm 2:
+// SelectImportant picks the vertices, NewStaticCache caches their
+// 1..k-hop neighborhoods). A cluster worker's client holds the neighbor
+// cache; a single-process graph has no remote fetch for it to save.
 //
 // # Epoch-aware neighbor-cache seam
 //

@@ -181,7 +181,7 @@ func TestSelectImportant(t *testing.T) {
 
 func TestImportanceCache(t *testing.T) {
 	g := hubGraph(10)
-	c := NewImportanceCache(g, []float64{5.0, 5.0})
+	c := NewStaticCache(g, "importance", SelectImportant(g, 1, 5.0), 2)
 	if c.CachedVertices() != 1 {
 		t.Fatalf("cached = %d", c.CachedVertices())
 	}
@@ -196,9 +196,6 @@ func TestImportanceCache(t *testing.T) {
 	}
 	if _, kind := c.Get(2, 0, 1, 0); kind == KindHit {
 		t.Fatal("spoke should not be cached")
-	}
-	if CacheRate(c, g.NumVertices()) <= 0 {
-		t.Fatal("cache rate must be positive")
 	}
 }
 
@@ -247,8 +244,9 @@ func TestNoCache(t *testing.T) {
 }
 
 func TestCacheRateDecreasesWithThreshold(t *testing.T) {
-	// On a power-law-ish graph, raising tau must not increase cache rate
-	// (Figure 8 shape).
+	// On a power-law-ish graph, raising tau must not increase the number
+	// of selected vertices (Figure 8 shape; Figure 8 plots
+	// len(SelectImportant(g, 1, tau)) / |V|).
 	rng := rand.New(rand.NewSource(42))
 	b := graph.NewBuilder(graph.SimpleSchema(), true)
 	const n = 400
@@ -265,14 +263,13 @@ func TestCacheRateDecreasesWithThreshold(t *testing.T) {
 		}
 	}
 	g := b.Finalize()
-	prev := 2.0
+	prev := n + 1
 	for _, tau := range []float64{0.05, 0.2, 0.45} {
-		c := NewImportanceCache(g, []float64{tau, tau})
-		rate := CacheRate(c, g.NumVertices())
-		if rate > prev {
-			t.Fatalf("cache rate increased with threshold: %f > %f at tau=%f", rate, prev, tau)
+		sel := len(SelectImportant(g, 1, tau))
+		if sel > prev {
+			t.Fatalf("selected vertices increased with threshold: %d > %d at tau=%f", sel, prev, tau)
 		}
-		prev = rate
+		prev = sel
 	}
 }
 
@@ -319,7 +316,7 @@ func TestLRUNeighborCacheEpochValidity(t *testing.T) {
 // never admit new keys, and drop out for vertices an update rewrote.
 func TestStaticCacheEpochRevalidation(t *testing.T) {
 	g := hubGraph(10)
-	c := NewImportanceCache(g, []float64{5.0})
+	c := NewStaticCache(g, "importance", SelectImportant(g, 1, 5.0), 1)
 	if _, kind := c.Get(0, 0, 1, 0); kind != KindHit {
 		t.Fatal("hub not cached at build epoch")
 	}

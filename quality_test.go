@@ -16,12 +16,7 @@ const qualitySteps = 150
 // returns the ROC-AUC of dot-product scores on the held-out links.
 func heldOutAUC(t *testing.T, split *dataset.LinkSplit, seed int64) float64 {
 	t.Helper()
-	cfg := DefaultConfig()
-	cfg.Seed = seed
-	p, err := NewPlatform(split.Train, cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
+	p := NewPlatform(split.Train, seed)
 	tc := DefaultTrainConfig()
 	tc.UseAttrs = true
 	tc.EdgeType = split.EdgeType
