@@ -53,12 +53,12 @@
 // forward-only embedding, link-score and top-k lookups. Concurrent requests
 // coalesce into one deduplicated encoder mini-batch per flush window;
 // computed embeddings enter an epoch-aware cache keyed by their sampled
-// dependency sets, served only while provably within a bounded lag of every
-// shard's newest epoch. Updates applied through the tier invalidate exactly
-// the cached k-hop in-neighborhood of the touched vertices, and a
-// background refresher re-embeds hot invalidated vertices and restores
-// lag-expired entries with row-level Since proofs instead of recomputing
-// them.
+// dependency sets. Updates applied through the tier invalidate exactly the
+// cached k-hop in-neighborhood of the touched vertices, and every other
+// entry stays current; updates applied behind the tier's back age entries
+// past a bounded lag of every shard's newest epoch, after which they are
+// re-embedded. A background refresher probes shard heads and re-embeds hot
+// invalidated or lag-expired vertices ahead of demand.
 //
 // Observability (internal/obs) is always on and shared by every layer: the
 // cluster client keeps per-(edge type, hop) sampling lanes (time, RPC fan-out,
@@ -513,20 +513,7 @@ func (p *ClusterPlatform) Serve(t *Trainer, cfg ServeConfig) *InferenceServer {
 
 // Serve starts the inference tier over a local in-memory platform. The
 // in-process graph is immutable, so cached embeddings never expire and no
-// validity tracking runs; coalescing and the LRU cache still apply. When
-// cfg.Importance is unset it defaults to the graph's 2-hop Imp^(k) scores
-// (the signal a cluster's importance neighbor cache selects by,
-// Algorithm 2), so eviction and refresh ranking prefer hub vertices out of
-// the box.
+// validity tracking runs; coalescing and the LRU cache still apply.
 func (p *Platform) Serve(t *Trainer, cfg ServeConfig) *InferenceServer {
-	if cfg.Importance == nil {
-		imps := p.G.ImportanceAll(2)
-		cfg.Importance = func(v ID) float64 {
-			if int(v) < len(imps) {
-				return imps[v]
-			}
-			return 0
-		}
-	}
 	return serve.New(t.inner, nil, cfg)
 }

@@ -118,10 +118,7 @@ func main() {
 	fmt.Printf("warm-up: %d steps in %v, loss %.4f -> %.4f\n",
 		*trainSteps, time.Since(start).Round(time.Millisecond), losses[0], losses[len(losses)-1])
 
-	srv := cp.Serve(trainer, aligraph.ServeConfig{
-		RefreshEvery: *refresh,
-		EdgeType:     aligraph.EdgeType(*edgeType),
-	})
+	srv := cp.Serve(trainer, aligraph.ServeConfig{RefreshEvery: *refresh})
 	defer srv.Close()
 	trainer.RegisterObs(reg)
 	srv.RegisterObs(reg)
@@ -222,8 +219,8 @@ func runLoad(srv *aligraph.InferenceServer, cp *aligraph.ClusterPlatform,
 	fmt.Printf("  hit-rate   %.3f (%d hits / %d requests)\n", st.HitRate(), st.Cache.Hits, st.Requests)
 	fmt.Printf("  batches    %d (%d vertices embedded, %.1f per flush)\n",
 		st.Batches, st.Embedded, float64(st.Embedded)/float64(max64(st.Batches, 1)))
-	fmt.Printf("  staleness  %d stale-rejects, %d invalidated, %d refreshed, %d revalidated\n",
-		st.Cache.StaleRejects, st.Invalidated, st.Refreshed, st.Revalidated)
+	fmt.Printf("  staleness  %d stale-rejects, %d invalidated, %d refreshed\n",
+		st.Cache.StaleRejects, st.Invalidated, st.Refreshed)
 }
 
 func max64(a, b int64) int64 {

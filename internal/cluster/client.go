@@ -115,25 +115,16 @@ func (c *Client) ObservedHeads(dst []uint64) []uint64 {
 	return dst
 }
 
-// ObservedAttrHeads appends the newest attribute-rewriting epoch observed
-// per shard, the attribute analogue of ObservedHeads.
-func (c *Client) ObservedAttrHeads(dst []uint64) []uint64 {
-	for part := range c.pins.attrHeads {
-		dst = append(dst, c.pins.attrHeads[part].Load())
-	}
-	return dst
-}
-
 // ProbeHeads issues one concurrent Stats round purely to refresh the
 // observed per-shard head watermarks, returning them (index = partition).
 // This is how a serving tier notices out-of-band churn — updates applied by
 // other writers — even when its own request stream is fully cache-hot and
 // makes no data RPCs.
-func (c *Client) ProbeHeads() ([]uint64, []uint64, error) {
+func (c *Client) ProbeHeads() ([]uint64, error) {
 	if _, err := c.clusterStats(true); err != nil {
-		return nil, nil, err
+		return nil, err
 	}
-	return c.ObservedHeads(nil), c.ObservedAttrHeads(nil), nil
+	return c.ObservedHeads(nil), nil
 }
 
 // pinFields returns the request pin fields for an optionally pinned call to
@@ -402,75 +393,6 @@ func (c *Client) attrsObserve(vs []graph.ID, pin *sampling.Pin, note func(part i
 		out[i] = res[v]
 	}
 	return out, nil
-}
-
-// SinceOf fetches, for each vertex, the install stamps of its current
-// type-t adjacency list and attribute row, plus the epoch those stamps were
-// read at on the vertex's owning shard: adj[i] (attr[i]) is the epoch vs[i]'s
-// list (row) was installed at, 0 meaning it predates every update, and
-// upto[i] is the serving epoch of the reply that proved it. Together they
-// certify "vs[i] is unchanged over [max(adj[i],attr[i]), upto[i]]" — the
-// revalidation proof an embedding cache needs to extend an entry's validity
-// interval without recomputing the embedding. One concurrent scatter round
-// (Neighbors + Attrs per owning shard).
-func (c *Client) SinceOf(vs []graph.ID, t graph.EdgeType) (adj, attr, upto []uint64, err error) {
-	subBatch := make(map[int][]graph.ID)
-	idx := make(map[graph.ID]int, len(vs))
-	for i, v := range vs {
-		if _, seen := idx[v]; !seen {
-			idx[v] = i
-			p := c.Assign.Part(v)
-			subBatch[p] = append(subBatch[p], v)
-		}
-	}
-	parts := sortedParts(subBatch)
-	nReplies := make([]NeighborsReply, len(parts))
-	aReplies := make([]AttrsReply, len(parts))
-	errs := c.scatter(parts, func(i, p int) error {
-		if e := c.timed(MNeighbors, func() error {
-			return c.T.Neighbors(p, NeighborsRequest{Vertices: subBatch[p], EdgeType: t}, &nReplies[i])
-		}); e != nil {
-			return e
-		}
-		return c.timed(MAttrs, func() error {
-			return c.T.Attrs(p, AttrsRequest{Vertices: subBatch[p]}, &aReplies[i])
-		})
-	})
-	adj = make([]uint64, len(vs))
-	attr = make([]uint64, len(vs))
-	upto = make([]uint64, len(vs))
-	for i, p := range parts {
-		if errs[i] != nil {
-			return nil, nil, nil, errs[i]
-		}
-		nr, ar := &nReplies[i], &aReplies[i]
-		c.observe(p, nil, nil, nr.Epoch, nr.Head, nr.AttrHead)
-		c.observe(p, nil, nil, ar.Epoch, ar.Head, ar.AttrHead)
-		switch n := len(subBatch[p]); {
-		case len(nr.Neighbors) != n:
-			return nil, nil, nil, rowsError(p, "lists", len(nr.Neighbors), n)
-		case len(nr.Since) < n:
-			return nil, nil, nil, rowsError(p, "list install stamps", len(nr.Since), n)
-		case len(ar.Attrs) != n:
-			return nil, nil, nil, rowsError(p, "attribute rows", len(ar.Attrs), n)
-		case len(ar.Since) < n:
-			return nil, nil, nil, rowsError(p, "row install stamps", len(ar.Since), n)
-		}
-		served := min(nr.Epoch, ar.Epoch)
-		for j, v := range subBatch[p] {
-			k := idx[v]
-			adj[k] = nr.Since[j]
-			attr[k] = ar.Since[j]
-			upto[k] = served
-		}
-	}
-	// Duplicate vertices copy their first occurrence's stamps.
-	for i, v := range vs {
-		if k := idx[v]; k != i {
-			adj[i], attr[i], upto[i] = adj[k], attr[k], upto[k]
-		}
-	}
-	return adj, attr, upto, nil
 }
 
 // MultiHop expands a seed set hop by hop, returning the frontier at each

@@ -201,16 +201,16 @@ func TestShortRepliesError(t *testing.T) {
 		cache func() storage.NeighborCache
 	}{
 		{m: MNeighbors, call: func(c *Client) error { return c.NeighborsBatch(make([][]graph.ID, len(vs)), vs, 0) }},
-		{m: MNeighbors, call: func(c *Client) error { _, _, _, err := c.SinceOf(vs, 0); return err }},
+		{m: MNeighbors, call: func(c *Client) error { _, err := c.MultiHop(vs[0], 0, 2); return err }},
 		{m: MAttrs, call: func(c *Client) error { _, err := c.Attrs(vs); return err }},
-		{m: MAttrs, call: func(c *Client) error { _, _, _, err := c.SinceOf(vs, 0); return err }},
+		{m: MAttrs, call: func(c *Client) error { _, err := NewAttrCache(c, 64).Attrs(vs); return err }},
 		{m: MSampleEdges, call: func(c *Client) error { _, err := c.SampleEdges(0, 16, 1); return err }},
 		{m: MNegativePool, call: func(c *Client) error { _, _, err := c.NegativePool(0); return err }},
 		{m: MSampleNeighbors, call: func(c *Client) error { return c.SampleBatch(make([]graph.ID, 2*len(vs)), vs, 0, 2, 1) }},
 		{m: MNeighbors, call: func(c *Client) error { return c.NeighborsBatch(make([][]graph.ID, len(vs)), vs, 0) }, since: true},
-		{m: MNeighbors, call: func(c *Client) error { _, _, _, err := c.SinceOf(vs, 0); return err }, since: true},
+		{m: MNeighbors, call: func(c *Client) error { _, err := c.MultiHop(vs[0], 0, 2); return err }, since: true},
 		{m: MAttrs, call: func(c *Client) error { _, err := c.Attrs(vs); return err }, since: true},
-		{m: MAttrs, call: func(c *Client) error { _, _, _, err := c.SinceOf(vs, 0); return err }, since: true},
+		{m: MAttrs, call: func(c *Client) error { _, err := NewAttrCache(c, 64).Attrs(vs); return err }, since: true},
 		// An admitting cache makes the server ship short lists (width 3
 		// covers every vertex here), each needing its install stamp.
 		{m: MSampleNeighbors, call: func(c *Client) error { return c.SampleBatch(make([]graph.ID, 3*len(vs)), vs, 0, 3, 1) }, since: true,

@@ -7,11 +7,11 @@ import (
 	"repro/internal/partition"
 )
 
-// TestSinceOfAndProbeHeads covers the row-level validity seam end to end:
-// attr replies carry per-row Since stamps, Stats replies carry head stamps
-// (so ProbeHeads observes out-of-band churn), and SinceOf certifies exactly
-// which vertices an update touched.
-func TestSinceOfAndProbeHeads(t *testing.T) {
+// TestAttrSinceAndProbeHeads: attr replies carry per-row Since stamps, and
+// Stats replies carry head and attribute-head stamps, so ProbeHeads
+// observes out-of-band churn and the attribute watermark AttrCache reads
+// advances with it.
+func TestAttrSinceAndProbeHeads(t *testing.T) {
 	g := churnTestGraph(60)
 	a, err := (partition.HashPartitioner{}).Partition(g, 2)
 	if err != nil {
@@ -32,17 +32,6 @@ func TestSinceOfAndProbeHeads(t *testing.T) {
 	}
 	if a.Part(v0) != 0 || a.Part(v1) != 1 {
 		t.Fatalf("failed to pick per-shard vertices: %d %d", v0, v1)
-	}
-
-	// Quiesced: everything predates every update, proven at epoch 0.
-	adj, attr, upto, err := c.SinceOf([]graph.ID{v0, v1}, 0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i := range adj {
-		if adj[i] != 0 || attr[i] != 0 || upto[i] != 0 {
-			t.Fatalf("quiesced SinceOf[%d] = (%d,%d,%d), want zeros", i, adj[i], attr[i], upto[i])
-		}
 	}
 
 	// Shard 0: one edge add touching v0's adjacency, and a SetAttr on v0.
@@ -71,29 +60,16 @@ func TestSinceOfAndProbeHeads(t *testing.T) {
 		t.Fatalf("attr row = %v, want the rewritten row", ar.Attrs[0])
 	}
 
-	// SinceOf: v0's adjacency and row moved at epoch 1, v1 untouched; both
-	// proofs extend to the serving epoch of their shard.
-	adj, attr, upto, err = c.SinceOf([]graph.ID{v0, v1}, 0)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if adj[0] != 1 || attr[0] != 1 || upto[0] != 1 {
-		t.Fatalf("touched SinceOf = (%d,%d,%d), want (1,1,1)", adj[0], attr[0], upto[0])
-	}
-	if adj[1] != 0 || attr[1] != 0 || upto[1] != 0 {
-		t.Fatalf("untouched SinceOf = (%d,%d,%d), want zeros", adj[1], attr[1], upto[1])
-	}
-
 	// ProbeHeads observes the churn with zero data RPCs: shard 0 at head 1
 	// (attr head 1 too, the update set a row), shard 1 still at 0.
-	heads, attrHeads, err := c.ProbeHeads()
+	heads, err := c.ProbeHeads()
 	if err != nil {
 		t.Fatal(err)
 	}
 	if heads[0] != 1 || heads[1] != 0 {
 		t.Fatalf("probed heads = %v, want [1 0]", heads)
 	}
-	if attrHeads[0] != 1 || attrHeads[1] != 0 {
-		t.Fatalf("probed attr heads = %v, want [1 0]", attrHeads)
+	if a0, a1 := c.pins.attrHeads[0].Load(), c.pins.attrHeads[1].Load(); a0 != 1 || a1 != 0 {
+		t.Fatalf("probed attr heads = [%d %d], want [1 0]", a0, a1)
 	}
 }

@@ -46,7 +46,7 @@ func (s *UpdateStream) Push(part int, req UpdateRequest) {
 // source) and enqueues one batch per touched server: adds, removes and
 // attribute rewrites keep the all-or-nothing per-server contract.
 func (s *UpdateStream) PushEdges(assign *partition.Assignment, add, remove []RawEdge, attrs []AttrUpdate) {
-	reqs := groupByPartition(assign.Part, add, remove, attrs)
+	reqs := GroupByPartition(assign.Part, add, remove, attrs)
 	s.mu.Lock()
 	for p, r := range reqs {
 		s.queue = append(s.queue, streamBatch{part: p, req: *r})

@@ -114,10 +114,11 @@ func (s *Server) checkDestinations(add []RawEdge) error {
 	return nil
 }
 
-// groupByPartition routes raw mutations to their owning partitions (edges
+// GroupByPartition routes raw mutations to their owning partitions (edges
 // and attribute rewrites live with their source/subject vertex), building
-// one atomic UpdateRequest per touched server (UpdateStream.PushEdges).
-func groupByPartition(part func(graph.ID) int, add, remove []RawEdge, attrs []AttrUpdate) map[int]*UpdateRequest {
+// one atomic UpdateRequest per touched server (UpdateStream.PushEdges, the
+// serving tier's ApplyUpdate).
+func GroupByPartition(part func(graph.ID) int, add, remove []RawEdge, attrs []AttrUpdate) map[int]*UpdateRequest {
 	reqs := make(map[int]*UpdateRequest)
 	get := func(v graph.ID) *UpdateRequest {
 		p := part(v)

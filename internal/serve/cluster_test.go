@@ -3,6 +3,7 @@ package serve
 import (
 	"math/rand"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -268,50 +269,127 @@ func TestServeChurnStormExactness(t *testing.T) {
 	}
 }
 
-// TestServeRevalidation: out-of-band churn (updates applied directly to a
-// shard, never routed through the tier) ages the whole cache past its lag
-// budget; one refresher pass restores every entry whose dependencies are
-// provably untouched via row-level Since proofs — no recomputation — while
-// the touched vertex's entry stays stale and re-embeds on demand.
-func TestServeRevalidation(t *testing.T) {
-	const n = 48
-	servers, cl, tr := clusterFixture(t, n)
-	srv := New(tr, cl, Config{FlushWindow: 200 * time.Microsecond, MaxBatch: 1, MaxLag: 2, RefreshBudget: n, EdgeType: 0})
+// crossedUpdates delivers the first Update call to its shard but holds the
+// reply until release is closed, so a later caller's update — reply and
+// invalidation round — overtakes it.
+type crossedUpdates struct {
+	cluster.Transport
+	calls   atomic.Int32
+	applied chan struct{} // closed once the held update has been applied
+	release chan struct{}
+}
+
+func (c *crossedUpdates) Update(part int, req cluster.UpdateRequest, reply *cluster.UpdateReply) error {
+	err := c.Transport.Update(part, req, reply)
+	if c.calls.Add(1) == 1 {
+		close(c.applied)
+		<-c.release
+	}
+	return err
+}
+
+// dependsOn reports whether u is in v's sampled dependency set.
+func dependsOn(deps map[graph.ID][]graph.ID, v, u graph.ID) bool {
+	for _, d := range deps[v] {
+		if d == u {
+			return true
+		}
+	}
+	return false
+}
+
+// TestServeCrossedUpdateReplies: two callers' ApplyUpdates on one shard
+// whose replies cross — the second update's invalidation round runs before
+// the first's — must not stall the cache's frontier. After MaxLag+1 more
+// in-band updates an entry none of them touched is still a pure cache hit:
+// no encoder work and no stale rejection at any point.
+func TestServeCrossedUpdateReplies(t *testing.T) {
+	const n, maxLag = 48, 2
+	cross := &crossedUpdates{applied: make(chan struct{}), release: make(chan struct{})}
+	_, cl, tr := clusterFixtureT(t, n, func(inner cluster.Caller) cluster.Transport {
+		cross.Transport = inner.(cluster.Transport)
+		return cross
+	})
+	srv := New(tr, cl, Config{FlushWindow: 200 * time.Microsecond, MaxBatch: n, MaxLag: maxLag})
 	defer srv.Close()
 
 	all := make([]graph.ID, n)
 	for i := range all {
 		all[i] = graph.ID(i)
 	}
-	deps := make(map[graph.ID][]graph.ID)
-	for _, v := range all {
-		for vv, ds := range directDeps(t, tr, []graph.ID{v}) {
-			deps[vv] = ds
-		}
-		if _, err := srv.Embed(v); err != nil {
+	deps := directDeps(t, tr, all)
+	if _, err := srv.EmbedBatch(all); err != nil {
+		t.Fatal(err)
+	}
+	// Every update rewrites u's adjacency; a does not depend on u.
+	u := graph.ID(0)
+	a := graph.ID(1)
+	for ; a < n && dependsOn(deps, a, u); a++ {
+	}
+	if a == n {
+		t.Fatal("every vertex depends on the touched vertex")
+	}
+	edge := func(i int) []cluster.RawEdge {
+		return []cluster.RawEdge{{Src: u, Dst: graph.ID((int(u) + i + 2) % n), Type: 0, Weight: 1}}
+	}
+
+	first := make(chan error, 1)
+	go func() {
+		_, err := srv.ApplyUpdate(edge(0), nil, nil)
+		first <- err
+	}()
+	<-cross.applied
+	if _, err := srv.ApplyUpdate(edge(1), nil, nil); err != nil {
+		t.Fatal(err)
+	}
+	close(cross.release)
+	if err := <-first; err != nil {
+		t.Fatal(err)
+	}
+	for i := 2; i < 2+maxLag+1; i++ {
+		if _, err := srv.ApplyUpdate(edge(i), nil, nil); err != nil {
 			t.Fatal(err)
 		}
 	}
 
-	// Choose w with at least one dependent, and a vertex a independent of w.
-	var w, a graph.ID
-	depOf := func(u, v graph.ID) bool {
-		for _, d := range deps[v] {
-			if d == u {
-				return true
-			}
-		}
-		return false
+	before := srv.Stats()
+	if _, err := srv.Embed(a); err != nil {
+		t.Fatal(err)
 	}
-	w = deps[0][len(deps[0])-1]
-	for a = 0; a < n; a++ {
-		if !depOf(w, a) {
-			break
-		}
+	after := srv.Stats()
+	if after.Embedded != before.Embedded || after.Cache.Hits != before.Cache.Hits+1 {
+		t.Fatalf("untouched vertex %d was not a cache hit after crossed updates: %+v -> %+v", a, before, after)
+	}
+	if after.Cache.StaleRejects != 0 {
+		t.Fatalf("%d stale rejects: the frontier stalled on the crossed replies", after.Cache.StaleRejects)
+	}
+}
+
+// TestServeOutOfBandChurnExact: updates applied directly to a shard, never
+// routed through the tier, leave a gap the cache's frontier cannot pass.
+// Once they outnumber MaxLag, the lag bound forces recomputation, and both
+// the touched vertex and an untouched one serve exactly what a fresh
+// EmbedCtx returns, bit for bit.
+func TestServeOutOfBandChurnExact(t *testing.T) {
+	const n = 48
+	servers, cl, tr := clusterFixture(t, n)
+	srv := New(tr, cl, Config{FlushWindow: 200 * time.Microsecond, MaxBatch: n, MaxLag: 2})
+	defer srv.Close()
+
+	all := make([]graph.ID, n)
+	for i := range all {
+		all[i] = graph.ID(i)
+	}
+	deps := directDeps(t, tr, all)
+	if _, err := srv.EmbedBatch(all); err != nil {
+		t.Fatal(err)
+	}
+	w := deps[0][len(deps[0])-1]
+	var a graph.ID
+	for ; a < n && dependsOn(deps, a, w); a++ {
 	}
 
-	// Three out-of-band rounds touching only w: heads advance past MaxLag=2
-	// but the covered frontier stalls (the tier never saw the touched sets).
+	// Three out-of-band rounds touching only w: heads pass MaxLag=2.
 	p := cl.Assign.Part(w)
 	for i := 0; i < 3; i++ {
 		var ur cluster.UpdateReply
@@ -322,37 +400,62 @@ func TestServeRevalidation(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
+	srv.refreshOnce() // the head probe observes the churn
 
+	for _, v := range []graph.ID{w, a} {
+		got, err := srv.Embed(v)
+		if err != nil {
+			t.Fatal(err)
+		}
+		want, _, err := tr.EmbedCtx([]graph.ID{v})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !sameVec(got, rowOf(want, 0)) {
+			t.Fatalf("vertex %d served %v after out-of-band churn, a fresh embed gives %v", v, got, rowOf(want, 0))
+		}
+	}
+	if st := srv.Stats(); st.Cache.StaleRejects == 0 {
+		t.Fatalf("the lag bound rejected nothing after out-of-band churn: %+v", st)
+	}
+}
+
+// TestServeNoOpUpdateLeavesGap: an in-band update that applies nothing
+// makes no epoch; its reply carries the shard's current head, here an
+// out-of-band epoch. That head must not count as covered, or w's entry —
+// whose adjacency the out-of-band epoch rewrote — would read as current.
+func TestServeNoOpUpdateLeavesGap(t *testing.T) {
+	const n = 48
+	servers, cl, tr := clusterFixture(t, n)
+	srv := New(tr, cl, Config{FlushWindow: 200 * time.Microsecond, MaxBatch: n})
+	defer srv.Close()
+
+	w := graph.ID(5)
+	deps := directDeps(t, tr, []graph.ID{w})
+	if _, err := srv.Embed(w); err != nil {
+		t.Fatal(err)
+	}
+	p := cl.Assign.Part(w)
+	var ur cluster.UpdateReply
+	if err := servers[p].ServeUpdate(cluster.UpdateRequest{
+		Add: []cluster.RawEdge{{Src: w, Dst: (w + 3) % n, Type: 0, Weight: 1}},
+	}, &ur); err != nil {
+		t.Fatal(err)
+	}
+	// Removing an edge that x (on w's shard, not among w's dependencies)
+	// does not have applies nothing.
+	x := graph.ID(0)
+	for ; x < n && (cl.Assign.Part(x) != p || dependsOn(deps, w, x)); x++ {
+	}
+	if x == n {
+		t.Fatal("no vertex on w's shard outside w's dependencies")
+	}
+	absent := []cluster.RawEdge{{Src: x, Dst: (x + 5) % n, Type: 0, Weight: 1}}
+	if _, err := srv.ApplyUpdate(nil, absent, nil); err != nil {
+		t.Fatal(err)
+	}
 	srv.refreshOnce()
-	st := srv.Stats()
-	if st.Revalidated == 0 {
-		t.Fatalf("refresher revalidated nothing: %+v", st)
-	}
-
-	// a's entry was restored by proof: serving it is a hit, not a recompute.
-	before := srv.Stats()
-	if _, err := srv.Embed(a); err != nil {
-		t.Fatal(err)
-	}
-	after := srv.Stats()
-	if after.Embedded != before.Embedded || after.Cache.Hits != before.Cache.Hits+1 {
-		t.Fatalf("independent vertex %d was not served from the revalidated cache: %+v -> %+v", a, before, after)
-	}
-
-	// w's entry cannot be revalidated (its own adjacency moved): a lookup
-	// re-embeds it to the post-churn value.
-	got, err := srv.Embed(w)
-	if err != nil {
-		t.Fatal(err)
-	}
-	want, _, err := tr.EmbedCtx([]graph.ID{w})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !sameVec(got, rowOf(want, 0)) {
-		t.Fatalf("touched vertex %d served %v, want recomputed %v", w, got, rowOf(want, 0))
-	}
-	if final := srv.Stats(); final.Embedded != after.Embedded+1 {
-		t.Fatalf("touched vertex was served stale instead of re-embedding: %+v", final)
+	if _, ok := srv.Cache().Get(w, 0); ok {
+		t.Fatal("an out-of-band epoch counted as covered after a no-op in-band update")
 	}
 }

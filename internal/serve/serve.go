@@ -16,15 +16,20 @@
 //
 //   - Epoch-aware embedding caching. Every computed embedding is admitted
 //     to a storage.EmbeddingCache together with its sampled dependency set
-//     and a per-shard basis snapshot; it is served only while provably
-//     within the configured lag of every shard's newest observed epoch.
-//     See the cache's package documentation for the validity algebra.
+//     and a per-shard basis snapshot. Freshness has one mechanism: updates
+//     applied through the tier (ApplyUpdate) run an invalidation round per
+//     shard, and the cache's frontier — the newest epoch per shard up to
+//     which every round has arrived, in whatever order — marks the
+//     surviving entries current. The lag bound is the only backstop: an
+//     epoch applied out of band leaves a gap the frontier cannot pass, and
+//     an entry more than MaxLag epochs behind a shard's newest observed head
+//     is re-embedded, never served. See storage.EmbeddingCache.
 //
 //   - Incremental re-embedding. Updates applied through the tier invalidate
 //     exactly the cached k-hop in-neighborhood of the touched vertices; a
-//     background refresher re-embeds the hottest invalidated vertices ahead
-//     of demand and revalidates lag-expired entries with row-level Since
-//     proofs instead of recomputing them.
+//     background refresher probes shard heads (so out-of-band churn ages the
+//     cache even at a 100% hit rate) and re-embeds the hottest invalidated
+//     or lag-expired vertices ahead of demand.
 //
 // A note on dependency sets: the registered dependencies are the *sampled*
 // context — a fixed-seed subset of the true k-hop in-neighborhood. An update
@@ -79,17 +84,11 @@ type Config struct {
 	CacheCap int
 	// RefreshEvery is the background refresher period; 0 disables it.
 	RefreshEvery time.Duration
-	// RefreshBudget caps re-embeddings and revalidations per refresher
-	// tick (default 32).
+	// RefreshBudget caps the re-embeddings per refresher tick (default 32).
 	RefreshBudget int
-	// EdgeType is the relation embeddings are computed over (used for
-	// revalidation proofs).
+	// EdgeType is read by nothing: the encoder fixes the relation it
+	// samples. It stays so configurations that set it still compile.
 	EdgeType graph.EdgeType
-	// Importance, when set, scores a vertex's expected reuse (the paper's
-	// Imp^(k) hotness): embedding-cache evictions then spare
-	// high-importance entries and the refresher re-embeds hot vertices
-	// first. Nil ranks purely by observed hit counts.
-	Importance func(graph.ID) float64
 }
 
 func (c *Config) defaults() {
@@ -138,7 +137,6 @@ type Server struct {
 	batches     atomic.Int64 // encoder flushes
 	embedded    atomic.Int64 // vertices through the encoder
 	refreshed   atomic.Int64 // dirty vertices re-embedded by the refresher
-	revalidated atomic.Int64 // stale entries restored by Since proofs
 	invalidated atomic.Int64 // entries dropped by ApplyUpdate rounds
 
 	lookupLat obs.Histogram // EmbedBatch end to end, per call
@@ -174,11 +172,8 @@ func New(emb Embedder, cl *cluster.Client, cfg Config) *Server {
 		kick:   make(chan struct{}, 1),
 		closed: make(chan struct{}),
 	}
-	if cfg.Importance != nil {
-		s.cache.SetImportance(cfg.Importance)
-	}
 	if cl != nil {
-		if heads, _, err := cl.ProbeHeads(); err == nil {
+		if heads, err := cl.ProbeHeads(); err == nil {
 			s.cache.InitCovered(heads)
 		}
 	}
@@ -293,57 +288,42 @@ func dot(a, b []float64) float64 {
 // ApplyUpdate pushes a graph mutation through the serving tier: edges and
 // attribute rows are grouped by owning shard, applied via the update RPC,
 // and each shard's reply epoch drives a cache-invalidation round scoped to
-// exactly the touched vertices' cached in-neighborhoods. Returns the number
-// of cache entries invalidated.
+// exactly the touched vertices' cached in-neighborhoods. Edges live with
+// their source vertex, so a shard's touched set is the sources of its adds
+// and removes and the subjects of its attribute rewrites. Returns the
+// number of cache entries invalidated.
 func (s *Server) ApplyUpdate(add, remove []cluster.RawEdge, attrs []cluster.AttrUpdate) (int, error) {
 	if s.cl == nil {
 		return 0, errLocal
 	}
-	type partUpdate struct {
-		req     cluster.UpdateRequest
-		touched map[graph.ID]struct{}
-	}
-	groups := make(map[int]*partUpdate)
-	at := func(p int) *partUpdate {
-		g, ok := groups[p]
-		if !ok {
-			g = &partUpdate{touched: make(map[graph.ID]struct{})}
-			groups[p] = g
-		}
-		return g
-	}
-	// Edges live with their source vertex: an add/remove rewrites Src's
-	// adjacency on Src's shard and touches nothing else.
-	for _, e := range add {
-		g := at(s.cl.Assign.Part(e.Src))
-		g.req.Add = append(g.req.Add, e)
-		g.touched[e.Src] = struct{}{}
-	}
-	for _, e := range remove {
-		g := at(s.cl.Assign.Part(e.Src))
-		g.req.Remove = append(g.req.Remove, e)
-		g.touched[e.Src] = struct{}{}
-	}
-	for _, a := range attrs {
-		g := at(s.cl.Assign.Part(a.V))
-		g.req.SetAttr = append(g.req.SetAttr, a)
-		g.touched[a.V] = struct{}{}
-	}
-	parts := make([]int, 0, len(groups))
-	for p := range groups {
+	reqs := cluster.GroupByPartition(s.cl.Assign.Part, add, remove, attrs)
+	parts := make([]int, 0, len(reqs))
+	for p := range reqs {
 		parts = append(parts, p)
 	}
 	sort.Ints(parts)
 	dropped := 0
 	for _, p := range parts {
-		g := groups[p]
+		req := reqs[p]
 		var ur cluster.UpdateReply
-		if err := s.cl.T.Update(p, g.req, &ur); err != nil {
+		if err := s.cl.T.Update(p, *req, &ur); err != nil {
 			return dropped, err
 		}
-		touched := make([]graph.ID, 0, len(g.touched))
-		for v := range g.touched {
-			touched = append(touched, v)
+		if ur.Added+ur.Removed+ur.AttrsSet == 0 {
+			// Nothing applied, so no epoch was made: the reply carries the
+			// shard's current head, which may be another writer's epoch
+			// whose round this tier never saw.
+			continue
+		}
+		touched := make([]graph.ID, 0, len(req.Add)+len(req.Remove)+len(req.SetAttr))
+		for _, e := range req.Add {
+			touched = append(touched, e.Src)
+		}
+		for _, e := range req.Remove {
+			touched = append(touched, e.Src)
+		}
+		for _, a := range req.SetAttr {
+			touched = append(touched, a.V)
 		}
 		dropped += s.cache.Invalidate(p, ur.Epoch, touched)
 	}
@@ -546,7 +526,6 @@ type Stats struct {
 	Batches     int64 // encoder flushes
 	Embedded    int64 // vertices through the encoder
 	Refreshed   int64 // refresher re-embeddings
-	Revalidated int64 // stale entries restored by Since proofs
 	Invalidated int64 // entries dropped by ApplyUpdate
 	Cache       storage.EmbeddingCacheStats
 }
@@ -566,7 +545,6 @@ func (s *Server) Stats() Stats {
 		Batches:     s.batches.Load(),
 		Embedded:    s.embedded.Load(),
 		Refreshed:   s.refreshed.Load(),
-		Revalidated: s.revalidated.Load(),
 		Invalidated: s.invalidated.Load(),
 		Cache:       s.cache.Stats(),
 	}

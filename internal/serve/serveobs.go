@@ -27,7 +27,6 @@ func (s *Server) RegisterObs(r *obs.Registry) {
 	r.Gauge("serve.batches", s.batches.Load)
 	r.Gauge("serve.embedded", s.embedded.Load)
 	r.Gauge("serve.refreshed", s.refreshed.Load)
-	r.Gauge("serve.revalidated", s.revalidated.Load)
 	r.Gauge("serve.invalidated", s.invalidated.Load)
 	cache := s.cache
 	r.Gauge("serve.cache.hits", func() int64 { return cache.Stats().Hits })

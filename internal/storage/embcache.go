@@ -9,41 +9,35 @@ import (
 )
 
 // EmbeddingCache is the serving tier's epoch-aware embedding store: the
-// validity-interval seam the neighbor caches established (PR 5), applied to
-// computed embeddings instead of adjacency lists. An entry is an embedding
+// validity-interval seam of the neighbor caches, applied to computed
+// embeddings instead of adjacency lists. An entry is an embedding
 // vector plus the exact dependency set it was computed from (the sampled
-// k-hop context) and a per-shard basis — the newest epoch of each shard at
-// which the entry is PROVEN current. Three clocks interact:
+// k-hop context) and a per-shard basis — the epochs each shard had been
+// observed at when the computation started.
 //
-//   - heads: the newest epoch observed per shard, by any means (reply
-//     stamps, head probes). The staleness clock.
-//   - basis (per entry): epochs at which the entry's dependencies were
-//     known unchanged — its admission snapshot, raised by revalidation
-//     proofs (Client.SinceOf) without recomputing the embedding.
-//   - covered: the invalidation frontier — the newest epoch per shard whose
-//     touched-vertex set has been fully applied to the cache. Entries that
-//     survive an Invalidate round are implicitly proven current at that
-//     round's epoch, so scoped invalidation ("only the k-hop in-neighborhood
-//     of touched vertices") does not silently age every OTHER entry out of
-//     its lag budget.
+// Freshness has one mechanism, exact scoped invalidation, and one backstop,
+// the lag bound. Each shard keeps two epochs:
 //
-// Get serves an entry only while max over shards of (heads - effective
-// basis) is within the caller's lag budget, where effective basis is
-// max(entry basis, covered): a served embedding can never be more than
-// maxLag update epochs older than the newest state observed anywhere. Epochs
-// applied out-of-band (by writers that do not route through Invalidate)
-// leave covered behind, the lag grows, and the bound forces recomputation —
-// exactly the fallback a shared live graph needs.
+//   - heads: the newest epoch observed, by any means (reply stamps, head
+//     probes). The staleness clock.
+//   - covered: the invalidation frontier — the newest epoch up to which
+//     every epoch's touched set has been applied to the cache. It is
+//     derived from the ring of recent Invalidate rounds (the one admission
+//     checks read): it advances while the ring holds the round numbered
+//     covered+1, whatever order the rounds arrived in. Entries that
+//     survive every round up to covered are current at covered.
+//
+// Get serves an entry only while max over shards of (heads - max(basis,
+// covered)) is within the caller's lag budget: a served embedding can never
+// be more than maxLag update epochs older than the newest state observed
+// anywhere. An epoch applied out of band (by a writer that does not route
+// through Invalidate) leaves a gap no round fills, so covered stops there,
+// the lag grows, and the bound forces recomputation — the fallback a shared
+// live graph needs.
 //
 // Invalidated and lag-expired vertices accumulate in a hotness-ranked dirty
 // queue (TakeDirty) for a background refresher to re-embed ahead of demand.
-//
-// SetImportance installs the paper's Imp^(k) admission idea on top of the
-// LRU: evictions prefer dropping low-importance entries (a bounded scan of
-// the LRU tail), and the dirty queue ranks by importance-weighted hotness,
-// so the refresher re-embeds the vertices whose misses would cost the
-// most. With no scorer the cache is the pure hits-and-recency LRU it
-// always was.
+// Eviction is plain LRU.
 //
 // All methods are safe for concurrent use.
 type EmbeddingCache struct {
@@ -67,17 +61,13 @@ type EmbeddingCache struct {
 	// round that touched one of its dependencies was computed from data of
 	// unknown generation and is rejected. ringFloor tracks, per shard, the
 	// newest epoch evicted from the ring; a basis older than the floor can
-	// no longer be checked and is rejected too (conservative).
+	// no longer be checked and is rejected too (conservative). The covered
+	// frontier advances over the rounds the ring holds.
 	rounds    []invalRound
 	ringHead  int
 	ringFloor []uint64
 
-	dirty map[graph.ID]float64 // vertex -> importance-weighted hotness at drop time
-
-	// scorer, when set, scores a vertex's expected reuse (Imp^(k) hotness):
-	// it weighs eviction-victim choice and dirty-queue ranking. Scored once
-	// per admission (entries keep their admission-time importance).
-	scorer func(graph.ID) float64
+	dirty map[graph.ID]int64 // vertex -> hotness (hits + 1) at drop time
 
 	stats EmbeddingCacheStats
 }
@@ -89,7 +79,6 @@ type embEntry struct {
 	basis []uint64
 	elem  *list.Element
 	hits  int64
-	imp   float64 // admission-time importance score (0 without a scorer)
 }
 
 type invalRound struct {
@@ -108,7 +97,8 @@ type EmbeddingCacheStats struct {
 }
 
 // invalRingCap bounds the invalidation-round ring; 256 rounds comfortably
-// covers every admission in flight during a churn storm.
+// covers every admission in flight during a churn storm, and every round
+// waiting for a late predecessor before the frontier can pass it.
 const invalRingCap = 256
 
 // NewEmbeddingCache creates a cache over parts shards holding at most cap
@@ -128,28 +118,16 @@ func NewEmbeddingCache(parts, cap int) *EmbeddingCache {
 		heads:      make([]uint64, parts),
 		covered:    make([]uint64, parts),
 		ringFloor:  make([]uint64, parts),
-		dirty:      make(map[graph.ID]float64),
+		dirty:      make(map[graph.ID]int64),
 	}
 }
 
-// SetImportance installs (or, with nil, removes) the importance scorer.
-// It applies to subsequent admissions and dirty-queue rankings; already
-// resident entries keep the score they were admitted with.
-func (c *EmbeddingCache) SetImportance(f func(graph.ID) float64) {
-	c.mu.Lock()
-	c.scorer = f
-	c.mu.Unlock()
-}
-
-// hotLocked is the dirty-queue rank of v: demand (hits so far, plus one
-// for the event queueing it) scaled by importance when a scorer is set —
-// the re-embed order AliGraph's Imp^(k) admission implies.
-func (c *EmbeddingCache) hotLocked(v graph.ID, hits int64) float64 {
-	h := float64(hits + 1)
-	if c.scorer != nil {
-		h *= 1 + c.scorer(v)
+// markDirtyLocked queues v for re-embedding, ranked by its demand: the
+// hits it served plus one for the event queueing it.
+func (c *EmbeddingCache) markDirtyLocked(v graph.ID, hits int64) {
+	if h := hits + 1; h > c.dirty[v] {
+		c.dirty[v] = h
 	}
-	return h
 }
 
 // InitCovered seeds the heads clock AND the invalidation frontier from a
@@ -200,7 +178,7 @@ func (c *EmbeddingCache) lagLocked(e *embEntry) uint64 {
 
 // Get returns v's cached embedding if it is present and within maxLag
 // update epochs of every shard's newest observed head. A stale entry is not
-// served; it is queued dirty so a refresher can revalidate or re-embed it.
+// served; it is queued dirty so the refresher re-embeds it.
 // The returned slice is shared — callers must not mutate it.
 func (c *EmbeddingCache) Get(v graph.ID, maxLag uint64) ([]float64, bool) {
 	c.mu.Lock()
@@ -212,9 +190,7 @@ func (c *EmbeddingCache) Get(v graph.ID, maxLag uint64) ([]float64, bool) {
 	}
 	if c.lagLocked(e) > maxLag {
 		c.stats.StaleRejects++
-		if h := c.hotLocked(v, e.hits); h > c.dirty[v] {
-			c.dirty[v] = h
-		}
+		c.markDirtyLocked(v, e.hits)
 		return nil, false
 	}
 	e.hits++
@@ -258,18 +234,11 @@ func (c *EmbeddingCache) Admit(v graph.ID, vec []float64, deps []graph.ID, basis
 	if old, ok := c.entries[v]; ok {
 		c.removeLocked(old)
 	}
-	for c.len() >= c.cap {
-		victim := c.evictionVictimLocked()
-		if victim == nil {
-			break
-		}
-		c.removeLocked(victim)
+	for len(c.entries) >= c.cap {
+		c.removeLocked(c.order.Back().Value.(*embEntry))
 		c.stats.Evicted++
 	}
 	e := &embEntry{v: v, vec: vec, deps: deps, basis: b}
-	if c.scorer != nil {
-		e.imp = c.scorer(v)
-	}
 	e.elem = c.order.PushFront(e)
 	c.entries[v] = e
 	for _, d := range deps {
@@ -283,39 +252,6 @@ func (c *EmbeddingCache) Admit(v graph.ID, vec []float64, deps []graph.ID, basis
 	delete(c.dirty, v) // freshly embedded: no longer needs refreshing
 	c.stats.Admits++
 	return true
-}
-
-func (c *EmbeddingCache) len() int { return len(c.entries) }
-
-// evictScanDepth bounds the importance-weighted eviction scan: only this
-// many LRU-tail entries compete for the victim slot, so eviction stays
-// O(1) whatever the capacity.
-const evictScanDepth = 8
-
-// evictionVictimLocked picks the entry to evict: the plain LRU tail
-// without a scorer; with one, the lowest-importance entry among the
-// evictScanDepth least recently used (strict < keeps the tail-most entry
-// on ties, so equal-importance workloads still evict in exact LRU order).
-// A high-importance hub that drifts to the tail is spared while any
-// colder entry is in scan range — the embedding analogue of the neighbor
-// caches' Imp^(k) admission.
-func (c *EmbeddingCache) evictionVictimLocked() *embEntry {
-	back := c.order.Back()
-	if back == nil {
-		return nil
-	}
-	victim := back.Value.(*embEntry)
-	if c.scorer == nil {
-		return victim
-	}
-	depth := 1
-	for el := back.Prev(); el != nil && depth < evictScanDepth; el = el.Prev() {
-		if e := el.Value.(*embEntry); e.imp < victim.imp {
-			victim = e
-		}
-		depth++
-	}
-	return victim
 }
 
 // removeLocked unlinks e from the entry map, the LRU order and the
@@ -338,8 +274,9 @@ func (c *EmbeddingCache) removeLocked(e *embEntry) {
 // Exactly the cached entries depending on a touched vertex — the cached
 // part of the touched set's k-hop in-neighborhood — are dropped (and queued
 // dirty, hotness-ranked, for proactive re-embedding); every other entry is
-// untouched and, when the round extends the contiguous frontier, implicitly
-// revalidated at epoch. Returns how many entries were dropped.
+// untouched and, once every epoch up to this one has had its round, current
+// at epoch. Rounds may arrive in any order. Returns how many entries were
+// dropped.
 func (c *EmbeddingCache) Invalidate(part int, epoch uint64, touched []graph.ID) int {
 	c.mu.Lock()
 	defer c.mu.Unlock()
@@ -354,9 +291,7 @@ func (c *EmbeddingCache) Invalidate(part int, epoch uint64, touched []graph.ID) 
 		}
 		for v := range set {
 			e := c.entries[v]
-			if h := c.hotLocked(v, e.hits); h > c.dirty[v] {
-				c.dirty[v] = h
-			}
+			c.markDirtyLocked(v, e.hits)
 			c.removeLocked(e)
 			dropped++
 		}
@@ -365,14 +300,7 @@ func (c *EmbeddingCache) Invalidate(part int, epoch uint64, touched []graph.ID) 
 	if epoch > c.heads[part] {
 		c.heads[part] = epoch
 	}
-	if epoch == c.covered[part]+1 {
-		// Contiguous: every epoch <= epoch is now fully processed, so the
-		// surviving entries are proven current at it. A gap means a foreign
-		// writer's epochs were never routed through here; covered stays put
-		// and the lag bound takes over.
-		c.covered[part] = epoch
-	}
-	// Record the round for admission-race checks.
+	// Record the round for admission-race checks and the frontier.
 	ts := make(map[graph.ID]struct{}, len(touched))
 	for _, d := range touched {
 		ts[d] = struct{}{}
@@ -388,12 +316,29 @@ func (c *EmbeddingCache) Invalidate(part int, epoch uint64, touched []graph.ID) 
 		c.rounds[c.ringHead] = r
 		c.ringHead = (c.ringHead + 1) % invalRingCap
 	}
+	// Advance the frontier over every epoch whose round the ring holds: a
+	// round that arrived ahead of its predecessor (two callers' update
+	// replies crossing) counts once the predecessor lands. A gap no round
+	// fills — an epoch applied out of band — stops it, and the lag bound
+	// takes over.
+	for c.ringHoldsLocked(part, c.covered[part]+1) {
+		c.covered[part]++
+	}
 	return dropped
 }
 
+// ringHoldsLocked reports whether the round ring holds part's round epoch.
+func (c *EmbeddingCache) ringHoldsLocked(part int, epoch uint64) bool {
+	for _, r := range c.rounds {
+		if r.part == part && r.epoch == epoch {
+			return true
+		}
+	}
+	return false
+}
+
 // TakeDirty pops up to max invalidated or lag-expired vertices, hottest
-// first (importance-weighted when a scorer is set) — the refresher's work
-// queue for re-embedding ahead of demand.
+// first — the refresher's work queue for re-embedding ahead of demand.
 func (c *EmbeddingCache) TakeDirty(max int) []graph.ID {
 	c.mu.Lock()
 	defer c.mu.Unlock()
@@ -402,7 +347,7 @@ func (c *EmbeddingCache) TakeDirty(max int) []graph.ID {
 	}
 	type hv struct {
 		v graph.ID
-		h float64
+		h int64
 	}
 	all := make([]hv, 0, len(c.dirty))
 	for v, h := range c.dirty {
@@ -423,56 +368,6 @@ func (c *EmbeddingCache) TakeDirty(max int) []graph.ID {
 		delete(c.dirty, all[i].v)
 	}
 	return out
-}
-
-// StaleEntry describes a cached-but-lag-expired entry for revalidation.
-type StaleEntry struct {
-	V    graph.ID
-	Deps []graph.ID
-	// Basis is the entry's effective proven epoch per shard.
-	Basis []uint64
-}
-
-// Stale returns up to max entries whose lag exceeds maxLag — present, not
-// serveable. A refresher can revalidate them with one SinceOf round instead
-// of recomputing: if every dependency's install stamp is at or below the
-// entry's basis, the embedding is still exact and SetBasis restores it.
-func (c *EmbeddingCache) Stale(maxLag uint64, max int) []StaleEntry {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	var out []StaleEntry
-	for el := c.order.Front(); el != nil && len(out) < max; el = el.Next() {
-		e := el.Value.(*embEntry)
-		if c.lagLocked(e) <= maxLag {
-			continue
-		}
-		basis := make([]uint64, len(e.basis))
-		for p := range basis {
-			basis[p] = e.basis[p]
-			if c.covered[p] > basis[p] {
-				basis[p] = c.covered[p]
-			}
-		}
-		out = append(out, StaleEntry{V: e.v, Deps: e.deps, Basis: basis})
-	}
-	return out
-}
-
-// SetBasis raises v's per-shard proven epochs after a revalidation proof
-// (never lowers them). No-op when v is no longer cached.
-func (c *EmbeddingCache) SetBasis(v graph.ID, basis []uint64) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	e, ok := c.entries[v]
-	if !ok {
-		return
-	}
-	for p := 0; p < len(e.basis) && p < len(basis); p++ {
-		if basis[p] > e.basis[p] {
-			e.basis[p] = basis[p]
-		}
-	}
-	delete(c.dirty, v)
 }
 
 // Contains reports whether v is cached, regardless of staleness (tests
@@ -508,5 +403,5 @@ func (c *EmbeddingCache) Flush() {
 	c.entries = make(map[graph.ID]*embEntry)
 	c.order.Init()
 	c.dependents = make(map[graph.ID]map[graph.ID]struct{})
-	c.dirty = make(map[graph.ID]float64)
+	c.dirty = make(map[graph.ID]int64)
 }

@@ -106,7 +106,8 @@ func TestEmbCacheInitCovered(t *testing.T) {
 }
 
 // TestEmbCacheLRUDirtyBasis: capacity eviction is LRU, TakeDirty pops
-// hottest-first, SetBasis only raises.
+// hottest-first, and an entry's admission basis is what its lag is
+// measured from.
 func TestEmbCacheLRUDirtyBasis(t *testing.T) {
 	c := NewEmbeddingCache(1, 2)
 	c.Admit(1, []float64{1}, ids(1), []uint64{0})
@@ -127,71 +128,47 @@ func TestEmbCacheLRUDirtyBasis(t *testing.T) {
 		t.Fatalf("TakeDirty = %v, want the hottest vertex 3", dirty)
 	}
 
+	// Basis 3 is ahead of the frontier (1): heads 3 is lag 0, heads 5 lag 2.
 	c.Admit(4, []float64{4}, ids(4), []uint64{3})
-	c.SetBasis(4, []uint64{2}) // lower: ignored
 	c.NoteHeads([]uint64{3})
 	if _, ok := c.Get(4, 0); !ok {
-		t.Fatal("SetBasis lowered an entry's proven epoch")
+		t.Fatal("entry at its basis not served at lag 0")
 	}
-	c.SetBasis(4, []uint64{9})
-	c.NoteHeads([]uint64{9})
-	if _, ok := c.Get(4, 0); !ok {
-		t.Fatal("SetBasis did not raise the proven epoch")
+	c.NoteHeads([]uint64{5})
+	if _, ok := c.Get(4, 1); ok {
+		t.Fatal("entry served at lag 1 two epochs past its basis")
 	}
-}
-
-// TestEmbCacheImportanceEviction: with a scorer installed, eviction spares
-// high-importance entries within the tail scan — the LRU-most entry is
-// passed over when a colder-by-importance entry sits near the tail — and
-// without a scorer eviction is exact LRU.
-func TestEmbCacheImportanceEviction(t *testing.T) {
-	imp := map[graph.ID]float64{1: 10, 2: 0, 3: 0, 4: 0}
-	c := NewEmbeddingCache(1, 3)
-	c.SetImportance(func(v graph.ID) float64 { return imp[v] })
-	c.Admit(1, []float64{1}, ids(1), []uint64{0}) // hub, least recently used
-	c.Admit(2, []float64{2}, ids(2), []uint64{0})
-	c.Admit(3, []float64{3}, ids(3), []uint64{0})
-	// Cache full. Admitting 4 must evict a zero-importance entry (2, the
-	// least recent of them), not the LRU-tail hub 1.
-	c.Admit(4, []float64{4}, ids(4), []uint64{0})
-	if !c.Contains(1) {
-		t.Fatal("eviction dropped the high-importance hub")
-	}
-	if c.Contains(2) {
-		t.Fatal("eviction spared the coldest zero-importance entry")
-	}
-	if !c.Contains(3) || !c.Contains(4) {
-		t.Fatal("eviction dropped more than one entry")
-	}
-
-	// Ties (all importance 0) must preserve exact LRU order.
-	c2 := NewEmbeddingCache(1, 2)
-	c2.SetImportance(func(graph.ID) float64 { return 0 })
-	c2.Admit(1, []float64{1}, ids(1), []uint64{0})
-	c2.Admit(2, []float64{2}, ids(2), []uint64{0})
-	c2.Get(1, 0)
-	c2.Admit(3, []float64{3}, ids(3), []uint64{0})
-	if c2.Contains(2) || !c2.Contains(1) {
-		t.Fatal("tied importance broke LRU eviction order")
+	if _, ok := c.Get(4, 2); !ok {
+		t.Fatal("entry refused at lag 2 two epochs past its basis")
 	}
 }
 
-// TestEmbCacheImportanceDirtyRank: the dirty queue ranks by importance-
-// weighted hotness, so a moderately hit hub outranks a hammered cold
-// vertex when its importance justifies it.
-func TestEmbCacheImportanceDirtyRank(t *testing.T) {
-	imp := map[graph.ID]float64{1: 9, 2: 0}
-	c := NewEmbeddingCache(1, 8)
-	c.SetImportance(func(v graph.ID) float64 { return imp[v] })
-	c.Admit(1, []float64{1}, ids(1), []uint64{0})
-	c.Admit(2, []float64{2}, ids(2), []uint64{0})
-	c.Get(1, 0) // hub: 1 hit -> hotness (1+1)*(1+9) = 20
-	for i := 0; i < 5; i++ {
-		c.Get(2, 0) // cold: 5 hits -> hotness (5+1)*(1+0) = 6
+// TestEmbCacheFrontierOutOfOrder: two callers' update replies can cross,
+// so rounds reach Invalidate out of epoch order. Rounds 2 then 1 leave the
+// frontier at 2, and the untouched entry is current at lag 0; a round on
+// another shard does not move this shard's frontier.
+func TestEmbCacheFrontierOutOfOrder(t *testing.T) {
+	c := NewEmbeddingCache(2, 16)
+	c.Admit(1, []float64{1}, ids(1), []uint64{0, 0})
+	c.Invalidate(0, 2, ids(99))
+	if _, ok := c.Get(1, 1); ok {
+		t.Fatal("entry served at lag 1 while epoch 1's round is outstanding")
 	}
-	c.Invalidate(0, 1, ids(1, 2))
-	dirty := c.TakeDirty(2)
-	if len(dirty) != 2 || dirty[0] != 1 || dirty[1] != 2 {
-		t.Fatalf("TakeDirty = %v, want importance-weighted order [1 2]", dirty)
+	c.Invalidate(0, 1, ids(98))
+	if _, ok := c.Get(1, 0); !ok {
+		t.Fatal("rounds 2 then 1 did not leave the frontier at 2")
+	}
+
+	// Rounds 5, 4, 3 on shard 0 and 1 on shard 1: both frontiers close.
+	c.Invalidate(1, 2, ids(97))
+	c.Invalidate(0, 5, ids(96))
+	c.Invalidate(0, 4, ids(95))
+	c.Invalidate(0, 3, ids(94))
+	if _, ok := c.Get(1, 1); ok {
+		t.Fatal("shard 1's frontier passed its missing epoch 1")
+	}
+	c.Invalidate(1, 1, ids(93))
+	if _, ok := c.Get(1, 0); !ok {
+		t.Fatal("frontiers did not close over rounds 3..5 and 1..2")
 	}
 }
