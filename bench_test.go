@@ -70,7 +70,7 @@ func BenchmarkFigure8_ImportanceThreshold(b *testing.B) {
 
 func BenchmarkFigure9_CacheStrategies(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		rows := bench.Figure9(benchScale(), 0)
+		rows := bench.Figure9(benchScale())
 		if i == 0 {
 			b.Log("\n" + bench.FormatFigure9(rows))
 		}

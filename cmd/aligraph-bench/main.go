@@ -23,7 +23,7 @@ var experiments = map[string]func(scale float64) string{
 	"table6":  bench.Table6,
 	"figure7": func(s float64) string { return bench.FormatFigure7(bench.Figure7(s, nil)) },
 	"figure8": func(s float64) string { return bench.FormatFigure8(bench.Figure8(s)) },
-	"figure9": func(s float64) string { return bench.FormatFigure9(bench.Figure9(s, 0)) },
+	"figure9": func(s float64) string { return bench.FormatFigure9(bench.Figure9(s)) },
 	"table4":  func(s float64) string { return bench.FormatTable4(bench.Table4(s)) },
 	"table5":  func(s float64) string { return bench.FormatTable5(bench.Table5(s)) },
 	"table7":  func(s float64) string { return bench.FormatTable7(bench.Table7(s)) },

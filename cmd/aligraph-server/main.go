@@ -2,9 +2,9 @@
 // the cluster package's binary RPC protocol.
 // It loads a TSV graph (or generates Taobao-sim with -demo), partitions it,
 // keeps the shard selected by -part, and serves the batched RPC surface —
-// Neighbors/Attrs fetches plus the sampling RPCs behind distributed
-// training (SampleNeighbors fixed-width uniform draws, SampleEdges,
-// NegativePool, Stats), the Update RPC applying
+// Attrs fetches plus the sampling RPCs behind distributed training
+// (SampleNeighbors fixed-width uniform draws, SampleEdges, NegativePool,
+// Stats), the Update RPC applying
 // atomic live mutation batches onto the shard's multi-version snapshot
 // store, the Lease/Release RPCs that let training clients pin a
 // consistent epoch while updates stream in, and the Compact RPC folding

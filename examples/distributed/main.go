@@ -1,7 +1,8 @@
 // Distributed: the storage-layer machinery end to end — partition a
 // Taobao-sim graph with METIS, serve each partition from a graph server
-// over the binary RPC protocol on loopback TCP, compare multi-hop neighborhood access
-// with and without importance-based caching (the Figure 9 experiment on a
+// over the binary RPC protocol on loopback TCP, compare the remote
+// sampling traffic of [5,3] NEIGHBORHOOD batches under no cache and under
+// importance, random and LRU neighbor caches (the Figure 9 experiment on a
 // live cluster), then train GraphSAGE on a LIVE, CHANGING graph: the
 // training worker bootstraps graph-free (assignment and schema from the
 // Bootstrap RPC), a prefetch pipeline assembles mini-batches ahead of the
@@ -25,6 +26,7 @@ import (
 	"time"
 
 	aligraph "repro"
+	"repro/internal/bench"
 	"repro/internal/cluster"
 	"repro/internal/dataset"
 	"repro/internal/graph"
@@ -69,31 +71,34 @@ func main() {
 	}
 	defer tr.Close()
 
-	// The same multi-hop workload with three cache strategies.
+	// Figure 9's sampling workload with four cache strategies. Every shard
+	// is across loopback TCP, so every SampleNeighbors RPC counts.
 	users := g.VerticesOfType(0)
-	workload := func(c storage.NeighborCache) time.Duration {
-		client := cluster.NewClient(assign, tr, c)
-		rng := rand.New(rand.NewSource(1))
+	workload := func(c storage.NeighborCache) (rpcs, vertices int64, d time.Duration) {
+		ct := &bench.SampleTraffic{Transport: tr, Home: -1}
 		start := time.Now()
-		for i := 0; i < 300; i++ {
-			v := users[rng.Intn(len(users))]
-			if _, err := client.MultiHop(v, 0, 2); err != nil {
-				log.Fatal(err)
-			}
+		if err := bench.Figure9Workload(cluster.NewClient(assign, ct, c), users); err != nil {
+			log.Fatal(err)
 		}
-		return time.Since(start)
+		return ct.RPCs.Load(), ct.Vertices.Load(), time.Since(start)
 	}
 
-	noCache := workload(storage.NoCache{})
-	important := workload(storage.NewImportanceCacheTopFraction(g, 2, 0.2))
-	lru := workload(storage.NewLRUNeighborCache(g.NumVertices() / 5))
-
-	fmt.Printf("\n300 two-hop expansions over RPC:\n")
-	fmt.Printf("  no cache:          %v\n", noCache.Round(time.Millisecond))
-	fmt.Printf("  LRU cache (20%%):   %v\n", lru.Round(time.Millisecond))
-	fmt.Printf("  importance (20%%):  %v\n", important.Round(time.Millisecond))
-	fmt.Println("\nCaching the out-neighborhoods of high-Imp^(k) vertices removes the")
-	fmt.Println("most-travelled remote hops — the paper's Figure 9 on a live cluster.")
+	fmt.Printf("\n50 batches of 16 users, [5,3] neighbourhood draws over RPC (20%% of vertices cached):\n")
+	fmt.Printf("  %-12s %8s %10s %10s\n", "cache", "rpcs", "vertices", "time")
+	for _, s := range []struct {
+		name  string
+		cache storage.NeighborCache
+	}{
+		{"none", storage.NoCache{}},
+		{"importance", storage.NewImportanceCacheTopFraction(g, 2, 0.2)},
+		{"random", bench.NewRandomCache(g, 0.2, rand.New(rand.NewSource(2)))},
+		{"lru", storage.NewLRUNeighborCache(g.NumVertices() / 5)},
+	} {
+		rpcs, vertices, d := workload(s.cache)
+		fmt.Printf("  %-12s %8d %10d %10v\n", s.name, rpcs, vertices, d.Round(time.Millisecond))
+	}
+	fmt.Println("\nCaching the neighbour lists of high-Imp^(k) vertices lets the client draw")
+	fmt.Println("the most-travelled hops itself — the paper's Figure 9 on a live cluster.")
 
 	// Live-training demo: the worker never touches the local graph — its
 	// partition assignment and schema come from the cluster's Bootstrap RPC

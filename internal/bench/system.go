@@ -15,6 +15,7 @@ import (
 	"math/rand"
 	"runtime"
 	"strings"
+	"sync/atomic"
 	"time"
 
 	"repro/internal/cluster"
@@ -131,35 +132,72 @@ func FormatFigure8(rows []Figure8Row) string {
 	return b.String()
 }
 
-// Figure9Row is one point of the cache-strategy comparison.
+// Figure9Row is one point of the cache-strategy comparison: what the
+// sampling workload sent to shards other than the client's own.
 type Figure9Row struct {
-	Strategy    string
-	CachedFrac  float64
-	Elapsed     time.Duration
-	RemoteCalls int64
+	Strategy       string
+	CachedFrac     float64
+	RemoteVertices int64 // vertices carried by remote SampleNeighbors RPCs
+	RemoteRPCs     int64 // remote SampleNeighbors RPCs
 }
 
-// NewRandomCache is the Figure 9 random baseline: a static cache of hops
-// 1..h of a frac fraction of vertices drawn with rng. Randomly selected
-// vertices are unlikely to be the hubs other vertices route through, which
-// is why it loses to the importance cache.
-func NewRandomCache(g *graph.Graph, h int, frac float64, rng *rand.Rand) *storage.StaticCache {
+// NewRandomCache is the Figure 9 random baseline: a static cache of the
+// neighbor lists of a frac fraction of vertices drawn with rng. Randomly
+// selected vertices are unlikely to be the hubs other vertices route
+// through, which is why it loses to the importance cache.
+func NewRandomCache(g *graph.Graph, frac float64, rng *rand.Rand) *storage.StaticCache {
 	perm := rng.Perm(g.NumVertices())
 	vs := make([]graph.ID, int(frac*float64(len(perm))))
 	for i := range vs {
 		vs[i] = graph.ID(perm[i])
 	}
-	return storage.NewStaticCache(g, "random", vs, h)
+	return storage.NewStaticCache(g, "random", vs)
+}
+
+// SampleTraffic is a Transport that counts the SampleNeighbors RPCs it
+// forwards to parts other than Home, and the vertices they carry. Home -1
+// counts every part.
+type SampleTraffic struct {
+	cluster.Transport
+	Home           int
+	RPCs, Vertices atomic.Int64
+}
+
+func (t *SampleTraffic) SampleNeighbors(part int, req cluster.SampleRequest, reply *cluster.SampleReply) error {
+	if part != t.Home {
+		t.RPCs.Add(1)
+		t.Vertices.Add(int64(len(req.Vertices)))
+	}
+	return t.Transport.SampleNeighbors(part, req, reply)
+}
+
+// Figure9Workload is the sampling Figure 9 measures: 50 batches of 16
+// users, picked with a fixed seed, each expanded by [5,3] NEIGHBORHOOD
+// draws from src under fixed hop seeds.
+func Figure9Workload(src sampling.Source, users []graph.ID) error {
+	nbr := sampling.NewNeighborhood(src, nil)
+	rng := rand.New(rand.NewSource(1))
+	srng := sampling.NewRng(1)
+	batch := make([]graph.ID, 16)
+	var ctx sampling.Context
+	for i := 0; i < 50; i++ {
+		for j := range batch {
+			batch[j] = users[rng.Intn(len(users))]
+		}
+		if err := nbr.SampleInto(&ctx, 0, batch, []int{5, 3}, srng); err != nil {
+			return err
+		}
+	}
+	return nil
 }
 
 // Figure9 compares the importance cache against random and LRU caches at
-// matched cache sizes, measuring multi-hop access cost over a partitioned
-// graph with simulated remote latency (paper Figure 9: importance caching
-// saves 40-60% versus the baselines).
-func Figure9(scale float64, latency time.Duration) []Figure9Row {
-	if latency == 0 {
-		latency = 50 * time.Microsecond
-	}
+// matched cache sizes, and against no cache, on the path training runs:
+// Figure9Workload through a Client over 4 hash partitions, counting what
+// reaches shards other than the client's own (paper Figure 9: importance
+// caching saves 40-60% versus the baselines). Draws are vertex-keyed, so
+// the rows differ only in where a draw executes.
+func Figure9(scale float64) []Figure9Row {
 	g := dataset.Taobao(dataset.TaobaoSmallConfig(scale))
 	a, err := partition.HashPartitioner{}.Partition(g, 4)
 	if err != nil {
@@ -169,25 +207,18 @@ func Figure9(scale float64, latency time.Duration) []Figure9Row {
 	users := g.VerticesOfType(0)
 
 	run := func(name string, cache storage.NeighborCache, frac float64) Figure9Row {
-		tr := cluster.NewLocalTransport(servers, 0, latency)
-		c := cluster.NewClient(a, tr, cache)
-		rng := rand.New(rand.NewSource(1))
-		start := time.Now()
-		for i := 0; i < 200; i++ {
-			v := users[rng.Intn(len(users))]
-			if _, err := c.MultiHop(v, 0, 2); err != nil {
-				panic(err)
-			}
+		tr := &SampleTraffic{Transport: cluster.NewLocalTransport(servers, 0, 0), Home: 0}
+		if err := Figure9Workload(cluster.NewClient(a, tr, cache), users); err != nil {
+			panic(err)
 		}
-		_, remote := tr.Calls()
-		return Figure9Row{name, frac, time.Since(start), remote}
+		return Figure9Row{name, frac, tr.Vertices.Load(), tr.RPCs.Load()}
 	}
 
-	var rows []Figure9Row
+	rows := []Figure9Row{run("none", storage.NoCache{}, 0)}
 	for _, frac := range []float64{0.1, 0.2, 0.3, 0.4} {
 		rows = append(rows, run("importance", storage.NewImportanceCacheTopFraction(g, 2, frac), frac))
 		rng := rand.New(rand.NewSource(2))
-		rows = append(rows, run("random", NewRandomCache(g, 2, frac, rng), frac))
+		rows = append(rows, run("random", NewRandomCache(g, frac, rng), frac))
 		capEntries := int(frac * float64(g.NumVertices()))
 		rows = append(rows, run("lru", storage.NewLRUNeighborCache(capEntries), frac))
 	}
@@ -197,11 +228,10 @@ func Figure9(scale float64, latency time.Duration) []Figure9Row {
 // FormatFigure9 renders the comparison.
 func FormatFigure9(rows []Figure9Row) string {
 	var b strings.Builder
-	b.WriteString("Figure 9: multi-hop access cost vs cached fraction, by strategy\n")
-	fmt.Fprintf(&b, "%-12s %8s %12s %12s\n", "strategy", "cached", "time", "remote-calls")
+	b.WriteString("Figure 9: remote sampling traffic of [5,3] NEIGHBORHOOD batches vs cached fraction, by strategy\n")
+	fmt.Fprintf(&b, "%-12s %8s %16s %12s\n", "strategy", "cached", "remote-vertices", "remote-rpcs")
 	for _, r := range rows {
-		fmt.Fprintf(&b, "%-12s %7.0f%% %12s %12d\n",
-			r.Strategy, 100*r.CachedFrac, r.Elapsed.Round(time.Microsecond), r.RemoteCalls)
+		fmt.Fprintf(&b, "%-12s %7.0f%% %16d %12d\n", r.Strategy, 100*r.CachedFrac, r.RemoteVertices, r.RemoteRPCs)
 	}
 	return b.String()
 }

@@ -19,11 +19,10 @@ import (
 // (Section 3.2), and stitching the cache misses into one sub-batch per
 // owning server exactly as Section 3.3 describes ("we first partition the vertices into sub-batches, and the
 // context of each sub-batch will be stitched together after being
-// returned"). Fixed-width draws additionally move the sampling to the
-// server (SampleNeighbors RPC), so hub adjacency lists never cross the
-// network. Both hop operators — full lists (NeighborsBatch) and draws
-// (SampleBatch) — run through one routine (hop.go); they differ only in
-// the per-server request and in how a list fills the caller's buffer.
+// returned"). A hop has one kind, the fixed-width draw (SampleBatch,
+// hop.go): the sampling runs on the server (SampleNeighbors RPC), so hub
+// adjacency lists never cross the network, and only short lists come back
+// whole, for a replacing cache to admit.
 //
 // A Client is safe for concurrent use as long as its cache is (the static
 // caches and the locked LRU all are).
@@ -64,14 +63,6 @@ func (c *Client) cacheEpoch(pin *sampling.Pin, part int) uint64 {
 		return pin.Epochs[part]
 	}
 	return c.pins.heads[part].Load()
-}
-
-// Neighbors returns the out-neighbors of v under edge type t: a one-vertex
-// NeighborsBatch.
-func (c *Client) Neighbors(v graph.ID, t graph.EdgeType) ([]graph.ID, error) {
-	dst := [][]graph.ID{nil}
-	err := c.NeighborsBatch(dst, []graph.ID{v}, t)
-	return dst[0], err
 }
 
 // observe folds one reply's epoch bookkeeping: the head feeds the pin
@@ -136,19 +127,9 @@ func pinFields(pin *sampling.Pin, part int) (epoch uint64, pinned bool) {
 	return pin.Epochs[part], true
 }
 
-// BatchNeighbors fetches out-neighbor lists for a batch of vertices; it is
-// NeighborsBatch with allocated results, kept for the multi-hop path.
-func (c *Client) BatchNeighbors(vs []graph.ID, t graph.EdgeType) ([][]graph.ID, error) {
-	out := make([][]graph.ID, len(vs))
-	if err := c.NeighborsBatch(out, vs, t); err != nil {
-		return nil, err
-	}
-	return out, nil
-}
-
 // SampleBatch implements sampling.Source: width uniform neighbor draws per
 // vertex of vs, executed where the adjacency lives. Unique vertices with a
-// cached hop-1 list valid at the read epoch are drawn client-side; the rest
+// cached list valid at the read epoch are drawn client-side; the rest
 // are grouped into one SampleNeighbors RPC per owning server, carrying each
 // unique vertex once. Every vertex's group is drawn once by
 // sampling.DrawVertex from (seed, vertex) and copied to each of its batch
@@ -393,71 +374,6 @@ func (c *Client) attrsObserve(vs []graph.ID, pin *sampling.Pin, note func(part i
 		out[i] = res[v]
 	}
 	return out, nil
-}
-
-// MultiHop expands a seed set hop by hop, returning the frontier at each
-// depth 1..k. Cached multi-hop neighborhoods (importance cache) are used
-// when available; otherwise frontiers are fetched with batched requests.
-func (c *Client) MultiHop(v graph.ID, t graph.EdgeType, k int) ([][]graph.ID, error) {
-	frontiers := make([][]graph.ID, k)
-	// Fast path: the whole 1..k expansion is cached and valid at the
-	// NEWEST head observed on ANY shard — a multi-hop frontier can cross
-	// shard boundaries, so churn anywhere must invalidate it, and a hop-1
-	// reply cannot re-validate a whole frontier.
-	epoch := uint64(0)
-	for part := range c.pins.heads {
-		if h := c.pins.heads[part].Load(); h > epoch {
-			epoch = h
-		}
-	}
-	allCached := true
-	for h := 1; h <= k; h++ {
-		if ns, kind := c.Cache.Get(v, t, h, epoch); kind == storage.KindHit {
-			frontiers[h-1] = ns
-		} else {
-			allCached = false
-			break
-		}
-	}
-	if allCached {
-		// Hop 1 is cached as v's adjacency list; its frontier is the
-		// distinct members other than v, as the fetch path below computes.
-		seen := map[graph.ID]struct{}{v: {}}
-		var f []graph.ID
-		for _, u := range frontiers[0] {
-			if _, ok := seen[u]; !ok {
-				seen[u] = struct{}{}
-				f = append(f, u)
-			}
-		}
-		frontiers[0] = f
-		return frontiers, nil
-	}
-
-	frontier := []graph.ID{v}
-	seen := map[graph.ID]struct{}{v: {}}
-	for h := 1; h <= k; h++ {
-		lists, err := c.BatchNeighbors(frontier, t)
-		if err != nil {
-			return nil, err
-		}
-		var next []graph.ID
-		for _, ns := range lists {
-			for _, u := range ns {
-				if _, ok := seen[u]; ok {
-					continue
-				}
-				seen[u] = struct{}{}
-				next = append(next, u)
-			}
-		}
-		frontiers[h-1] = next
-		frontier = next
-		if len(frontier) == 0 {
-			break
-		}
-	}
-	return frontiers, nil
 }
 
 // epochView is a single-consumer view of a shared Client that records the

@@ -1,6 +1,7 @@
 package cluster
 
 import (
+	"fmt"
 	"math/rand"
 	"sync"
 	"testing"
@@ -78,44 +79,32 @@ func TestServerOwnership(t *testing.T) {
 		t.Fatalf("edges: %d", totalE)
 	}
 	// A server must reject vertices it does not own.
-	var reply NeighborsReply
-	err := servers[0].ServeNeighbors(NeighborsRequest{Vertices: []graph.ID{1}, EdgeType: 0}, &reply)
+	err := servers[0].ServeSampleNeighbors(SampleRequest{Vertices: []graph.ID{1}, EdgeType: 0, Width: 1}, &SampleReply{})
 	if err == nil {
 		t.Fatal("server 0 should not own odd vertices under hash partition")
 	}
 }
 
-func TestClientNeighbors(t *testing.T) {
-	c, _, g := setup(t, nil)
-	for v := graph.ID(0); v < 4; v++ {
-		ns, err := c.Neighbors(v, 0)
-		if err != nil {
-			t.Fatal(err)
-		}
-		want := g.OutNeighbors(v, 0)
-		if len(ns) != len(want) {
-			t.Fatalf("neighbors(%d) = %v want %v", v, ns, want)
-		}
+// localDraws is what a SampleBatch of vs must return: the same
+// vertex-keyed draws from g itself.
+func localDraws(t *testing.T, g *graph.Graph, vs []graph.ID, et graph.EdgeType, width int, seed uint64) []graph.ID {
+	t.Helper()
+	want := make([]graph.ID, len(vs)*width)
+	if err := sampling.NewGraphSource(g).SampleBatch(want, vs, et, width, seed); err != nil {
+		t.Fatal(err)
 	}
+	return want
 }
 
 func TestClientBatchStitching(t *testing.T) {
 	c, tr, g := setup(t, nil)
 	vs := []graph.ID{0, 1, 2, 3}
-	got, err := c.BatchNeighbors(vs, 0)
-	if err != nil {
+	got := make([]graph.ID, 3*len(vs))
+	if err := c.SampleBatch(got, vs, 0, 3, 7); err != nil {
 		t.Fatal(err)
 	}
-	for i, v := range vs {
-		want := g.OutNeighbors(v, 0)
-		if len(got[i]) != len(want) {
-			t.Fatalf("batch[%d] = %v want %v", i, got[i], want)
-		}
-		for j := range want {
-			if got[i][j] != want[j] {
-				t.Fatalf("batch[%d] = %v want %v", i, got[i], want)
-			}
-		}
+	if want := localDraws(t, g, vs, 0, 3, 7); fmt.Sprint(got) != fmt.Sprint(want) {
+		t.Fatalf("stitched draws %v, want %v", got, want)
 	}
 	// Sub-batching: 4 vertices over 2 partitions must cost exactly 2 calls,
 	// one of them local (home=0).
@@ -147,54 +136,22 @@ func TestClientCacheAvoidsRemoteCalls(t *testing.T) {
 	cache := storage.NewLRUNeighborCache(64)
 	c := NewClient(a, tr, cache)
 
-	if _, err := c.Neighbors(1, 0); err != nil { // vertex 1 lives on server 1: remote
+	// Vertex 1 lives on server 1, and its click degree 2 fits width 2, so
+	// the reply ships the whole list for the cache to admit.
+	dst := make([]graph.ID, 2)
+	if err := c.SampleBatch(dst, []graph.ID{1}, 0, 2, 7); err != nil { // remote
 		t.Fatal(err)
 	}
 	_, remote1 := tr.Calls()
 	if remote1 != 1 {
 		t.Fatalf("first access should be remote, calls=%d", remote1)
 	}
-	if _, err := c.Neighbors(1, 0); err != nil { // now cached
+	if err := c.SampleBatch(dst, []graph.ID{1}, 0, 2, 8); err != nil { // now cached
 		t.Fatal(err)
 	}
 	_, remote2 := tr.Calls()
 	if remote2 != 1 {
 		t.Fatalf("second access should hit cache, remote=%d", remote2)
-	}
-}
-
-func TestMultiHop(t *testing.T) {
-	c, _, _ := setup(t, nil)
-	fr, err := c.MultiHop(0, 0, 2)
-	if err != nil {
-		t.Fatal(err)
-	}
-	// Hop 1 of user 0 under click: items 4, 5. Items have no out-edges.
-	if len(fr[0]) != 2 {
-		t.Fatalf("hop1 = %v", fr[0])
-	}
-	if len(fr[1]) != 0 {
-		t.Fatalf("hop2 = %v", fr[1])
-	}
-}
-
-func TestMultiHopUsesImportanceCache(t *testing.T) {
-	g := testGraph(t)
-	a, _ := partition.HashPartitioner{}.Partition(g, 2)
-	servers := FromGraph(g, a)
-	tr := NewLocalTransport(servers, 0, 0)
-	// Static cache with every vertex cached at hops 1..2.
-	cache := storage.NewImportanceCacheTopFraction(g, 2, 1.0)
-	c := NewClient(a, tr, cache)
-	fr, err := c.MultiHop(1, 0, 2)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(fr[0]) == 0 {
-		t.Fatalf("hop1 empty: %v", fr)
-	}
-	if _, remote := tr.Calls(); remote != 0 {
-		t.Fatalf("fully cached expansion made %d remote calls", remote)
 	}
 }
 
@@ -262,13 +219,13 @@ func TestRPCTransport(t *testing.T) {
 	defer tr.Close()
 
 	c := NewClient(a, tr, nil)
-	ns, err := c.Neighbors(0, 0)
-	if err != nil {
+	vs := []graph.ID{0, 1}
+	got := make([]graph.ID, 4*len(vs))
+	if err := c.SampleBatch(got, vs, 0, 4, 7); err != nil {
 		t.Fatal(err)
 	}
-	want := g.OutNeighbors(0, 0)
-	if len(ns) != len(want) {
-		t.Fatalf("rpc neighbors = %v want %v", ns, want)
+	if want := localDraws(t, g, vs, 0, 4, 7); fmt.Sprint(got) != fmt.Sprint(want) {
+		t.Fatalf("rpc draws = %v want %v", got, want)
 	}
 	attrs, err := c.Attrs([]graph.ID{5})
 	if err != nil {
@@ -278,32 +235,33 @@ func TestRPCTransport(t *testing.T) {
 		t.Fatalf("rpc attr = %v", attrs[0])
 	}
 	// Error path: unknown vertex partition index out of range.
-	var reply NeighborsReply
-	if err := tr.Neighbors(9, NeighborsRequest{}, &reply); err == nil {
+	if err := tr.SampleNeighbors(9, SampleRequest{Width: 1}, &SampleReply{}); err == nil {
 		t.Fatal("expected error for bad partition")
 	}
 }
 
 func TestLocalTransportErrors(t *testing.T) {
 	tr := NewLocalTransport(nil, 0, 0)
-	var reply NeighborsReply
-	if err := tr.Neighbors(0, NeighborsRequest{}, &reply); err == nil {
+	if err := tr.SampleNeighbors(0, SampleRequest{Width: 1}, &SampleReply{}); err == nil {
 		t.Fatal("expected error with no servers")
 	}
 }
 
 func TestImportanceCacheCutsRemoteTraffic(t *testing.T) {
 	// Power-law-ish graph split across 4 partitions: the importance cache
-	// should cut remote calls versus no cache for multi-hop expansion.
+	// should cut remote calls versus no cache for [5,3] NEIGHBORHOOD
+	// draws.
 	g := powerLawTestGraph(300)
 	a, _ := partition.HashPartitioner{}.Partition(g, 4)
 	servers := FromGraph(g, a)
 
 	count := func(cache storage.NeighborCache) int64 {
 		tr := NewLocalTransport(servers, 0, 0)
-		c := NewClient(a, tr, cache)
+		nbr := sampling.NewNeighborhood(NewClient(a, tr, cache), nil)
+		var ctx sampling.Context
+		rng := sampling.NewRng(1)
 		for v := graph.ID(0); v < 50; v++ {
-			if _, err := c.MultiHop(v, 0, 2); err != nil {
+			if err := nbr.SampleInto(&ctx, 0, []graph.ID{v}, []int{5, 3}, rng); err != nil {
 				t.Fatal(err)
 			}
 		}
@@ -470,13 +428,13 @@ func TestCacheKeyedByEdgeType(t *testing.T) {
 	imp := storage.NewImportanceCacheTopFraction(g, 2, 1.0)
 	for v := graph.ID(0); v < 4; v++ {
 		for et := graph.EdgeType(0); et < 2; et++ {
-			ns, kind := imp.Get(v, et, 1, 0)
+			ns, kind := imp.Get(v, et, 0)
 			if kind != storage.KindHit {
 				t.Fatalf("vertex %d type %d not cached", v, et)
 			}
 			want := g.OutNeighbors(v, et)
 			if len(ns) != len(want) {
-				t.Fatalf("cached hop1(%d, type %d) = %v, want %v", v, et, ns, want)
+				t.Fatalf("cached list(%d, type %d) = %v, want %v", v, et, ns, want)
 			}
 		}
 	}
@@ -514,9 +472,9 @@ func TestSampleEdgesSeesDynamicInserts(t *testing.T) {
 }
 
 // TestClientConcurrentSharedCache shares one Client (and one static
-// importance cache) across goroutines mixing batched sampling, neighbor
-// fetches and multi-hop expansion; run with -race to validate the
-// concurrency contract of the batched client.
+// importance cache) across goroutines mixing NEIGHBORHOOD sampling, direct
+// draw hops and edge sampling; run with -race to validate the concurrency
+// contract of the batched client.
 func TestClientConcurrentSharedCache(t *testing.T) {
 	g := powerLawTestGraph(300)
 	a, _ := partition.HashPartitioner{}.Partition(g, 4)
@@ -538,8 +496,8 @@ func TestClientConcurrentSharedCache(t *testing.T) {
 					t.Errorf("SampleInto: %v", err)
 					return
 				}
-				if _, err := client.MultiHop(batch[2], 0, 2); err != nil {
-					t.Errorf("MultiHop: %v", err)
+				if err := client.SampleBatch(make([]graph.ID, 2*len(batch)), batch, 0, 2, rng.Uint64()); err != nil {
+					t.Errorf("SampleBatch: %v", err)
 					return
 				}
 				if _, err := client.SampleEdges(0, 16, rng.Uint64()); err != nil {

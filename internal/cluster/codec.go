@@ -264,21 +264,6 @@ func decode[T any](b []byte, layout func(*wire, *T)) (T, error) {
 
 func noFields[T any](*wire, *T) {}
 
-func neighborsRequestWire(w *wire, r *NeighborsRequest) {
-	nums(w, &r.Vertices)
-	i32(w, &r.EdgeType)
-	num(w, &r.Pin)
-	w.boolean(&r.Pinned)
-}
-
-func neighborsReplyWire(w *wire, r *NeighborsReply) {
-	idRows(w, &r.Neighbors)
-	nums(w, &r.Since)
-	num(w, &r.Epoch)
-	num(w, &r.Head)
-	num(w, &r.AttrHead)
-}
-
 func sampleRequestWire(w *wire, r *SampleRequest) {
 	nums(w, &r.Vertices)
 	i32(w, &r.EdgeType)

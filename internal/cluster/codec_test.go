@@ -111,7 +111,8 @@ func fillWire(v reflect.Value, variant int) {
 // takes 24 bytes, its shortest encoding 8) plus a constant. Whatever decodes
 // must re-encode to the same bytes, since each value has one encoding, and
 // decode again to a deeply equal value. The corpus is seeded with the
-// requests of TestMethodTableAgreement and a local cluster's replies.
+// requests of TestMethodTableAgreement and a local cluster's replies, plus
+// a list-carrying SampleNeighbors pair.
 func FuzzWireDecode(f *testing.F) {
 	g := churnTestGraph(60)
 	a, err := (partition.HashPartitioner{}).Partition(g, 2)
@@ -138,6 +139,15 @@ func FuzzWireDecode(f *testing.F) {
 		f.Add(uint8(m), false, methods[m].putReq(nil, req))
 		f.Add(uint8(m), true, methods[m].putReply(nil, reply))
 	}
+	// A draw hop whose cache admits lists: the reply carries full rows
+	// beside the draws, each with its install stamp.
+	lists := SampleRequest{Vertices: owned[:4], EdgeType: 0, Width: 3, WantLists: true, Seed: 7}
+	var listsReply SampleReply
+	if err := local.Call(context.Background(), 0, MSampleNeighbors, lists, &listsReply); err != nil || len(listsReply.Lists) == 0 {
+		f.Fatalf("list-carrying SampleNeighbors: %d lists, %v", len(listsReply.Lists), err)
+	}
+	f.Add(uint8(MSampleNeighbors), false, methods[MSampleNeighbors].putReq(nil, lists))
+	f.Add(uint8(MSampleNeighbors), true, methods[MSampleNeighbors].putReply(nil, &listsReply))
 	f.Fuzz(func(t *testing.T, m uint8, reply bool, data []byte) {
 		if m >= uint8(numMethods) {
 			return

@@ -120,7 +120,7 @@ type MethodMetrics struct {
 // direct, untagged calls): time, per-shard sub-request counts and cache
 // outcomes per lane.
 type hopStats struct {
-	calls     obs.Counter // batch expansions (one per SampleBatch/NeighborsBatch)
+	calls     obs.Counter // batch expansions (one per SampleBatch)
 	slots     obs.Counter // batch slots across those calls (len(vs))
 	rpcs      obs.Counter // per-shard sub-requests issued
 	lookups   obs.Counter // cache probes (one per unique vertex probed)

@@ -88,10 +88,6 @@ func TestFanoutBitIdenticalUnderFaultsRace(t *testing.T) {
 		}
 		wantSample[s] = dst
 	}
-	wantNbrs, err := ref.BatchNeighbors(batch, 0)
-	if err != nil {
-		t.Fatal(err)
-	}
 	wantPool, wantCounts, err := ref.NegativePool(0)
 	if err != nil {
 		t.Fatal(err)
@@ -134,23 +130,6 @@ func TestFanoutBitIdenticalUnderFaultsRace(t *testing.T) {
 					if v != wantSample[seed][i] {
 						t.Errorf("seed %d slot %d: draw %d != fault-free %d", seed, i, v, wantSample[seed][i])
 						return
-					}
-				}
-				nbrs, err := c.BatchNeighbors(batch, 0)
-				if err != nil {
-					t.Errorf("BatchNeighbors: %v", err)
-					return
-				}
-				for i := range nbrs {
-					if len(nbrs[i]) != len(wantNbrs[i]) {
-						t.Errorf("neighbors[%d] diverged", i)
-						return
-					}
-					for j := range nbrs[i] {
-						if nbrs[i][j] != wantNbrs[i][j] {
-							t.Errorf("neighbors[%d][%d] diverged", i, j)
-							return
-						}
 					}
 				}
 				pool, counts, err := c.NegativePool(0)
@@ -247,7 +226,7 @@ func TestClientMetrics(t *testing.T) {
 	if err := c.SampleBatch(dst, batch, 0, 3, 9); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := c.BatchNeighbors(batch, 0); err != nil {
+	if err := c.SampleBatch(dst, batch, 0, 3, 10); err != nil {
 		t.Fatal(err)
 	}
 	if _, _, err := c.NegativePool(0); err != nil {
@@ -258,7 +237,7 @@ func TestClientMetrics(t *testing.T) {
 	if m.RPCs == 0 {
 		t.Fatal("RPCs == 0 after three multi-shard rounds")
 	}
-	for _, method := range []string{"SampleNeighbors", "Neighbors", "NegativePool"} {
+	for _, method := range []string{"SampleNeighbors", "NegativePool"} {
 		mm := m.Methods[method]
 		if mm.Calls < 2 {
 			t.Fatalf("%s calls = %d, want >= 2 (one per shard)", method, mm.Calls)

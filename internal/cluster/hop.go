@@ -9,21 +9,17 @@ import (
 	"repro/internal/storage"
 )
 
-// hop is one hop of a mini-batch in flight: the sampling operator behind
-// both NeighborsBatch (a list hop: dst[i] receives vs[i]'s full list) and
-// SampleBatch (a draw hop: width vertex-keyed draws per batch slot). Its
-// common steps each live here once:
+// hop is one draw hop of a mini-batch in flight (SampleBatch): width
+// vertex-keyed draws per batch slot, each vertex's group drawn once by
+// DrawVertex(seed). Its steps:
 //
 //   - dedup: unique vertices in first-appearance order, an epoch-keyed
 //     cache probe per unique vertex (counted in the lane's counters), and
 //     the misses grouped by owning part in ascending order;
-//   - resolve: one concurrent scatter round, per-part reply validation and
-//     admission (Observe) of every full list a reply carries;
-//   - expand: every later occurrence of a vertex copies its first one.
-//
-// The two kinds differ only in the per-part request their caller builds
-// (Neighbors vs SampleNeighbors) and in serve, which fills the caller's
-// buffer from one list.
+//   - resolve: one concurrent round of SampleNeighbors RPCs carrying each
+//     missed vertex once, per-part reply validation, and admission
+//     (Observe) of every full list a reply carries;
+//   - expand: every later occurrence of a vertex copies its first group.
 type hop struct {
 	c    *Client
 	t    graph.EdgeType
@@ -32,11 +28,7 @@ type hop struct {
 	hs   *hopStats
 	t0   time.Time
 
-	// Output: a list hop fills lists (one per batch slot, so non-nil once
-	// there is a slot); a draw hop leaves lists nil and fills draws, width
-	// per slot, each vertex's group drawn once by DrawVertex(seed).
-	lists [][]graph.ID
-	draws []graph.ID
+	draws []graph.ID // output, width per batch slot
 	width int
 	seed  uint64
 
@@ -64,26 +56,16 @@ func (h *hop) group(j int) []graph.ID {
 	return h.draws[pos*h.width : (pos+1)*h.width]
 }
 
-// serve fills uniq[j]'s first slot from the list ns (a cache hit or a
+// serve draws uniq[j]'s first group from the list ns (a cache hit or a
 // reply's full list).
 func (h *hop) serve(j int, ns []graph.ID) {
-	if h.lists != nil {
-		h.lists[h.first[j]] = ns
-		return
-	}
 	sampling.DrawVertex(h.group(j), h.uniq[j], ns, h.seed)
 }
 
-// expand copies each vertex's first slot into its later occurrences.
+// expand copies each vertex's first group into its later occurrences.
 func (h *hop) expand() {
 	for pos, j := range h.of {
-		f := h.first[j]
-		if f == pos {
-			continue
-		}
-		if h.lists != nil {
-			h.lists[pos] = h.lists[f]
-		} else {
+		if h.first[j] != pos {
 			copy(h.draws[pos*h.width:(pos+1)*h.width], h.group(j))
 		}
 	}
@@ -128,7 +110,7 @@ func (h *hop) dedup(vs []graph.ID) {
 // counted on the lane where they happen.
 func (h *hop) probe(v graph.ID, epoch uint64) ([]graph.ID, bool) {
 	h.hs.lookups.Inc()
-	ns, kind := h.c.Cache.Get(v, h.t, 1, epoch)
+	ns, kind := h.c.Cache.Get(v, h.t, epoch)
 	switch kind {
 	case storage.KindHit:
 		h.hs.cacheHits.Inc()
@@ -154,35 +136,27 @@ func (h *hop) missVertices() [][]graph.ID {
 	return out
 }
 
-// hopReply is the part of a Neighbors or SampleNeighbors reply the hop
-// routine reads. lists has one row per miss sent to the part; a draw
-// hop's reply may carry no lists, or nil rows, for rows the server drew
-// itself into samples (width per row, in row order).
-type hopReply struct {
-	epoch, head, attrHead uint64
-	since                 []uint64
-	lists                 [][]graph.ID
-	samples               []graph.ID
-}
-
-// resolve fetches h's misses — send issues parts[i]'s request into reply
-// slot i, one concurrent round — and stitches the replies back in
-// ascending part order through read, so admission order and error
-// selection are reproducible. It then expands the unique vertices' results
-// into every batch slot.
-func resolve[R any](h *hop, m Method, send func(i, p int, reply *R) error, read func(*R) hopReply) error {
+// resolve fetches h's misses in one concurrent round of SampleNeighbors
+// RPCs and stitches the replies back in ascending part order, so admission
+// order and error selection are reproducible. It then expands the unique
+// vertices' groups into every batch slot.
+func (h *hop) resolve() error {
 	c := h.c
+	verts := h.missVertices()
+	wantLists := c.Cache.Admits()
 	h.hs.rpcs.Add(int64(len(h.parts)))
-	replies := make([]R, len(h.parts))
+	replies := make([]SampleReply, len(h.parts))
 	errs := c.scatter(h.parts, func(i, p int) error {
-		return c.timed(m, func() error { return send(i, p, &replies[i]) })
+		req := SampleRequest{Vertices: verts[i], EdgeType: h.t, Width: h.width, WantLists: wantLists, Seed: h.seed}
+		req.Pin, req.Pinned = pinFields(h.pin, p)
+		return c.timed(MSampleNeighbors, func() error { return c.T.SampleNeighbors(p, req, &replies[i]) })
 	})
 	for i, p := range h.parts {
 		if errs[i] != nil {
 			return errs[i]
 		}
-		r := read(&replies[i])
-		c.observe(p, h.span, h.pin, r.epoch, r.head, r.attrHead)
+		r := &replies[i]
+		c.observe(p, h.span, h.pin, r.Epoch, r.Head, r.AttrHead)
 		if err := h.fill(p, h.miss[p], r); err != nil {
 			return err
 		}
@@ -192,39 +166,40 @@ func resolve[R any](h *hop, m Method, send func(i, p int, reply *R) error, read 
 }
 
 // fill validates part p's reply to its misses js and serves them from it:
-// full lists are admitted with their install stamps and served, drawn rows
-// are copied out of samples. A reply that carries lists must stamp every
-// row: an admission without its install epoch could claim validity across
-// an update.
-func (h *hop) fill(p int, js []int, r hopReply) error {
-	drawn := h.lists == nil && len(r.lists) == 0
-	if !drawn {
-		if len(r.lists) != len(js) {
-			return rowsError(p, "lists", len(r.lists), len(js))
+// drawn rows are copied out of Samples (width per row, in row order), and
+// full lists are admitted with their install stamps and drawn here. A reply
+// that carries lists has one row per miss (nil for a drawn row) and must
+// stamp every row: an admission without its install epoch could claim
+// validity across an update.
+func (h *hop) fill(p int, js []int, r *SampleReply) error {
+	lists := len(r.Lists) > 0
+	if lists {
+		if len(r.Lists) != len(js) {
+			return rowsError(p, "lists", len(r.Lists), len(js))
 		}
-		if len(r.since) < len(js) {
-			return rowsError(p, "install stamps", len(r.since), len(js))
+		if len(r.Since) < len(js) {
+			return rowsError(p, "install stamps", len(r.Since), len(js))
 		}
 	}
-	isList := func(row int) bool { return !drawn && (h.lists != nil || r.lists[row] != nil) }
+	isList := func(row int) bool { return lists && r.Lists[row] != nil }
 	want := 0
 	for row := range js {
 		if !isList(row) {
 			want += h.width
 		}
 	}
-	if len(r.samples) != want {
-		return fmt.Errorf("cluster: server %d returned %d samples, want %d", p, len(r.samples), want)
+	if len(r.Samples) != want {
+		return fmt.Errorf("cluster: server %d returned %d samples, want %d", p, len(r.Samples), want)
 	}
 	k := 0
 	for row, j := range js {
 		if isList(row) {
-			ns := r.lists[row]
-			h.c.Cache.Observe(h.uniq[j], h.t, 1, r.epoch, r.since[row], ns)
+			ns := r.Lists[row]
+			h.c.Cache.Observe(h.uniq[j], h.t, r.Epoch, r.Since[row], ns)
 			h.serve(j, ns)
 			continue
 		}
-		k += copy(h.group(j), r.samples[k:k+h.width])
+		k += copy(h.group(j), r.Samples[k:k+h.width])
 	}
 	return nil
 }
@@ -234,28 +209,7 @@ func rowsError(part int, what string, got, want int) error {
 	return fmt.Errorf("cluster: server %d returned %d %s for %d vertices", part, got, what, want)
 }
 
-// NeighborsBatch is the list hop, at the head epoch: dst[i] receives the
-// out-neighbor list of vs[i]. Duplicate vertices are fetched once, cache
-// hits skip the network entirely, and the misses cost at most one
-// Neighbors RPC per owning server.
-func (c *Client) NeighborsBatch(dst [][]graph.ID, vs []graph.ID, t graph.EdgeType) error {
-	if len(dst) != len(vs) {
-		return fmt.Errorf("cluster: NeighborsBatch dst length %d, want %d", len(dst), len(vs))
-	}
-	h := c.startHop(t, nil, nil, 0, len(vs))
-	defer h.done()
-	h.lists = dst
-	h.dedup(vs)
-	verts := h.missVertices()
-	return resolve(h, MNeighbors, func(i, p int, reply *NeighborsReply) error {
-		return c.T.Neighbors(p, NeighborsRequest{Vertices: verts[i], EdgeType: t}, reply)
-	}, func(r *NeighborsReply) hopReply {
-		return hopReply{epoch: r.Epoch, head: r.Head, attrHead: r.AttrHead, since: r.Since, lists: r.Neighbors}
-	})
-}
-
-// sampleBatchSpan is the draw hop: SampleNeighbors RPCs carrying each
-// missed vertex once.
+// sampleBatchSpan is the draw hop behind SampleBatch and the epoch views.
 func (c *Client) sampleBatchSpan(dst []graph.ID, vs []graph.ID, t graph.EdgeType, width int, seed uint64, pin *sampling.Pin, span *sampling.EpochSpan, hopN int) error {
 	if len(dst) != len(vs)*width {
 		return fmt.Errorf("cluster: SampleBatch dst length %d, want %d", len(dst), len(vs)*width)
@@ -264,13 +218,5 @@ func (c *Client) sampleBatchSpan(dst []graph.ID, vs []graph.ID, t graph.EdgeType
 	defer h.done()
 	h.draws, h.width, h.seed = dst, width, seed
 	h.dedup(vs)
-	verts := h.missVertices()
-	wantLists := c.Cache.Admits()
-	return resolve(h, MSampleNeighbors, func(i, p int, reply *SampleReply) error {
-		req := SampleRequest{Vertices: verts[i], EdgeType: t, Width: width, WantLists: wantLists, Seed: seed}
-		req.Pin, req.Pinned = pinFields(pin, p)
-		return c.T.SampleNeighbors(p, req, reply)
-	}, func(r *SampleReply) hopReply {
-		return hopReply{epoch: r.Epoch, head: r.Head, attrHead: r.AttrHead, since: r.Since, lists: r.Lists, samples: r.Samples}
-	})
+	return h.resolve()
 }

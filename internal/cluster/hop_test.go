@@ -9,6 +9,7 @@ import (
 	"repro/internal/core"
 	"repro/internal/graph"
 	"repro/internal/partition"
+	"repro/internal/sampling"
 	"repro/internal/storage"
 )
 
@@ -97,9 +98,10 @@ func TestCacheMatrixBitIdentical(t *testing.T) {
 	}
 }
 
-// TestStaticCacheServesFetchedLists: a static cache hit must answer
-// exactly what a fetch would — hop 1 is the adjacency list with its
-// duplicate edges, and MultiHop's cached frontiers match the fetched ones.
+// TestStaticCacheServesFetchedLists: a static cache hit must draw exactly
+// what the server would — the cached list is the adjacency list with its
+// duplicate edges — so cached draws equal fetched draws for every vertex,
+// and a fully cached client makes no RPC.
 func TestStaticCacheServesFetchedLists(t *testing.T) {
 	g := churnTestGraph(120)
 	dup := false
@@ -119,28 +121,19 @@ func TestStaticCacheServesFetchedLists(t *testing.T) {
 	for i := range vs {
 		vs[i] = graph.ID(i)
 	}
-	want := make([][]graph.ID, len(vs))
-	got := make([][]graph.ID, len(vs))
-	if err := fetch.NeighborsBatch(want, vs, 0); err != nil {
+	const width = 5
+	want := make([]graph.ID, len(vs)*width)
+	got := make([]graph.ID, len(vs)*width)
+	if err := fetch.SampleBatch(want, vs, 0, width, 7); err != nil {
 		t.Fatal(err)
 	}
-	if err := cached.NeighborsBatch(got, vs, 0); err != nil {
+	if err := cached.SampleBatch(got, vs, 0, width, 7); err != nil {
 		t.Fatal(err)
 	}
 	for _, v := range vs {
-		if fmt.Sprint(got[v]) != fmt.Sprint(want[v]) {
-			t.Fatalf("vertex %d: cached list %v, fetched %v", v, got[v], want[v])
-		}
-		wf, err := fetch.MultiHop(v, 0, 2)
-		if err != nil {
-			t.Fatal(err)
-		}
-		gf, err := cached.MultiHop(v, 0, 2)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if fmt.Sprint(gf) != fmt.Sprint(wf) {
-			t.Fatalf("vertex %d: cached frontiers %v, fetched %v", v, gf, wf)
+		cd, fd := got[int(v)*width:int(v+1)*width], want[int(v)*width:int(v+1)*width]
+		if fmt.Sprint(cd) != fmt.Sprint(fd) {
+			t.Fatalf("vertex %d: cached draws %v, fetched %v", v, cd, fd)
 		}
 	}
 	if m := cached.Metrics(); m.RPCs != 0 {
@@ -150,21 +143,26 @@ func TestStaticCacheServesFetchedLists(t *testing.T) {
 
 // truncating answers every call through inner, then drops the last row of
 // the reply to method m — or, with since set, the last install stamp of
-// its Since array — a server bug the client must turn into an error.
+// its Since array, or with lists set, the last full list a SampleReply
+// carries — a server bug the client must turn into an error.
 type truncating struct {
 	Caller
-	m     Method
-	since bool
+	m            Method
+	since, lists bool
 }
 
 func (c truncating) Call(ctx context.Context, part int, m Method, req, reply any) error {
 	if err := c.Caller.Call(ctx, part, m, req, reply); err != nil || m != c.m {
 		return err
 	}
+	if r, ok := reply.(*SampleReply); ok && c.lists {
+		if len(r.Lists) > 0 {
+			r.Lists = r.Lists[:len(r.Lists)-1]
+		}
+		return nil
+	}
 	if c.since {
 		switch r := reply.(type) {
-		case *NeighborsReply:
-			r.Since = r.Since[:len(r.Since)-1]
 		case *AttrsReply:
 			r.Since = r.Since[:len(r.Since)-1]
 		case *SampleReply:
@@ -173,8 +171,6 @@ func (c truncating) Call(ctx context.Context, part int, m Method, req, reply any
 		return nil
 	}
 	switch r := reply.(type) {
-	case *NeighborsReply:
-		r.Neighbors = r.Neighbors[:len(r.Neighbors)-1]
 	case *AttrsReply:
 		r.Attrs = r.Attrs[:len(r.Attrs)-1]
 	case *EdgesReply:
@@ -194,27 +190,35 @@ func (c truncating) Call(ctx context.Context, part int, m Method, req, reply any
 func TestShortRepliesError(t *testing.T) {
 	g := churnTestGraph(60)
 	vs := []graph.ID{0, 1, 2, 3, 4, 5, 6, 7}
+	lru := func() storage.NeighborCache { return storage.NewLRUNeighborCache(64) }
+	// An admitting cache makes the server ship short lists: width 3 covers
+	// every vertex here, width 2 mixes lists with drawn rows, and [3,3]
+	// NEIGHBORHOOD draws expand the batch over two hops.
+	hop := func(width int) func(c *Client) error {
+		return func(c *Client) error { return c.SampleBatch(make([]graph.ID, width*len(vs)), vs, 0, width, 1) }
+	}
+	neighborhood := func(c *Client) error {
+		var ctx sampling.Context
+		return sampling.NewNeighborhood(c, nil).SampleInto(&ctx, 0, vs, []int{3, 3}, sampling.NewRng(1))
+	}
 	cases := []struct {
-		m     Method
-		call  func(c *Client) error
-		since bool
-		cache func() storage.NeighborCache
+		m            Method
+		call         func(c *Client) error
+		since, lists bool
+		cache        func() storage.NeighborCache
 	}{
-		{m: MNeighbors, call: func(c *Client) error { return c.NeighborsBatch(make([][]graph.ID, len(vs)), vs, 0) }},
-		{m: MNeighbors, call: func(c *Client) error { _, err := c.MultiHop(vs[0], 0, 2); return err }},
+		{m: MSampleNeighbors, call: hop(3), lists: true, cache: lru},
+		{m: MSampleNeighbors, call: neighborhood, lists: true, cache: lru},
 		{m: MAttrs, call: func(c *Client) error { _, err := c.Attrs(vs); return err }},
 		{m: MAttrs, call: func(c *Client) error { _, err := NewAttrCache(c, 64).Attrs(vs); return err }},
 		{m: MSampleEdges, call: func(c *Client) error { _, err := c.SampleEdges(0, 16, 1); return err }},
 		{m: MNegativePool, call: func(c *Client) error { _, _, err := c.NegativePool(0); return err }},
 		{m: MSampleNeighbors, call: func(c *Client) error { return c.SampleBatch(make([]graph.ID, 2*len(vs)), vs, 0, 2, 1) }},
-		{m: MNeighbors, call: func(c *Client) error { return c.NeighborsBatch(make([][]graph.ID, len(vs)), vs, 0) }, since: true},
-		{m: MNeighbors, call: func(c *Client) error { _, err := c.MultiHop(vs[0], 0, 2); return err }, since: true},
+		{m: MSampleNeighbors, call: hop(2), since: true, cache: lru},
+		{m: MSampleNeighbors, call: neighborhood, since: true, cache: lru},
 		{m: MAttrs, call: func(c *Client) error { _, err := c.Attrs(vs); return err }, since: true},
 		{m: MAttrs, call: func(c *Client) error { _, err := NewAttrCache(c, 64).Attrs(vs); return err }, since: true},
-		// An admitting cache makes the server ship short lists (width 3
-		// covers every vertex here), each needing its install stamp.
-		{m: MSampleNeighbors, call: func(c *Client) error { return c.SampleBatch(make([]graph.ID, 3*len(vs)), vs, 0, 3, 1) }, since: true,
-			cache: func() storage.NeighborCache { return storage.NewLRUNeighborCache(64) }},
+		{m: MSampleNeighbors, call: hop(3), since: true, cache: lru},
 	}
 	for i, tc := range cases {
 		t.Run(fmt.Sprintf("%d-%v", i, tc.m), func(t *testing.T) {
@@ -222,7 +226,7 @@ func TestShortRepliesError(t *testing.T) {
 			if tc.cache != nil {
 				cache = tc.cache()
 			}
-			c := newHopCluster(t, g, 2, func(inner Caller) Transport { return typed(truncating{inner, tc.m, tc.since}) }, cache)
+			c := newHopCluster(t, g, 2, func(inner Caller) Transport { return typed(truncating{inner, tc.m, tc.since, tc.lists}) }, cache)
 			defer func() {
 				if p := recover(); p != nil {
 					t.Fatalf("short %v reply panicked: %v", tc.m, p)
@@ -250,10 +254,9 @@ func (c downShard) Call(ctx context.Context, part int, m Method, req, reply any)
 	return c.Caller.Call(ctx, part, m, req, reply)
 }
 
-// TestNeighborsFailsOnDownShard: Client.Neighbors is a one-vertex
-// NeighborsBatch, and when the vertex's shard is down it reports the
-// failure. A cached list no longer valid at the client's epoch is not
-// served in its place.
+// TestNeighborsFailsOnDownShard: a draw hop over a vertex whose shard is
+// down reports the failure. A cached list no longer valid at the client's
+// epoch is not drawn from in its place.
 func TestNeighborsFailsOnDownShard(t *testing.T) {
 	g := churnTestGraph(60)
 	down := false
@@ -268,15 +271,17 @@ func TestNeighborsFailsOnDownShard(t *testing.T) {
 	if v < 0 {
 		t.Fatal("no vertex with out-edges on shard 1")
 	}
-	if _, err := c.Neighbors(v, 0); err != nil {
+	// Width 3 covers every degree here, so the first hop admits v's list.
+	dst := make([]graph.ID, 3)
+	if err := c.SampleBatch(dst, []graph.ID{v}, 0, 3, 1); err != nil {
 		t.Fatal(err)
 	}
 	// Move the client's head past the cached entry so the probe misses and
 	// the read must go to the (down) shard.
 	c.pins.noteHead(1, 5, 0)
 	down = true
-	if got, err := c.Neighbors(v, 0); !IsShardDown(err) || got != nil {
-		t.Fatalf("Neighbors on a down shard = %v, %v; want nil, shard down", got, err)
+	if err := c.SampleBatch(dst, []graph.ID{v}, 0, 3, 1); !IsShardDown(err) {
+		t.Fatalf("SampleBatch on a down shard = %v; want shard down", err)
 	}
 }
 

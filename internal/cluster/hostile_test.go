@@ -36,7 +36,6 @@ func TestHostileRequestsRejected(t *testing.T) {
 	var calls []call
 	for _, et := range []graph.EdgeType{7, -1} {
 		calls = append(calls,
-			call{"Neighbors/type", MNeighbors, NeighborsRequest{Vertices: vs, EdgeType: et}},
 			call{"SampleNeighbors/type", MSampleNeighbors, SampleRequest{Vertices: vs, EdgeType: et, Width: 2}},
 			call{"SampleEdges/type", MSampleEdges, EdgesRequest{EdgeType: et, Count: 4}},
 			call{"NegativePool/type", MNegativePool, NegPoolRequest{EdgeType: et}},
@@ -96,9 +95,9 @@ func TestHostileRequestsRejected(t *testing.T) {
 			t.Fatalf("well-formed call via %s: %d samples, want 6", st.name, len(reply.Samples))
 		}
 		c := NewClient(a, typed(st.c), nil)
-		ns, err := c.Neighbors(0, 0)
-		if err != nil {
-			t.Fatalf("neighbors of 0 via %s: %v", st.name, err)
+		ns := make([]graph.ID, 3)
+		if err := c.SampleBatch(ns, []graph.ID{0}, 0, 3, 1); err != nil {
+			t.Fatalf("draws from 0 via %s: %v", st.name, err)
 		}
 		if _, err := c.Attrs(ns); err != nil {
 			t.Fatalf("attrs of 0's neighbors via %s: %v", st.name, err)

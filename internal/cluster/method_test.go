@@ -135,8 +135,6 @@ func TestMethodTableAgreement(t *testing.T) {
 // leased is an epoch the part has leased, for Release.
 func agreementRequest(m Method, vs []graph.ID, leased uint64) any {
 	switch m {
-	case MNeighbors:
-		return NeighborsRequest{Vertices: vs, EdgeType: 0}
 	case MSampleNeighbors:
 		return SampleRequest{Vertices: vs, EdgeType: 0, Width: 3, Seed: 7}
 	case MSampleEdges:
@@ -180,7 +178,7 @@ func TestRegisteredMetricNames(t *testing.T) {
 		s.RegisterObs(r)
 	}
 	snap := r.Snapshot()
-	for _, m := range []string{"Neighbors", "SampleNeighbors", "SampleEdges", "NegativePool", "Stats", "Attrs", "Lease", "Release"} {
+	for _, m := range []string{"SampleNeighbors", "SampleEdges", "NegativePool", "Stats", "Attrs", "Lease", "Release"} {
 		if _, ok := snap.Histograms["cluster.client.rpc."+m+".latency"]; !ok {
 			t.Errorf("client latency histogram for %s not registered", m)
 		}
@@ -189,7 +187,7 @@ func TestRegisteredMetricNames(t *testing.T) {
 		}
 	}
 	for id := range servers {
-		for _, m := range []string{"Neighbors", "Attrs", "SampleNeighbors", "SampleEdges", "NegativePool", "Stats", "Lease", "Release", "Update", "Compact"} {
+		for _, m := range []string{"Attrs", "SampleNeighbors", "SampleEdges", "NegativePool", "Stats", "Lease", "Release", "Update", "Compact"} {
 			name := fmt.Sprintf("cluster.server.%d.rpc.%s.latency", id, m)
 			if _, ok := snap.Histograms[name]; !ok {
 				t.Errorf("%s not registered", name)

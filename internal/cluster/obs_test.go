@@ -103,8 +103,8 @@ func TestServerRegisterObs(t *testing.T) {
 	reg := obs.NewRegistry()
 	srv.RegisterObs(reg)
 
-	var nr NeighborsReply
-	if err := srv.ServeNeighbors(NeighborsRequest{Vertices: []graph.ID{0, 1, 2}, EdgeType: 0}, &nr); err != nil {
+	var sr SampleReply
+	if err := srv.ServeSampleNeighbors(SampleRequest{Vertices: []graph.ID{0, 1, 2}, EdgeType: 0, Width: 2}, &sr); err != nil {
 		t.Fatal(err)
 	}
 	var ur UpdateReply
@@ -114,8 +114,8 @@ func TestServerRegisterObs(t *testing.T) {
 	}
 
 	snap := reg.Snapshot()
-	if h := snap.Histograms["cluster.server.0.rpc.Neighbors.latency"]; h.Count == 0 {
-		t.Fatalf("Neighbors latency histogram empty: %+v", snap.Histograms)
+	if h := snap.Histograms["cluster.server.0.rpc.SampleNeighbors.latency"]; h.Count == 0 {
+		t.Fatalf("SampleNeighbors latency histogram empty: %+v", snap.Histograms)
 	}
 	if h := snap.Histograms["cluster.server.0.rpc.Update.latency"]; h.Count != 1 {
 		t.Fatalf("Update latency count = %d, want 1", h.Count)

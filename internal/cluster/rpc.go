@@ -19,7 +19,7 @@ import (
 // reply under its method's layout. The server is a read loop over the method
 // table; the client keeps a table of pending calls per connection, keyed by
 // sequence number, filled by one reader goroutine. The wire types are the
-// same NeighborsRequest / AttrsRequest pairs used by LocalTransport, so the
+// same SampleRequest / AttrsRequest pairs used by LocalTransport, so the
 // client is oblivious to which transport it runs on.
 
 // maxFrame caps a frame's length. A longer frame closes the connection; a

@@ -419,36 +419,6 @@ func (s *Server) checkType(t graph.EdgeType) error {
 // ---------------------------------------------------------------------------
 // Wire types shared by all transports. Their layouts on TCP are in codec.go.
 
-// NeighborsRequest asks for the out-neighbors of a batch of vertices under
-// one edge type. Batching amortizes the per-call network cost; the client's
-// sub-batch stitching (Section 3.3) builds these. Pinned requests read the
-// leased epoch Pin instead of the head.
-type NeighborsRequest struct {
-	Vertices []graph.ID
-	EdgeType graph.EdgeType
-	Pin      uint64
-	Pinned   bool
-}
-
-// NeighborsReply carries per-vertex neighbor lists aligned with the
-// request order. Epoch is the epoch served (the pin for pinned requests);
-// Head is the server's current head epoch, which clients use to
-// notice that their pin went stale; AttrHead is the newest epoch on this
-// server that rewrote any attribute row, which attribute caches use to
-// invalidate without ever issuing an extra RPC — the signal rides on every
-// sampling reply, so even a fully-hot attribute cache observes it. Since[i]
-// is the epoch at which Neighbors[i] was installed (0 = predates every
-// update): together with Epoch it gives neighbor caches the exact validity
-// interval of each list. Clients reject a reply with fewer stamps than
-// lists as malformed.
-type NeighborsReply struct {
-	Neighbors [][]graph.ID
-	Since     []uint64
-	Epoch     uint64
-	Head      uint64
-	AttrHead  uint64
-}
-
 // AttrsRequest asks for the attribute vectors of a batch of vertices,
 // optionally at a pinned epoch.
 type AttrsRequest struct {
@@ -463,7 +433,7 @@ type AttrsRequest struct {
 // attribute-rewriting epoch regardless of pin. Client attribute caches
 // flush when AttrHead advances and version-gate admissions on AttrEpoch.
 // Since[i] is the epoch at which Attrs[i] was installed (0 = predates every
-// update) — the row-level analogue of NeighborsReply.Since, so an embedding
+// update) — the row-level analogue of SampleReply.Since, so an embedding
 // cache's validity interval covers feature changes exactly, per row, not
 // just via the shard-wide AttrEpoch watermark. Clients reject a reply with
 // fewer stamps than rows as malformed.
@@ -474,34 +444,6 @@ type AttrsReply struct {
 	AttrEpoch uint64
 	Head      uint64
 	AttrHead  uint64
-}
-
-// ServeNeighbors handles a batched neighbor request. The reply is built
-// from one immutable snapshot view, so it is consistent with a single
-// update generation even while ServeUpdate batches land concurrently.
-func (s *Server) ServeNeighbors(req NeighborsRequest, reply *NeighborsReply) error {
-	defer obsSince(&s.met.rpc[MNeighbors], time.Now())
-	if err := s.checkType(req.EdgeType); err != nil {
-		return err
-	}
-	view, head, attrHead, err := s.view(req.Pinned, req.Pin)
-	if err != nil {
-		return err
-	}
-	reply.Neighbors = make([][]graph.ID, len(req.Vertices))
-	reply.Since = make([]uint64, len(req.Vertices))
-	reply.Epoch = view.Epoch()
-	reply.Head = head
-	reply.AttrHead = attrHead
-	for i, v := range req.Vertices {
-		ns, _, ok := view.Neighbors(v, req.EdgeType)
-		if !ok {
-			return fmt.Errorf("cluster: server %d does not own vertex %d", s.ID, v)
-		}
-		reply.Neighbors[i] = ns
-		reply.Since[i] = view.ChangedAt(v, req.EdgeType)
-	}
-	return nil
 }
 
 // ServeAttrs handles a batched attribute request.

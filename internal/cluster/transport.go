@@ -2,6 +2,7 @@ package cluster
 
 import (
 	"context"
+	"errors"
 	"fmt"
 	"sync/atomic"
 	"time"
@@ -11,7 +12,9 @@ import (
 // "home" (its own worker) as free and any other partition as a remote call;
 // implementations decide what a remote call costs.
 type Transport interface {
-	// Neighbors fetches out-neighbor lists from the server owning part.
+	// Neighbors is retired and always fails: no server serves full-list
+	// fetches, and every hop draws through SampleNeighbors. It stays only
+	// while perfbench's transport recorder forwards it.
 	Neighbors(part int, req NeighborsRequest, reply *NeighborsReply) error
 	// SampleNeighbors draws fixed-width neighbor samples on the server
 	// owning part, returning width IDs per requested vertex instead of full
@@ -48,8 +51,7 @@ type Method int
 
 // The graph-service RPCs, in Transport order.
 const (
-	MNeighbors Method = iota
-	MSampleNeighbors
+	MSampleNeighbors Method = iota
 	MSampleEdges
 	MNegativePool
 	MStats
@@ -91,7 +93,6 @@ type methodSpec struct {
 // of its request and reply, and where its request keeps an idempotency
 // token, if it has one.
 var methods = [numMethods]methodSpec{
-	MNeighbors:       defineMethod("Neighbors", (*Server).ServeNeighbors, neighborsRequestWire, neighborsReplyWire, nil),
 	MSampleNeighbors: defineMethod("SampleNeighbors", (*Server).ServeSampleNeighbors, sampleRequestWire, sampleReplyWire, nil),
 	MSampleEdges:     defineMethod("SampleEdges", (*Server).ServeSampleEdges, edgesRequestWire, edgesReplyWire, nil),
 	MNegativePool:    defineMethod("NegativePool", (*Server).ServeNegativePool, negPoolRequestWire, negPoolReplyWire, nil),
@@ -158,8 +159,15 @@ type Caller interface {
 // layer is also a Transport.
 type facade struct{ c Caller }
 
-func (f facade) Neighbors(part int, req NeighborsRequest, reply *NeighborsReply) error {
-	return f.c.Call(context.Background(), part, MNeighbors, req, reply)
+// NeighborsRequest and NeighborsReply are the retired Neighbors method's
+// argument types. They carry nothing.
+type (
+	NeighborsRequest struct{}
+	NeighborsReply   struct{}
+)
+
+func (facade) Neighbors(int, NeighborsRequest, *NeighborsReply) error {
+	return errors.New("cluster: the Neighbors RPC is retired; draw through SampleNeighbors")
 }
 
 func (f facade) SampleNeighbors(part int, req SampleRequest, reply *SampleReply) error {

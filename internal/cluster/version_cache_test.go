@@ -1,6 +1,7 @@
 package cluster
 
 import (
+	"fmt"
 	"math/rand"
 	"sync"
 	"sync/atomic"
@@ -39,7 +40,7 @@ func TestCacheEpochKeyedUnderUpdate(t *testing.T) {
 	}
 	// Click degree 2 <= width 3: both lists were shipped short and admitted
 	// at epoch 0.
-	if _, kind := cache.Get(0, 0, 1, 0); kind != storage.KindHit {
+	if _, kind := cache.Get(0, 0, 0); kind != storage.KindHit {
 		t.Fatal("warm-up did not admit vertex 0 at epoch 0")
 	}
 
@@ -53,14 +54,14 @@ func TestCacheEpochKeyedUnderUpdate(t *testing.T) {
 	}
 
 	// The epoch-0 entry must not answer an epoch-1 read.
-	if _, kind := cache.Get(0, 0, 1, 1); kind == storage.KindHit {
+	if _, kind := cache.Get(0, 0, 1); kind == storage.KindHit {
 		t.Fatal("stale epoch-0 neighbor list served for an epoch-1 read")
 	}
 
 	// Let the client observe the new head, then pin the post-update
 	// snapshot and re-sample: the cache must re-fetch, not serve stale.
 	c.Unpin(pin1)
-	if _, err := c.Neighbors(0, 1); err != nil { // any reply carries Head
+	if _, err := c.ProbeHeads(); err != nil {
 		t.Fatal(err)
 	}
 	pin2, err := c.Pin()
@@ -77,12 +78,12 @@ func TestCacheEpochKeyedUnderUpdate(t *testing.T) {
 		t.Fatal(err)
 	}
 	// Vertex 0's fresh entry is the rewritten 3-neighbor list...
-	ns, kind := cache.Get(0, 0, 1, 1)
+	ns, kind := cache.Get(0, 0, 1)
 	if kind != storage.KindHit || len(ns) != 3 {
 		t.Fatalf("post-update entry = %v kind=%v, want rewritten 3-list", ns, kind)
 	}
 	// ...and the untouched vertex 2 was cheaply re-validated, not replaced.
-	if _, kind := cache.Get(2, 0, 1, 1); kind != storage.KindHit {
+	if _, kind := cache.Get(2, 0, 1); kind != storage.KindHit {
 		t.Fatal("untouched vertex not re-validated at the new epoch")
 	}
 	if _, _, epochMisses := cache.Counters(); epochMisses == 0 {
@@ -279,8 +280,8 @@ func TestPipelineLRUMatchesDepth0Cluster(t *testing.T) {
 	}
 }
 
-// verifyingLRU wraps an LRU neighbor cache and cross-checks every hop-1
-// hit against the owning server's snapshot store at the epoch the lookup
+// verifyingLRU wraps an LRU neighbor cache and cross-checks every hit
+// against the owning server's snapshot store at the epoch the lookup
 // was keyed by: if the cache ever serves a list that differs from the
 // store's adjacency at that exact epoch, a pinned batch consumed a
 // stale-generation list and the test fails.
@@ -292,9 +293,9 @@ type verifyingLRU struct {
 	checked atomic.Int64
 }
 
-func (v *verifyingLRU) Get(x graph.ID, et graph.EdgeType, h int, epoch uint64) ([]graph.ID, storage.GetKind) {
-	ns, kind := v.LRUNeighborCache.Get(x, et, h, epoch)
-	if kind == storage.KindHit && h == 1 {
+func (v *verifyingLRU) Get(x graph.ID, et graph.EdgeType, epoch uint64) ([]graph.ID, storage.GetKind) {
+	ns, kind := v.LRUNeighborCache.Get(x, et, epoch)
+	if kind == storage.KindHit {
 		srv := v.servers[v.assign.Part(x)]
 		view, err := srv.Store().At(epoch)
 		switch {
@@ -481,9 +482,15 @@ func TestServerCompactTrigger(t *testing.T) {
 		t.Fatal("Compact RPC reports no fold ever happened")
 	}
 	c := NewClient(a, tr, storage.NewLRUNeighborCache(16))
-	ns, err := c.Neighbors(servers[0].LocalVertices()[0], 0)
-	if err != nil || len(ns) == 0 {
-		t.Fatalf("post-compaction read: %v %v", ns, err)
+	v := servers[0].LocalVertices()[0]
+	got, want := make([]graph.ID, 4), make([]graph.ID, 4)
+	if err := c.SampleBatch(got, []graph.ID{v}, 0, 4, 1); err != nil {
+		t.Fatalf("post-compaction read: %v", err)
+	}
+	ns, _, _ := servers[0].Neighbors(v, 0)
+	sampling.DrawVertex(want, v, ns, 1)
+	if len(ns) == 0 || fmt.Sprint(got) != fmt.Sprint(want) {
+		t.Fatalf("post-compaction draws %v, want %v from %v", got, want, ns)
 	}
 }
 
@@ -507,7 +514,7 @@ func TestCacheFlushOnServerRestart(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	if _, err := c.Neighbors(0, 1); err != nil { // observe head 2
+	if _, err := c.ProbeHeads(); err != nil { // observe head 2
 		t.Fatal(err)
 	}
 	pin, err := c.Pin()
@@ -524,7 +531,7 @@ func TestCacheFlushOnServerRestart(t *testing.T) {
 	if err := view.SampleBatch(dst, []graph.ID{0}, 0, 3, 7); err != nil {
 		t.Fatal(err)
 	}
-	if _, kind := cache.Get(0, 0, 1, 2); kind != storage.KindHit {
+	if _, kind := cache.Get(0, 0, 2); kind != storage.KindHit {
 		t.Fatal("warm-up did not admit under the old incarnation")
 	}
 
@@ -547,7 +554,7 @@ func TestCacheFlushOnServerRestart(t *testing.T) {
 	if n := cache.CachedVertices(); n != 0 {
 		t.Fatalf("cache still holds %d old-incarnation entries after restart", n)
 	}
-	if _, kind := cache.Get(0, 0, 1, 2); kind == storage.KindHit {
+	if _, kind := cache.Get(0, 0, 2); kind == storage.KindHit {
 		t.Fatal("old-incarnation entry survived the restart flush")
 	}
 }

@@ -101,59 +101,6 @@ func (g *Graph) KHopInScratch(v ID, k int, s *Scratch) []ID {
 	return g.khopScratch(v, k, s, g.in)
 }
 
-// KHopFrontier returns the vertices exactly h hops from v along out-edges of
-// any type (not the 1..h union); per-hop frontiers are what NEIGHBORHOOD
-// sampling and the storage caches consume. The returned slice aliases the
-// scratch and is valid until its next use; callers that retain it must copy.
-// h == 0 returns {v} itself.
-func (g *Graph) KHopFrontier(v ID, h int, s *Scratch) []ID {
-	s.begin(g.n)
-	s.stamp[v] = s.epoch
-	s.frontier = append(s.frontier[:0], v)
-	for hop := 0; hop < h && len(s.frontier) > 0; hop++ {
-		s.next = s.next[:0]
-		for _, u := range s.frontier {
-			for t := range g.out {
-				for _, w := range g.out[t].neighbors(u) {
-					if s.stamp[w] == s.epoch {
-						continue
-					}
-					s.stamp[w] = s.epoch
-					s.next = append(s.next, w)
-				}
-			}
-		}
-		s.frontier, s.next = s.next, s.frontier
-	}
-	s.result = append(s.result[:0], s.frontier...)
-	return s.result
-}
-
-// KHopFrontierType is KHopFrontier restricted to out-edges of one type:
-// the vertices exactly h hops from v along type-t edges. Per-type frontiers
-// are what the neighbor caches serve to typed NEIGHBORHOOD queries. The
-// returned slice aliases the scratch; h == 0 returns {v}.
-func (g *Graph) KHopFrontierType(v ID, t EdgeType, h int, s *Scratch) []ID {
-	s.begin(g.n)
-	s.stamp[v] = s.epoch
-	s.frontier = append(s.frontier[:0], v)
-	for hop := 0; hop < h && len(s.frontier) > 0; hop++ {
-		s.next = s.next[:0]
-		for _, u := range s.frontier {
-			for _, w := range g.out[t].neighbors(u) {
-				if s.stamp[w] == s.epoch {
-					continue
-				}
-				s.stamp[w] = s.epoch
-				s.next = append(s.next, w)
-			}
-		}
-		s.frontier, s.next = s.next, s.frontier
-	}
-	s.result = append(s.result[:0], s.frontier...)
-	return s.result
-}
-
 // ImportanceScratch computes Imp^(k)(v) with caller-provided scratch,
 // allocation-free in steady state.
 func (g *Graph) ImportanceScratch(v ID, k int, s *Scratch) float64 {

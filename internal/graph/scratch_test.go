@@ -2,7 +2,6 @@ package graph
 
 import (
 	"math/rand"
-	"sort"
 	"sync"
 	"testing"
 )
@@ -88,34 +87,6 @@ func TestKHopConvenienceUsesScratch(t *testing.T) {
 	}
 }
 
-func TestKHopFrontier(t *testing.T) {
-	// Chain 0 -> 1 -> 2 -> 3 plus a shortcut 0 -> 2: vertex 2 is reached at
-	// hop 1, so the hop-2 frontier from 0 is exactly {3}.
-	b := NewBuilder(SimpleSchema(), true)
-	b.AddVertices(0, 4)
-	b.AddEdge(0, 1, 0, 1)
-	b.AddEdge(1, 2, 0, 1)
-	b.AddEdge(2, 3, 0, 1)
-	b.AddEdge(0, 2, 0, 1)
-	g := b.Finalize()
-	s := NewScratch(g)
-
-	if fr := g.KHopFrontier(0, 0, s); len(fr) != 1 || fr[0] != 0 {
-		t.Fatalf("hop-0 frontier = %v, want [0]", fr)
-	}
-	fr := append([]ID(nil), g.KHopFrontier(0, 1, s)...)
-	sort.Slice(fr, func(i, j int) bool { return fr[i] < fr[j] })
-	if len(fr) != 2 || fr[0] != 1 || fr[1] != 2 {
-		t.Fatalf("hop-1 frontier = %v, want [1 2]", fr)
-	}
-	if fr := g.KHopFrontier(0, 2, s); len(fr) != 1 || fr[0] != 3 {
-		t.Fatalf("hop-2 frontier = %v, want [3]", fr)
-	}
-	if fr := g.KHopFrontier(0, 3, s); len(fr) != 0 {
-		t.Fatalf("hop-3 frontier = %v, want empty", fr)
-	}
-}
-
 func TestImportanceAllParallelMatchesSequential(t *testing.T) {
 	g := randomGraph(250, 3, 7)
 	seq := g.ImportanceAllParallel(2, 1)
@@ -180,7 +151,6 @@ func TestScratchSteadyStateAllocFree(t *testing.T) {
 	}
 	allocs := testing.AllocsPerRun(200, func() {
 		g.KHopOutScratch(7, 2, s)
-		g.KHopFrontier(7, 2, s)
 		g.ImportanceScratch(7, 2, s)
 	})
 	if allocs > 0 {

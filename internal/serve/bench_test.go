@@ -24,7 +24,6 @@ func benchServer(b *testing.B, n int, maxBatch, cacheCap int) *Server {
 		FlushWindow: 200 * time.Microsecond,
 		MaxBatch:    maxBatch,
 		CacheCap:    cacheCap,
-		EdgeType:    0,
 	})
 	b.Cleanup(srv.Close)
 	return srv

@@ -110,7 +110,7 @@ func sameVec(a, b []float64) bool {
 func TestServeInvalidationScope(t *testing.T) {
 	const n = 48
 	_, cl, tr := clusterFixture(t, n)
-	srv := New(tr, cl, Config{FlushWindow: 200 * time.Microsecond, MaxBatch: n, EdgeType: 0})
+	srv := New(tr, cl, Config{FlushWindow: 200 * time.Microsecond, MaxBatch: n})
 	defer srv.Close()
 
 	all := make([]graph.ID, n)
@@ -203,7 +203,7 @@ func TestServeInvalidationScope(t *testing.T) {
 func TestServeChurnStormExactness(t *testing.T) {
 	const n = 48
 	_, cl, tr := clusterFixture(t, n)
-	srv := New(tr, cl, Config{FlushWindow: 100 * time.Microsecond, MaxBatch: 8, MaxLag: 3, EdgeType: 0})
+	srv := New(tr, cl, Config{FlushWindow: 100 * time.Microsecond, MaxBatch: 8, MaxLag: 3})
 	defer srv.Close()
 
 	// Warm every vertex so the first churn rounds hit a full cache.

@@ -12,12 +12,13 @@ import (
 // NeighborCache is the pluggable neighbor-caching strategy evaluated in
 // Figure 9 of the paper: the importance-based cache (AliGraph's strategy),
 // a random static cache, and an LRU replacing cache. A cache answers
-// "do I hold the hop-h out-neighbors of v under edge type t locally, valid
-// at update epoch `epoch`?"; on a miss the caller pays a remote fetch.
-// Entries are keyed by (vertex, edge type, hop) — heterogeneous graphs must
-// never serve one type's neighbor list to a query about another — and carry
-// an epoch-validity interval, so under churn a pinned batch is never served
-// a neighbor list fetched at a different update generation.
+// "do I hold the out-neighbor list of v under edge type t locally, valid
+// at update epoch `epoch`?"; on a miss the caller's draw goes to the
+// owning server. Entries are keyed by (vertex, edge type) — heterogeneous
+// graphs must never serve one type's neighbor list to a query about
+// another — and carry an epoch-validity interval, so under churn a pinned
+// batch is never served a neighbor list fetched at a different update
+// generation.
 //
 // Validity model: every entry holds [since, through] — `since` is the epoch
 // the served list was installed at (the Since stamp servers put on replies;
@@ -31,15 +32,15 @@ import (
 // epoch miss costs one re-validating fetch but can never change the values
 // a fixed-seed training run consumes.
 type NeighborCache interface {
-	// Get returns the cached hop-h type-t out-neighbor list of v (h is
-	// 1-based) when it is valid at update epoch `epoch` (KindHit), and
-	// otherwise classifies the miss: no entry (KindMiss), or an entry
-	// invalid at that epoch (KindEpochMiss).
-	Get(v graph.ID, t graph.EdgeType, h int, epoch uint64) ([]graph.ID, GetKind)
+	// Get returns the cached type-t out-neighbor list of v when it is
+	// valid at update epoch `epoch` (KindHit), and otherwise classifies the
+	// miss: no entry (KindMiss), or an entry invalid at that epoch
+	// (KindEpochMiss).
+	Get(v graph.ID, t graph.EdgeType, epoch uint64) ([]graph.ID, GetKind)
 	// Observe notifies the cache of a fetch result so replacing strategies
 	// can admit it and every strategy can track validity: the list was
 	// served at `epoch` and was installed at `since` (since <= epoch).
-	Observe(v graph.ID, t graph.EdgeType, h int, epoch, since uint64, nbrs []graph.ID)
+	Observe(v graph.ID, t graph.EdgeType, epoch, since uint64, nbrs []graph.ID)
 	// Admits reports whether Observe can ever admit new entries. Static
 	// caches and NoCache return false — they only re-validate entries they
 	// already hold — so data producers skip preparing admission payloads
@@ -54,8 +55,8 @@ type NeighborCache interface {
 	Flush()
 	// Name identifies the strategy in reports.
 	Name() string
-	// CachedVertices reports how many vertices currently have hop-1
-	// neighborhoods cached.
+	// CachedVertices reports how many vertices currently have neighbor
+	// lists cached.
 	CachedVertices() int
 }
 
@@ -72,12 +73,12 @@ const (
 	KindEpochMiss
 )
 
-// hopKey packs (vertex, edge type, hop) into an int64 cache key. Hops are
-// tiny (h <= 7); edge types get 13 bits, so schemas are bounded to
-// MaxCacheEdgeTypes — checkEdgeTypes enforces it at cache construction
-// rather than letting oversized schemas silently collide keys.
-func hopKey(v graph.ID, t graph.EdgeType, h int) int64 {
-	return int64(v)<<16 | int64(t&0x1fff)<<3 | int64(h&0x7)
+// cacheKey packs (vertex, edge type) into an int64 cache key. Edge types
+// get 13 bits, so schemas are bounded to MaxCacheEdgeTypes —
+// checkEdgeTypes enforces it at cache construction rather than letting
+// oversized schemas silently collide keys.
+func cacheKey(v graph.ID, t graph.EdgeType) int64 {
+	return int64(v)<<13 | int64(t&0x1fff)
 }
 
 // MaxCacheEdgeTypes is the largest edge-type count the cache key can
@@ -116,8 +117,8 @@ func (e *staticEntry) extendThrough(epoch uint64) {
 	}
 }
 
-// StaticCache holds the 1..depth-hop out-neighborhoods of a fixed vertex
-// set under every edge type; NewStaticCache takes the vertices. Algorithm 2
+// StaticCache holds the out-neighbor lists of a fixed vertex set under
+// every edge type; NewStaticCache takes the vertices. Algorithm 2
 // is SelectImportant (every vertex with Imp^(k) >= tau) fed to
 // NewStaticCache; NewImportanceCacheTopFraction ranks by the same
 // Imp^(k)(v) = D_i^(k)(v)/D_o^(k)(v), which is power-law distributed
@@ -128,41 +129,31 @@ func (e *staticEntry) extendThrough(epoch uint64) {
 // answers a query at a later epoch only after a fetch re-validated that the
 // vertex is still untouched there (Observe with Since == 0 extends the
 // entry). Membership is fixed at construction, so Observe never admits.
-// Multi-hop entries are never extended — a hop-1 reply cannot vouch for the
-// whole frontier — so MultiHop falls back to fetches once the observed head
-// moves. Get takes no lock: the entry map is read-only after construction
-// and the watermarks are atomic.
+// Get takes no lock: the entry map is read-only after construction and the
+// watermarks are atomic.
 type StaticCache struct {
 	name     string
 	entries  map[int64]*staticEntry
 	vertices int // vertices with cached neighborhoods
 }
 
-// NewStaticCache caches the 1..depth-hop out-neighborhoods of every vertex
-// in vs, reporting itself as name.
-func NewStaticCache(g *graph.Graph, name string, vs []graph.ID, depth int) *StaticCache {
+// NewStaticCache caches the out-neighbor list of every vertex in vs under
+// every edge type, reporting itself as name. Each list is held exactly as a
+// server serves it (duplicates and self-loops included), so a hit draws
+// what a fetch would.
+func NewStaticCache(g *graph.Graph, name string, vs []graph.ID) *StaticCache {
 	nt := g.Schema().NumEdgeTypes()
 	checkEdgeTypes(nt)
-	s := g.AcquireScratch()
-	defer g.ReleaseScratch(s)
 	c := &StaticCache{name: name, entries: make(map[int64]*staticEntry)}
 	for _, v := range vs {
-		for h := 1; h <= depth; h++ {
-			for t := 0; t < nt; t++ {
-				// Hop 1 holds the adjacency list exactly as a server
-				// serves it (duplicates and self-loops included), so a hit
-				// draws what a fetch would; deeper hops hold frontiers.
-				ns := g.OutNeighbors(v, graph.EdgeType(t))
-				if h > 1 {
-					ns = g.KHopFrontierType(v, graph.EdgeType(t), h, s)
-				}
-				c.entries[hopKey(v, graph.EdgeType(t), h)] = &staticEntry{nbrs: append([]graph.ID(nil), ns...)}
-			}
+		for t := 0; t < nt; t++ {
+			ns := g.OutNeighbors(v, graph.EdgeType(t))
+			c.entries[cacheKey(v, graph.EdgeType(t))] = &staticEntry{nbrs: append([]graph.ID(nil), ns...)}
 		}
 	}
-	if depth > 0 && nt > 0 {
-		// Every cached vertex holds depth*nt entries, whatever repeats vs has.
-		c.vertices = len(c.entries) / (depth * nt)
+	if nt > 0 {
+		// Every cached vertex holds nt entries, whatever repeats vs has.
+		c.vertices = len(c.entries) / nt
 	}
 	return c
 }
@@ -182,8 +173,9 @@ func SelectImportant(g *graph.Graph, h int, tau float64) []graph.ID {
 }
 
 // NewImportanceCacheTopFraction caches the top-frac fraction of vertices
-// ranked by Imp^(h); used by the Figure 9 sweep where the x-axis is the
-// cached-vertex percentage rather than the threshold.
+// ranked by Imp^(h), h the depth of the importance score; used by the
+// Figure 9 sweep where the x-axis is the cached-vertex percentage rather
+// than the threshold.
 func NewImportanceCacheTopFraction(g *graph.Graph, h int, frac float64) *StaticCache {
 	imps := g.ImportanceAll(h)
 	order := make([]graph.ID, len(imps))
@@ -191,11 +183,11 @@ func NewImportanceCacheTopFraction(g *graph.Graph, h int, frac float64) *StaticC
 		order[i] = graph.ID(i)
 	}
 	sort.Slice(order, func(a, b int) bool { return imps[order[a]] > imps[order[b]] })
-	return NewStaticCache(g, "importance", order[:int(frac*float64(len(order)))], h)
+	return NewStaticCache(g, "importance", order[:int(frac*float64(len(order)))])
 }
 
-func (c *StaticCache) Get(v graph.ID, t graph.EdgeType, h int, epoch uint64) ([]graph.ID, GetKind) {
-	e, ok := c.entries[hopKey(v, t, h)]
+func (c *StaticCache) Get(v graph.ID, t graph.EdgeType, epoch uint64) ([]graph.ID, GetKind) {
+	e, ok := c.entries[cacheKey(v, t)]
 	switch {
 	case !ok:
 		return nil, KindMiss
@@ -206,14 +198,11 @@ func (c *StaticCache) Get(v graph.ID, t graph.EdgeType, h int, epoch uint64) ([]
 	}
 }
 
-// Observe re-validates: an existing hop-1 entry whose install stamp matches
-// the reply's Since is the same list, so its validity extends to the
-// serving epoch; anything else is ignored.
-func (c *StaticCache) Observe(v graph.ID, t graph.EdgeType, h int, epoch, since uint64, _ []graph.ID) {
-	if h != 1 {
-		return
-	}
-	if e, ok := c.entries[hopKey(v, t, h)]; ok && e.since == since {
+// Observe re-validates: an existing entry whose install stamp matches the
+// reply's Since is the same list, so its validity extends to the serving
+// epoch; anything else is ignored.
+func (c *StaticCache) Observe(v graph.ID, t graph.EdgeType, epoch, since uint64, _ []graph.ID) {
+	if e, ok := c.entries[cacheKey(v, t)]; ok && e.since == since {
 		e.extendThrough(epoch)
 	}
 }
@@ -243,7 +232,7 @@ type lruEntryVal struct {
 }
 
 // LRUNeighborCache admits every fetched neighborhood and evicts the least
-// recently used, holding at most capacity (vertex, hop) entries. Frequent
+// recently used, holding at most capacity (vertex, edge type) entries. Frequent
 // replacement churn is its cost relative to the static importance cache.
 // Entries are epoch-tagged: a Get at an epoch outside an entry's validity
 // interval misses (counted separately as an epoch miss) and the
@@ -266,10 +255,10 @@ func NewLRUNeighborCache(capacity int) *LRUNeighborCache {
 	return &LRUNeighborCache{lru: NewLRU[*lruEntryVal](capacity)}
 }
 
-func (c *LRUNeighborCache) Get(v graph.ID, t graph.EdgeType, h int, epoch uint64) ([]graph.ID, GetKind) {
+func (c *LRUNeighborCache) Get(v graph.ID, t graph.EdgeType, epoch uint64) ([]graph.ID, GetKind) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	if e, ok := c.lru.Get(hopKey(v, t, h)); ok {
+	if e, ok := c.lru.Get(cacheKey(v, t)); ok {
 		if e.since <= epoch && epoch <= e.through {
 			c.hits++
 			return e.nbrs, KindHit
@@ -281,10 +270,10 @@ func (c *LRUNeighborCache) Get(v graph.ID, t graph.EdgeType, h int, epoch uint64
 	return nil, KindMiss
 }
 
-func (c *LRUNeighborCache) Observe(v graph.ID, t graph.EdgeType, h int, epoch, since uint64, nbrs []graph.ID) {
+func (c *LRUNeighborCache) Observe(v graph.ID, t graph.EdgeType, epoch, since uint64, nbrs []graph.ID) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	key := hopKey(v, t, h)
+	key := cacheKey(v, t)
 	if e, ok := c.lru.Get(key); ok {
 		if e.since == since {
 			// Same installed list observed at a newer epoch: re-validate.
@@ -316,9 +305,8 @@ func (c *LRUNeighborCache) Flush() {
 
 func (c *LRUNeighborCache) Name() string { return "lru" }
 
-// CachedVertices reports the resident entry count — (vertex, type, hop)
-// keys, an upper bound on distinct hop-1 vertices (unchanged semantics
-// from the pre-versioned cache).
+// CachedVertices reports the resident entry count — (vertex, edge type)
+// keys, an upper bound on distinct cached vertices.
 func (c *LRUNeighborCache) CachedVertices() int {
 	c.mu.Lock()
 	defer c.mu.Unlock()
@@ -350,9 +338,9 @@ func (c *LRUNeighborCache) HitRate() float64 {
 // NoCache disables neighbor caching; every access is remote.
 type NoCache struct{}
 
-func (NoCache) Get(graph.ID, graph.EdgeType, int, uint64) ([]graph.ID, GetKind)   { return nil, KindMiss }
-func (NoCache) Observe(graph.ID, graph.EdgeType, int, uint64, uint64, []graph.ID) {}
-func (NoCache) Admits() bool                                                      { return false }
-func (NoCache) Flush()                                                            {}
-func (NoCache) Name() string                                                      { return "none" }
-func (NoCache) CachedVertices() int                                               { return 0 }
+func (NoCache) Get(graph.ID, graph.EdgeType, uint64) ([]graph.ID, GetKind)   { return nil, KindMiss }
+func (NoCache) Observe(graph.ID, graph.EdgeType, uint64, uint64, []graph.ID) {}
+func (NoCache) Admits() bool                                                 { return false }
+func (NoCache) Flush()                                                       {}
+func (NoCache) Name() string                                                 { return "none" }
+func (NoCache) CachedVertices() int                                          { return 0 }

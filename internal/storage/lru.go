@@ -3,7 +3,7 @@
 // indices I_V and I_E fronted by LRU caches, and neighbor caching of
 // important vertices selected by the Imp^(k) metric (Algorithm 2:
 // SelectImportant picks the vertices, NewStaticCache caches their
-// 1..k-hop neighborhoods). A cluster worker's client holds the neighbor
+// neighbor lists). A cluster worker's client holds the neighbor
 // cache; a single-process graph has no remote fetch for it to save.
 //
 // # Epoch-aware neighbor-cache seam

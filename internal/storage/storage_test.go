@@ -181,20 +181,15 @@ func TestSelectImportant(t *testing.T) {
 
 func TestImportanceCache(t *testing.T) {
 	g := hubGraph(10)
-	c := NewStaticCache(g, "importance", SelectImportant(g, 1, 5.0), 2)
+	c := NewStaticCache(g, "importance", SelectImportant(g, 1, 5.0))
 	if c.CachedVertices() != 1 {
 		t.Fatalf("cached = %d", c.CachedVertices())
 	}
-	ns, kind := c.Get(0, 0, 1, 0)
+	ns, kind := c.Get(0, 0, 0)
 	if kind != KindHit || len(ns) != 1 || ns[0] != 1 {
-		t.Fatalf("hop1(hub) = %v,%v", ns, kind)
+		t.Fatalf("Get(hub) = %v,%v", ns, kind)
 	}
-	// Hop 2 of the hub is empty (sink has no out-edges) but must be cached.
-	ns2, kind2 := c.Get(0, 0, 2, 0)
-	if kind2 != KindHit || len(ns2) != 0 {
-		t.Fatalf("hop2(hub) = %v,%v", ns2, kind2)
-	}
-	if _, kind := c.Get(2, 0, 1, 0); kind == KindHit {
+	if _, kind := c.Get(2, 0, 0); kind == KindHit {
 		t.Fatal("spoke should not be cached")
 	}
 }
@@ -207,37 +202,37 @@ func TestImportanceCacheTopFraction(t *testing.T) {
 		t.Fatalf("cached = %d want %d", c.CachedVertices(), want)
 	}
 	// The hub must rank first.
-	if _, kind := c.Get(0, 0, 1, 0); kind != KindHit {
+	if _, kind := c.Get(0, 0, 0); kind != KindHit {
 		t.Fatal("hub should be among the top fraction")
 	}
 }
 
 func TestLRUNeighborCache(t *testing.T) {
 	c := NewLRUNeighborCache(2)
-	if _, kind := c.Get(1, 0, 1, 0); kind == KindHit {
+	if _, kind := c.Get(1, 0, 0); kind == KindHit {
 		t.Fatal("empty cache hit")
 	}
-	c.Observe(1, 0, 1, 0, 0, []graph.ID{2})
-	c.Observe(2, 0, 1, 0, 0, []graph.ID{3})
-	c.Observe(3, 0, 1, 0, 0, []graph.ID{4}) // evicts (1,0,1)
-	if _, kind := c.Get(1, 0, 1, 0); kind == KindHit {
+	c.Observe(1, 0, 0, 0, []graph.ID{2})
+	c.Observe(2, 0, 0, 0, []graph.ID{3})
+	c.Observe(3, 0, 0, 0, []graph.ID{4}) // evicts (1,0)
+	if _, kind := c.Get(1, 0, 0); kind == KindHit {
 		t.Fatal("expected eviction of oldest entry")
 	}
-	if ns, kind := c.Get(3, 0, 1, 0); kind != KindHit || ns[0] != 4 {
+	if ns, kind := c.Get(3, 0, 0); kind != KindHit || ns[0] != 4 {
 		t.Fatalf("get(3) = %v,%v", ns, kind)
 	}
 	// Entries are keyed by edge type: type 1 of vertex 3 is a miss.
-	if _, kind := c.Get(3, 1, 1, 0); kind == KindHit {
+	if _, kind := c.Get(3, 1, 0); kind == KindHit {
 		t.Fatal("cross-type cache hit")
 	}
 }
 
 func TestNoCache(t *testing.T) {
 	var c NoCache
-	if _, kind := c.Get(1, 0, 1, 0); kind == KindHit {
+	if _, kind := c.Get(1, 0, 0); kind == KindHit {
 		t.Fatal("NoCache must always miss")
 	}
-	c.Observe(1, 0, 1, 0, 0, nil)
+	c.Observe(1, 0, 0, 0, nil)
 	if c.CachedVertices() != 0 || c.Name() != "none" {
 		t.Fatal("NoCache identity")
 	}
@@ -280,31 +275,31 @@ func TestCacheRateDecreasesWithThreshold(t *testing.T) {
 func TestLRUNeighborCacheEpochValidity(t *testing.T) {
 	c := NewLRUNeighborCache(8)
 	old := []graph.ID{2, 3}
-	c.Observe(1, 0, 1, 0, 0, old) // fetched at epoch 0, installed at 0
-	if _, kind := c.Get(1, 0, 1, 0); kind != KindHit {
+	c.Observe(1, 0, 0, 0, old) // fetched at epoch 0, installed at 0
+	if _, kind := c.Get(1, 0, 0); kind != KindHit {
 		t.Fatal("entry must be valid at its fetch epoch")
 	}
 	// Epoch 3 is past the entry's known-unchanged horizon: epoch miss.
-	if _, kind := c.Get(1, 0, 1, 3); kind == KindHit {
+	if _, kind := c.Get(1, 0, 3); kind == KindHit {
 		t.Fatal("entry served past its validity interval")
 	}
 	if h, m, em := c.Counters(); h != 1 || m != 0 || em != 1 {
 		t.Fatalf("counters = %d/%d/%d, want 1 hit, 0 misses, 1 epoch miss", h, m, em)
 	}
 	// Re-validation: same install stamp observed at epoch 3 extends.
-	c.Observe(1, 0, 1, 3, 0, old)
+	c.Observe(1, 0, 3, 0, old)
 	for e := uint64(0); e <= 3; e++ {
-		if ns, kind := c.Get(1, 0, 1, e); kind != KindHit || ns[0] != 2 {
+		if ns, kind := c.Get(1, 0, e); kind != KindHit || ns[0] != 2 {
 			t.Fatalf("re-validated entry invalid at epoch %d", e)
 		}
 	}
 	// Supersede: the vertex was rewritten at epoch 5.
 	rewritten := []graph.ID{9}
-	c.Observe(1, 0, 1, 5, 5, rewritten)
-	if _, kind := c.Get(1, 0, 1, 3); kind == KindHit {
+	c.Observe(1, 0, 5, 5, rewritten)
+	if _, kind := c.Get(1, 0, 3); kind == KindHit {
 		t.Fatal("pre-rewrite epoch served the rewritten list")
 	}
-	if ns, kind := c.Get(1, 0, 1, 5); kind != KindHit || ns[0] != 9 {
+	if ns, kind := c.Get(1, 0, 5); kind != KindHit || ns[0] != 9 {
 		t.Fatalf("rewritten entry not served at its epoch: %v %v", ns, kind)
 	}
 	if c.HitRate() <= 0 {
@@ -317,30 +312,30 @@ func TestLRUNeighborCacheEpochValidity(t *testing.T) {
 // never admit new keys, and drop out for vertices an update rewrote.
 func TestStaticCacheEpochRevalidation(t *testing.T) {
 	g := hubGraph(10)
-	c := NewStaticCache(g, "importance", SelectImportant(g, 1, 5.0), 1)
-	if _, kind := c.Get(0, 0, 1, 0); kind != KindHit {
+	c := NewStaticCache(g, "importance", SelectImportant(g, 1, 5.0))
+	if _, kind := c.Get(0, 0, 0); kind != KindHit {
 		t.Fatal("hub not cached at build epoch")
 	}
 	// A later epoch misses until re-validated.
-	if _, kind := c.Get(0, 0, 1, 2); kind == KindHit {
+	if _, kind := c.Get(0, 0, 2); kind == KindHit {
 		t.Fatal("static cache answered an unvalidated epoch")
 	}
-	c.Observe(0, 0, 1, 2, 0, nil) // reply: still the epoch-0 list at epoch 2
-	if _, kind := c.Get(0, 0, 1, 2); kind != KindHit {
+	c.Observe(0, 0, 2, 0, nil) // reply: still the epoch-0 list at epoch 2
+	if _, kind := c.Get(0, 0, 2); kind != KindHit {
 		t.Fatal("re-validated static entry still missing")
 	}
-	if _, kind := c.Get(0, 0, 1, 1); kind != KindHit {
+	if _, kind := c.Get(0, 0, 1); kind != KindHit {
 		t.Fatal("interval [0,2] must cover epoch 1")
 	}
 	// The vertex was rewritten at epoch 4: the stamp mismatch means the
 	// static entry can never re-validate past it.
-	c.Observe(0, 0, 1, 4, 4, []graph.ID{5})
-	if _, kind := c.Get(0, 0, 1, 4); kind == KindHit {
+	c.Observe(0, 0, 4, 4, []graph.ID{5})
+	if _, kind := c.Get(0, 0, 4); kind == KindHit {
 		t.Fatal("static cache served a vertex an update rewrote")
 	}
 	// Static membership: observes never admit new keys.
-	c.Observe(2, 0, 1, 0, 0, []graph.ID{0})
-	if _, kind := c.Get(2, 0, 1, 0); kind == KindHit {
+	c.Observe(2, 0, 0, 0, []graph.ID{0})
+	if _, kind := c.Get(2, 0, 0); kind == KindHit {
 		t.Fatal("static cache admitted a new entry")
 	}
 	if c.Admits() {
