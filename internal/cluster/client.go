@@ -331,49 +331,99 @@ func (c *Client) AttrsAt(vs []graph.ID, pin *sampling.Pin) ([][]float64, error) 
 // attrsObserve is the attrs fetch core: note (nil to skip) receives each
 // contributing server's partition, sub-batch and reply, whose attribute
 // epoch and per-row install epochs AttrCache uses for invalidation.
+//
+// The (ID, position) pairs of vs are sorted by owning part, then ID, so
+// each part's distinct IDs are requested once, in ascending order, and
+// every position of a vertex takes its one row in a walk over the pairs.
 func (c *Client) attrsObserve(vs []graph.ID, pin *sampling.Pin, note func(part int, batch []graph.ID, reply *AttrsReply)) ([][]float64, error) {
-	out := make([][]float64, len(vs))
-	res := make(map[graph.ID][]float64, len(vs))
-	subBatch := make(map[int][]graph.ID)
-	for _, v := range vs {
-		if _, seen := res[v]; seen {
+	pairs := c.sortByPartID(vs)
+	var parts []int
+	batch := make([][]graph.ID, c.Assign.P) // part p's distinct IDs, ascending
+	uniq := make([]graph.ID, 0, len(vs))
+	for k, e := range pairs {
+		if k > 0 && e.v == pairs[k-1].v {
 			continue
 		}
-		res[v] = nil
-		p := c.Assign.Part(v)
-		subBatch[p] = append(subBatch[p], v)
+		p := c.Assign.Part(e.v)
+		if len(parts) == 0 || parts[len(parts)-1] != p {
+			parts = append(parts, p)
+		}
+		uniq = append(uniq, e.v) // a part's IDs are contiguous in uniq
+		batch[p] = uniq[len(uniq)-len(batch[p])-1 : len(uniq) : len(uniq)]
 	}
-	parts := sortedParts(subBatch)
 	replies := make([]AttrsReply, len(parts))
 	errs := c.scatter(parts, func(i, p int) error {
-		req := AttrsRequest{Vertices: subBatch[p]}
+		req := AttrsRequest{Vertices: batch[p]}
 		req.Pin, req.Pinned = pinFields(pin, p)
 		return c.timed(MAttrs, func() error { return c.T.Attrs(p, req, &replies[i]) })
 	})
+	rows := make([][]float64, 0, len(uniq)) // aligned with uniq
 	for i, p := range parts {
 		if errs[i] != nil {
 			return nil, errs[i]
 		}
-		batch := subBatch[p]
 		reply := &replies[i]
 		c.observe(p, nil, pin, reply.Epoch, reply.Head, reply.AttrHead)
-		if len(reply.Attrs) != len(batch) {
-			return nil, rowsError(p, "attribute rows", len(reply.Attrs), len(batch))
+		if n := reply.Attrs.Len(); n != len(batch[p]) {
+			return nil, rowsError(p, "attribute rows", n, len(batch[p]))
 		}
-		if len(reply.Since) < len(batch) {
-			return nil, rowsError(p, "row install stamps", len(reply.Since), len(batch))
+		if len(reply.Since) < len(batch[p]) {
+			return nil, rowsError(p, "row install stamps", len(reply.Since), len(batch[p]))
 		}
 		if note != nil {
-			note(p, batch, reply)
+			note(p, batch[p], reply)
 		}
-		for j, v := range batch {
-			res[v] = reply.Attrs[j]
-		}
+		rows = reply.Attrs.AppendRows(rows)
 	}
-	for i, v := range vs {
-		out[i] = res[v]
+	out := make([][]float64, len(vs))
+	j := -1
+	for k, e := range pairs {
+		if k == 0 || e.v != pairs[k-1].v {
+			j++
+		}
+		out[e.pos] = rows[j]
 	}
 	return out, nil
+}
+
+// idPos is a vertex ID and its position in a batch.
+type idPos struct {
+	v   graph.ID
+	pos int
+}
+
+// sortByPartID returns vs's (ID, position) pairs sorted by owning part,
+// then ID, then position: a stable LSD radix sort, a byte of the ID per
+// pass, then a pass by part.
+func (c *Client) sortByPartID(vs []graph.ID) []idPos {
+	pairs, tmp := make([]idPos, len(vs)), make([]idPos, len(vs))
+	var bits uint64
+	for i, v := range vs {
+		pairs[i] = idPos{v, i}
+		bits |= uint64(v)
+	}
+	start := make([]int, max(256, c.Assign.P)+1)
+	pass := func(buckets int, key func(idPos) int) {
+		start := start[:buckets+1]
+		clear(start)
+		for _, e := range pairs {
+			start[key(e)+1]++
+		}
+		for d := range buckets {
+			start[d+1] += start[d]
+		}
+		for _, e := range pairs {
+			k := key(e)
+			tmp[start[k]] = e
+			start[k]++
+		}
+		pairs, tmp = tmp, pairs
+	}
+	for shift := 0; shift < 64 && bits>>shift != 0; shift += 8 {
+		pass(256, func(e idPos) int { return int(uint64(e.v) >> shift & 0xff) })
+	}
+	pass(c.Assign.P, func(e idPos) int { return c.Assign.Part(e.v) })
+	return pairs
 }
 
 // epochView is a single-consumer view of a shared Client that records the

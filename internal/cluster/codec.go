@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"math"
 	"slices"
+	"sync"
 
 	"repro/internal/graph"
 )
@@ -19,10 +20,20 @@ import (
 // Scalars are 8 bytes (int, int64, uint64, float64 bits), 4 (int32 and the
 // int32 ID types) or 1 (bool, method index). A slice is a uint64 len+1, 0
 // meaning nil, then its elements; a string is a uint64 length then its
-// bytes. Decoding checks every length against the bytes that remain before
-// it allocates, copies everything it keeps (nothing aliases the input), and
-// rejects bools other than 0/1 and trailing bytes, so each value has exactly
-// one encoding.
+// bytes. Two slice kinds have a second, narrower form, picked from their
+// content (the form is a function of the value, never an option):
+//
+//   - an integer column (nums: IDs, install stamps, counts) puts a width
+//     byte after its header, 4 when every element's uint64 bits fit in a
+//     uint32 and 8 otherwise, and then its elements at that width;
+//   - a batch of attribute rows (AttrRows, built by packRows) carries a
+//     table of its distinct float64 bit patterns and a one-byte code per
+//     value when at most maxCodes patterns occur, and raw rows otherwise.
+//
+// Decoding checks every length against the bytes that remain before it
+// allocates, copies everything it keeps (nothing aliases the input), and
+// rejects bools other than 0/1, trailing bytes and any form its content
+// would not have picked, so each value has exactly one encoding.
 
 // wire is one pass over a value's layout: sizing (counting the bytes an
 // encoding takes), encoding or decoding.
@@ -114,21 +125,64 @@ func num[T word](w *wire, p *T) {
 	}
 }
 
-// nums is a slice of 8-byte integers.
+// numWidth is the one rule for an integer column's element width: 4 bytes
+// when every element's bits fit in a uint32, else 8.
+func numWidth[T word](s []T) int {
+	for _, v := range s {
+		if uint64(v) > math.MaxUint32 {
+			return 8
+		}
+	}
+	return 4
+}
+
+// nums is an integer column: its header, its width byte (numWidth) and its
+// elements at that width.
 func nums[T word](w *wire, p *[]T) {
-	n, ok := w.head(len(*p), *p == nil, 8)
+	n, ok := w.head(len(*p), *p == nil, 4)
 	switch {
 	case !ok:
 	case w.sizing:
-		w.n += 8 * n
+		w.n += 1 + numWidth(*p)*n
 	case !w.decoding:
-		for _, v := range *p {
-			w.buf = le.AppendUint64(w.buf, uint64(v))
+		width := numWidth(*p)
+		w.buf = append(w.buf, byte(width))
+		if width == 4 {
+			for _, v := range *p {
+				w.buf = le.AppendUint32(w.buf, uint32(v))
+			}
+		} else {
+			for _, v := range *p {
+				w.buf = le.AppendUint64(w.buf, uint64(v))
+			}
 		}
 	default:
-		s, b := make([]T, n), w.take(8*uint64(n))
-		for i := range s {
-			s[i] = T(le.Uint64(b[8*i:]))
+		wb := w.take(1)
+		if wb == nil {
+			return
+		}
+		width := int(wb[0])
+		if width != 4 && width != 8 {
+			w.err = fmt.Errorf("integer column width %d", width)
+			return
+		}
+		b := w.take(uint64(width) * uint64(n))
+		if b == nil {
+			return
+		}
+		s := make([]T, n)
+		if width == 4 {
+			for i := range s {
+				s[i] = T(le.Uint32(b[4*i:]))
+			}
+		} else {
+			for i := range s {
+				s[i] = T(le.Uint64(b[8*i:]))
+			}
+		}
+		if numWidth(s) != width {
+			w.err = fmt.Errorf("%d-byte integer column whose values fit in %d bytes", width, numWidth(s))
+			return
 		}
 		*p = s
 	}
@@ -215,9 +269,9 @@ func (w *wire) str(p *string) {
 }
 
 // list is a slice whose elements have layout elem and encode to at least
-// size bytes each. Attribute and adjacency rows are lists of slices, so each
-// decoded row is its own allocation: caches admit rows without copying,
-// and a row must not pin the rest of its reply.
+// size bytes each. Attribute, code and adjacency rows are lists of slices,
+// so each decoded row is its own allocation: caches admit rows without
+// copying, and a row must not pin the rest of its reply.
 func list[T any](w *wire, p *[]T, size uint64, elem func(*wire, *T)) {
 	n, ok := w.head(len(*p), *p == nil, size)
 	if !ok {
@@ -237,7 +291,244 @@ func strs(w *wire, p *[]string) { list(w, p, 8, (*wire).str) }
 
 func idRows(w *wire, p *[][]graph.ID) { list(w, p, 8, nums[graph.ID]) }
 
+// f64Rows is the raw form of attribute rows: 8 bytes per value.
 func f64Rows(w *wire, p *[][]float64) { list(w, p, 8, f64s) }
+
+// byteRow is one code row of AttrRows: a slice of bytes.
+func byteRow(w *wire, p *[]byte) {
+	n, ok := w.head(len(*p), *p == nil, 1)
+	switch {
+	case !ok:
+	case w.sizing:
+		w.n += n
+	case !w.decoding:
+		w.buf = append(w.buf, *p...)
+	default:
+		if b := w.take(uint64(n)); b != nil {
+			*p = append(make([]byte, 0, n), b...)
+		}
+	}
+}
+
+// attrRowsWire is AttrRows' layout. Decoding rejects a form packRows would
+// not have picked for the rows it holds.
+func attrRowsWire(w *wire, r *AttrRows) {
+	f64s(w, &r.Table)
+	list(w, &r.Codes, 8, byteRow)
+	f64Rows(w, &r.Raw)
+	if w.decoding && w.err == nil {
+		w.err = r.canonical()
+	}
+}
+
+// maxCodes is the largest table a one-byte code can index.
+const maxCodes = 256
+
+// codeSet assigns codes to distinct float64 bit patterns in first-appearance
+// order, up to maxCodes of them. It is an open-addressing hash table over
+// twice that many slots, so a lookup costs the same whatever the table
+// holds.
+type codeSet struct {
+	slot [2 * maxCodes]uint16 // code+1 of the pattern hashed here; 0 is empty
+	bits [maxCodes]uint64     // each code's pattern
+	n    int
+}
+
+// codeSets recycles emptied sets: at 3 KB, one on the stack would make
+// every RPC handler goroutine, which starts with a smaller stack, grow it.
+var codeSets = sync.Pool{New: func() any { return new(codeSet) }}
+
+// newCodeSet returns an empty set; release returns it to codeSets.
+func newCodeSet() *codeSet { return codeSets.Get().(*codeSet) }
+
+func (s *codeSet) release() {
+	*s = codeSet{}
+	codeSets.Put(s)
+}
+
+// slot returns the slot bits hashes to first: the top 9 bits of a
+// multiplicative hash, for 2*maxCodes slots.
+func slot(bits uint64) uint64 { return (bits * 0x9e3779b97f4a7c15) >> 55 }
+
+// hits writes the codes of row's values to cs while they are already in
+// the set, and returns how many it wrote. It is kept out of line, and makes
+// no calls, so the compiler keeps its loop in registers.
+//
+//go:noinline
+func (s *codeSet) hits(row []float64, cs []byte) int {
+	cs = cs[:len(row)]
+	for j, v := range row {
+		bits := math.Float64bits(v)
+		c := s.slot[slot(bits)]
+		if c == 0 || s.bits[byte(c-1)] != bits {
+			return j
+		}
+		cs[j] = byte(c - 1)
+	}
+	return len(row)
+}
+
+// code returns the code+1 of bits, giving a new pattern the next code; 0
+// once a pattern past maxCodes appears. fresh reports a new pattern.
+func (s *codeSet) code(bits uint64) (c uint16, fresh bool) {
+	at := slot(bits)
+	for c = s.slot[at]; c != 0; c = s.slot[at] {
+		if s.bits[byte(c-1)] == bits {
+			return c, false
+		}
+		at = (at + 1) & (2*maxCodes - 1)
+	}
+	if s.n == maxCodes {
+		return 0, true
+	}
+	s.bits[s.n] = bits
+	s.n++
+	s.slot[at] = uint16(s.n)
+	return s.slot[at], true
+}
+
+// packRows picks the wire form of rows: coded when they hold at most
+// maxCodes distinct bit patterns, raw otherwise; nil rows are the zero
+// AttrRows. The code rows share one buffer (a client expands them and
+// keeps none); a nil row stays nil.
+func packRows(rows [][]float64) AttrRows {
+	if rows == nil {
+		return AttrRows{}
+	}
+	total := 0
+	for _, row := range rows {
+		total += len(row)
+	}
+	set := newCodeSet()
+	defer set.release()
+	table := []float64{}
+	buf := make([]byte, total)
+	codes := make([][]byte, len(rows))
+	k := 0
+	for i, row := range rows {
+		if row == nil {
+			continue
+		}
+		cs := buf[k : k+len(row) : k+len(row)]
+		k += len(row)
+		for j := 0; ; j++ {
+			if j += set.hits(row[j:], cs[j:]); j == len(row) {
+				break
+			}
+			c, fresh := set.code(math.Float64bits(row[j]))
+			if c == 0 {
+				return AttrRows{Raw: rows}
+			}
+			if fresh {
+				table = append(table, row[j])
+			}
+			cs[j] = byte(c - 1)
+		}
+		codes[i] = cs
+	}
+	return AttrRows{Table: table, Codes: codes}
+}
+
+// canonical reports an error unless r is the form packRows picks for the
+// rows it holds: raw rows with more than maxCodes distinct patterns, or a
+// table of at most maxCodes distinct patterns, each first used in table
+// order, and codes that index it.
+func (r *AttrRows) canonical() error {
+	switch {
+	case r.Raw != nil:
+		if r.Table != nil || r.Codes != nil {
+			return errors.New("attribute rows in both forms")
+		}
+		set := newCodeSet()
+		defer set.release()
+		for _, row := range r.Raw {
+			for _, v := range row {
+				if c, _ := set.code(math.Float64bits(v)); c == 0 {
+					return nil
+				}
+			}
+		}
+		return fmt.Errorf("raw attribute rows with %d distinct values, at most %d", set.n, maxCodes)
+	case r.Codes == nil:
+		if r.Table != nil {
+			return errors.New("an attribute table without codes")
+		}
+		return nil
+	case r.Table == nil:
+		return errors.New("attribute codes without a table")
+	case len(r.Table) > maxCodes:
+		return fmt.Errorf("attribute table of %d entries, at most %d", len(r.Table), maxCodes)
+	}
+	next := 0 // the code a new pattern gets
+	for _, row := range r.Codes {
+		var j int
+		if next, j = firstUses(row, next, len(r.Table)); j >= 0 {
+			if c := row[j]; int(c) >= len(r.Table) {
+				return fmt.Errorf("attribute code %d indexes a table of %d", c, len(r.Table))
+			}
+			return fmt.Errorf("attribute code %d first used before code %d", row[j], next)
+		}
+	}
+	if next != len(r.Table) {
+		return fmt.Errorf("attribute table entry %d unused", next)
+	}
+	set := newCodeSet()
+	defer set.release()
+	for _, v := range r.Table {
+		if _, fresh := set.code(math.Float64bits(v)); !fresh {
+			return fmt.Errorf("attribute table holds %v twice", v)
+		}
+	}
+	return nil
+}
+
+// firstUses scans a code row given the next code a new pattern gets, out
+// of n. It returns the next code after the row, and -1 or the index of the
+// first code that is out of range or used before a smaller one. It is kept
+// out of line, and makes no calls, so its loop stays in registers.
+//
+//go:noinline
+func firstUses(row []byte, next, n int) (int, int) {
+	for j, c := range row {
+		if int(c) < next {
+			continue
+		}
+		if int(c) > next || next == n {
+			return next, j
+		}
+		next++
+	}
+	return next, -1
+}
+
+// Len reports how many attribute rows r holds.
+func (r *AttrRows) Len() int {
+	if r.Raw != nil {
+		return len(r.Raw)
+	}
+	return len(r.Codes)
+}
+
+// AppendRows appends r's attribute rows to dst, expanding coded ones; each
+// expanded row is its own allocation, so a cache can keep it.
+func (r *AttrRows) AppendRows(dst [][]float64) [][]float64 {
+	if r.Codes == nil {
+		return append(dst, r.Raw...)
+	}
+	var table [maxCodes]float64
+	copy(table[:], r.Table)
+	for _, cs := range r.Codes {
+		var row []float64
+		if cs != nil {
+			row = make([]float64, len(cs))
+			for j, c := range cs {
+				row[j] = table[c]
+			}
+		}
+		dst = append(dst, row)
+	}
+	return dst
+}
 
 // encode appends v's wire form under layout to b, growing b once.
 func encode[T any](b []byte, v *T, layout func(*wire, *T)) []byte {
@@ -321,7 +612,7 @@ func attrsRequestWire(w *wire, r *AttrsRequest) {
 }
 
 func attrsReplyWire(w *wire, r *AttrsReply) {
-	f64Rows(w, &r.Attrs)
+	attrRowsWire(w, &r.Attrs)
 	nums(w, &r.Since)
 	num(w, &r.Epoch)
 	num(w, &r.AttrEpoch)

@@ -43,6 +43,61 @@ func TestWireRoundTrip(t *testing.T) {
 			checkRoundTrip(t, m, "reply", reply.Interface(), spec.putReply, spec.getReply)
 		}
 	}
+	for _, c := range wireBoundaries() {
+		spec := &methods[c.m]
+		put, get, what := spec.putReq, spec.getReq, "request "+c.name
+		if c.reply {
+			put, get, what = spec.putReply, spec.getReply, "reply "+c.name
+		}
+		if n := len(put(nil, c.v)); n != c.size {
+			t.Errorf("%v %s: %d bytes, want %d", c.m, what, n, c.size)
+		}
+		checkRoundTrip(t, c.m, what, c.v, put, get)
+	}
+}
+
+// wireCase is one value on a boundary of the narrow forms, with the size
+// of its encoding, which shows the form it took.
+type wireCase struct {
+	name  string
+	m     Method
+	reply bool
+	v     any // a request value or a reply pointer
+	size  int
+}
+
+// wireBoundaries lists values on each boundary of the narrow forms: the
+// largest coded attribute table and one pattern past it, a table holding
+// -0 and +0 and two NaN payloads, integer columns whose largest value is
+// 2^32-1 and 2^32, and a negative ID.
+func wireBoundaries() []wireCase {
+	distinct := func(n int) [][]float64 {
+		row := make([]float64, n)
+		for i := range row {
+			row[i] = float64(i) / 3
+		}
+		return [][]float64{row, row[:1]}
+	}
+	attrs := func(rows [][]float64) *AttrsReply {
+		return &AttrsReply{Attrs: packRows(rows), Since: make([]uint64, len(rows))}
+	}
+	nan1, nan2 := math.Float64frombits(0x7ff8000000000001), math.Float64frombits(0x7ff8000000000002)
+	const replyScalars, since2 = 4 * 8, 8 + 1 + 2*4
+	return []wireCase{
+		// Table 8+8*256, code rows 8+(8+256)+(8+1), no raw rows 8.
+		{"256 patterns, coded", MAttrs, true, attrs(distinct(256)), 2056 + 281 + 8 + since2 + replyScalars},
+		// No table 8, no codes 8, raw rows 8+(8+8*257)+(8+8).
+		{"257 patterns, raw", MAttrs, true, attrs(distinct(257)), 16 + 2088 + since2 + replyScalars},
+		{"signed zeros and NaN payloads", MAttrs, true, attrs([][]float64{{0, math.Copysign(0, -1), nan1, nan2, 0, nan2}}),
+			40 + 8 + 14 + 8 + (8 + 1 + 4) + replyScalars},
+		{"largest ID 2^32-1", MAttrs, false, AttrsRequest{Vertices: []graph.ID{0, 1<<32 - 1}}, 8 + 1 + 2*4 + 9},
+		{"largest ID 2^32", MAttrs, false, AttrsRequest{Vertices: []graph.ID{0, 1 << 32}}, 8 + 1 + 2*8 + 9},
+		{"negative ID", MAttrs, false, AttrsRequest{Vertices: []graph.ID{3, -1}}, 8 + 1 + 2*8 + 9},
+		{"stamps to 2^32-1", MSampleNeighbors, true, &SampleReply{Samples: []graph.ID{7}, Since: []uint64{1<<32 - 1}},
+			(8 + 1 + 4) + 8 + (8 + 1 + 4) + 3*8},
+		{"stamps to 2^32", MSampleNeighbors, true, &SampleReply{Samples: []graph.ID{7}, Since: []uint64{1 << 32}},
+			(8 + 1 + 4) + 8 + (8 + 1 + 8) + 3*8},
+	}
 }
 
 func checkRoundTrip(t *testing.T, m Method, what string, v any, put func([]byte, any) []byte, get func([]byte) (any, error)) {
@@ -52,7 +107,8 @@ func checkRoundTrip(t *testing.T, m Method, what string, v any, put func([]byte,
 	if err != nil {
 		t.Fatalf("%v %s %+v: %v", m, what, v, err)
 	}
-	if !reflect.DeepEqual(got, v) {
+	// NaN is never DeepEqual to itself; its bits must re-encode exactly.
+	if !reflect.DeepEqual(got, v) && !(hasNaN(reflect.ValueOf(v)) && bytes.Equal(put(nil, got), b)) {
 		t.Errorf("%v %s: sent %#v, decoded %#v", m, what, v, got)
 	}
 	for k := range len(b) {
@@ -65,12 +121,80 @@ func checkRoundTrip(t *testing.T, m Method, what string, v any, put func([]byte,
 	}
 }
 
+// TestNonCanonicalFormsRejected: decoding rejects every form that the
+// content it carries would not have picked, so no value has two
+// encodings: attribute codes out of range or out of first-appearance
+// order, a duplicate or unused table entry, a table past maxCodes, raw
+// rows that would fit a table, rows in both forms or half of one, and an
+// integer column whose width byte disagrees with its values.
+func TestNonCanonicalFormsRejected(t *testing.T) {
+	nan := math.Float64frombits(0x7ff8000000000001)
+	wide := make([]float64, maxCodes+1)
+	narrow := make([][]float64, 1)
+	for i := range wide {
+		wide[i] = float64(i)
+	}
+	narrow[0] = wide[:maxCodes]
+	allCodes := make([]byte, maxCodes)
+	for i := range allCodes {
+		allCodes[i] = byte(i)
+	}
+	attrs := func(r AttrRows) []byte {
+		return methods[MAttrs].putReply(nil, &AttrsReply{Attrs: r, Since: []uint64{0}})
+	}
+	// An Attrs request for [1, 2^32]: header, width byte 8 at [8], then
+	// 2^32 with its low word at [17:21] and high word at [21:25].
+	ids := func(patch func([]byte)) []byte {
+		b := methods[MAttrs].putReq(nil, AttrsRequest{Vertices: []graph.ID{1, 1 << 32}})
+		patch(b)
+		return b
+	}
+	for _, c := range []struct {
+		name  string
+		reply bool
+		data  []byte
+	}{
+		{"code out of range", true, attrs(AttrRows{Table: []float64{1}, Codes: [][]byte{{0, 1}}})},
+		{"duplicate table entry", true, attrs(AttrRows{Table: []float64{1, 1}, Codes: [][]byte{{0, 1}}})},
+		{"duplicate NaN payload", true, attrs(AttrRows{Table: []float64{nan, nan}, Codes: [][]byte{{0, 1}}})},
+		{"table past maxCodes", true, attrs(AttrRows{Table: wide, Codes: [][]byte{allCodes}})},
+		{"codes out of first-appearance order", true, attrs(AttrRows{Table: []float64{1, 2}, Codes: [][]byte{{1, 0}}})},
+		{"unused table entry", true, attrs(AttrRows{Table: []float64{1, 2}, Codes: [][]byte{{0}}})},
+		{"raw rows with maxCodes patterns", true, attrs(AttrRows{Raw: narrow})},
+		{"both forms", true, attrs(AttrRows{Table: []float64{1}, Codes: [][]byte{{0}}, Raw: [][]float64{wide}})},
+		{"table without codes", true, attrs(AttrRows{Table: []float64{1}})},
+		{"codes without table", true, attrs(AttrRows{Codes: [][]byte{{}}})},
+		{"8-byte column of 4-byte values", false, ids(func(b []byte) { b[21] = 0 })},
+		{"width byte 5", false, ids(func(b []byte) { b[8] = 5 })},
+	} {
+		get := methods[MAttrs].getReq
+		if c.reply {
+			get = methods[MAttrs].getReply
+		}
+		if v, err := get(c.data); err == nil {
+			t.Errorf("%s: decoded as %+v", c.name, v)
+		}
+	}
+	if v, err := methods[MAttrs].getReq(ids(func([]byte) {})); err != nil {
+		t.Fatalf("the unpatched column: %v", err)
+	} else if vs := v.(AttrsRequest).Vertices; len(vs) != 2 || vs[1] != 1<<32 {
+		t.Fatalf("the unpatched column decoded as %v", vs)
+	}
+}
+
 // fillWire sets every field of v for the given variant: 0 leaves the zero
 // value (nil slices); 1 sets maximal scalars and empty, non-nil slices; 2
 // sets minimal scalars and three-element slices whose elements are filled
 // as variants 0, 1 and 2 (a nil row, an empty row, a full row).
 func fillWire(v reflect.Value, variant int) {
 	if variant == 0 {
+		return
+	}
+	if rows, ok := v.Addr().Interface().(*AttrRows); ok {
+		// Attribute rows take the form packRows picks for filled rows.
+		var raw [][]float64
+		fillWire(reflect.ValueOf(&raw).Elem(), variant)
+		*rows = packRows(raw)
 		return
 	}
 	switch v.Kind() {
@@ -111,8 +235,9 @@ func fillWire(v reflect.Value, variant int) {
 // takes 24 bytes, its shortest encoding 8) plus a constant. Whatever decodes
 // must re-encode to the same bytes, since each value has one encoding, and
 // decode again to a deeply equal value. The corpus is seeded with the
-// requests of TestMethodTableAgreement and a local cluster's replies, plus
-// a list-carrying SampleNeighbors pair.
+// requests of TestMethodTableAgreement and a local cluster's replies (its
+// Attrs reply coded), a list-carrying SampleNeighbors pair and the
+// boundary values of TestWireRoundTrip.
 func FuzzWireDecode(f *testing.F) {
 	g := churnTestGraph(60)
 	a, err := (partition.HashPartitioner{}).Partition(g, 2)
@@ -148,6 +273,13 @@ func FuzzWireDecode(f *testing.F) {
 	}
 	f.Add(uint8(MSampleNeighbors), false, methods[MSampleNeighbors].putReq(nil, lists))
 	f.Add(uint8(MSampleNeighbors), true, methods[MSampleNeighbors].putReply(nil, &listsReply))
+	for _, c := range wireBoundaries() {
+		if c.reply {
+			f.Add(uint8(c.m), true, methods[c.m].putReply(nil, c.v))
+		} else {
+			f.Add(uint8(c.m), false, methods[c.m].putReq(nil, c.v))
+		}
+	}
 	f.Fuzz(func(t *testing.T, m uint8, reply bool, data []byte) {
 		if m >= uint8(numMethods) {
 			return

@@ -172,7 +172,11 @@ func (c truncating) Call(ctx context.Context, part int, m Method, req, reply any
 	}
 	switch r := reply.(type) {
 	case *AttrsReply:
-		r.Attrs = r.Attrs[:len(r.Attrs)-1]
+		if r.Attrs.Codes != nil {
+			r.Attrs.Codes = r.Attrs.Codes[:len(r.Attrs.Codes)-1]
+		} else {
+			r.Attrs.Raw = r.Attrs.Raw[:len(r.Attrs.Raw)-1]
+		}
 	case *EdgesReply:
 		r.Dst = r.Dst[:len(r.Dst)-1]
 	case *NegPoolReply:

@@ -427,23 +427,37 @@ type AttrsRequest struct {
 	Pinned   bool
 }
 
-// AttrsReply carries attribute vectors aligned with the request. AttrEpoch
-// is the latest epoch <= the SERVED one that rewrote any attribute row
-// (the version of the returned rows); AttrHead is the server's newest
+// AttrsReply carries attribute vectors aligned with the request, in one of
+// AttrRows' two forms (Attrs.AppendRows expands them). AttrEpoch is the
+// latest epoch <= the SERVED one that rewrote any attribute row (the
+// version of the returned rows); AttrHead is the server's newest
 // attribute-rewriting epoch regardless of pin. Client attribute caches
 // flush when AttrHead advances and version-gate admissions on AttrEpoch.
-// Since[i] is the epoch at which Attrs[i] was installed (0 = predates every
+// Since[i] is the epoch at which row i was installed (0 = predates every
 // update) — the row-level analogue of SampleReply.Since, so an embedding
 // cache's validity interval covers feature changes exactly, per row, not
 // just via the shard-wide AttrEpoch watermark. Clients reject a reply with
 // fewer stamps than rows as malformed.
 type AttrsReply struct {
-	Attrs     [][]float64
+	Attrs     AttrRows
 	Since     []uint64
 	Epoch     uint64
 	AttrEpoch uint64
 	Head      uint64
 	AttrHead  uint64
+}
+
+// AttrRows is a batch of attribute rows in one of two forms, picked by
+// packRows from the rows themselves. When they hold at most 256 distinct
+// float64 bit patterns (Taobao-sim's hold two, 0 and 1), the coded form
+// carries each pattern once in Table, in first-appearance order, and each
+// value as a one-byte index into it in Codes, one code row per attribute
+// row. Otherwise Raw carries the rows. The zero value holds no rows. A
+// decoded AttrRows keeps its codes: AppendRows expands them.
+type AttrRows struct {
+	Table []float64
+	Codes [][]byte
+	Raw   [][]float64
 }
 
 // ServeAttrs handles a batched attribute request.
@@ -453,7 +467,7 @@ func (s *Server) ServeAttrs(req AttrsRequest, reply *AttrsReply) error {
 	if err != nil {
 		return err
 	}
-	reply.Attrs = make([][]float64, len(req.Vertices))
+	rows := make([][]float64, len(req.Vertices))
 	reply.Since = make([]uint64, len(req.Vertices))
 	reply.Epoch = view.Epoch()
 	reply.AttrEpoch = view.AttrEpoch()
@@ -464,9 +478,10 @@ func (s *Server) ServeAttrs(req AttrsRequest, reply *AttrsReply) error {
 		if !ok {
 			return fmt.Errorf("cluster: server %d does not own vertex %d", s.ID, v)
 		}
-		reply.Attrs[i] = a
+		rows[i] = a
 		reply.Since[i] = view.AttrChangedAt(v)
 	}
+	reply.Attrs = packRows(rows)
 	return nil
 }
 

@@ -56,8 +56,8 @@ func TestAttrSinceAndProbeHeads(t *testing.T) {
 	if len(ar.Since) != 1 || ar.Since[0] != 1 {
 		t.Fatalf("attr Since = %v, want [1]", ar.Since)
 	}
-	if ar.Attrs[0][0] != 7 {
-		t.Fatalf("attr row = %v, want the rewritten row", ar.Attrs[0])
+	if row := ar.Attrs.AppendRows(nil)[0]; row[0] != 7 {
+		t.Fatalf("attr row = %v, want the rewritten row", row)
 	}
 
 	// ProbeHeads observes the churn with zero data RPCs: shard 0 at head 1

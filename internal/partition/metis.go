@@ -10,7 +10,8 @@ import (
 // repeated heavy-edge matching, the coarsest graph is partitioned by greedy
 // region growing, and the partition is projected back with boundary
 // refinement at each level. As in the paper's recommendation it is the best
-// choice for sparse graphs.
+// choice for sparse graphs. It is deterministic: adjacency is scanned in
+// ascending neighbour order and every tie goes to the lowest vertex or part.
 type Metis struct {
 	// MaxCoarseVertices stops coarsening once the graph is this small;
 	// zero means 8*p.
@@ -23,28 +24,51 @@ func (Metis) Name() string { return "metis" }
 // coarseGraph is an intermediate weighted graph in the multilevel hierarchy.
 type coarseGraph struct {
 	n      int
-	vw     []int             // vertex weights (number of original vertices)
-	adj    []map[int]float64 // adjacency with accumulated edge weights
-	parent []int             // fine vertex -> coarse vertex (in the *finer* graph)
+	vw     []int   // vertex weights (number of original vertices)
+	adj    [][]nbr // adjacency with accumulated edge weights, by ascending to
+	parent []int   // fine vertex -> coarse vertex (in the *finer* graph)
+}
+
+// nbr is one weighted adjacency entry.
+type nbr struct {
+	to int
+	w  float64
+}
+
+// sortedAdj turns per-vertex weight sums into adjacency lists in ascending
+// neighbour order. Each sum was accumulated in a fixed order, so its bits
+// do not depend on map iteration.
+func sortedAdj(sums []map[int]float64) [][]nbr {
+	adj := make([][]nbr, len(sums))
+	for v, m := range sums {
+		adj[v] = make([]nbr, 0, len(m))
+		for u, w := range m {
+			adj[v] = append(adj[v], nbr{u, w})
+		}
+		sort.Slice(adj[v], func(a, b int) bool { return adj[v][a].to < adj[v][b].to })
+	}
+	return adj
 }
 
 func buildCoarse(g *graph.Graph) *coarseGraph {
 	n := g.NumVertices()
-	cg := &coarseGraph{n: n, vw: make([]int, n), adj: make([]map[int]float64, n)}
+	cg := &coarseGraph{n: n, vw: make([]int, n)}
+	sums := make([]map[int]float64, n)
 	for v := 0; v < n; v++ {
 		cg.vw[v] = 1
-		cg.adj[v] = make(map[int]float64)
+		sums[v] = make(map[int]float64)
 	}
 	for t := 0; t < g.Schema().NumEdgeTypes(); t++ {
 		g.EdgesOfType(graph.EdgeType(t), func(src, dst graph.ID, w float64) bool {
 			if src == dst {
 				return true
 			}
-			cg.adj[src][int(dst)] += w
-			cg.adj[dst][int(src)] += w
+			sums[src][int(dst)] += w
+			sums[dst][int(src)] += w
 			return true
 		})
 	}
+	cg.adj = sortedAdj(sums)
 	return cg
 }
 
@@ -67,9 +91,9 @@ func (cg *coarseGraph) coarsen() *coarseGraph {
 			continue
 		}
 		best, bestW := -1, -1.0
-		for u, w := range cg.adj[v] {
-			if match[u] == -1 && w > bestW {
-				best, bestW = u, w
+		for _, e := range cg.adj[v] {
+			if match[e.to] == -1 && e.w > bestW {
+				best, bestW = e.to, e.w
 			}
 		}
 		if best == -1 {
@@ -100,21 +124,22 @@ func (cg *coarseGraph) coarsen() *coarseGraph {
 	out := &coarseGraph{
 		n:      next,
 		vw:     make([]int, next),
-		adj:    make([]map[int]float64, next),
 		parent: coarseID,
 	}
+	sums := make([]map[int]float64, next)
 	for i := 0; i < next; i++ {
-		out.adj[i] = make(map[int]float64)
+		sums[i] = make(map[int]float64)
 	}
 	for v := 0; v < cg.n; v++ {
 		out.vw[coarseID[v]] += cg.vw[v]
-		for u, w := range cg.adj[v] {
-			cu, cv := coarseID[u], coarseID[v]
+		for _, e := range cg.adj[v] {
+			cu, cv := coarseID[e.to], coarseID[v]
 			if cu != cv {
-				out.adj[cv][cu] += w
+				sums[cv][cu] += e.w
 			}
 		}
 	}
+	out.adj = sortedAdj(sums)
 	return out
 }
 
@@ -165,9 +190,9 @@ func (cg *coarseGraph) initialPartition(p int) []int {
 		for len(frontier) > 0 && load[cur] < target {
 			v := frontier[0]
 			frontier = frontier[1:]
-			for u := range cg.adj[v] {
-				if part[u] == -1 && load[cur] < target {
-					assign(u, cur)
+			for _, e := range cg.adj[v] {
+				if part[e.to] == -1 && load[cur] < target {
+					assign(e.to, cur)
 				}
 			}
 		}
@@ -204,23 +229,20 @@ func (cg *coarseGraph) refine(part []int, p int, passes int) {
 	}
 	maxLoad := int(1.1*float64(total)/float64(p)) + 1
 
+	gain := make([]float64, p)
 	for pass := 0; pass < passes; pass++ {
 		moved := 0
 		for v := 0; v < cg.n; v++ {
 			cur := part[v]
 			// Gain of moving v to part q: sum w(v,u in q) - sum w(v,u in cur).
-			gain := make(map[int]float64)
-			var curW float64
-			for u, w := range cg.adj[v] {
-				if part[u] == cur {
-					curW += w
-				} else {
-					gain[part[u]] += w
-				}
+			clear(gain)
+			for _, e := range cg.adj[v] {
+				gain[part[e.to]] += e.w
 			}
+			curW := gain[cur]
 			bestQ, bestG := -1, 0.0
 			for q, w := range gain {
-				if g := w - curW; g > bestG && load[q]+cg.vw[v] <= maxLoad {
+				if g := w - curW; q != cur && g > bestG && load[q]+cg.vw[v] <= maxLoad {
 					bestQ, bestG = q, g
 				}
 			}

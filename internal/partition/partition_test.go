@@ -2,9 +2,11 @@ package partition
 
 import (
 	"math/rand"
+	"slices"
 	"testing"
 	"testing/quick"
 
+	"repro/internal/dataset"
 	"repro/internal/graph"
 )
 
@@ -72,6 +74,26 @@ func TestMetisBeatsHashOnClustered(t *testing.T) {
 	ah, _ := HashPartitioner{}.Partition(g, 2)
 	if am.EdgeCut(g) >= ah.EdgeCut(g) {
 		t.Fatalf("metis cut %d should beat hash cut %d", am.EdgeCut(g), ah.EdgeCut(g))
+	}
+}
+
+// TestMetisDeterministic: repeated calls on one graph return one
+// assignment, so a cluster built from a Metis partition is the same run to
+// run.
+func TestMetisDeterministic(t *testing.T) {
+	g := dataset.Taobao(dataset.TaobaoSmallConfig(0.05))
+	first, err := Metis{}.Partition(g, 4)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := range 4 {
+		a, err := Metis{}.Partition(g, 4)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !slices.Equal(a.Of, first.Of) {
+			t.Fatalf("call %d: part sizes %v, call 1: %v", i+2, a.Sizes(), first.Sizes())
+		}
 	}
 }
 
