@@ -4,9 +4,11 @@ import (
 	"context"
 	"fmt"
 	"math/rand"
+	"slices"
 	"testing"
 	"time"
 
+	"repro/internal/dataset"
 	"repro/internal/graph"
 	"repro/internal/partition"
 	"repro/internal/sampling"
@@ -261,6 +263,38 @@ func (c codecCaller) Call(ctx context.Context, part int, m Method, req, reply an
 	}
 	methods[m].copyReply(reply, dec)
 	return nil
+}
+
+// BenchmarkServeAttrs measures the shards' side of the Attrs requests of
+// one sample-shaped mini-batch (sampleBatch over Taobao-sim scale 2 and two
+// hash shards): each shard's ServeAttrs over the context vertices it owns,
+// in ascending order and pinned as a client asks, with no transport or
+// codec.
+func BenchmarkServeAttrs(b *testing.B) {
+	g := dataset.Taobao(dataset.TaobaoSmallConfig(2))
+	a, err := partition.HashPartitioner{}.Partition(g, 2)
+	if err != nil {
+		b.Fatal(err)
+	}
+	srvs := FromGraph(g, a)
+	c := NewClient(a, typed(NewLocalTransport(srvs, 0, 0)), storage.NewLRUNeighborCache(g.NumVertices()/5))
+	uniq, pin := sampleBatch(b, c)
+	defer c.Unpin(pin)
+	slices.Sort(uniq)
+	reqs := make([]AttrsRequest, len(srvs))
+	for _, v := range uniq {
+		p := a.Part(v)
+		reqs[p] = AttrsRequest{Vertices: append(reqs[p].Vertices, v), Pin: pin.Epochs[p], Pinned: true}
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for range b.N {
+		for p, srv := range srvs {
+			if err := srv.ServeAttrs(reqs[p], &AttrsReply{}); err != nil {
+				b.Fatal(err)
+			}
+		}
+	}
 }
 
 // BenchmarkAttrsWire measures Client.Attrs of 2200 distinct vertices with

@@ -6,9 +6,9 @@ import (
 	"fmt"
 	"math"
 	"slices"
-	"sync"
 
 	"repro/internal/graph"
+	"repro/internal/version"
 )
 
 // This file is the wire codec: one fixed little-endian layout per request
@@ -26,9 +26,10 @@ import (
 //   - an integer column (nums: IDs, install stamps, counts) puts a width
 //     byte after its header, 4 when every element's uint64 bits fit in a
 //     uint32 and 8 otherwise, and then its elements at that width;
-//   - a batch of attribute rows (AttrRows, built by packRows) carries a
-//     table of its distinct float64 bit patterns and a one-byte code per
-//     value when at most maxCodes patterns occur, and raw rows otherwise.
+//   - a batch of attribute rows (AttrRows, built by packRows, or by
+//     packView from a shard's coded attribute column) carries a table of
+//     its distinct float64 bit patterns and a one-byte code per value when
+//     at most maxCodes patterns occur, and raw rows otherwise.
 //
 // Decoding checks every length against the bytes that remain before it
 // allocates, copies everything it keeps (nothing aliases the input), and
@@ -322,69 +323,60 @@ func attrRowsWire(w *wire, r *AttrRows) {
 }
 
 // maxCodes is the largest table a one-byte code can index.
-const maxCodes = 256
+const maxCodes = version.MaxCodes
 
-// codeSet assigns codes to distinct float64 bit patterns in first-appearance
-// order, up to maxCodes of them. It is an open-addressing hash table over
-// twice that many slots, so a lookup costs the same whatever the table
-// holds.
-type codeSet struct {
-	slot [2 * maxCodes]uint16 // code+1 of the pattern hashed here; 0 is empty
-	bits [maxCodes]uint64     // each code's pattern
-	n    int
+// remapper turns rows of a base's codes into one reply's codes. A base
+// code's first use in the reply gets its reply code from the reply's
+// CodeSet, so that it takes the code of an equal pattern another row
+// brought in first; later uses look it up in to. Once every base code has
+// a reply code and each kept its number (as when a reply's first rows meet
+// the base's few patterns in the base's order), rows are copied.
+type remapper struct {
+	base []float64
+	to   [maxCodes]uint16 // reply code+1 of each base code; 0 until its first use
+	left int              // base codes without a reply code
+	same bool             // every mapped base code kept its number
 }
 
-// codeSets recycles emptied sets: at 3 KB, one on the stack would make
-// every RPC handler goroutine, which starts with a smaller stack, grow it.
-var codeSets = sync.Pool{New: func() any { return new(codeSet) }}
+func newRemapper(base []float64) remapper { return remapper{base: base, left: len(base), same: true} }
 
-// newCodeSet returns an empty set; release returns it to codeSets.
-func newCodeSet() *codeSet { return codeSets.Get().(*codeSet) }
-
-func (s *codeSet) release() {
-	*s = codeSet{}
-	codeSets.Put(s)
-}
-
-// slot returns the slot bits hashes to first: the top 9 bits of a
-// multiplicative hash, for 2*maxCodes slots.
-func slot(bits uint64) uint64 { return (bits * 0x9e3779b97f4a7c15) >> 55 }
-
-// hits writes the codes of row's values to cs while they are already in
-// the set, and returns how many it wrote. It is kept out of line, and makes
-// no calls, so the compiler keeps its loop in registers.
-//
-//go:noinline
-func (s *codeSet) hits(row []float64, cs []byte) int {
-	cs = cs[:len(row)]
-	for j, v := range row {
-		bits := math.Float64bits(v)
-		c := s.slot[slot(bits)]
-		if c == 0 || s.bits[byte(c-1)] != bits {
-			return j
+// codes writes to cs the reply codes of rc, a row of base codes, and
+// reports false once the reply holds more than maxCodes patterns.
+func (m *remapper) codes(set *version.CodeSet, rc, cs []byte) bool {
+	if m.left == 0 && m.same {
+		copy(cs, rc)
+		return true
+	}
+	for j := 0; ; j++ {
+		if j += remapped(rc[j:], cs[j:], &m.to); j == len(rc) {
+			return true
 		}
+		c, _ := set.Code(math.Float64bits(m.base[rc[j]]))
+		if c == 0 {
+			return false
+		}
+		m.to[rc[j]] = c
+		m.left--
+		m.same = m.same && c-1 == uint16(rc[j])
 		cs[j] = byte(c - 1)
 	}
-	return len(row)
 }
 
-// code returns the code+1 of bits, giving a new pattern the next code; 0
-// once a pattern past maxCodes appears. fresh reports a new pattern.
-func (s *codeSet) code(bits uint64) (c uint16, fresh bool) {
-	at := slot(bits)
-	for c = s.slot[at]; c != 0; c = s.slot[at] {
-		if s.bits[byte(c-1)] == bits {
-			return c, false
+// remapped writes the reply codes of rc's base codes to cs while they have
+// one, and returns how many it wrote. It is kept out of line, and makes no
+// calls, so its loop stays in registers.
+//
+//go:noinline
+func remapped(rc, cs []byte, to *[maxCodes]uint16) int {
+	cs = cs[:len(rc)]
+	for j, c := range rc {
+		r := to[c]
+		if r == 0 {
+			return j
 		}
-		at = (at + 1) & (2*maxCodes - 1)
+		cs[j] = byte(r - 1)
 	}
-	if s.n == maxCodes {
-		return 0, true
-	}
-	s.bits[s.n] = bits
-	s.n++
-	s.slot[at] = uint16(s.n)
-	return s.slot[at], true
+	return len(rc)
 }
 
 // packRows picks the wire form of rows: coded when they hold at most
@@ -399,9 +391,8 @@ func packRows(rows [][]float64) AttrRows {
 	for _, row := range rows {
 		total += len(row)
 	}
-	set := newCodeSet()
-	defer set.release()
-	table := []float64{}
+	set := version.NewCodeSet()
+	defer set.Release()
 	buf := make([]byte, total)
 	codes := make([][]byte, len(rows))
 	k := 0
@@ -411,22 +402,12 @@ func packRows(rows [][]float64) AttrRows {
 		}
 		cs := buf[k : k+len(row) : k+len(row)]
 		k += len(row)
-		for j := 0; ; j++ {
-			if j += set.hits(row[j:], cs[j:]); j == len(row) {
-				break
-			}
-			c, fresh := set.code(math.Float64bits(row[j]))
-			if c == 0 {
-				return AttrRows{Raw: rows}
-			}
-			if fresh {
-				table = append(table, row[j])
-			}
-			cs[j] = byte(c - 1)
+		if !set.Codes(row, cs) {
+			return AttrRows{Raw: rows}
 		}
 		codes[i] = cs
 	}
-	return AttrRows{Table: table, Codes: codes}
+	return AttrRows{Table: set.AppendTable([]float64{}), Codes: codes}
 }
 
 // canonical reports an error unless r is the form packRows picks for the
@@ -439,16 +420,16 @@ func (r *AttrRows) canonical() error {
 		if r.Table != nil || r.Codes != nil {
 			return errors.New("attribute rows in both forms")
 		}
-		set := newCodeSet()
-		defer set.release()
+		set := version.NewCodeSet()
+		defer set.Release()
 		for _, row := range r.Raw {
 			for _, v := range row {
-				if c, _ := set.code(math.Float64bits(v)); c == 0 {
+				if c, _ := set.Code(math.Float64bits(v)); c == 0 {
 					return nil
 				}
 			}
 		}
-		return fmt.Errorf("raw attribute rows with %d distinct values, at most %d", set.n, maxCodes)
+		return fmt.Errorf("raw attribute rows with %d distinct values, at most %d", set.Len(), maxCodes)
 	case r.Codes == nil:
 		if r.Table != nil {
 			return errors.New("an attribute table without codes")
@@ -472,10 +453,10 @@ func (r *AttrRows) canonical() error {
 	if next != len(r.Table) {
 		return fmt.Errorf("attribute table entry %d unused", next)
 	}
-	set := newCodeSet()
-	defer set.release()
+	set := version.NewCodeSet()
+	defer set.Release()
 	for _, v := range r.Table {
-		if _, fresh := set.code(math.Float64bits(v)); !fresh {
+		if _, fresh := set.Code(math.Float64bits(v)); !fresh {
 			return fmt.Errorf("attribute table holds %v twice", v)
 		}
 	}

@@ -13,11 +13,14 @@ import (
 
 // TestHostileRequestsRejected sends malformed requests — edge types outside
 // the schema, out-of-range draw widths, draw totals (vertices x width) past
-// maxDraws, added edges whose destination lies outside the vertex universe
-// — through the in-process transport and through loopback RPC. Each must come back as an error (the
-// RPC server does not recover a handler panic, so a panic would kill the
-// shard), and the server must answer a well-formed call afterwards. A client
-// sampling vertex 0 after the rejected updates must not panic either.
+// maxDraws, added edges whose destination lies outside the vertex universe,
+// Attrs and SampleNeighbors requests for vertices the shard does not own
+// (outside the universe, negative, another shard's) — through the
+// in-process transport and through loopback RPC. Each must come back as an
+// error (the RPC server does not recover a handler panic, so a panic would
+// kill the shard), and the server must answer a well-formed call
+// afterwards. A client sampling vertex 0 after the rejected updates must
+// not panic either.
 func TestHostileRequestsRejected(t *testing.T) {
 	g := churnTestGraph(60)
 	a, err := (partition.HashPartitioner{}).Partition(g, 1)
@@ -47,8 +50,12 @@ func TestHostileRequestsRejected(t *testing.T) {
 		call{"SampleNeighbors/draw total", MSampleNeighbors, overDraws},
 		call{"SampleEdges/huge count", MSampleEdges, EdgesRequest{Count: 1 << 62}},
 	)
-	for _, dst := range []graph.ID{1 << 40, -3, 60} {
-		calls = append(calls, call{"Update/destination", MUpdate, UpdateRequest{Add: []RawEdge{{Src: 0, Dst: dst}}}})
+	for _, v := range []graph.ID{1 << 40, -3, 60} {
+		calls = append(calls,
+			call{"Update/destination", MUpdate, UpdateRequest{Add: []RawEdge{{Src: 0, Dst: v}}}},
+			call{"Attrs/vertex", MAttrs, AttrsRequest{Vertices: []graph.ID{2, v}}},
+			call{"SampleNeighbors/vertex", MSampleNeighbors, SampleRequest{Vertices: []graph.ID{v, 2}, Width: 2}},
+		)
 	}
 
 	// The draw total is checked before the handler sizes its output: the
@@ -106,6 +113,38 @@ func TestHostileRequestsRejected(t *testing.T) {
 		nbr := sampling.NewNeighborhood(c, rand.New(rand.NewSource(1)))
 		if err := nbr.SampleInto(&ctx, 0, []graph.ID{0}, []int{5, 3}, sampling.NewRng(1)); err != nil {
 			t.Fatalf("sampling 0 via %s: %v", st.name, err)
+		}
+	}
+
+	// Two hash shards: shard 0 must refuse vertex 1, which shard 1 owns.
+	a2, err := (partition.HashPartitioner{}).Partition(g, 2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if a2.Part(1) != 1 {
+		t.Fatalf("vertex 1 is on shard %d, want 1", a2.Part(1))
+	}
+	rs2, err := ServeRPC(FromGraph(g, a2)[0], "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer rs2.Close()
+	wire2, err := DialRPC([]string{rs2.Addr()})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer wire2.Close()
+	for _, st := range []struct {
+		name string
+		c    Caller
+	}{{"local", NewLocalTransport(FromGraph(g, a2), 0, 0)}, {"rpc", wire2}} {
+		for _, c := range []call{
+			{"Attrs/other shard", MAttrs, AttrsRequest{Vertices: []graph.ID{0, 1}}},
+			{"SampleNeighbors/other shard", MSampleNeighbors, SampleRequest{Vertices: []graph.ID{1}, Width: 2}},
+		} {
+			if err := st.c.Call(context.Background(), 0, c.m, c.req, methods[c.m].newReply()); err == nil {
+				t.Errorf("%s via %s: request for another shard's vertex accepted", c.name, st.name)
+			}
 		}
 	}
 }

@@ -453,36 +453,84 @@ type AttrsReply struct {
 // carries each pattern once in Table, in first-appearance order, and each
 // value as a one-byte index into it in Codes, one code row per attribute
 // row. Otherwise Raw carries the rows. The zero value holds no rows. A
-// decoded AttrRows keeps its codes: AppendRows expands them.
+// decoded AttrRows keeps its codes: AppendRows expands them. ServeAttrs
+// builds the same value from the shard's coded attribute column without
+// hashing its rows (packView).
 type AttrRows struct {
 	Table []float64
 	Codes [][]byte
 	Raw   [][]float64
 }
 
-// ServeAttrs handles a batched attribute request.
+// ServeAttrs handles a batched attribute request. Its rows are packRows'
+// form of the view's rows; a row the base stores coded costs array loads
+// and a code remap, not a hash per value (packView).
 func (s *Server) ServeAttrs(req AttrsRequest, reply *AttrsReply) error {
 	defer obsSince(&s.met.rpc[MAttrs], time.Now())
 	view, head, attrHead, err := s.view(req.Pinned, req.Pin)
 	if err != nil {
 		return err
 	}
-	rows := make([][]float64, len(req.Vertices))
 	reply.Since = make([]uint64, len(req.Vertices))
 	reply.Epoch = view.Epoch()
 	reply.AttrEpoch = view.AttrEpoch()
 	reply.Head = head
 	reply.AttrHead = attrHead
-	for i, v := range req.Vertices {
-		a, ok := view.Attr(v)
-		if !ok {
-			return fmt.Errorf("cluster: server %d does not own vertex %d", s.ID, v)
-		}
-		rows[i] = a
-		reply.Since[i] = view.AttrChangedAt(v)
+	if reply.Attrs, err = packView(view, req.Vertices, reply.Since); err != nil {
+		return fmt.Errorf("cluster: server %d %w", s.ID, err)
 	}
-	reply.Attrs = packRows(rows)
 	return nil
+}
+
+// packView returns packRows of view's rows of vs, and writes each row's
+// install stamp to since. A row the base holds coded is not hashed: each
+// base code maps through remap to its reply code, and only a base
+// pattern's first use in the reply is hashed, so that it takes the code of
+// an equal pattern a row set by an update brought in first. Other rows go
+// through packRows' path. It fails when a vertex is not local.
+func packView(view version.View, vs []graph.ID, since []uint64) (AttrRows, error) {
+	set := version.NewCodeSet()
+	defer set.Release()
+	remap := newRemapper(view.AttrTable())
+	codes := make([][]byte, len(vs))
+	var buf []byte // the code rows' storage, sized for the rows left at the current width
+	for i, v := range vs {
+		row, rc, stamp, ok := view.AttrStored(v)
+		if !ok {
+			return AttrRows{}, notLocal(v)
+		}
+		since[i] = stamp
+		if row == nil && rc == nil {
+			continue
+		}
+		n := len(row) + len(rc)
+		if buf == nil || cap(buf)-len(buf) < n {
+			buf = make([]byte, 0, max(n, (len(vs)-i)*n))
+		}
+		cs := buf[len(buf) : len(buf)+n : len(buf)+n]
+		buf = buf[:len(buf)+n]
+		if rc != nil && !remap.codes(set, rc, cs) || rc == nil && !set.Codes(row, cs) {
+			return rawView(view, vs, since)
+		}
+		codes[i] = cs
+	}
+	return AttrRows{Table: set.AppendTable([]float64{}), Codes: codes}, nil
+}
+
+func notLocal(v graph.ID) error { return fmt.Errorf("does not own vertex %d", v) }
+
+// rawView is packView's result when the reply holds more than maxCodes
+// patterns: the rows themselves.
+func rawView(view version.View, vs []graph.ID, since []uint64) (AttrRows, error) {
+	rows := make([][]float64, len(vs))
+	for i, v := range vs {
+		row, ok := view.Attr(v)
+		if !ok {
+			return AttrRows{}, notLocal(v)
+		}
+		rows[i], since[i] = row, view.AttrChangedAt(v)
+	}
+	return AttrRows{Raw: rows}, nil
 }
 
 // SampleRequest asks for fixed-width uniform neighbor draws executed

@@ -51,11 +51,57 @@ func (r *replyBytes) Call(ctx context.Context, part int, m Method, req, reply an
 	return nil
 }
 
+// sampleBatch draws one mini-batch of the sample workload's shape through
+// c at a pin it returns (64 traversed type-0 edges, 4 negatives each,
+// [5,3] neighbourhoods of src, dst and negatives) and returns every
+// distinct context vertex, in first-appearance order. The caller unpins.
+func sampleBatch(tb testing.TB, c *Client) (uniq []graph.ID, pin *sampling.Pin) {
+	tb.Helper()
+	const et = graph.EdgeType(0)
+	cands, counts, err := c.NegativePool(et)
+	if err != nil {
+		tb.Fatal(err)
+	}
+	neg := sampling.NewNegativeFromPool(cands, sampling.UnigramWeights(counts), rand.New(rand.NewSource(2)))
+
+	pin, err = c.Pin()
+	if err != nil {
+		tb.Fatal(err)
+	}
+	view := c.EpochView()
+	view.SetPin(pin)
+	edges, err := c.AppendSampleEdges(nil, et, 64, 1, pin, nil)
+	if err != nil {
+		tb.Fatal(err)
+	}
+	var src, dst []graph.ID
+	for _, e := range edges {
+		src, dst = append(src, e.Src), append(dst, e.Dst)
+	}
+	nb := sampling.NewNeighborhood(view, nil)
+	rng := sampling.NewRng(3)
+	seen := make(map[graph.ID]bool)
+	for _, seeds := range [][]graph.ID{src, dst, neg.AppendSample(nil, dst, 4)} {
+		var ctx sampling.Context
+		if err := nb.SampleInto(&ctx, et, seeds, []int{5, 3}, rng); err != nil {
+			tb.Fatal(err)
+		}
+		for _, layer := range ctx.Layers {
+			for _, v := range layer {
+				if !seen[v] {
+					seen[v] = true
+					uniq = append(uniq, v)
+				}
+			}
+		}
+	}
+	return uniq, pin
+}
+
 // TestSampleReplyBytes builds one mini-batch of the sample shape (Taobao-sim
-// scale 2, two hash shards, a 20% LRU neighbour cache, 64 traversed edges,
-// 4 negatives each, [5,3] neighbourhoods of src, dst and negatives, then
-// the attribute rows of every distinct context vertex) and checks that its
-// Attrs and SampleNeighbors replies encode to at most a third of their
+// scale 2, two hash shards, a 20% LRU neighbour cache, sampleBatch's draws,
+// then the attribute rows of every distinct context vertex) and checks that
+// its Attrs and SampleNeighbors replies encode to at most a third of their
 // all-8-byte size.
 func TestSampleReplyBytes(t *testing.T) {
 	if testing.Short() {
@@ -68,46 +114,8 @@ func TestSampleReplyBytes(t *testing.T) {
 	}
 	counter := &replyBytes{Caller: NewLocalTransport(FromGraph(g, a), 0, 0)}
 	c := NewClient(a, typed(counter), storage.NewLRUNeighborCache(g.NumVertices()/5))
-	const et = graph.EdgeType(0)
-	cands, counts, err := c.NegativePool(et)
-	if err != nil {
-		t.Fatal(err)
-	}
-	neg := sampling.NewNegativeFromPool(cands, sampling.UnigramWeights(counts), rand.New(rand.NewSource(2)))
-
-	pin, err := c.Pin()
-	if err != nil {
-		t.Fatal(err)
-	}
+	uniq, pin := sampleBatch(t, c)
 	defer c.Unpin(pin)
-	view := c.EpochView()
-	view.SetPin(pin)
-	edges, err := c.AppendSampleEdges(nil, et, 64, 1, pin, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	var src, dst []graph.ID
-	for _, e := range edges {
-		src, dst = append(src, e.Src), append(dst, e.Dst)
-	}
-	nb := sampling.NewNeighborhood(view, nil)
-	rng := sampling.NewRng(3)
-	var uniq []graph.ID
-	seen := make(map[graph.ID]bool)
-	for _, seeds := range [][]graph.ID{src, dst, neg.AppendSample(nil, dst, 4)} {
-		var ctx sampling.Context
-		if err := nb.SampleInto(&ctx, et, seeds, []int{5, 3}, rng); err != nil {
-			t.Fatal(err)
-		}
-		for _, layer := range ctx.Layers {
-			for _, v := range layer {
-				if !seen[v] {
-					seen[v] = true
-					uniq = append(uniq, v)
-				}
-			}
-		}
-	}
 	rows, err := c.AttrsAt(uniq, pin)
 	if err != nil {
 		t.Fatal(err)

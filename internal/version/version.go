@@ -11,7 +11,13 @@
 //
 //   - Base snapshots are immutable. A baseState freezes the whole shard at
 //     one epoch (CSR adjacency, attribute rows, edge totals); the original
-//     one is built by Seal at epoch 0 and later ones by Compact. An overlay
+//     one is built by Seal at epoch 0 and later ones by Compact. A vertex's
+//     base slot is its rank among the sorted local IDs, found in a bitmap
+//     rank index, and both the adjacency and the attribute rows are
+//     slot-aligned columns, so a base read is array loads and no hashing.
+//     The attribute column holds one-byte codes into a table of the base's
+//     distinct bit patterns when there are at most MaxCodes of them (the
+//     paper's attribute index, §3.2), values otherwise. An overlay
 //     is immutable once Append installs it (its lazily built rank indexes
 //     aside), and it permanently pairs with the base it was built against,
 //     so a View (base pointer + overlay pointer) reads entirely lock-free
@@ -20,15 +26,15 @@
 //     store's current base is swapped by a compaction.
 //   - Overlays are cumulative: the overlay of epoch e maps every vertex
 //     touched since its base to its full post-update adjacency (and every
-//     re-written attribute row to its value), so resolving a read is one
-//     map probe plus a base fallback regardless of how many epochs back
-//     the base is. Append clones the head overlay's index maps (cost
-//     proportional to the total touched set, not the graph) and installs a
-//     new one; removal copies the touched vertex's slices instead of
-//     rewriting shared backing arrays in place. Every overlay entry is
-//     stamped with the epoch that installed it; the stamps drive both
-//     client-side cache validity (the Since field on sampling replies) and
-//     compaction's pruning.
+//     re-written attribute row to its value), so resolving a read is at
+//     most one overlay map probe, then the base read, regardless of how
+//     many epochs back the base is. Append clones the head overlay's index
+//     maps (cost proportional to the total touched set, not the graph) and
+//     installs a new one; removal copies the touched vertex's slices
+//     instead of rewriting shared backing arrays in place. Every overlay
+//     entry is stamped with the epoch that installed it; the stamps drive
+//     both client-side cache validity (the Since field on sampling
+//     replies) and compaction's pruning.
 //   - Append applies a Delta all-or-nothing: the batch is staged into the
 //     candidate overlay and validated as it goes; any error (for example a
 //     non-local source vertex) discards the whole overlay, leaves the head
@@ -175,12 +181,15 @@ type baseCSR struct {
 type baseState struct {
 	epoch uint64 // the update epoch whose state this base freezes
 
+	// local is the sorted vertex set, fixed at Seal: a vertex's slot is its
+	// rank in it, found by slots, and indexes csr and attrs. Every base
+	// generation shares local and slots; a compaction rebuilds attrs only
+	// when it folds rows set by updates.
 	local []graph.ID
-	pos   map[graph.ID]int
-	dense bool // local[i] == i for all i: slot lookup is arithmetic
+	slots *slotIndex
 
 	csr   []baseCSR
-	attrs map[graph.ID][]float64
+	attrs *attrColumn
 	edges []int64 // per-type edge totals at epoch
 
 	// since records, for entries folded out of overlays by compaction, the
@@ -222,8 +231,9 @@ type Store struct {
 	sealed bool
 
 	// Pre-Seal building state.
-	bAdj []map[graph.ID][]graph.ID
-	bWts []map[graph.ID][]float64
+	bAdj  []map[graph.ID][]graph.ID
+	bWts  []map[graph.ID][]float64
+	bAttr map[graph.ID][]float64
 
 	// cur is the base new Appends and head reads resolve against; zero is
 	// the original epoch-0 base, kept only while epoch 0 is readable.
@@ -257,7 +267,8 @@ func NewStoreRetain(numEdgeTypes, retain int) *Store {
 		retain:   retain,
 		bAdj:     make([]map[graph.ID][]graph.ID, numEdgeTypes),
 		bWts:     make([]map[graph.ID][]float64, numEdgeTypes),
-		cur:      &baseState{attrs: make(map[graph.ID][]float64)},
+		bAttr:    make(map[graph.ID][]float64),
+		cur:      &baseState{},
 		overlays: make(map[uint64]*overlay),
 		leases:   make(map[uint64]int),
 	}
@@ -282,10 +293,10 @@ func (s *Store) AddVertex(v graph.ID, attr []float64) {
 	if s.sealed {
 		panic("version: AddVertex after Seal")
 	}
-	if _, ok := s.cur.attrs[v]; !ok {
+	if _, ok := s.bAttr[v]; !ok {
 		s.cur.local = append(s.cur.local, v)
 	}
-	s.cur.attrs[v] = attr
+	s.bAttr[v] = attr
 }
 
 // AddEdge appends an out-edge during loading. Only legal before Seal.
@@ -300,8 +311,9 @@ func (s *Store) AddEdge(src, dst graph.ID, t graph.EdgeType, w float64) {
 }
 
 // Seal freezes the loaded data as the immutable epoch-0 base: local IDs are
-// sorted, adjacency is flattened into per-type CSR arrays and the building
-// maps are dropped. Idempotent.
+// sorted and indexed by rank, adjacency is flattened into per-type CSR
+// arrays, attribute rows into one slot-aligned column, and the building maps
+// are dropped. Idempotent.
 func (s *Store) Seal() {
 	s.mu.Lock()
 	defer s.mu.Unlock()
@@ -310,14 +322,8 @@ func (s *Store) Seal() {
 	}
 	b := s.cur
 	sort.Slice(b.local, func(i, j int) bool { return b.local[i] < b.local[j] })
-	b.pos = make(map[graph.ID]int, len(b.local))
-	b.dense = true
-	for i, v := range b.local {
-		b.pos[v] = i
-		if v != graph.ID(i) {
-			b.dense = false
-		}
-	}
+	b.slots = newSlotIndex(b.local)
+	b.attrs = newAttrColumn(len(b.local), func(i int) []float64 { return s.bAttr[b.local[i]] })
 	b.csr = make([]baseCSR, s.numTypes)
 	b.edges = make([]int64, s.numTypes)
 	for t := 0; t < s.numTypes; t++ {
@@ -335,7 +341,7 @@ func (s *Store) Seal() {
 		b.csr[t] = c
 		b.edges[t] = m
 	}
-	s.bAdj, s.bWts = nil, nil
+	s.bAdj, s.bWts, s.bAttr = nil, nil, nil
 	s.zero = b
 	s.sealed = true
 }
@@ -392,23 +398,10 @@ func (s *Store) floorLocked() uint64 {
 	return s.head + 1 - uint64(s.retain)
 }
 
-// slot returns the base slot of v, or -1 when v is not local. Stores whose
-// local IDs are dense (0..n-1, the single-shard and benchmark case) resolve
-// by arithmetic instead of a map probe. The slot numbering is fixed at Seal
-// (updates cannot add vertices), so slots mean the same thing under every
-// base generation.
-func (b *baseState) slot(v graph.ID) int {
-	if b.dense {
-		if v < 0 || int(v) >= len(b.local) {
-			return -1
-		}
-		return int(v)
-	}
-	if i, ok := b.pos[v]; ok {
-		return i
-	}
-	return -1
-}
+// slot returns the base slot of v, or -1 when v is not local. The slot
+// numbering is fixed at Seal (updates cannot add vertices), so slots mean
+// the same thing under every base generation, which share one index.
+func (b *baseState) slot(v graph.ID) int { return b.slots.slot(v) }
 
 // At resolves a read view of the given epoch. The returned View reads
 // lock-free and stays consistent even if the epoch is evicted afterwards or
@@ -823,11 +816,10 @@ func (s *Store) Compact() (CompactStats, error) {
 	nb := &baseState{
 		epoch:     target,
 		local:     oldBase.local,
-		pos:       oldBase.pos,
-		dense:     oldBase.dense,
+		slots:     oldBase.slots,
 		csr:       make([]baseCSR, s.numTypes),
 		edges:     append([]int64(nil), fold.edgeCount...),
-		attrs:     make(map[graph.ID][]float64, len(oldBase.attrs)),
+		attrs:     oldBase.attrs,
 		since:     make(map[akey]uint64, len(oldBase.since)+len(fold.adj)),
 		attrSince: make(map[graph.ID]uint64, len(oldBase.attrSince)+len(fold.attrs)),
 	}
@@ -864,11 +856,20 @@ func (s *Store) Compact() (CompactStats, error) {
 		}
 		nb.csr[t] = c
 	}
-	for v, a := range oldBase.attrs {
-		nb.attrs[v] = a
+	if len(fold.attrs) > 0 {
+		// Rebuild the column with the folded rows. A coded old column
+		// expands each row into scratch; a float one returns its own rows
+		// and never writes to scratch.
+		var scratch []float64
+		nb.attrs = newAttrColumn(len(nb.local), func(i int) []float64 {
+			if a, ok := fold.attrs[nb.local[i]]; ok {
+				return a.row
+			}
+			scratch = oldBase.attrs.floats(i, scratch)
+			return scratch
+		})
 	}
 	for v, a := range fold.attrs {
-		nb.attrs[v] = a.row
 		if a.epoch > 0 {
 			nb.attrSince[v] = a.epoch
 		}

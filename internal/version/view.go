@@ -92,16 +92,50 @@ func (v View) Touched(x graph.ID, t graph.EdgeType) bool {
 	return touched
 }
 
-// Attr returns x's attribute row at the view's epoch.
+// Attr returns x's attribute row at the view's epoch, bit for bit as it
+// was added or last set (a nil row stays nil). The row may alias the store
+// and must not be mutated; a row the base holds coded is expanded into a
+// new slice. ok is false when x is not local.
 func (v View) Attr(x graph.ID) ([]float64, bool) {
+	slot := v.b.slot(x)
+	if slot < 0 {
+		return nil, false
+	}
 	if v.ov != nil {
 		if a, ok := v.ov.attrs[x]; ok {
 			return a.row, true
 		}
 	}
-	a, ok := v.b.attrs[x]
-	return a, ok
+	return v.b.attrs.floats(slot, nil), true
 }
+
+// AttrStored is Attr in the form the store holds the row, plus the row's
+// AttrChangedAt stamp, from one slot lookup: codes into AttrTable when the
+// base holds the row coded (non-nil unless the row is nil), the row itself
+// otherwise (a row set by an update the base has not absorbed, or a row of
+// a base that stores values). Neither may be mutated.
+func (v View) AttrStored(x graph.ID) (row []float64, codes []byte, since uint64, ok bool) {
+	slot := v.b.slot(x)
+	if slot < 0 {
+		return nil, nil, 0, false
+	}
+	if v.ov != nil {
+		if a, ok := v.ov.attrs[x]; ok {
+			return a.row, nil, a.epoch, true
+		}
+	}
+	row, codes = v.b.attrs.row(slot)
+	if len(v.b.attrSince) > 0 {
+		since = v.b.attrSince[x]
+	}
+	return row, codes, since, true
+}
+
+// AttrTable returns the distinct float64 bit patterns, in first-appearance
+// order by slot, that the base's coded rows index, or nil when the base
+// stores its rows as values (they hold more than MaxCodes patterns). It
+// must not be mutated.
+func (v View) AttrTable() []float64 { return v.b.attrs.table }
 
 // EdgeCount reports the number of local type-t edges at the view's epoch.
 func (v View) EdgeCount(t graph.EdgeType) int64 {
