@@ -176,10 +176,9 @@ func runLoad(srv *aligraph.InferenceServer, cp *aligraph.ClusterPlatform,
 				local = append(local, time.Since(t0))
 				if churn != "" && i%10 == 0 {
 					add := []cluster.RawEdge{{
-						Src:    aligraph.ID(rng.Intn(numVertices)),
-						Dst:    aligraph.ID(rng.Intn(numVertices)),
-						Type:   et,
-						Weight: 1,
+						Src:  aligraph.ID(rng.Intn(numVertices)),
+						Dst:  aligraph.ID(rng.Intn(numVertices)),
+						Type: et,
 					}}
 					switch churn {
 					case "in-band":

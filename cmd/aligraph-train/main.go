@@ -172,10 +172,9 @@ func main() {
 				add := make([]cluster.RawEdge, 0, streamBatch)
 				for j := 0; j < streamBatch; j++ {
 					add = append(add, cluster.RawEdge{
-						Src:    aligraph.ID(srng.Intn(numVertices)),
-						Dst:    aligraph.ID(srng.Intn(numVertices)),
-						Type:   aligraph.EdgeType(*edgeType),
-						Weight: 1,
+						Src:  aligraph.ID(srng.Intn(numVertices)),
+						Dst:  aligraph.ID(srng.Intn(numVertices)),
+						Type: aligraph.EdgeType(*edgeType),
 					})
 				}
 				feed.PushEdges(assign, add, nil, nil)

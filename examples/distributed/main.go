@@ -144,10 +144,9 @@ func main() {
 			add := make([]cluster.RawEdge, 0, 4)
 			for j := 0; j < 4; j++ {
 				e := cluster.RawEdge{
-					Src:    graph.ID(frng.Intn(n)),
-					Dst:    graph.ID(frng.Intn(n)),
-					Type:   0,
-					Weight: 1 + frng.Float64(),
+					Src:  graph.ID(frng.Intn(n)),
+					Dst:  graph.ID(frng.Intn(n)),
+					Type: 0,
 				}
 				add = append(add, e)
 				recent = append(recent, e)

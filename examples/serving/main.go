@@ -112,7 +112,7 @@ func main() {
 	rng := rand.New(rand.NewSource(7))
 	src := aligraph.ID(rng.Intn(n))
 	dropped, err := srv.ApplyUpdate([]cluster.RawEdge{
-		{Src: src, Dst: aligraph.ID(rng.Intn(n)), Type: 0, Weight: 1},
+		{Src: src, Dst: aligraph.ID(rng.Intn(n)), Type: 0},
 	}, nil, nil)
 	if err != nil {
 		log.Fatal(err)
@@ -134,7 +134,7 @@ func main() {
 	for i := 0; i < 5; i++ { // 5 epochs on one shard: past the lag budget
 		var ur cluster.UpdateReply
 		if err := servers[p].ServeUpdate(cluster.UpdateRequest{Add: []cluster.RawEdge{
-			{Src: s, Dst: aligraph.ID(rng.Intn(n)), Type: 0, Weight: 1},
+			{Src: s, Dst: aligraph.ID(rng.Intn(n)), Type: 0},
 		}}, &ur); err != nil {
 			log.Fatal(err)
 		}

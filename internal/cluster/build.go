@@ -15,6 +15,8 @@ import (
 // large graphs build in minutes rather than the hours PowerGraph needs.
 
 // RawEdge is an unloaded edge record as it would arrive from a file system.
+// Shards store no edge weights: servers ignore Weight, and the wire codec
+// does not send it.
 type RawEdge struct {
 	Src, Dst graph.ID
 	Type     graph.EdgeType
@@ -84,7 +86,7 @@ func BuildServers(vertices []RawVertex, edges []RawEdge, cfg BuildConfig) ([]*Se
 					s.AddVertex(v.ID, v.Attr)
 				}
 				for _, e := range eShards[tk.part] {
-					s.AddEdge(e.Src, e.Dst, e.Type, e.Weight)
+					s.AddEdge(e.Src, e.Dst, e.Type)
 				}
 				s.Seal()
 			}
@@ -123,8 +125,8 @@ func Extract(g *graph.Graph) ([]RawVertex, []RawEdge) {
 	}
 	var es []RawEdge
 	for t := 0; t < g.Schema().NumEdgeTypes(); t++ {
-		g.EdgesOfType(graph.EdgeType(t), func(src, dst graph.ID, w float64) bool {
-			es = append(es, RawEdge{Src: src, Dst: dst, Type: graph.EdgeType(t), Weight: w})
+		g.EdgesOfType(graph.EdgeType(t), func(src, dst graph.ID, _ float64) bool {
+			es = append(es, RawEdge{Src: src, Dst: dst, Type: graph.EdgeType(t)})
 			return true
 		})
 	}
@@ -144,10 +146,8 @@ func FromGraph(g *graph.Graph, a *partition.Assignment) []*Server {
 		s.AddVertex(vid, g.VertexAttr(vid))
 		for t := 0; t < g.Schema().NumEdgeTypes(); t++ {
 			et := graph.EdgeType(t)
-			ns := g.OutNeighbors(vid, et)
-			ws := g.OutWeights(vid, et)
-			for i, u := range ns {
-				s.AddEdge(vid, u, et, ws[i])
+			for _, u := range g.OutNeighbors(vid, et) {
+				s.AddEdge(vid, u, et)
 			}
 		}
 	}

@@ -217,10 +217,8 @@ func TestEvictionRepinRetry(t *testing.T) {
 	srv := &Server{store: version.NewStoreRetain(1, 2)} // retain only 2 epochs
 	for v := 0; v < g.NumVertices(); v++ {
 		srv.AddVertex(graph.ID(v), g.VertexAttr(graph.ID(v)))
-		ns := g.OutNeighbors(graph.ID(v), 0)
-		ws := g.OutWeights(graph.ID(v), 0)
-		for i, u := range ns {
-			srv.AddEdge(graph.ID(v), u, 0, ws[i])
+		for _, u := range g.OutNeighbors(graph.ID(v), 0) {
+			srv.AddEdge(graph.ID(v), u, 0)
 		}
 	}
 	srv.Seal()

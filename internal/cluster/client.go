@@ -224,7 +224,8 @@ func (c *Client) edgeSplit(t graph.EdgeType, pin *sampling.Pin) ([]float64, floa
 // SampleEdges draws n edges of type t uniformly over the cluster's global
 // edge set: the batch is split across servers proportionally to their local
 // type-t edge counts, then each contributing server answers one SampleEdges
-// RPC. This is the distributed TRAVERSE sampler.
+// RPC. This is the distributed TRAVERSE sampler. Shards store no edge
+// weights, so every returned edge has a zero Weight.
 func (c *Client) SampleEdges(t graph.EdgeType, n int, seed uint64) ([]graph.Edge, error) {
 	return c.AppendSampleEdges(nil, t, n, seed, nil, nil)
 }
@@ -275,11 +276,11 @@ func (c *Client) AppendSampleEdges(dst []graph.Edge, t graph.EdgeType, n int, se
 		}
 		reply := &replies[i]
 		c.observe(p, span, pin, reply.Epoch, reply.Head, reply.AttrHead)
-		if len(reply.Dst) != len(reply.Src) || len(reply.Weight) != len(reply.Src) {
-			return nil, fmt.Errorf("cluster: server %d returned %d sources, %d destinations and %d weights", p, len(reply.Src), len(reply.Dst), len(reply.Weight))
+		if len(reply.Dst) != len(reply.Src) {
+			return nil, fmt.Errorf("cluster: server %d returned %d sources and %d destinations", p, len(reply.Src), len(reply.Dst))
 		}
 		for j := range reply.Src {
-			edges = append(edges, graph.Edge{Src: reply.Src[j], Dst: reply.Dst[j], Type: t, Weight: reply.Weight[j]})
+			edges = append(edges, graph.Edge{Src: reply.Src[j], Dst: reply.Dst[j], Type: t})
 		}
 	}
 	return edges, nil

@@ -178,7 +178,7 @@ func TestBuildServersParallel(t *testing.T) {
 		// Every edge must be on the server owning its source.
 		for _, e := range es {
 			srv := servers[int(e.Src)%2]
-			ns, _, ok := srv.Neighbors(e.Src, e.Type)
+			ns, ok := srv.Neighbors(e.Src, e.Type)
 			if !ok {
 				t.Fatalf("server missing source %d", e.Src)
 			}

@@ -198,15 +198,6 @@ func i32[T ~int32](w *wire, p *T) {
 	}
 }
 
-// f64 is a float64 by its IEEE bits.
-func (w *wire) f64(p *float64) {
-	if !w.decoding {
-		w.put64(math.Float64bits(*p))
-	} else if b := w.take(8); b != nil {
-		*p = math.Float64frombits(le.Uint64(b))
-	}
-}
-
 // f64s is a slice of float64s.
 func f64s(w *wire, p *[]float64) {
 	n, ok := w.head(len(*p), *p == nil, 8)
@@ -566,7 +557,6 @@ func edgesRequestWire(w *wire, r *EdgesRequest) {
 func edgesReplyWire(w *wire, r *EdgesReply) {
 	nums(w, &r.Src)
 	nums(w, &r.Dst)
-	f64s(w, &r.Weight)
 	num(w, &r.Epoch)
 	num(w, &r.Head)
 	num(w, &r.AttrHead)
@@ -612,7 +602,6 @@ func rawEdgeWire(w *wire, e *RawEdge) {
 	num(w, &e.Src)
 	num(w, &e.Dst)
 	i32(w, &e.Type)
-	w.f64(&e.Weight)
 }
 
 func attrUpdateWire(w *wire, a *AttrUpdate) {
@@ -621,8 +610,8 @@ func attrUpdateWire(w *wire, a *AttrUpdate) {
 }
 
 func updateRequestWire(w *wire, r *UpdateRequest) {
-	list(w, &r.Add, 28, rawEdgeWire)
-	list(w, &r.Remove, 28, rawEdgeWire)
+	list(w, &r.Add, 20, rawEdgeWire)
+	list(w, &r.Remove, 20, rawEdgeWire)
 	list(w, &r.SetAttr, 16, attrUpdateWire)
 	num(w, &r.Token)
 }

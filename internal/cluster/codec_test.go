@@ -17,11 +17,12 @@ import (
 
 // TestWireRoundTrip: every table row's request and reply decode to a value
 // deeply equal to the one encoded, over generated values that set every
-// field: the zero value, every slice empty but not nil, and every slice
-// holding a zero or nil element, an empty one and one of extreme values.
-// A field a layout forgets fails here. Every proper prefix of an encoding
-// and the encoding plus a byte must fail to decode. The row's request and
-// reply types must also be those of the Transport method of its name.
+// field but RawEdge.Weight, which is not sent: the zero value, every slice
+// empty but not nil, and every slice holding a zero or nil element, an
+// empty one and one of extreme values. A field a layout forgets fails
+// here. Every proper prefix of an encoding and the encoding plus a byte
+// must fail to decode. The row's request and reply types must also be
+// those of the Transport method of its name.
 func TestWireRoundTrip(t *testing.T) {
 	tr := reflect.TypeOf((*Transport)(nil)).Elem()
 	for m := range numMethods {
@@ -200,6 +201,9 @@ func fillWire(v reflect.Value, variant int) {
 	switch v.Kind() {
 	case reflect.Struct:
 		for i := range v.NumField() {
+			if v.Type() == reflect.TypeFor[RawEdge]() && v.Type().Field(i).Name == "Weight" {
+				continue // ignored by shards and not sent
+			}
 			fillWire(v.Field(i), variant)
 		}
 	case reflect.Slice:

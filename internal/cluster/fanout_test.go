@@ -264,13 +264,13 @@ func TestClientMetrics(t *testing.T) {
 type updateSpy struct {
 	Caller
 	mu  sync.Mutex
-	seq map[int][]float64 // part -> weight markers in arrival order
+	seq map[int][]graph.ID // part -> destination markers in arrival order
 }
 
 func (s *updateSpy) Call(ctx context.Context, part int, m Method, req, reply any) error {
 	if m == MUpdate {
 		s.mu.Lock()
-		s.seq[part] = append(s.seq[part], req.(UpdateRequest).Add[0].Weight)
+		s.seq[part] = append(s.seq[part], req.(UpdateRequest).Add[0].Dst)
 		s.mu.Unlock()
 	}
 	return s.Caller.Call(ctx, part, m, req, reply)
@@ -296,18 +296,18 @@ func TestUpdateStreamParallelApply(t *testing.T) {
 		}
 	}
 
-	push := func(s *UpdateStream, part int, marker float64) {
+	push := func(s *UpdateStream, part int, marker graph.ID) {
 		s.Push(part, UpdateRequest{Add: []RawEdge{
-			{Src: local[part][0], Dst: local[part][1], Type: 1, Weight: marker},
+			{Src: local[part][0], Dst: marker, Type: 1},
 		}})
 	}
 
 	// Healthy path: interleaved pushes, one Apply, per-shard FIFO.
-	spy := &updateSpy{Caller: NewLocalTransport(servers, 0, 0), seq: make(map[int][]float64)}
+	spy := &updateSpy{Caller: NewLocalTransport(servers, 0, 0), seq: make(map[int][]graph.ID)}
 	s := NewUpdateStream(typed(spy))
 	for i := 0; i < 3; i++ {
-		push(s, 0, float64(10+i))
-		push(s, 1, float64(20+i))
+		push(s, 0, graph.ID(10+i))
+		push(s, 1, graph.ID(20+i))
 	}
 	n, err := s.Apply(100)
 	if err != nil || n != 6 {
@@ -319,7 +319,7 @@ func TestUpdateStreamParallelApply(t *testing.T) {
 			t.Fatalf("shard %d saw %v", part, got)
 		}
 		for i := range got {
-			if want := float64(part*10 + 10 + i); got[i] != want {
+			if want := graph.ID(part*10 + 10 + i); got[i] != want {
 				t.Fatalf("shard %d delivery order %v (FIFO broken)", part, got)
 			}
 		}
@@ -332,7 +332,7 @@ func TestUpdateStreamParallelApply(t *testing.T) {
 	// order, shard 0's deliveries count, the error surfaces.
 	ft := NewFaultTransport(NewLocalTransport(servers, 0, 0), 2, FaultConfig{})
 	ft.KillShard(1)
-	spy2 := &updateSpy{Caller: ft, seq: make(map[int][]float64)}
+	spy2 := &updateSpy{Caller: ft, seq: make(map[int][]graph.ID)}
 	s2 := NewUpdateStream(typed(spy2))
 	push(s2, 1, 31)
 	push(s2, 0, 41)

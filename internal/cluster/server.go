@@ -19,10 +19,10 @@
 // folding old overlays into a fresh base (Compact RPC, or the
 // SetCompactThreshold trigger on a background goroutine — ServeUpdate only
 // signals, so the fold's O(V+E) walk never sits on an update's reply path)
-// without disturbing leased epochs or live readers. Every draw is uniform:
-// edge weights are stored, updated and carried on TRAVERSE edges
-// (EdgesReply.Weight), but no draw reads them. Neighbour and edge draws
-// depend only on the adjacency a snapshot serves, so pinned SampleNeighbors
+// without disturbing leased epochs or live readers. Every draw is uniform,
+// and shards keep no edge weights: a stored edge is its endpoints and type,
+// and TRAVERSE edges come back unweighted. Neighbour and edge draws depend
+// only on the adjacency a snapshot serves, so pinned SampleNeighbors
 // and SampleEdges requests answer bit-identically across a fold (see
 // ServeCompact).
 //
@@ -342,8 +342,8 @@ func (s *Server) AddVertex(v graph.ID, attr []float64) { s.store.AddVertex(v, at
 
 // AddEdge appends an out-edge for local vertex src (loading phase, before
 // Seal).
-func (s *Server) AddEdge(src, dst graph.ID, t graph.EdgeType, w float64) {
-	s.store.AddEdge(src, dst, t, w)
+func (s *Server) AddEdge(src, dst graph.ID, t graph.EdgeType) {
+	s.store.AddEdge(src, dst, t)
 }
 
 // Seal freezes the loaded data as the immutable epoch-0 base; call once
@@ -367,9 +367,9 @@ func (s *Server) NumLocalEdges() int {
 // LocalVertices returns the sorted local vertex IDs (shared slice).
 func (s *Server) LocalVertices() []graph.ID { return s.store.LocalVertices() }
 
-// Neighbors returns the out-neighbors and weights of local vertex v under
-// edge type t at the head epoch. ok is false when v is not local.
-func (s *Server) Neighbors(v graph.ID, t graph.EdgeType) (ns []graph.ID, ws []float64, ok bool) {
+// Neighbors returns the out-neighbors of local vertex v under edge type t
+// at the head epoch. ok is false when v is not local.
+func (s *Server) Neighbors(v graph.ID, t graph.EdgeType) (ns []graph.ID, ok bool) {
 	return s.store.HeadView().Neighbors(v, t)
 }
 
@@ -613,11 +613,11 @@ type EdgesRequest struct {
 	Pinned   bool
 }
 
-// EdgesReply carries sampled edges as parallel arrays, stamped with the
-// epoch served and the server's head.
+// EdgesReply carries sampled edges as parallel endpoint arrays (no
+// weights: shards store none), stamped with the epoch served and the
+// server's head.
 type EdgesReply struct {
 	Src, Dst []graph.ID
-	Weight   []float64
 	Epoch    uint64
 	Head     uint64
 	AttrHead uint64
@@ -802,7 +802,7 @@ func (s *Server) ServeSampleNeighbors(req SampleRequest, reply *SampleReply) err
 	reply.AttrHead = attrHead
 	o := 0
 	for i, v := range req.Vertices {
-		ns, _, ok := view.Neighbors(v, req.EdgeType)
+		ns, ok := view.Neighbors(v, req.EdgeType)
 		if !ok {
 			return fmt.Errorf("cluster: server %d does not own vertex %d", s.ID, v)
 		}
@@ -843,7 +843,7 @@ func (s *Server) ServeNegativePool(req NegPoolRequest, reply *NegPoolReply) erro
 	view := s.store.HeadView()
 	counts := make(map[graph.ID]int64)
 	for _, v := range s.store.LocalVertices() {
-		ns, _, _ := view.Neighbors(v, req.EdgeType)
+		ns, _ := view.Neighbors(v, req.EdgeType)
 		for _, u := range ns {
 			counts[u]++
 		}
@@ -887,15 +887,13 @@ func (s *Server) ServeSampleEdges(req EdgesRequest, reply *EdgesReply) error {
 	rng := sampling.NewRng(req.Seed)
 	reply.Src = make([]graph.ID, 0, req.Count)
 	reply.Dst = make([]graph.ID, 0, req.Count)
-	reply.Weight = make([]float64, 0, req.Count)
 	for k := 0; k < req.Count; k++ {
-		src, dst, w, ok := view.SampleEdge(req.EdgeType, rng)
+		src, dst, ok := view.SampleEdge(req.EdgeType, rng)
 		if !ok {
 			break // no type-t edges at this epoch
 		}
 		reply.Src = append(reply.Src, src)
 		reply.Dst = append(reply.Dst, dst)
-		reply.Weight = append(reply.Weight, w)
 	}
 	return nil
 }

@@ -65,10 +65,10 @@ func (s *Server) ServeUpdate(req UpdateRequest, reply *UpdateReply) error {
 	}
 	d := version.Delta{}
 	for _, e := range req.Add {
-		d.Add = append(d.Add, version.EdgeOp{Src: e.Src, Dst: e.Dst, Type: e.Type, Weight: e.Weight})
+		d.Add = append(d.Add, version.EdgeOp{Src: e.Src, Dst: e.Dst, Type: e.Type})
 	}
 	for _, e := range req.Remove {
-		d.Remove = append(d.Remove, version.EdgeOp{Src: e.Src, Dst: e.Dst, Type: e.Type, Weight: e.Weight})
+		d.Remove = append(d.Remove, version.EdgeOp{Src: e.Src, Dst: e.Dst, Type: e.Type})
 	}
 	for _, a := range req.SetAttr {
 		d.SetAttr = append(d.SetAttr, version.AttrOp{V: a.V, Attr: a.Attr})

@@ -17,7 +17,7 @@ func TestServeUpdate(t *testing.T) {
 	// Add an edge 0 -> 7 (click) on server 0, remove 0 -> 4.
 	var reply UpdateReply
 	err := servers[0].ServeUpdate(UpdateRequest{
-		Add:    []RawEdge{{Src: 0, Dst: 7, Type: 0, Weight: 2}},
+		Add:    []RawEdge{{Src: 0, Dst: 7, Type: 0}},
 		Remove: []RawEdge{{Src: 0, Dst: 4, Type: 0}},
 	}, &reply)
 	if err != nil {
@@ -26,17 +26,14 @@ func TestServeUpdate(t *testing.T) {
 	if reply.Added != 1 || reply.Removed != 1 {
 		t.Fatalf("reply = %+v", reply)
 	}
-	ns, ws, ok := servers[0].Neighbors(0, 0)
+	ns, ok := servers[0].Neighbors(0, 0)
 	if !ok {
 		t.Fatal("vertex 0 must stay local")
 	}
 	has7, has4 := false, false
-	for i, u := range ns {
+	for _, u := range ns {
 		if u == 7 {
 			has7 = true
-			if ws[i] != 2 {
-				t.Fatalf("weight = %f", ws[i])
-			}
 		}
 		if u == 4 {
 			has4 = true
@@ -113,13 +110,13 @@ func TestApplyDelta(t *testing.T) {
 		t.Fatalf("added=%d removed=%d", added, removed)
 	}
 	// Each addition landed on its owner.
-	if ns, _, _ := servers[0].Neighbors(0, 0); !contains(ns, 6) {
+	if ns, _ := servers[0].Neighbors(0, 0); !contains(ns, 6) {
 		t.Fatal("edge 0->6 missing")
 	}
-	if ns, _, _ := servers[1].Neighbors(1, 0); !contains(ns, 7) {
+	if ns, _ := servers[1].Neighbors(1, 0); !contains(ns, 7) {
 		t.Fatal("edge 1->7 missing")
 	}
-	if ns, _, _ := servers[0].Neighbors(2, 0); contains(ns, 6) {
+	if ns, _ := servers[0].Neighbors(2, 0); contains(ns, 6) {
 		t.Fatal("edge 2->6 should be removed")
 	}
 }

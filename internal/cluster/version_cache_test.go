@@ -304,7 +304,7 @@ func (v *verifyingLRU) Get(x graph.ID, et graph.EdgeType, epoch uint64) ([]graph
 		case err != nil:
 			v.t.Errorf("verify At(%d): %v", epoch, err)
 		default:
-			want, _, okv := view.Neighbors(x, et)
+			want, okv := view.Neighbors(x, et)
 			if !okv {
 				v.t.Errorf("verify: server does not own %d", x)
 				return ns, kind
@@ -487,7 +487,7 @@ func TestServerCompactTrigger(t *testing.T) {
 	if err := c.SampleBatch(got, []graph.ID{v}, 0, 4, 1); err != nil {
 		t.Fatalf("post-compaction read: %v", err)
 	}
-	ns, _, _ := servers[0].Neighbors(v, 0)
+	ns, _ := servers[0].Neighbors(v, 0)
 	sampling.DrawVertex(want, v, ns, 1)
 	if len(ns) == 0 || fmt.Sprint(got) != fmt.Sprint(want) {
 		t.Fatalf("post-compaction draws %v, want %v from %v", got, want, ns)

@@ -14,9 +14,10 @@
 //     the remote one dedups hub vertices and pays at most one round trip
 //     per owning server per hop.
 //   - Neighbour draws are uniform over a vertex's out-list. Edge weights
-//     stay in the graph and ride on TRAVERSE edges (Edge.Weight); the
-//     weighted draws this package offers are the Alias tables behind
-//     NEGATIVE and the learnable Weighted sampler.
+//     stay in the local graph and ride only on local TRAVERSE edges
+//     (Edge.Weight; cluster shards store none); the weighted draws this
+//     package offers are the Alias tables behind NEGATIVE and the
+//     learnable Weighted sampler.
 //   - Neighborhood.SampleInto reuses the layer buffers of a caller-owned
 //     Context across mini-batches, so steady-state expansion performs no
 //     allocation at all.

@@ -32,9 +32,8 @@ func benchGraph(n int) (*graph.Graph, *Store) {
 	}
 	for v := 0; v < n; v++ {
 		ns := g.OutNeighbors(graph.ID(v), 0)
-		ws := g.OutWeights(graph.ID(v), 0)
-		for i, u := range ns {
-			s.AddEdge(graph.ID(v), u, 0, ws[i])
+		for _, u := range ns {
+			s.AddEdge(graph.ID(v), u, 0)
 		}
 	}
 	s.Seal()
@@ -88,7 +87,7 @@ func BenchmarkVersionedSample(b *testing.B) {
 		for i := 0; i < b.N; i++ {
 			o := 0
 			for _, x := range batch {
-				ns, _, _ := view.Neighbors(x, 0)
+				ns, _ := view.Neighbors(x, 0)
 				if len(ns) == 0 {
 					for k := 0; k < width; k++ {
 						dst[o] = x
@@ -110,7 +109,7 @@ func BenchmarkVersionedSample(b *testing.B) {
 		b.ResetTimer()
 		for i := 0; i < b.N; i++ {
 			for k := 0; k < 64; k++ {
-				if _, _, _, ok := view.SampleEdge(0, rng); !ok {
+				if _, _, ok := view.SampleEdge(0, rng); !ok {
 					b.Fatal("no edge drawn")
 				}
 			}
@@ -125,7 +124,7 @@ func BenchmarkVersionedSample(b *testing.B) {
 	// 32 update epochs touching a few vertices each: the head view now
 	// carries an overlay, costing one map probe per untouched vertex.
 	for e := 0; e < 32; e++ {
-		if _, _, _, _, err := s.Append(Delta{Add: []EdgeOp{{Src: graph.ID(e), Dst: graph.ID(e + 1), Type: 0, Weight: 1}}}); err != nil {
+		if _, _, _, _, err := s.Append(Delta{Add: []EdgeOp{{Src: graph.ID(e), Dst: graph.ID(e + 1), Type: 0}}}); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -149,14 +148,14 @@ func BenchmarkCompact(b *testing.B) {
 	// Pre-grow past the retention window so every iteration has a floor to
 	// fold.
 	for e := 0; e < DefaultRetain+2; e++ {
-		if _, _, _, _, err := s.Append(Delta{Add: []EdgeOp{{Src: graph.ID(e % n), Dst: graph.ID((e + 1) % n), Type: 0, Weight: 1}}}); err != nil {
+		if _, _, _, _, err := s.Append(Delta{Add: []EdgeOp{{Src: graph.ID(e % n), Dst: graph.ID((e + 1) % n), Type: 0}}}); err != nil {
 			b.Fatal(err)
 		}
 	}
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, _, _, _, err := s.Append(Delta{Add: []EdgeOp{{Src: graph.ID(i % n), Dst: graph.ID((i + 3) % n), Type: 0, Weight: 1}}}); err != nil {
+		if _, _, _, _, err := s.Append(Delta{Add: []EdgeOp{{Src: graph.ID(i % n), Dst: graph.ID((i + 3) % n), Type: 0}}}); err != nil {
 			b.Fatal(err)
 		}
 		if _, err := s.Compact(); err != nil {

@@ -29,7 +29,7 @@ func checkAgainstShadow(t *testing.T, view View, sh shadow, vertices []graph.ID,
 	t.Helper()
 	for _, v := range vertices {
 		for et := 0; et < nt; et++ {
-			ns, _, ok := view.Neighbors(v, graph.EdgeType(et))
+			ns, ok := view.Neighbors(v, graph.EdgeType(et))
 			if !ok {
 				t.Fatalf("epoch %d: vertex %d not owned", view.Epoch(), v)
 			}
@@ -71,7 +71,7 @@ func TestCompactLongStreamBoundedWithPinnedReader(t *testing.T) {
 	}
 	for i := 0; i < n; i++ {
 		v, u := graph.ID(i), graph.ID((i+1)%n)
-		s.AddEdge(v, u, 0, 1)
+		s.AddEdge(v, u, 0)
 		adj[akey{v, 0}] = append(adj[akey{v, 0}], u)
 	}
 	s.Seal()
@@ -90,7 +90,7 @@ func TestCompactLongStreamBoundedWithPinnedReader(t *testing.T) {
 		v := graph.ID(e % n)
 		u := graph.ID((e * 7) % n)
 		d := Delta{
-			Add:     []EdgeOp{{Src: v, Dst: u, Type: 0, Weight: float64(e)}},
+			Add:     []EdgeOp{{Src: v, Dst: u, Type: 0}},
 			SetAttr: []AttrOp{{V: u, Attr: []float64{float64(1000 + e)}}},
 		}
 		if e%3 == 0 {
@@ -196,7 +196,7 @@ func TestCompactLongStreamBoundedWithPinnedReader(t *testing.T) {
 	sh := shadows[s.Head()]
 	rng := sampling.NewRng(11)
 	for i := 0; i < 500; i++ {
-		src, dst, _, ok := head.SampleEdge(0, rng)
+		src, dst, ok := head.SampleEdge(0, rng)
 		if !ok {
 			t.Fatal("no edge drawn at head")
 		}
@@ -220,8 +220,8 @@ func TestCompactSinceStampsSurviveFold(t *testing.T) {
 	for v := graph.ID(0); v < 4; v++ {
 		s.AddVertex(v, []float64{float64(v)})
 	}
-	s.AddEdge(0, 1, 0, 1)
-	s.AddEdge(1, 2, 0, 1)
+	s.AddEdge(0, 1, 0)
+	s.AddEdge(1, 2, 0)
 	s.Seal()
 
 	// Epoch 1 rewrites vertex 0; epochs 2..5 touch vertex 1 only.
@@ -231,9 +231,9 @@ func TestCompactSinceStampsSurviveFold(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	mustAppend(Delta{Add: []EdgeOp{{Src: 0, Dst: 2, Type: 0, Weight: 1}}})
+	mustAppend(Delta{Add: []EdgeOp{{Src: 0, Dst: 2, Type: 0}}})
 	for i := 0; i < 4; i++ {
-		mustAppend(Delta{Add: []EdgeOp{{Src: 1, Dst: 3, Type: 0, Weight: 1}}})
+		mustAppend(Delta{Add: []EdgeOp{{Src: 1, Dst: 3, Type: 0}}})
 	}
 	if _, err := s.Compact(); err != nil {
 		t.Fatal(err)
@@ -262,7 +262,7 @@ func TestAttrSinceStampsSurviveFold(t *testing.T) {
 	for v := graph.ID(0); v < 4; v++ {
 		s.AddVertex(v, []float64{float64(v)})
 	}
-	s.AddEdge(0, 1, 0, 1)
+	s.AddEdge(0, 1, 0)
 	s.Seal()
 
 	mustAppend := func(d Delta) {

@@ -56,13 +56,12 @@
 //     throughout; live Views are untouched. Clients never notice: the head
 //     epoch does not move and every retained epoch answers exactly as
 //     before.
-//   - Every draw is uniform; edge weights are stored, updated, compacted
-//     and returned by Neighbors, but no draw reads them. A neighbour draw
-//     indexes the vertex's list with the caller's stream. An edge draw
-//     (TRAVERSE, SampleEdge) takes the edge at a uniform rank in (vertex
-//     ID, list position) order: one binary search over the base CSR
-//     offsets, plus one over a per-overlay rank index of the touched
-//     vertices. Both draws depend only on the adjacency a view serves, so
+//   - Every draw is uniform, and the store keeps no edge weights: an
+//     adjacency is its neighbour list alone. A neighbour draw indexes
+//     the vertex's list with the caller's stream. An edge draw (TRAVERSE,
+//     SampleEdge) takes the edge at a uniform rank in (vertex ID, list
+//     position) order: one binary search over the base CSR offsets, plus
+//     one over a per-overlay rank index of the touched vertices. Both draws depend only on the adjacency a view serves, so
 //     both are bit-stable across compaction.
 package version
 
@@ -128,7 +127,6 @@ func IsUnavailable(err error) bool {
 type EdgeOp struct {
 	Src, Dst graph.ID
 	Type     graph.EdgeType
-	Weight   float64
 }
 
 // AttrOp replaces the attribute row of one vertex.
@@ -157,7 +155,6 @@ type akey struct {
 // compaction prunes by.
 type adjList struct {
 	nbr   []graph.ID
-	wts   []float64
 	epoch uint64
 }
 
@@ -168,11 +165,10 @@ type attrRow struct {
 }
 
 // baseCSR is the sealed adjacency of one edge type: slot-aligned offsets
-// into flat neighbor/weight arrays.
+// into one flat neighbor array.
 type baseCSR struct {
 	offs []int64
 	nbr  []graph.ID
-	wts  []float64
 }
 
 // baseState freezes the whole shard at one epoch. It is immutable after
@@ -232,7 +228,6 @@ type Store struct {
 
 	// Pre-Seal building state.
 	bAdj  []map[graph.ID][]graph.ID
-	bWts  []map[graph.ID][]float64
 	bAttr map[graph.ID][]float64
 
 	// cur is the base new Appends and head reads resolve against; zero is
@@ -266,7 +261,6 @@ func NewStoreRetain(numEdgeTypes, retain int) *Store {
 		numTypes: numEdgeTypes,
 		retain:   retain,
 		bAdj:     make([]map[graph.ID][]graph.ID, numEdgeTypes),
-		bWts:     make([]map[graph.ID][]float64, numEdgeTypes),
 		bAttr:    make(map[graph.ID][]float64),
 		cur:      &baseState{},
 		overlays: make(map[uint64]*overlay),
@@ -274,7 +268,6 @@ func NewStoreRetain(numEdgeTypes, retain int) *Store {
 	}
 	for t := range s.bAdj {
 		s.bAdj[t] = make(map[graph.ID][]graph.ID)
-		s.bWts[t] = make(map[graph.ID][]float64)
 	}
 	return s
 }
@@ -300,14 +293,13 @@ func (s *Store) AddVertex(v graph.ID, attr []float64) {
 }
 
 // AddEdge appends an out-edge during loading. Only legal before Seal.
-func (s *Store) AddEdge(src, dst graph.ID, t graph.EdgeType, w float64) {
+func (s *Store) AddEdge(src, dst graph.ID, t graph.EdgeType) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	if s.sealed {
 		panic("version: AddEdge after Seal")
 	}
 	s.bAdj[t][src] = append(s.bAdj[t][src], dst)
-	s.bWts[t][src] = append(s.bWts[t][src], w)
 }
 
 // Seal freezes the loaded data as the immutable epoch-0 base: local IDs are
@@ -333,15 +325,13 @@ func (s *Store) Seal() {
 		}
 		m := c.offs[len(b.local)]
 		c.nbr = make([]graph.ID, 0, m)
-		c.wts = make([]float64, 0, m)
 		for _, v := range b.local {
 			c.nbr = append(c.nbr, s.bAdj[t][v]...)
-			c.wts = append(c.wts, s.bWts[t][v]...)
 		}
 		b.csr[t] = c
 		b.edges[t] = m
 	}
-	s.bAdj, s.bWts, s.bAttr = nil, nil, nil
+	s.bAdj, s.bAttr = nil, nil
 	s.zero = b
 	s.sealed = true
 }
@@ -620,16 +610,13 @@ func (s *Store) Append(delta Delta) (epoch uint64, added, removed, attrsSet int,
 		slot := base.slot(k.v)
 		c := &base.csr[k.t]
 		lo, hi := c.offs[slot], c.offs[slot+1]
-		return adjList{nbr: c.nbr[lo:hi], wts: c.wts[lo:hi], epoch: base.since[akey{k.v, k.t}]}
+		return adjList{nbr: c.nbr[lo:hi], epoch: base.since[akey{k.v, k.t}]}
 	}
 	// own returns k's staged list with this-round-private backing arrays.
 	own := func(k akey) adjList {
 		l := cur(k)
 		if _, ok := fresh[k]; !ok {
-			l = adjList{
-				nbr: append(make([]graph.ID, 0, len(l.nbr)+1), l.nbr...),
-				wts: append(make([]float64, 0, len(l.wts)+1), l.wts...),
-			}
+			l = adjList{nbr: append(make([]graph.ID, 0, len(l.nbr)+1), l.nbr...)}
 			fresh[k] = struct{}{}
 		}
 		return l
@@ -645,7 +632,6 @@ func (s *Store) Append(delta Delta) (epoch uint64, added, removed, attrsSet int,
 		k := akey{e.Src, e.Type}
 		l := own(k)
 		l.nbr = append(l.nbr, e.Dst)
-		l.wts = append(l.wts, e.Weight)
 		adj[k] = l
 		counts[e.Type]++
 		added++
@@ -671,7 +657,6 @@ func (s *Store) Append(delta Delta) (epoch uint64, added, removed, attrsSet int,
 		}
 		l = own(k)
 		l.nbr = append(l.nbr[:hit], l.nbr[hit+1:]...)
-		l.wts = append(l.wts[:hit], l.wts[hit+1:]...)
 		adj[k] = l
 		counts[e.Type]--
 		removed++
@@ -841,17 +826,14 @@ func (s *Store) Compact() (CompactStats, error) {
 		}
 		m := c.offs[len(nb.local)]
 		c.nbr = make([]graph.ID, 0, m)
-		c.wts = make([]float64, 0, m)
 		for i, v := range nb.local {
 			if l, ok := fold.adj[akey{v, graph.EdgeType(t)}]; ok {
 				c.nbr = append(c.nbr, l.nbr...)
-				c.wts = append(c.wts, l.wts...)
 				if l.epoch > 0 {
 					nb.since[akey{v, graph.EdgeType(t)}] = l.epoch
 				}
 			} else {
 				c.nbr = append(c.nbr, oc.nbr[oc.offs[i]:oc.offs[i+1]]...)
-				c.wts = append(c.wts, oc.wts[oc.offs[i]:oc.offs[i+1]]...)
 			}
 		}
 		nb.csr[t] = c

@@ -15,18 +15,18 @@ func buildStore(retain int) *Store {
 	for v := graph.ID(0); v < 4; v++ {
 		s.AddVertex(v, []float64{float64(v)})
 	}
-	s.AddEdge(0, 1, 0, 1)
-	s.AddEdge(0, 2, 0, 2)
-	s.AddEdge(1, 2, 0, 1)
-	s.AddEdge(2, 3, 0, 1)
-	s.AddEdge(0, 3, 1, 5)
+	s.AddEdge(0, 1, 0)
+	s.AddEdge(0, 2, 0)
+	s.AddEdge(1, 2, 0)
+	s.AddEdge(2, 3, 0)
+	s.AddEdge(0, 3, 1)
 	s.Seal()
 	return s
 }
 
 func neighbors(t *testing.T, v View, x graph.ID, et graph.EdgeType) []graph.ID {
 	t.Helper()
-	ns, _, ok := v.Neighbors(x, et)
+	ns, ok := v.Neighbors(x, et)
 	if !ok {
 		t.Fatalf("vertex %d not owned", x)
 	}
@@ -41,7 +41,7 @@ func TestViewsAreIsolatedAcrossEpochs(t *testing.T) {
 	}
 
 	epoch, added, removed, _, err := s.Append(Delta{
-		Add:    []EdgeOp{{Src: 0, Dst: 3, Type: 0, Weight: 1}},
+		Add:    []EdgeOp{{Src: 0, Dst: 3, Type: 0}},
 		Remove: []EdgeOp{{Src: 0, Dst: 1, Type: 0}},
 	})
 	if err != nil || epoch != 1 || added != 1 || removed != 1 {
@@ -76,8 +76,8 @@ func TestAppendAllOrNothing(t *testing.T) {
 	// legal first addition, and the epoch must not advance.
 	_, added, removed, set, err := s.Append(Delta{
 		Add: []EdgeOp{
-			{Src: 0, Dst: 3, Type: 0, Weight: 1},
-			{Src: 9, Dst: 0, Type: 0, Weight: 1},
+			{Src: 0, Dst: 3, Type: 0},
+			{Src: 9, Dst: 0, Type: 0},
 		},
 	})
 	if err == nil {
@@ -104,7 +104,7 @@ func TestAppendAllOrNothing(t *testing.T) {
 
 func TestAttrOverlaysAndAttrEpoch(t *testing.T) {
 	s := buildStore(8)
-	if _, _, _, set, err := s.Append(Delta{Add: []EdgeOp{{Src: 1, Dst: 3, Type: 0, Weight: 1}}}); err != nil || set != 0 {
+	if _, _, _, set, err := s.Append(Delta{Add: []EdgeOp{{Src: 1, Dst: 3, Type: 0}}}); err != nil || set != 0 {
 		t.Fatal(err)
 	}
 	if got := s.HeadView().AttrEpoch(); got != 0 {
@@ -132,7 +132,7 @@ func TestAttrOverlaysAndAttrEpoch(t *testing.T) {
 		t.Fatalf("epoch-1 attr(2) = %v", a)
 	}
 	// A later edge-only epoch keeps the attr epoch sticky.
-	if _, _, _, _, err := s.Append(Delta{Add: []EdgeOp{{Src: 1, Dst: 0, Type: 0, Weight: 1}}}); err != nil {
+	if _, _, _, _, err := s.Append(Delta{Add: []EdgeOp{{Src: 1, Dst: 0, Type: 0}}}); err != nil {
 		t.Fatal(err)
 	}
 	if got := s.HeadView().AttrEpoch(); got != 2 {
@@ -146,7 +146,7 @@ func TestRingEvictionAndLeases(t *testing.T) {
 		t.Fatal(err)
 	}
 	for i := 0; i < 6; i++ {
-		if _, _, _, _, err := s.Append(Delta{Add: []EdgeOp{{Src: 0, Dst: graph.ID(i % 4), Type: 0, Weight: 1}}}); err != nil {
+		if _, _, _, _, err := s.Append(Delta{Add: []EdgeOp{{Src: 0, Dst: graph.ID(i % 4), Type: 0}}}); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -176,7 +176,7 @@ func TestRingEvictionAndLeases(t *testing.T) {
 		t.Fatal(err)
 	}
 	for i := 0; i < 3; i++ {
-		if _, _, _, _, err := s.Append(Delta{Add: []EdgeOp{{Src: 1, Dst: 2, Type: 0, Weight: 1}}}); err != nil {
+		if _, _, _, _, err := s.Append(Delta{Add: []EdgeOp{{Src: 1, Dst: 2, Type: 0}}}); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -191,7 +191,7 @@ func TestRingEvictionAndLeases(t *testing.T) {
 func TestLeaseOfEvictedEpochFails(t *testing.T) {
 	s := buildStore(2)
 	for i := 0; i < 4; i++ {
-		if _, _, _, _, err := s.Append(Delta{Add: []EdgeOp{{Src: 0, Dst: 1, Type: 0, Weight: 1}}}); err != nil {
+		if _, _, _, _, err := s.Append(Delta{Add: []EdgeOp{{Src: 0, Dst: 1, Type: 0}}}); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -211,7 +211,7 @@ func TestLeaseOfEvictedEpochFails(t *testing.T) {
 func rankOrder(s *Store, v View, et graph.EdgeType) [][2]graph.ID {
 	var all [][2]graph.ID
 	for _, x := range s.LocalVertices() {
-		ns, _, _ := v.Neighbors(x, et)
+		ns, _ := v.Neighbors(x, et)
 		for _, u := range ns {
 			all = append(all, [2]graph.ID{x, u})
 		}
@@ -232,7 +232,7 @@ func checkRankRule(t *testing.T, what string, s *Store, v View, et graph.EdgeTyp
 	oracle := rng.Snapshot()
 	var draws [][2]graph.ID
 	for k := 0; k < 200; k++ {
-		src, dst, _, ok := v.SampleEdge(et, rng)
+		src, dst, ok := v.SampleEdge(et, rng)
 		want := all[oracle.Int64n(int64(len(all)))]
 		if !ok || src != want[0] || dst != want[1] {
 			t.Fatalf("%s: draw %d = (%d,%d) ok=%v, want rank edge %v", what, k, src, dst, ok, want)
@@ -248,7 +248,7 @@ func TestSampleEdgeMatchesEpoch(t *testing.T) {
 	checkRankRule(t, "base", s, base, 0, 3)
 	checkRankRule(t, "base type 1", s, base, 1, 3)
 	if _, _, _, _, err := s.Append(Delta{
-		Add:    []EdgeOp{{Src: 3, Dst: 0, Type: 0, Weight: 1}},
+		Add:    []EdgeOp{{Src: 3, Dst: 0, Type: 0}},
 		Remove: []EdgeOp{{Src: 0, Dst: 1, Type: 0}},
 	}); err != nil {
 		t.Fatal(err)
@@ -261,7 +261,7 @@ func TestSampleEdgeMatchesEpoch(t *testing.T) {
 	rng := sampling.NewRng(3)
 	seen := map[[2]graph.ID]int{}
 	for i := 0; i < 4000; i++ {
-		src, dst, _, ok := v.SampleEdge(0, rng)
+		src, dst, ok := v.SampleEdge(0, rng)
 		if !ok {
 			t.Fatal("no edge drawn")
 		}
@@ -280,7 +280,7 @@ func TestSampleEdgeMatchesEpoch(t *testing.T) {
 	// as the base does.
 	other := buildStore(2)
 	otherBase := other.HeadView()
-	if _, _, _, _, err := other.Append(Delta{Add: []EdgeOp{{Src: 1, Dst: 3, Type: 1, Weight: 1}}}); err != nil {
+	if _, _, _, _, err := other.Append(Delta{Add: []EdgeOp{{Src: 1, Dst: 3, Type: 1}}}); err != nil {
 		t.Fatal(err)
 	}
 	ov := other.HeadView()
@@ -294,7 +294,7 @@ func TestSampleEdgeMatchesEpoch(t *testing.T) {
 
 	// An update confined to another type must not perturb type-0 draws, and
 	// neither may a compaction folding epoch 1's lists into the base.
-	if _, _, _, _, err := s.Append(Delta{Add: []EdgeOp{{Src: 0, Dst: 2, Type: 1, Weight: 1}}}); err != nil {
+	if _, _, _, _, err := s.Append(Delta{Add: []EdgeOp{{Src: 0, Dst: 2, Type: 1}}}); err != nil {
 		t.Fatal(err)
 	}
 	before := checkRankRule(t, "overlay, type-1 update", s, s.HeadView(), 0, 3)
@@ -329,10 +329,10 @@ func TestSampleEdgeUniformUnderHeavyOverlay(t *testing.T) {
 		s.AddVertex(v, nil)
 	}
 	for i := 0; i < 1000; i++ {
-		s.AddEdge(0, graph.ID(100+i), 0, 1)
+		s.AddEdge(0, graph.ID(100+i), 0)
 	}
 	for v := graph.ID(1); v <= 10; v++ {
-		s.AddEdge(v, 0, 0, 1)
+		s.AddEdge(v, 0, 0)
 	}
 	s.Seal()
 	var rm []EdgeOp
@@ -350,7 +350,7 @@ func TestSampleEdgeUniformUnderHeavyOverlay(t *testing.T) {
 	counts := map[[2]graph.ID]int{}
 	rng := sampling.NewRng(1)
 	for i := 0; i < draws; i++ {
-		src, dst, _, ok := v.SampleEdge(0, rng)
+		src, dst, ok := v.SampleEdge(0, rng)
 		if !ok {
 			t.Fatal("no edge drawn")
 		}
@@ -387,7 +387,7 @@ func TestConcurrentAppendAndRead(t *testing.T) {
 				return
 			default:
 			}
-			d := Delta{Add: []EdgeOp{{Src: graph.ID(i % 4), Dst: graph.ID((i + 1) % 4), Type: 0, Weight: 1}}}
+			d := Delta{Add: []EdgeOp{{Src: graph.ID(i % 4), Dst: graph.ID((i + 1) % 4), Type: 0}}}
 			if i%3 == 0 {
 				d.Remove = []EdgeOp{{Src: graph.ID(i % 4), Dst: graph.ID((i + 1) % 4), Type: 0}}
 			}
@@ -417,7 +417,7 @@ func TestConcurrentAppendAndRead(t *testing.T) {
 				// A view is a snapshot: repeated reads agree with themselves.
 				sum := int64(0)
 				for _, x := range s.LocalVertices() {
-					ns, _, _ := v.Neighbors(x, 0)
+					ns, _ := v.Neighbors(x, 0)
 					sum += int64(len(ns))
 				}
 				if sum != count {
@@ -426,7 +426,7 @@ func TestConcurrentAppendAndRead(t *testing.T) {
 					return
 				}
 				if count > 0 {
-					if _, _, _, ok := v.SampleEdge(0, rng); !ok {
+					if _, _, ok := v.SampleEdge(0, rng); !ok {
 						t.Errorf("epoch %d: no edge drawn with count %d", e, count)
 					}
 				}

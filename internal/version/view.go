@@ -33,22 +33,22 @@ func (v View) AttrEpoch() uint64 {
 	return v.ov.attrEpoch
 }
 
-// Neighbors returns x's out-neighbors and weights under edge type t at the
-// view's epoch. The slices alias immutable storage (base CSR or an overlay
-// entry) and must be treated as read-only. ok is false when x is not local.
-func (v View) Neighbors(x graph.ID, t graph.EdgeType) (ns []graph.ID, ws []float64, ok bool) {
+// Neighbors returns x's out-neighbors under edge type t at the view's
+// epoch. The slice aliases immutable storage (base CSR or an overlay entry)
+// and must be treated as read-only. ok is false when x is not local.
+func (v View) Neighbors(x graph.ID, t graph.EdgeType) (ns []graph.ID, ok bool) {
 	slot := v.b.slot(x)
 	if slot < 0 {
-		return nil, nil, false
+		return nil, false
 	}
 	if v.ov != nil {
 		if l, touched := v.ov.adj[akey{x, t}]; touched {
-			return l.nbr, l.wts, true
+			return l.nbr, true
 		}
 	}
 	c := &v.b.csr[t]
 	lo, hi := c.offs[slot], c.offs[slot+1]
-	return c.nbr[lo:hi], c.wts[lo:hi], true
+	return c.nbr[lo:hi], true
 }
 
 // ChangedAt reports the epoch at which x's type-t adjacency, as served at
@@ -209,10 +209,10 @@ func (ov *overlay) ranks(t graph.EdgeType) *rankIndex {
 // so a draw is bit-identical across a compaction (which folds overlay lists
 // into the base verbatim, in slot order) and across updates confined to
 // other edge types.
-func (v View) SampleEdge(t graph.EdgeType, rng *sampling.Rng) (src, dst graph.ID, w float64, ok bool) {
+func (v View) SampleEdge(t graph.EdgeType, rng *sampling.Rng) (src, dst graph.ID, ok bool) {
 	n := v.EdgeCount(t)
 	if n <= 0 {
-		return 0, 0, 0, false
+		return 0, 0, false
 	}
 	r := rng.Int64n(n)
 	c := &v.b.csr[t]
@@ -224,9 +224,9 @@ func (v View) SampleEdge(t graph.EdgeType, rng *sampling.Rng) (src, dst graph.ID
 		e := &ix.entries[j]
 		off := r - ix.starts[j]
 		if off < int64(len(e.l.nbr)) {
-			return v.b.local[e.slot], e.l.nbr[off], e.l.wts[off], true
+			return v.b.local[e.slot], e.l.nbr[off], true
 		}
 		r = c.offs[e.slot+1] + off - int64(len(e.l.nbr))
 	}
-	return v.b.local[graph.SearchOffsets(c.offs, r)], c.nbr[r], c.wts[r], true
+	return v.b.local[graph.SearchOffsets(c.offs, r)], c.nbr[r], true
 }

@@ -1,22 +1,33 @@
 #!/usr/bin/env bash
-# Fails when an alternative of a `go test -run` regex matches no test in
-# the package, so a renamed or deleted test cannot leave a CI regex
-# silently empty. Each |-separated alternative is checked with
-# `go test -list`, which matches names exactly as -run does:
+# Fails when an alternative of a `go test -run` (or, with -bench, a
+# `go test -bench`) regex matches nothing in the packages it runs over, so
+# a renamed or deleted test or benchmark cannot leave a CI regex silently
+# empty. Each |-separated alternative is checked with `go test -list`,
+# which matches top-level names exactly as -run and -bench do; it passes
+# when any of the packages has a match. Without -bench only the names -run
+# runs count (Test*, Fuzz*, Example*); with -bench only Benchmark* names,
+# so an alternative that matches just a Test fails:
 #
 #   bash scripts/check-run-regex.sh 'Chaos|Blackout|Restart' ./internal/cluster/
+#   bash scripts/check-run-regex.sh -bench 'KHop|Compact' ./internal/graph/ ./internal/version/
 set -euo pipefail
-if [ $# -ne 2 ]; then
-	echo "usage: $0 REGEX PACKAGE" >&2
+names='^(Test|Fuzz|Example)' kind=test
+if [ "${1:-}" = -bench ]; then
+	names='^Benchmark' kind=benchmark
+	shift
+fi
+if [ $# -lt 2 ]; then
+	echo "usage: $0 [-bench] REGEX PACKAGE..." >&2
 	exit 2
 fi
-regex=$1 pkg=$2
+regex=$1
+shift
 IFS='|' read -ra alts <<< "$regex"
 missing=0
 for alt in "${alts[@]}"; do
-	out=$(go test -list "$alt" "$pkg")
-	if ! grep -qvE '^(ok|\?) ' <<< "$out"; then
-		echo "no test in $pkg matches -run alternative '$alt'" >&2
+	out=$(go test -list "$alt" "$@")
+	if ! grep -qE "$names" <<< "$out"; then
+		echo "no $kind in $* matches alternative '$alt'" >&2
 		missing=1
 	fi
 done
