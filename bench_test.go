@@ -1,9 +1,10 @@
 package aligraph
 
 // One testing.B benchmark per table and figure of the paper's evaluation
-// (Section 5), plus the DESIGN.md ablations. Each benchmark regenerates its
-// experiment through internal/bench and reports the formatted table via
-// b.Log, so `go test -bench=. -benchmem` reproduces the full evaluation.
+// (Section 5), plus ablations of the system layer's design choices. Each
+// benchmark regenerates its experiment through internal/bench and reports
+// the formatted table via b.Log, so `go test -bench=. -benchmem`
+// reproduces the full evaluation.
 //
 // Scale: set ALIGRAPH_BENCH_SCALE (default 0.1) to grow or shrink the
 // synthetic datasets. The paper's absolute numbers come from a production
@@ -222,7 +223,7 @@ func BenchmarkTrainStep(b *testing.B) {
 		servers := cluster.FromGraph(g, assign)
 		for _, depth := range []int{0, 4} {
 			b.Run(fmt.Sprintf("cluster/shards=%d/prefetch=%d", shards, depth), func(b *testing.B) {
-				tr := cluster.NewLatencyTransport(cluster.NewLocalTransport(servers, -1, 0), 200*time.Microsecond)
+				tr := cluster.NewLatencyTransport(cluster.NewLocalTransport(servers, -1), 200*time.Microsecond)
 				cp := NewClusterPlatform(assign, tr, storage.NewImportanceCacheTopFraction(g, 2, 0.2), 1)
 				trainer, err := cp.NewGraphSAGE(trainCfg(depth))
 				if err != nil {
@@ -230,24 +231,6 @@ func BenchmarkTrainStep(b *testing.B) {
 				}
 				run(b, trainer)
 			})
-		}
-	}
-}
-
-func BenchmarkAblation_LockFreeBuckets(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		out := bench.AblationLockFree(20000, 8)
-		if i == 0 {
-			b.Log("\n" + out)
-		}
-	}
-}
-
-func BenchmarkAblation_AttrStorage(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		out := bench.AblationAttrStorage(benchScale())
-		if i == 0 {
-			b.Log("\n" + out)
 		}
 	}
 }

@@ -38,9 +38,7 @@ var experiments = map[string]func(scale float64) string{
 			bench.Table11(s*5), bench.Table12(s)))
 	},
 	"ablations": func(s float64) string {
-		return bench.AblationLockFree(20000, 8) +
-			bench.AblationAttrStorage(s) +
-			bench.AblationPartitioners(s, 4) +
+		return bench.AblationPartitioners(s, 4) +
 			bench.AblationNegativeSampling(10000, 50000)
 	},
 }

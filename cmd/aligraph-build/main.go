@@ -1,8 +1,10 @@
 // Command aligraph-build loads a graph from TSV files, partitions it with
 // one of the built-in partitioners, and reports the resulting layout: per-
-// partition sizes, edge cut, importance-cache statistics and attribute
-// dedup savings. With -demo it generates a Taobao-sim dataset instead of
-// reading files (and can dump it with -out-vertices/-out-edges for use with
+// partition sizes, edge cut, importance-cache statistics, and what the
+// shards built from the partition hold: the live heap they take per stored
+// edge and per vertex, and each shard base's distinct attribute patterns.
+// With -demo it generates a Taobao-sim dataset instead of reading files
+// (and can dump it with -out-vertices/-out-edges for use with
 // aligraph-server).
 //
 // Usage:
@@ -18,14 +20,18 @@ import (
 	"fmt"
 	"log"
 	"os"
+	"runtime"
+	"runtime/metrics"
 	"strings"
 	"time"
 
+	"repro/internal/cluster"
 	"repro/internal/dataset"
 	"repro/internal/graph"
 	"repro/internal/graphio"
 	"repro/internal/partition"
 	"repro/internal/storage"
+	"repro/internal/version"
 )
 
 func main() {
@@ -77,10 +83,7 @@ func main() {
 		pt.Name(), *partitions, time.Since(start).Round(time.Millisecond),
 		a.Sizes(), 100*a.CutFraction(g), a.Imbalance())
 
-	st := storage.BuildStore(g)
-	rep := st.Space()
-	fmt.Printf("attribute store: %d distinct vectors, dedup %.2fMB vs inline %.2fMB (%.1fx)\n",
-		rep.Distinct, float64(rep.DedupBytes)/1e6, float64(rep.InlineBytes)/1e6, rep.Ratio)
+	reportShards(g, a)
 
 	if *cacheTau > 0 {
 		sel := storage.SelectImportant(g, 1, *cacheTau)
@@ -109,5 +112,42 @@ func main() {
 		}
 		f.Close()
 		fmt.Printf("wrote %s\n", *outEdges)
+	}
+}
+
+// liveHeap forces a collection and reads the heap it left live, in bytes.
+func liveHeap() float64 {
+	runtime.GC()
+	s := []metrics.Sample{{Name: "/gc/heap/live:bytes"}}
+	metrics.Read(s)
+	return float64(s[0].Value.Uint64())
+}
+
+// reportShards builds the shards of assignment a and prints the live heap
+// they add per stored edge and per vertex, then each shard base's distinct
+// attribute patterns: the table its one-byte attribute codes index, or the
+// note that the base holds its rows as values.
+func reportShards(g *graph.Graph, a *partition.Assignment) {
+	before := liveHeap()
+	servers := cluster.FromGraph(g, a)
+	added := liveHeap() - before
+	edges, vertices := 0, 0
+	for _, s := range servers {
+		edges += s.NumLocalEdges()
+		vertices += s.NumLocalVertices()
+	}
+	fmt.Printf("shards: %.2f MB live heap, %.1f B per stored edge (%d), %.1f B per vertex (%d)\n",
+		added/1e6, added/float64(max(edges, 1)), edges, added/float64(max(vertices, 1)), vertices)
+	for i, s := range servers {
+		table := s.Store().HeadView().AttrTable()
+		if table == nil {
+			fmt.Printf("  shard %d base: attribute rows stored as values (more than %d patterns)\n", i, version.MaxCodes)
+			continue
+		}
+		shown, more := table, ""
+		if len(shown) > 16 {
+			shown, more = shown[:16], " ..."
+		}
+		fmt.Printf("  shard %d base: %d distinct attribute patterns %v%s\n", i, len(table), shown, more)
 	}
 }

@@ -102,7 +102,7 @@ func TestGoldenBits(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		tr := cluster.NewLocalTransport(cluster.FromGraph(g, assign), 0, 0)
+		tr := cluster.NewLocalTransport(cluster.FromGraph(g, assign), 0)
 		cp := NewClusterPlatform(assign, tr, storage.NewImportanceCacheTopFraction(g, 2, 0.2), 1)
 		trainer, err := cp.NewGraphSAGE(goldenTrainConfig(PipelineConfig{Depth: 4, Workers: 2}))
 		if err != nil {

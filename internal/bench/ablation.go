@@ -4,78 +4,15 @@ import (
 	"fmt"
 	"math/rand"
 	"strings"
-	"sync"
 	"time"
 
 	"repro/internal/dataset"
-	"repro/internal/graph"
 	"repro/internal/partition"
 	"repro/internal/sampling"
-	"repro/internal/storage"
 )
 
-// This file holds the ablation benchmarks called out in DESIGN.md: they
-// probe the design choices of the system layer rather than reproducing a
-// specific paper figure.
-
-// AblationLockFree compares the lock-free request-flow buckets against a
-// single global mutex for mixed read/update traffic.
-func AblationLockFree(ops int, producers int) string {
-	state := make([]int64, 1024)
-
-	// Mutex variant.
-	var mu sync.Mutex
-	start := time.Now()
-	var wg sync.WaitGroup
-	for p := 0; p < producers; p++ {
-		wg.Add(1)
-		go func(p int) {
-			defer wg.Done()
-			for i := 0; i < ops/producers; i++ {
-				v := graph.ID((p*31 + i) % 1024)
-				mu.Lock()
-				state[v]++
-				mu.Unlock()
-			}
-		}(p)
-	}
-	wg.Wait()
-	mutexTime := time.Since(start)
-
-	// Bucket variant.
-	for i := range state {
-		state[i] = 0
-	}
-	buckets := sampling.NewBuckets(4)
-	start = time.Now()
-	for p := 0; p < producers; p++ {
-		wg.Add(1)
-		go func(p int) {
-			defer wg.Done()
-			for i := 0; i < ops/producers; i++ {
-				v := graph.ID((p*31 + i) % 1024)
-				buckets.Submit(v, func() { state[v]++ })
-			}
-		}(p)
-	}
-	wg.Wait()
-	buckets.Close()
-	bucketTime := time.Since(start)
-
-	return fmt.Sprintf("Ablation: lock-free buckets %v vs global mutex %v over %d ops (%d producers)\n",
-		bucketTime.Round(time.Microsecond), mutexTime.Round(time.Microsecond), ops, producers)
-}
-
-// AblationAttrStorage reports the space saving of the deduplicated
-// attribute indices versus inline storage.
-func AblationAttrStorage(scale float64) string {
-	g := dataset.Taobao(dataset.TaobaoSmallConfig(scale))
-	s := storage.BuildStore(g)
-	rep := s.Space()
-	return fmt.Sprintf(
-		"Ablation: attribute storage inline %.1fMB vs dedup %.1fMB (%.1fx, %d distinct vectors)\n",
-		float64(rep.InlineBytes)/1e6, float64(rep.DedupBytes)/1e6, rep.Ratio, rep.Distinct)
-}
+// This file holds the ablation benchmarks: they probe design choices of
+// the system layer rather than reproducing a specific paper figure.
 
 // AblationPartitioners compares the cut quality of the built-in
 // partitioners on a Taobao-sim graph.

@@ -138,12 +138,6 @@ func TestTable11Runs(t *testing.T) {
 }
 
 func TestAblations(t *testing.T) {
-	if s := AblationLockFree(2000, 4); !strings.Contains(s, "lock-free") {
-		t.Fatal(s)
-	}
-	if s := AblationAttrStorage(tiny); !strings.Contains(s, "dedup") {
-		t.Fatal(s)
-	}
 	if s := AblationPartitioners(tiny, 4); !strings.Contains(s, "metis") {
 		t.Fatal(s)
 	}

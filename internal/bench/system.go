@@ -207,7 +207,7 @@ func Figure9(scale float64) []Figure9Row {
 	users := g.VerticesOfType(0)
 
 	run := func(name string, cache storage.NeighborCache, frac float64) Figure9Row {
-		tr := &SampleTraffic{Transport: cluster.NewLocalTransport(servers, 0, 0), Home: 0}
+		tr := &SampleTraffic{Transport: cluster.NewLocalTransport(servers, 0), Home: 0}
 		if err := Figure9Workload(cluster.NewClient(a, tr, cache), users); err != nil {
 			panic(err)
 		}

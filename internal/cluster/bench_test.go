@@ -47,7 +47,7 @@ func BenchmarkClusterSample(b *testing.B) {
 				mk = func() storage.NeighborCache { return storage.NoCache{} }
 			}
 			b.Run(fmt.Sprintf("shards=%d/cache=%s", shards, kind), func(b *testing.B) {
-				tr := NewLocalTransport(servers, 0, 0)
+				tr := NewLocalTransport(servers, 0)
 				cache := mk()
 				c := NewClient(a, tr, cache)
 				nbr := sampling.NewNeighborhood(c, rand.New(rand.NewSource(1)))
@@ -88,7 +88,7 @@ func BenchmarkClusterSample(b *testing.B) {
 		}
 		servers := FromGraph(g, a)
 		b.Run(fmt.Sprintf("shards=%d/rtt=200us", shards), func(b *testing.B) {
-			tr := NewLatencyTransport(NewLocalTransport(servers, 0, 0), 200*time.Microsecond)
+			tr := NewLatencyTransport(NewLocalTransport(servers, 0), 200*time.Microsecond)
 			c := NewClient(a, tr, storage.NoCache{})
 			nbr := sampling.NewNeighborhood(c, rand.New(rand.NewSource(1)))
 			var ctx sampling.Context
@@ -128,7 +128,7 @@ func BenchmarkClusterSample(b *testing.B) {
 		coldVs := make([]graph.ID, coldPer)
 		coldDst := make([]graph.ID, coldPer*width)
 		b.Run("shards=2/skew", func(b *testing.B) {
-			tr := NewLocalTransport(sservers, 0, 0)
+			tr := NewLocalTransport(sservers, 0)
 			c := NewClient(sa, tr, storage.NewLRUNeighborCache(cacheCap))
 			b.ReportAllocs()
 			b.ResetTimer()
@@ -160,7 +160,7 @@ func BenchmarkClusterSample(b *testing.B) {
 		}
 		servers := FromGraph(g, a)
 		b.Run(fmt.Sprintf("shards=%d/cache=none/faults=1%%", shards), func(b *testing.B) {
-			ft := NewFaultTransport(NewLocalTransport(servers, 0, 0), shards, FaultConfig{Seed: 17, DropRate: 0.01})
+			ft := NewFaultTransport(NewLocalTransport(servers, 0), shards, FaultConfig{Seed: 17, DropRate: 0.01})
 			rt := NewRetryTransport(ft, shards, CallPolicy{
 				Attempts:   4,
 				Backoff:    50 * time.Microsecond,
@@ -277,7 +277,7 @@ func BenchmarkServeAttrs(b *testing.B) {
 		b.Fatal(err)
 	}
 	srvs := FromGraph(g, a)
-	c := NewClient(a, typed(NewLocalTransport(srvs, 0, 0)), storage.NewLRUNeighborCache(g.NumVertices()/5))
+	c := NewClient(a, typed(NewLocalTransport(srvs, 0)), storage.NewLRUNeighborCache(g.NumVertices()/5))
 	uniq, pin := sampleBatch(b, c)
 	defer c.Unpin(pin)
 	slices.Sort(uniq)
@@ -321,7 +321,7 @@ func BenchmarkAttrsWire(b *testing.B) {
 		if err != nil {
 			b.Fatal(err)
 		}
-		c := NewClient(a, typed(codecCaller{NewLocalTransport(FromGraph(g, a), 0, 0)}), nil)
+		c := NewClient(a, typed(codecCaller{NewLocalTransport(FromGraph(g, a), 0)}), nil)
 		vs := make([]graph.ID, n)
 		for i := range vs {
 			vs[i] = graph.ID(i)

@@ -76,7 +76,7 @@ func newChurnTrainerCache(t *testing.T, g *graph.Graph, seed int64, mkCache func
 		t.Fatal(err)
 	}
 	servers := FromGraph(g, a)
-	c := NewClient(a, NewLocalTransport(servers, 0, 0), mkCache(servers, a))
+	c := NewClient(a, NewLocalTransport(servers, 0), mkCache(servers, a))
 	rng := rand.New(rand.NewSource(seed))
 	enc := churnEncoder(g.NumVertices(), []int{3, 2}, rng)
 	cfg := core.TrainerConfig{EdgeType: 0, HopNums: []int{3, 2}, Batch: 16, NegK: 2, LR: 0.05}
@@ -223,7 +223,7 @@ func TestEvictionRepinRetry(t *testing.T) {
 	}
 	srv.Seal()
 	a := &partition.Assignment{P: 1, Of: make([]int, g.NumVertices())}
-	c := NewClient(a, NewLocalTransport([]*Server{srv}, 0, 0), storage.NoCache{})
+	c := NewClient(a, NewLocalTransport([]*Server{srv}, 0), storage.NoCache{})
 
 	rng := rand.New(rand.NewSource(5))
 	cfg := core.TrainerConfig{EdgeType: 0, HopNums: []int{2, 2}, Batch: 8, NegK: 2, LR: 0.05}
@@ -300,7 +300,7 @@ func TestServerRestartFutureEpochRepin(t *testing.T) {
 		return servers[0]
 	}
 	srv := build()
-	tr := NewLocalTransport([]*Server{srv}, 0, 0)
+	tr := NewLocalTransport([]*Server{srv}, 0)
 	c := NewClient(a, tr, storage.NoCache{})
 	rng := rand.New(rand.NewSource(5))
 	cfg := core.TrainerConfig{EdgeType: 0, HopNums: []int{2, 2}, Batch: 8, NegK: 2, LR: 0.05}
@@ -369,7 +369,7 @@ func TestAttrCacheEpochInvalidation(t *testing.T) {
 		t.Fatal(err)
 	}
 	servers := FromGraph(g, a)
-	tr := NewLocalTransport(servers, 0, 0)
+	tr := NewLocalTransport(servers, 0)
 	c := NewClient(a, tr, storage.NoCache{})
 	cache := NewAttrCache(c, 64)
 
@@ -428,7 +428,7 @@ func TestAttrCachePinnedReadSkipsNewerRow(t *testing.T) {
 		t.Fatal(err)
 	}
 	servers := FromGraph(g, a)
-	c := NewClient(a, NewLocalTransport(servers, 0, 0), storage.NoCache{})
+	c := NewClient(a, NewLocalTransport(servers, 0), storage.NoCache{})
 	cache := NewAttrCache(c, 64)
 	v := servers[0].LocalVertices()[0]
 	vs := []graph.ID{v}
@@ -486,7 +486,7 @@ func TestAttrCachePinnedReadSkipsNewerRow(t *testing.T) {
 func TestStreamSourceTrainsOnLiveGraph(t *testing.T) {
 	g := churnTestGraph(120)
 	trn, servers := newChurnTrainer(t, g, 7)
-	feed := NewUpdateStream(NewLocalTransport(servers, 0, 0))
+	feed := NewUpdateStream(NewLocalTransport(servers, 0))
 	ss := core.NewStreamSource(trn.Source(), feed, core.StreamConfig{MaxPerTick: 2})
 	trn.SetSource(ss)
 

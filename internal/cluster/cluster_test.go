@@ -59,7 +59,7 @@ func setup(t *testing.T, cache storage.NeighborCache) (*Client, *LocalTransport,
 		t.Fatal(err)
 	}
 	servers := FromGraph(g, a)
-	tr := NewLocalTransport(servers, 0, 0)
+	tr := NewLocalTransport(servers, 0)
 	return NewClient(a, tr, cache), tr, g
 }
 
@@ -132,7 +132,7 @@ func TestClientCacheAvoidsRemoteCalls(t *testing.T) {
 	g := testGraph(t)
 	a, _ := partition.HashPartitioner{}.Partition(g, 2)
 	servers := FromGraph(g, a)
-	tr := NewLocalTransport(servers, 0, 0)
+	tr := NewLocalTransport(servers, 0)
 	cache := storage.NewLRUNeighborCache(64)
 	c := NewClient(a, tr, cache)
 
@@ -241,7 +241,7 @@ func TestRPCTransport(t *testing.T) {
 }
 
 func TestLocalTransportErrors(t *testing.T) {
-	tr := NewLocalTransport(nil, 0, 0)
+	tr := NewLocalTransport(nil, 0)
 	if err := tr.SampleNeighbors(0, SampleRequest{Width: 1}, &SampleReply{}); err == nil {
 		t.Fatal("expected error with no servers")
 	}
@@ -256,7 +256,7 @@ func TestImportanceCacheCutsRemoteTraffic(t *testing.T) {
 	servers := FromGraph(g, a)
 
 	count := func(cache storage.NeighborCache) int64 {
-		tr := NewLocalTransport(servers, 0, 0)
+		tr := NewLocalTransport(servers, 0)
 		nbr := sampling.NewNeighborhood(NewClient(a, tr, cache), nil)
 		var ctx sampling.Context
 		rng := sampling.NewRng(1)
@@ -284,7 +284,7 @@ func TestClientBatchedDistributedSampling(t *testing.T) {
 	g := testGraph(t)
 	a, _ := partition.HashPartitioner{}.Partition(g, 2)
 	servers := FromGraph(g, a)
-	tr := NewLocalTransport(servers, 0, 0)
+	tr := NewLocalTransport(servers, 0)
 	client := NewClient(a, tr, storage.NewLRUNeighborCache(32))
 
 	nbr := sampling.NewNeighborhood(client, rand.New(rand.NewSource(1)))
@@ -315,7 +315,7 @@ func TestClientNegativePoolMatchesInDegrees(t *testing.T) {
 	g := testGraph(t)
 	a, _ := partition.HashPartitioner{}.Partition(g, 2)
 	servers := FromGraph(g, a)
-	client := NewClient(a, NewLocalTransport(servers, 0, 0), nil)
+	client := NewClient(a, NewLocalTransport(servers, 0), nil)
 
 	cands, counts, err := client.NegativePool(0)
 	if err != nil {
@@ -341,7 +341,7 @@ func TestClientSampleEdges(t *testing.T) {
 	g := testGraph(t)
 	a, _ := partition.HashPartitioner{}.Partition(g, 2)
 	servers := FromGraph(g, a)
-	tr := NewLocalTransport(servers, 0, 0)
+	tr := NewLocalTransport(servers, 0)
 	client := NewClient(a, tr, nil)
 
 	edges, err := client.SampleEdges(0, 64, 7)
@@ -375,7 +375,7 @@ func TestSampleBatchWarmsReplacingCache(t *testing.T) {
 	g := testGraph(t) // every user has click-degree 2 <= width 3
 	a, _ := partition.HashPartitioner{}.Partition(g, 2)
 	servers := FromGraph(g, a)
-	tr := NewLocalTransport(servers, 0, 0)
+	tr := NewLocalTransport(servers, 0)
 	cache := storage.NewLRUNeighborCache(64)
 	client := NewClient(a, tr, cache)
 
@@ -410,7 +410,7 @@ func TestCacheKeyedByEdgeType(t *testing.T) {
 	g := testGraph(t) // click (0) and buy (1) edges from every user
 	a, _ := partition.HashPartitioner{}.Partition(g, 2)
 	servers := FromGraph(g, a)
-	client := NewClient(a, NewLocalTransport(servers, 0, 0), storage.NewLRUNeighborCache(64))
+	client := NewClient(a, NewLocalTransport(servers, 0), storage.NewLRUNeighborCache(64))
 
 	dst := make([]graph.ID, 4)
 	if err := client.SampleBatch(dst, []graph.ID{0}, 0, 4, 7); err != nil {
@@ -451,7 +451,7 @@ func TestSampleEdgesSeesDynamicInserts(t *testing.T) {
 	g := b.Finalize()
 	a, _ := partition.HashPartitioner{}.Partition(g, 2)
 	servers := FromGraph(g, a)
-	client := NewClient(a, NewLocalTransport(servers, 0, 0), nil)
+	client := NewClient(a, NewLocalTransport(servers, 0), nil)
 
 	if edges, err := client.SampleEdges(1, 4, 3); err != nil || len(edges) != 0 {
 		t.Fatalf("empty type: %d edges, err %v", len(edges), err)
@@ -479,7 +479,7 @@ func TestClientConcurrentSharedCache(t *testing.T) {
 	g := powerLawTestGraph(300)
 	a, _ := partition.HashPartitioner{}.Partition(g, 4)
 	servers := FromGraph(g, a)
-	tr := NewLocalTransport(servers, 0, 0)
+	tr := NewLocalTransport(servers, 0)
 	client := NewClient(a, tr, storage.NewImportanceCacheTopFraction(g, 2, 0.3))
 	nbr := sampling.NewNeighborhood(client, rand.New(rand.NewSource(1)))
 

@@ -254,7 +254,7 @@ func FuzzWireDecode(f *testing.F) {
 			owned = append(owned, graph.ID(v))
 		}
 	}
-	local := NewLocalTransport(FromGraph(g, a), 0, 0)
+	local := NewLocalTransport(FromGraph(g, a), 0)
 	var leased uint64
 	for m := range numMethods {
 		req := agreementRequest(m, owned[:4], leased)

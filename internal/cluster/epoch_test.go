@@ -26,7 +26,7 @@ func splitServers(t *testing.T, n int) (*graph.Graph, *partition.Assignment, []*
 // makes batches that span both shards detectably mixed.
 func TestEpochViewDetectsMixedEpochs(t *testing.T) {
 	g, a, servers := splitServers(t, 200)
-	tr := NewLocalTransport(servers, 0, 0)
+	tr := NewLocalTransport(servers, 0)
 	c := NewClient(a, tr, storage.NoCache{})
 
 	batch := make([]graph.ID, 64)
@@ -82,7 +82,7 @@ func TestEpochViewDetectsMixedEpochs(t *testing.T) {
 // pin advances once the update is observed.
 func TestMiniBatchEpochStamping(t *testing.T) {
 	_, a, servers := splitServers(t, 200)
-	tr := NewLocalTransport(servers, 0, 0)
+	tr := NewLocalTransport(servers, 0)
 	c := NewClient(a, tr, storage.NoCache{})
 
 	rng := rand.New(rand.NewSource(3))
@@ -146,7 +146,7 @@ func TestMiniBatchEpochStamping(t *testing.T) {
 // partition assignment and the schema, from any shard.
 func TestBootstrapServesAssignmentAndSchema(t *testing.T) {
 	g, a, servers := splitServers(t, 120)
-	tr := NewLocalTransport(servers, 0, 0)
+	tr := NewLocalTransport(servers, 0)
 	for part := 0; part < a.P; part++ {
 		got, schema, err := Bootstrap(tr, part)
 		if err != nil {
@@ -180,7 +180,7 @@ func TestBootstrapServesAssignmentAndSchema(t *testing.T) {
 // and returns rows identical to the direct path.
 func TestAttrCacheServesHotVertices(t *testing.T) {
 	_, a, servers := splitServers(t, 120)
-	tr := NewLocalTransport(servers, 0, 0)
+	tr := NewLocalTransport(servers, 0)
 	c := NewClient(a, tr, storage.NoCache{})
 
 	vs := []graph.ID{5, 9, 5, 17, 9, 33}

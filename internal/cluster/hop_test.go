@@ -21,7 +21,7 @@ func newHopCluster(t *testing.T, g *graph.Graph, shards int, wrap func(Caller) T
 	if err != nil {
 		t.Fatal(err)
 	}
-	var tr Transport = NewLocalTransport(FromGraph(g, a), 0, 0)
+	var tr Transport = NewLocalTransport(FromGraph(g, a), 0)
 	if wrap != nil {
 		tr = wrap(tr.(Caller))
 	}

@@ -22,7 +22,7 @@ func TestHopMetrics(t *testing.T) {
 		t.Fatal(err)
 	}
 	servers := FromGraph(g, a)
-	c := NewClient(a, NewLocalTransport(servers, 0, 0), storage.NewLRUNeighborCache(64))
+	c := NewClient(a, NewLocalTransport(servers, 0), storage.NewLRUNeighborCache(64))
 
 	// A Neighborhood over the client's epoch view tags each hop of the
 	// expansion (mirroring how the trainer's batch sources sample).

@@ -37,7 +37,7 @@
 //
 // Every transport layer implements one interface, Caller: Call(ctx, part,
 // method, req, reply) and Close. LocalTransport runs the handler in process
-// (counting calls and sleeping RemoteLatency for non-home parts);
+// (counting home and non-home calls);
 // RPCTransport sends the call over TCP and gives up when ctx ends.
 // LatencyTransport, FaultTransport and RetryTransport each wrap an inner
 // Caller, do their one thing (sleep; inject a seeded fault; retry under a
@@ -62,8 +62,8 @@
 // Transport faults are a design input, not an afterthought. The contract,
 // layer by layer:
 //
-//   - What is retried: every read RPC (Neighbors, SampleNeighbors,
-//     SampleEdges, NegativePool, Stats, Attrs, Bootstrap) is idempotent by
+//   - What is retried: every read RPC (SampleNeighbors, SampleEdges,
+//     NegativePool, Stats, Attrs, Bootstrap) is idempotent by
 //     construction — draws are vertex-/seed-pure at pinned epochs, so a
 //     re-issued read returns bit-identical data — and RetryTransport
 //     re-issues them under a CallPolicy (per-attempt deadline, bounded

@@ -18,7 +18,7 @@ func TestAttrSinceAndProbeHeads(t *testing.T) {
 		t.Fatal(err)
 	}
 	servers := FromGraph(g, a)
-	c := NewClient(a, NewLocalTransport(servers, 0, 0), nil)
+	c := NewClient(a, NewLocalTransport(servers, 0), nil)
 
 	// Pick one vertex per shard.
 	var v0, v1 graph.ID

@@ -211,29 +211,27 @@ func (f facade) Compact(part int, req CompactRequest, reply *CompactReply) error
 }
 
 // LocalTransport serves requests by direct method calls on in-process
-// servers, optionally sleeping RemoteLatency per call to any partition other
-// than Home. It also counts calls so benchmarks can report deterministic
-// remote-trip numbers independent of wall-clock noise.
+// servers. It counts calls to Home and to every other partition so
+// benchmarks can report deterministic remote-trip numbers independent of
+// wall-clock noise; LatencyTransport adds a delay when one is wanted.
 type LocalTransport struct {
 	facade
 	Servers []*Server
-	// Home is the caller's own partition; calls to it are free.
+	// Home is the caller's own partition; its calls count as local.
 	Home int
-	// RemoteLatency is added to every call to a non-Home partition.
-	RemoteLatency time.Duration
 
 	localCalls  int64
 	remoteCalls int64
 }
 
 // NewLocalTransport wraps in-process servers.
-func NewLocalTransport(servers []*Server, home int, remoteLatency time.Duration) *LocalTransport {
-	t := &LocalTransport{Servers: servers, Home: home, RemoteLatency: remoteLatency}
+func NewLocalTransport(servers []*Server, home int) *LocalTransport {
+	t := &LocalTransport{Servers: servers, Home: home}
 	t.facade = facade{t}
 	return t
 }
 
-// Call implements Caller: it pays for the call, then runs m's handler on
+// Call implements Caller: it counts the call, then runs m's handler on
 // part's server. The handler runs to completion whatever ctx says.
 func (t *LocalTransport) Call(_ context.Context, part int, m Method, req, reply any) error {
 	if part < 0 || part >= len(t.Servers) {
@@ -243,9 +241,6 @@ func (t *LocalTransport) Call(_ context.Context, part int, m Method, req, reply 
 		atomic.AddInt64(&t.localCalls, 1)
 	} else {
 		atomic.AddInt64(&t.remoteCalls, 1)
-		if t.RemoteLatency > 0 {
-			time.Sleep(t.RemoteLatency)
-		}
 	}
 	return methods[m].serve(t.Servers[part], req, reply)
 }

@@ -112,7 +112,7 @@ func TestSampleReplyBytes(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	counter := &replyBytes{Caller: NewLocalTransport(FromGraph(g, a), 0, 0)}
+	counter := &replyBytes{Caller: NewLocalTransport(FromGraph(g, a), 0)}
 	c := NewClient(a, typed(counter), storage.NewLRUNeighborCache(g.NumVertices()/5))
 	uniq, pin := sampleBatch(t, c)
 	defer c.Unpin(pin)

@@ -24,15 +24,6 @@ func (g *Graph) KHopOut(v ID, k int) []ID {
 	return out
 }
 
-// KHopIn returns the set of vertices that reach v in 1..k hops following
-// out-edges (equivalently, v's k-hop in-neighborhood).
-func (g *Graph) KHopIn(v ID, k int) []ID {
-	s := g.AcquireScratch()
-	out := append([]ID(nil), g.KHopInScratch(v, k, s)...)
-	g.ReleaseScratch(s)
-	return out
-}
-
 // KHopOutCount returns D_o^(k)(v).
 func (g *Graph) KHopOutCount(v ID, k int) int {
 	s := g.AcquireScratch()

@@ -81,21 +81,3 @@ func FitPowerLaw(hist map[int]int) PowerLawFit {
 	}
 	return PowerLawFit{Alpha: -slope, R2: r2, N: n}
 }
-
-// DegreePowerLaw fits a power law to the total out-degree distribution.
-func (g *Graph) DegreePowerLaw() PowerLawFit {
-	return FitPowerLaw(Histogram(g.Degrees()))
-}
-
-// ImportancePowerLaw fits a power law to the bucketed Imp^(k) distribution,
-// validating Theorem 2 empirically. Importances are bucketed at resolution
-// 0.1 and shifted to positive integers.
-func (g *Graph) ImportancePowerLaw(k int) PowerLawFit {
-	imps := g.ImportanceAll(k)
-	buckets := make([]int, 0, len(imps))
-	for _, x := range imps {
-		b := int(x*10) + 1
-		buckets = append(buckets, b)
-	}
-	return FitPowerLaw(Histogram(buckets))
-}

@@ -95,8 +95,10 @@ func (g *Graph) KHopOutScratch(v ID, k int, s *Scratch) []ID {
 	return g.khopScratch(v, k, s, g.out)
 }
 
-// KHopInScratch is KHopIn using caller-provided scratch; the returned slice
-// aliases the scratch and is valid until its next use.
+// KHopInScratch returns the set of vertices that reach v in 1..k hops
+// following out-edges (v's k-hop in-neighborhood), using caller-provided
+// scratch; the returned slice aliases the scratch and is valid until its
+// next use.
 func (g *Graph) KHopInScratch(v ID, k int, s *Scratch) []ID {
 	return g.khopScratch(v, k, s, g.in)
 }

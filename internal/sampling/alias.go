@@ -1,8 +1,6 @@
 // Package sampling implements AliGraph's sampling layer (Section 3.3): the
-// three sampler classes TRAVERSE, NEIGHBORHOOD and NEGATIVE, weighted
-// samplers with dynamic weight updates (a sampler "backward" pass), and the
-// lock-free per-group request-flow buckets that serialize reads and updates
-// without locking (Figure 6).
+// three sampler classes TRAVERSE, NEIGHBORHOOD and NEGATIVE, over the
+// in-memory graph or, through the Source seam, the cluster's shards.
 //
 // # Sampling engine
 //
@@ -15,9 +13,8 @@
 //     per owning server per hop.
 //   - Neighbour draws are uniform over a vertex's out-list. Edge weights
 //     stay in the local graph and ride only on local TRAVERSE edges
-//     (Edge.Weight; cluster shards store none); the weighted draws this
-//     package offers are the Alias tables behind NEGATIVE and the
-//     learnable Weighted sampler.
+//     (Edge.Weight; cluster shards store none); the one weighted draw
+//     this package offers is the Alias table behind NEGATIVE.
 //   - Neighborhood.SampleInto reuses the layer buffers of a caller-owned
 //     Context across mini-batches, so steady-state expansion performs no
 //     allocation at all.

@@ -4,7 +4,6 @@ import (
 	"math"
 	"math/bits"
 	"math/rand"
-	"sync"
 	"testing"
 	"testing/quick"
 
@@ -268,131 +267,5 @@ func TestNegativeDistributionFollowsDegree(t *testing.T) {
 	ratio := float64(counts[hot]) / math.Max(1, float64(counts[cold]))
 	if ratio < 5 || ratio > 16 {
 		t.Fatalf("unigram^0.75 ratio = %f", ratio)
-	}
-}
-
-func TestWeightedSamplerDrawAndSet(t *testing.T) {
-	rng := rand.New(rand.NewSource(1))
-	s := NewWeighted([]float64{1, 0, 3}, 3)
-	if s.Total() != 4 {
-		t.Fatalf("total = %f", s.Total())
-	}
-	counts := make([]int, 3)
-	for i := 0; i < 8000; i++ {
-		counts[s.Draw(rng)]++
-	}
-	if counts[1] != 0 {
-		t.Fatal("zero-weight item drawn")
-	}
-	ratio := float64(counts[2]) / float64(counts[0])
-	if ratio < 2.5 || ratio > 3.5 {
-		t.Fatalf("ratio = %f", ratio)
-	}
-	s.Set(1, 10)
-	if s.Weight(1) != 10 || s.Total() != 14 {
-		t.Fatalf("after set: w=%f total=%f", s.Weight(1), s.Total())
-	}
-}
-
-func TestWeightedSamplerBackward(t *testing.T) {
-	s := NewWeighted(nil, 4)
-	// No registered gradient: Backward is a no-op.
-	s.Backward(0, 1.0)
-	if s.Weight(0) != 1 {
-		t.Fatal("backward without gradient changed weights")
-	}
-	// Register: each backward adds signal * 0.5.
-	s.RegisterGradient(func(idx int, signal float64) float64 { return 0.5 * signal })
-	s.Backward(0, 2.0)
-	if s.Weight(0) != 2.0 {
-		t.Fatalf("w0 = %f", s.Weight(0))
-	}
-	// Weight floors at zero.
-	s.Backward(1, -100)
-	if s.Weight(1) != 0 {
-		t.Fatalf("w1 = %f", s.Weight(1))
-	}
-}
-
-func TestWeightedAllZero(t *testing.T) {
-	s := NewWeighted([]float64{0, 0}, 2)
-	if s.Draw(rand.New(rand.NewSource(1))) != -1 {
-		t.Fatal("all-zero sampler must return -1")
-	}
-}
-
-func TestMPSCQueue(t *testing.T) {
-	q := newMPSCQueue()
-	if q.pop() != nil {
-		t.Fatal("empty pop")
-	}
-	sum := 0
-	q.push(func() { sum += 1 })
-	q.push(func() { sum += 2 })
-	for op := q.pop(); op != nil; op = q.pop() {
-		op()
-	}
-	if sum != 3 {
-		t.Fatalf("sum = %d", sum)
-	}
-}
-
-func TestBucketsSerializePerVertex(t *testing.T) {
-	b := NewBuckets(4)
-	defer b.Close()
-
-	// Concurrent unsynchronized increments to per-vertex counters: the
-	// bucket serialization is the only thing preventing a data race (run
-	// with -race) and lost updates.
-	const perVertex = 500
-	counters := make([]int, 8) // vertices 0..7
-	var wg sync.WaitGroup
-	for v := graph.ID(0); v < 8; v++ {
-		for p := 0; p < 4; p++ { // 4 producers per vertex
-			wg.Add(1)
-			go func(v graph.ID) {
-				defer wg.Done()
-				for i := 0; i < perVertex/4; i++ {
-					b.SubmitWait(v, func() { counters[v]++ })
-				}
-			}(v)
-		}
-	}
-	wg.Wait()
-	for v, c := range counters {
-		if c != perVertex {
-			t.Fatalf("counter[%d] = %d, want %d (lost updates)", v, c, perVertex)
-		}
-	}
-	if b.Processed() != int64(8*perVertex) {
-		t.Fatalf("processed = %d", b.Processed())
-	}
-}
-
-func TestBucketsCloseDrains(t *testing.T) {
-	b := NewBuckets(2)
-	done := make([]bool, 100)
-	for i := 0; i < 100; i++ {
-		i := i
-		b.Submit(graph.ID(i), func() { done[i] = true })
-	}
-	b.Close()
-	for i, d := range done {
-		if !d {
-			t.Fatalf("op %d not drained on close", i)
-		}
-	}
-}
-
-func TestBucketOfStable(t *testing.T) {
-	b := NewBuckets(3)
-	defer b.Close()
-	for v := graph.ID(0); v < 100; v++ {
-		if b.bucketOf(v) != b.bucketOf(v) {
-			t.Fatal("bucketOf must be deterministic")
-		}
-		if i := b.bucketOf(v); i < 0 || i >= 3 {
-			t.Fatalf("bucket out of range: %d", i)
-		}
 	}
 }

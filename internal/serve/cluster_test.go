@@ -42,7 +42,7 @@ func clusterFixtureT(tb testing.TB, n int, wrap func(cluster.Caller) cluster.Tra
 		tb.Fatal(err)
 	}
 	servers := cluster.FromGraph(g, assign)
-	local := cluster.NewLocalTransport(servers, 0, 0)
+	local := cluster.NewLocalTransport(servers, 0)
 	var tp cluster.Transport = local
 	if wrap != nil {
 		tp = wrap(local)

@@ -1,10 +1,13 @@
-// Package storage implements the AliGraph storage layer (Section 3.2):
-// separate structural and attribute storage with deduplicating attribute
-// indices I_V and I_E fronted by LRU caches, and neighbor caching of
+// Package storage holds the caches of the AliGraph storage layer
+// (Section 3.2) that sit in front of the shards: neighbor caching of
 // important vertices selected by the Imp^(k) metric (Algorithm 2:
 // SelectImportant picks the vertices, NewStaticCache caches their
-// neighbor lists). A cluster worker's client holds the neighbor
-// cache; a single-process graph has no remote fetch for it to save.
+// neighbor lists), the serving tier's EmbeddingCache, and the generic LRU
+// behind the LRU neighbor cache and cluster.AttrCache. A cluster worker's
+// client holds the neighbor cache; a single-process graph has no remote
+// fetch for it to save. The shards' own layout, adjacency stored apart
+// from attribute rows coded against each base's table of distinct
+// patterns, is internal/version's.
 //
 // # Epoch-aware neighbor-cache seam
 //
@@ -33,8 +36,7 @@ import "container/list"
 
 // LRU is a fixed-capacity least-recently-used cache from int64 keys to
 // values of type V. It is not safe for concurrent use; callers that share a
-// cache across goroutines wrap it (the graph-server request buckets
-// serialize access instead, see internal/sampling).
+// cache across goroutines hold a lock around it (cluster.AttrCache does).
 type LRU[V any] struct {
 	cap   int
 	ll    *list.List

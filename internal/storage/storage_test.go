@@ -80,84 +80,6 @@ func TestQuickLRUCapacity(t *testing.T) {
 	}
 }
 
-func TestAttributeIndexDedup(t *testing.T) {
-	ai := NewAttributeIndex(8)
-	a := ai.Intern([]float64{1, 2})
-	b := ai.Intern([]float64{1, 2})
-	c := ai.Intern([]float64{3})
-	if a != b {
-		t.Fatalf("identical vectors should dedup: %d vs %d", a, b)
-	}
-	if a == c {
-		t.Fatal("distinct vectors must not collide")
-	}
-	if ai.NumDistinct() != 2 {
-		t.Fatalf("distinct = %d", ai.NumDistinct())
-	}
-	if ai.Intern(nil) != -1 {
-		t.Fatal("nil must intern to -1")
-	}
-	if ai.Lookup(-1) != nil || ai.Direct(-1) != nil {
-		t.Fatal("index -1 must resolve to nil")
-	}
-	if got := ai.Lookup(a); len(got) != 2 || got[1] != 2 {
-		t.Fatalf("lookup = %v", got)
-	}
-	if ai.Bytes() != 8*3 {
-		t.Fatalf("bytes = %d", ai.Bytes())
-	}
-}
-
-func TestAttributeIndexNoFloatCollision(t *testing.T) {
-	ai := NewAttributeIndex(8)
-	a := ai.Intern([]float64{1.0})
-	b := ai.Intern([]float64{1.0000000001})
-	if a == b {
-		t.Fatal("nearby floats must not dedup")
-	}
-}
-
-func buildUserItem(t *testing.T) *graph.Graph {
-	t.Helper()
-	s := graph.MustSchema([]string{"user", "item"}, []string{"click", "buy"})
-	b := graph.NewBuilder(s, true)
-	// 4 users sharing 2 distinct attribute vectors; 2 items.
-	maleAttr := []float64{1, 0}
-	femaleAttr := []float64{0, 1}
-	u0 := b.AddVertex(0, maleAttr)
-	u1 := b.AddVertex(0, maleAttr)
-	u2 := b.AddVertex(0, femaleAttr)
-	u3 := b.AddVertex(0, femaleAttr)
-	i0 := b.AddVertex(1, []float64{100})
-	i1 := b.AddVertex(1, []float64{200})
-	for _, u := range []graph.ID{u0, u1, u2, u3} {
-		b.AddEdge(u, i0, 0, 1)
-	}
-	b.AddEdge(u0, i1, 1, 1)
-	return b.Finalize()
-}
-
-func TestStoreDedupAndSpace(t *testing.T) {
-	g := buildUserItem(t)
-	s := BuildStore(g)
-	if s.VIndex.NumDistinct() != 4 { // male, female, item100, item200
-		t.Fatalf("distinct vertex attrs = %d", s.VIndex.NumDistinct())
-	}
-	if s.VertexAttrIndex(0) != s.VertexAttrIndex(1) {
-		t.Fatal("shared attrs must share index")
-	}
-	if got := s.VertexAttr(2); len(got) != 2 || got[1] != 1 {
-		t.Fatalf("attr(u2) = %v", got)
-	}
-	rep := s.Space()
-	if rep.DedupBytes <= 0 || rep.InlineBytes <= 0 {
-		t.Fatalf("space report: %+v", rep)
-	}
-	if rep.Ratio <= 1.0 {
-		t.Fatalf("dedup should save space on this graph: ratio=%f", rep.Ratio)
-	}
-}
-
 func hubGraph(nSpokes int) *graph.Graph {
 	b := graph.NewBuilder(graph.SimpleSchema(), true)
 	hub := b.AddVertex(0, nil)

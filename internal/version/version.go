@@ -455,24 +455,12 @@ func (s *Store) Lease(epoch uint64) error {
 	return nil
 }
 
-// LeaseHead pins the current head epoch and returns it.
-func (s *Store) LeaseHead() uint64 {
-	e, _ := s.LeaseHeadInfo()
-	return e
-}
-
-// LeaseHeadInfo pins the current head epoch and returns it together with
-// the head's attribute epoch, read under one lock acquisition so the pair
-// is consistent even under concurrent Appends.
-func (s *Store) LeaseHeadInfo() (epoch, attrEpoch uint64) {
-	e, a, _ := s.LeaseHeadStats()
-	return e, a
-}
-
-// LeaseHeadStats is LeaseHeadInfo extended with the head epoch's per-type
-// edge counts, all from one lock acquisition. Lease replies carry them so
-// clients can split pinned TRAVERSE batches across shards using the
-// counters of the snapshot they actually sample — not the moving head's.
+// LeaseHeadStats pins the current head epoch and returns it together with
+// the head's attribute epoch and per-type edge counts, all read under one
+// lock acquisition so they are consistent even under concurrent Appends.
+// Lease replies carry them so clients can split pinned TRAVERSE batches
+// across shards using the counters of the snapshot they actually sample —
+// not the moving head's.
 func (s *Store) LeaseHeadStats() (epoch, attrEpoch uint64, edges []int64) {
 	s.mu.Lock()
 	defer s.mu.Unlock()

@@ -198,8 +198,8 @@ func TestLeaseOfEvictedEpochFails(t *testing.T) {
 	if err := s.Lease(1); !IsEvicted(err) {
 		t.Fatalf("lease of evicted epoch = %v", err)
 	}
-	if e := s.LeaseHead(); e != 4 {
-		t.Fatalf("LeaseHead = %d", e)
+	if e, _, _ := s.LeaseHeadStats(); e != 4 {
+		t.Fatalf("LeaseHeadStats = %d", e)
 	}
 	if s.Leases(4) != 1 {
 		t.Fatalf("leases(4) = %d", s.Leases(4))
@@ -406,7 +406,7 @@ func TestConcurrentAppendAndRead(t *testing.T) {
 			defer readers.Done()
 			rng := sampling.NewRng(seed)
 			for i := 0; i < 2000; i++ {
-				e := s.LeaseHead()
+				e, _, _ := s.LeaseHeadStats()
 				v, err := s.At(e)
 				if err != nil {
 					t.Errorf("At(leased %d): %v", e, err)

@@ -2,11 +2,14 @@
 # Fails when an alternative of a `go test -run` (or, with -bench, a
 # `go test -bench`) regex matches nothing in the packages it runs over, so
 # a renamed or deleted test or benchmark cannot leave a CI regex silently
-# empty. Each |-separated alternative is checked with `go test -list`,
-# which matches top-level names exactly as -run and -bench do; it passes
-# when any of the packages has a match. Without -bench only the names -run
-# runs count (Test*, Fuzz*, Example*); with -bench only Benchmark* names,
-# so an alternative that matches just a Test fails:
+# empty. The packages' top-level names are listed once, with one
+# `go test -list .` (one test-binary link per package), and each
+# |-separated alternative is matched against them unanchored, as -run and
+# -bench match top-level names; it passes when any of the packages has a
+# match. Without -bench only the names -run runs count (Test*, Fuzz*,
+# Example*); with -bench only Benchmark* names, so an alternative that
+# matches just a Test fails. Alternatives are matched as grep -E patterns,
+# which agree with Go's regexp syntax on the plain names CI uses:
 #
 #   bash scripts/check-run-regex.sh 'Chaos|Blackout|Restart' ./internal/cluster/
 #   bash scripts/check-run-regex.sh -bench 'KHop|Compact' ./internal/graph/ ./internal/version/
@@ -22,11 +25,12 @@ if [ $# -lt 2 ]; then
 fi
 regex=$1
 shift
+out=$(go test -list . "$@")
+listed=$(grep -E "$names" <<< "$out" || true)
 IFS='|' read -ra alts <<< "$regex"
 missing=0
 for alt in "${alts[@]}"; do
-	out=$(go test -list "$alt" "$@")
-	if ! grep -qE "$names" <<< "$out"; then
+	if ! grep -qE -- "$alt" <<< "$listed"; then
 		echo "no $kind in $* matches alternative '$alt'" >&2
 		missing=1
 	fi
