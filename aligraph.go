@@ -33,8 +33,8 @@
 // 4.1) — without perturbing a single random draw relative to synchronous
 // training. Cluster workers start graph-free: the partition assignment and
 // schema come from the servers' Bootstrap RPC, hot neighbor lists from the
-// pluggable neighbor cache, and hot attribute rows from a 4096-row
-// client-side LRU (cluster.AttrCache, invalidated by attribute epoch).
+// pluggable neighbor cache, and attribute rows from the shards, read at
+// each batch's pin by the batched Attrs RPC.
 //
 // Underneath the cluster storage layer sits internal/version, a
 // multi-version snapshot store: each server holds an immutable base
@@ -329,16 +329,13 @@ func (p *ClusterPlatform) Neighborhood() *sampling.Neighborhood {
 	return sampling.NewNeighborhood(p.Client, p.newRng())
 }
 
-// attrCacheRows caps the client-side attribute LRU of a cluster trainer
-// with UseAttrs.
-const attrCacheRows = 4096
-
 // clusterAttrFeatures serves hop-0 attribute rows through batched Attrs
-// RPCs (with per-server sub-batching and dedup in the client), behind a
-// client-side LRU over hot vertices (cluster.AttrCache). The feature
-// interface has no error path, so a failed fetch is recorded on the tape
-// (nn.Tape.Fail), and inference returns it instead of a vector encoded
-// from zero rows. Training never fetches here: the batch pipeline
+// RPCs (with per-server sub-batching and dedup in the client). No row is
+// kept between fetches: a pinned prefetch reads its pin's rows and a head
+// read reads the head, so no update can leave a stale row behind. The
+// feature interface has no error path, so a failed fetch is recorded on
+// the tape (nn.Tape.Fail), and inference returns it instead of a vector
+// encoded from zero rows. Training never fetches here: the batch pipeline
 // prefetches every row at the batch's pin and parks the batch when that
 // fetch fails.
 //
@@ -348,9 +345,9 @@ const attrCacheRows = 4096
 //
 // Rows is safe for the concurrent calls of one training step: it only reads
 // the installed prefetched map, which is swapped between steps, and its
-// fallback fetch goes through the concurrency-safe fetcher.
+// fallback fetch goes through the concurrency-safe client.
 type clusterAttrFeatures struct {
-	fetch *cluster.AttrCache
+	fetch *cluster.Client
 	d     int
 
 	// prefetched, when set, answers Rows without touching the network
@@ -396,7 +393,7 @@ func (f *clusterAttrFeatures) Rows(t *nn.Tape, vs []ID) *nn.Node {
 func (f *clusterAttrFeatures) Params() []*nn.Param { return nil }
 
 // PrefetchAttrs implements core.PrefetchingFeatures; safe for concurrent
-// use (the fetcher is). Pinned batches read their snapshot's attribute
+// use (the client is). Pinned batches read their snapshot's attribute
 // rows.
 func (f *clusterAttrFeatures) PrefetchAttrs(vs []ID, pin *sampling.Pin, into map[ID][]float64) error {
 	attrs, err := f.fetch.AttrsAt(vs, pin)
@@ -425,8 +422,7 @@ func (p *ClusterPlatform) NewGraphSAGE(cfg TrainConfig) (*Trainer, error) {
 		if ad == 0 {
 			ad = 16
 		}
-		fetch := cluster.NewAttrCache(p.Client, attrCacheRows)
-		feat = &core.ConcatFeatures{Srcs: []core.FeatureSource{&clusterAttrFeatures{fetch: fetch, d: ad}, feat}}
+		feat = &core.ConcatFeatures{Srcs: []core.FeatureSource{&clusterAttrFeatures{fetch: p.Client, d: ad}, feat}}
 	}
 	enc := newSAGEEncoder(feat, cfg, rng)
 	tc := core.TrainerConfig{EdgeType: cfg.EdgeType, HopNums: cfg.HopNums, Batch: cfg.Batch, NegK: cfg.NegK, LR: cfg.LR, NegRefresh: cfg.NegRefresh}

@@ -96,7 +96,7 @@ func TestClusterPlatformTrains(t *testing.T) {
 		t.Fatal(err)
 	}
 	servers := cluster.FromGraph(g, assign)
-	tr := cluster.NewLocalTransport(servers, 0)
+	tr := cluster.NewLocalTransport(servers)
 	cp := NewClusterPlatform(assign, tr, storage.NewImportanceCacheTopFraction(g, 2, 0.2), 1)
 
 	if cp.NumVertices() != g.NumVertices() {
@@ -151,7 +151,7 @@ func TestClusterPipelineMatchesSyncTraining(t *testing.T) {
 
 	train := func(pl PipelineConfig) []float64 {
 		t.Helper()
-		tr := cluster.NewLocalTransport(servers, 0)
+		tr := cluster.NewLocalTransport(servers)
 		cp := NewClusterPlatform(assign, tr, storage.NewImportanceCacheTopFraction(g, 2, 0.2), 1)
 		tc := DefaultTrainConfig()
 		tc.HopNums = []int{3, 2}
@@ -189,7 +189,7 @@ func TestClusterPipelineRace(t *testing.T) {
 		t.Fatal(err)
 	}
 	servers := cluster.FromGraph(g, assign)
-	tr := cluster.NewLocalTransport(servers, 0)
+	tr := cluster.NewLocalTransport(servers)
 	cp := NewClusterPlatform(assign, tr, storage.NewLRUNeighborCache(g.NumVertices()/5), 1)
 	tc := DefaultTrainConfig()
 	tc.HopNums = []int{3, 2}
@@ -266,7 +266,7 @@ func TestClusterEmbedSurfacesAttrFetchError(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	failing := &failingAttrs{Caller: cluster.NewLocalTransport(cluster.FromGraph(g, assign), 0)}
+	failing := &failingAttrs{Caller: cluster.NewLocalTransport(cluster.FromGraph(g, assign))}
 	cp := NewClusterPlatform(assign, cluster.NewLatencyTransport(failing, 0), nil, 1)
 	tc := DefaultTrainConfig()
 	tc.HopNums = []int{3, 2}

@@ -223,7 +223,7 @@ func BenchmarkTrainStep(b *testing.B) {
 		servers := cluster.FromGraph(g, assign)
 		for _, depth := range []int{0, 4} {
 			b.Run(fmt.Sprintf("cluster/shards=%d/prefetch=%d", shards, depth), func(b *testing.B) {
-				tr := cluster.NewLatencyTransport(cluster.NewLocalTransport(servers, -1), 200*time.Microsecond)
+				tr := cluster.NewLatencyTransport(cluster.NewLocalTransport(servers), 200*time.Microsecond)
 				cp := NewClusterPlatform(assign, tr, storage.NewImportanceCacheTopFraction(g, 2, 0.2), 1)
 				trainer, err := cp.NewGraphSAGE(trainCfg(depth))
 				if err != nil {

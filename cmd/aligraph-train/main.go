@@ -6,8 +6,9 @@
 // worker starts graph-free — the partition assignment and schema come from
 // the cluster's Bootstrap RPC — and all sampling (TRAVERSE edge batches,
 // NEGATIVE pools, NEIGHBORHOOD expansion via the batched SampleNeighbors
-// RPC) and attribute fetches go over the wire, with hot-vertex neighbor and
-// attribute LRUs client-side. -prefetch N assembles N mini-batches ahead of
+// RPC) and attribute fetches go over the wire, with a hot-vertex neighbor
+// cache client-side; attribute rows are read from the shards at each
+// batch's pin. -prefetch N assembles N mini-batches ahead of
 // the optimizer on two parallel workers, overlapping graph-service latency
 // with the forward/backward pass. The worker dials every shard at startup
 // and retries under cluster.DefaultCallPolicy; each scatter round reaches

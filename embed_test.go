@@ -60,7 +60,7 @@ func TestEmbedBatchIndependent(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		tr := cluster.NewLocalTransport(cluster.FromGraph(g, assign), 0)
+		tr := cluster.NewLocalTransport(cluster.FromGraph(g, assign))
 		cp := NewClusterPlatform(assign, tr, storage.NewLRUNeighborCache(64), 1)
 		trainer, err := cp.NewGraphSAGE(tc)
 		if err != nil {

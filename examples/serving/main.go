@@ -46,7 +46,7 @@ func main() {
 	// In-process shards behind a transport that charges 200us per remote
 	// call — enough to make the sampling fan-out the dominant lookup cost,
 	// as it is over a real network.
-	tp := cluster.NewLatencyTransport(cluster.NewLocalTransport(servers, 0), 200*time.Microsecond)
+	tp := cluster.NewLatencyTransport(cluster.NewLocalTransport(servers), 200*time.Microsecond)
 	cp := aligraph.NewClusterPlatform(assign, tp, nil, 1)
 	fmt.Printf("cluster: 2 shards, %d vertices, %d edges\n", n, g.NumEdges())
 

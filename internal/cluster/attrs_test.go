@@ -41,7 +41,7 @@ func attrBits(r AttrRows) any {
 // the view's own rows (View.Attr), for bases stored coded and as values,
 // rows set by updates before and after a compaction folds them, replies
 // pushed past maxCodes patterns, signed zeros, NaN payloads, and nil and
-// empty rows. The stamps must be View.AttrChangedAt's.
+// empty rows.
 func TestServeAttrsMatchesPackRows(t *testing.T) {
 	negZero := math.Copysign(0, -1)
 	nanA := math.Float64frombits(0x7ff8000000000001)
@@ -108,11 +108,6 @@ func TestServeAttrsMatchesPackRows(t *testing.T) {
 		}
 		if !reflect.DeepEqual(attrBits(reply.Attrs), attrBits(want)) {
 			t.Fatalf("%s: ServeAttrs rows\n%+v\npackRows\n%+v", name, reply.Attrs, want)
-		}
-		for i, v := range vs {
-			if got := view.AttrChangedAt(v); reply.Since[i] != got {
-				t.Fatalf("%s: Since[%d] = %d, AttrChangedAt = %d", name, i, reply.Since[i], got)
-			}
 		}
 	}
 	ids := func(is ...int) []graph.ID {

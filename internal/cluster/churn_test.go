@@ -76,7 +76,7 @@ func newChurnTrainerCache(t *testing.T, g *graph.Graph, seed int64, mkCache func
 		t.Fatal(err)
 	}
 	servers := FromGraph(g, a)
-	c := NewClient(a, NewLocalTransport(servers, 0), mkCache(servers, a))
+	c := NewClient(a, NewLocalTransport(servers), mkCache(servers, a))
 	rng := rand.New(rand.NewSource(seed))
 	enc := churnEncoder(g.NumVertices(), []int{3, 2}, rng)
 	cfg := core.TrainerConfig{EdgeType: 0, HopNums: []int{3, 2}, Batch: 16, NegK: 2, LR: 0.05}
@@ -223,7 +223,7 @@ func TestEvictionRepinRetry(t *testing.T) {
 	}
 	srv.Seal()
 	a := &partition.Assignment{P: 1, Of: make([]int, g.NumVertices())}
-	c := NewClient(a, NewLocalTransport([]*Server{srv}, 0), storage.NoCache{})
+	c := NewClient(a, NewLocalTransport([]*Server{srv}), storage.NoCache{})
 
 	rng := rand.New(rand.NewSource(5))
 	cfg := core.TrainerConfig{EdgeType: 0, HopNums: []int{2, 2}, Batch: 8, NegK: 2, LR: 0.05}
@@ -300,7 +300,8 @@ func TestServerRestartFutureEpochRepin(t *testing.T) {
 		return servers[0]
 	}
 	srv := build()
-	tr := NewLocalTransport([]*Server{srv}, 0)
+	local := NewLocalTransport([]*Server{srv})
+	tr := countCalls(local)
 	c := NewClient(a, tr, storage.NoCache{})
 	rng := rand.New(rand.NewSource(5))
 	cfg := core.TrainerConfig{EdgeType: 0, HopNums: []int{2, 2}, Batch: 8, NegK: 2, LR: 0.05}
@@ -343,7 +344,7 @@ func TestServerRestartFutureEpochRepin(t *testing.T) {
 	// Restart: the shard comes back with a fresh store at epoch 0. The
 	// client's live pin now references epoch 2 of a store that has never
 	// reached it.
-	tr.Servers[0] = build()
+	local.Servers[0] = build()
 
 	mb = next()
 	if mb.Pin.Epochs[0] != 0 {
@@ -359,9 +360,9 @@ func TestServerRestartFutureEpochRepin(t *testing.T) {
 	}
 }
 
-// TestAttrCacheEpochInvalidation: the attribute LRU must converge to the
-// rewritten row once an attribute-epoch advance is observed, and must NOT
-// flush on edge-only updates.
+// TestAttrCacheEpochInvalidation: head attribute reads see an attribute
+// rewrite as soon as it lands, and an edge-only update leaves the rows
+// alone.
 func TestAttrCacheEpochInvalidation(t *testing.T) {
 	g := churnTestGraph(120)
 	a, err := (partition.HashPartitioner{}).Partition(g, 2)
@@ -369,57 +370,49 @@ func TestAttrCacheEpochInvalidation(t *testing.T) {
 		t.Fatal(err)
 	}
 	servers := FromGraph(g, a)
-	tr := NewLocalTransport(servers, 0)
-	c := NewClient(a, tr, storage.NoCache{})
-	cache := NewAttrCache(c, 64)
+	c := NewClient(a, NewLocalTransport(servers), storage.NoCache{})
 
-	// Warm vertex 0's row (owned by server 0 under hash partitioning).
-	rows, err := cache.Attrs([]graph.ID{0, 2})
+	// Vertex 0 is owned by server 0 under hash partitioning.
+	rows, err := c.Attrs([]graph.ID{0, 2})
 	if err != nil {
 		t.Fatal(err)
 	}
 	oldVal := rows[0][0]
 
-	// Edge-only update: epoch advances, attr epoch does not; the cache must
-	// stay warm (no flush on the next miss-carrying fetch).
+	// Edge-only update: the epoch advances, the row does not change.
 	var reply UpdateReply
 	src0 := servers[0].LocalVertices()[0]
 	if err := servers[0].ServeUpdate(UpdateRequest{Add: []RawEdge{{Src: src0, Dst: 1, Type: 0, Weight: 1}}}, &reply); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := cache.Attrs([]graph.ID{0, 4}); err != nil { // 4 is a miss on server 0
+	rows, err = c.Attrs([]graph.ID{0, 4})
+	if err != nil {
 		t.Fatal(err)
 	}
-	if cache.Flushes() != 0 {
-		t.Fatalf("edge-only update flushed the attr cache (%d flushes)", cache.Flushes())
+	if rows[0][0] != oldVal {
+		t.Fatalf("row after edge-only update = %v, want %v", rows[0], oldVal)
 	}
 
-	// Attribute rewrite on vertex 0: the next fetch that reaches server 0
-	// observes the attr-epoch advance, flushes, and subsequent fetches of
-	// vertex 0 serve the new row.
+	// Attribute rewrite on vertex 0: the next head read serves the new row.
 	if err := servers[0].ServeUpdate(UpdateRequest{SetAttr: []AttrUpdate{{V: 0, Attr: []float64{4242}}}}, &reply); err != nil {
 		t.Fatal(err)
 	}
 	if reply.AttrsSet != 1 {
 		t.Fatalf("attr update reply = %+v", reply)
 	}
-	if _, err := cache.Attrs([]graph.ID{0, 6}); err != nil { // miss on 6 triggers the fetch
-		t.Fatal(err)
-	}
-	if cache.Flushes() != 1 {
-		t.Fatalf("attr rewrite caused %d flushes, want 1", cache.Flushes())
-	}
-	rows, err = cache.Attrs([]graph.ID{0})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if rows[0][0] != 4242 {
-		t.Fatalf("post-invalidation row = %v (stale %v not dropped)", rows[0], oldVal)
+	for _, vs := range [][]graph.ID{{0, 6}, {0}} {
+		rows, err = c.Attrs(vs)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if rows[0][0] != 4242 {
+			t.Fatalf("row after rewrite = %v (stale %v served)", rows[0], oldVal)
+		}
 	}
 }
 
 // TestAttrCachePinnedReadSkipsNewerRow: a row rewritten after a pin was
-// leased and cached under a newer pin must not be served to the older pin,
+// leased, and read under a newer pin, is not served to the older pin,
 // which still reads its own snapshot's row.
 func TestAttrCachePinnedReadSkipsNewerRow(t *testing.T) {
 	g := churnTestGraph(120)
@@ -428,8 +421,7 @@ func TestAttrCachePinnedReadSkipsNewerRow(t *testing.T) {
 		t.Fatal(err)
 	}
 	servers := FromGraph(g, a)
-	c := NewClient(a, NewLocalTransport(servers, 0), storage.NoCache{})
-	cache := NewAttrCache(c, 64)
+	c := NewClient(a, NewLocalTransport(servers), storage.NoCache{})
 	v := servers[0].LocalVertices()[0]
 	vs := []graph.ID{v}
 
@@ -465,12 +457,12 @@ func TestAttrCachePinnedReadSkipsNewerRow(t *testing.T) {
 		pin  *sampling.Pin
 		want float64
 	}{
-		{"pin B admits the new row", pinB, newRow[0]},
+		{"pin B reads the new row", pinB, newRow[0]},
 		{"pin A reads its own row", pinA, old[0][0]},
-		{"pin B hits the new row", pinB, newRow[0]},
+		{"pin B again", pinB, newRow[0]},
 		{"pin A again", pinA, old[0][0]},
 	} {
-		rows, err := cache.AttrsAt(vs, step.pin)
+		rows, err := c.AttrsAt(vs, step.pin)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -486,7 +478,7 @@ func TestAttrCachePinnedReadSkipsNewerRow(t *testing.T) {
 func TestStreamSourceTrainsOnLiveGraph(t *testing.T) {
 	g := churnTestGraph(120)
 	trn, servers := newChurnTrainer(t, g, 7)
-	feed := NewUpdateStream(NewLocalTransport(servers, 0))
+	feed := NewUpdateStream(NewLocalTransport(servers))
 	ss := core.NewStreamSource(trn.Source(), feed, core.StreamConfig{MaxPerTick: 2})
 	trn.SetSource(ss)
 

@@ -66,12 +66,11 @@ func (c *Client) cacheEpoch(pin *sampling.Pin, part int) uint64 {
 }
 
 // observe folds one reply's epoch bookkeeping: the head feeds the pin
-// manager's staleness detection, the attr head feeds attribute-cache
-// invalidation, and the span records either the pin's stamp (pinned reads:
-// single-valued by construction, so Mixed() stays an invariant) or the
-// epoch the shard served.
-func (c *Client) observe(part int, span *sampling.EpochSpan, pin *sampling.Pin, epoch, head, attrHead uint64) {
-	c.pins.noteHead(part, head, attrHead)
+// manager's staleness detection, and the span records either the pin's
+// stamp (pinned reads: single-valued by construction, so Mixed() stays an
+// invariant) or the epoch the shard served.
+func (c *Client) observe(part int, span *sampling.EpochSpan, pin *sampling.Pin, epoch, head uint64) {
+	c.pins.noteHead(part, head)
 	if span == nil {
 		return
 	}
@@ -165,7 +164,7 @@ func (c *Client) clusterStats(refresh bool) ([]StatsReply, error) {
 		}
 		// Stats replies carry head stamps, so a stats round doubles as a
 		// head probe.
-		c.pins.noteHead(p, stats[p].Head, stats[p].AttrHead)
+		c.pins.noteHead(p, stats[p].Head)
 	}
 	c.stats = stats
 	return stats, nil
@@ -275,7 +274,7 @@ func (c *Client) AppendSampleEdges(dst []graph.Edge, t graph.EdgeType, n int, se
 			return nil, errs[i]
 		}
 		reply := &replies[i]
-		c.observe(p, span, pin, reply.Epoch, reply.Head, reply.AttrHead)
+		c.observe(p, span, pin, reply.Epoch, reply.Head)
 		if len(reply.Dst) != len(reply.Src) {
 			return nil, fmt.Errorf("cluster: server %d returned %d sources and %d destinations", p, len(reply.Src), len(reply.Dst))
 		}
@@ -324,19 +323,14 @@ func (c *Client) Attrs(vs []graph.ID) ([][]float64, error) {
 	return c.AttrsAt(vs, nil)
 }
 
-// AttrsAt is Attrs reading the pinned snapshot when pin is non-nil.
-func (c *Client) AttrsAt(vs []graph.ID, pin *sampling.Pin) ([][]float64, error) {
-	return c.attrsObserve(vs, pin, nil)
-}
-
-// attrsObserve is the attrs fetch core: note (nil to skip) receives each
-// contributing server's partition, sub-batch and reply, whose attribute
-// epoch and per-row install epochs AttrCache uses for invalidation.
+// AttrsAt is Attrs reading the pinned snapshot when pin is non-nil. No row
+// is kept between calls: every read is served by the shards at its own
+// epoch.
 //
 // The (ID, position) pairs of vs are sorted by owning part, then ID, so
 // each part's distinct IDs are requested once, in ascending order, and
 // every position of a vertex takes its one row in a walk over the pairs.
-func (c *Client) attrsObserve(vs []graph.ID, pin *sampling.Pin, note func(part int, batch []graph.ID, reply *AttrsReply)) ([][]float64, error) {
+func (c *Client) AttrsAt(vs []graph.ID, pin *sampling.Pin) ([][]float64, error) {
 	pairs := c.sortByPartID(vs)
 	var parts []int
 	batch := make([][]graph.ID, c.Assign.P) // part p's distinct IDs, ascending
@@ -364,15 +358,9 @@ func (c *Client) attrsObserve(vs []graph.ID, pin *sampling.Pin, note func(part i
 			return nil, errs[i]
 		}
 		reply := &replies[i]
-		c.observe(p, nil, pin, reply.Epoch, reply.Head, reply.AttrHead)
+		c.observe(p, nil, pin, reply.Epoch, reply.Head)
 		if n := reply.Attrs.Len(); n != len(batch[p]) {
 			return nil, rowsError(p, "attribute rows", n, len(batch[p]))
-		}
-		if len(reply.Since) < len(batch[p]) {
-			return nil, rowsError(p, "row install stamps", len(reply.Since), len(batch[p]))
-		}
-		if note != nil {
-			note(p, batch[p], reply)
 		}
 		rows = reply.Attrs.AppendRows(rows)
 	}

@@ -543,7 +543,6 @@ func sampleReplyWire(w *wire, r *SampleReply) {
 	nums(w, &r.Since)
 	num(w, &r.Epoch)
 	num(w, &r.Head)
-	num(w, &r.AttrHead)
 }
 
 func edgesRequestWire(w *wire, r *EdgesRequest) {
@@ -559,7 +558,6 @@ func edgesReplyWire(w *wire, r *EdgesReply) {
 	nums(w, &r.Dst)
 	num(w, &r.Epoch)
 	num(w, &r.Head)
-	num(w, &r.AttrHead)
 }
 
 func negPoolRequestWire(w *wire, r *NegPoolRequest) { i32(w, &r.EdgeType) }
@@ -573,7 +571,6 @@ func statsReplyWire(w *wire, r *StatsReply) {
 	num(w, &r.NumVertices)
 	nums(w, &r.EdgesByType)
 	num(w, &r.Head)
-	num(w, &r.AttrHead)
 }
 
 func attrsRequestWire(w *wire, r *AttrsRequest) {
@@ -584,11 +581,8 @@ func attrsRequestWire(w *wire, r *AttrsRequest) {
 
 func attrsReplyWire(w *wire, r *AttrsReply) {
 	attrRowsWire(w, &r.Attrs)
-	nums(w, &r.Since)
 	num(w, &r.Epoch)
-	num(w, &r.AttrEpoch)
 	num(w, &r.Head)
-	num(w, &r.AttrHead)
 }
 
 func bootstrapReplyWire(w *wire, r *BootstrapReply) {
@@ -628,7 +622,6 @@ func leaseRequestWire(w *wire, r *LeaseRequest) { num(w, &r.Token) }
 func leaseReplyWire(w *wire, r *LeaseReply) {
 	num(w, &r.Epoch)
 	num(w, &r.Head)
-	num(w, &r.AttrHead)
 	nums(w, &r.EdgesByType)
 }
 

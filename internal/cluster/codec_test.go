@@ -80,24 +80,24 @@ func wireBoundaries() []wireCase {
 		return [][]float64{row, row[:1]}
 	}
 	attrs := func(rows [][]float64) *AttrsReply {
-		return &AttrsReply{Attrs: packRows(rows), Since: make([]uint64, len(rows))}
+		return &AttrsReply{Attrs: packRows(rows)}
 	}
 	nan1, nan2 := math.Float64frombits(0x7ff8000000000001), math.Float64frombits(0x7ff8000000000002)
-	const replyScalars, since2 = 4 * 8, 8 + 1 + 2*4
+	const replyScalars = 2 * 8
 	return []wireCase{
 		// Table 8+8*256, code rows 8+(8+256)+(8+1), no raw rows 8.
-		{"256 patterns, coded", MAttrs, true, attrs(distinct(256)), 2056 + 281 + 8 + since2 + replyScalars},
+		{"256 patterns, coded", MAttrs, true, attrs(distinct(256)), 2056 + 281 + 8 + replyScalars},
 		// No table 8, no codes 8, raw rows 8+(8+8*257)+(8+8).
-		{"257 patterns, raw", MAttrs, true, attrs(distinct(257)), 16 + 2088 + since2 + replyScalars},
+		{"257 patterns, raw", MAttrs, true, attrs(distinct(257)), 16 + 2088 + replyScalars},
 		{"signed zeros and NaN payloads", MAttrs, true, attrs([][]float64{{0, math.Copysign(0, -1), nan1, nan2, 0, nan2}}),
-			40 + 8 + 14 + 8 + (8 + 1 + 4) + replyScalars},
+			40 + 8 + 14 + 8 + replyScalars},
 		{"largest ID 2^32-1", MAttrs, false, AttrsRequest{Vertices: []graph.ID{0, 1<<32 - 1}}, 8 + 1 + 2*4 + 9},
 		{"largest ID 2^32", MAttrs, false, AttrsRequest{Vertices: []graph.ID{0, 1 << 32}}, 8 + 1 + 2*8 + 9},
 		{"negative ID", MAttrs, false, AttrsRequest{Vertices: []graph.ID{3, -1}}, 8 + 1 + 2*8 + 9},
 		{"stamps to 2^32-1", MSampleNeighbors, true, &SampleReply{Samples: []graph.ID{7}, Since: []uint64{1<<32 - 1}},
-			(8 + 1 + 4) + 8 + (8 + 1 + 4) + 3*8},
+			(8 + 1 + 4) + 8 + (8 + 1 + 4) + 2*8},
 		{"stamps to 2^32", MSampleNeighbors, true, &SampleReply{Samples: []graph.ID{7}, Since: []uint64{1 << 32}},
-			(8 + 1 + 4) + 8 + (8 + 1 + 8) + 3*8},
+			(8 + 1 + 4) + 8 + (8 + 1 + 8) + 2*8},
 	}
 }
 
@@ -141,7 +141,7 @@ func TestNonCanonicalFormsRejected(t *testing.T) {
 		allCodes[i] = byte(i)
 	}
 	attrs := func(r AttrRows) []byte {
-		return methods[MAttrs].putReply(nil, &AttrsReply{Attrs: r, Since: []uint64{0}})
+		return methods[MAttrs].putReply(nil, &AttrsReply{Attrs: r})
 	}
 	// An Attrs request for [1, 2^32]: header, width byte 8 at [8], then
 	// 2^32 with its low word at [17:21] and high word at [21:25].
@@ -254,7 +254,7 @@ func FuzzWireDecode(f *testing.F) {
 			owned = append(owned, graph.ID(v))
 		}
 	}
-	local := NewLocalTransport(FromGraph(g, a), 0)
+	local := NewLocalTransport(FromGraph(g, a))
 	var leased uint64
 	for m := range numMethods {
 		req := agreementRequest(m, owned[:4], leased)

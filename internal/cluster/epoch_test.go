@@ -26,7 +26,7 @@ func splitServers(t *testing.T, n int) (*graph.Graph, *partition.Assignment, []*
 // makes batches that span both shards detectably mixed.
 func TestEpochViewDetectsMixedEpochs(t *testing.T) {
 	g, a, servers := splitServers(t, 200)
-	tr := NewLocalTransport(servers, 0)
+	tr := NewLocalTransport(servers)
 	c := NewClient(a, tr, storage.NoCache{})
 
 	batch := make([]graph.ID, 64)
@@ -82,7 +82,7 @@ func TestEpochViewDetectsMixedEpochs(t *testing.T) {
 // pin advances once the update is observed.
 func TestMiniBatchEpochStamping(t *testing.T) {
 	_, a, servers := splitServers(t, 200)
-	tr := NewLocalTransport(servers, 0)
+	tr := NewLocalTransport(servers)
 	c := NewClient(a, tr, storage.NoCache{})
 
 	rng := rand.New(rand.NewSource(3))
@@ -146,7 +146,7 @@ func TestMiniBatchEpochStamping(t *testing.T) {
 // partition assignment and the schema, from any shard.
 func TestBootstrapServesAssignmentAndSchema(t *testing.T) {
 	g, a, servers := splitServers(t, 120)
-	tr := NewLocalTransport(servers, 0)
+	tr := NewLocalTransport(servers)
 	for part := 0; part < a.P; part++ {
 		got, schema, err := Bootstrap(tr, part)
 		if err != nil {
@@ -173,55 +173,5 @@ func TestBootstrapServesAssignmentAndSchema(t *testing.T) {
 	var reply BootstrapReply
 	if err := bare.ServeBootstrap(BootstrapRequest{}, &reply); err == nil {
 		t.Fatal("bare server served bootstrap")
-	}
-}
-
-// The attribute LRU serves repeated hot vertices without another RPC round
-// and returns rows identical to the direct path.
-func TestAttrCacheServesHotVertices(t *testing.T) {
-	_, a, servers := splitServers(t, 120)
-	tr := NewLocalTransport(servers, 0)
-	c := NewClient(a, tr, storage.NoCache{})
-
-	vs := []graph.ID{5, 9, 5, 17, 9, 33}
-	direct, err := c.Attrs(vs)
-	if err != nil {
-		t.Fatal(err)
-	}
-
-	cache := NewAttrCache(c, 64)
-	got, err := cache.Attrs(vs)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i := range vs {
-		if len(got[i]) != len(direct[i]) {
-			t.Fatalf("row %d length %d, want %d", i, len(got[i]), len(direct[i]))
-		}
-		for j := range got[i] {
-			if got[i][j] != direct[i][j] {
-				t.Fatalf("row %d differs at %d", i, j)
-			}
-		}
-	}
-
-	tr.ResetCalls()
-	if _, err := cache.Attrs(vs); err != nil {
-		t.Fatal(err)
-	}
-	if local, remote := tr.Calls(); local+remote != 0 {
-		t.Fatalf("hot batch cost %d RPCs, want 0", local+remote)
-	}
-	if cache.HitRate() == 0 {
-		t.Fatal("hit rate not tracked")
-	}
-
-	// Eviction: a capacity-1 cache still answers correctly.
-	tiny := NewAttrCache(c, 1)
-	if _, err := tiny.Attrs(vs); err != nil {
-		t.Fatal(err)
-	}
-	if tiny.Len() != 1 {
-		t.Fatalf("tiny cache holds %d rows, want 1", tiny.Len())
 	}
 }

@@ -79,7 +79,7 @@ func TestFanoutBitIdenticalUnderFaultsRace(t *testing.T) {
 	seeds := []uint64{101, 202, 303, 404, 505, 606, 707, 808}
 
 	// Fault-free reference.
-	ref := NewClient(a, NewLocalTransport(servers, 0), storage.NoCache{})
+	ref := NewClient(a, NewLocalTransport(servers), storage.NoCache{})
 	wantSample := make(map[uint64][]graph.ID, len(seeds))
 	for _, s := range seeds {
 		dst := make([]graph.ID, len(batch)*width)
@@ -97,7 +97,7 @@ func TestFanoutBitIdenticalUnderFaultsRace(t *testing.T) {
 	// shorter than the retry budget so every call eventually lands;
 	// FailThreshold 0 keeps the breaker out of the way (an open breaker
 	// fails the call, and this test wants every call to land).
-	ft := NewFaultTransport(NewLocalTransport(servers, 0), 2, FaultConfig{
+	ft := NewFaultTransport(NewLocalTransport(servers), 2, FaultConfig{
 		Seed:          5,
 		DropRate:      0.05,
 		ReplyDropRate: 0.02,
@@ -213,7 +213,7 @@ func TestClientMetrics(t *testing.T) {
 	servers := FromGraph(g, a)
 	// A deterministic 2-call outage on shard 0 forces retries the metrics
 	// must surface.
-	ft := NewFaultTransport(NewLocalTransport(servers, 0), 2, FaultConfig{
+	ft := NewFaultTransport(NewLocalTransport(servers), 2, FaultConfig{
 		Outages: []Outage{{Part: 0, From: 0, Len: 2}},
 	})
 	rt := NewRetryTransport(ft, 2, CallPolicy{
@@ -303,7 +303,7 @@ func TestUpdateStreamParallelApply(t *testing.T) {
 	}
 
 	// Healthy path: interleaved pushes, one Apply, per-shard FIFO.
-	spy := &updateSpy{Caller: NewLocalTransport(servers, 0), seq: make(map[int][]graph.ID)}
+	spy := &updateSpy{Caller: NewLocalTransport(servers), seq: make(map[int][]graph.ID)}
 	s := NewUpdateStream(typed(spy))
 	for i := 0; i < 3; i++ {
 		push(s, 0, graph.ID(10+i))
@@ -330,7 +330,7 @@ func TestUpdateStreamParallelApply(t *testing.T) {
 
 	// Failure path: shard 1 dead — its batches requeue at the front in
 	// order, shard 0's deliveries count, the error surfaces.
-	ft := NewFaultTransport(NewLocalTransport(servers, 0), 2, FaultConfig{})
+	ft := NewFaultTransport(NewLocalTransport(servers), 2, FaultConfig{})
 	ft.KillShard(1)
 	spy2 := &updateSpy{Caller: ft, seq: make(map[int][]graph.ID)}
 	s2 := NewUpdateStream(typed(spy2))

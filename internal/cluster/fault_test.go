@@ -31,7 +31,7 @@ func newFaultTrainer(t *testing.T, g *graph.Graph, seed int64, cache storage.Nei
 		t.Fatal(err)
 	}
 	servers := FromGraph(g, a)
-	local := NewLocalTransport(servers, 0)
+	local := NewLocalTransport(servers)
 	var tr Transport = local
 	if wrap != nil {
 		tr = wrap(local)
@@ -324,7 +324,7 @@ func TestRetryTransportBudgetAndClassification(t *testing.T) {
 		t.Fatal(err)
 	}
 	servers := FromGraph(g, a)
-	local := NewLocalTransport(servers, 0)
+	local := NewLocalTransport(servers)
 
 	// Outage over the first 2 calls to shard 0: attempts 1-2 fail, 3 lands.
 	ft := NewFaultTransport(local, 2, FaultConfig{Outages: []Outage{{Part: 0, From: 0, Len: 2}}})
@@ -446,7 +446,7 @@ func TestUpdateTokenDedup(t *testing.T) {
 	srv := FromGraph(g, a)[0]
 	head0 := srv.store.Head()
 
-	w := &replyLossOnce{Caller: NewLocalTransport([]*Server{srv}, 0)}
+	w := &replyLossOnce{Caller: NewLocalTransport([]*Server{srv})}
 	rt := NewRetryTransport(w, 1, CallPolicy{Attempts: 3}, 9)
 	var v0, v1 graph.ID = 0, 1
 	var rep UpdateReply
@@ -497,7 +497,7 @@ func TestLeaseReleaseTokenDedup(t *testing.T) {
 	if err := srv.ServeLease(lr, &l2); err != nil {
 		t.Fatal(err)
 	}
-	if l1.Epoch != l2.Epoch || l1.Head != l2.Head || l1.AttrHead != l2.AttrHead {
+	if l1.Epoch != l2.Epoch || l1.Head != l2.Head {
 		t.Fatalf("replayed lease reply differs: %+v vs %+v", l1, l2)
 	}
 
@@ -524,7 +524,7 @@ func TestTokenNoncesUniqueAcrossClients(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	local := NewLocalTransport(FromGraph(g, a), 0)
+	local := NewLocalTransport(FromGraph(g, a))
 	ta := NewRetryTransport(local, 1, CallPolicy{}, 1)
 	tb := NewRetryTransport(local, 1, CallPolicy{}, 1)
 
@@ -575,7 +575,7 @@ func TestPinUnwindsLeasesOnFailure(t *testing.T) {
 		t.Fatal(err)
 	}
 	servers := FromGraph(g, a)
-	ft := NewFaultTransport(NewLocalTransport(servers, 0), 2, FaultConfig{})
+	ft := NewFaultTransport(NewLocalTransport(servers), 2, FaultConfig{})
 	ft.KillShard(1)
 	spy := &releaseSpy{Caller: ft, releases: make(map[int]int)}
 	c := NewClient(a, typed(spy), storage.NoCache{})

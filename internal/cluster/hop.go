@@ -156,7 +156,7 @@ func (h *hop) resolve() error {
 			return errs[i]
 		}
 		r := &replies[i]
-		c.observe(p, h.span, h.pin, r.Epoch, r.Head, r.AttrHead)
+		c.observe(p, h.span, h.pin, r.Epoch, r.Head)
 		if err := h.fill(p, h.miss[p], r); err != nil {
 			return err
 		}

@@ -21,7 +21,7 @@ func newHopCluster(t *testing.T, g *graph.Graph, shards int, wrap func(Caller) T
 	if err != nil {
 		t.Fatal(err)
 	}
-	var tr Transport = NewLocalTransport(FromGraph(g, a), 0)
+	var tr Transport = NewLocalTransport(FromGraph(g, a))
 	if wrap != nil {
 		tr = wrap(tr.(Caller))
 	}
@@ -142,9 +142,9 @@ func TestStaticCacheServesFetchedLists(t *testing.T) {
 }
 
 // truncating answers every call through inner, then drops the last row of
-// the reply to method m — or, with since set, the last install stamp of
-// its Since array, or with lists set, the last full list a SampleReply
-// carries — a server bug the client must turn into an error.
+// the reply to method m — or, with since set, the last install stamp of a
+// SampleReply's Since array, or with lists set, the last full list a
+// SampleReply carries — a server bug the client must turn into an error.
 type truncating struct {
 	Caller
 	m            Method
@@ -161,13 +161,8 @@ func (c truncating) Call(ctx context.Context, part int, m Method, req, reply any
 		}
 		return nil
 	}
-	if c.since {
-		switch r := reply.(type) {
-		case *AttrsReply:
-			r.Since = r.Since[:len(r.Since)-1]
-		case *SampleReply:
-			r.Since = r.Since[:len(r.Since)-1]
-		}
+	if r, ok := reply.(*SampleReply); ok && c.since {
+		r.Since = r.Since[:len(r.Since)-1]
 		return nil
 	}
 	switch r := reply.(type) {
@@ -214,14 +209,20 @@ func TestShortRepliesError(t *testing.T) {
 		{m: MSampleNeighbors, call: hop(3), lists: true, cache: lru},
 		{m: MSampleNeighbors, call: neighborhood, lists: true, cache: lru},
 		{m: MAttrs, call: func(c *Client) error { _, err := c.Attrs(vs); return err }},
-		{m: MAttrs, call: func(c *Client) error { _, err := NewAttrCache(c, 64).Attrs(vs); return err }},
+		{m: MAttrs, call: func(c *Client) error {
+			pin, err := c.Pin()
+			if err != nil {
+				return err
+			}
+			defer c.Unpin(pin)
+			_, err = c.AttrsAt(vs, pin)
+			return err
+		}},
 		{m: MSampleEdges, call: func(c *Client) error { _, err := c.SampleEdges(0, 16, 1); return err }},
 		{m: MNegativePool, call: func(c *Client) error { _, _, err := c.NegativePool(0); return err }},
 		{m: MSampleNeighbors, call: func(c *Client) error { return c.SampleBatch(make([]graph.ID, 2*len(vs)), vs, 0, 2, 1) }},
 		{m: MSampleNeighbors, call: hop(2), since: true, cache: lru},
 		{m: MSampleNeighbors, call: neighborhood, since: true, cache: lru},
-		{m: MAttrs, call: func(c *Client) error { _, err := c.Attrs(vs); return err }, since: true},
-		{m: MAttrs, call: func(c *Client) error { _, err := NewAttrCache(c, 64).Attrs(vs); return err }, since: true},
 		{m: MSampleNeighbors, call: hop(3), since: true, cache: lru},
 	}
 	for i, tc := range cases {
@@ -282,7 +283,7 @@ func TestNeighborsFailsOnDownShard(t *testing.T) {
 	}
 	// Move the client's head past the cached entry so the probe misses and
 	// the read must go to the (down) shard.
-	c.pins.noteHead(1, 5, 0)
+	c.pins.noteHead(1, 5)
 	down = true
 	if err := c.SampleBatch(dst, []graph.ID{v}, 0, 3, 1); !IsShardDown(err) {
 		t.Fatalf("SampleBatch on a down shard = %v; want shard down", err)

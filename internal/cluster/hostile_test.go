@@ -72,7 +72,7 @@ func TestHostileRequestsRejected(t *testing.T) {
 		t.Fatalf("rejecting a draw total past maxDraws allocated %d bytes", n)
 	}
 
-	local := NewLocalTransport(FromGraph(g, a), 0)
+	local := NewLocalTransport(FromGraph(g, a))
 	rs, err := ServeRPC(FromGraph(g, a)[0], "127.0.0.1:0")
 	if err != nil {
 		t.Fatal(err)
@@ -137,7 +137,7 @@ func TestHostileRequestsRejected(t *testing.T) {
 	for _, st := range []struct {
 		name string
 		c    Caller
-	}{{"local", NewLocalTransport(FromGraph(g, a2), 0)}, {"rpc", wire2}} {
+	}{{"local", NewLocalTransport(FromGraph(g, a2))}, {"rpc", wire2}} {
 		for _, c := range []call{
 			{"Attrs/other shard", MAttrs, AttrsRequest{Vertices: []graph.ID{0, 1}}},
 			{"SampleNeighbors/other shard", MSampleNeighbors, SampleRequest{Vertices: []graph.ID{1}, Width: 2}},

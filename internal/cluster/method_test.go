@@ -40,7 +40,7 @@ func TestMethodTableAgreement(t *testing.T) {
 		owned[p] = append(owned[p], graph.ID(v))
 	}
 
-	local := NewLocalTransport(FromGraph(g, a), 0)
+	local := NewLocalTransport(FromGraph(g, a))
 	var addrs []string
 	for _, s := range FromGraph(g, a) {
 		rs, err := ServeRPC(s, "127.0.0.1:0")
@@ -55,7 +55,7 @@ func TestMethodTableAgreement(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer wire.Close()
-	ft := NewFaultTransport(NewLocalTransport(FromGraph(g, a), 0), 2, FaultConfig{Seed: 3, ReplyDropRate: 0.3})
+	ft := NewFaultTransport(NewLocalTransport(FromGraph(g, a)), 2, FaultConfig{Seed: 3, ReplyDropRate: 0.3})
 	chaos := NewRetryTransport(ft, 2, CallPolicy{Attempts: 20}, 1)
 	stacks := []struct {
 		name string
@@ -173,7 +173,7 @@ func TestRegisteredMetricNames(t *testing.T) {
 	}
 	servers := FromGraph(g, a)
 	r := obs.NewRegistry()
-	NewClient(a, NewLocalTransport(servers, 0), nil).RegisterObs(r)
+	NewClient(a, NewLocalTransport(servers), nil).RegisterObs(r)
 	for _, s := range servers {
 		s.RegisterObs(r)
 	}

@@ -35,26 +35,18 @@ type pinManager struct {
 	states map[*sampling.Pin]*pinState
 	seq    uint64
 	heads  []atomic.Uint64 // newest head epoch observed per partition
-	// attrHeads is the newest attribute-rewriting epoch observed per
-	// partition. Every sampling reply carries it, so the attribute cache
-	// learns about attribute updates even when it is fully hot and makes
-	// no Attrs RPCs of its own.
-	attrHeads []atomic.Uint64
 }
 
 func newPinManager(parts int) *pinManager {
 	return &pinManager{
-		states:    make(map[*sampling.Pin]*pinState),
-		heads:     make([]atomic.Uint64, parts),
-		attrHeads: make([]atomic.Uint64, parts),
+		states: make(map[*sampling.Pin]*pinState),
+		heads:  make([]atomic.Uint64, parts),
 	}
 }
 
-// noteHead records the head and attr-head epochs observed on a reply from
-// part.
-func (m *pinManager) noteHead(part int, head, attrHead uint64) {
+// noteHead records the head epoch observed on a reply from part.
+func (m *pinManager) noteHead(part int, head uint64) {
 	advance(&m.heads[part], head)
-	advance(&m.attrHeads[part], attrHead)
 }
 
 // advance raises a monotone watermark to v.
@@ -136,7 +128,6 @@ func (c *Client) Pin() (*sampling.Pin, error) {
 			c.Cache.Flush()
 		}
 		m.heads[part].Store(reply.Head)
-		advance(&m.attrHeads[part], reply.AttrHead)
 	}
 
 	m.mu.Lock()

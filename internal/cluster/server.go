@@ -36,8 +36,7 @@
 // and server metrics are arrays indexed by Method.
 //
 // Every transport layer implements one interface, Caller: Call(ctx, part,
-// method, req, reply) and Close. LocalTransport runs the handler in process
-// (counting home and non-home calls);
+// method, req, reply) and Close. LocalTransport runs the handler in process;
 // RPCTransport sends the call over TCP and gives up when ctx ends.
 // LatencyTransport, FaultTransport and RetryTransport each wrap an inner
 // Caller, do their one thing (sleep; inject a seeded fault; retry under a
@@ -385,20 +384,18 @@ func (s *Server) Attr(v graph.ID) ([]float64, bool) {
 // view resolves the snapshot a request reads — the pinned epoch when the
 // request carries one (failing with the store's evicted/future error when
 // it is gone, which clients translate into a re-pin-and-retry), the head
-// otherwise — plus the head/attr-head stamps every reply carries. The
-// stamps come from one head view, so they are a consistent pair, and an
-// unpinned request costs a single lock acquisition total.
-func (s *Server) view(pinned bool, pin uint64) (view version.View, head, attrHead uint64, err error) {
+// otherwise — plus the head stamp every reply carries. An unpinned request
+// costs a single lock acquisition total.
+func (s *Server) view(pinned bool, pin uint64) (view version.View, head uint64, err error) {
 	hv := s.store.HeadView()
-	head, attrHead = hv.Epoch(), hv.AttrEpoch()
 	if !pinned {
-		return hv, head, attrHead, nil
+		return hv, hv.Epoch(), nil
 	}
 	view, err = s.store.At(pin)
 	if err != nil {
-		return version.View{}, 0, 0, fmt.Errorf("cluster: server %d: %w", s.ID, err)
+		return version.View{}, 0, fmt.Errorf("cluster: server %d: %w", s.ID, err)
 	}
-	return view, head, attrHead, nil
+	return view, hv.Epoch(), nil
 }
 
 // maxDraws bounds the sampled IDs one SampleNeighbors or SampleEdges
@@ -428,23 +425,13 @@ type AttrsRequest struct {
 }
 
 // AttrsReply carries attribute vectors aligned with the request, in one of
-// AttrRows' two forms (Attrs.AppendRows expands them). AttrEpoch is the
-// latest epoch <= the SERVED one that rewrote any attribute row (the
-// version of the returned rows); AttrHead is the server's newest
-// attribute-rewriting epoch regardless of pin. Client attribute caches
-// flush when AttrHead advances and version-gate admissions on AttrEpoch.
-// Since[i] is the epoch at which row i was installed (0 = predates every
-// update) — the row-level analogue of SampleReply.Since, so an embedding
-// cache's validity interval covers feature changes exactly, per row, not
-// just via the shard-wide AttrEpoch watermark. Clients reject a reply with
-// fewer stamps than rows as malformed.
+// AttrRows' two forms (Attrs.AppendRows expands them), stamped with the
+// epoch served and the server's head. Clients keep no attribute rows
+// between calls, so rows carry no install stamps.
 type AttrsReply struct {
-	Attrs     AttrRows
-	Since     []uint64
-	Epoch     uint64
-	AttrEpoch uint64
-	Head      uint64
-	AttrHead  uint64
+	Attrs AttrRows
+	Epoch uint64
+	Head  uint64
 }
 
 // AttrRows is a batch of attribute rows in one of two forms, picked by
@@ -467,39 +454,35 @@ type AttrRows struct {
 // and a code remap, not a hash per value (packView).
 func (s *Server) ServeAttrs(req AttrsRequest, reply *AttrsReply) error {
 	defer obsSince(&s.met.rpc[MAttrs], time.Now())
-	view, head, attrHead, err := s.view(req.Pinned, req.Pin)
+	view, head, err := s.view(req.Pinned, req.Pin)
 	if err != nil {
 		return err
 	}
-	reply.Since = make([]uint64, len(req.Vertices))
 	reply.Epoch = view.Epoch()
-	reply.AttrEpoch = view.AttrEpoch()
 	reply.Head = head
-	reply.AttrHead = attrHead
-	if reply.Attrs, err = packView(view, req.Vertices, reply.Since); err != nil {
+	if reply.Attrs, err = packView(view, req.Vertices); err != nil {
 		return fmt.Errorf("cluster: server %d %w", s.ID, err)
 	}
 	return nil
 }
 
-// packView returns packRows of view's rows of vs, and writes each row's
-// install stamp to since. A row the base holds coded is not hashed: each
-// base code maps through remap to its reply code, and only a base
-// pattern's first use in the reply is hashed, so that it takes the code of
-// an equal pattern a row set by an update brought in first. Other rows go
-// through packRows' path. It fails when a vertex is not local.
-func packView(view version.View, vs []graph.ID, since []uint64) (AttrRows, error) {
+// packView returns packRows of view's rows of vs. A row the base holds
+// coded is not hashed: each base code maps through remap to its reply
+// code, and only a base pattern's first use in the reply is hashed, so
+// that it takes the code of an equal pattern a row set by an update
+// brought in first. Other rows go through packRows' path. It fails when a
+// vertex is not local.
+func packView(view version.View, vs []graph.ID) (AttrRows, error) {
 	set := version.NewCodeSet()
 	defer set.Release()
 	remap := newRemapper(view.AttrTable())
 	codes := make([][]byte, len(vs))
 	var buf []byte // the code rows' storage, sized for the rows left at the current width
 	for i, v := range vs {
-		row, rc, stamp, ok := view.AttrStored(v)
+		row, rc, ok := view.AttrStored(v)
 		if !ok {
 			return AttrRows{}, notLocal(v)
 		}
-		since[i] = stamp
 		if row == nil && rc == nil {
 			continue
 		}
@@ -510,7 +493,7 @@ func packView(view version.View, vs []graph.ID, since []uint64) (AttrRows, error
 		cs := buf[len(buf) : len(buf)+n : len(buf)+n]
 		buf = buf[:len(buf)+n]
 		if rc != nil && !remap.codes(set, rc, cs) || rc == nil && !set.Codes(row, cs) {
-			return rawView(view, vs, since)
+			return rawView(view, vs)
 		}
 		codes[i] = cs
 	}
@@ -521,14 +504,13 @@ func notLocal(v graph.ID) error { return fmt.Errorf("does not own vertex %d", v)
 
 // rawView is packView's result when the reply holds more than maxCodes
 // patterns: the rows themselves.
-func rawView(view version.View, vs []graph.ID, since []uint64) (AttrRows, error) {
+func rawView(view version.View, vs []graph.ID) (AttrRows, error) {
 	rows := make([][]float64, len(vs))
 	for i, v := range vs {
-		row, ok := view.Attr(v)
-		if !ok {
+		var ok bool
+		if rows[i], ok = view.Attr(v); !ok {
 			return AttrRows{}, notLocal(v)
 		}
-		rows[i], since[i] = row, view.AttrChangedAt(v)
 	}
 	return AttrRows{Raw: rows}, nil
 }
@@ -564,12 +546,11 @@ type SampleRequest struct {
 // list's install epoch so the admission is version-exact. Epoch stamps the
 // reply with the epoch served; Head with the server's current head.
 type SampleReply struct {
-	Samples  []graph.ID
-	Lists    [][]graph.ID
-	Since    []uint64
-	Epoch    uint64
-	Head     uint64
-	AttrHead uint64
+	Samples []graph.ID
+	Lists   [][]graph.ID
+	Since   []uint64
+	Epoch   uint64
+	Head    uint64
 }
 
 // StatsRequest asks for the server's local size counters.
@@ -577,14 +558,13 @@ type StatsRequest struct{}
 
 // StatsReply reports local vertex and per-edge-type edge counts (at the
 // head epoch); clients use the edge counts to spread TRAVERSE batches
-// across servers. Head and AttrHead stamp the head epoch the counters were
-// read at, so a Stats round doubles as a cheap head probe — a serving tier
-// polls it to observe out-of-band churn without touching any vertex data.
+// across servers. Head stamps the head epoch the counters were read at,
+// so a Stats round doubles as a cheap head probe — a serving tier polls it
+// to observe out-of-band churn without touching any vertex data.
 type StatsReply struct {
 	NumVertices int
 	EdgesByType []int64
 	Head        uint64
-	AttrHead    uint64
 }
 
 // NegPoolRequest asks for the server's negative-sampling candidate counts
@@ -620,7 +600,6 @@ type EdgesReply struct {
 	Src, Dst []graph.ID
 	Epoch    uint64
 	Head     uint64
-	AttrHead uint64
 }
 
 // LeaseRequest pins the server's current head epoch against eviction.
@@ -633,15 +612,13 @@ type LeaseRequest struct {
 	Token uint64
 }
 
-// LeaseReply reports the epoch actually leased, the server's head, and its
-// newest attribute-rewriting epoch, plus the leased epoch's per-type edge
-// counts. The counts ride the lease so a client can
-// split pinned TRAVERSE batches across shards from the snapshot's own
-// counters with zero extra RPCs.
+// LeaseReply reports the epoch actually leased and the server's head, plus
+// the leased epoch's per-type edge counts. The counts ride the lease so a
+// client can split pinned TRAVERSE batches across shards from the
+// snapshot's own counters with zero extra RPCs.
 type LeaseReply struct {
 	Epoch       uint64
 	Head        uint64
-	AttrHead    uint64
 	EdgesByType []int64
 }
 
@@ -672,20 +649,19 @@ type CompactReply struct {
 }
 
 // ServeLease pins the current head epoch of the snapshot store. The epoch,
-// head, attr-head and stats come from one lock acquisition, so a reply
-// never reports a head newer than the epoch it leased (which would make
-// the client's fresh pin look stale at birth) and the stats are exactly
-// the leased snapshot's.
+// head and stats come from one lock acquisition, so a reply never reports
+// a head newer than the epoch it leased (which would make the client's
+// fresh pin look stale at birth) and the stats are exactly the leased
+// snapshot's.
 func (s *Server) ServeLease(req LeaseRequest, reply *LeaseReply) error {
 	defer obsSince(&s.met.rpc[MLease], time.Now())
 	if r, ok := dedupLookup[LeaseReply](s, req.Token); ok {
 		*reply = r
 		return nil
 	}
-	epoch, attrEpoch, edges := s.store.LeaseHeadStats()
+	epoch, edges := s.store.LeaseHeadStats()
 	reply.Epoch = epoch
 	reply.Head = epoch
-	reply.AttrHead = attrEpoch
 	reply.EdgesByType = edges
 	s.dedupRecord(req.Token, *reply)
 	return nil
@@ -785,7 +761,7 @@ func (s *Server) ServeSampleNeighbors(req SampleRequest, reply *SampleReply) err
 	if err := s.checkType(req.EdgeType); err != nil {
 		return err
 	}
-	view, head, attrHead, err := s.view(req.Pinned, req.Pin)
+	view, head, err := s.view(req.Pinned, req.Pin)
 	if err != nil {
 		return err
 	}
@@ -799,7 +775,6 @@ func (s *Server) ServeSampleNeighbors(req SampleRequest, reply *SampleReply) err
 
 	reply.Epoch = view.Epoch()
 	reply.Head = head
-	reply.AttrHead = attrHead
 	o := 0
 	for i, v := range req.Vertices {
 		ns, ok := view.Neighbors(v, req.EdgeType)
@@ -828,7 +803,6 @@ func (s *Server) ServeStats(_ StatsRequest, reply *StatsReply) error {
 	reply.NumVertices = s.store.NumVertices()
 	reply.EdgesByType = view.EdgeCounts(reply.EdgesByType[:0])
 	reply.Head = view.Epoch()
-	reply.AttrHead = view.AttrEpoch()
 	return nil
 }
 
@@ -874,13 +848,12 @@ func (s *Server) ServeSampleEdges(req EdgesRequest, reply *EdgesReply) error {
 	if req.Count > maxDraws {
 		return fmt.Errorf("cluster: %d edges requested, at most %d per request", req.Count, maxDraws)
 	}
-	view, head, attrHead, err := s.view(req.Pinned, req.Pin)
+	view, head, err := s.view(req.Pinned, req.Pin)
 	if err != nil {
 		return err
 	}
 	reply.Epoch = view.Epoch()
 	reply.Head = head
-	reply.AttrHead = attrHead
 	if req.Count <= 0 {
 		return nil
 	}

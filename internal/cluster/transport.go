@@ -4,13 +4,11 @@ import (
 	"context"
 	"errors"
 	"fmt"
-	"sync/atomic"
 	"time"
 )
 
-// Transport delivers requests to graph servers. The client treats partition
-// "home" (its own worker) as free and any other partition as a remote call;
-// implementations decide what a remote call costs.
+// Transport delivers requests to graph servers; implementations decide
+// what a call costs.
 type Transport interface {
 	// Neighbors is retired and always fails: no server serves full-list
 	// fetches, and every hop draws through SampleNeighbors. It stays only
@@ -211,53 +209,30 @@ func (f facade) Compact(part int, req CompactRequest, reply *CompactReply) error
 }
 
 // LocalTransport serves requests by direct method calls on in-process
-// servers. It counts calls to Home and to every other partition so
-// benchmarks can report deterministic remote-trip numbers independent of
-// wall-clock noise; LatencyTransport adds a delay when one is wanted.
+// servers; LatencyTransport adds a delay when one is wanted.
 type LocalTransport struct {
 	facade
 	Servers []*Server
-	// Home is the caller's own partition; its calls count as local.
-	Home int
-
-	localCalls  int64
-	remoteCalls int64
 }
 
 // NewLocalTransport wraps in-process servers.
-func NewLocalTransport(servers []*Server, home int) *LocalTransport {
-	t := &LocalTransport{Servers: servers, Home: home}
+func NewLocalTransport(servers []*Server) *LocalTransport {
+	t := &LocalTransport{Servers: servers}
 	t.facade = facade{t}
 	return t
 }
 
-// Call implements Caller: it counts the call, then runs m's handler on
-// part's server. The handler runs to completion whatever ctx says.
+// Call implements Caller: it runs m's handler on part's server. The
+// handler runs to completion whatever ctx says.
 func (t *LocalTransport) Call(_ context.Context, part int, m Method, req, reply any) error {
 	if part < 0 || part >= len(t.Servers) {
 		return fmt.Errorf("cluster: no server for partition %d", part)
-	}
-	if part == t.Home {
-		atomic.AddInt64(&t.localCalls, 1)
-	} else {
-		atomic.AddInt64(&t.remoteCalls, 1)
 	}
 	return methods[m].serve(t.Servers[part], req, reply)
 }
 
 // Close implements Caller.
 func (t *LocalTransport) Close() error { return nil }
-
-// Calls reports cumulative local and remote call counts.
-func (t *LocalTransport) Calls() (local, remote int64) {
-	return atomic.LoadInt64(&t.localCalls), atomic.LoadInt64(&t.remoteCalls)
-}
-
-// ResetCalls zeroes the call counters.
-func (t *LocalTransport) ResetCalls() {
-	atomic.StoreInt64(&t.localCalls, 0)
-	atomic.StoreInt64(&t.remoteCalls, 0)
-}
 
 // LatencyTransport injects a fixed delay before every call on an inner
 // layer, simulating a network round trip to every partition (including the
@@ -267,8 +242,6 @@ type LatencyTransport struct {
 	facade
 	Caller // the inner layer
 	Delay  time.Duration
-
-	calls int64
 }
 
 // NewLatencyTransport wraps inner with a per-call delay.
@@ -280,12 +253,8 @@ func NewLatencyTransport(inner Caller, d time.Duration) *LatencyTransport {
 
 // Call implements Caller: it sleeps Delay, then calls the inner layer.
 func (t *LatencyTransport) Call(ctx context.Context, part int, m Method, req, reply any) error {
-	atomic.AddInt64(&t.calls, 1)
 	if t.Delay > 0 {
 		time.Sleep(t.Delay)
 	}
 	return t.Caller.Call(ctx, part, m, req, reply)
 }
-
-// Calls reports how many calls paid the delay.
-func (t *LatencyTransport) Calls() int64 { return atomic.LoadInt64(&t.calls) }

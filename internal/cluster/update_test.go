@@ -86,7 +86,7 @@ func TestApplyDelta(t *testing.T) {
 	g := testGraph(t)
 	a, _ := partition.HashPartitioner{}.Partition(g, 2)
 	servers := FromGraph(g, a)
-	counted := &updateCounter{Caller: NewLocalTransport(servers, 0)}
+	counted := &updateCounter{Caller: NewLocalTransport(servers)}
 	counted.facade = facade{counted}
 	feed := NewUpdateStream(counted)
 

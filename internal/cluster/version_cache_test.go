@@ -25,7 +25,7 @@ func TestCacheEpochKeyedUnderUpdate(t *testing.T) {
 	a, _ := partition.HashPartitioner{}.Partition(g, 2)
 	servers := FromGraph(g, a)
 	cache := storage.NewLRUNeighborCache(64)
-	c := NewClient(a, NewLocalTransport(servers, 0), cache)
+	c := NewClient(a, NewLocalTransport(servers), cache)
 
 	pin1, err := c.Pin()
 	if err != nil {
@@ -117,7 +117,7 @@ func TestPinnedTraverseSplitUsesPinnedStats(t *testing.T) {
 	g := b.Finalize()
 	a, _ := partition.HashPartitioner{}.Partition(g, 2)
 	servers := FromGraph(g, a)
-	c := NewClient(a, NewLocalTransport(servers, 0), storage.NoCache{})
+	c := NewClient(a, NewLocalTransport(servers), storage.NoCache{})
 
 	pin, err := c.Pin()
 	if err != nil {
@@ -444,7 +444,7 @@ func TestServerCompactTrigger(t *testing.T) {
 	servers := FromGraph(g, a)
 	servers[0].SetCompactThreshold(3)
 	defer servers[0].Close()
-	tr := NewLocalTransport(servers, 0)
+	tr := NewLocalTransport(servers)
 
 	for i := 0; i < 20; i++ {
 		var reply UpdateReply
@@ -503,7 +503,7 @@ func TestCacheFlushOnServerRestart(t *testing.T) {
 	g := testGraph(t)
 	a, _ := partition.HashPartitioner{}.Partition(g, 2)
 	build := func() []*Server { return FromGraph(g, a) }
-	tr := NewLocalTransport(build(), 0)
+	tr := NewLocalTransport(build())
 	cache := storage.NewLRUNeighborCache(64)
 	c := NewClient(a, tr, cache)
 

@@ -37,13 +37,13 @@ func (r *replyBytes) Call(ctx context.Context, part int, m Method, req, reply an
 		for _, row := range rep.Attrs.AppendRows(nil) {
 			rows += slice(len(row))
 		}
-		r.flat += rows + slice(len(rep.Since)) + 4*8
+		r.flat += rows + 2*8
 	case *SampleReply:
 		lists := 8
 		for _, l := range rep.Lists {
 			lists += slice(len(l))
 		}
-		r.flat += slice(len(rep.Samples)) + lists + slice(len(rep.Since)) + 3*8
+		r.flat += slice(len(rep.Samples)) + lists + slice(len(rep.Since)) + 2*8
 	default:
 		return nil
 	}
@@ -112,7 +112,7 @@ func TestSampleReplyBytes(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	counter := &replyBytes{Caller: NewLocalTransport(FromGraph(g, a), 0)}
+	counter := &replyBytes{Caller: NewLocalTransport(FromGraph(g, a))}
 	c := NewClient(a, typed(counter), storage.NewLRUNeighborCache(g.NumVertices()/5))
 	uniq, pin := sampleBatch(t, c)
 	defer c.Unpin(pin)

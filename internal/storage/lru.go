@@ -3,7 +3,7 @@
 // important vertices selected by the Imp^(k) metric (Algorithm 2:
 // SelectImportant picks the vertices, NewStaticCache caches their
 // neighbor lists), the serving tier's EmbeddingCache, and the generic LRU
-// behind the LRU neighbor cache and cluster.AttrCache. A cluster worker's
+// behind the LRU neighbor cache. A cluster worker's
 // client holds the neighbor cache; a single-process graph has no remote
 // fetch for it to save. The shards' own layout, adjacency stored apart
 // from attribute rows coded against each base's table of distinct
@@ -36,13 +36,11 @@ import "container/list"
 
 // LRU is a fixed-capacity least-recently-used cache from int64 keys to
 // values of type V. It is not safe for concurrent use; callers that share a
-// cache across goroutines hold a lock around it (cluster.AttrCache does).
+// cache across goroutines hold a lock around it (LRUNeighborCache does).
 type LRU[V any] struct {
 	cap   int
 	ll    *list.List
 	items map[int64]*list.Element
-
-	hits, misses, evictions int64
 }
 
 type lruEntry[V any] struct {
@@ -61,10 +59,8 @@ func NewLRU[V any](capacity int) *LRU[V] {
 func (c *LRU[V]) Get(key int64) (V, bool) {
 	if e, ok := c.items[key]; ok {
 		c.ll.MoveToFront(e)
-		c.hits++
 		return e.Value.(*lruEntry[V]).val, true
 	}
-	c.misses++
 	var zero V
 	return zero, false
 }
@@ -87,7 +83,6 @@ func (c *LRU[V]) Put(key int64, val V) {
 		if oldest != nil {
 			c.ll.Remove(oldest)
 			delete(c.items, oldest.Value.(*lruEntry[V]).key)
-			c.evictions++
 		}
 	}
 }
@@ -95,23 +90,8 @@ func (c *LRU[V]) Put(key int64, val V) {
 // Len reports the number of cached entries.
 func (c *LRU[V]) Len() int { return c.ll.Len() }
 
-// Flush drops every cached entry, keeping the cumulative counters; used for
-// generation-style invalidation (e.g. an attribute-epoch advance).
+// Flush drops every cached entry.
 func (c *LRU[V]) Flush() {
 	c.ll.Init()
 	c.items = make(map[int64]*list.Element)
-}
-
-// Stats returns cumulative hit/miss/eviction counters.
-func (c *LRU[V]) Stats() (hits, misses, evictions int64) {
-	return c.hits, c.misses, c.evictions
-}
-
-// HitRate returns hits / (hits+misses), or 0 before any access.
-func (c *LRU[V]) HitRate() float64 {
-	total := c.hits + c.misses
-	if total == 0 {
-		return 0
-	}
-	return float64(c.hits) / float64(total)
 }

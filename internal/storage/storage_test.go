@@ -25,13 +25,6 @@ func TestLRUBasic(t *testing.T) {
 	if _, ok := c.Get(3); !ok {
 		t.Fatal("3 should be cached")
 	}
-	hits, misses, ev := c.Stats()
-	if hits != 3 || misses != 1 || ev != 1 {
-		t.Fatalf("stats = %d,%d,%d", hits, misses, ev)
-	}
-	if hr := c.HitRate(); hr != 0.75 {
-		t.Fatalf("hit rate = %f", hr)
-	}
 }
 
 func TestLRUUpdateExisting(t *testing.T) {
@@ -51,9 +44,6 @@ func TestLRUZeroCapacity(t *testing.T) {
 	c.Put(1, "a")
 	if _, ok := c.Get(1); ok {
 		t.Fatal("zero-cap cache must store nothing")
-	}
-	if c.HitRate() != 0 {
-		t.Fatal("hit rate should be 0")
 	}
 }
 

@@ -252,63 +252,3 @@ func TestCompactSinceStampsSurviveFold(t *testing.T) {
 		t.Fatalf("ChangedAt(1) = %d, want 5", got)
 	}
 }
-
-// TestAttrSinceStampsSurviveFold is the attribute analogue of the adjacency
-// since-stamp test: AttrChangedAt must report the exact install epoch of a
-// row through overlays AND through a compaction that folds the row into the
-// base.
-func TestAttrSinceStampsSurviveFold(t *testing.T) {
-	s := NewStoreRetain(1, 2)
-	for v := graph.ID(0); v < 4; v++ {
-		s.AddVertex(v, []float64{float64(v)})
-	}
-	s.AddEdge(0, 1, 0)
-	s.Seal()
-
-	mustAppend := func(d Delta) {
-		t.Helper()
-		if _, _, _, _, err := s.Append(d); err != nil {
-			t.Fatal(err)
-		}
-	}
-	// Epoch 1 rewrites vertex 0's row; epochs 2..5 rewrite vertex 1's.
-	mustAppend(Delta{SetAttr: []AttrOp{{V: 0, Attr: []float64{10}}}})
-	for i := 0; i < 4; i++ {
-		mustAppend(Delta{SetAttr: []AttrOp{{V: 1, Attr: []float64{float64(20 + i)}}}})
-	}
-
-	head := s.HeadView()
-	if got := head.AttrChangedAt(0); got != 1 {
-		t.Fatalf("overlay AttrChangedAt(0) = %d, want 1", got)
-	}
-	if got := head.AttrChangedAt(1); got != 5 {
-		t.Fatalf("overlay AttrChangedAt(1) = %d, want 5", got)
-	}
-	if got := head.AttrChangedAt(2); got != 0 {
-		t.Fatalf("AttrChangedAt(untouched 2) = %d, want 0", got)
-	}
-
-	if _, err := s.Compact(); err != nil {
-		t.Fatal(err)
-	}
-	if s.BaseEpoch() == 0 {
-		t.Fatal("compaction did not advance the base")
-	}
-	head = s.HeadView()
-	if got := head.AttrChangedAt(0); got != 1 {
-		t.Fatalf("AttrChangedAt(0) after fold = %d, want 1", got)
-	}
-	if got := head.AttrChangedAt(1); got != 5 {
-		t.Fatalf("AttrChangedAt(1) after fold = %d, want 5", got)
-	}
-	if got := head.AttrChangedAt(2); got != 0 {
-		t.Fatalf("AttrChangedAt(untouched 2) after fold = %d, want 0", got)
-	}
-	// The rows themselves folded correctly.
-	if a, ok := head.Attr(0); !ok || a[0] != 10 {
-		t.Fatalf("Attr(0) after fold = %v %v", a, ok)
-	}
-	if a, ok := head.Attr(1); !ok || a[0] != 23 {
-		t.Fatalf("Attr(1) after fold = %v %v", a, ok)
-	}
-}

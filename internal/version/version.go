@@ -158,7 +158,8 @@ type adjList struct {
 	epoch uint64
 }
 
-// attrRow is one vertex's overlay attribute row with its install stamp.
+// attrRow is one vertex's overlay attribute row with the update epoch that
+// installed it, which compaction prunes by.
 type attrRow struct {
 	row   []float64
 	epoch uint64
@@ -192,10 +193,8 @@ type baseState struct {
 	// epoch at which the vertex's current list was installed (absent = the
 	// list predates every update). Serving layers report it as the Since
 	// stamp on replies, so cache entries never claim validity across an
-	// update the base has absorbed. attrSince is the same discipline for
-	// attribute rows rewritten by SetAttr and later folded into the base.
-	since     map[akey]uint64
-	attrSince map[graph.ID]uint64
+	// update the base has absorbed.
+	since map[akey]uint64
 }
 
 // overlay is the cumulative diff-versus-base at one epoch. All fields
@@ -205,9 +204,6 @@ type overlay struct {
 	base  *baseState // the base this overlay's maps diff against
 	adj   map[akey]adjList
 	attrs map[graph.ID]attrRow
-	// attrEpoch is the most recent epoch <= this one that rewrote any
-	// attribute row; attribute caches invalidate on its advance.
-	attrEpoch uint64
 	// edgeCount is the per-type total of local edges at this epoch
 	// (absolute, so it survives rebasing unchanged).
 	edgeCount []int64
@@ -456,22 +452,21 @@ func (s *Store) Lease(epoch uint64) error {
 }
 
 // LeaseHeadStats pins the current head epoch and returns it together with
-// the head's attribute epoch and per-type edge counts, all read under one
-// lock acquisition so they are consistent even under concurrent Appends.
+// the head's per-type edge counts, both read under one lock acquisition so
+// they are consistent even under concurrent Appends.
 // Lease replies carry them so clients can split pinned TRAVERSE batches
 // across shards using the counters of the snapshot they actually sample —
 // not the moving head's.
-func (s *Store) LeaseHeadStats() (epoch, attrEpoch uint64, edges []int64) {
+func (s *Store) LeaseHeadStats() (epoch uint64, edges []int64) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	s.leases[s.head]++
 	if ov := s.overlays[s.head]; ov != nil {
-		attrEpoch = ov.attrEpoch
 		edges = append([]int64(nil), ov.edgeCount...)
 	} else {
 		edges = append([]int64(nil), s.cur.edges...)
 	}
-	return s.head, attrEpoch, edges
+	return s.head, edges
 }
 
 // Release drops one lease on epoch; when the last lease on an epoch behind
@@ -681,11 +676,6 @@ func (s *Store) Append(delta Delta) (epoch uint64, added, removed, attrsSet int,
 		edgeCount: counts,
 		rank:      make([]atomic.Pointer[rankIndex], s.numTypes),
 	}
-	if attrsSet > 0 {
-		ov.attrEpoch = next
-	} else if prev != nil {
-		ov.attrEpoch = prev.attrEpoch
-	}
 	s.head = next
 	s.overlays[next] = ov
 
@@ -787,20 +777,16 @@ func (s *Store) Compact() (CompactStats, error) {
 	// still pair with an older base than s.cur), all immutable inputs.
 	oldBase := fold.base
 	nb := &baseState{
-		epoch:     target,
-		local:     oldBase.local,
-		slots:     oldBase.slots,
-		csr:       make([]baseCSR, s.numTypes),
-		edges:     append([]int64(nil), fold.edgeCount...),
-		attrs:     oldBase.attrs,
-		since:     make(map[akey]uint64, len(oldBase.since)+len(fold.adj)),
-		attrSince: make(map[graph.ID]uint64, len(oldBase.attrSince)+len(fold.attrs)),
+		epoch: target,
+		local: oldBase.local,
+		slots: oldBase.slots,
+		csr:   make([]baseCSR, s.numTypes),
+		edges: append([]int64(nil), fold.edgeCount...),
+		attrs: oldBase.attrs,
+		since: make(map[akey]uint64, len(oldBase.since)+len(fold.adj)),
 	}
 	for k, e := range oldBase.since {
 		nb.since[k] = e
-	}
-	for v, e := range oldBase.attrSince {
-		nb.attrSince[v] = e
 	}
 	for t := 0; t < s.numTypes; t++ {
 		oc := &oldBase.csr[t]
@@ -839,11 +825,6 @@ func (s *Store) Compact() (CompactStats, error) {
 			return scratch
 		})
 	}
-	for v, a := range fold.attrs {
-		if a.epoch > 0 {
-			nb.attrSince[v] = a.epoch
-		}
-	}
 
 	// Rebase the retained overlays: drop every entry the new base covers.
 	stats := CompactStats{BaseEpoch: target, FoldedAdj: len(fold.adj), FoldedAttrs: len(fold.attrs)}
@@ -870,7 +851,6 @@ func (s *Store) Compact() (CompactStats, error) {
 			base:      nb,
 			adj:       nadj,
 			attrs:     nattrs,
-			attrEpoch: ov.attrEpoch,
 			edgeCount: ov.edgeCount,
 			rank:      make([]atomic.Pointer[rankIndex], s.numTypes),
 		}

@@ -102,21 +102,21 @@ func TestAppendAllOrNothing(t *testing.T) {
 	}
 }
 
+// TestAttrOverlaysAndAttrEpoch: a SetAttr epoch serves the new row from
+// that epoch on, an older epoch keeps the original, and edge-only epochs
+// before and after leave the rows alone.
 func TestAttrOverlaysAndAttrEpoch(t *testing.T) {
 	s := buildStore(8)
 	if _, _, _, set, err := s.Append(Delta{Add: []EdgeOp{{Src: 1, Dst: 3, Type: 0}}}); err != nil || set != 0 {
 		t.Fatal(err)
 	}
-	if got := s.HeadView().AttrEpoch(); got != 0 {
-		t.Fatalf("attr epoch after edge-only delta = %d", got)
+	if a, ok := s.HeadView().Attr(2); !ok || a[0] != 2 {
+		t.Fatalf("attr(2) after edge-only delta = %v", a)
 	}
 	if _, _, _, set, err := s.Append(Delta{SetAttr: []AttrOp{{V: 2, Attr: []float64{42}}}}); err != nil || set != 1 {
 		t.Fatalf("set=%d err=%v", set, err)
 	}
 	head := s.HeadView()
-	if head.AttrEpoch() != 2 {
-		t.Fatalf("attr epoch = %d, want 2", head.AttrEpoch())
-	}
 	if a, ok := head.Attr(2); !ok || a[0] != 42 {
 		t.Fatalf("attr(2) = %v", a)
 	}
@@ -131,12 +131,12 @@ func TestAttrOverlaysAndAttrEpoch(t *testing.T) {
 	if a, _ := v1.Attr(2); a[0] != 2 {
 		t.Fatalf("epoch-1 attr(2) = %v", a)
 	}
-	// A later edge-only epoch keeps the attr epoch sticky.
+	// A later edge-only epoch keeps the rewritten row.
 	if _, _, _, _, err := s.Append(Delta{Add: []EdgeOp{{Src: 1, Dst: 0, Type: 0}}}); err != nil {
 		t.Fatal(err)
 	}
-	if got := s.HeadView().AttrEpoch(); got != 2 {
-		t.Fatalf("attr epoch after later edge delta = %d, want 2", got)
+	if a, _ := s.HeadView().Attr(2); a[0] != 42 {
+		t.Fatalf("attr(2) after later edge delta = %v, want 42", a)
 	}
 }
 
@@ -198,7 +198,7 @@ func TestLeaseOfEvictedEpochFails(t *testing.T) {
 	if err := s.Lease(1); !IsEvicted(err) {
 		t.Fatalf("lease of evicted epoch = %v", err)
 	}
-	if e, _, _ := s.LeaseHeadStats(); e != 4 {
+	if e, _ := s.LeaseHeadStats(); e != 4 {
 		t.Fatalf("LeaseHeadStats = %d", e)
 	}
 	if s.Leases(4) != 1 {
@@ -406,7 +406,7 @@ func TestConcurrentAppendAndRead(t *testing.T) {
 			defer readers.Done()
 			rng := sampling.NewRng(seed)
 			for i := 0; i < 2000; i++ {
-				e, _, _ := s.LeaseHeadStats()
+				e, _ := s.LeaseHeadStats()
 				v, err := s.At(e)
 				if err != nil {
 					t.Errorf("At(leased %d): %v", e, err)

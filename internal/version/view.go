@@ -23,16 +23,6 @@ type View struct {
 // Epoch reports which epoch the view reads.
 func (v View) Epoch() uint64 { return v.epoch }
 
-// AttrEpoch reports the most recent epoch <= the view's that rewrote any
-// attribute row (0 when attributes are still the base's). Attribute caches
-// invalidate when it advances.
-func (v View) AttrEpoch() uint64 {
-	if v.ov == nil {
-		return 0
-	}
-	return v.ov.attrEpoch
-}
-
 // Neighbors returns x's out-neighbors under edge type t at the view's
 // epoch. The slice aliases immutable storage (base CSR or an overlay entry)
 // and must be treated as read-only. ok is false when x is not local.
@@ -66,21 +56,6 @@ func (v View) ChangedAt(x graph.ID, t graph.EdgeType) uint64 {
 	return v.b.since[akey{x, t}]
 }
 
-// AttrChangedAt reports the epoch at which x's attribute row, as served at
-// this view, was installed: the overlay row's stamp for rewritten rows, the
-// base's fold stamp for rows a compaction absorbed, and 0 for rows that
-// predate every update. The attribute analogue of ChangedAt — serving
-// layers stamp attr replies with it so an embedding cache's validity
-// interval covers feature changes too, not just adjacency.
-func (v View) AttrChangedAt(x graph.ID) uint64 {
-	if v.ov != nil {
-		if a, ok := v.ov.attrs[x]; ok {
-			return a.epoch
-		}
-	}
-	return v.b.attrSince[x]
-}
-
 // Touched reports whether x's type-t adjacency at this view differs from
 // its base (i.e. was rewritten by some epoch the base does not cover).
 // Untouched vertices may be served by base-built indexes.
@@ -109,26 +84,23 @@ func (v View) Attr(x graph.ID) ([]float64, bool) {
 	return v.b.attrs.floats(slot, nil), true
 }
 
-// AttrStored is Attr in the form the store holds the row, plus the row's
-// AttrChangedAt stamp, from one slot lookup: codes into AttrTable when the
-// base holds the row coded (non-nil unless the row is nil), the row itself
-// otherwise (a row set by an update the base has not absorbed, or a row of
-// a base that stores values). Neither may be mutated.
-func (v View) AttrStored(x graph.ID) (row []float64, codes []byte, since uint64, ok bool) {
+// AttrStored is Attr in the form the store holds the row, from one slot
+// lookup: codes into AttrTable when the base holds the row coded (non-nil
+// unless the row is nil), the row itself otherwise (a row set by an update
+// the base has not absorbed, or a row of a base that stores values).
+// Neither may be mutated.
+func (v View) AttrStored(x graph.ID) (row []float64, codes []byte, ok bool) {
 	slot := v.b.slot(x)
 	if slot < 0 {
-		return nil, nil, 0, false
+		return nil, nil, false
 	}
 	if v.ov != nil {
 		if a, ok := v.ov.attrs[x]; ok {
-			return a.row, nil, a.epoch, true
+			return a.row, nil, true
 		}
 	}
 	row, codes = v.b.attrs.row(slot)
-	if len(v.b.attrSince) > 0 {
-		since = v.b.attrSince[x]
-	}
-	return row, codes, since, true
+	return row, codes, true
 }
 
 // AttrTable returns the distinct float64 bit patterns, in first-appearance
